@@ -9,7 +9,9 @@ BENCH_BASE ?= BENCH_PR10.json
 
 # The gate for every change: static checks, full build, and the complete
 # test suite under the race detector (the fault-tolerant transport is
-# heavily concurrent; -race is not optional for it).
+# heavily concurrent; -race is not optional for it). That run includes the
+# codec's differential tests — octree TestValidateMatchesPairwise (1.1e5
+# trees against the pairwise oracle) and sample's decode-all-ways checks.
 verify:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -39,6 +41,7 @@ bench-diff:
 fuzz-smoke:
 	go test ./internal/fft/ -fuzz=FuzzFFTRoundTrip -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzOctreeMetaCodec -fuzztime=10s -fuzzminimizetime=5x
+	go test ./internal/octree/ -fuzz=FuzzValidateMatchesPairwise -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/sample/ -fuzz=FuzzCompressedIO -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/ckpt/ -fuzz=FuzzCheckpointCodec -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/wire/ -fuzz=FuzzWireFrameCodec -fuzztime=10s -fuzzminimizetime=5x

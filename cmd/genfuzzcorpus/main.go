@@ -100,6 +100,35 @@ func main() {
 	corruptMeta[3] = 3 // non-power-of-two rate
 	writeSeed(octDir, "seed-bad-rate", 16, tree.SampleCount(), metaBytes(corruptMeta))
 
+	// FuzzValidateMatchesPairwise(n int, cells []byte): x, y, z, size, rate
+	// as one int8 per field, five bytes a cell.
+	valDir := filepath.Join("internal", "octree", "testdata", "fuzz", "FuzzValidateMatchesPairwise")
+	cellBytes := func(cells []octree.Cell) []byte {
+		var raw []byte
+		for _, c := range cells {
+			raw = append(raw, byte(c.Box.Lo[0]), byte(c.Box.Lo[1]), byte(c.Box.Lo[2]), byte(c.Box.Size()[0]), byte(c.Rate))
+		}
+		return raw
+	}
+	genuine := cellBytes(tree.Cells)
+	writeSeed(valDir, "seed-genuine", 16, genuine)
+	shifted := bytes.Clone(genuine)
+	shifted[5]++ // second cell one step along x: a gap and an overlap of equal volume
+	writeSeed(valDir, "seed-shifted", 16, shifted)
+	writeSeed(valDir, "seed-duplicated", 16, append(bytes.Clone(genuine), genuine[:5]...))
+	writeSeed(valDir, "seed-dropped", 16, genuine[5:])
+	swapped := bytes.Clone(genuine)
+	copy(swapped[0:5], genuine[5:10])
+	copy(swapped[5:10], genuine[0:5])
+	writeSeed(valDir, "seed-swapped", 16, swapped)
+	writeSeed(valDir, "seed-empty-cell", 16, append(bytes.Clone(genuine), 20, 0xfd, 3, 0, 1))
+	writeSeed(valDir, "seed-negative-size", 16, append(bytes.Clone(genuine), 4, 4, 4, 0xfe, 1))
+	writeSeed(valDir, "seed-odd-grid", 3, cellBytes([]octree.Cell{
+		{Box: grid.CubeAt(grid.Point{0, 0, 0}, 2), Rate: 2},
+		{Box: grid.CubeAt(grid.Point{2, 0, 0}, 1), Rate: 1},
+	}))
+	writeSeed(valDir, "seed-no-cells", 0, []byte{})
+
 	// FuzzCompressedIO(data []byte)
 	smpDir := filepath.Join("internal", "sample", "testdata", "fuzz", "FuzzCompressedIO")
 	utree, err := sample.Uniform{Rate: 2, CellSize: 8}.Tree(grid.Cube(16))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"lowcomm3d/internal/grid"
@@ -213,10 +214,10 @@ func TestParallelFor(t *testing.T) {
 		}
 	}
 	// Degenerate cases.
-	count := 0
-	ParallelFor(3, 0, func(w, i int) { count++ })
-	if count != 3 {
-		t.Errorf("auto workers visited %d", count)
+	var count atomic.Int32 // auto workers run f concurrently
+	ParallelFor(3, 0, func(w, i int) { count.Add(1) })
+	if count.Load() != 3 {
+		t.Errorf("auto workers visited %d", count.Load())
 	}
 	ParallelFor(0, 4, func(w, i int) { t.Error("must not be called") })
 }

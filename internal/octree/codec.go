@@ -48,8 +48,9 @@ func DecodeMeta(n int, meta []int32, totalSamples int) (*Tree, error) {
 		return nil, fmt.Errorf("octree: implausible total sample count %d", totalSamples)
 	}
 	nc := len(meta) / IntsPerCell
-	t := &Tree{Dim: grid.Cube(n)}
-	for i := 0; i < nc; i++ {
+	// One allocation: nc is bounded by the metadata the caller already holds.
+	t := &Tree{Dim: grid.Cube(n), Cells: make([]Cell, nc)}
+	for i := range t.Cells {
 		m := meta[i*IntsPerCell : (i+1)*IntsPerCell]
 		rate := int(m[3])
 		if rate < 1 {
@@ -72,10 +73,7 @@ func DecodeMeta(n int, meta []int32, totalSamples int) (*Tree, error) {
 			return nil, fmt.Errorf("octree: cell %d sample count %d is not a valid lattice cube", i, count)
 		}
 		size := rate * (lat - 1)
-		c := Cell{Rate: rate}
-		c.Box.Lo = grid.Point{int(m[0]), int(m[1]), int(m[2])}
-		c.Box.Hi = grid.Point{c.Box.Lo[0] + size, c.Box.Lo[1] + size, c.Box.Lo[2] + size}
-		t.Cells = append(t.Cells, c)
+		t.Cells[i] = Cell{Box: grid.CubeAt(grid.Point{int(m[0]), int(m[1]), int(m[2])}, size), Rate: rate}
 	}
 	// The per-cell counts are cumulative differences, so they only sum to
 	// totalSamples if the first cell's cumulative count is 0 and at least

@@ -113,16 +113,40 @@ func (t *Tree) SampleCount() int {
 // CellCount returns the number of leaf cells.
 func (t *Tree) CellCount() int { return len(t.Cells) }
 
-// Validate checks the structural invariants: cells are disjoint, cover the
-// grid exactly, have power-of-two rates dividing their sizes, and lie
-// within bounds.
+// MaxGridSize bounds each grid extent Validate accepts (2²⁰, the same
+// plausibility bound sample.ReadCompressed puts on a stream's header): at
+// most 2⁶⁰ grid points, so cell volumes, their running sum and the packed
+// corner keys below all fit an int64 without overflow checks.
+const MaxGridSize = 1 << 20
+
+// Validate checks the structural invariants: cells are cubic with size ≥ 1,
+// lie within bounds, have power-of-two rates dividing their sizes, and tile
+// the grid exactly — disjoint and covering every point.
+//
+// The tiling check is linear in the cell count. With every cell a
+// non-empty in-bounds box and the volumes summing to exactly the grid's
+// point count, the cells tile the grid iff every lattice corner is a corner
+// of an even number of boxes once the grid's own box is counted in: the
+// mixed difference of f = Σ 1_cell − 1_grid is ±1 at exactly the eight
+// corners of each box, so even corner counts mean that difference vanishes
+// mod 2, hence (f has finite support) f itself is even everywhere — every
+// grid point is covered an odd number of times, so at least once, and equal
+// total volume then forces exactly once. The argument needs the volume sum
+// to be exact, so it is compared without ever exceeding the grid's count.
 func (t *Tree) Validate() error {
-	vol := 0
-	bounds := t.Dim.Bounds()
+	d := t.Dim
+	if d.Nx > MaxGridSize || d.Ny > MaxGridSize || d.Nz > MaxGridSize {
+		return fmt.Errorf("octree: grid %v exceeds %d points per axis", d, MaxGridSize)
+	}
+	bounds := d.Bounds()
+	total, vol := d.Len(), 0
 	for i, c := range t.Cells {
 		s := c.Box.Size()
 		if s[0] != s[1] || s[1] != s[2] {
 			return fmt.Errorf("octree: cell %d box %v not cubic", i, c.Box)
+		}
+		if s[0] < 1 {
+			return fmt.Errorf("octree: cell %d box %v is empty", i, c.Box)
 		}
 		if !bounds.ContainsBox(c.Box) {
 			return fmt.Errorf("octree: cell %d box %v outside grid", i, c.Box)
@@ -133,15 +157,40 @@ func (t *Tree) Validate() error {
 		if s[0]%c.Rate != 0 {
 			return fmt.Errorf("octree: cell %d rate %d does not divide size %d", i, c.Rate, s[0])
 		}
-		for j := i + 1; j < len(t.Cells); j++ {
-			if c.Box.Overlaps(t.Cells[j].Box) {
-				return fmt.Errorf("octree: cells %d and %d overlap", i, j)
+		v := c.Box.Volume()
+		if v > total-vol {
+			return fmt.Errorf("octree: cells 0..%d cover more than the grid's %d points", i, total)
+		}
+		vol += v
+	}
+	if vol != total {
+		return fmt.Errorf("octree: cells cover %d points, grid has %d", vol, total)
+	}
+	// Corner parity, keyed by the corner's index in the (N+1)³ vertex grid.
+	wx, wy := d.Nx+1, d.Ny+1
+	parity := make(map[int]uint8, len(t.Cells))
+	toggle := func(b grid.Box) {
+		for _, z := range [2]int{b.Lo[2], b.Hi[2]} {
+			for _, y := range [2]int{b.Lo[1], b.Hi[1]} {
+				row := (z*wy + y) * wx
+				parity[row+b.Lo[0]] ^= 1
+				parity[row+b.Hi[0]] ^= 1
 			}
 		}
-		vol += c.Box.Volume()
 	}
-	if vol != t.Dim.Len() {
-		return fmt.Errorf("octree: cells cover %d points, grid has %d", vol, t.Dim.Len())
+	toggle(bounds)
+	for _, c := range t.Cells {
+		toggle(c.Box)
+	}
+	odd := -1
+	for key, p := range parity {
+		if p != 0 && (odd < 0 || key < odd) {
+			odd = key
+		}
+	}
+	if odd >= 0 {
+		return fmt.Errorf("octree: cells overlap or leave a gap: corner (%d,%d,%d) is shared by an odd number of boxes",
+			odd%wx, odd/wx%wy, odd/wx/wy)
 	}
 	return nil
 }
@@ -182,13 +231,10 @@ func (t *Tree) CellOffsets() []int {
 	return off
 }
 
-// FindCell returns the index of the cell containing (x, y, z), or -1.
-// Lookup walks the implicit octree top-down in O(log N).
+// FindCell returns the index of the cell containing (x, y, z), or -1, by a
+// linear scan over the cells: no index to build, fine for a handful of
+// queries. Use a Locator to query many points against a large tree.
 func (t *Tree) FindCell(x, y, z int) int {
-	// Cells are emitted in deterministic DFS octant order; binary search
-	// is not applicable to the 3D layout, so use a simple scan accelerated
-	// by checking the box. Trees stay small (hundreds of cells), so a
-	// linear scan is fine and avoids auxiliary indices.
 	for i, c := range t.Cells {
 		if c.Box.Contains(x, y, z) {
 			return i

@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 )
@@ -38,13 +37,7 @@ type Chunk struct {
 // EncodeBytes serializes the compressed field (full precision) into
 // memory — the server-side snapshot a chunked, resumable stream is cut
 // from.
-func (c *Compressed) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (c *Compressed) EncodeBytes() ([]byte, error) { return c.encode(ioVersion) }
 
 // ChunkAt cuts the single CRC-stamped chunk of at most size payload
 // bytes starting at byte offset from of the encoded stream. The chunk
@@ -70,6 +63,9 @@ func ChunkAt(stream []byte, from int64, size int) (Chunk, error) {
 // offset from — the resume path passes the receiver's ack offset. Chunks
 // alias the stream; they are views, not copies.
 func ChunkStream(stream []byte, from int64, size int) ([]Chunk, error) {
+	if from < 0 || from > int64(len(stream)) {
+		return nil, fmt.Errorf("sample: chunk offset %d outside stream of %d bytes", from, len(stream))
+	}
 	if size <= 0 {
 		size = DefaultChunkBytes
 	}
@@ -80,9 +76,6 @@ func ChunkStream(stream []byte, from int64, size int) ([]Chunk, error) {
 			return nil, err
 		}
 		out = append(out, ch)
-	}
-	if from < 0 || from > int64(len(stream)) {
-		return nil, fmt.Errorf("sample: chunk offset %d outside stream of %d bytes", from, len(stream))
 	}
 	return out, nil
 }
@@ -148,5 +141,5 @@ func (a *Assembler) Compressed() (*Compressed, error) {
 	if !a.Complete() {
 		return nil, fmt.Errorf("sample: stream incomplete: %d of %d bytes assembled", len(a.buf), a.total)
 	}
-	return ReadCompressed(bytes.NewReader(a.buf))
+	return decodeBytes(a.buf)
 }

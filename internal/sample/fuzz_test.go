@@ -32,7 +32,9 @@ func fuzzSeedStream(f *testing.F, version32 bool) []byte {
 // FuzzCompressedIO feeds ReadCompressed arbitrary streams: malformed input
 // must return an error — never panic, never allocate unbounded memory from
 // a lying header — and any stream it accepts must round-trip bit-exactly
-// through WriteTo (or to float32 precision through WriteTo32).
+// through WriteTo (or to float32 precision through WriteTo32). On every
+// input, ReadCompressed, decodeBytes and the pre-rewrite reference decoder
+// must agree, value or error.
 func FuzzCompressedIO(f *testing.F) {
 	v64 := fuzzSeedStream(f, false)
 	v32 := fuzzSeedStream(f, true)
@@ -47,7 +49,7 @@ func FuzzCompressedIO(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCompressed(bytes.NewReader(data))
+		c, err := decodeAllWays(t, data)
 		if err != nil {
 			return // clean rejection is the contract for malformed streams
 		}

@@ -1,10 +1,10 @@
 package sample
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"lowcomm3d/internal/octree"
 )
@@ -21,12 +21,26 @@ import (
 //	samples uint64  sample count
 //	meta    [5·cells]int32
 //	data    [samples]float64
+//
+// Everything is little-endian. Encoding and decoding cost O(cells +
+// samples): one pass over the bytes plus octree.Tree.Validate's linear
+// tiling check.
 
 const (
 	ioMagic     = 0x4c433344 // "LC3D"
 	ioVersion   = 1          // float64 samples
 	ioVersion32 = 2          // float32 samples (paper §4: "compressed further using lower precision")
+
+	ioHeaderBytes = 4*4 + 8
 )
+
+// sampleWidth is the encoded size of one sample in a stream of version v.
+func sampleWidth(v uint32) int {
+	if v == ioVersion32 {
+		return 4
+	}
+	return 8
+}
 
 // WriteTo serializes the compressed field at full (float64) precision. It
 // implements io.WriterTo.
@@ -42,84 +56,153 @@ func (c *Compressed) WriteTo32(w io.Writer) (int64, error) {
 }
 
 func (c *Compressed) writeVersion(w io.Writer, version uint32) (int64, error) {
+	stream, err := c.encode(version)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(stream)
+	return int64(n), err
+}
+
+// encode serializes the field into one buffer of exactly the stream's size.
+func (c *Compressed) encode(version uint32) ([]byte, error) {
 	if len(c.Samples) != c.Tree.SampleCount() {
-		return 0, fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
+		return nil, fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
+	le := binary.LittleEndian
+	meta := c.Tree.EncodeMeta()
+	width := sampleWidth(version)
+	out := make([]byte, ioHeaderBytes+4*len(meta)+width*len(c.Samples))
+	le.PutUint32(out[0:], ioMagic)
+	le.PutUint32(out[4:], version)
+	le.PutUint32(out[8:], uint32(c.Tree.Dim.Nx))
+	le.PutUint32(out[12:], uint32(len(c.Tree.Cells)))
+	le.PutUint64(out[16:], uint64(len(c.Samples)))
+	p := out[ioHeaderBytes:]
+	for i, m := range meta {
+		le.PutUint32(p[4*i:], uint32(m))
 	}
-	header := []uint32{ioMagic, version, uint32(c.Tree.Dim.Nx), uint32(len(c.Tree.Cells))}
-	for _, h := range header {
-		if err := write(h); err != nil {
-			return n, err
-		}
-	}
-	if err := write(uint64(len(c.Samples))); err != nil {
-		return n, err
-	}
-	if err := write(c.Tree.EncodeMeta()); err != nil {
-		return n, err
-	}
+	p = p[4*len(meta):]
 	if version == ioVersion32 {
-		s32 := make([]float32, len(c.Samples))
 		for i, v := range c.Samples {
-			s32[i] = float32(v)
+			le.PutUint32(p[4*i:], math.Float32bits(float32(v)))
 		}
-		if err := write(s32); err != nil {
-			return n, err
+	} else {
+		for i, v := range c.Samples {
+			le.PutUint64(p[8*i:], math.Float64bits(v))
 		}
-	} else if err := write(c.Samples); err != nil {
-		return n, err
 	}
-	return n, bw.Flush()
+	return out, nil
 }
 
 // ReadCompressed deserializes a compressed field written by WriteTo,
-// validating the octree structure before returning.
+// validating the octree structure before returning. Allocation is bounded
+// by bytes actually read: a forged header fails at EOF at most one
+// ioChunk of elements ahead of the data.
 func ReadCompressed(r io.Reader) (*Compressed, error) {
-	br := bufio.NewReader(r)
-	var header [4]uint32
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("sample: reading header: %w", err)
+	return decode(&readerSource{r: r})
+}
+
+// decodeBytes deserializes a compressed field from an encoded stream held
+// in memory (the wire receive path, behind Assembler.Compressed): the same
+// checks as ReadCompressed, with the metadata and sample arrays sized once
+// from the bytes in hand.
+func decodeBytes(stream []byte) (*Compressed, error) {
+	return decode((*sliceSource)(&stream))
+}
+
+// source feeds decode the next n bytes of a stream; the returned slice is
+// valid until the following call. held is how many further bytes are known
+// to be in memory already — memory the stream has paid for, so the decoder
+// may size its arrays by it — and 0 when unknown.
+type source interface {
+	next(n int) ([]byte, error)
+	held() int
+}
+
+type sliceSource []byte
+
+func (s *sliceSource) held() int { return len(*s) }
+
+func (s *sliceSource) next(n int) ([]byte, error) {
+	b := *s
+	if len(b) < n {
+		if len(b) == 0 {
+			return nil, io.EOF
 		}
+		return nil, io.ErrUnexpectedEOF
 	}
-	if header[0] != ioMagic {
-		return nil, fmt.Errorf("sample: bad magic %#x", header[0])
+	*s = b[n:]
+	return b[:n], nil
+}
+
+type readerSource struct {
+	r   io.Reader
+	buf []byte
+}
+
+func (s *readerSource) held() int { return 0 }
+
+func (s *readerSource) next(n int) ([]byte, error) {
+	if cap(s.buf) < n {
+		s.buf = make([]byte, n)
 	}
-	if header[1] != ioVersion && header[1] != ioVersion32 {
-		return nil, fmt.Errorf("sample: unsupported version %d", header[1])
+	_, err := io.ReadFull(s.r, s.buf[:n])
+	return s.buf[:n], err
+}
+
+// ioChunk bounds how far the decoder's allocations may run ahead of the
+// bytes it holds while deserializing untrusted streams (64Ki elements:
+// 512 KiB of float64 at a time).
+const ioChunk = 1 << 16
+
+// boundedCap is the initial capacity for an array a header claims has want
+// elements of width encoded bytes each: all of it when the source already
+// holds that many bytes, else at most one ioChunk — the cell and sample
+// counts are attacker-controlled (2²⁸ cells is a 5.4 GB allocation, a valid
+// octree in a 2²⁰ grid can demand 2⁴⁰ samples), and a lying header must
+// fail at EOF after one chunk, not after the allocation.
+func boundedCap(want, width int, src source) int {
+	return min(want, max(ioChunk, src.held()/width))
+}
+
+// decode is the one implementation of the stream's header, metadata, tree
+// and payload checks, behind both ReadCompressed and decodeBytes.
+func decode(src source) (*Compressed, error) {
+	le := binary.LittleEndian
+	h, err := src.next(16)
+	if err != nil {
+		return nil, fmt.Errorf("sample: reading header: %w", err)
 	}
-	n := int(header[2])
-	cells := int(header[3])
-	if n <= 0 || n > 1<<20 || cells <= 0 || cells > 1<<28 {
+	if magic := le.Uint32(h[0:]); magic != ioMagic {
+		return nil, fmt.Errorf("sample: bad magic %#x", magic)
+	}
+	version := le.Uint32(h[4:])
+	if version != ioVersion && version != ioVersion32 {
+		return nil, fmt.Errorf("sample: unsupported version %d", version)
+	}
+	n, cells := int(le.Uint32(h[8:])), int(le.Uint32(h[12:]))
+	if n <= 0 || n > octree.MaxGridSize || cells <= 0 || cells > 1<<28 {
 		return nil, fmt.Errorf("sample: implausible header n=%d cells=%d", n, cells)
 	}
-	var sampleCount uint64
-	if err := binary.Read(br, binary.LittleEndian, &sampleCount); err != nil {
+	if h, err = src.next(8); err != nil {
 		return nil, fmt.Errorf("sample: reading sample count: %w", err)
 	}
+	sampleCount := le.Uint64(h)
 	if sampleCount > 1<<40 {
 		return nil, fmt.Errorf("sample: implausible sample count %d", sampleCount)
 	}
-	// Read metadata in bounded chunks: the cell count is attacker-controlled
-	// (up to 2²⁸ → a 5.4 GB upfront allocation), so allocate only as data
-	// actually arrives — a lying header fails at EOF after one chunk.
-	meta := make([]int32, 0, minInt(octree.IntsPerCell*cells, ioChunk))
-	for remaining := octree.IntsPerCell * cells; remaining > 0; {
-		chunk := minInt(remaining, ioChunk)
-		buf := make([]int32, chunk)
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
+
+	metaLen := octree.IntsPerCell * cells
+	meta := make([]int32, 0, boundedCap(metaLen, 4, src))
+	for len(meta) < metaLen {
+		raw, err := src.next(4 * min(metaLen-len(meta), ioChunk))
+		if err != nil {
 			return nil, fmt.Errorf("sample: reading metadata: %w", err)
 		}
-		meta = append(meta, buf...)
-		remaining -= chunk
+		for ; len(raw) > 0; raw = raw[4:] {
+			meta = append(meta, int32(le.Uint32(raw)))
+		}
 	}
 	tree, err := octree.DecodeMeta(n, meta, int(sampleCount))
 	if err != nil {
@@ -131,44 +214,23 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	if tree.SampleCount() != int(sampleCount) {
 		return nil, fmt.Errorf("sample: tree needs %d samples, file has %d", tree.SampleCount(), sampleCount)
 	}
-	// Same chunked discipline for the payload: a structurally valid octree
-	// in a 2²⁰ grid can legitimately demand ~2⁴⁰ samples, so sizing the
-	// slice from the header alone is an 8 TB allocation a 60-byte forged
-	// stream could trigger. Growth is bounded by bytes actually received.
-	samples := make([]float64, 0, minInt(int(sampleCount), ioChunk))
-	if header[1] == ioVersion32 {
-		for remaining := int(sampleCount); remaining > 0; {
-			chunk := minInt(remaining, ioChunk)
-			s32 := make([]float32, chunk)
-			if err := binary.Read(br, binary.LittleEndian, s32); err != nil {
-				return nil, fmt.Errorf("sample: reading samples: %w", err)
-			}
-			for _, v := range s32 {
-				samples = append(samples, float64(v))
-			}
-			remaining -= chunk
+
+	width := sampleWidth(version)
+	samples := make([]float64, 0, boundedCap(int(sampleCount), width, src))
+	for len(samples) < int(sampleCount) {
+		raw, err := src.next(width * min(int(sampleCount)-len(samples), ioChunk))
+		if err != nil {
+			return nil, fmt.Errorf("sample: reading samples: %w", err)
 		}
-	} else {
-		for remaining := int(sampleCount); remaining > 0; {
-			chunk := minInt(remaining, ioChunk)
-			buf := make([]float64, chunk)
-			if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
-				return nil, fmt.Errorf("sample: reading samples: %w", err)
+		if version == ioVersion32 {
+			for ; len(raw) > 0; raw = raw[4:] {
+				samples = append(samples, float64(math.Float32frombits(le.Uint32(raw))))
 			}
-			samples = append(samples, buf...)
-			remaining -= chunk
+		} else {
+			for ; len(raw) > 0; raw = raw[8:] {
+				samples = append(samples, math.Float64frombits(le.Uint64(raw)))
+			}
 		}
 	}
 	return &Compressed{Tree: tree, Samples: samples}, nil
-}
-
-// ioChunk bounds per-read allocations while deserializing untrusted
-// streams (64Ki elements: 512 KiB of float64 at a time).
-const ioChunk = 1 << 16
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

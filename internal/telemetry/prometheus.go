@@ -109,6 +109,8 @@ var helpText = map[string]string{
 	"wire.client.restarts":           "Client jobs restarted from byte zero because the server no longer held the session.",
 	"wire.client.jobs_completed":     "Client jobs that returned a fully assembled, CRC-verified result.",
 	"wire.client.frames_corrupt":     "Inbound frames or chunks the client rejected as corrupt before resuming.",
+	"wire.client.assemble_seconds":   "Client time to CRC-check and append one result chunk (sample.Assembler.Add); the sum over a job's chunks is its assemble share of a Submit.",
+	"wire.client.decode_seconds":     "Client time to decode one fully assembled result stream (sample.Assembler.Compressed: header, 5-int octree metadata, linear-time tree validation, samples) - O(cells + samples).",
 	"fleet.placement_rejects":        "Placement candidates rejected while scoring a job against the fleet (typed per-candidate reasons - tried, dead, probation, suspect, no-fit, memory, queue-full - recorded on the job's timeline with the losing Eq. 2 costs), plus health-penalized candidates that scored but lost (probation/suspect or freshly-readmitted devices priced at the HealthPenalty multiplier).",
 	"serve.tenant_weight":            "Per-tenant deficit-round-robin dispatch weight: jobs served per queue visit, so under overload a weight-3 tenant drains ~3x a weight-1 tenant (labeled {tenant}).",
 	"serve.tenant_queue_depth":       "Jobs currently queued per tenant in the serving engine's weighted-fair dispatch (labeled {tenant}).",

@@ -440,3 +440,31 @@ func TestFleetHealthMetricsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestWireClientHistogramsExported pins the client-side share of a wire
+// Submit through the bridge: both histograms carry their own HELP text
+// and come out under the standard lowcomm_*_seconds names.
+func TestWireClientHistogramsExported(t *testing.T) {
+	tr := obs.New()
+	for _, name := range []string{"wire.client.assemble_seconds", "wire.client.decode_seconds"} {
+		tr.Histogram(name).Observe(time.Millisecond)
+		if help := helpText[name]; strings.TrimSpace(help) == "" || strings.ContainsAny(help, "\n\\") {
+			t.Errorf("metric %q HELP text missing or needs escaping: %q", name, help)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceMetrics(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	lintExposition(t, buf.String())
+	for _, want := range []string{
+		"# TYPE lowcomm_wire_client_assemble_seconds histogram",
+		"# TYPE lowcomm_wire_client_decode_seconds histogram",
+		"lowcomm_wire_client_decode_seconds_count 1",
+		helpText["wire.client.decode_seconds"],
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}

@@ -114,6 +114,11 @@ type Client struct {
 
 	cReconnects, cResumes, cRetries  *obs.Counter
 	cRestarts, cJobs, cFramesCorrupt *obs.Counter
+
+	// The client-side share of a Submit: hAssemble times each chunk's CRC
+	// check and append, hDecode the decode and octree validation of the
+	// assembled stream.
+	hAssemble, hDecode *obs.Histogram
 }
 
 // LastTraceID reports the server-side TraceID of the most recently
@@ -135,6 +140,8 @@ func NewClient(opts ClientOptions) *Client {
 	c.cRestarts = c.tr.Counter("wire.client.restarts")
 	c.cJobs = c.tr.Counter("wire.client.jobs_completed")
 	c.cFramesCorrupt = c.tr.Counter("wire.client.frames_corrupt")
+	c.hAssemble = c.tr.Histogram("wire.client.assemble_seconds")
+	c.hDecode = c.tr.Histogram("wire.client.decode_seconds")
 	return c
 }
 
@@ -440,7 +447,10 @@ func (c *Client) readResult(ctx context.Context, conn net.Conn, jobID uint64, as
 			if m.Trace != 0 {
 				c.lastTrace.Store(m.Trace)
 			}
-			if err := asm.Add(m.Chunk); err != nil {
+			t0 := time.Now()
+			err = asm.Add(m.Chunk)
+			c.hAssemble.Observe(time.Since(t0))
+			if err != nil {
 				// Gap or CRC failure: the stream state is unusable on this
 				// connection; resume from the last good offset.
 				return nil, nil, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
@@ -450,8 +460,7 @@ func (c *Client) readResult(ctx context.Context, conn net.Conn, jobID uint64, as
 				return nil, nil, err
 			}
 			if asm.Complete() {
-				res, err := asm.Compressed()
-				return res, nil, err
+				return c.decode(asm)
 			}
 		case FrameDone:
 			m, err := decodeDone(p)
@@ -464,8 +473,7 @@ func (c *Client) readResult(ctx context.Context, conn net.Conn, jobID uint64, as
 			if !asm.Complete() {
 				return nil, nil, fmt.Errorf("%w: done at %d of %d bytes", ErrFrameCorrupt, asm.Offset(), m.Total)
 			}
-			res, err := asm.Compressed()
-			return res, nil, err
+			return c.decode(asm)
 		case FrameStatus:
 			m, err := decodeStatus(p)
 			if err != nil {
@@ -489,6 +497,15 @@ func (c *Client) readResult(ctx context.Context, conn net.Conn, jobID uint64, as
 			return nil, nil, fmt.Errorf("%w: unexpected %v frame", ErrFrameCorrupt, t)
 		}
 	}
+}
+
+// decode turns the fully assembled stream into readResult's completed-job
+// return, timing it.
+func (c *Client) decode(asm *sample.Assembler) (*sample.Compressed, *statusMsg, error) {
+	t0 := time.Now()
+	res, err := asm.Compressed()
+	c.hDecode.Observe(time.Since(t0))
+	return res, nil, err
 }
 
 // FleetStatus asks the server for its engine's per-device fleet status:

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // ProtoVersion is the handshake protocol version. A Hello carrying any
@@ -212,24 +213,20 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if length > MaxFramePayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrFrameCorrupt, length, MaxFramePayload)
 	}
-	payload := make([]byte, 0, minInt(length, frameReadChunk))
-	var tmp [4096]byte
+	// Read straight into the payload's spare capacity. It grows only once
+	// the bytes received have filled it, to fit at most one more chunk
+	// (plus append's amortisation margin, as when the chunks were appended).
+	payload := make([]byte, 0, min(length, frameReadChunk))
 	for len(payload) < length {
-		n := minInt(length-len(payload), len(tmp))
-		if _, err := io.ReadFull(r, tmp[:n]); err != nil {
+		payload = slices.Grow(payload, min(length-len(payload), frameReadChunk))
+		end := min(length, cap(payload))
+		if _, err := io.ReadFull(r, payload[len(payload):end]); err != nil {
 			return 0, nil, fmt.Errorf("wire: reading frame payload at %d/%d: %w", len(payload), length, err)
 		}
-		payload = append(payload, tmp[:n]...)
+		payload = payload[:end]
 	}
 	if got, want := crc32.Checksum(payload, frameCRC), le32(12); got != want {
 		return 0, nil, fmt.Errorf("%w: payload CRC %#x, want %#x", ErrFrameCorrupt, got, want)
 	}
 	return t, payload, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -183,8 +183,17 @@ func TestWireRoundTrip(t *testing.T) {
 		sameSamples(t, got, want)
 	}
 	waitCounter(t, func() int64 { return srv.Trace().CounterValue("wire.jobs_completed") }, 3, "wire.jobs_completed")
-	if n := srv.Trace().CounterValue("wire.chunks_sent"); n < 3 {
-		t.Fatalf("wire.chunks_sent = %d, want multi-chunk streams", n)
+	chunks := srv.Trace().CounterValue("wire.chunks_sent")
+	if chunks < 3 {
+		t.Fatalf("wire.chunks_sent = %d, want multi-chunk streams", chunks)
+	}
+	// The client-side share of each Submit is on the client's trace: one
+	// decode per job, one assemble per chunk received.
+	if n := c.Trace().Histogram("wire.client.decode_seconds").Count(); n != 3 {
+		t.Errorf("wire.client.decode_seconds count = %d, want 3", n)
+	}
+	if n := c.Trace().Histogram("wire.client.assemble_seconds").Count(); n != chunks {
+		t.Errorf("wire.client.assemble_seconds count = %d, want %d chunks", n, chunks)
 	}
 	c.Close()
 	srv.Drain()
@@ -625,6 +634,48 @@ func TestReadFrameHostileHeaders(t *testing.T) {
 	// Empty stream: clean io.EOF for the session loop.
 	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	}
+}
+
+// countingReader counts Read calls and hands out at most limit bytes per
+// call (0: no limit).
+type countingReader struct {
+	r     io.Reader
+	limit int
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	if c.limit > 0 && len(p) > c.limit {
+		p = p[:c.limit]
+	}
+	return c.r.Read(p)
+}
+
+// TestReadFrameReadsIntoPayload pins the payload read path: a payload of
+// several frameReadChunk steps arrives intact however the reader fragments
+// it, is read straight into the growing payload slice (a handful of Read
+// calls, not one per 4 KB), and a mid-payload EOF is a read error.
+func TestReadFrameReadsIntoPayload(t *testing.T) {
+	payload := make([]byte, 3*frameReadChunk+frameReadChunk/2)
+	rand.New(rand.NewSource(3)).Read(payload)
+	frame := EncodeFrame(FrameChunk, payload)
+
+	whole := &countingReader{r: bytes.NewReader(frame)}
+	ft, got, err := ReadFrame(whole)
+	if err != nil || ft != FrameChunk || !bytes.Equal(got, payload) {
+		t.Fatalf("whole reads: type %v, err %v, payload equal %v", ft, err, bytes.Equal(got, payload))
+	}
+	if whole.reads > 1+4 { // the header, then one read per growth step
+		t.Errorf("%d-byte payload took %d Read calls", len(payload), whole.reads)
+	}
+	if _, got, err = ReadFrame(&countingReader{r: bytes.NewReader(frame), limit: 1000}); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("fragmented reads: err %v, payload equal %v", err, bytes.Equal(got, payload))
+	}
+	cut := frame[:HeaderSize+frameReadChunk+17]
+	if _, _, err = ReadFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated payload: err = %v, want wrapped io.ErrUnexpectedEOF", err)
 	}
 }
 
