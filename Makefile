@@ -1,11 +1,12 @@
 .PHONY: verify build test bench bench-diff fuzz-smoke
 
-# Where `make bench` writes its benchjson report. Override per PR:
-#   make bench BENCH_OUT=BENCH_PR11.json
-BENCH_OUT ?= BENCH_PR10.json
+# Where `make bench` writes its benchjson report: outside the tree, so a
+# bench run can never overwrite the committed baseline below.
+BENCH_OUT ?= /tmp/bench.json
 
-# Baseline the bench-diff gate compares against.
-BENCH_BASE ?= BENCH_PR10.json
+# Baseline the bench-diff gate (and CI's bench-smoke job) compares
+# against. It moves only by an explicit, explained commit.
+BENCH_BASE ?= BENCH_BASELINE.json
 
 # The gate for every change: static checks, full build, and the complete
 # test suite under the race detector (the fault-tolerant transport is

@@ -139,7 +139,7 @@ func TestAblationFarRateErrorTradeoff(t *testing.T) {
 		}
 		prevSamples = tree.SampleCount()
 		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{Pruned: true})
+			conv.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

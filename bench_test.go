@@ -77,7 +77,7 @@ func BenchmarkTable3Speedup(b *testing.B) {
 			b.Fatal(err)
 		}
 		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{Pruned: true})
+			conv.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkFig1CommVolume(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cluster.LowCommConvolve(c, f, kernel, k, 16, conv.Config{Pruned: true}); err != nil {
+			if _, err := cluster.LowCommConvolve(c, f, kernel, k, 16, conv.Config{}); err != nil {
 				b.Fatal(err)
 			}
 			bytes, _, rounds, _ = c.Stats.Snapshot()
@@ -185,7 +185,7 @@ func BenchmarkSec54BatchB(b *testing.B) {
 	subField := smoothSub(k)
 	for _, batch := range []int{256, 1024, 4096} {
 		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{BatchB: batch, Pruned: true})
+			conv.Config{BatchB: batch})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,38 +203,6 @@ func BenchmarkSec54BatchB(b *testing.B) {
 	}
 	for _, r := range rows {
 		b.Logf("model N=%d B %d→%d: %.1f%% (paper %.1f%%)", r.N, r.FromB, r.ToB, r.SpeedupPct, r.PaperPct)
-	}
-}
-
-// BenchmarkAblationPruned compares the pruned z transforms against plain
-// copy-and-pad inside the local pipeline (DESIGN.md §5 ablation 1).
-func BenchmarkAblationPruned(b *testing.B) {
-	n, k := 128, 16
-	dim := grid.Cube(n)
-	sub := grid.CubeAt(grid.Point{56, 56, 56}, k)
-	kernel := green.Gaussian{Sigma: 2}
-	tree, err := sample.DefaultPolicy(sub, 16).Tree(dim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subField := smoothSub(k)
-	for _, pruned := range []bool{false, true} {
-		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{Pruned: pruned})
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := "padded"
-		if pruned {
-			name = "pruned"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := local.Run(subField); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -340,7 +308,7 @@ func BenchmarkMassifIteration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := massif.SolveLowComm(m, E, massif.LowCommOptions{
 				Options: massif.Options{Tol: 1e-12, MaxIter: 3},
-				SubSize: 8, FarRate: 8, Pruned: true,
+				SubSize: 8, FarRate: 8,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -373,7 +341,7 @@ func BenchmarkFFT1D(b *testing.B) {
 // the local pipeline: the same convolution with tracing off (nil trace,
 // every span/counter call a no-op) and on. The traced run also reports the
 // model-flop and sample-byte counters through ReportMetric so they land in
-// BENCH_PR2.json next to ns/op.
+// the benchjson report next to ns/op.
 func BenchmarkObsOverhead(b *testing.B) {
 	n, k := 64, 16
 	dim := grid.Cube(n)
@@ -396,11 +364,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 	}
 	b.Run("untraced", func(b *testing.B) {
-		run(b, conv.Config{Pruned: true})
+		run(b, conv.Config{})
 	})
 	b.Run("traced", func(b *testing.B) {
 		tr := obs.New()
-		run(b, conv.Config{Pruned: true, Trace: tr})
+		run(b, conv.Config{Trace: tr})
 		b.ReportMetric(float64(tr.CounterValue("conv.flops_model"))/float64(b.N), "model-flops/op")
 		b.ReportMetric(float64(tr.CounterValue("conv.sample_bytes"))/float64(b.N), "sample-B/op")
 	})

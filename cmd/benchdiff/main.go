@@ -2,7 +2,7 @@
 // fails when the new report regresses beyond tolerance — the bench
 // regression gate CI runs against the committed baseline.
 //
-//	benchdiff -base BENCH_PR3.json -new BENCH_PR4.json -tol 0.25
+//	benchdiff -base BENCH_BASELINE.json -new /tmp/bench-new.json -tol 0.25
 //
 // Relative metrics (ns/op, B/op, and any custom ReportMetric unit) fail
 // when new > base·(1+tol). allocs/op is held to a hard gate instead: new

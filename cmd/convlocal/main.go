@@ -25,13 +25,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("convlocal: ")
 	var (
-		n      = flag.Int("n", 64, "grid size N (power of two)")
-		k      = flag.Int("k", 16, "sub-domain size k")
-		far    = flag.Int("far", 16, "far-field downsampling rate")
-		sigma  = flag.Float64("sigma", 2, "Gaussian kernel width (grid cells)")
-		batch  = flag.Int("batch", 0, "pencil batch size B (0 = all)")
-		pruned = flag.Bool("pruned", true, "use input-pruned transforms")
-		model  = flag.Bool("model", false, "print the analytic GPU memory model instead of running (works at paper scales, e.g. -n 2048)")
+		n     = flag.Int("n", 64, "grid size N (power of two)")
+		k     = flag.Int("k", 16, "sub-domain size k")
+		far   = flag.Int("far", 16, "far-field downsampling rate")
+		sigma = flag.Float64("sigma", 2, "Gaussian kernel width (grid cells)")
+		batch = flag.Int("batch", 0, "pencil batch size B (0 = all)")
+		model = flag.Bool("model", false, "print the analytic GPU memory model instead of running (works at paper scales, e.g. -n 2048)")
 	)
 	flag.Parse()
 
@@ -67,7 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 	local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-		conv.Config{BatchB: *batch, Pruned: *pruned})
+		conv.Config{BatchB: *batch})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,8 +108,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	t := report.New(fmt.Sprintf("local convolution: N=%d k=%d far=%d σ=%g pruned=%v",
-		*n, *k, *far, *sigma, *pruned), "metric", "value")
+	t := report.New(fmt.Sprintf("local convolution: N=%d k=%d far=%d σ=%g",
+		*n, *k, *far, *sigma), "metric", "value")
 	t.AddCells("rel L2 error", fmt.Sprintf("%.4f", rel))
 	t.AddCells("compression", fmt.Sprintf("%.1fx", st.Compression))
 	t.AddCells("samples", fmt.Sprint(st.SampleCount))

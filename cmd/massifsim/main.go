@@ -114,7 +114,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := massif.SolveLowCommDistributed(cl, m, E, massif.LowCommOptions{
-			Options: opt, SubSize: *subSize, FarRate: *far, Pruned: true,
+			Options: opt, SubSize: *subSize, FarRate: *far,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -128,7 +128,7 @@ func main() {
 	}
 	if *solver == "lowcomm" || *solver == "both" || *solver == "all" {
 		res, err := massif.SolveLowComm(m, E, massif.LowCommOptions{
-			Options: opt, SubSize: *subSize, FarRate: *far, Pruned: true,
+			Options: opt, SubSize: *subSize, FarRate: *far,
 		})
 		if err != nil {
 			log.Fatal(err)

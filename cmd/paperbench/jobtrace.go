@@ -55,7 +55,7 @@ func jobTraceStudy() error {
 	col := jobtrace.NewCollector()
 	eng, err := serve.New(serve.Options{
 		Dim: grid.Cube(n), Kernel: green.Gaussian{Sigma: 2}, FarRate: 8,
-		Pruned: true, Workers: 2, Device: gpu.V100_16GB(), Jobs: col,
+		Workers: 2, Device: gpu.V100_16GB(), Jobs: col,
 	})
 	if err != nil {
 		return err

@@ -257,7 +257,7 @@ func fig1() error {
 	if err != nil {
 		return err
 	}
-	if _, err := cluster.LowCommConvolve(cOurs, f, kernel, k, 16, conv.Config{Pruned: true, Trace: tr}); err != nil {
+	if _, err := cluster.LowCommConvolve(cOurs, f, kernel, k, 16, conv.Config{Trace: tr}); err != nil {
 		return err
 	}
 	ob, om, oc, osim := cOurs.Stats.Snapshot()
@@ -357,7 +357,7 @@ func measured() error {
 		if err != nil {
 			return err
 		}
-		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel), conv.Config{Pruned: true, Trace: tr})
+		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel), conv.Config{Trace: tr})
 		if err != nil {
 			return err
 		}
@@ -435,7 +435,7 @@ func massifComm() error {
 		return err
 	}
 	if _, err := massif.SolveLowCommDistributed(cLow, m, E, massif.LowCommOptions{
-		Options: opt, SubSize: k, FarRate: 8, Pruned: true,
+		Options: opt, SubSize: k, FarRate: 8,
 	}); err != nil {
 		return err
 	}
@@ -490,7 +490,7 @@ func faultStudy() error {
 		f.Data[i] = float64(i%17) / 17
 	}
 	kernel := green.Gaussian{Sigma: 2}
-	cfg := conv.Config{Pruned: true}
+	cfg := conv.Config{}
 
 	cRef, err := cluster.New(p, cluster.DefaultParams())
 	if err != nil {
@@ -572,7 +572,7 @@ func faultStudy() error {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	opt := massif.LowCommOptions{
 		Options: massif.Options{Tol: 1e-4, MaxIter: 40},
-		SubSize: 8, FullRes: true, Pruned: true,
+		SubSize: 8, FullRes: true,
 	}
 	serial, err := massif.SolveLowComm(mst, E, opt)
 	if err != nil {
@@ -640,7 +640,7 @@ func chaosStudy() error {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	opt := massif.LowCommOptions{
 		Options: massif.Options{Tol: 1e-4, MaxIter: 40, Trace: tr},
-		SubSize: 8, FullRes: true, Pruned: true,
+		SubSize: 8, FullRes: true,
 	}
 	serial, err := massif.SolveLowComm(mst, E, opt)
 	if err != nil {
@@ -859,7 +859,7 @@ func rateSweep() error {
 			return err
 		}
 		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{Pruned: true})
+			conv.Config{})
 		if err != nil {
 			return err
 		}

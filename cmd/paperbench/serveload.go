@@ -55,7 +55,7 @@ func serveLoadStudy() error {
 	}
 	newEngine := func(dev *gpu.Device, depth int) (*serve.Engine, error) {
 		return serve.New(serve.Options{
-			Dim: dim, Kernel: kernel, FarRate: 8, Pruned: true,
+			Dim: dim, Kernel: kernel, FarRate: 8,
 			Workers: 1, QueueDepth: depth, Device: dev,
 		})
 	}
@@ -199,7 +199,7 @@ func serveLoadStudy() error {
 			q(0.50), q(0.95), hint)
 	}
 	t.Render(os.Stdout)
-	fmt.Printf("\ncalibrated: %s per warm job, modeled footprint %s; plan cache %d hits / %d misses across %d engines (one %d-box plan set each)\n",
-		report.Seconds(svc.Seconds()), report.Bytes(fp), planHits, planMisses, len(levels)+1, len(boxes))
+	fmt.Printf("\ncalibrated: %s per warm job, modeled footprint %s; plan sets: %d jobs run over %d builds across %d engines (one set each)\n",
+		report.Seconds(svc.Seconds()), report.Bytes(fp), planHits, planMisses, len(levels)+1)
 	return nil
 }

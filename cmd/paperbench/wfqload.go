@@ -50,7 +50,7 @@ func wfqLoadStudy() error {
 	weights := map[string]int{"bronze": 1, "silver": 2, "gold": 4}
 
 	eng, err := serve.New(serve.Options{
-		Dim: grid.Cube(n), Kernel: green.Gaussian{Sigma: 2}, FarRate: 8, Pruned: true,
+		Dim: grid.Cube(n), Kernel: green.Gaussian{Sigma: 2}, FarRate: 8,
 		Workers: 1, QueueDepth: 64, Device: gpu.V100_16GB(),
 		TenantWeights: weights,
 	})

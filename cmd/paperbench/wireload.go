@@ -55,7 +55,7 @@ func wireLoadStudy() error {
 	}
 
 	eng, err := serve.New(serve.Options{
-		Dim: dim, Kernel: kernel, FarRate: 8, Pruned: true,
+		Dim: dim, Kernel: kernel, FarRate: 8,
 		Workers: 2, Trace: tr,
 	})
 	if err != nil {

@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		outO, err := cluster.LowCommConvolve(cO, f, kernel, k, 16, conv.Config{Pruned: true})
+		outO, err := cluster.LowCommConvolve(cO, f, kernel, k, 16, conv.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func main() {
 
 	low, err := massif.SolveLowComm(micro, E, massif.LowCommOptions{
 		Options: massif.Options{Tol: 1e-3, MaxIter: 60},
-		SubSize: 16, FarRate: 8, Pruned: true,
+		SubSize: 16, FarRate: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -36,8 +36,7 @@ func main() {
 	// Proposed decomposed solve with the irregular input-adaptive
 	// partition: only the sub-domains containing charge are convolved at
 	// all, and they shrink to hug the sources.
-	dc := conv.Decomposed{Kernel: kernel, SubSize: 16, FarRate: 8,
-		Cfg: conv.Config{Pruned: true}}
+	dc := conv.Decomposed{Kernel: kernel, SubSize: 16, FarRate: 8}
 	approx, stats, err := dc.RunAdaptive(rho, 4)
 	if err != nil {
 		log.Fatal(err)

@@ -58,7 +58,7 @@ func main() {
 	}
 	dist, err := massif.SolveLowCommDistributed(cl, micro, E, massif.LowCommOptions{
 		Options: massif.Options{Tol: 5e-3, MaxIter: 40},
-		SubSize: 16, FarRate: 8, Pruned: true,
+		SubSize: 16, FarRate: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,10 +46,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Run the local pipeline: pruned forward transforms, on-the-fly
-	//    kernel multiply, octree-sampled inverse.
+	// 4. Run the local pipeline: slab and pencil forward transforms,
+	//    on-the-fly kernel multiply, octree-sampled inverse.
 	local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-		conv.Config{Pruned: true})
+		conv.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

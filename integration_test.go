@@ -11,7 +11,6 @@ import (
 
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/conv"
-	"lowcomm3d/internal/fftx"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/massif"
@@ -19,8 +18,8 @@ import (
 )
 
 // TestIntegrationConvolutionPaths: every convolution path in the library —
-// dense complex, dense r2c, distributed slab, distributed pencil, fftx
-// declarative — computes the same answer for the same input, and the
+// dense complex, dense r2c, distributed slab, distributed pencil —
+// computes the same answer for the same input, and the
 // low-communication paths (serial decomposed, distributed low-comm)
 // approximate it within the sampling tolerance.
 func TestIntegrationConvolutionPaths(t *testing.T) {
@@ -72,7 +71,7 @@ func TestIntegrationConvolutionPaths(t *testing.T) {
 		t.Errorf("pencil path differs by %g", r)
 	}
 	// Approximate paths within sampling tolerance.
-	dc := conv.Decomposed{Kernel: kernel, SubSize: k, FarRate: 8, Cfg: conv.Config{Pruned: true}}
+	dc := conv.Decomposed{Kernel: kernel, SubSize: k, FarRate: 8}
 	approx, _, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestIntegrationConvolutionPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := cluster.LowCommConvolve(cLow, f, kernel, k, 8, conv.Config{Pruned: true})
+	low, err := cluster.LowCommConvolve(cLow, f, kernel, k, 8, conv.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestIntegrationCompressShipReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-		conv.Config{Pruned: true})
+		conv.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestIntegrationMassifWorkflow(t *testing.T) {
 	}
 	low, err := massif.SolveLowCommDistributed(cl, micro, E, massif.LowCommOptions{
 		Options: massif.Options{Tol: 1e-3, MaxIter: 30},
-		SubSize: 16, FarRate: 8, Pruned: true,
+		SubSize: 16, FarRate: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,43 +216,5 @@ func TestIntegrationMassifWorkflow(t *testing.T) {
 	rel, _ := grid.RelL2(rec, acc.Strain.Comp[grid.VXX])
 	if rel > 0.1 {
 		t.Errorf("checkpoint reconstruction error %g", rel)
-	}
-}
-
-// TestIntegrationFFTXBackends: the fftx specification executed through
-// both backends inside a fresh environment each time.
-func TestIntegrationFFTXBackends(t *testing.T) {
-	n, k := 16, 8
-	dim := grid.Cube(n)
-	box := grid.CubeAt(grid.Point{8, 8, 0}, k)
-	kernel := green.Yukawa{Kappa: 0.7}
-	tree, err := sample.DefaultPolicy(box, 8).Tree(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decl, err := fftx.MassifConvolutionPlan(dim, box, tree, kernel, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := fftx.MassifConvolutionPlanStreaming(dim, box, tree, kernel, conv.Config{Pruned: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cube := grid.NewField(grid.Cube(k))
-	cube.Set(4, 4, 4, 1)
-	outs := make([]*grid.Field, 2)
-	for i, p := range []*fftx.Plan{decl, stream} {
-		env := fftx.Env{"small_cube": cube}
-		if err := p.Execute(env); err != nil {
-			t.Fatal(err)
-		}
-		out, err := fftx.Get[*grid.Field](env, "out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = out
-	}
-	if r, _ := grid.RelL2(outs[1], outs[0]); r > 1e-10 {
-		t.Errorf("fftx backends diverge by %g", r)
 	}
 }

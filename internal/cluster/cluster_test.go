@@ -226,7 +226,7 @@ func TestLowCommConvolveMatchesSerialDecomposed(t *testing.T) {
 	d := grid.Cube(32)
 	f := randGrid(d, 7)
 	kernel := green.Gaussian{Sigma: 2}
-	dc := conv.Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8, Cfg: conv.Config{Pruned: true}}
+	dc := conv.Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8}
 	want, _, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestLowCommConvolveMatchesSerialDecomposed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := LowCommConvolve(c, f, kernel, 8, 8, conv.Config{Pruned: true})
+		got, err := LowCommConvolve(c, f, kernel, 8, 8, conv.Config{})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -266,7 +266,7 @@ func TestLowCommFewerRoundsThanTraditional(t *testing.T) {
 		t.Fatal(err)
 	}
 	cOurs, _ := New(4, DefaultParams())
-	if _, err := LowCommConvolve(cOurs, f, kernel, 8, 8, conv.Config{Pruned: true}); err != nil {
+	if _, err := LowCommConvolve(cOurs, f, kernel, 8, 8, conv.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, tradRounds, _ := cTrad.Stats.Snapshot()

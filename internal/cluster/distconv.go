@@ -293,7 +293,7 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 
 // LowCommConvolve runs the proposed method of Fig. 1b on P simulated
 // workers: sub-domains are partitioned round-robin; every worker convolves
-// its sub-domains locally (pruned slab/pencil pipeline with octree
+// its sub-domains locally (slab/pencil pipeline with octree
 // sampling — zero communication), then a single all-to-all ships to each
 // peer only the patches intersecting that peer's output z-slab; each
 // worker accumulates its region by interpolation.

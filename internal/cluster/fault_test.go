@@ -481,20 +481,27 @@ func TestLowCommConvolveDegraded(t *testing.T) {
 	// sampling: the healthy distributed run is bit-compatible with it, so
 	// on the surviving regions the entire difference is exactly the dead
 	// worker's omitted contribution — the quantity MissingMassBound bounds.
-	dc := conv.Decomposed{Kernel: kernel, SubSize: 8, FarRate: 1, Cfg: conv.Config{Pruned: true}}
+	dc := conv.Decomposed{Kernel: kernel, SubSize: 8, FarRate: 1}
 	want, _, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inj := NewFaultInjector(FaultPlan{Seed: 1, CrashWorker: 3, CrashAtOp: 1})
-	c, err := NewWithOptions(p, DefaultParams(), faultyOptions(inj))
+	// The deadline must outlast the skew between live workers reaching the
+	// exchange, or a slow survivor is declared dead next to the crashed one.
+	// Each worker computes 16 full-rate boxes first (~1 s under -race, four
+	// workers on two CPUs, arrivals 100–350 ms apart); faultyOptions' 10 ms
+	// gives 150 ms of patience over four doubling attempts, 50 ms gives 750.
+	opts := faultyOptions(inj)
+	opts.RecvTimeout = 50 * time.Millisecond
+	c, err := NewWithOptions(p, DefaultParams(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res *LowCommResult
 	withWatchdog(t, "degraded-convolve", 60*time.Second, func() error {
-		res, err = LowCommConvolve(c, f, kernel, 8, 1, conv.Config{Pruned: true})
+		res, err = LowCommConvolve(c, f, kernel, 8, 1, conv.Config{})
 		return err
 	})
 	if err != nil {
@@ -551,7 +558,7 @@ func TestLowCommConvolveHealthyNotDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 1.5}, 8, 8, conv.Config{Pruned: true})
+	res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 1.5}, 8, 8, conv.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestAccumulateBoundarySubdomains(t *testing.T) {
 					t.Fatal(err)
 				}
 				local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel),
-					Config{Pruned: true})
+					Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func TestAccumulateSingleCellRateOneTree(t *testing.T) {
 	}
 	kernel := green.Gaussian{Sigma: 1.2}
 	sub := grid.CubeAt(grid.Point{n - k, 2, n - k}, k) // straddles the wrap in x and z
-	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{Pruned: true})
+	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

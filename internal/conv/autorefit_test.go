@@ -36,7 +36,7 @@ func TestRunAutoRefitHalvesSubSizeToFit(t *testing.T) {
 	dev := &gpu.Device{Name: "half", Capacity: peak8 + (peak16-peak8)/2}
 
 	f := blobField(grid.Cube(n), 21)
-	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r, Cfg: Config{Pruned: true}}
+	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r}
 	got, ds, k, err := dc.RunAutoRefit(f, dev, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRunAutoRefitKeepsFittingSize(t *testing.T) {
 	// Plenty of room: the requested size must be kept as-is.
 	dev := &gpu.Device{Name: "roomy", Capacity: 2 * planPeak(t, n, 16, r)}
 	f := blobField(grid.Cube(n), 33)
-	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r, Cfg: Config{Pruned: true}}
+	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r}
 	_, _, k, err := dc.RunAutoRefit(f, dev, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestRunAutoRefitReportsOOMBelowFloor(t *testing.T) {
 	// Too small for even the k=4 pipeline: typed OOM, no solve.
 	dev := &gpu.Device{Name: "tiny", Capacity: planPeak(t, n, 4, r) / 2}
 	f := blobField(grid.Cube(n), 5)
-	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r, Cfg: Config{Pruned: true}}
+	dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: 16, FarRate: r}
 	if _, _, _, err := dc.RunAutoRefit(f, dev, 4); !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Errorf("got %v, want ErrOutOfMemory", err)
 	}

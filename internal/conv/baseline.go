@@ -1,9 +1,9 @@
 // Package conv implements the paper's 3D convolution pipelines: the
 // traditional full-grid FFT convolution (the baseline every HPC framework
 // implements, §2.1) and the proposed low-communication local pipeline
-// (§3): per-sub-domain pruned FFT → on-the-fly pointwise kernel multiply →
-// inverse transform with octree-adaptive sampling, never materializing the
-// padded N³ result, plus the final accumulation step.
+// (§3): per-sub-domain slab/pencil FFT → on-the-fly pointwise kernel
+// multiply → inverse transform with octree-adaptive sampling, never
+// materializing the padded N³ result, plus the final accumulation step.
 package conv
 
 import (

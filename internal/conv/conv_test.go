@@ -141,15 +141,12 @@ func TestLocalExactAtFullResolution(t *testing.T) {
 	dim := grid.Cube(n)
 	kernel := green.Gaussian{Sigma: 1.5}
 	for _, tc := range []struct {
-		name   string
-		lo     grid.Point
-		pruned bool
+		name string
+		lo   grid.Point
 	}{
-		{"corner-padded", grid.Point{0, 0, 0}, false},
-		{"corner-pruned", grid.Point{0, 0, 0}, true},
-		{"offset-padded", grid.Point{8, 16, 8}, false},
-		{"offset-pruned", grid.Point{8, 16, 8}, true},
-		{"unaligned-pruned", grid.Point{5, 9, 17}, true},
+		{"corner", grid.Point{0, 0, 0}},
+		{"offset", grid.Point{8, 16, 8}},
+		{"unaligned", grid.Point{5, 9, 17}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sub := grid.CubeAt(tc.lo, k)
@@ -157,8 +154,7 @@ func TestLocalExactAtFullResolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel),
-				Config{Pruned: tc.pruned})
+			local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +191,7 @@ func TestLocalSamplesMatchBaselineSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{Pruned: true})
+	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +226,7 @@ func TestLocalAdaptiveErrorWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{Pruned: true})
+	local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,34 +252,6 @@ func TestLocalAdaptiveErrorWithinTolerance(t *testing.T) {
 	}
 }
 
-func TestLocalPrunedMatchesPadded(t *testing.T) {
-	n, k := 32, 8
-	dim := grid.Cube(n)
-	sub := grid.CubeAt(grid.Point{8, 8, 8}, k)
-	kernel := green.Gaussian{Sigma: 1.5}
-	tree, err := sample.DefaultPolicy(sub, 8).Tree(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subField := randSub(k, 5)
-	var outs [2]*sample.Compressed
-	for i, pruned := range []bool{false, true} {
-		local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel), Config{Pruned: pruned})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[i], _, err = local.Run(subField)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range outs[0].Samples {
-		if math.Abs(outs[0].Samples[i]-outs[1].Samples[i]) > 1e-10 {
-			t.Fatalf("pruned/padded diverge at sample %d", i)
-		}
-	}
-}
-
 func TestLocalBatchSizeInvariance(t *testing.T) {
 	n, k := 32, 8
 	dim := grid.Cube(n)
@@ -297,7 +265,7 @@ func TestLocalBatchSizeInvariance(t *testing.T) {
 	var ref []float64
 	for _, b := range []int{0, 64, 1024, 7} {
 		local, err := NewLocal(dim, sub, tree, KernelPointwise(dim, kernel),
-			Config{BatchB: b, Pruned: true})
+			Config{BatchB: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +359,7 @@ func TestDecomposedApproximatesBaseline(t *testing.T) {
 	d := grid.Cube(32)
 	f := blobField(d, 21)
 	kernel := green.Gaussian{Sigma: 2}
-	dc := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8, Cfg: Config{Pruned: true}}
+	dc := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8}
 	got, ds, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +415,7 @@ func TestDecomposedGaussianExactAtFullResolution(t *testing.T) {
 	}
 	kernel := green.Gaussian{Sigma: 1}
 	dc := Decomposed{
-		Kernel: kernel, SubSize: 8, Cfg: Config{Pruned: true},
+		Kernel: kernel, SubSize: 8,
 		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
 			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
 		},
@@ -514,7 +482,7 @@ func TestDecomposedSkipsZeroSubdomains(t *testing.T) {
 	f.Set(5, 6, 7, 1)
 	kernel := green.Gaussian{Sigma: 1.5}
 	dc := Decomposed{
-		Kernel: kernel, SubSize: 8, Cfg: Config{Pruned: true},
+		Kernel: kernel, SubSize: 8,
 		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
 			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
 		},
@@ -569,7 +537,7 @@ func TestRunAdaptiveSparseInputExact(t *testing.T) {
 	f.Set(28, 20, 10, -0.5)
 	kernel := green.Gaussian{Sigma: 1.5}
 	dc := Decomposed{
-		Kernel: kernel, SubSize: 16, Cfg: Config{Pruned: true},
+		Kernel: kernel, SubSize: 16,
 		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
 			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
 		},
@@ -599,7 +567,7 @@ func TestRunAdaptiveMatchesRunOnDenseInput(t *testing.T) {
 		f.Data[i] += 0.01 // ensure every sub-domain active
 	}
 	kernel := green.Gaussian{Sigma: 2}
-	dc := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8, Cfg: Config{Pruned: true}}
+	dc := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8}
 	a, _, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
@@ -714,7 +682,7 @@ func TestDecomposedParallelMatchesSerial(t *testing.T) {
 	f := blobField(d, 41)
 	kernel := green.Gaussian{Sigma: 2}
 	serial := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8,
-		Cfg: Config{Pruned: true, Workers: 1}}
+		Cfg: Config{Workers: 1}}
 	a, dsA, err := serial.Run(f)
 	if err != nil {
 		t.Fatal(err)

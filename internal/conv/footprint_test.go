@@ -82,18 +82,28 @@ func TestSharedTraceConcurrentPipelines(t *testing.T) {
 			errs <- err
 			return
 		}
-		batch, err := NewBatch(d, boxes, nil, KernelPointwise(d, green.Gaussian{Sigma: 1.5}),
-			Config{Pruned: true, Workers: 2, Trace: tr})
+		cfg := Config{Workers: 2, Trace: tr}
+		ps, err := NewPlanSet(d, cfg.Workers)
 		if err != nil {
 			errs <- err
 			return
 		}
-		inputs := make([]*grid.Field, len(boxes))
-		for i := range inputs {
-			inputs[i] = randSub(8, int64(i+1))
-		}
-		if _, _, err := batch.Run(inputs); err != nil {
-			errs <- err
+		pw := KernelPointwise(d, green.Gaussian{Sigma: 1.5})
+		for i, box := range boxes {
+			tree, err := sample.DefaultPolicy(box, 16).Tree(d)
+			if err != nil {
+				errs <- err
+				return
+			}
+			local, err := ps.NewLocal(box, tree, pw, cfg)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if _, _, err := local.Run(randSub(8, int64(i+1))); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -57,9 +57,8 @@ func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 
 // Config tunes the local pipeline.
 type Config struct {
-	Workers int  // goroutines for batched pencil stages (≤0: GOMAXPROCS)
-	BatchB  int  // pencils per batch, the paper's §5.4 batch parameter (≤0: one batch)
-	Pruned  bool // use input-pruned z transforms (transform decomposition)
+	Workers int // goroutines for batched pencil stages (≤0: GOMAXPROCS)
+	BatchB  int // pencils per batch, the paper's §5.4 batch parameter (≤0: one batch)
 
 	// Trace, when non-nil, records per-stage spans ("conv.run",
 	// "conv.stageA/B/C"), per-stage latency histograms
@@ -96,16 +95,13 @@ type Stats struct {
 // convolution. All transforms are local — no data leaves the worker until
 // the compressed samples are exchanged in the accumulation step.
 type Local struct {
-	dim     grid.Dim3
-	sub     grid.Box
-	pw      Pointwise
-	tree    *octree.Tree
-	cfg     Config
-	plan2d  *fft.Plan2D
-	planZ   *fft.Plan
-	prunedZ *fft.PrunedPlan
-	prunedX *fft.PrunedPlan
-	prunedY *fft.PrunedPlan
+	dim    grid.Dim3
+	sub    grid.Box
+	pw     Pointwise
+	tree   *octree.Tree
+	cfg    Config
+	plan2d *fft.Plan2D
+	planZ  *fft.Plan
 
 	// Sampling index: for each kept z plane, the (x, y, sampleIdx) triples
 	// to gather after the inverse 2D transform of that plane.
@@ -115,8 +111,8 @@ type Local struct {
 
 	// Reused working buffers (Run is therefore not safe for concurrent
 	// use on one Local; create one Local per goroutine). scratch holds the
-	// per-worker pencil/line buffers for stages A and B, allocated once so
-	// a warm Run performs no heap allocations.
+	// per-worker pencil buffers for stage B, allocated once so a warm Run
+	// performs no heap allocations.
 	slabBuf   []complex128
 	planesBuf []complex128
 	scratch   []pencilScratch
@@ -146,24 +142,18 @@ type gatherPoint struct {
 	sample int32
 }
 
-// pencilScratch is one worker's reusable line buffers: spec/inv/line are
-// full length-n lines, sub/row are k-length gathers.
+// pencilScratch is one worker's reusable length-n line buffers.
 type pencilScratch struct {
-	spec, inv, line []complex128 // length n
-	sub, row        []complex128 // length k
+	spec, inv []complex128
 }
 
 // NewLocal builds a local-convolution pipeline for sub-domain box sub of
 // an N³ grid (dim), with the sampling octree tree (typically from
 // sample.Policy) and the frequency-domain callback pw. The transform plans
 // are built privately; use PlanSet.NewLocal to share them across pipelines
-// of the same shape.
+// on the same grid.
 func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
-	s := sub.Size()
-	if s[0] != s[1] || s[1] != s[2] {
-		return nil, fmt.Errorf("conv: sub-domain %v must be cubic", sub)
-	}
-	ps, err := NewPlanSet(dim, s[0], cfg.Workers, cfg.Pruned)
+	ps, err := NewPlanSet(dim, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -187,31 +177,24 @@ func newLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 	}
 	n := dim.Nx
 	k := s[0]
+	if k < 1 {
+		return nil, fmt.Errorf("conv: sub-domain size %d must be ≥ 1", k)
+	}
 	l := &Local{dim: dim, sub: sub, pw: pw, tree: tree, cfg: cfg}
 	l.plan2d = ps.plan2d
 	l.planZ = ps.planZ
-	l.prunedZ = ps.prunedZ
-	l.prunedX = ps.prunedX
-	l.prunedY = ps.prunedY
 	workers := fft.Workers(cfg.Workers)
 	l.scratch = make([]pencilScratch, workers)
 	for w := range l.scratch {
 		l.scratch[w] = pencilScratch{
 			spec: make([]complex128, n),
 			inv:  make([]complex128, n),
-			line: make([]complex128, n),
-			sub:  make([]complex128, k),
-			row:  make([]complex128, k),
 		}
 	}
 	l.n, l.k = n, k
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
+	l.fnA = l.slabPlane
 	l.fnB = l.pencilWorker
-	if cfg.Pruned {
-		l.fnA = l.slabPlanePruned
-	} else {
-		l.fnA = l.slabPlanePadded
-	}
 	l.buildSampleIndex()
 	l.hA = cfg.Trace.Histogram("conv.stage_a_seconds")
 	l.hB = cfg.Trace.Histogram("conv.stage_b_seconds")
@@ -271,13 +254,13 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 
 	// Stage A — forward 2D transforms of the k sub-domain slices into the
 	// N×N×k slab ("the small domain undergoes a 2D transform to a slab").
-	// The buffer is reused across runs; the padded path needs it zeroed
-	// (only the k×k block is written before the full-plane transform).
+	// The buffer is reused across runs and must be zeroed: only the k×k
+	// block of each plane is written before the full-plane transform.
 	tA := time.Now()
 	spanA := run.Start("conv.stageA")
 	if len(l.slabBuf) != n*n*k {
 		l.slabBuf = make([]complex128, n*n*k)
-	} else if !l.cfg.Pruned {
+	} else {
 		for i := range l.slabBuf {
 			l.slabBuf[i] = 0
 		}
@@ -372,17 +355,16 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 }
 
 // slabForward fills the N×N×k slab with 2D transforms of the zero-padded
-// sub-domain slices (read from l.runIn), dispatching the prebuilt padded
-// or pruned per-plane worker.
+// sub-domain slices (read from l.runIn), one plane per worker call.
 func (l *Local) slabForward(parent *obs.Span) error {
 	workers := fft.Workers(l.cfg.Workers)
 	fft.ParallelForSpanned(parent, "conv.stageA.worker", l.k, workers, l.fnA)
 	return l.ec.Err()
 }
 
-// slabPlanePadded is the stage-A worker for the dense path: scatter one
-// sub-domain slice into its zero plane and 2D-transform it.
-func (l *Local) slabPlanePadded(w, zi int) {
+// slabPlane is the stage-A worker: scatter one sub-domain slice into its
+// zero plane and 2D-transform it.
+func (l *Local) slabPlane(w, zi int) {
 	if l.ec.Failed() {
 		return
 	}
@@ -398,48 +380,8 @@ func (l *Local) slabPlanePadded(w, zi int) {
 	}
 }
 
-// slabPlanePruned is the stage-A worker for the input-pruned path: both
-// 1D passes skip the implicit zeros (x lines have support k at ox; after
-// the x pass, y columns have support k at oy).
-func (l *Local) slabPlanePruned(w, zi int) {
-	if l.ec.Failed() {
-		return
-	}
-	n, k, ox, oy := l.n, l.k, l.ox, l.oy
-	plane := l.slabBuf[zi*n*n : (zi+1)*n*n]
-	// Reuse the worker's persistent line buffers (stage A and stage B
-	// never overlap, so sharing scratch with the pencil sweep is safe):
-	// row/sub are the two k-length gathers, line/spec the n-length lines.
-	sc := &l.scratch[w]
-	row, col, line, scratch := sc.row, sc.sub, sc.line, sc.spec
-	// Pruned x transforms on the k nonzero rows.
-	for yy := 0; yy < k; yy++ {
-		for xx := 0; xx < k; xx++ {
-			row[xx] = complex(l.runIn.At(xx, yy, zi), 0)
-		}
-		if err := l.prunedX.Forward(line, row, ox, scratch); err != nil {
-			l.ec.Record(err)
-			return
-		}
-		copy(plane[(oy+yy)*n:(oy+yy)*n+n], line)
-	}
-	// Pruned y transforms on every column (support k at oy).
-	for xx := 0; xx < n; xx++ {
-		for yy := 0; yy < k; yy++ {
-			col[yy] = plane[(oy+yy)*n+xx]
-		}
-		if err := l.prunedY.Forward(line, col, oy, scratch); err != nil {
-			l.ec.Record(err)
-			return
-		}
-		for yy := 0; yy < n; yy++ {
-			plane[yy*n+xx] = line[yy]
-		}
-	}
-}
-
 // pencilWorker is the stage-B worker: gather one (x, y) pencil's k slab
-// values, forward z transform (pruned or padded), pointwise kernel
+// values, forward z transform, pointwise kernel
 // multiply, inverse z transform, scatter the kept planes.
 func (l *Local) pencilWorker(w, i int) {
 	if l.ec.Failed() {
@@ -450,25 +392,17 @@ func (l *Local) pencilWorker(w, i int) {
 	x := p % n
 	y := p / n
 	sc := &l.scratch[w]
-	// Gather the k nonzero z values of this pencil.
-	for zi := 0; zi < l.k; zi++ {
-		sc.sub[zi] = l.slabBuf[zi*n*n+p]
+	// Gather the k slab values of this pencil into a zero line at
+	// [oz, oz+k), then forward z transform.
+	for j := range sc.spec {
+		sc.spec[j] = 0
 	}
-	// Forward z transform with implicit zero padding.
-	if l.cfg.Pruned {
-		if err := l.prunedZ.Forward(sc.spec, sc.sub, l.oz, sc.line); err != nil {
-			l.ec.Record(err)
-			return
-		}
-	} else {
-		for j := range sc.spec {
-			sc.spec[j] = 0
-		}
-		copy(sc.spec[l.oz:l.oz+l.k], sc.sub)
-		if err := l.planZ.Forward(sc.spec, sc.spec); err != nil {
-			l.ec.Record(err)
-			return
-		}
+	for zi := 0; zi < l.k; zi++ {
+		sc.spec[l.oz+zi] = l.slabBuf[zi*n*n+p]
+	}
+	if err := l.planZ.Forward(sc.spec, sc.spec); err != nil {
+		l.ec.Record(err)
+		return
 	}
 	// Pointwise kernel multiply — the cuFFT-callback stage.
 	for kz := 0; kz < n; kz++ {

@@ -9,33 +9,24 @@ import (
 )
 
 // PlanSet is the immutable transform machinery shared by every local
-// pipeline of one shape (dim, k, pruned, workers): the 2D plane plan, the
-// 1D z plan, and (when pruned) the three input-pruned plans. Building it
-// is the expensive part of NewLocal — twiddle tables, bit-reversal
-// permutations, Bluestein chirps — and it is entirely read-only after
-// construction, so one PlanSet can back any number of Locals running
-// concurrently. conv.Batch shares one across its sub-domains; the serving
-// engine (internal/serve) caches them across jobs.
+// pipeline on one grid (dim, workers): the 2D plane plan and the 1D z
+// plan. Building it is the expensive part of NewLocal — twiddle tables,
+// bit-reversal permutations, Bluestein chirps — and it is entirely
+// read-only after construction, so one PlanSet can back any number of
+// Locals of any sub-domain size running concurrently. The serving and
+// fleet engines each build one at start and run every job over it.
 type PlanSet struct {
 	dim     grid.Dim3
-	k       int
-	pruned  bool
 	workers int
 	plan2d  *fft.Plan2D
 	planZ   *fft.Plan
-	prunedZ *fft.PrunedPlan
-	prunedX *fft.PrunedPlan
-	prunedY *fft.PrunedPlan
 }
 
-// NewPlanSet builds the shared plans for k³ sub-domains of an N³ grid.
-// workers is normalized through fft.Workers, so two Configs that resolve
-// to the same effective worker count share a set.
-func NewPlanSet(dim grid.Dim3, k, workers int, pruned bool) (*PlanSet, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("conv: plan-set sub-domain size %d must be ≥ 1", k)
-	}
-	ps := &PlanSet{dim: dim, k: k, pruned: pruned, workers: fft.Workers(workers)}
+// NewPlanSet builds the shared plans for an N³ grid. workers is
+// normalized through fft.Workers, so two Configs that resolve to the same
+// effective worker count share a set.
+func NewPlanSet(dim grid.Dim3, workers int) (*PlanSet, error) {
+	ps := &PlanSet{dim: dim, workers: fft.Workers(workers)}
 	var err error
 	if ps.plan2d, err = fft.NewPlan2D(dim.Nx, dim.Ny, workers); err != nil {
 		return nil, err
@@ -43,40 +34,12 @@ func NewPlanSet(dim grid.Dim3, k, workers int, pruned bool) (*PlanSet, error) {
 	if ps.planZ, err = fft.NewPlan(dim.Nz); err != nil {
 		return nil, err
 	}
-	if pruned {
-		if ps.prunedZ, err = fft.NewPrunedPlan(dim.Nz, k); err != nil {
-			return nil, err
-		}
-		if ps.prunedX, err = fft.NewPrunedPlan(dim.Nx, k); err != nil {
-			return nil, err
-		}
-		if ps.prunedY, err = fft.NewPrunedPlan(dim.Ny, k); err != nil {
-			return nil, err
-		}
-	}
 	return ps, nil
 }
 
-// Dim returns the full-grid dimensions the set was planned for.
-func (ps *PlanSet) Dim() grid.Dim3 { return ps.dim }
-
-// K returns the sub-domain edge the set was planned for.
-func (ps *PlanSet) K() int { return ps.k }
-
-// Pruned reports whether the set carries input-pruned plans.
-func (ps *PlanSet) Pruned() bool { return ps.pruned }
-
 // NewLocal builds a pipeline for one sub-domain box on top of the shared
-// plans. cfg must agree with the set: same effective worker count and the
-// same Pruned flag, and the box must be a k-cube of the planned size.
+// plans. cfg must resolve to the set's effective worker count.
 func (ps *PlanSet) NewLocal(sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
-	s := sub.Size()
-	if s[0] != ps.k || s[1] != ps.k || s[2] != ps.k {
-		return nil, fmt.Errorf("conv: box %v is not a %d-cube of the plan set", sub, ps.k)
-	}
-	if cfg.Pruned != ps.pruned {
-		return nil, fmt.Errorf("conv: cfg.Pruned=%v does not match plan set (pruned=%v)", cfg.Pruned, ps.pruned)
-	}
 	if fft.Workers(cfg.Workers) != ps.workers {
 		return nil, fmt.Errorf("conv: cfg workers %d do not match plan set workers %d",
 			fft.Workers(cfg.Workers), ps.workers)

@@ -5,11 +5,7 @@
 //   - 1D complex transforms of any length (iterative radix-2 for powers of
 //     two, Bluestein's chirp-z algorithm otherwise) behind a reusable Plan;
 //   - strided and batched execution for pencil/slab pipelines;
-//   - 2D and 3D plans with optional parallel execution across lines;
-//   - input-pruned forward transforms (transform decomposition) exploiting
-//     contiguous zero structure, the "padding applied to the 1D data, not
-//     the full 3D array" idea of the paper (§3.1);
-//   - output-sampled inverse transforms for compression pipelines.
+//   - 2D and 3D plans with optional parallel execution across lines.
 //
 // Convention: Forward is unnormalized (e^{-2πi nk/N}); Inverse applies the
 // 1/N factor, so Inverse(Forward(x)) == x up to round-off. Multi-d plans

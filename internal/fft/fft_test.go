@@ -318,32 +318,30 @@ func TestAllSmallSizesMatchDirect(t *testing.T) {
 	}
 }
 
-func TestAllSmallPrunedSupports(t *testing.T) {
-	// Every (n, k, offset) combination for n = 32: the pruned transform
-	// must equal explicit padding at every support placement.
-	n := 32
-	full := MustPlan(n)
-	for k := 1; k <= n; k <<= 1 {
-		pp, err := NewPrunedPlan(n, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		scratch := make([]complex128, n)
-		for off := 0; off+k <= n; off += 3 {
-			src := randComplex(k, int64(k*100+off))
-			padded := make([]complex128, n)
-			copy(padded[off:], src)
-			want := make([]complex128, n)
-			if err := full.Forward(want, padded); err != nil {
-				t.Fatal(err)
+func BenchmarkPlan1D(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		p := MustPlan(n)
+		x := randComplex(n, int64(n))
+		y := make([]complex128, n)
+		b.Run(p2s(n), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
+			for i := 0; i < b.N; i++ {
+				if err := p.Forward(y, x); err != nil {
+					b.Fatal(err)
+				}
 			}
-			got := make([]complex128, n)
-			if err := pp.Forward(got, src, off, scratch); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxDiff(got, want); d > 1e-9 {
-				t.Errorf("k=%d off=%d: diff %g", k, off, d)
-			}
-		}
+		})
 	}
+}
+
+func p2s(n int) string {
+	switch n {
+	case 256:
+		return "n256"
+	case 1024:
+		return "n1024"
+	case 4096:
+		return "n4096"
+	}
+	return "n"
 }

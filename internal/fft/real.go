@@ -9,8 +9,8 @@ import (
 // classic half-length complex packing: the n real samples are packed into
 // n/2 complex values, transformed with one half-length FFT, and unpacked
 // into the n/2+1 independent spectrum coefficients. This is the r2c/c2r
-// split the paper's pipeline uses (Fig. 5: fftx_plan_guru_dft_r2c /
-// _c2r) and halves the transform memory relative to a complex transform
+// split the paper's pipeline uses (the r2c and c2r sub-plans of Fig. 5)
+// and halves the transform memory relative to a complex transform
 // of padded real data.
 type RealPlan struct {
 	n    int

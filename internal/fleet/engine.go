@@ -82,9 +82,9 @@ type Engine struct {
 	dim   grid.Dim3
 	far   int
 	pw    conv.Pointwise
+	plans *conv.PlanSet // read-only; shared by every runner and the spill workers
 
 	mu     sync.Mutex
-	plans  map[int]*conv.PlanSet
 	closed bool
 
 	runners sync.WaitGroup
@@ -105,7 +105,10 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		opts:  opts,
 		dim:   grid.Cube(opts.Fleet.N),
 		far:   sched.far,
-		plans: map[int]*conv.PlanSet{},
+	}
+	if e.plans, err = conv.NewPlanSet(e.dim, opts.Conv.Workers); err != nil {
+		sched.Close()
+		return nil, err
 	}
 	e.pw = conv.KernelPointwise(e.dim, opts.Kernel)
 	for di := 0; di < sched.Devices(); di++ {
@@ -173,20 +176,6 @@ func (e *Engine) Close() {
 	e.runners.Wait()
 }
 
-func (e *Engine) planSet(k int) (*conv.PlanSet, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ps, ok := e.plans[k]; ok {
-		return ps, nil
-	}
-	ps, err := conv.NewPlanSet(e.dim, k, e.opts.Conv.Workers, e.opts.Conv.Pruned)
-	if err != nil {
-		return nil, err
-	}
-	e.plans[k] = ps
-	return ps, nil
-}
-
 // runDevice is the per-device runner: block for a batch (stealing when
 // idle), execute it through the shared plan set, release and report.
 // Each dispatch gets a sequence number so injected faults are a pure
@@ -228,18 +217,13 @@ func (e *Engine) runBatchLabeled(di int, batch []*Task, seq uint64) {
 	if e.injectFault(di, batch, f.At(di, seq, PointDispatch), t0) {
 		return
 	}
-	ps, psErr := e.planSet(batch[0].K)
 	for i, t := range batch {
 		if i > 0 && i == len(batch)/2 {
 			if e.injectFault(di, batch, f.At(di, seq, PointMidBatch), t0) {
 				return
 			}
 		}
-		if psErr != nil {
-			t.Err = psErr
-			continue
-		}
-		t.Result, t.Err = e.runTask(ps, t, di)
+		t.Result, t.Err = e.runTask(t, di)
 	}
 	if e.injectFault(di, batch, f.At(di, seq, PointCompletion), t0) {
 		return
@@ -272,12 +256,12 @@ func (e *Engine) injectFault(di int, batch []*Task, kind FaultKind, t0 time.Time
 	return false
 }
 
-func (e *Engine) runTask(ps *conv.PlanSet, t *Task, di int) (*sample.Compressed, error) {
+func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
 	tree, err := sample.DefaultPolicy(t.Box, e.far).Tree(e.dim)
 	if err != nil {
 		return nil, err
 	}
-	local, err := ps.NewLocal(t.Box, tree, e.pw, e.opts.Conv)
+	local, err := e.plans.NewLocal(t.Box, tree, e.pw, e.opts.Conv)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +343,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 	tj.Event(jobtrace.KindAdmit, -1, "", int64(len(jobs)))
 	if spill {
 		tj.Event(jobtrace.KindSpill, -1, "no-fit", 0)
-		return e.runSpill(f, jobs, k, &st)
+		return e.runSpill(f, jobs, &st)
 	}
 
 	fp := e.sched.Footprint(k)
@@ -401,7 +385,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 			// absorb: recompute the whole solve there. Canonical-order
 			// assembly keeps the output byte-identical to a healthy fleet.
 			tj.Event(jobtrace.KindSpill, -1, "capacity-loss", 0)
-			return e.runSpill(f, jobs, k, &st)
+			return e.runSpill(f, jobs, &st)
 		}
 		return nil, st, firstErr
 	}
@@ -424,7 +408,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 // canonical slots, and assembly accumulates them in canonical order —
 // the same order the device path uses — so a spilled solve is
 // byte-identical to the same solve on a big-enough device.
-func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, k int, st *SolveStats) (*grid.Field, SolveStats, error) {
+func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats) (*grid.Field, SolveStats, error) {
 	n := e.dim.Nx
 	p := e.opts.SpillWorkers
 	if p <= 0 {
@@ -455,17 +439,13 @@ func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, k int, st *SolveStats)
 	results := make([]*sample.Compressed, len(jobs))
 	bytesBefore, _, _, _ := c.Stats.Snapshot()
 	errs := c.RunAll(func(w *Worker) error {
-		ps, err := conv.NewPlanSet(e.dim, k, e.opts.Conv.Workers, e.opts.Conv.Pruned)
-		if err != nil {
-			return err
-		}
 		mine := make([]*sample.Compressed, len(parts[w.ID]))
 		for j, b := range parts[w.ID] {
 			tree, err := sample.DefaultPolicy(b, e.far).Tree(e.dim)
 			if err != nil {
 				return err
 			}
-			local, err := ps.NewLocal(b, tree, e.pw, e.opts.Conv)
+			local, err := e.plans.NewLocal(b, tree, e.pw, e.opts.Conv)
 			if err != nil {
 				return err
 			}

@@ -40,7 +40,7 @@ func TestAllWorkersDeadTypedError(t *testing.T) {
 	}
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 8},
-		SubSize: 4, FarRate: 4, Pruned: true,
+		SubSize: 4, FarRate: 4,
 	}
 	_, solveErr := SolveLowCommDistributed(c, m, E, opt)
 	if solveErr == nil {

@@ -78,7 +78,7 @@ func TestDistributedReferenceVsLowCommComm(t *testing.T) {
 
 	cLow, _ := cluster.New(4, cluster.DefaultParams())
 	if _, err := SolveLowCommDistributed(cLow, m, E, LowCommOptions{
-		Options: opt, SubSize: 16, FarRate: 8, Pruned: true,
+		Options: opt, SubSize: 16, FarRate: 8,
 	}); err != nil {
 		t.Fatal(err)
 	}

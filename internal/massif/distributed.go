@@ -73,6 +73,10 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 
 	workerFn := func(w *cluster.Worker) error {
 		owned := parts[w.ID]
+		plans, err := newTensorPlans(m.Dim, opt.Workers)
+		if err != nil {
+			return err
+		}
 		// Per-box solver state.
 		type boxState struct {
 			box   grid.Box
@@ -85,7 +89,7 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 			if err != nil {
 				return err
 			}
-			local, err := newTensorLocal(m.Dim, b, gamma, tree, opt)
+			local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
 			if err != nil {
 				return err
 			}

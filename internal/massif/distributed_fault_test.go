@@ -35,7 +35,7 @@ func TestDistributedSurvivesWorkerCrash(t *testing.T) {
 	// for an inclusion this small, healthy or not).
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 40},
-		SubSize: 8, FullRes: true, Pruned: true,
+		SubSize: 8, FullRes: true,
 	}
 	serial, err := SolveLowComm(m, E, opt)
 	if err != nil {

@@ -23,7 +23,7 @@ func TestDistributedMatchesSerialLowComm(t *testing.T) {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 40},
-		SubSize: 8, FarRate: 8, Pruned: true,
+		SubSize: 8, FarRate: 8,
 	}
 	serial, err := SolveLowComm(m, E, opt)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestDistributedFullResMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist, err := SolveLowCommDistributed(c, m, E, LowCommOptions{
-		Options: opt, SubSize: 8, FullRes: true, Pruned: true,
+		Options: opt, SubSize: 8, FullRes: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func TestSelfHealingFlightRecorderPostmortem(t *testing.T) {
 	}
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 40},
-		SubSize: 8, FullRes: true, Pruned: true,
+		SubSize: 8, FullRes: true,
 		Heal: &HealOptions{
 			Store:     store,
 			Flight:    flight,

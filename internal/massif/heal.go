@@ -301,13 +301,19 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 			if err != nil {
 				return err
 			}
+			// One transform pair per rank: its own pipelines and the
+			// speculative backup pipelines below all share it.
+			plans, err := newTensorPlans(m.Dim, opt.Workers)
+			if err != nil {
+				return err
+			}
 			states := make([]*boxState, len(owned))
 			for i, b := range owned {
 				tree, err := boxTree(m, b, opt)
 				if err != nil {
 					return err
 				}
-				local, err := newTensorLocal(m.Dim, b, gamma, tree, opt)
+				local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
 				if err != nil {
 					return err
 				}
@@ -373,7 +379,7 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 						if err != nil {
 							return nil, err
 						}
-						local, err := newTensorLocal(m.Dim, b, gamma, tree, opt)
+						local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
 						if err != nil {
 							return nil, err
 						}

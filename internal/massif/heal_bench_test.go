@@ -28,7 +28,7 @@ func BenchmarkRespawnRecovery(b *testing.B) {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 5},
-		SubSize: 8, FarRate: 4, Pruned: true,
+		SubSize: 8, FarRate: 4,
 	}
 	var respawns, latencyNS, generations int64
 	b.ResetTimer()

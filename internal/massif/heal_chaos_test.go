@@ -64,7 +64,7 @@ func TestSelfHealingSolveChaosSchedules(t *testing.T) {
 	// this tolerance (see the degrade-mode fault test for why).
 	base := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 40},
-		SubSize: 8, FullRes: true, Pruned: true,
+		SubSize: 8, FullRes: true,
 	}
 	serial, err := SolveLowComm(m, E, base)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestSelfHealingSpeculativeReexecution(t *testing.T) {
 	// straggler cutoff so the single injected delay is flagged fast.
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-9, MaxIter: maxIter},
-		SubSize: 8, FarRate: 4, Pruned: true,
+		SubSize: 8, FarRate: 4,
 		Heal: &HealOptions{
 			Store: store,
 			Chaos: chaos,
@@ -254,7 +254,7 @@ func TestSelfHealingAdmissionRefinesK(t *testing.T) {
 	const p = 2
 	opt := LowCommOptions{
 		Options: Options{Tol: 1e-4, MaxIter: 6},
-		SubSize: 8, FarRate: 4, Pruned: true,
+		SubSize: 8, FarRate: 4,
 	}
 	charge8 := HealWorkerBytes(m.Dim, p, opt)
 	opt4 := opt

@@ -17,7 +17,6 @@ type LowCommOptions struct {
 	SubSize int  // k — sub-domain edge length
 	FarRate int  // far-field downsampling rate (paper: 16 or 32)
 	FullRes bool // rate-1 sampling everywhere: exact mode for validation
-	Pruned  bool // input-pruned z transforms
 	BatchB  int  // pencils per batch (§5.4)
 
 	// Heal switches the distributed solve from degrade-on-fault to
@@ -56,7 +55,7 @@ type LowCommResult struct {
 }
 
 // SolveLowComm runs the paper's Algorithm 2: each iteration convolves every
-// sub-domain's stress field with Γ̂ locally (pruned slab/pencil pipeline,
+// sub-domain's stress field with Γ̂ locally (slab/pencil pipeline,
 // octree-sampled inverse) and exchanges only the compressed samples in a
 // single accumulation step, instead of the traditional scheme's all-to-all
 // transposes inside every one of the six component FFTs.
@@ -74,8 +73,12 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 		return nil, fmt.Errorf("massif: applied strain must be nonzero")
 	}
 
-	// Build the per-sub-domain pipelines once; trees and FFT plans are
-	// reused across iterations.
+	// Build the per-sub-domain pipelines once; trees are reused across
+	// iterations, and every pipeline shares one pair of FFT plans.
+	plans, err := newTensorPlans(m.Dim, opt.Workers)
+	if err != nil {
+		return nil, err
+	}
 	locals := make([]*tensorLocal, len(boxes))
 	for i, b := range boxes {
 		var tree *octree.Tree
@@ -91,7 +94,7 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 		if err != nil {
 			return nil, err
 		}
-		locals[i], err = newTensorLocal(m.Dim, b, gamma, tree, opt)
+		locals[i], err = newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
 		if err != nil {
 			return nil, err
 		}
@@ -209,16 +212,15 @@ func boxTree(m *Microstructure, b grid.Box, opt LowCommOptions) (*octree.Tree, e
 // contraction across components per frequency point, and octree-sampled
 // inverse transforms.
 type tensorLocal struct {
-	dim     grid.Dim3
-	sub     grid.Box
-	gamma   green.Gamma
-	tree    *octree.Tree
-	opt     LowCommOptions
-	plan2d  *fft.Plan2D
-	planZ   *fft.Plan
-	prunedZ *fft.PrunedPlan
-	zIndex  map[int][]tlGather
-	keptZ   []int
+	dim    grid.Dim3
+	sub    grid.Box
+	gamma  green.Gamma
+	tree   *octree.Tree
+	opt    LowCommOptions
+	zIndex map[int][]tlGather
+	keptZ  []int
+
+	tensorPlans // plan2d, planZ: shared with the solve's other pipelines
 
 	// Reused per-run buffers (run is not safe for concurrent use).
 	slabBufs  [][]complex128
@@ -241,24 +243,30 @@ type tlGather struct {
 	sample int32
 }
 
-func newTensorLocal(dim grid.Dim3, sub grid.Box, gamma green.Gamma, tree *octree.Tree, opt LowCommOptions) (*tensorLocal, error) {
+// tensorPlans is the transform pair every tensorLocal of one solve (one
+// rank, in the distributed solves) shares: the plans depend only on the
+// grid and are read-only after construction.
+type tensorPlans struct {
+	plan2d *fft.Plan2D
+	planZ  *fft.Plan
+}
+
+func newTensorPlans(dim grid.Dim3, workers int) (tensorPlans, error) {
+	var p tensorPlans
+	var err error
+	if p.plan2d, err = fft.NewPlan2D(dim.Nx, dim.Ny, workers); err != nil {
+		return p, err
+	}
+	p.planZ, err = fft.NewPlan(dim.Nz)
+	return p, err
+}
+
+func newTensorLocal(dim grid.Dim3, sub grid.Box, gamma green.Gamma, tree *octree.Tree, opt LowCommOptions, plans tensorPlans) (*tensorLocal, error) {
 	s := sub.Size()
 	if s[0] != s[1] || s[1] != s[2] {
 		return nil, fmt.Errorf("massif: sub-domain %v must be cubic", sub)
 	}
-	t := &tensorLocal{dim: dim, sub: sub, gamma: gamma, tree: tree, opt: opt}
-	var err error
-	if t.plan2d, err = fft.NewPlan2D(dim.Nx, dim.Ny, opt.Workers); err != nil {
-		return nil, err
-	}
-	if t.planZ, err = fft.NewPlan(dim.Nz); err != nil {
-		return nil, err
-	}
-	if opt.Pruned {
-		if t.prunedZ, err = fft.NewPrunedPlan(dim.Nz, s[2]); err != nil {
-			return nil, err
-		}
-	}
+	t := &tensorLocal{dim: dim, sub: sub, gamma: gamma, tree: tree, opt: opt, tensorPlans: plans}
 	t.zIndex = make(map[int][]tlGather)
 	tree.ForEachSample(func(cell, sm, x, y, z int) {
 		t.zIndex[z] = append(t.zIndex[z], tlGather{x: int32(x), y: int32(y), sample: int32(sm)})
@@ -334,10 +342,8 @@ func (t *tensorLocal) run(sub []*grid.Field) ([]*sample.Compressed, int, int, er
 		batch = n * n
 	}
 	type ws struct {
-		spec    [grid.NumVoigt][]complex128
-		inv     []complex128
-		scratch []complex128
-		subBuf  []complex128
+		spec [grid.NumVoigt][]complex128
+		inv  []complex128
 	}
 	scr := make([]ws, workers)
 	for w := range scr {
@@ -345,8 +351,6 @@ func (t *tensorLocal) run(sub []*grid.Field) ([]*sample.Compressed, int, int, er
 			scr[w].spec[v] = make([]complex128, n)
 		}
 		scr[w].inv = make([]complex128, n)
-		scr[w].scratch = make([]complex128, n)
-		scr[w].subBuf = make([]complex128, k)
 	}
 	for start := 0; start < n*n; start += batch {
 		end := start + batch
@@ -362,23 +366,15 @@ func (t *tensorLocal) run(sub []*grid.Field) ([]*sample.Compressed, int, int, er
 			y := p / n
 			sc := &scr[w]
 			for v := 0; v < grid.NumVoigt; v++ {
-				for zi := 0; zi < k; zi++ {
-					sc.subBuf[zi] = slabs[v][zi*n*n+p]
+				for j := range sc.spec[v] {
+					sc.spec[v][j] = 0
 				}
-				if t.opt.Pruned {
-					if err := t.prunedZ.Forward(sc.spec[v], sc.subBuf, oz, sc.scratch); err != nil {
-						ec.Record(err)
-						return
-					}
-				} else {
-					for j := range sc.spec[v] {
-						sc.spec[v][j] = 0
-					}
-					copy(sc.spec[v][oz:oz+k], sc.subBuf)
-					if err := t.planZ.Forward(sc.spec[v], sc.spec[v]); err != nil {
-						ec.Record(err)
-						return
-					}
+				for zi := 0; zi < k; zi++ {
+					sc.spec[v][oz+zi] = slabs[v][zi*n*n+p]
+				}
+				if err := t.planZ.Forward(sc.spec[v], sc.spec[v]); err != nil {
+					ec.Record(err)
+					return
 				}
 			}
 			// Γ̂ contraction per frequency (Algorithm 2 line 4): couple

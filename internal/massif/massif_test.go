@@ -246,7 +246,7 @@ func TestLowCommFullResMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	low, err := SolveLowComm(m, E, LowCommOptions{
-		Options: opt, SubSize: 8, FullRes: true, Pruned: true,
+		Options: opt, SubSize: 8, FullRes: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestLowCommAdaptiveApproximatesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	low, err := SolveLowComm(m, E, LowCommOptions{
-		Options: opt, SubSize: 16, FarRate: 8, Pruned: true,
+		Options: opt, SubSize: 16, FarRate: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

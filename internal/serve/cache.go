@@ -10,77 +10,14 @@ import (
 	"lowcomm3d/internal/sample"
 )
 
-// planKey identifies one shared conv.PlanSet: plans depend only on the
-// grid shape, the sub-domain edge, pruning, and the effective worker
-// count — never on which box the sub-domain occupies.
-type planKey struct {
-	dim     grid.Dim3
-	k       int
-	pruned  bool
-	workers int
-}
-
-// planCache is a small LRU of immutable *conv.PlanSet. Plan construction
-// (twiddle tables, bit-reversal permutations, Bluestein chirps, pruned
-// index maps) is the expensive part of pipeline setup; a warm lookup is a
-// map hit plus a list move — no allocation.
-type planCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are *planEntry
-	m   map[planKey]*list.Element
-}
-
-type planEntry struct {
-	key planKey
-	ps  *conv.PlanSet
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, ll: list.New(), m: make(map[planKey]*list.Element)}
-}
-
-// get returns the cached set for key, or builds one. The boolean reports
-// a cache hit. Construction happens under the lock: concurrent cold
-// lookups of the same shape would otherwise each pay the build, and the
-// steady state this cache exists for never constructs at all.
-func (c *planCache) get(key planKey) (*conv.PlanSet, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*planEntry).ps, true, nil
-	}
-	ps, err := conv.NewPlanSet(key.dim, key.k, key.workers, key.pruned)
-	if err != nil {
-		return nil, false, err
-	}
-	c.m[key] = c.ll.PushFront(&planEntry{key: key, ps: ps})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*planEntry).key)
-		// Evicted sets stay valid for any pipeline still holding one —
-		// they are immutable; eviction only bounds future reuse.
-	}
-	return ps, false, nil
-}
-
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // pipeline is everything cached for one (sub-domain box, kernel
-// generation): the sampling octree, the shared plan set, and pools of the
-// two per-job mutable pieces — conv.Local working state and compressed
-// output arenas — so a warm job borrows both and allocates neither.
+// generation): the sampling octree and pools of the two per-job mutable
+// pieces — conv.Local working state and compressed output arenas — so a
+// warm job borrows both and allocates neither.
 type pipeline struct {
 	key  pipeKey
 	box  grid.Box
 	tree *octree.Tree
-	ps   *conv.PlanSet
 	cfg  conv.Config
 	pw   conv.Pointwise
 
@@ -88,12 +25,13 @@ type pipeline struct {
 	outs   sync.Pool // *sample.Compressed
 }
 
-// local borrows a pipeline, building one only when the pool is empty.
-func (p *pipeline) local() (*conv.Local, error) {
+// local borrows a pipeline, building one over the engine's plan set only
+// when the pool is empty.
+func (p *pipeline) local(ps *conv.PlanSet) (*conv.Local, error) {
 	if v := p.locals.Get(); v != nil {
 		return v.(*conv.Local), nil
 	}
-	return p.ps.NewLocal(p.box, p.tree, p.pw, p.cfg)
+	return ps.NewLocal(p.box, p.tree, p.pw, p.cfg)
 }
 
 // out borrows an output arena; nil means RunInto allocates a fresh one.

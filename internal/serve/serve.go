@@ -2,13 +2,14 @@
 // convolution: a long-running process that accepts sub-domain convolution
 // jobs and runs them on a fixed pool of workers. The paper's batching
 // observation (§3.1: "multiple chunks can be batch processed by a single
-// worker") becomes, in serving form, plan/arena reuse — after the first
-// job of a given shape, every later job of that shape borrows cached FFT
-// plans, pooled pipeline state, and a recycled output arena, so a warm
-// Submit performs no heap allocation. Admission control bounds the queue
-// and charges each job's modeled device footprint against a gpu.Device
-// ledger, rejecting with a typed ErrOverloaded (plus a retry-after hint)
-// instead of queuing without bound.
+// worker") becomes, in serving form, plan/arena reuse — every job runs
+// over the one FFT plan set built with the engine, and after the first job
+// of a given box every later job of that box borrows pooled pipeline state
+// and a recycled output arena, so a warm Submit performs no heap
+// allocation. Admission control bounds the queue and charges each job's
+// modeled device footprint against a gpu.Device ledger, rejecting with a
+// typed ErrOverloaded (plus a retry-after hint) instead of queuing without
+// bound.
 package serve
 
 import (
@@ -22,7 +23,6 @@ import (
 	"time"
 
 	"lowcomm3d/internal/conv"
-	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/fleet"
 	"lowcomm3d/internal/gpu"
 	"lowcomm3d/internal/green"
@@ -39,12 +39,10 @@ type Options struct {
 	Dim     grid.Dim3    // full (cubic) grid
 	Kernel  green.Kernel // frequency-domain kernel applied to every job
 	FarRate int          // far-field sampling rate (≤0: 16)
-	Pruned  bool         // use input-pruned transforms in the pipelines
 
 	Workers         int // engine worker goroutines (≤0: GOMAXPROCS)
 	PipelineWorkers int // fft workers inside each pipeline (≤0: 1 — jobs parallelize across engine workers instead)
 	QueueDepth      int // max admitted-but-unstarted jobs (≤0: 64)
-	Plans           int // plan-set LRU capacity (≤0: 4)
 	Pipelines       int // per-box pipeline LRU capacity (≤0: 64)
 
 	// Device, when non-nil, is the admission ledger: each accepted job
@@ -183,11 +181,11 @@ type Engine struct {
 	dim      grid.Dim3
 	far      int
 	kern     atomic.Pointer[kernelState] // current kernel pointwise + fingerprint
-	cfg      conv.Config                 // per-pipeline config (workers, pruned, optional trace)
+	cfg      conv.Config                 // per-pipeline config (workers, optional trace)
 	sched    *fleet.Scheduler            // nil when no devices are configured
 	tr       *obs.Trace
 	jobs     *jobtrace.Collector // nil: no lifecycle timelines
-	plans    *planCache
+	plans    *conv.PlanSet       // the one set every pipeline of this engine runs over
 	pipes    *pipeCache
 	workers  int
 	maxQueue int
@@ -280,21 +278,21 @@ func New(opts Options) (*Engine, error) {
 		}
 		e.sched = sched
 	}
-	plans := opts.Plans
-	if plans <= 0 {
-		plans = 4
-	}
 	pipes := opts.Pipelines
 	if pipes <= 0 {
 		pipes = 64
 	}
-	e.plans = newPlanCache(plans)
 	e.pipes = newPipeCache(pipes)
 	pw := opts.PipelineWorkers
 	if pw <= 0 {
 		pw = 1
 	}
-	e.cfg = conv.Config{Workers: pw, Pruned: opts.Pruned}
+	e.cfg = conv.Config{Workers: pw}
+	plans, err := conv.NewPlanSet(d, pw)
+	if err != nil {
+		return nil, err
+	}
+	e.plans = plans
 	if opts.TracePipelines {
 		e.cfg.Trace = e.tr
 	}
@@ -314,6 +312,7 @@ func New(opts Options) (*Engine, error) {
 	e.cKernelUpdates = e.tr.Counter("serve.kernel_updates")
 	e.cPlanHits = e.tr.Counter("serve.plan_cache_hits")
 	e.cPlanMisses = e.tr.Counter("serve.plan_cache_misses")
+	e.cPlanMisses.Add(1) // the plan-set build above: the engine's only one
 	e.gQueue = e.tr.Gauge("serve.queue_depth")
 	e.gBusy = e.tr.Gauge("serve.busy_workers")
 	e.hJob = e.tr.Histogram("serve.job_seconds")
@@ -872,25 +871,18 @@ func (e *Engine) execute(t *task) {
 	ks := e.kern.Load()
 	key := pipeKey{box: t.box, kernel: ks.fp}
 	p := e.pipes.lookup(key)
-	if p != nil {
-		e.cPlanHits.Add(1)
-	} else {
-		var planHit bool
+	if p == nil {
 		var err error
 		p, err = e.pipes.insert(key, func() (*pipeline, error) {
-			return e.buildPipeline(t.box, ks, &planHit)
+			return e.buildPipeline(t.box, ks)
 		})
 		if err != nil {
 			t.err = err
 			return
 		}
-		if planHit {
-			e.cPlanHits.Add(1)
-		} else {
-			e.cPlanMisses.Add(1)
-		}
 	}
-	l, err := p.local()
+	e.cPlanHits.Add(1) // every executed job runs over the engine's plan set
+	l, err := p.local(e.plans)
 	if err != nil {
 		t.err = err
 		return
@@ -908,28 +900,20 @@ func (e *Engine) execute(t *task) {
 	t.res = Result{Output: res, Stats: st, Wait: wait, pipe: p}
 }
 
-// buildPipeline assembles a pipeline for box on a cache miss: shared
-// plans from the plan LRU, a fresh sampling octree, the given kernel
-// generation. Plan sets are pure FFT machinery — twiddle tables and
-// permutations independent of the kernel — so the plan LRU key omits the
-// fingerprint; everything kernel-dependent lives in the pipeline, whose
-// cache key carries it.
-func (e *Engine) buildPipeline(box grid.Box, ks *kernelState, planHit *bool) (*pipeline, error) {
-	k := box.Hi[0] - box.Lo[0]
-	ps, hit, err := e.plans.get(planKey{
-		dim: e.dim, k: k, pruned: e.cfg.Pruned, workers: fft.Workers(e.cfg.Workers),
-	})
-	if err != nil {
-		return nil, err
-	}
-	*planHit = hit
+// buildPipeline assembles a pipeline for box on a cache miss: a fresh
+// sampling octree and the given kernel generation. The engine's plan set
+// is pure FFT machinery — twiddle tables and permutations independent of
+// the kernel and of the box — so it lives outside the pipeline and a
+// kernel update keeps it; everything kernel-dependent lives in the
+// pipeline, whose cache key carries the fingerprint.
+func (e *Engine) buildPipeline(box grid.Box, ks *kernelState) (*pipeline, error) {
 	tree, err := sample.DefaultPolicy(box, e.far).Tree(e.dim)
 	if err != nil {
 		return nil, err
 	}
 	return &pipeline{
 		key: pipeKey{box: box, kernel: ks.fp}, box: box,
-		tree: tree, ps: ps, cfg: e.cfg, pw: ks.pw,
+		tree: tree, cfg: e.cfg, pw: ks.pw,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -247,9 +248,10 @@ func TestTenantFairness(t *testing.T) {
 	}
 }
 
-// TestPlanSetSharedAcrossBoxes pins the two-level cache: distinct boxes
-// of the same sub-domain size get distinct pipelines but share one plan
-// set, and repeat submissions hit the pipeline cache.
+// TestPlanSetSharedAcrossBoxes pins the pipeline cache over the engine's
+// one plan set: distinct boxes get distinct pipelines, repeat submissions
+// hit the pipeline cache, and the plan counters read one build (in New)
+// and one hit per executed job.
 func TestPlanSetSharedAcrossBoxes(t *testing.T) {
 	e := testEngine(t, Options{Workers: 1})
 	in := testField(4, 9)
@@ -267,9 +269,6 @@ func TestPlanSetSharedAcrossBoxes(t *testing.T) {
 			res.Release()
 		}
 	}
-	if got := e.plans.len(); got != 1 {
-		t.Errorf("plan cache holds %d sets, want 1 (one per sub-domain size)", got)
-	}
 	if got := e.pipes.len(); got != len(boxes) {
 		t.Errorf("pipeline cache holds %d pipelines, want %d", got, len(boxes))
 	}
@@ -277,9 +276,75 @@ func TestPlanSetSharedAcrossBoxes(t *testing.T) {
 	if misses := tr.CounterValue("serve.plan_cache_misses"); misses != 1 {
 		t.Errorf("serve.plan_cache_misses = %d, want 1", misses)
 	}
-	if hits := tr.CounterValue("serve.plan_cache_hits"); hits != 5 {
-		t.Errorf("serve.plan_cache_hits = %d, want 5", hits)
+	if hits := tr.CounterValue("serve.plan_cache_hits"); hits != 6 {
+		t.Errorf("serve.plan_cache_hits = %d, want 6", hits)
 	}
+}
+
+// TestPlanSetSharedAcrossSizes pins that the engine's one plan set backs
+// every sub-domain size at once: concurrent submitters interleave k = 4
+// and k = 8 boxes, and each output is byte-identical to a fresh
+// conv.NewLocal run on the same box. Run under -race via make verify.
+func TestPlanSetSharedAcrossSizes(t *testing.T) {
+	dim := grid.Cube(16)
+	kernel := green.Gaussian{Sigma: 1.5}
+	e := testEngine(t, Options{Dim: dim, Kernel: kernel, Workers: 2})
+	type job struct {
+		box  grid.Box
+		in   *grid.Field
+		want []float64
+	}
+	var jobs []job
+	for i, b := range []grid.Box{
+		grid.CubeAt(grid.Point{0, 0, 0}, 4),
+		grid.CubeAt(grid.Point{8, 8, 0}, 8),
+		grid.CubeAt(grid.Point{12, 4, 8}, 4),
+		grid.CubeAt(grid.Point{0, 8, 8}, 8),
+	} {
+		k := b.Size()[0]
+		in := testField(k, int64(20+i))
+		tree, err := sample.DefaultPolicy(b, 8).Tree(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := conv.NewLocal(dim, b, tree, conv.KernelPointwise(dim, kernel), conv.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := local.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{box: b, in: in, want: want.Samples})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				j := jobs[(g+i)%len(jobs)] // sizes alternate 4, 8, 4, 8
+				res, err := e.Submit(context.Background(), "a", j.box, j.in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := res.Output.Samples
+				if len(got) != len(j.want) {
+					t.Errorf("box %v: %d samples, want %d", j.box, len(got), len(j.want))
+				} else {
+					for s := range got {
+						if math.Float64bits(got[s]) != math.Float64bits(j.want[s]) {
+							t.Errorf("box %v sample %d: served %g, direct %g", j.box, s, got[s], j.want[s])
+							break
+						}
+					}
+				}
+				res.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestDrain pins graceful shutdown: concurrent submitters either complete

@@ -42,8 +42,8 @@ var helpText = map[string]string{
 	"serve.jobs_rejected":            "Jobs refused at admission (queue full or device memory exhausted).",
 	"serve.rejects_queue_full":       "Admission rejects due to the bounded job queue being at capacity.",
 	"serve.rejects_memory":           "Admission rejects due to the device ledger refusing the job's modeled footprint (Table 1/4's 8*N^2*k-shaped bound).",
-	"serve.plan_cache_hits":          "Submits that reused a cached shared FFT plan set (the section 3.1 plan-once-batch-many claim measured).",
-	"serve.plan_cache_misses":        "Submits that had to build a new shared FFT plan set.",
+	"serve.plan_cache_hits":          "Executed submits, each run over the engine's one shared FFT plan set (plan set built once per engine; the section 3.1 plan-once-batch-many claim measured).",
+	"serve.plan_cache_misses":        "Shared FFT plan-set builds: plan set built once per engine, in its constructor, so this reads 1.",
 	"serve.queue_depth":              "High-water number of jobs waiting or running in the serving engine.",
 	"serve.busy_workers":             "High-water number of serving workers executing jobs simultaneously.",
 	"serve.job_seconds":              "End-to-end latency of one served convolution job (pipeline run, queue wait excluded).",
