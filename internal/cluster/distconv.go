@@ -224,12 +224,13 @@ func MissingMassBound(f *grid.Field, kernel green.Kernel, boxes []grid.Box) samp
 	}
 }
 
-// exchangeMessages builds the sparse exchange's per-peer payloads: for
+// ExchangeMessages builds the sparse exchange's per-peer payloads: for
 // each peer q, every patch of the worker's compressed results that
 // intersects q's output region, encoded as one flat message. Shared by
-// LowCommConvolve (with computed samples) and LowCommExchangeBytes (with
-// zero-valued samples — the encoding length is sample-independent).
-func exchangeMessages(results []*sample.Compressed, p int, region func(int) grid.Box) [][]float64 {
+// LowCommConvolve and fleet's cluster spill (with computed samples) and
+// LowCommExchangeBytes (with zero-valued samples — the encoding length is
+// sample-independent).
+func ExchangeMessages(results []*sample.Compressed, p int, region func(int) grid.Box) [][]float64 {
 	msgs := make([][]float64, p)
 	for q := 0; q < p; q++ {
 		var patches []sample.Patch
@@ -280,7 +281,7 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 			}
 			results = append(results, sample.NewCompressed(tree))
 		}
-		msgs := exchangeMessages(results, p, region)
+		msgs := ExchangeMessages(results, p, region)
 		for q := 0; q < p; q++ {
 			if q == w {
 				continue
@@ -326,6 +327,14 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 		return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
 	}
 
+	// One plan set and one kernel table for the call: both are read-only
+	// and shared by every worker's pipelines.
+	plans, err := conv.NewPlanSet(d, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	pw := conv.KernelPointwise(d, kernel)
+
 	out := grid.NewField(d)
 	var missingMu sync.Mutex
 	missingSet := map[int]bool{}
@@ -344,7 +353,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 			if err != nil {
 				return err
 			}
-			local, err := conv.NewLocal(d, b, tree, conv.KernelPointwise(d, kernel), cfg)
+			local, err := plans.NewLocal(b, tree, pw, cfg)
 			if err != nil {
 				return err
 			}
@@ -356,7 +365,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 		}
 		// The single sparse exchange: patches intersecting each peer's
 		// output region.
-		msgs := exchangeMessages(results, p, region)
+		msgs := ExchangeMessages(results, p, region)
 		recv, missing, err := w.AllToAllFT(msgs)
 		if err != nil {
 			return err

@@ -84,10 +84,9 @@ type DecomposedStats struct {
 // Run convolves the full field f with the configured kernel using the
 // proposed method and returns the approximate result.
 func (dc Decomposed) Run(f *grid.Field) (*grid.Field, DecomposedStats, error) {
-	var ds DecomposedStats
 	boxes, err := grid.Decompose(f.Dim, dc.SubSize)
 	if err != nil {
-		return nil, ds, err
+		return nil, DecomposedStats{}, err
 	}
 	// Zero sub-domains convolve to zero: skip them entirely — the "zero
 	// regions" structure the paper's intro lists among the exploitable
@@ -95,12 +94,55 @@ func (dc Decomposed) Run(f *grid.Field) (*grid.Field, DecomposedStats, error) {
 	// reads f in place; no copies are made until a worker runs the job.
 	var jobs []grid.Box
 	for _, b := range boxes {
-		if f.BoxAllZero(b) {
-			ds.SkippedZero++
-			continue
+		if !f.BoxAllZero(b) {
+			jobs = append(jobs, b)
 		}
-		jobs = append(jobs, b)
 	}
+	out, ds, err := dc.runBoxes(f, jobs, func(b grid.Box) sample.Policy {
+		return sample.DefaultPolicy(b, dc.FarRate)
+	})
+	ds.SkippedZero = len(boxes) - len(jobs)
+	return out, ds, err
+}
+
+// RunAdaptive convolves f with an irregular, input-adaptive partition
+// (paper §3.1: "irregular partitions can also be made"): inactive regions
+// are never decomposed at all, partially-active maxK cubes are subdivided
+// down to minK, and each retained cube — of whatever size — runs the local
+// pipeline. For sparse inputs this goes beyond Run's zero-skipping: the
+// retained boxes hug the support, so the slabs and exchanges shrink too.
+// dc.SubSize is the maximum cube size; minK the smallest.
+func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, DecomposedStats, error) {
+	boxes, err := grid.DecomposeAdaptive(f.Dim, dc.SubSize, minK, grid.ActiveNonzero(f))
+	if err != nil {
+		return nil, DecomposedStats{}, err
+	}
+	full, err := grid.Decompose(f.Dim, dc.SubSize)
+	if err != nil {
+		return nil, DecomposedStats{}, err
+	}
+	// No edge band here: with the small cubes an adaptive partition
+	// produces, a k/4-wide boundary band shatters into unit cells and
+	// dominates the sample budget (see the far-rate ablation in
+	// EXPERIMENTS.md).
+	out, ds, err := dc.runBoxes(f, boxes, func(b grid.Box) sample.Policy {
+		return sample.Policy{Sub: b, NearRate: 2, MidRate: 8, FarRate: dc.FarRate}
+	})
+	ds.SkippedZero = len(full) - len(boxes) // vs the regular partition, informational
+	return out, ds, err
+}
+
+// runBoxes is the box loop behind Run and RunAdaptive: one plan set and one
+// kernel callback for the call, one pipeline per box (dc.Parallel at a
+// time) sampled by dc.TreeFor or else by policy, then accumulation in box
+// order.
+func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box, policy func(grid.Box) sample.Policy) (*grid.Field, DecomposedStats, error) {
+	var ds DecomposedStats
+	plans, err := NewPlanSet(f.Dim, dc.Cfg.Workers)
+	if err != nil {
+		return nil, ds, err
+	}
+	pw := KernelPointwise(f.Dim, dc.Kernel)
 	results := make([]*sample.Compressed, len(jobs))
 	stats := make([]Stats, len(jobs))
 	workers := dc.Parallel
@@ -123,13 +165,13 @@ func (dc Decomposed) Run(f *grid.Field) (*grid.Field, DecomposedStats, error) {
 		if dc.TreeFor != nil {
 			tree, err = dc.TreeFor(box, f.Dim)
 		} else {
-			tree, err = sample.DefaultPolicy(box, dc.FarRate).Tree(f.Dim)
+			tree, err = policy(box).Tree(f.Dim)
 		}
 		if err != nil {
 			ec.Record(err)
 			return
 		}
-		local, err := NewLocal(f.Dim, box, tree, KernelPointwise(f.Dim, dc.Kernel), dc.Cfg)
+		local, err := plans.NewLocal(box, tree, pw, dc.Cfg)
 		if err != nil {
 			ec.Record(err)
 			return
@@ -173,76 +215,10 @@ func (dc Decomposed) Run(f *grid.Field) (*grid.Field, DecomposedStats, error) {
 	if len(ds.PerSub) > 0 {
 		ds.CompressionMean /= float64(len(ds.PerSub))
 	}
-	ds.DenseBytes = 8 * f.Dim.Len() * (len(boxes) - ds.SkippedZero)
+	ds.DenseBytes = 8 * f.Dim.Len() * len(jobs)
 	acc := dc.Cfg.Trace.Start("conv.accumulate")
 	out, err := Accumulate(f.Dim, results)
 	acc.End()
-	if err != nil {
-		return nil, ds, err
-	}
-	return out, ds, nil
-}
-
-// RunAdaptive convolves f with an irregular, input-adaptive partition
-// (paper §3.1: "irregular partitions can also be made"): inactive regions
-// are never decomposed at all, partially-active maxK cubes are subdivided
-// down to minK, and each retained cube — of whatever size — runs the local
-// pipeline. For sparse inputs this goes beyond Run's zero-skipping: the
-// retained boxes hug the support, so the slabs and exchanges shrink too.
-// dc.SubSize is the maximum cube size; minK the smallest.
-func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, DecomposedStats, error) {
-	var ds DecomposedStats
-	boxes, err := grid.DecomposeAdaptive(f.Dim, dc.SubSize, minK, grid.ActiveNonzero(f))
-	if err != nil {
-		return nil, ds, err
-	}
-	full, err := grid.Decompose(f.Dim, dc.SubSize)
-	if err != nil {
-		return nil, ds, err
-	}
-	ds.SkippedZero = len(full) - len(boxes) // vs the regular partition, informational
-	results := make([]*sample.Compressed, 0, len(boxes))
-	for _, b := range boxes {
-		subField, err := f.ExtractBox(b)
-		if err != nil {
-			return nil, ds, err
-		}
-		var tree *octree.Tree
-		if dc.TreeFor != nil {
-			tree, err = dc.TreeFor(b, f.Dim)
-		} else {
-			// No edge band here: with the small cubes an adaptive
-			// partition produces, a k/4-wide boundary band shatters into
-			// unit cells and dominates the sample budget (see the
-			// far-rate ablation in EXPERIMENTS.md).
-			pol := sample.Policy{Sub: b, NearRate: 2, MidRate: 8, FarRate: dc.FarRate}
-			tree, err = pol.Tree(f.Dim)
-		}
-		if err != nil {
-			return nil, ds, err
-		}
-		local, err := NewLocal(f.Dim, b, tree, KernelPointwise(f.Dim, dc.Kernel), dc.Cfg)
-		if err != nil {
-			return nil, ds, err
-		}
-		res, st, err := local.Run(subField)
-		if err != nil {
-			return nil, ds, err
-		}
-		ds.PerSub = append(ds.PerSub, st)
-		ds.TotalSamples += st.SampleCount
-		ds.TotalBytes += st.SampleBytes
-		if st.PeakBytes > ds.MaxPeakBytes {
-			ds.MaxPeakBytes = st.PeakBytes
-		}
-		ds.CompressionMean += st.Compression
-		results = append(results, res)
-	}
-	if len(ds.PerSub) > 0 {
-		ds.CompressionMean /= float64(len(ds.PerSub))
-	}
-	ds.DenseBytes = 8 * f.Dim.Len() * len(boxes)
-	out, err := Accumulate(f.Dim, results)
 	if err != nil {
 		return nil, ds, err
 	}

@@ -15,13 +15,18 @@ import (
 // Pointwise is the frequency-domain callback applied between the forward
 // and inverse stages — the role played by cuFFT callback functions in the
 // paper's proof of concept (Fig. 4) and by the pointwise sub-plan in its
-// FFTX sketch (Fig. 5).
-type Pointwise func(kx, ky, kz int, v complex128) complex128
+// FFTX sketch (Fig. 5). It is called once per (kx, ky) pencil: spec[c] is
+// the forward-transformed length-N z line of component c (index = kz),
+// rewritten in place. Seeing every component of a frequency at once is what
+// lets a tensor kernel (MASSIF's Γ̂) couple them; a scalar kernel scales
+// each line independently. Calls for different pencils run concurrently.
+type Pointwise func(kx, ky int, spec [][]complex128)
 
 // KernelPointwise adapts a scalar kernel to a Pointwise callback.
 // Separable kernels (green.Separable) get a fast path: three per-axis
 // tables are precomputed once, so the hot pencil loop multiplies three
-// table entries instead of evaluating the transcendental Hat per point.
+// table entries instead of evaluating the transcendental Hat per point,
+// with the (kx, ky) product hoisted out of the kz loop.
 func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 	if s, ok := k.(green.Separable); ok {
 		tx := make([]float64, d.Nx)
@@ -46,12 +51,21 @@ func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 				tz[kz] = s.AxisHat(d.Nz, kz)
 			}
 		}
-		return func(kx, ky, kz int, v complex128) complex128 {
-			return v * complex(tx[kx]*ty[ky]*tz[kz], 0)
+		return func(kx, ky int, spec [][]complex128) {
+			txy := tx[kx] * ty[ky]
+			for _, line := range spec {
+				for kz, v := range line {
+					line[kz] = v * complex(txy*tz[kz], 0)
+				}
+			}
 		}
 	}
-	return func(kx, ky, kz int, v complex128) complex128 {
-		return v * complex(k.Hat(d, kx, ky, kz), 0)
+	return func(kx, ky int, spec [][]complex128) {
+		for _, line := range spec {
+			for kz, v := range line {
+				line[kz] = v * complex(k.Hat(d, kx, ky, kz), 0)
+			}
+		}
 	}
 }
 
@@ -70,13 +84,14 @@ type Config struct {
 }
 
 // Stats reports the footprint and work of one local convolution, the
-// quantities behind the paper's Tables 1 and 4.
+// quantities behind the paper's Tables 1 and 4. The byte and sample figures
+// cover all C components of the pipeline.
 type Stats struct {
-	SlabBytes   int // N×N×k complex slab
-	PlanesBytes int // kept inverse planes, N×N×|Z| complex
-	SampleBytes int // compressed output (samples + octree metadata)
+	SlabBytes   int // C slabs of N×N×k complex
+	PlanesBytes int // kept inverse planes, C×N×N×|Z| complex
+	SampleBytes int // compressed outputs (samples + octree metadata)
 	PeakBytes   int // max simultaneously-live intermediate footprint
-	ModelBytes  int // the paper's 8·N²·k back-of-envelope figure
+	ModelBytes  int // the paper's 8·N²·k back-of-envelope figure, times C
 	KeptZPlanes int
 	PencilCount int
 	SampleCount int
@@ -93,10 +108,14 @@ type Stats struct {
 // against a full-grid kernel: the dense N³ result is never materialized;
 // the output is the octree-compressed sampling of the full-grid circular
 // convolution. All transforms are local — no data leaves the worker until
-// the compressed samples are exchanged in the accumulation step.
+// the compressed samples are exchanged in the accumulation step. A pipeline
+// carries C ≥ 1 component fields through the stages together (C = 1 for a
+// scalar kernel, six Voigt components for MASSIF's Γ̂), coupled only inside
+// the Pointwise callback.
 type Local struct {
 	dim    grid.Dim3
 	sub    grid.Box
+	comps  int
 	pw     Pointwise
 	tree   *octree.Tree
 	cfg    Config
@@ -112,7 +131,8 @@ type Local struct {
 	// Reused working buffers (Run is therefore not safe for concurrent
 	// use on one Local; create one Local per goroutine). scratch holds the
 	// per-worker pencil buffers for stage B, allocated once so a warm Run
-	// performs no heap allocations.
+	// performs no heap allocations. slabBuf and planesBuf are component-
+	// major: component c's k slab planes, then component c+1's.
 	slabBuf   []complex128
 	planesBuf []complex128
 	scratch   []pencilScratch
@@ -126,11 +146,16 @@ type Local struct {
 	// Run would be heap-allocated per call (its captures escape into
 	// ParallelForSpanned), which is exactly what the steady-state serving
 	// path cannot afford.
-	runIn  *grid.Field    // current job's input sub-field
+	runIn  []*grid.Field  // current job's input sub-fields, one per component
 	bStart int            // current stage-B batch offset
 	ec     fft.FirstError // per-run first-error collector
-	fnA    func(w, zi int)
+	fnA    func(w, i int)
 	fnB    func(w, i int)
+
+	// Array backing for the one-element slices RunInto hands RunComponents,
+	// so the scalar warm path allocates nothing.
+	in1  [1]*grid.Field
+	out1 [1]*sample.Compressed
 
 	// Per-stage latency histograms, cached at construction so Run does no
 	// registry lookups (nil when cfg.Trace is nil; Observe is nil-safe).
@@ -142,9 +167,11 @@ type gatherPoint struct {
 	sample int32
 }
 
-// pencilScratch is one worker's reusable length-n line buffers.
+// pencilScratch is one worker's reusable length-n line buffers: one
+// spectrum line per component, and one inverse line shared by all.
 type pencilScratch struct {
-	spec, inv []complex128
+	spec [][]complex128
+	inv  []complex128
 }
 
 // NewLocal builds a local-convolution pipeline for sub-domain box sub of
@@ -157,11 +184,22 @@ func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return newLocal(dim, sub, tree, pw, cfg, ps)
+	return ps.NewLocal(sub, tree, pw, cfg)
 }
 
-// newLocal finishes pipeline construction on top of an existing plan set.
-func newLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config, ps *PlanSet) (*Local, error) {
+// NewLocalComponents builds a pipeline that carries comps component fields
+// of one sub-domain box through the shared plans together; pw sees all
+// comps spectrum lines of a pencil at once. cfg must resolve to the set's
+// effective worker count.
+func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int, pw Pointwise, cfg Config) (*Local, error) {
+	if fft.Workers(cfg.Workers) != ps.workers {
+		return nil, fmt.Errorf("conv: cfg workers %d do not match plan set workers %d",
+			fft.Workers(cfg.Workers), ps.workers)
+	}
+	if comps < 1 {
+		return nil, fmt.Errorf("conv: component count %d must be ≥ 1", comps)
+	}
+	dim := ps.dim
 	if dim.Nx != dim.Ny || dim.Ny != dim.Nz {
 		return nil, fmt.Errorf("conv: grid %v must be cubic", dim)
 	}
@@ -180,16 +218,17 @@ func newLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 	if k < 1 {
 		return nil, fmt.Errorf("conv: sub-domain size %d must be ≥ 1", k)
 	}
-	l := &Local{dim: dim, sub: sub, pw: pw, tree: tree, cfg: cfg}
+	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg}
 	l.plan2d = ps.plan2d
 	l.planZ = ps.planZ
-	workers := fft.Workers(cfg.Workers)
-	l.scratch = make([]pencilScratch, workers)
+	l.scratch = make([]pencilScratch, ps.workers)
 	for w := range l.scratch {
-		l.scratch[w] = pencilScratch{
-			spec: make([]complex128, n),
-			inv:  make([]complex128, n),
+		lines := make([]complex128, (comps+1)*n)
+		spec := make([][]complex128, comps)
+		for c := range spec {
+			spec[c] = lines[c*n : (c+1)*n : (c+1)*n]
 		}
+		l.scratch[w] = pencilScratch{spec: spec, inv: lines[comps*n:]}
 	}
 	l.n, l.k = n, k
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
@@ -229,6 +268,14 @@ func (l *Local) buildSampleIndex() {
 // Tree returns the sampling octree used by the pipeline.
 func (l *Local) Tree() *octree.Tree { return l.tree }
 
+// ReleaseBuffers drops the reused slab and kept-plane buffers (the next
+// run reallocates them), so a caller that streams many pipelines one at a
+// time holds only one set of live slabs between runs.
+func (l *Local) ReleaseBuffers() {
+	l.slabBuf = nil
+	l.planesBuf = nil
+}
+
 // Run convolves the k³ sub-domain field (dimensions equal to the
 // sub-domain box) and returns the compressed result plus footprint stats.
 func (l *Local) Run(subField *grid.Field) (*sample.Compressed, Stats, error) {
@@ -239,15 +286,40 @@ func (l *Local) Run(subField *grid.Field) (*sample.Compressed, Stats, error) {
 // was built for this pipeline's tree (same tree, full sample storage), its
 // samples are overwritten in place and no output allocation happens — the
 // steady-state path of a serving engine recycling result buffers. Any
-// other out (nil included) falls back to a fresh allocation.
+// other out (nil included) falls back to a fresh allocation. It is the
+// one-component case of RunComponents.
 func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.Compressed, Stats, error) {
-	var st Stats
-	s := l.sub.Size()
-	if (grid.Dim3{Nx: s[0], Ny: s[1], Nz: s[2]}) != subField.Dim {
-		return nil, st, fmt.Errorf("conv: sub field %v does not match box %v", subField.Dim, l.sub)
+	if l.comps != 1 {
+		return nil, Stats{}, fmt.Errorf("conv: RunInto on a %d-component pipeline (use RunComponents)", l.comps)
 	}
-	n, k := l.n, l.k
-	l.runIn = subField
+	l.in1[0], l.out1[0] = subField, out
+	st, err := l.RunComponents(l.in1[:], l.out1[:])
+	out = l.out1[0]
+	l.in1[0], l.out1[0] = nil, nil
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// RunComponents convolves the pipeline's C component fields of one
+// sub-domain together: in[c] is component c's k³ field and outs[c] receives
+// its compressed result. Each outs[c] is recycled under RunInto's rule and
+// replaced by a fresh allocation otherwise, so a caller that passes the
+// same outs back run after run allocates nothing.
+func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stats, error) {
+	var st Stats
+	if len(in) != l.comps || len(outs) != l.comps {
+		return st, fmt.Errorf("conv: %d inputs and %d outputs for a %d-component pipeline", len(in), len(outs), l.comps)
+	}
+	s := l.sub.Size()
+	for _, f := range in {
+		if (grid.Dim3{Nx: s[0], Ny: s[1], Nz: s[2]}) != f.Dim {
+			return st, fmt.Errorf("conv: sub field %v does not match box %v", f.Dim, l.sub)
+		}
+	}
+	n, k, comps := l.n, l.k, l.comps
+	l.runIn = in
 	l.ec.Reset()
 	run := l.cfg.Trace.Start("conv.run")
 	defer run.End()
@@ -258,22 +330,23 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 	// block of each plane is written before the full-plane transform.
 	tA := time.Now()
 	spanA := run.Start("conv.stageA")
-	if len(l.slabBuf) != n*n*k {
-		l.slabBuf = make([]complex128, n*n*k)
+	if len(l.slabBuf) != comps*n*n*k {
+		l.slabBuf = make([]complex128, comps*n*n*k)
 	} else {
 		for i := range l.slabBuf {
 			l.slabBuf[i] = 0
 		}
 	}
-	if err := l.slabForward(spanA); err != nil {
-		spanA.End()
-		return nil, st, err
-	}
+	workers := fft.Workers(l.cfg.Workers)
+	fft.ParallelForSpanned(spanA, "conv.stageA.worker", comps*k, workers, l.fnA)
 	l.runIn = nil // input is only read in stage A; don't retain it
 	spanA.End()
+	if err := l.ec.Err(); err != nil {
+		return st, err
+	}
 	st.StageA = time.Since(tA)
 	l.hA.Observe(st.StageA)
-	st.SlabBytes = 16 * n * n * k
+	st.SlabBytes = 16 * comps * n * n * k
 
 	// Stage B — batched 1D z transforms of the N² pencils with the
 	// pointwise callback, inverse z transform, keeping only sampled z
@@ -282,18 +355,16 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 	tB := time.Now()
 	spanB := run.Start("conv.stageB")
 	nz := len(l.keptZ)
-	if len(l.planesBuf) != n*n*nz {
-		l.planesBuf = make([]complex128, n*n*nz)
+	if len(l.planesBuf) != comps*n*n*nz {
+		l.planesBuf = make([]complex128, comps*n*n*nz)
 	}
-	planes := l.planesBuf
-	st.PlanesBytes = 16 * n * n * nz
+	st.PlanesBytes = 16 * comps * n * n * nz
 	st.KeptZPlanes = nz
 	st.PencilCount = n * n
 	batch := l.cfg.BatchB
 	if batch <= 0 || batch > n*n {
 		batch = n * n
 	}
-	workers := fft.Workers(l.cfg.Workers)
 	for start := 0; start < n*n; start += batch {
 		end := start + batch
 		if end > n*n {
@@ -303,7 +374,7 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 		fft.ParallelForSpanned(spanB, "conv.stageB.worker", end-start, workers, l.fnB)
 		if err := l.ec.Err(); err != nil {
 			spanB.End()
-			return nil, st, err
+			return st, err
 		}
 	}
 	spanB.End()
@@ -315,25 +386,27 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 	// sample slot is rewritten below, so a recycled output needs no zeroing.
 	tC := time.Now()
 	spanC := run.Start("conv.stageC")
-	if out == nil || out.Tree != l.tree || len(out.Samples) != l.tree.SampleCount() {
-		out = sample.NewCompressed(l.tree)
-	}
-	st.SampleCount = len(out.Samples)
-	for slot, z := range l.keptZ {
-		plane := planes[slot*n*n : (slot+1)*n*n]
-		if err := l.plan2d.InversePlane(plane); err != nil {
-			spanC.End()
-			return nil, st, err
+	for c, out := range outs {
+		if out == nil || out.Tree != l.tree || len(out.Samples) != l.tree.SampleCount() {
+			out = sample.NewCompressed(l.tree)
+			outs[c] = out
 		}
-		for _, g := range l.zIndex[z] {
-			out.Samples[g.sample] = real(plane[int(g.y)*n+int(g.x)])
+		for slot, z := range l.keptZ {
+			plane := l.planesBuf[(c*nz+slot)*n*n : (c*nz+slot+1)*n*n]
+			if err := l.plan2d.InversePlane(plane); err != nil {
+				spanC.End()
+				return st, err
+			}
+			for _, g := range l.zIndex[z] {
+				out.Samples[g.sample] = real(plane[int(g.y)*n+int(g.x)])
+			}
 		}
+		st.SampleCount += len(out.Samples)
+		st.SampleBytes += out.MemoryBytes()
 	}
-
-	st.SampleBytes = out.MemoryBytes()
-	st.ModelBytes = 8 * n * n * k
+	st.ModelBytes = 8 * comps * n * n * k
 	st.PeakBytes = st.SlabBytes + st.PlanesBytes + st.SampleBytes
-	st.Compression = out.CompressionRatio()
+	st.Compression = outs[0].CompressionRatio()
 	spanC.End()
 	st.StageC = time.Since(tC)
 	l.hC.Observe(st.StageC)
@@ -341,38 +414,30 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 		tr.Counter("conv.pencils").Add(int64(st.PencilCount))
 		tr.Counter("conv.samples").Add(int64(st.SampleCount))
 		tr.Counter("conv.sample_bytes").Add(int64(st.SampleBytes))
-		// FLOP model: stage A does k 2D plane transforms (n lines per axis),
-		// stage B two length-n transforms per pencil, stage C one inverse
-		// 2D transform per kept plane.
+		// FLOP model, per component: stage A does k 2D plane transforms (n
+		// lines per axis), stage B two length-n transforms per pencil, stage
+		// C one inverse 2D transform per kept plane.
 		perPlane2D := 2 * int64(n) * obs.FFTFlops(n)
-		tr.Counter("conv.flops_model").Add(
-			int64(k)*perPlane2D +
-				int64(st.PencilCount)*2*obs.FFTFlops(n) +
-				int64(st.KeptZPlanes)*perPlane2D)
+		tr.Counter("conv.flops_model").Add(int64(comps) * (int64(k)*perPlane2D +
+			int64(st.PencilCount)*2*obs.FFTFlops(n) +
+			int64(st.KeptZPlanes)*perPlane2D))
 		tr.Gauge("conv.peak_bytes").Max(int64(st.PeakBytes))
 	}
-	return out, st, nil
+	return st, nil
 }
 
-// slabForward fills the N×N×k slab with 2D transforms of the zero-padded
-// sub-domain slices (read from l.runIn), one plane per worker call.
-func (l *Local) slabForward(parent *obs.Span) error {
-	workers := fft.Workers(l.cfg.Workers)
-	fft.ParallelForSpanned(parent, "conv.stageA.worker", l.k, workers, l.fnA)
-	return l.ec.Err()
-}
-
-// slabPlane is the stage-A worker: scatter one sub-domain slice into its
-// zero plane and 2D-transform it.
-func (l *Local) slabPlane(w, zi int) {
+// slabPlane is the stage-A worker: scatter slice i%k of component i/k
+// (read from l.runIn) into its zero plane and 2D-transform it.
+func (l *Local) slabPlane(w, i int) {
 	if l.ec.Failed() {
 		return
 	}
 	n, k, ox, oy := l.n, l.k, l.ox, l.oy
-	plane := l.slabBuf[zi*n*n : (zi+1)*n*n]
+	in, zi := l.runIn[i/k], i%k
+	plane := l.slabBuf[i*n*n : (i+1)*n*n]
 	for yy := 0; yy < k; yy++ {
 		for xx := 0; xx < k; xx++ {
-			plane[(oy+yy)*n+(ox+xx)] = complex(l.runIn.At(xx, yy, zi), 0)
+			plane[(oy+yy)*n+(ox+xx)] = complex(in.At(xx, yy, zi), 0)
 		}
 	}
 	if err := l.plan2d.ForwardPlane(plane); err != nil {
@@ -380,40 +445,44 @@ func (l *Local) slabPlane(w, zi int) {
 	}
 }
 
-// pencilWorker is the stage-B worker: gather one (x, y) pencil's k slab
-// values, forward z transform, pointwise kernel
-// multiply, inverse z transform, scatter the kept planes.
+// pencilWorker is the stage-B worker: for every component gather one
+// (x, y) pencil's k slab values and forward z transform; one pointwise
+// callback over all the lines; then inverse z transform each and scatter
+// the kept planes.
 func (l *Local) pencilWorker(w, i int) {
 	if l.ec.Failed() {
 		return
 	}
-	n := l.n
+	n, k := l.n, l.k
 	p := l.bStart + i
-	x := p % n
-	y := p / n
 	sc := &l.scratch[w]
 	// Gather the k slab values of this pencil into a zero line at
 	// [oz, oz+k), then forward z transform.
-	for j := range sc.spec {
-		sc.spec[j] = 0
-	}
-	for zi := 0; zi < l.k; zi++ {
-		sc.spec[l.oz+zi] = l.slabBuf[zi*n*n+p]
-	}
-	if err := l.planZ.Forward(sc.spec, sc.spec); err != nil {
-		l.ec.Record(err)
-		return
+	for c, line := range sc.spec {
+		for j := range line {
+			line[j] = 0
+		}
+		slab := l.slabBuf[c*k*n*n:]
+		for zi := 0; zi < k; zi++ {
+			line[l.oz+zi] = slab[zi*n*n+p]
+		}
+		if err := l.planZ.Forward(line, line); err != nil {
+			l.ec.Record(err)
+			return
+		}
 	}
 	// Pointwise kernel multiply — the cuFFT-callback stage.
-	for kz := 0; kz < n; kz++ {
-		sc.spec[kz] = l.pw(x, y, kz, sc.spec[kz])
-	}
+	l.pw(p%n, p/n, sc.spec)
 	// Inverse z transform; scatter only the sampled planes.
-	if err := l.planZ.Inverse(sc.inv, sc.spec); err != nil {
-		l.ec.Record(err)
-		return
-	}
-	for slot, z := range l.keptZ {
-		l.planesBuf[slot*n*n+p] = sc.inv[z]
+	nz := len(l.keptZ)
+	for c, line := range sc.spec {
+		if err := l.planZ.Inverse(sc.inv, line); err != nil {
+			l.ec.Record(err)
+			return
+		}
+		planes := l.planesBuf[c*nz*n*n:]
+		for slot, z := range l.keptZ {
+			planes[slot*n*n+p] = sc.inv[z]
+		}
 	}
 }

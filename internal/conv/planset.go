@@ -1,8 +1,6 @@
 package conv
 
 import (
-	"fmt"
-
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -37,12 +35,8 @@ func NewPlanSet(dim grid.Dim3, workers int) (*PlanSet, error) {
 	return ps, nil
 }
 
-// NewLocal builds a pipeline for one sub-domain box on top of the shared
-// plans. cfg must resolve to the set's effective worker count.
+// NewLocal builds a one-component pipeline for one sub-domain box on top
+// of the shared plans. cfg must resolve to the set's effective worker count.
 func (ps *PlanSet) NewLocal(sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
-	if fft.Workers(cfg.Workers) != ps.workers {
-		return nil, fmt.Errorf("conv: cfg workers %d do not match plan set workers %d",
-			fft.Workers(cfg.Workers), ps.workers)
-	}
-	return newLocal(ps.dim, sub, tree, pw, cfg, ps)
+	return ps.NewLocalComponents(sub, tree, 1, pw, cfg)
 }

@@ -465,15 +465,7 @@ func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats) (*grid
 		// patches intersecting its output z-slab. The engine assembles
 		// from the canonical slots for byte-stable output; the exchange
 		// still moves (and counts) the real sample traffic.
-		msgs := make([][]float64, p)
-		for q := 0; q < p; q++ {
-			var patches []sample.Patch
-			for _, res := range mine {
-				patches = append(patches, res.Patches(region(q))...)
-			}
-			msgs[q] = sample.EncodePatches(patches)
-		}
-		recv, missing, err := w.AllToAllFT(msgs)
+		recv, missing, err := w.AllToAllFT(cluster.ExchangeMessages(mine, p, region))
 		if err != nil {
 			return err
 		}

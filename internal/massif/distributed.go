@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"lowcomm3d/internal/cluster"
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
@@ -73,7 +74,7 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 
 	workerFn := func(w *cluster.Worker) error {
 		owned := parts[w.ID]
-		plans, err := newTensorPlans(m.Dim, opt.Workers)
+		plans, err := conv.NewPlanSet(m.Dim, opt.Workers)
 		if err != nil {
 			return err
 		}
@@ -81,15 +82,11 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		type boxState struct {
 			box   grid.Box
 			eps   *grid.TensorField // k³ local strain
-			local *tensorLocal
+			local *conv.Local
 		}
 		states := make([]*boxState, len(owned))
 		for i, b := range owned {
-			tree, err := boxTree(m, b, opt)
-			if err != nil {
-				return err
-			}
-			local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
+			local, err := gammaLocal(plans, m, b, gamma, opt)
 			if err != nil {
 				return err
 			}
@@ -160,51 +157,24 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 			for {
 				// Local stress and local convolution for every owned box.
 				nsamp, nbytes := 0, 0
-				type resultSet struct{ comps []*sample.Compressed }
-				var results []resultSet
+				results := make([][]*sample.Compressed, 0, len(states))
 				for _, st := range states {
-					// σ_d = C(x):ε_d voxelwise with the global phase map.
-					for z := 0; z < opt.SubSize; z++ {
-						for y := 0; y < opt.SubSize; y++ {
-							for x := 0; x < opt.SubSize; x++ {
-								s := m.StressAt(st.box.Lo[0]+x, st.box.Lo[1]+y, st.box.Lo[2]+z, st.eps.At(x, y, z))
-								i := kd.Index(x, y, z)
-								for v := 0; v < grid.NumVoigt; v++ {
-									sigma[v].Data[i] = s[v]
-								}
-							}
-						}
-					}
-					comps, ns, nb, err := st.local.run(sigma)
+					fillSigma(m, st.box, st.eps, kd, sigma)
+					comps := make([]*sample.Compressed, grid.NumVoigt)
+					cs, err := st.local.RunComponents(sigma, comps)
 					if err != nil {
 						return err
 					}
-					nsamp += ns
-					nbytes += nb
-					results = append(results, resultSet{comps: comps})
+					nsamp += cs.SampleCount
+					nbytes += cs.SampleBytes
+					results = append(results, comps)
 				}
 				bytesPerIter[w.ID] = nbytes
 				samplesPerIter[w.ID] = nsamp
 
 				// One sparse all-to-all: ship to each peer only the patches
 				// overlapping that peer's sub-domains.
-				msgs := make([][]float64, c.P)
-				for q := 0; q < c.P; q++ {
-					perComp := make([][]sample.Patch, grid.NumVoigt)
-					for _, rs := range results {
-						for v, comp := range rs.comps {
-							for _, p := range comp.Patches(m.Dim.Bounds()) {
-								for _, qb := range parts[q] {
-									if p.Cell.Box.Overlaps(qb) {
-										perComp[v] = append(perComp[v], p)
-										break
-									}
-								}
-							}
-						}
-					}
-					msgs[q] = sample.EncodeComponentPatches(perComp)
-				}
+				msgs := encodePeerMsgs(results, parts, m.Dim.Bounds(), c.P)
 				recv, _, err := w.AllToAllFT(msgs)
 				if err != nil {
 					return err // this worker's own injected crash

@@ -9,6 +9,7 @@ import (
 
 	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/gpu"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
@@ -87,7 +88,7 @@ func (e errGenAbort) Error() string {
 // healing solve: the resident per-box strain and delta fields plus one
 // shared stress scratch, and the streamed peak of ONE local pipeline
 // (six N²k-complex slabs plus six kept-plane buffers; boxes run
-// sequentially and release their buffers, see tensorLocal.releaseBuffers).
+// sequentially and release their buffers, see conv.Local.ReleaseBuffers).
 // Refining k shrinks this charge — the slab term scales with k and the
 // resident term stays fixed at the grid share — which is exactly why
 // admission control can heal an OOM by refining instead of failing.
@@ -290,7 +291,7 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 			type boxState struct {
 				box   grid.Box
 				eps   *grid.TensorField
-				local *tensorLocal
+				local *conv.Local
 			}
 			// Restore from the durable checkpoint when one exists —
 			// respawned replacements and surviving ranks alike resume from
@@ -303,17 +304,13 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 			}
 			// One transform pair per rank: its own pipelines and the
 			// speculative backup pipelines below all share it.
-			plans, err := newTensorPlans(m.Dim, opt.Workers)
+			plans, err := conv.NewPlanSet(m.Dim, opt.Workers)
 			if err != nil {
 				return err
 			}
 			states := make([]*boxState, len(owned))
 			for i, b := range owned {
-				tree, err := boxTree(m, b, opt)
-				if err != nil {
-					return err
-				}
-				local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
+				local, err := gammaLocal(plans, m, b, gamma, opt)
 				if err != nil {
 					return err
 				}
@@ -353,13 +350,14 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 				nsamp, nbytes := 0, 0
 				for _, st := range states {
 					fillSigma(m, st.box, st.eps, kd, sigma)
-					comps, ns, nb, err := st.local.run(sigma)
+					comps := make([]*sample.Compressed, grid.NumVoigt)
+					cs, err := st.local.RunComponents(sigma, comps)
 					if err != nil {
 						return nil, 0, 0, err
 					}
-					st.local.releaseBuffers()
-					nsamp += ns
-					nbytes += nb
+					st.local.ReleaseBuffers()
+					nsamp += cs.SampleCount
+					nbytes += cs.SampleBytes
 					results = append(results, comps)
 				}
 				return encodePeerMsgs(results, parts, m.Dim.Bounds(), c.P), nsamp, nbytes, nil
@@ -375,11 +373,7 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 				sts, ok := peerStates[rank]
 				if !ok {
 					for _, b := range parts[rank] {
-						tree, err := boxTree(m, b, opt)
-						if err != nil {
-							return nil, err
-						}
-						local, err := newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
+						local, err := gammaLocal(plans, m, b, gamma, opt)
 						if err != nil {
 							return nil, err
 						}

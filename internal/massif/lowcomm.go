@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"lowcomm3d/internal/fft"
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -75,26 +75,13 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 
 	// Build the per-sub-domain pipelines once; trees are reused across
 	// iterations, and every pipeline shares one pair of FFT plans.
-	plans, err := newTensorPlans(m.Dim, opt.Workers)
+	plans, err := conv.NewPlanSet(m.Dim, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
-	locals := make([]*tensorLocal, len(boxes))
+	locals := make([]*conv.Local, len(boxes))
 	for i, b := range boxes {
-		var tree *octree.Tree
-		if opt.FullRes {
-			tree, err = sample.Uniform{Rate: 1, CellSize: min(8, m.Dim.Nx)}.Tree(m.Dim)
-		} else {
-			far := opt.FarRate
-			if far == 0 {
-				far = 16
-			}
-			tree, err = sample.DefaultPolicy(b, far).Tree(m.Dim)
-		}
-		if err != nil {
-			return nil, err
-		}
-		locals[i], err = newTensorLocal(m.Dim, b, gamma, tree, opt, plans)
+		locals[i], err = gammaLocal(plans, m, b, gamma, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -135,13 +122,14 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 					return nil, err
 				}
 			}
-			results, nsamp, nbytes, err := locals[i].run(sub)
+			results := make([]*sample.Compressed, grid.NumVoigt)
+			st, err := locals[i].RunComponents(sub, results)
 			if err != nil {
 				iterSpan.End()
 				return nil, err
 			}
-			iterSamples += nsamp
-			iterBytes += nbytes
+			iterSamples += st.SampleCount
+			iterBytes += st.SampleBytes
 			for v := 0; v < grid.NumVoigt; v++ {
 				if err := results[v].AddTo(delta.Comp[v], 1); err != nil {
 					iterSpan.End()
@@ -207,224 +195,36 @@ func boxTree(m *Microstructure, b grid.Box, opt LowCommOptions) (*octree.Tree, e
 	return sample.DefaultPolicy(b, far).Tree(m.Dim)
 }
 
-// tensorLocal is the tensor-valued analogue of conv.Local: six slabs (one
-// per Voigt component), a batched z-pencil stage that applies the Γ̂
-// contraction across components per frequency point, and octree-sampled
-// inverse transforms.
-type tensorLocal struct {
-	dim    grid.Dim3
-	sub    grid.Box
-	gamma  green.Gamma
-	tree   *octree.Tree
-	opt    LowCommOptions
-	zIndex map[int][]tlGather
-	keptZ  []int
-
-	tensorPlans // plan2d, planZ: shared with the solve's other pipelines
-
-	// Reused per-run buffers (run is not safe for concurrent use).
-	slabBufs  [][]complex128
-	planeBufs [][]complex128
+// gammaOp is the Γ̂ contraction per frequency (Algorithm 2 line 4) as the
+// pipeline's pointwise callback: it couples the six Voigt component lines
+// of one (kx, ky) pencil through green.Gamma, real and imaginary parts
+// separately, with the same Nyquist-zeroing convention as the reference
+// solver (green.Gamma.ApplyAt).
+func gammaOp(dim grid.Dim3, gamma green.Gamma) conv.Pointwise {
+	return func(kx, ky int, spec [][]complex128) {
+		for kz := range spec[0] {
+			var re, im grid.SymTensor
+			for v, line := range spec {
+				re[v] = real(line[kz])
+				im[v] = imag(line[kz])
+			}
+			gre := gamma.ApplyAt(dim, kx, ky, kz, re)
+			gim := gamma.ApplyAt(dim, kx, ky, kz, im)
+			for v, line := range spec {
+				line[kz] = complex(gre[v], gim[v])
+			}
+		}
+	}
 }
 
-// releaseBuffers drops the reused slab/plane buffers so a worker that
-// streams its boxes one pipeline at a time holds only ONE set of live
-// slabs between runs. This is what makes k-refinement genuinely reduce a
-// worker's ledgered footprint: slabs scale as N²k per pipeline, so
-// holding all pipelines simultaneously would grow total memory as k
-// shrinks (more boxes), while the streamed peak shrinks with k.
-func (t *tensorLocal) releaseBuffers() {
-	t.slabBufs = nil
-	t.planeBufs = nil
-}
-
-type tlGather struct {
-	x, y   int32
-	sample int32
-}
-
-// tensorPlans is the transform pair every tensorLocal of one solve (one
-// rank, in the distributed solves) shares: the plans depend only on the
-// grid and are read-only after construction.
-type tensorPlans struct {
-	plan2d *fft.Plan2D
-	planZ  *fft.Plan
-}
-
-func newTensorPlans(dim grid.Dim3, workers int) (tensorPlans, error) {
-	var p tensorPlans
-	var err error
-	if p.plan2d, err = fft.NewPlan2D(dim.Nx, dim.Ny, workers); err != nil {
-		return p, err
+// gammaLocal builds the six-component local pipeline of one sub-domain —
+// conv.Local with Γ̂ as its callback — on the solve's (one rank's, in the
+// distributed solves) shared plans.
+func gammaLocal(plans *conv.PlanSet, m *Microstructure, box grid.Box, gamma green.Gamma, opt LowCommOptions) (*conv.Local, error) {
+	tree, err := boxTree(m, box, opt)
+	if err != nil {
+		return nil, err
 	}
-	p.planZ, err = fft.NewPlan(dim.Nz)
-	return p, err
-}
-
-func newTensorLocal(dim grid.Dim3, sub grid.Box, gamma green.Gamma, tree *octree.Tree, opt LowCommOptions, plans tensorPlans) (*tensorLocal, error) {
-	s := sub.Size()
-	if s[0] != s[1] || s[1] != s[2] {
-		return nil, fmt.Errorf("massif: sub-domain %v must be cubic", sub)
-	}
-	t := &tensorLocal{dim: dim, sub: sub, gamma: gamma, tree: tree, opt: opt, tensorPlans: plans}
-	t.zIndex = make(map[int][]tlGather)
-	tree.ForEachSample(func(cell, sm, x, y, z int) {
-		t.zIndex[z] = append(t.zIndex[z], tlGather{x: int32(x), y: int32(y), sample: int32(sm)})
-	})
-	for z := range t.zIndex {
-		t.keptZ = append(t.keptZ, z)
-	}
-	for i := 1; i < len(t.keptZ); i++ {
-		for j := i; j > 0 && t.keptZ[j] < t.keptZ[j-1]; j-- {
-			t.keptZ[j], t.keptZ[j-1] = t.keptZ[j-1], t.keptZ[j]
-		}
-	}
-	return t, nil
-}
-
-// run convolves the six component fields of one sub-domain with Γ̂ and
-// returns per-component compressed results plus sample/byte counts.
-func (t *tensorLocal) run(sub []*grid.Field) ([]*sample.Compressed, int, int, error) {
-	n := t.dim.Nx
-	k := t.sub.Hi[0] - t.sub.Lo[0]
-	ox, oy, oz := t.sub.Lo[0], t.sub.Lo[1], t.sub.Lo[2]
-	workers := fft.Workers(t.opt.Workers)
-
-	// Stage A: six N×N×k slabs of 2D-transformed zero-padded slices.
-	// Buffers are reused across iterations and zeroed before the padded
-	// block insert.
-	if t.slabBufs == nil {
-		t.slabBufs = make([][]complex128, grid.NumVoigt)
-	}
-	slabs := t.slabBufs
-	var ec fft.FirstError
-	for v := 0; v < grid.NumVoigt; v++ {
-		if len(slabs[v]) != n*n*k {
-			slabs[v] = make([]complex128, n*n*k)
-		} else {
-			for i := range slabs[v] {
-				slabs[v][i] = 0
-			}
-		}
-		sv := sub[v]
-		slab := slabs[v]
-		fft.ParallelFor(k, workers, func(w, zi int) {
-			if ec.Failed() {
-				return
-			}
-			plane := slab[zi*n*n : (zi+1)*n*n]
-			for yy := 0; yy < k; yy++ {
-				for xx := 0; xx < k; xx++ {
-					plane[(oy+yy)*n+(ox+xx)] = complex(sv.At(xx, yy, zi), 0)
-				}
-			}
-			ec.Record(t.plan2d.ForwardPlane(plane))
-		})
-		if err := ec.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-
-	// Stage B: z-pencil transforms with the Γ̂ contraction as the
-	// pointwise stage; only sampled z planes are kept.
-	nz := len(t.keptZ)
-	if t.planeBufs == nil {
-		t.planeBufs = make([][]complex128, grid.NumVoigt)
-	}
-	planes := t.planeBufs
-	for v := range planes {
-		if len(planes[v]) != n*n*nz {
-			planes[v] = make([]complex128, n*n*nz)
-		}
-	}
-	batch := t.opt.BatchB
-	if batch <= 0 || batch > n*n {
-		batch = n * n
-	}
-	type ws struct {
-		spec [grid.NumVoigt][]complex128
-		inv  []complex128
-	}
-	scr := make([]ws, workers)
-	for w := range scr {
-		for v := range scr[w].spec {
-			scr[w].spec[v] = make([]complex128, n)
-		}
-		scr[w].inv = make([]complex128, n)
-	}
-	for start := 0; start < n*n; start += batch {
-		end := start + batch
-		if end > n*n {
-			end = n * n
-		}
-		fft.ParallelFor(end-start, workers, func(w, i int) {
-			if ec.Failed() {
-				return
-			}
-			p := start + i
-			x := p % n
-			y := p / n
-			sc := &scr[w]
-			for v := 0; v < grid.NumVoigt; v++ {
-				for j := range sc.spec[v] {
-					sc.spec[v][j] = 0
-				}
-				for zi := 0; zi < k; zi++ {
-					sc.spec[v][oz+zi] = slabs[v][zi*n*n+p]
-				}
-				if err := t.planZ.Forward(sc.spec[v], sc.spec[v]); err != nil {
-					ec.Record(err)
-					return
-				}
-			}
-			// Γ̂ contraction per frequency (Algorithm 2 line 4): couple
-			// the six components through green.Gamma, real and imaginary
-			// parts separately, with the same Nyquist-zeroing convention
-			// as the reference solver (green.Gamma.ApplyAt).
-			for kz := 0; kz < n; kz++ {
-				var re, im grid.SymTensor
-				for v := 0; v < grid.NumVoigt; v++ {
-					c := sc.spec[v][kz]
-					re[v] = real(c)
-					im[v] = imag(c)
-				}
-				gre := t.gamma.ApplyAt(t.dim, x, y, kz, re)
-				gim := t.gamma.ApplyAt(t.dim, x, y, kz, im)
-				for v := 0; v < grid.NumVoigt; v++ {
-					sc.spec[v][kz] = complex(gre[v], gim[v])
-				}
-			}
-			for v := 0; v < grid.NumVoigt; v++ {
-				if err := t.planZ.Inverse(sc.inv, sc.spec[v]); err != nil {
-					ec.Record(err)
-					return
-				}
-				for slot, z := range t.keptZ {
-					planes[v][slot*n*n+p] = sc.inv[z]
-				}
-			}
-		})
-		if err := ec.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-
-	// Stage C: inverse 2D per kept plane per component, gather samples.
-	results := make([]*sample.Compressed, grid.NumVoigt)
-	nsamp, nbytes := 0, 0
-	for v := 0; v < grid.NumVoigt; v++ {
-		results[v] = sample.NewCompressed(t.tree)
-		for slot, z := range t.keptZ {
-			plane := planes[v][slot*n*n : (slot+1)*n*n]
-			if err := t.plan2d.InversePlane(plane); err != nil {
-				return nil, 0, 0, err
-			}
-			for _, g := range t.zIndex[z] {
-				results[v].Samples[g.sample] = real(plane[int(g.y)*n+int(g.x)])
-			}
-		}
-		nsamp += len(results[v].Samples)
-		nbytes += results[v].MemoryBytes()
-	}
-	return results, nsamp, nbytes, nil
+	return plans.NewLocalComponents(box, tree, grid.NumVoigt, gammaOp(m.Dim, gamma),
+		conv.Config{Workers: opt.Workers, BatchB: opt.BatchB, Trace: opt.Trace})
 }

@@ -6,6 +6,7 @@ import (
 
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/obs"
 )
 
 func steelAndSoft() (Phase, Phase) {
@@ -245,8 +246,10 @@ func TestLowCommFullResMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traced := opt
+	traced.Trace = obs.New()
 	low, err := SolveLowComm(m, E, LowCommOptions{
-		Options: opt, SubSize: 8, FullRes: true,
+		Options: traced, SubSize: 8, FullRes: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +257,11 @@ func TestLowCommFullResMatchesReference(t *testing.T) {
 	if !low.Converged {
 		t.Fatalf("low-comm full-res did not converge (residual %g)",
 			low.Residuals[len(low.Residuals)-1])
+	}
+	// The solve's local convolutions are conv.Local runs and show up on its
+	// stage histograms like every other caller's: one per box per iteration.
+	if got, want := traced.Trace.Histogram("conv.stage_b_seconds").Count(), int64(low.Iterations*low.Comm.SubDomains); got != want {
+		t.Errorf("conv.stage_b_seconds count %d, want iterations × boxes = %d", got, want)
 	}
 	r, err := grid.RelL2Tensor(low.Strain, ref.Strain)
 	if err != nil {
@@ -390,5 +398,44 @@ func TestVoronoiPolycrystalSolves(t *testing.T) {
 	got := res.MeanStress()[grid.VXX]
 	if got < reuss*0.999 || got > voigt*1.001 {
 		t.Errorf("polycrystal σ_xx = %g outside [%g, %g]", got, reuss, voigt)
+	}
+}
+
+// TestLowCommDeterministicAcrossWorkersAndBatch: the tensor path is
+// conv.Local, so it inherits its promise — worker count and pencil batch
+// size decide only who computes a pencil and when, never a bit of it.
+func TestLowCommDeterministicAcrossWorkersAndBatch(t *testing.T) {
+	p0, p1 := steelAndSoft()
+	m, err := NewMicrostructure(grid.Cube(16), p0, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetSphere(grid.Point{8, 8, 8}, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
+	var ref *LowCommResult
+	for _, workers := range []int{1, 3} {
+		for _, batch := range []int{0, 37} {
+			got, err := SolveLowComm(m, E, LowCommOptions{
+				Options: Options{Tol: 1e-12, MaxIter: 3, Workers: workers},
+				SubSize: 8, FarRate: 8, BatchB: batch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for v := range ref.Strain.Comp {
+				for i, want := range ref.Strain.Comp[v].Data {
+					if math.Float64bits(got.Strain.Comp[v].Data[i]) != math.Float64bits(want) {
+						t.Fatalf("workers %d batch %d: strain component %d voxel %d is %v, want %v",
+							workers, batch, v, i, got.Strain.Comp[v].Data[i], want)
+					}
+				}
+			}
+		}
 	}
 }
