@@ -340,8 +340,8 @@ func BenchmarkFFT1D(b *testing.B) {
 // BenchmarkObsOverhead quantifies the cost of the observability layer on
 // the local pipeline: the same convolution with tracing off (nil trace,
 // every span/counter call a no-op) and on. The traced run also reports the
-// model-flop and sample-byte counters through ReportMetric so they land in
-// the benchjson report next to ns/op.
+// model-flop and sample-byte counters through ReportMetric so they print
+// next to ns/op.
 func BenchmarkObsOverhead(b *testing.B) {
 	n, k := 64, 16
 	dim := grid.Cube(n)

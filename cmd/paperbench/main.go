@@ -12,12 +12,13 @@
 //	paperbench -massif       measured MASSIF per-iteration communication, Alg. 1 vs Alg. 2
 //	paperbench -faults       fault-injection study: lossy-fabric convolution + crashed MASSIF solve
 //	paperbench -chaos        self-healing study: crash/straggler/OOM schedules against the healing solve
-//	paperbench -serve-load   §3.1 serving: seeded open-loop load against the steady-state engine
-//	paperbench -wfq-load     weighted-fair tenant drain under overload, self-checked against /metrics
-//	paperbench -wire-load    wire front door over loopback TCP under seeded connection faults
-//	paperbench -fleet-load   fleet scheduler under seeded simulated load across fleet shapes
-//	paperbench -job-trace f  per-job lifecycle tracing study: tenant SLO breakdown + Chrome trace to f
+//	paperbench -fleet        §5.1: DGX-2 batch-throughput model
+//	paperbench -sweep        §5.4: measured accuracy/compression tradeoff across far rates
 //	paperbench -all          everything above
+//
+// Any mode takes -trace f (Chrome trace of the run) and -serve addr (live
+// /metrics). Serving latency and throughput are not measured here: the
+// one load generator and timing gate is `go run ./bench`.
 package main
 
 import (
@@ -58,19 +59,12 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "self-healing study: crash/straggler/OOM schedules against the healing solve")
 		fleet   = flag.Bool("fleet", false, "DGX-2 batch-throughput model (§5.1 batching claim)")
 		sweep   = flag.Bool("sweep", false, "measured accuracy/compression tradeoff across far rates (§5.4)")
-		sLoad   = flag.Bool("serve-load", false, "seeded open-loop load against the steady-state serving engine (§3.1)")
-		wfqLoad = flag.Bool("wfq-load", false, "weighted-fair tenant drain under overload, self-checked against live /metrics shares")
-		wLoad   = flag.Bool("wire-load", false, "wire-protocol front door over loopback TCP under seeded connection faults")
-		fLoad   = flag.Bool("fleet-load", false, "fleet scheduler under seeded simulated load across fleet shapes")
-		fChaos  = flag.Bool("fleet-chaos", false, "fleet fault tolerance under seeded device faults: crash/hang/transient/slowdown with exactly-once recovery")
 		all     = flag.Bool("all", false, "run everything")
 		traceTo = flag.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto JSON) of the run to this file")
 		serve   = flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /flight, /debug/pprof) on this address, e.g. :8080, and block after the run")
 	)
 	flag.StringVar(&ckptDir, "ckpt-dir", "",
 		"durable checkpoint directory for the -chaos study (default: a fresh directory under the OS temp dir)")
-	flag.StringVar(&jobTracePath, "job-trace", "",
-		"run the per-job tracing study and write its Chrome-trace artifact (chrome://tracing / Perfetto JSON) to this file")
 	flag.Parse()
 	if *traceTo != "" || *serve != "" {
 		tr = obs.New()
@@ -78,7 +72,7 @@ func main() {
 	// The chaos study always records a per-rank flight recorder and dumps
 	// its postmortem next to the trace artifact; serve mode exposes the
 	// recorder live at /flight.
-	if *chaos || *wLoad || *all || *serve != "" {
+	if *chaos || *all || *serve != "" {
 		flight = telemetry.NewRecorder(8, 0)
 	}
 	postmortemPath = "paperbench-chaos.postmortem.txt"
@@ -127,12 +121,6 @@ func main() {
 	run(*chaos, chaosStudy)
 	run(*fleet, fleetStudy)
 	run(*sweep, rateSweep)
-	run(*sLoad, serveLoadStudy)
-	run(*wfqLoad, wfqLoadStudy)
-	run(*wLoad, wireLoadStudy)
-	run(*fLoad, fleetLoadStudy)
-	run(*fChaos, fleetChaosStudy)
-	run(jobTracePath != "", jobTraceStudy)
 	if !ran && *serve == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -8,8 +8,8 @@ import (
 // BenchmarkCheckpointRoundTrip measures one full durable-checkpoint cycle
 // at realistic self-healing scale: 4 sub-domains × 6 Voigt components ×
 // 8³ values, the per-worker state a respawn restores from. Custom metrics
-// report the snapshot size and encode/decode throughput so the benchjson
-// report captures the checkpoint cost alongside wall time.
+// report the snapshot size and encode/decode throughput alongside wall
+// time.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	snap := testSnapshot(0, 7, 4, 512) // 4 boxes × 6 comps × 8³
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // bluestein implements the chirp-z algorithm, computing arbitrary-length
@@ -16,6 +17,10 @@ type bluestein struct {
 	sub  *Plan
 	w    []complex128 // chirp w_k, k < n
 	vhat []complex128 // forward FFT of wrapped conj-chirp, length m
+
+	// scratch pools the length-m convolution buffer: plans are shared
+	// across goroutines, and a transform must not allocate per call.
+	scratch sync.Pool
 }
 
 func newBluestein(n int) (*bluestein, error) {
@@ -47,11 +52,18 @@ func newBluestein(n int) (*bluestein, error) {
 		return nil, err
 	}
 	b.vhat = v
+	b.scratch.New = func() any {
+		u := make([]complex128, m)
+		return &u
+	}
 	return b, nil
 }
 
 func (b *bluestein) transform(dst, src []complex128, inverse bool) {
-	u := make([]complex128, b.m)
+	up := b.scratch.Get().(*[]complex128)
+	defer b.scratch.Put(up)
+	u := *up
+	clear(u[b.n:]) // the zero padding; [0, n) is overwritten below
 	if inverse {
 		// Inverse via conjugation: IDFT(x) = conj(DFT(conj(x)))/n.
 		for t := 0; t < b.n; t++ {

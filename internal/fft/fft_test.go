@@ -345,3 +345,27 @@ func p2s(n int) string {
 	}
 	return "n"
 }
+
+// TestPlanTransformZeroAllocs pins the 1D transform of a built plan at
+// zero allocations per call: every pencil and row of the pipeline is one.
+// n = 96 takes the Bluestein path, whose convolution buffer is pooled.
+func TestPlanTransformZeroAllocs(t *testing.T) {
+	for _, n := range []int{96, 256, 1024, 4096} {
+		if raceEnabled && n&(n-1) != 0 {
+			continue // the pool refills under -race; asserted by the non-race suite
+		}
+		p := MustPlan(n)
+		x := randComplex(n, int64(n))
+		y := make([]complex128, n)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := p.Forward(y, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Inverse(y, y); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("n=%d: %v allocs per Forward+Inverse, want 0", n, allocs)
+		}
+	}
+}

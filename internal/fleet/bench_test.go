@@ -39,8 +39,7 @@ func BenchmarkFleetPlacement(b *testing.B) {
 	}
 }
 
-// TestPlacementZeroAllocs pins the benchmark's allocs/op at exactly zero
-// (the benchdiff gate enforces the same bound across PRs).
+// TestPlacementZeroAllocs pins the benchmark's allocs/op at exactly zero.
 func TestPlacementZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

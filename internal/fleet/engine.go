@@ -33,7 +33,7 @@ type EngineOptions struct {
 	// footprint exceeds every device spills to the distributed path.
 	SubSize int
 
-	// Conv is the per-pipeline configuration (workers, pruning, trace).
+	// Conv is the per-pipeline configuration (workers, batch size, trace).
 	Conv conv.Config
 
 	// SpillWorkers sizes the simulated cluster for spilled solves (≤0: 4;

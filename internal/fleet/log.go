@@ -57,8 +57,8 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// DumpFile writes the trace to path — the postmortem artifact the
-// fleet-sim CI job uploads.
+// DumpFile writes the trace to path — the postmortem artifact CI
+// uploads when a seeded fleet suite fails.
 func (l *Log) DumpFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 )
 
 // dumpPostmortem writes the failing run's decision trace to the artifact
-// directory named by FLEET_SIM_ARTIFACTS (the file the fleet-sim CI job
-// uploads), when set.
+// directory named by FLEET_SIM_ARTIFACTS (CI's verify job uploads it on
+// failure), when set.
 func dumpPostmortem(t *testing.T, log *Log, name string) {
 	t.Helper()
 	dir := os.Getenv("FLEET_SIM_ARTIFACTS")

@@ -31,7 +31,7 @@ func TestAllWorkersDeadTypedError(t *testing.T) {
 		},
 	})
 	c, err := cluster.NewWithOptions(2, cluster.DefaultParams(), cluster.Options{
-		RecvTimeout: 20 * time.Millisecond,
+		RecvTimeout: 100 * time.Millisecond,
 		RetryBudget: 3,
 		Transport:   inj,
 	})

@@ -49,7 +49,7 @@ func TestDistributedSurvivesWorkerCrash(t *testing.T) {
 	// so op 5 is the all-to-all of 0-based iteration 2.
 	inj := cluster.NewFaultInjector(cluster.FaultPlan{Seed: 1, CrashWorker: 3, CrashAtOp: 5})
 	c, err := cluster.NewWithOptions(4, cluster.DefaultParams(), cluster.Options{
-		RecvTimeout: 20 * time.Millisecond,
+		RecvTimeout: 100 * time.Millisecond,
 		RetryBudget: 3,
 		Transport:   inj,
 	})

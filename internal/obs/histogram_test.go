@@ -166,9 +166,21 @@ func TestSnapshotIsReadOnly(t *testing.T) {
 	sp.End()
 }
 
+// TestHistogramObserveZeroAllocs pins the call every instrumented
+// collective, stage and iteration makes at zero allocations.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	h := New().Histogram("allocs")
+	var d time.Duration
+	if n := testing.AllocsPerRun(1000, func() {
+		d += 37 * time.Microsecond // walks the buckets as the run proceeds
+		h.Observe(d)
+	}); n != 0 {
+		t.Fatalf("Histogram.Observe: %v allocs per call, want 0", n)
+	}
+}
+
 // BenchmarkHistogramObserve measures the hot-path cost every instrumented
-// collective/iteration pays; captured into the bench JSON so regressions in
-// the telemetry layer itself are gated.
+// collective/iteration pays.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := New().Histogram("bench")
 	b.ReportAllocs()

@@ -305,7 +305,9 @@ func TestLocatorMatchesFindCell(t *testing.T) {
 	}
 }
 
-func BenchmarkLocatorVsScan(b *testing.B) {
+// locatorTree is the 128³ tree with a 32³ full-resolution sub-domain that
+// BenchmarkLocatorVsScan and TestFindZeroAllocs both query.
+func locatorTree(tb testing.TB) *Tree {
 	sub := grid.CubeAt(grid.Point{32, 32, 32}, 32)
 	rate := func(bx grid.Box) int {
 		switch {
@@ -321,8 +323,13 @@ func BenchmarkLocatorVsScan(b *testing.B) {
 	}
 	tr, err := Build(grid.Cube(128), rate)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return tr
+}
+
+func BenchmarkLocatorVsScan(b *testing.B) {
+	tr := locatorTree(b)
 	loc := NewLocator(tr)
 	b.Run("locator", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -334,4 +341,21 @@ func BenchmarkLocatorVsScan(b *testing.B) {
 			tr.FindCell(i%128, (i*7)%128, (i*13)%128)
 		}
 	})
+}
+
+// TestFindZeroAllocs pins both point-location paths at zero allocations
+// per query, and checks they name the same cell.
+func TestFindZeroAllocs(t *testing.T) {
+	tr := locatorTree(t)
+	loc := NewLocator(tr)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		x, y, z := i%128, (i*7)%128, (i*13)%128
+		if loc.Find(x, y, z) != tr.FindCell(x, y, z) {
+			t.Errorf("Find and FindCell disagree at (%d,%d,%d)", x, y, z)
+		}
+	}); n != 0 {
+		t.Fatalf("Locator.Find + Tree.FindCell: %v allocs per query, want 0", n)
+	}
 }

@@ -15,9 +15,8 @@ import (
 // BenchmarkServeSteadyState contrasts the engine's warm path (cached
 // plans, pooled pipeline state, recycled arenas — the steady state of a
 // long-running server) against the cold path that rebuilds the tree and
-// pipeline per job. CI gates allocs/op of the warm case via benchdiff.
-// Power-of-two shape: Bluestein (non-pow2) plans allocate internally and
-// would obscure the engine's own allocation behavior.
+// pipeline per job. TestWarmSubmitZeroAllocs pins the warm case at zero
+// allocations.
 func BenchmarkServeSteadyState(b *testing.B) {
 	dim := grid.Cube(32)
 	box := grid.CubeAt(grid.Point{8, 8, 8}, 8)
@@ -73,9 +72,10 @@ func BenchmarkServeSteadyState(b *testing.B) {
 
 // BenchmarkJobTraceOverhead is the warm serve path with per-job lifecycle
 // tracing enabled — same shape as BenchmarkServeSteadyState/warm, plus a
-// jobtrace collector. CI gates allocs/op at zero via benchdiff: the
-// timeline (pooled jobs, bounded event rings, static labels) must not
-// put an allocation back on the warm path.
+// jobtrace collector. TestWarmSubmitZeroAllocs runs with the collector
+// on, so it pins this path at zero too: the timeline (pooled jobs,
+// bounded event rings, static labels) must not put an allocation back on
+// the warm path.
 func BenchmarkJobTraceOverhead(b *testing.B) {
 	dim := grid.Cube(32)
 	box := grid.CubeAt(grid.Point{8, 8, 8}, 8)

@@ -179,6 +179,21 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestRecorderRecordZeroAllocs pins the two events a healthy run records
+// — one heartbeat per iteration, one entry per completed collective — at
+// zero allocations, past the point where the rings wrap.
+func TestRecorderRecordZeroAllocs(t *testing.T) {
+	r := NewRecorder(4, 16)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		r.Heartbeat(i&3, i)
+		r.Collective(i&3, "all-to-all", int64(i), time.Microsecond)
+	}); n != 0 {
+		t.Fatalf("Heartbeat + Collective: %v allocs per pair, want 0", n)
+	}
+}
+
 // BenchmarkRecorderRecord measures the flight-recorder hot path — the cost
 // every heartbeat and completed collective pays when a recorder is wired.
 func BenchmarkRecorderRecord(b *testing.B) {

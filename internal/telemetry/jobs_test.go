@@ -241,3 +241,69 @@ func TestJobsEndpoints(t *testing.T) {
 		t.Fatal("/jobs/trace has no trace events")
 	}
 }
+
+// TestScrapedTenantSharesMatchEngine is the live-scrape check of the
+// weighted-fair accounting: a weighted engine runs a fixed job list to
+// completion, and the serve.tenant_* series read back over HTTP must equal
+// the engine's own snapshot. (That the shares follow the weights under
+// overload is serve.TestWeightedDrainProportional's claim, not this one's.)
+func TestScrapedTenantSharesMatchEngine(t *testing.T) {
+	jobs := map[string]int{"bronze": 2, "silver": 3, "gold": 5}
+	eng, err := serve.New(serve.Options{
+		Dim: grid.Cube(16), Kernel: green.Gaussian{Sigma: 1.5},
+		FarRate: 8, Workers: 1, Device: gpu.V100_16GB(),
+		TenantWeights: map[string]int{"bronze": 1, "silver": 2, "gold": 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Drain()
+	srv, err := telemetry.ServeWith("127.0.0.1:0", telemetry.ServeConfig{
+		Trace: eng.Trace(),
+		Tenants: func() []telemetry.TenantSnapshot {
+			snaps := eng.TenantSnapshots()
+			out := make([]telemetry.TenantSnapshot, len(snaps))
+			for i, s := range snaps {
+				out[i] = telemetry.TenantSnapshot(s)
+			}
+			return out
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	box := grid.CubeAt(grid.Point{4, 4, 4}, 4)
+	in := traceTestField(4, 11)
+	for tenant, n := range jobs {
+		for i := 0; i < n; i++ {
+			res, err := eng.Submit(context.Background(), tenant, box, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+		}
+	}
+
+	got := scrape(t, srv)
+	snaps := eng.TenantSnapshots()
+	if len(snaps) != len(jobs) {
+		t.Fatalf("engine reports %d tenants, want %d", len(snaps), len(jobs))
+	}
+	for _, s := range snaps {
+		if s.Completed != uint64(jobs[s.Tenant]) {
+			t.Errorf("tenant %s: engine completed %d, want %d", s.Tenant, s.Completed, jobs[s.Tenant])
+		}
+		label := fmt.Sprintf("{tenant=%q}", s.Tenant)
+		for series, want := range map[string]float64{
+			"lowcomm_serve_tenant_weight":               float64(s.Weight),
+			"lowcomm_serve_tenant_jobs_completed_total": float64(s.Completed),
+			"lowcomm_serve_tenant_drain_share":          s.DrainShare,
+		} {
+			if v, ok := got[series+label]; !ok || v != want {
+				t.Errorf("scraped %s%s = %v (present %v), engine says %v", series, label, v, ok, want)
+			}
+		}
+	}
+}

@@ -113,7 +113,7 @@ func chaosCase(t *testing.T, eng *serve.Engine, flight *telemetry.Recorder, want
 }
 
 // dumpPostmortem writes the flight recorder's postmortem to the path in
-// $WIRE_POSTMORTEM (the CI chaos job's artifact), if set.
+// $WIRE_POSTMORTEM (CI's verify job uploads it on failure), if set.
 func dumpPostmortem(t *testing.T, flight *telemetry.Recorder) {
 	t.Helper()
 	path := os.Getenv("WIRE_POSTMORTEM")
