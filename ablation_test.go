@@ -161,8 +161,8 @@ func TestAblationFarRateErrorTradeoff(t *testing.T) {
 }
 
 // TestAblationSlabMemoryModel: the measured slab footprint must equal the
-// paper's 8·N²·k model ×2 (complex vs real storage) — DESIGN.md §5
-// ablation 5.
+// paper's 8·N²·k model plus the one Nyquist column of the half spectrum,
+// ×(N+2)/N — DESIGN.md §5 ablation 5.
 func TestAblationSlabMemoryModel(t *testing.T) {
 	n, k := 64, 16
 	dim := grid.Cube(n)
@@ -180,8 +180,8 @@ func TestAblationSlabMemoryModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlabBytes != 2*st.ModelBytes {
-		t.Errorf("slab %d != 2×model %d", st.SlabBytes, st.ModelBytes)
+	if st.SlabBytes != st.ModelBytes*(n+2)/n {
+		t.Errorf("slab %d != model %d × (n+2)/n", st.SlabBytes, st.ModelBytes)
 	}
 	if st.PeakBytes >= 16*dim.Len() {
 		t.Errorf("peak %d must undercut the dense complex grid %d", st.PeakBytes, 16*dim.Len())

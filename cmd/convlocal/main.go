@@ -114,11 +114,16 @@ func main() {
 	t.AddCells("compression", fmt.Sprintf("%.1fx", st.Compression))
 	t.AddCells("samples", fmt.Sprint(st.SampleCount))
 	t.AddCells("kept z planes", fmt.Sprintf("%d of %d", st.KeptZPlanes, *n))
-	t.AddCells("slab bytes", report.Bytes(int64(st.SlabBytes)))
+	t.AddCells("half-spectrum z pencils", fmt.Sprint(st.PencilCount))
+	t.AddCells("paper model 8·N²·k", report.Bytes(int64(st.ModelBytes)))
+	t.AddCells("half-spectrum slab bytes", fmt.Sprintf("%s (%.2fx the paper model)",
+		report.Bytes(int64(st.SlabBytes)), float64(st.SlabBytes)/float64(st.ModelBytes)))
 	t.AddCells("planes bytes", report.Bytes(int64(st.PlanesBytes)))
 	t.AddCells("compressed bytes", report.Bytes(int64(st.SampleBytes)))
 	t.AddCells("dense result bytes", report.Bytes(8*int64(dim.Len())))
-	t.AddCells("paper model 8·N²·k", report.Bytes(int64(st.ModelBytes)))
+	t.AddCells("stage A (x, y forward)", st.StageA.String())
+	t.AddCells("stage B (z pencils, kernel)", st.StageB.String())
+	t.AddCells("stage C (inverse + sampling)", st.StageC.String())
 	t.AddCells("local runtime", localDur.String())
 	t.AddCells("baseline runtime", baseDur.String())
 	t.Render(os.Stdout)

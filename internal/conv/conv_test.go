@@ -301,14 +301,14 @@ func TestLocalStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlabBytes != 16*n*n*k {
-		t.Errorf("slab bytes %d want %d", st.SlabBytes, 16*n*n*k)
+	if st.SlabBytes != 16*(n/2+1)*n*k {
+		t.Errorf("slab bytes %d want %d", st.SlabBytes, 16*(n/2+1)*n*k)
 	}
 	if st.ModelBytes != 8*n*n*k {
 		t.Errorf("model bytes %d want %d", st.ModelBytes, 8*n*n*k)
 	}
-	if st.PencilCount != n*n {
-		t.Errorf("pencils %d", st.PencilCount)
+	if st.PencilCount != (n/2+1)*n {
+		t.Errorf("pencils %d want %d", st.PencilCount, (n/2+1)*n)
 	}
 	if st.KeptZPlanes <= 0 || st.KeptZPlanes > n {
 		t.Errorf("kept planes %d", st.KeptZPlanes)

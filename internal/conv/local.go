@@ -1,7 +1,10 @@
 package conv
 
 import (
+	"errors"
 	"fmt"
+	"math/cmplx"
+	"math/rand"
 	"time"
 
 	"lowcomm3d/internal/fft"
@@ -20,7 +23,20 @@ import (
 // rewritten in place. Seeing every component of a frequency at once is what
 // lets a tensor kernel (MASSIF's Γ̂) couple them; a scalar kernel scales
 // each line independently. Calls for different pencils run concurrently.
+//
+// The input is real, so the pipeline carries only the half spectrum
+// kx ∈ [0, N/2] and rebuilds the rest by Hermitian symmetry. That is only
+// right for a callback that keeps the symmetry — applied at −k to the
+// conjugate of what it sees at k it must return the conjugate: a real
+// spectrum even in ξ, or Γ̂. A run calls it with kx ≤ N/2 only, but it must
+// be defined for every index: construction probes mirrored pairs and
+// refuses anything else with ErrNotHermitian.
 type Pointwise func(kx, ky int, spec [][]complex128)
+
+// ErrNotHermitian is returned (wrapped with the offending index) by the
+// Local constructors for a callback the half-spectrum pipeline would
+// silently get wrong.
+var ErrNotHermitian = errors.New("conv: pointwise callback is not Hermitian")
 
 // KernelPointwise adapts a scalar kernel to a Pointwise callback.
 // Separable kernels (green.Separable) get a fast path: three per-axis
@@ -87,21 +103,21 @@ type Config struct {
 // quantities behind the paper's Tables 1 and 4. The byte and sample figures
 // cover all C components of the pipeline.
 type Stats struct {
-	SlabBytes   int // C slabs of N×N×k complex
-	PlanesBytes int // kept inverse planes, C×N×N×|Z| complex
+	SlabBytes   int // C half-spectrum slabs of (N/2+1)×N×k complex: ModelBytes·(N+2)/N
+	PlanesBytes int // kept inverse planes, C×(N/2+1)×N×|Z| complex
 	SampleBytes int // compressed outputs (samples + octree metadata)
 	PeakBytes   int // max simultaneously-live intermediate footprint
 	ModelBytes  int // the paper's 8·N²·k back-of-envelope figure, times C
 	KeptZPlanes int
-	PencilCount int
+	PencilCount int // z pencils of one component's half spectrum, (N/2+1)·N
 	SampleCount int
 	Compression float64 // dense result bytes / compressed bytes
 
 	// Per-stage wall time, measured whether or not a Trace is attached, so
 	// job timelines can attribute compute latency to stages A/B/C.
-	StageA time.Duration // forward 2D slab transforms
+	StageA time.Duration // forward x (real rows, two per transform) and y transforms into the slab
 	StageB time.Duration // batched 1D z transforms + pointwise
-	StageC time.Duration // inverse 2D planes + octree gather
+	StageC time.Duration // inverse y, inverse x of the sampled rows + octree gather
 }
 
 // Local performs the paper's domain-local convolution of one k³ sub-domain
@@ -112,33 +128,37 @@ type Stats struct {
 // carries C ≥ 1 component fields through the stages together (C = 1 for a
 // scalar kernel, six Voigt components for MASSIF's Γ̂), coupled only inside
 // the Pointwise callback.
+//
+// Slab and kept planes hold the half spectrum kx ∈ [0, h), h = N/2+1, and
+// are stored [plane][kx][ky] with ky fastest, so every y transform is a
+// contiguous in-place line and four adjacent z pencils share a cache line.
 type Local struct {
-	dim    grid.Dim3
-	sub    grid.Box
-	comps  int
-	pw     Pointwise
-	tree   *octree.Tree
-	cfg    Config
-	plan2d *fft.Plan2D
-	planZ  *fft.Plan
+	dim   grid.Dim3
+	sub   grid.Box
+	comps int
+	pw    Pointwise
+	tree  *octree.Tree
+	cfg   Config
+	plan  *fft.Plan
 
-	// Sampling index: for each kept z plane, the (x, y, sampleIdx) triples
-	// to gather after the inverse 2D transform of that plane.
-	zIndex map[int][]gatherPoint
-	keptZ  []int
-	zSlot  map[int]int
+	// Sampling index: the kept z planes in ascending order, the rows of
+	// each that carry a sample (ascending y), and each row's gather points.
+	keptZ     []int
+	planeRows [][]sampleRow
+	gather    []gatherPoint
+	rowPairs  int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
 
 	// Reused working buffers (Run is therefore not safe for concurrent
 	// use on one Local; create one Local per goroutine). scratch holds the
-	// per-worker pencil buffers for stage B, allocated once so a warm Run
-	// performs no heap allocations. slabBuf and planesBuf are component-
-	// major: component c's k slab planes, then component c+1's.
+	// per-worker line buffers, allocated once so a warm Run performs no
+	// heap allocations. slabBuf and planesBuf are component-major:
+	// component c's k slab planes, then component c+1's.
 	slabBuf   []complex128
 	planesBuf []complex128
 	scratch   []pencilScratch
 
 	// Fixed geometry, cached at construction.
-	n, k       int // grid edge, sub-domain edge
+	n, h, k    int // grid edge, half-spectrum width n/2+1, sub-domain edge
 	ox, oy, oz int // sub-domain low corner
 
 	// Per-run state read by the prebuilt worker funcs below. The funcs
@@ -146,11 +166,13 @@ type Local struct {
 	// Run would be heap-allocated per call (its captures escape into
 	// ParallelForSpanned), which is exactly what the steady-state serving
 	// path cannot afford.
-	runIn  []*grid.Field  // current job's input sub-fields, one per component
-	bStart int            // current stage-B batch offset
-	ec     fft.FirstError // per-run first-error collector
-	fnA    func(w, i int)
-	fnB    func(w, i int)
+	runIn        []*grid.Field        // current job's input sub-fields, one per component
+	runOut       []*sample.Compressed // current job's outputs, one per component
+	bStart, bEnd int                  // current stage-B batch of pencils
+	ec           fft.FirstError       // per-run first-error collector
+	fnA          func(w, i int)
+	fnB          func(w, i int)
+	fnC          func(w, i int)
 
 	// Array backing for the one-element slices RunInto hands RunComponents,
 	// so the scalar warm path allocates nothing.
@@ -162,22 +184,36 @@ type Local struct {
 	hA, hB, hC *obs.Histogram
 }
 
+// sampleRow is one row y of a kept plane and its gather points,
+// gather[lo:hi].
+type sampleRow struct {
+	y      int32
+	lo, hi int32
+}
+
 type gatherPoint struct {
-	x, y   int32
+	x      int32
 	sample int32
 }
 
-// pencilScratch is one worker's reusable length-n line buffers: one
-// spectrum line per component, and one inverse line shared by all.
+// pencilTile is how many adjacent ky pencils stage B carries at once: four
+// complex128 are one 64-byte cache line, so each N²-strided slab read and
+// kept-plane write serves the whole tile.
+const pencilTile = 4
+
+// pencilScratch is one worker's reusable length-n lines, one per tile
+// pencil per component: lines is the flat backing (pencil-major), tile[j]
+// the component lines of pencil j as the callback takes them. Stages A and
+// C use tile[0][0] as their one work line.
 type pencilScratch struct {
-	spec [][]complex128
-	inv  []complex128
+	lines []complex128
+	tile  [pencilTile][][]complex128
 }
 
 // NewLocal builds a local-convolution pipeline for sub-domain box sub of
 // an N³ grid (dim), with the sampling octree tree (typically from
-// sample.Policy) and the frequency-domain callback pw. The transform plans
-// are built privately; use PlanSet.NewLocal to share them across pipelines
+// sample.Policy) and the frequency-domain callback pw. The transform plan
+// is built privately; use PlanSet.NewLocal to share it across pipelines
 // on the same grid.
 func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
 	ps, err := NewPlanSet(dim, cfg.Workers)
@@ -188,8 +224,9 @@ func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 }
 
 // NewLocalComponents builds a pipeline that carries comps component fields
-// of one sub-domain box through the shared plans together; pw sees all
-// comps spectrum lines of a pencil at once. cfg must resolve to the set's
+// of one sub-domain box through the shared plan together; pw sees all
+// comps spectrum lines of a pencil at once and must pass the Hermitian
+// probe (ErrNotHermitian otherwise). cfg must resolve to the set's
 // effective worker count.
 func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int, pw Pointwise, cfg Config) (*Local, error) {
 	if fft.Workers(cfg.Workers) != ps.workers {
@@ -218,22 +255,27 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	if k < 1 {
 		return nil, fmt.Errorf("conv: sub-domain size %d must be ≥ 1", k)
 	}
-	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg}
-	l.plan2d = ps.plan2d
-	l.planZ = ps.planZ
+	if err := probeHermitian(n, comps, pw); err != nil {
+		return nil, err
+	}
+	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg, plan: ps.plan}
 	l.scratch = make([]pencilScratch, ps.workers)
 	for w := range l.scratch {
-		lines := make([]complex128, (comps+1)*n)
-		spec := make([][]complex128, comps)
-		for c := range spec {
-			spec[c] = lines[c*n : (c+1)*n : (c+1)*n]
+		sc := &l.scratch[w]
+		sc.lines = make([]complex128, pencilTile*comps*n)
+		for j := range sc.tile {
+			sc.tile[j] = make([][]complex128, comps)
+			for c := range sc.tile[j] {
+				o := (j*comps + c) * n
+				sc.tile[j][c] = sc.lines[o : o+n : o+n]
+			}
 		}
-		l.scratch[w] = pencilScratch{spec: spec, inv: lines[comps*n:]}
 	}
-	l.n, l.k = n, k
+	l.n, l.h, l.k = n, n/2+1, k
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
-	l.fnA = l.slabPlane
-	l.fnB = l.pencilWorker
+	l.fnA = l.slabSlice
+	l.fnB = l.pencilTileWorker
+	l.fnC = l.keptPlane
 	l.buildSampleIndex()
 	l.hA = cfg.Trace.Histogram("conv.stage_a_seconds")
 	l.hB = cfg.Trace.Histogram("conv.stage_b_seconds")
@@ -241,28 +283,81 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	return l, nil
 }
 
-// buildSampleIndex groups the octree's sample points by z plane so the
-// inverse stage can gather them directly from each inverse-transformed
-// plane — the "compression algorithm applied after each 1D iFFT stage".
-func (l *Local) buildSampleIndex() {
-	l.zIndex = make(map[int][]gatherPoint)
-	l.tree.ForEachSample(func(cell, s, x, y, z int) {
-		l.zIndex[z] = append(l.zIndex[z], gatherPoint{x: int32(x), y: int32(y), sample: int32(s)})
-	})
-	l.keptZ = make([]int, 0, len(l.zIndex))
-	for z := range l.zIndex {
-		l.keptZ = append(l.keptZ, z)
+// probeHermitian checks, on a handful of (kx, ky) and their negations, that
+// pw applied at −k to the conjugate-mirrored lines returns the conjugate
+// mirror of what it returns at k, to 1e-9 of the largest output. The
+// self-conjugate pairs — (0, 0), (N/2, N/2) — test the symmetry in kz alone;
+// (N/2, 1) is the mixed-Nyquist case a direction-dependent kernel gets wrong
+// unless it zeroes those modes.
+func probeHermitian(n, comps int, pw Pointwise) error {
+	neg := func(i int) int { return (n - i) % n }
+	a := make([][]complex128, comps)
+	b := make([][]complex128, comps)
+	for c := range a {
+		a[c] = make([]complex128, n)
+		b[c] = make([]complex128, n)
 	}
-	// Deterministic order.
-	for i := 1; i < len(l.keptZ); i++ {
-		for j := i; j > 0 && l.keptZ[j] < l.keptZ[j-1]; j-- {
-			l.keptZ[j], l.keptZ[j-1] = l.keptZ[j-1], l.keptZ[j]
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range [][2]int{{0, 0}, {n / 2, 1 % n}, {n / 2, n / 2}, {1 % n, 2 % n}, {3 % n, n - 1}} {
+		for c := range a {
+			for kz := range a[c] {
+				a[c][kz] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			for kz := range b[c] {
+				b[c][kz] = cmplx.Conj(a[c][neg(kz)])
+			}
+		}
+		pw(p[0], p[1], a)
+		pw(neg(p[0]), neg(p[1]), b)
+		var scale float64
+		for c := range a {
+			for _, v := range a[c] {
+				scale = max(scale, cmplx.Abs(v))
+			}
+		}
+		for c := range a {
+			for kz, v := range b[c] {
+				if d := cmplx.Abs(v - cmplx.Conj(a[c][neg(kz)])); !(d <= 1e-9*scale) {
+					return fmt.Errorf("conv: component %d at (kx, ky, kz) = (%d, %d, %d) and its negation differ by %.3g of %.3g: %w",
+						c, p[0], p[1], neg(kz), d, scale, ErrNotHermitian)
+				}
+			}
 		}
 	}
-	l.zSlot = make(map[int]int, len(l.keptZ))
-	for i, z := range l.keptZ {
-		l.zSlot[z] = i
+	return nil
+}
+
+// buildSampleIndex groups the octree's sample points by z plane and, within
+// a plane, by row, so the inverse stage transforms only the rows that carry
+// a sample and gathers straight from each inverse-transformed line — the
+// "compression algorithm applied after each 1D iFFT stage". A counting sort
+// on the key z·n+y: two walks of the tree, no maps.
+func (l *Local) buildSampleIndex() {
+	n := l.n
+	off := make([]int32, n*n+1)
+	l.tree.ForEachSample(func(cell, s, x, y, z int) { off[z*n+y+1]++ })
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
+	for z := 0; z < n; z++ {
+		var rows []sampleRow
+		for y := 0; y < n; y++ {
+			if lo, hi := off[z*n+y], off[z*n+y+1]; hi > lo {
+				rows = append(rows, sampleRow{y: int32(y), lo: lo, hi: hi})
+			}
+		}
+		if len(rows) > 0 {
+			l.keptZ = append(l.keptZ, z)
+			l.planeRows = append(l.planeRows, rows)
+			l.rowPairs += (len(rows) + 1) / 2
+		}
+	}
+	l.gather = make([]gatherPoint, off[n*n])
+	l.tree.ForEachSample(func(cell, s, x, y, z int) {
+		i := off[z*n+y]
+		off[z*n+y]++
+		l.gather[i] = gatherPoint{x: int32(x), sample: int32(s)}
+	})
 }
 
 // Tree returns the sampling octree used by the pipeline.
@@ -318,24 +413,20 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 			return st, fmt.Errorf("conv: sub field %v does not match box %v", f.Dim, l.sub)
 		}
 	}
-	n, k, comps := l.n, l.k, l.comps
+	n, h, k, comps := l.n, l.h, l.k, l.comps
 	l.runIn = in
 	l.ec.Reset()
 	run := l.cfg.Trace.Start("conv.run")
 	defer run.End()
 
-	// Stage A — forward 2D transforms of the k sub-domain slices into the
-	// N×N×k slab ("the small domain undergoes a 2D transform to a slab").
-	// The buffer is reused across runs and must be zeroed: only the k×k
-	// block of each plane is written before the full-plane transform.
+	// Stage A — forward x and y transforms of the k sub-domain slices into
+	// the h×N×k half-spectrum slab ("the small domain undergoes a 2D
+	// transform to a slab"). The reused buffer needs no zeroing: each slice
+	// worker writes or clears every element of its plane.
 	tA := time.Now()
 	spanA := run.Start("conv.stageA")
-	if len(l.slabBuf) != comps*n*n*k {
-		l.slabBuf = make([]complex128, comps*n*n*k)
-	} else {
-		for i := range l.slabBuf {
-			l.slabBuf[i] = 0
-		}
+	if len(l.slabBuf) != comps*h*n*k {
+		l.slabBuf = make([]complex128, comps*h*n*k)
 	}
 	workers := fft.Workers(l.cfg.Workers)
 	fft.ParallelForSpanned(spanA, "conv.stageA.worker", comps*k, workers, l.fnA)
@@ -346,32 +437,31 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	}
 	st.StageA = time.Since(tA)
 	l.hA.Observe(st.StageA)
-	st.SlabBytes = 16 * comps * n * n * k
+	st.SlabBytes = 16 * comps * h * n * k
 
-	// Stage B — batched 1D z transforms of the N² pencils with the
+	// Stage B — batched 1D z transforms of the h·N pencils with the
 	// pointwise callback, inverse z transform, keeping only sampled z
 	// planes ("the slab is then transformed in a batch fashion by taking
-	// 1D transforms of B pencils at a time in the z-dimension").
+	// 1D transforms of B pencils at a time in the z-dimension"). A batch
+	// is handed out in tiles of pencilTile adjacent pencils; the last tile
+	// of a batch may be short.
 	tB := time.Now()
 	spanB := run.Start("conv.stageB")
 	nz := len(l.keptZ)
-	if len(l.planesBuf) != comps*n*n*nz {
-		l.planesBuf = make([]complex128, comps*n*n*nz)
+	if len(l.planesBuf) != comps*h*n*nz {
+		l.planesBuf = make([]complex128, comps*h*n*nz)
 	}
-	st.PlanesBytes = 16 * comps * n * n * nz
+	st.PlanesBytes = 16 * comps * h * n * nz
 	st.KeptZPlanes = nz
-	st.PencilCount = n * n
+	st.PencilCount = h * n
 	batch := l.cfg.BatchB
-	if batch <= 0 || batch > n*n {
-		batch = n * n
+	if batch <= 0 || batch > h*n {
+		batch = h * n
 	}
-	for start := 0; start < n*n; start += batch {
-		end := start + batch
-		if end > n*n {
-			end = n * n
-		}
-		l.bStart = start
-		fft.ParallelForSpanned(spanB, "conv.stageB.worker", end-start, workers, l.fnB)
+	for start := 0; start < h*n; start += batch {
+		l.bStart, l.bEnd = start, min(start+batch, h*n)
+		tiles := (l.bEnd - l.bStart + pencilTile - 1) / pencilTile
+		fft.ParallelForSpanned(spanB, "conv.stageB.worker", tiles, workers, l.fnB)
 		if err := l.ec.Err(); err != nil {
 			spanB.End()
 			return st, err
@@ -381,9 +471,10 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	st.StageB = time.Since(tB)
 	l.hB.Observe(st.StageB)
 
-	// Stage C — inverse 2D transform of each kept plane, then gather the
-	// octree samples (the full 3D result is never materialized). Every
-	// sample slot is rewritten below, so a recycled output needs no zeroing.
+	// Stage C — per kept plane, inverse y transforms, then the inverse x
+	// transform of the sampled rows only and the octree gather (the full 3D
+	// result is never materialized). Every sample slot is rewritten, so a
+	// recycled output needs no zeroing.
 	tC := time.Now()
 	spanC := run.Start("conv.stageC")
 	for c, out := range outs {
@@ -391,98 +482,207 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 			out = sample.NewCompressed(l.tree)
 			outs[c] = out
 		}
-		for slot, z := range l.keptZ {
-			plane := l.planesBuf[(c*nz+slot)*n*n : (c*nz+slot+1)*n*n]
-			if err := l.plan2d.InversePlane(plane); err != nil {
-				spanC.End()
-				return st, err
-			}
-			for _, g := range l.zIndex[z] {
-				out.Samples[g.sample] = real(plane[int(g.y)*n+int(g.x)])
-			}
-		}
 		st.SampleCount += len(out.Samples)
 		st.SampleBytes += out.MemoryBytes()
+	}
+	l.runOut = outs
+	fft.ParallelForSpanned(spanC, "conv.stageC.worker", comps*nz, workers, l.fnC)
+	l.runOut = nil
+	spanC.End()
+	if err := l.ec.Err(); err != nil {
+		return st, err
 	}
 	st.ModelBytes = 8 * comps * n * n * k
 	st.PeakBytes = st.SlabBytes + st.PlanesBytes + st.SampleBytes
 	st.Compression = outs[0].CompressionRatio()
-	spanC.End()
 	st.StageC = time.Since(tC)
 	l.hC.Observe(st.StageC)
 	if tr := l.cfg.Trace; tr != nil {
 		tr.Counter("conv.pencils").Add(int64(st.PencilCount))
 		tr.Counter("conv.samples").Add(int64(st.SampleCount))
 		tr.Counter("conv.sample_bytes").Add(int64(st.SampleBytes))
-		// FLOP model, per component: stage A does k 2D plane transforms (n
-		// lines per axis), stage B two length-n transforms per pencil, stage
-		// C one inverse 2D transform per kept plane.
-		perPlane2D := 2 * int64(n) * obs.FFTFlops(n)
-		tr.Counter("conv.flops_model").Add(int64(comps) * (int64(k)*perPlane2D +
-			int64(st.PencilCount)*2*obs.FFTFlops(n) +
-			int64(st.KeptZPlanes)*perPlane2D))
+		// FLOP model in length-n transforms per component: stage A does
+		// ⌈k/2⌉ packed row pairs and h columns per slice, stage B two per
+		// pencil, stage C h columns per kept plane and one per pair of
+		// sampled rows.
+		lines := k*((k+1)/2+h) + 2*h*n + nz*h + l.rowPairs
+		tr.Counter("conv.flops_model").Add(int64(comps) * int64(lines) * obs.FFTFlops(n))
 		tr.Gauge("conv.peak_bytes").Max(int64(st.PeakBytes))
 	}
 	return st, nil
 }
 
-// slabPlane is the stage-A worker: scatter slice i%k of component i/k
-// (read from l.runIn) into its zero plane and 2D-transform it.
-func (l *Local) slabPlane(w, i int) {
+// slabSlice is the stage-A worker for slice i%k of component i/k (read
+// from l.runIn). The k non-zero rows are transformed along x two at a time:
+// rows a, b packed as a + i·b go through one complex transform and come
+// apart by symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
+// (Z[kx] − conj Z[−kx])/2i, written straight into column kx at [oy, oy+k).
+// Then each of the h columns is cleared outside that range and transformed
+// along y in place.
+func (l *Local) slabSlice(w, i int) {
 	if l.ec.Failed() {
 		return
 	}
-	n, k, ox, oy := l.n, l.k, l.ox, l.oy
-	in, zi := l.runIn[i/k], i%k
-	plane := l.slabBuf[i*n*n : (i+1)*n*n]
-	for yy := 0; yy < k; yy++ {
-		for xx := 0; xx < k; xx++ {
-			plane[(oy+yy)*n+(ox+xx)] = complex(in.At(xx, yy, zi), 0)
+	n, h, k, ox, oy := l.n, l.h, l.k, l.ox, l.oy
+	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
+	slab := l.slabBuf[i*h*n : (i+1)*h*n]
+	line := l.scratch[w].tile[0][0]
+	for yy := 0; yy < k; yy += 2 {
+		paired := yy+1 < k
+		a := rows[yy*k : (yy+1)*k]
+		b := a
+		if paired {
+			b = rows[(yy+1)*k : (yy+2)*k]
+		}
+		clear(line[:ox])
+		clear(line[ox+k:])
+		for xx, v := range a {
+			if paired {
+				line[ox+xx] = complex(v, b[xx])
+			} else {
+				line[ox+xx] = complex(v, 0)
+			}
+		}
+		if err := l.plan.Forward(line, line); err != nil {
+			l.ec.Record(err)
+			return
+		}
+		col := slab[oy+yy:]
+		col[0] = complex(real(line[0]), 0)
+		if paired {
+			col[1] = complex(imag(line[0]), 0)
+		}
+		for kx := 1; kx < h; kx++ {
+			zk, zm := line[kx], line[n-kx]
+			sum := complex(real(zk)+real(zm), imag(zk)-imag(zm)) // Z[kx] + conj Z[−kx]
+			col[kx*n] = sum / 2
+			if paired {
+				dif := complex(real(zk)-real(zm), imag(zk)+imag(zm)) // Z[kx] − conj Z[−kx]
+				col[kx*n+1] = complex(imag(dif)/2, -real(dif)/2)
+			}
 		}
 	}
-	if err := l.plan2d.ForwardPlane(plane); err != nil {
-		l.ec.Record(err)
+	for kx := 0; kx < h; kx++ {
+		col := slab[kx*n : (kx+1)*n]
+		clear(col[:oy])
+		clear(col[oy+k:])
+		if err := l.plan.Forward(col, col); err != nil {
+			l.ec.Record(err)
+			return
+		}
 	}
 }
 
-// pencilWorker is the stage-B worker: for every component gather one
-// (x, y) pencil's k slab values and forward z transform; one pointwise
-// callback over all the lines; then inverse z transform each and scatter
-// the kept planes.
-func (l *Local) pencilWorker(w, i int) {
+// pencilTileWorker is the stage-B worker for tile i of the current batch:
+// up to pencilTile adjacent pencils q = kx·n+ky. Their slab values arrive
+// one cache line per slab plane; each line is cleared outside [oz, oz+k),
+// forward z transformed, passed through the pointwise callback with the
+// pencil's other components, inverse transformed in place, and the kept
+// planes leave one cache line per plane.
+func (l *Local) pencilTileWorker(w, i int) {
 	if l.ec.Failed() {
 		return
 	}
-	n, k := l.n, l.k
-	p := l.bStart + i
+	n, k, oz, comps, hn := l.n, l.k, l.oz, l.comps, l.h*l.n
+	q0 := l.bStart + i*pencilTile
+	t := min(pencilTile, l.bEnd-q0)
 	sc := &l.scratch[w]
-	// Gather the k slab values of this pencil into a zero line at
-	// [oz, oz+k), then forward z transform.
-	for c, line := range sc.spec {
-		for j := range line {
-			line[j] = 0
-		}
-		slab := l.slabBuf[c*k*n*n:]
+	stride := comps * n // between the same component's lines of adjacent pencils
+	for c := 0; c < comps; c++ {
+		slab := l.slabBuf[c*k*hn+q0:]
+		dst := sc.lines[c*n+oz:]
 		for zi := 0; zi < k; zi++ {
-			line[l.oz+zi] = slab[zi*n*n+p]
+			for j, v := range slab[zi*hn:][:t] {
+				dst[j*stride+zi] = v
+			}
 		}
-		if err := l.planZ.Forward(line, line); err != nil {
+	}
+	for j := 0; j < t; j++ {
+		spec := sc.tile[j]
+		for _, line := range spec {
+			clear(line[:oz])
+			clear(line[oz+k:])
+			if err := l.plan.Forward(line, line); err != nil {
+				l.ec.Record(err)
+				return
+			}
+		}
+		// Pointwise kernel multiply — the cuFFT-callback stage.
+		q := q0 + j
+		l.pw(q/n, q%n, spec)
+		for _, line := range spec {
+			if err := l.plan.Inverse(line, line); err != nil {
+				l.ec.Record(err)
+				return
+			}
+		}
+	}
+	nz := len(l.keptZ)
+	for c := 0; c < comps; c++ {
+		planes := l.planesBuf[c*nz*hn+q0:]
+		src := sc.lines[c*n:]
+		for slot, z := range l.keptZ {
+			dst := planes[slot*hn:][:t]
+			for j := range dst {
+				dst[j] = src[j*stride+z]
+			}
+		}
+	}
+}
+
+// keptPlane is the stage-C worker for kept plane i%nz of component i/nz:
+// inverse y transform of the h columns in place, then the inverse x
+// transform of only the rows that carry a sample, two per transform. Rows
+// a, b with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
+// negative kx by Hermitian symmetry with the DC and Nyquist terms taken
+// real, so F⁻¹Z = a + i·b; the samples are gathered from that line and the
+// rows are never written back.
+func (l *Local) keptPlane(w, i int) {
+	if l.ec.Failed() {
+		return
+	}
+	n, h := l.n, l.h
+	nz := len(l.keptZ)
+	plane := l.planesBuf[i*h*n : (i+1)*h*n]
+	for kx := 0; kx < h; kx++ {
+		col := plane[kx*n : (kx+1)*n]
+		if err := l.plan.Inverse(col, col); err != nil {
 			l.ec.Record(err)
 			return
 		}
 	}
-	// Pointwise kernel multiply — the cuFFT-callback stage.
-	l.pw(p%n, p/n, sc.spec)
-	// Inverse z transform; scatter only the sampled planes.
-	nz := len(l.keptZ)
-	for c, line := range sc.spec {
-		if err := l.planZ.Inverse(sc.inv, line); err != nil {
+	out := l.runOut[i/nz].Samples
+	rows := l.planeRows[i%nz]
+	line := l.scratch[w].tile[0][0]
+	for r := 0; r < len(rows); r += 2 {
+		ra := rows[r]
+		rb, paired := ra, r+1 < len(rows)
+		if paired {
+			rb = rows[r+1]
+		}
+		// An unpaired last row rides with itself; its imaginary half is
+		// not gathered.
+		pa, pb := plane[ra.y:], plane[rb.y:]
+		line[0] = complex(real(pa[0]), real(pb[0]))
+		for kx := 1; kx < n-h+1; kx++ {
+			a, b := pa[kx*n], pb[kx*n]
+			line[kx] = complex(real(a)-imag(b), imag(a)+real(b))   // Â + i·B̂
+			line[n-kx] = complex(real(a)+imag(b), real(b)-imag(a)) // conj Â + i·conj B̂
+		}
+		if n%2 == 0 {
+			line[n/2] = complex(real(pa[n/2*n]), real(pb[n/2*n]))
+		}
+		if err := l.plan.Inverse(line, line); err != nil {
 			l.ec.Record(err)
 			return
 		}
-		planes := l.planesBuf[c*nz*n*n:]
-		for slot, z := range l.keptZ {
-			planes[slot*n*n+p] = sc.inv[z]
+		for _, g := range l.gather[ra.lo:ra.hi] {
+			out[g.sample] = real(line[g.x])
+		}
+		if paired {
+			for _, g := range l.gather[rb.lo:rb.hi] {
+				out[g.sample] = imag(line[g.x])
+			}
 		}
 	}
 }

@@ -79,8 +79,8 @@ func TestRunCounters(t *testing.T) {
 	if got := tr.CounterValue("conv.pencils"); got != int64(st.PencilCount) {
 		t.Errorf("conv.pencils = %d, Stats.PencilCount = %d", got, st.PencilCount)
 	}
-	if st.PencilCount != n*n {
-		t.Errorf("PencilCount = %d, want n² = %d", st.PencilCount, n*n)
+	if st.PencilCount != (n/2+1)*n {
+		t.Errorf("PencilCount = %d, want (n/2+1)·n = %d", st.PencilCount, (n/2+1)*n)
 	}
 	if got := tr.CounterValue("conv.samples"); got != int64(st.SampleCount) {
 		t.Errorf("conv.samples = %d, Stats.SampleCount = %d", got, st.SampleCount)

@@ -145,9 +145,9 @@ func (p *Plan3D) run(f *grid.ComplexField, inverse bool) error {
 }
 
 // Plan2D performs in-place 2D (x, y) transforms on every z-plane of a
-// complex field, or on a single plane slice. It is the first stage of the
-// paper's local pipeline: "the small domain undergoes a 2D transform to a
-// slab".
+// complex field, or on a single plane slice — "the small domain undergoes
+// a 2D transform to a slab". The slab-decomposed distributed baselines run
+// on it; conv.Local does the same stage on the half spectrum with 1D plans.
 type Plan2D struct {
 	nx, ny  int
 	px, py  *Plan

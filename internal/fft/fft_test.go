@@ -368,4 +368,28 @@ func TestPlanTransformZeroAllocs(t *testing.T) {
 			t.Errorf("n=%d: %v allocs per Forward+Inverse, want 0", n, allocs)
 		}
 	}
+	for _, n := range []int{256, 1024} {
+		if raceEnabled {
+			continue // the pooled half-length line, same rule as Bluestein's
+		}
+		p, err := NewRealPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		spec := make([]complex128, p.SpectrumLen())
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := p.Forward(spec, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Inverse(x, spec); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("real n=%d: %v allocs per Forward+Inverse, want 0", n, allocs)
+		}
+	}
 }

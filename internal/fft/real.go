@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // RealPlan computes DFTs of real sequences of even length n using the
@@ -16,6 +17,10 @@ type RealPlan struct {
 	n    int
 	half *Plan
 	w    []complex128 // e^{-2πik/n}, k ≤ n/2
+
+	// scratch pools the half-length packed line: plans are shared across
+	// goroutines, and a transform must not allocate per call.
+	scratch sync.Pool
 }
 
 // NewRealPlan creates a plan for real transforms of even length n ≥ 2.
@@ -32,7 +37,12 @@ func NewRealPlan(n int) (*RealPlan, error) {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		w[k] = complex(c, s)
 	}
-	return &RealPlan{n: n, half: half, w: w}, nil
+	p := &RealPlan{n: n, half: half, w: w}
+	p.scratch.New = func() any {
+		z := make([]complex128, n/2)
+		return &z
+	}
+	return p, nil
 }
 
 // N returns the real sequence length.
@@ -52,7 +62,9 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) error {
 		return fmt.Errorf("fft: spectrum length %d != %d", len(dst), p.SpectrumLen())
 	}
 	h := p.n / 2
-	z := make([]complex128, h)
+	zp := p.scratch.Get().(*[]complex128)
+	defer p.scratch.Put(zp)
+	z := *zp
 	for j := 0; j < h; j++ {
 		z[j] = complex(src[2*j], src[2*j+1])
 	}
@@ -84,7 +96,9 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) error {
 		return fmt.Errorf("fft: spectrum length %d != %d", len(src), p.SpectrumLen())
 	}
 	h := p.n / 2
-	z := make([]complex128, h)
+	zp := p.scratch.Get().(*[]complex128)
+	defer p.scratch.Put(zp)
+	z := *zp
 	for k := 0; k < h; k++ {
 		xk := src[k]
 		xc := conj(src[h-k])

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
@@ -436,6 +437,30 @@ func TestLowCommDeterministicAcrossWorkersAndBatch(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGammaOpPassesHermitianProbe: conv.Local carries only the half
+// spectrum and refuses a callback that would break the symmetry it rebuilds
+// the rest from; Γ̂ with its Nyquist modes zeroed keeps it on every grid,
+// the all-Nyquist 2-grid included.
+func TestGammaOpPassesHermitianProbe(t *testing.T) {
+	p0, p1 := steelAndSoft()
+	lambda0, mu0 := green.LameFromENu(140, 0.3)
+	for _, n := range []int{2, 8, 32} {
+		m, err := NewMicrostructure(grid.Cube(n), p0, p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := conv.NewPlanSet(m.Dim, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := LowCommOptions{Options: Options{Workers: 1}, FullRes: true}
+		box := grid.CubeAt(grid.Point{n / 2, 0, n / 2}, n/2)
+		if _, err := gammaLocal(plans, m, box, green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt); err != nil {
+			t.Errorf("n %d: %v", n, err)
 		}
 	}
 }

@@ -29,14 +29,14 @@ var helpText = map[string]string{
 	"cluster.alltoall_seconds":       "Wall time of each worker's personalized all-to-all, the measured side of the alpha-beta ModelSec prediction (Eq. 2).",
 	"cluster.allreduce_seconds":      "Wall time of each worker's all-reduce (gather-to-root + broadcast).",
 	"cluster.broadcast_seconds":      "Wall time of each worker's broadcast.",
-	"conv.pencils":                   "Pencils transformed by the batched stage-B z sweeps (the paper's B-batch dimension, section 5.4).",
+	"conv.pencils":                   "Half-spectrum pencils, (N/2+1)*N per run, transformed by the batched stage-B z sweeps (the paper's B-batch dimension, section 5.4).",
 	"conv.samples":                   "Octree samples gathered by stage C.",
 	"conv.sample_bytes":              "Compressed output bytes (samples + octree metadata), the numerator of Table 1's compression claim.",
 	"conv.flops_model":               "Modeled FFT FLOPs (5*N*log2 N per line) executed by the local pipeline - the work term of the Table 3 runtime model.",
-	"conv.peak_bytes":                "High-water intermediate footprint of conv.Local.Run: slab + kept planes + samples, the measured side of Table 1/Table 4's 8*N^2*k memory model.",
-	"conv.stage_a_seconds":           "conv.Local.Run stage A (forward 2D transforms of the k sub-domain slices into the N*N*k slab).",
+	"conv.peak_bytes":                "High-water intermediate footprint of conv.Local.Run: half-spectrum slab (8*N^2*k*(N+2)/N bytes, Table 1/Table 4's 8*N^2*k memory model plus the Nyquist column) + kept planes + samples.",
+	"conv.stage_a_seconds":           "conv.Local.Run stage A (forward x and y transforms of the k sub-domain slices into the (N/2+1)*N*k half-spectrum slab).",
 	"conv.stage_b_seconds":           "conv.Local.Run stage B (batched 1D z transforms + pointwise kernel, the cuFFT-callback stage of Table 3's pipeline).",
-	"conv.stage_c_seconds":           "conv.Local.Run stage C (inverse 2D transforms of kept planes + octree sample gather).",
+	"conv.stage_c_seconds":           "conv.Local.Run stage C (inverse y transforms of kept planes, inverse x of the sampled rows + octree sample gather).",
 	"serve.jobs_submitted":           "Jobs accepted into the serving queue (admission passed).",
 	"serve.jobs_completed":           "Jobs that ran to completion and returned a result.",
 	"serve.jobs_rejected":            "Jobs refused at admission (queue full or device memory exhausted).",
