@@ -358,6 +358,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 				return err
 			}
 			res, _, err := local.Run(subField)
+			local.ReleaseBuffers()
 			if err != nil {
 				return err
 			}

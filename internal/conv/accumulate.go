@@ -17,26 +17,41 @@ import (
 // followed by interpolation gives us the approximate result of the full
 // convolution").
 func Accumulate(dim grid.Dim3, results []*sample.Compressed) (*grid.Field, error) {
-	out := grid.NewField(dim)
-	for i, r := range results {
-		if r.Tree.Dim != dim {
-			return nil, fmt.Errorf("conv: result %d dims %v != %v", i, r.Tree.Dim, dim)
-		}
-		if err := r.AddTo(out, 1); err != nil {
-			return nil, fmt.Errorf("conv: accumulating result %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return AccumulateRegion(dim, results, dim.Bounds())
 }
 
 // AccumulateRegion accumulates only within region — what a worker that
 // owns that region computes after receiving every sub-domain's samples.
+//
+// The region is cut into one contiguous z-slab per worker and each worker
+// adds every result, in the order given, into its own slab: a voxel has one
+// writer and receives its addends in the caller's order, so the field does
+// not depend on the worker count. One slab per worker, not more — each
+// (result, slab) pair walks the result's whole cell list and rebuilds the
+// face planes of the cells that straddle the cut.
 func AccumulateRegion(dim grid.Dim3, results []*sample.Compressed, region grid.Box) (*grid.Field, error) {
-	out := grid.NewField(dim)
 	for i, r := range results {
-		if err := r.AddRegion(out, region, 1); err != nil {
-			return nil, fmt.Errorf("conv: accumulating result %d: %w", i, err)
+		if r.Tree.Dim != dim {
+			return nil, fmt.Errorf("conv: result %d dims %v != %v", i, r.Tree.Dim, dim)
 		}
+	}
+	out := grid.NewField(dim)
+	region = region.Intersect(dim.Bounds())
+	workers := fft.Workers(0)
+	z0, nz := region.Lo[2], region.Hi[2]-region.Lo[2]
+	var ec fft.FirstError
+	fft.ParallelFor(workers, workers, func(_, w int) {
+		slab := region
+		slab.Lo[2], slab.Hi[2] = z0+nz*w/workers, z0+nz*(w+1)/workers
+		for i, r := range results {
+			if err := r.AddRegion(out, slab, 1); err != nil {
+				ec.Record(fmt.Errorf("conv: accumulating result %d: %w", i, err))
+				return
+			}
+		}
+	})
+	if err := ec.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -190,6 +205,7 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box, policy func(grid.B
 			return
 		}
 		res, st, err := local.Run(subField)
+		local.ReleaseBuffers()
 		live.Add(-1)
 		if err != nil {
 			ec.Record(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"time"
 
 	"lowcomm3d/internal/fft"
@@ -363,12 +364,34 @@ func (l *Local) buildSampleIndex() {
 // Tree returns the sampling octree used by the pipeline.
 func (l *Local) Tree() *octree.Tree { return l.tree }
 
-// ReleaseBuffers drops the reused slab and kept-plane buffers (the next
-// run reallocates them), so a caller that streams many pipelines one at a
-// time holds only one set of live slabs between runs.
+// ReleaseBuffers hands the slab and kept-plane buffers to a pool that the
+// next run of any pipeline draws from, so a caller that streams many
+// pipelines one at a time — or builds one per box and runs it once — holds
+// one set of live slabs between runs and allocates (and zeroes) none after
+// the first. A recycled buffer is never cleared: stage A writes or clears
+// every slab element and stage B writes every kept-plane element.
 func (l *Local) ReleaseBuffers() {
-	l.slabBuf = nil
-	l.planesBuf = nil
+	putBuffer(l.slabBuf)
+	putBuffer(l.planesBuf)
+	l.slabBuf, l.planesBuf = nil, nil
+}
+
+// bufferPool recycles slab and kept-plane buffers across pipelines.
+var bufferPool sync.Pool // of *[]complex128
+
+func putBuffer(b []complex128) {
+	if cap(b) > 0 {
+		bufferPool.Put(&b)
+	}
+}
+
+// takeBuffer returns n elements of unspecified content, recycled when the
+// pool's next buffer is large enough.
+func takeBuffer(n int) []complex128 {
+	if p, _ := bufferPool.Get().(*[]complex128); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]complex128, n)
 }
 
 // Run convolves the k³ sub-domain field (dimensions equal to the
@@ -426,7 +449,7 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	tA := time.Now()
 	spanA := run.Start("conv.stageA")
 	if len(l.slabBuf) != comps*h*n*k {
-		l.slabBuf = make([]complex128, comps*h*n*k)
+		l.slabBuf = takeBuffer(comps * h * n * k)
 	}
 	workers := fft.Workers(l.cfg.Workers)
 	fft.ParallelForSpanned(spanA, "conv.stageA.worker", comps*k, workers, l.fnA)
@@ -449,7 +472,7 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	spanB := run.Start("conv.stageB")
 	nz := len(l.keptZ)
 	if len(l.planesBuf) != comps*h*n*nz {
-		l.planesBuf = make([]complex128, comps*h*n*nz)
+		l.planesBuf = takeBuffer(comps * h * n * nz)
 	}
 	st.PlanesBytes = 16 * comps * h * n * nz
 	st.KeptZPlanes = nz

@@ -270,6 +270,7 @@ func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
 		return nil, err
 	}
 	res, stats, err := local.Run(sub)
+	local.ReleaseBuffers()
 	if err == nil {
 		t.Job.Stage("A", di, stats.StageA)
 		t.Job.Stage("B", di, stats.StageB)
@@ -343,7 +344,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 	tj.Event(jobtrace.KindAdmit, -1, "", int64(len(jobs)))
 	if spill {
 		tj.Event(jobtrace.KindSpill, -1, "no-fit", 0)
-		return e.runSpill(f, jobs, &st)
+		return e.runSpill(f, jobs, &st, tj)
 	}
 
 	fp := e.sched.Footprint(k)
@@ -385,7 +386,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 			// absorb: recompute the whole solve there. Canonical-order
 			// assembly keeps the output byte-identical to a healthy fleet.
 			tj.Event(jobtrace.KindSpill, -1, "capacity-loss", 0)
-			return e.runSpill(f, jobs, &st)
+			return e.runSpill(f, jobs, &st, tj)
 		}
 		return nil, st, firstErr
 	}
@@ -396,8 +397,18 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 		devs[sink.devs[i]] = true
 	}
 	st.Devices = len(devs)
-	out, err := conv.Accumulate(e.dim, results)
+	out, err := e.accumulate(results, tj)
 	return out, st, err
+}
+
+// accumulate is the solve's last step — every box's samples interpolated
+// and summed in canonical order — timed onto the job's timeline as the
+// "acc" stage.
+func (e *Engine) accumulate(results []*sample.Compressed, tj *jobtrace.Job) (*grid.Field, error) {
+	t0 := time.Now()
+	out, err := conv.Accumulate(e.dim, results)
+	tj.Stage("acc", -1, time.Since(t0))
+	return out, err
 }
 
 // runSpill executes a solve too large for any device on the simulated
@@ -408,7 +419,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 // canonical slots, and assembly accumulates them in canonical order —
 // the same order the device path uses — so a spilled solve is
 // byte-identical to the same solve on a big-enough device.
-func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats) (*grid.Field, SolveStats, error) {
+func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats, tj *jobtrace.Job) (*grid.Field, SolveStats, error) {
 	n := e.dim.Nx
 	p := e.opts.SpillWorkers
 	if p <= 0 {
@@ -454,6 +465,7 @@ func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats) (*grid
 				return err
 			}
 			res, _, err := local.Run(sub)
+			local.ReleaseBuffers()
 			if err != nil {
 				return err
 			}
@@ -485,7 +497,7 @@ func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats) (*grid
 	bytesAfter, _, _, _ := c.Stats.Snapshot()
 	st.Spilled = true
 	st.SpillBytes = bytesAfter - bytesBefore
-	out, err := conv.Accumulate(e.dim, results)
+	out, err := e.accumulate(results, tj)
 	return out, *st, err
 }
 

@@ -200,3 +200,63 @@ func TestJobTimelineStealDeathHedge(t *testing.T) {
 		t.Fatal("postmortem omits the death cause detail")
 	}
 }
+
+// TestSolveTimelineReadsBoxesThenAccumulate: a traced multi-box solve's
+// compute phase runs to the last box's completion, the accumulation after
+// it is an "acc" stage event carrying its own duration, and the four phases
+// still sum to e2e exactly. A spilled solve places nothing on a device, so
+// its timeline is all "place"; it still records the acc stage.
+func TestSolveTimelineReadsBoxesThenAccumulate(t *testing.T) {
+	const n, k, far = 16, 8, 8
+	tiny := &gpu.Device{Name: "tiny", Capacity: 1 << 12} // smaller than any k=8 job
+	for _, tc := range []struct {
+		name  string
+		devs  []*gpu.Device
+		spill bool
+	}{
+		{"devices", []*gpu.Device{gpu.V100_32GB(), gpu.V100_32GB()}, false},
+		{"spill", []*gpu.Device{tiny}, true},
+	} {
+		col := jobtrace.NewCollector()
+		e := newTestEngine(t, EngineOptions{
+			Fleet:   Options{Devices: tc.devs, N: n, FarRate: far},
+			SubSize: k,
+			Jobs:    col,
+		})
+		if _, st, err := e.Solve("t", testField(n, 3)); err != nil || st.Spilled != tc.spill {
+			t.Fatalf("%s: Solve spilled=%v, err %v", tc.name, st.Spilled, err)
+		}
+		jobs := col.Jobs()
+		if len(jobs) != 1 || jobs[0].Phases == nil {
+			t.Fatalf("%s: want one finished timeline, got %+v", tc.name, jobs)
+		}
+		s, p := jobs[0], jobs[0].Phases
+		if p.PlaceNs+p.QueueNs+p.ComputeNs+p.StreamNs != p.E2ENs {
+			t.Errorf("%s: phases %+v do not sum to e2e", tc.name, *p)
+		}
+		var lastComplete, acc *jobtrace.EventSnapshot
+		for i := range s.Events {
+			switch ev := &s.Events[i]; {
+			case ev.Kind == "complete":
+				lastComplete = ev
+			case ev.Kind == "stage" && ev.Label == "acc":
+				acc = ev
+			}
+		}
+		if acc == nil || acc.Dev != -1 || acc.Arg <= 0 || acc.Arg > p.E2ENs {
+			t.Fatalf("%s: want an acc stage on no device with a duration inside the job's %d ns, got %+v", tc.name, p.E2ENs, acc)
+		}
+		if tc.spill {
+			continue
+		}
+		if lastComplete == nil {
+			t.Fatalf("%s: no complete event in %+v", tc.name, s.Events)
+		}
+		if got := p.PlaceNs + p.QueueNs + p.ComputeNs; got != lastComplete.AtNs {
+			t.Errorf("%s: compute ends at %d ns, want the last complete at %d", tc.name, got, lastComplete.AtNs)
+		}
+		if acc.Arg > p.StreamNs {
+			t.Errorf("%s: acc took %d ns but only %d ns follow compute", tc.name, acc.Arg, p.StreamNs)
+		}
+	}
+}

@@ -314,9 +314,15 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		}
 		var ce *cluster.CrashError
 		var fe *cluster.FaultError
-		if errors.As(e, &ce) || errors.As(e, &fe) {
+		crashed := errors.As(e, &ce)
+		if crashed || errors.As(e, &fe) {
 			deadRanks[rank] = true
-			lastDeadErr = e
+			// Keep a rank's own crash over a peer's report of it: which
+			// of the two a later rank returns depends on who got there
+			// first.
+			if crashed || lastDeadErr == nil {
+				lastDeadErr = e
+			}
 			continue
 		}
 		return nil, e

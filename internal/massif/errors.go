@@ -17,7 +17,7 @@ var ErrAllWorkersDead = errors.New("massif: all workers dead")
 // final worker error (errors.As), via multi-error unwrapping.
 type AllDeadError struct {
 	Workers int   // cluster size
-	Last    error // the last worker error observed (may be nil)
+	Last    error // a rank's own crash when one was observed, else the first worker failure (may be nil)
 }
 
 func (e *AllDeadError) Error() string {

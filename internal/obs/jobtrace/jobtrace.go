@@ -61,8 +61,9 @@ const (
 	KindRequeue
 	// KindSpill marks fallback to the cluster all-to-all path.
 	KindSpill
-	// KindStage marks one convolution stage; Label is "A", "B" or "C" and
-	// Arg the stage duration in nanoseconds.
+	// KindStage marks one convolution stage — Label "A", "B" or "C" on the
+	// device that ran it — or a solve's accumulation, Label "acc" on no
+	// device; Arg is the stage duration in nanoseconds.
 	KindStage
 	// KindStream marks a result chunk written to the wire; Arg is the
 	// chunk payload size in bytes.
@@ -199,8 +200,8 @@ type Job struct {
 	ring   [ringSize]Event
 
 	// Phase marks, as offsets from start; 0 means unset. Place sets
-	// placedAt, Batch/Dequeue set dequeuedAt, Complete/Fail set
-	// computedAt, Finish sets finishedAt.
+	// placedAt, Batch/Dequeue set dequeuedAt, the last Complete (or else
+	// the first Fail) sets computedAt, Finish sets finishedAt.
 	placedAt   time.Duration
 	dequeuedAt time.Duration
 	computedAt time.Duration
@@ -244,7 +245,11 @@ func (j *Job) record(e Event) {
 		if j.dequeuedAt == 0 {
 			j.dequeuedAt = at
 		}
-	case KindComplete, KindFail:
+	case KindComplete:
+		// A multi-box solve completes once per box; compute ends at the
+		// last of them.
+		j.computedAt = at
+	case KindFail:
 		if j.computedAt == 0 {
 			j.computedAt = at
 		}

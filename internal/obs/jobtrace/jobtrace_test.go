@@ -119,6 +119,48 @@ func TestTimelineOrderAndPhases(t *testing.T) {
 	}
 }
 
+// TestComputeFollowsLastComplete: a multi-box solve completes once per box,
+// and its compute phase runs to the last of them (what follows is the
+// accumulation, not compute); a failure keeps the first mark. Either way
+// the four phases sum to e2e exactly.
+func TestComputeFollowsLastComplete(t *testing.T) {
+	c := NewCollector()
+	run := func(kinds ...Kind) JobSnapshot {
+		j := c.Start("acme")
+		j.Place(0, 1, nil)
+		j.Event(KindDequeue, 0, "", 0)
+		for _, k := range kinds {
+			time.Sleep(time.Millisecond)
+			j.Event(k, 0, "", 0)
+		}
+		time.Sleep(time.Millisecond)
+		c.Finish(j)
+		s, ok := c.Job(j.ID())
+		if !ok || s.Phases == nil {
+			t.Fatal("finished job has no phases")
+		}
+		if p := s.Phases; p.PlaceNs+p.QueueNs+p.ComputeNs+p.StreamNs != p.E2ENs {
+			t.Fatalf("phases %+v do not sum to e2e", *p)
+		}
+		return s
+	}
+	// Events: 0 place, 1 dequeue, then kinds from index 2.
+	computeEnd := func(s JobSnapshot) int64 { return s.Events[1].AtNs + s.Phases.ComputeNs }
+
+	s := run(KindComplete, KindComplete, KindComplete)
+	if got, want := computeEnd(s), s.Events[4].AtNs; got != want {
+		t.Errorf("three completes: compute ends at %d, want the last complete at %d", got, want)
+	}
+	s = run(KindFail, KindFail)
+	if got, want := computeEnd(s), s.Events[2].AtNs; got != want {
+		t.Errorf("two failures: compute ends at %d, want the first failure at %d", got, want)
+	}
+	s = run(KindComplete, KindFail)
+	if got, want := computeEnd(s), s.Events[2].AtNs; got != want {
+		t.Errorf("complete then fail: compute ends at %d, want the complete at %d", got, want)
+	}
+}
+
 func TestRingOverwriteBounded(t *testing.T) {
 	c := NewCollector()
 	j := c.Start("t")

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"sync"
 
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -62,34 +63,33 @@ func (c *Compressed) Reconstruct() (*grid.Field, error) {
 // contributions of every sub-domain's compressed result into its local
 // region (Algorithm 2 line 6).
 func (c *Compressed) AddTo(dst *grid.Field, scale float64) error {
-	if dst.Dim != c.Tree.Dim {
-		return fmt.Errorf("sample: dst dims %v != tree dims %v", dst.Dim, c.Tree.Dim)
-	}
-	return c.addRegion(dst, c.Tree.Dim.Bounds(), scale)
+	return c.AddRegion(dst, c.Tree.Dim.Bounds(), scale)
 }
 
 // AddRegion accumulates scale × the reconstruction restricted to region
 // (clipped to the grid) into dst. Workers reconstructing only their own
 // sub-domains use this to skip cells that do not intersect their region.
 func (c *Compressed) AddRegion(dst *grid.Field, region grid.Box, scale float64) error {
+	sc := scratchPool.Get().(*lerpScratch)
+	defer scratchPool.Put(sc)
+	return c.addRegion(dst, region, scale, sc)
+}
+
+func (c *Compressed) addRegion(dst *grid.Field, region grid.Box, scale float64, sc *lerpScratch) error {
 	if dst.Dim != c.Tree.Dim {
 		return fmt.Errorf("sample: dst dims %v != tree dims %v", dst.Dim, c.Tree.Dim)
 	}
-	return c.addRegion(dst, region.Intersect(c.Tree.Dim.Bounds()), scale)
-}
-
-func (c *Compressed) addRegion(dst *grid.Field, region grid.Box, scale float64) error {
 	if len(c.Samples) != c.Tree.SampleCount() {
 		return fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
 	}
-	offsets := c.Tree.CellOffsets()
-	for ci, cell := range c.Tree.Cells {
-		clip := cell.Box.Intersect(region)
-		if clip.Empty() {
-			continue
+	region = region.Intersect(dst.Dim.Bounds())
+	off := 0
+	for _, cell := range c.Tree.Cells {
+		n := cell.SampleCount()
+		if clip := cell.Box.Intersect(region); !clip.Empty() {
+			Patch{Cell: cell, Samples: c.Samples[off : off+n]}.addClip(dst, grid.Point{}, clip, scale, sc)
 		}
-		p := Patch{Cell: cell, Samples: c.Samples[offsets[ci] : offsets[ci]+cell.SampleCount()]}
-		p.addClip(dst, clip, scale)
+		off += n
 	}
 	return nil
 }
@@ -105,70 +105,127 @@ type Patch struct {
 // AddToRegion accumulates scale × the patch's trilinear reconstruction,
 // restricted to region, into dst.
 func (p Patch) AddToRegion(dst *grid.Field, region grid.Box, scale float64) error {
+	sc := scratchPool.Get().(*lerpScratch)
+	defer scratchPool.Put(sc)
+	return p.addRegion(dst, grid.Point{}, region.Intersect(dst.Dim.Bounds()), scale, sc)
+}
+
+// addRegion accumulates the patch over region into dst, whose element
+// (0, 0, 0) is grid point origin; region must lie inside dst.
+func (p Patch) addRegion(dst *grid.Field, origin grid.Point, region grid.Box, scale float64, sc *lerpScratch) error {
 	if len(p.Samples) != p.Cell.SampleCount() {
 		return fmt.Errorf("sample: patch has %d samples, cell needs %d", len(p.Samples), p.Cell.SampleCount())
 	}
-	clip := p.Cell.Box.Intersect(region).Intersect(dst.Dim.Bounds())
-	if clip.Empty() {
-		return nil
+	if clip := p.Cell.Box.Intersect(region); !clip.Empty() {
+		p.addClip(dst, origin, clip, scale, sc)
 	}
-	p.addClip(dst, clip, scale)
 	return nil
 }
 
-// addClip trilinearly interpolates the cell's sample lattice over the
-// clipped region and accumulates into dst.
-func (p Patch) addClip(dst *grid.Field, clip grid.Box, scale float64) {
-	cell, s := p.Cell, p.Samples
-	r := cell.Rate
-	m := cell.LatticePoints()
+// lerpScratch is the interpolation kernel's working memory: two
+// y-interpolated planes of the clipped cell face and two x-interpolated
+// lattice rows, 2·w·h + 2·w values. It only grows, and one serves a whole
+// cell loop.
+type lerpScratch struct{ buf []float64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(lerpScratch) }}
+
+// lerpRow x-interpolates one lattice row over the len(out) voxels starting
+// lx0 voxels into the cell: out[i] = (1−fx)·row[ix] + fx·row[ix+1].
+func lerpRow(out, row []float64, lx0, r int, inv float64) {
+	ix, rx := lx0/r, lx0%r
+	for i := range out {
+		fx := float64(float64(rx) * inv)
+		out[i] = float64((1-fx)*row[ix]) + float64(fx*row[ix+1])
+		if rx++; rx == r {
+			rx, ix = 0, ix+1
+		}
+	}
+}
+
+// addClip trilinearly interpolates the cell's sample lattice over clip, a
+// non-empty sub-box of the cell in grid coordinates, and accumulates
+// scale × that into dst, whose element (0, 0, 0) is grid point origin.
+//
+// The interpolation is separable: a lattice row is x-interpolated over the
+// clip's x range, two such rows blend into one line of a y-interpolated
+// plane, and each output plane blends the two y-interpolated planes around
+// it — the association order of the one-expression form
+//
+//	(1−fz)·((1−fy)·((1−fx)·s000 + fx·s100) + fy·(…)) + fz·((1−fy)·(…) + fy·(…))
+//
+// so every output is that expression's float64 operations on its operands,
+// each row and plane computed once for the up to r rows and planes that
+// share it. Products are explicitly rounded (float64(…)), so no
+// architecture may fuse them into the adds and the bits are the same
+// everywhere.
+func (p Patch) addClip(dst *grid.Field, origin grid.Point, clip grid.Box, scale float64, sc *lerpScratch) {
+	s, lo := p.Samples, p.Cell.Box.Lo
+	r, m := p.Cell.Rate, p.Cell.LatticePoints()
+	w, h, d := clip.Hi[0]-clip.Lo[0], clip.Hi[1]-clip.Lo[1], clip.Hi[2]-clip.Lo[2]
+	lx0, ly0, lz0 := clip.Lo[0]-lo[0], clip.Lo[1]-lo[1], clip.Lo[2]-lo[2]
+	nx, nxy := dst.Dim.Nx, dst.Dim.Nx*dst.Dim.Ny
+	out := dst.Data[dst.Dim.Index(clip.Lo[0]-origin[0], clip.Lo[1]-origin[1], clip.Lo[2]-origin[2]):]
 	if r == 1 {
 		// Full resolution: samples are the values themselves.
-		for z := clip.Lo[2]; z < clip.Hi[2]; z++ {
-			iz := z - cell.Box.Lo[2]
-			for y := clip.Lo[1]; y < clip.Hi[1]; y++ {
-				iy := y - cell.Box.Lo[1]
-				row := (iz*m + iy) * m
-				base := dst.Dim.Index(clip.Lo[0], y, z)
-				ix := clip.Lo[0] - cell.Box.Lo[0]
-				for x := clip.Lo[0]; x < clip.Hi[0]; x++ {
-					dst.Data[base] += scale * s[row+ix]
-					base++
-					ix++
+		for z := 0; z < d; z++ {
+			for y := 0; y < h; y++ {
+				row := out[z*nxy+y*nx:][:w]
+				for i, v := range s[((lz0+z)*m+ly0+y)*m+lx0:][:w] {
+					row[i] += float64(scale * v)
 				}
 			}
 		}
 		return
 	}
+	if n := 2*w*h + 2*w; cap(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	p0, p1 := sc.buf[:w*h], sc.buf[w*h:2*w*h]
+	rowA, rowB := sc.buf[2*w*h:][:w], sc.buf[2*w*h+w:][:w]
 	inv := 1 / float64(r)
-	for z := clip.Lo[2]; z < clip.Hi[2]; z++ {
-		lz := z - cell.Box.Lo[2]
-		iz := lz / r
-		fz := float64(lz%r) * inv
-		for y := clip.Lo[1]; y < clip.Hi[1]; y++ {
-			ly := y - cell.Box.Lo[1]
-			iy := ly / r
-			fy := float64(ly%r) * inv
-			for x := clip.Lo[0]; x < clip.Hi[0]; x++ {
-				lx := x - cell.Box.Lo[0]
-				ix := lx / r
-				fx := float64(lx%r) * inv
-				// Corner indices into the (m×m×m) sample lattice; the
-				// endpoint plane is always present, so ix+1 ≤ m−1.
-				i000 := (iz*m+iy)*m + ix
-				i100 := i000 + 1
-				i010 := i000 + m
-				i110 := i010 + 1
-				i001 := i000 + m*m
-				i101 := i001 + 1
-				i011 := i001 + m
-				i111 := i011 + 1
-				v := (1-fz)*((1-fy)*((1-fx)*s[i000]+fx*s[i100])+
-					fy*((1-fx)*s[i010]+fx*s[i110])) +
-					fz*((1-fy)*((1-fx)*s[i001]+fx*s[i101])+
-						fy*((1-fx)*s[i011]+fx*s[i111]))
-				dst.Data[dst.Dim.Index(x, y, z)] += scale * v
+
+	// lerpPlane fills plane with lattice plane iz, x- and y-interpolated
+	// over the clip's face. The endpoint row and plane are always stored,
+	// so iy+1 and iz+1 ≤ m−1 wherever a voxel still needs them.
+	lerpPlane := func(plane []float64, iz int) {
+		lat := s[iz*m*m:]
+		iy, ry := ly0/r, ly0%r
+		a, b := rowA, rowB
+		lerpRow(a, lat[iy*m:], lx0, r, inv)
+		lerpRow(b, lat[(iy+1)*m:], lx0, r, inv)
+		for y := 0; y < h; y++ {
+			fy := float64(float64(ry) * inv)
+			gy := 1 - fy
+			line := plane[y*w:][:w]
+			for i := range line {
+				line[i] = float64(gy*a[i]) + float64(fy*b[i])
 			}
+			if ry++; ry == r && y+1 < h {
+				ry, iy = 0, iy+1
+				a, b = b, a
+				lerpRow(b, lat[(iy+1)*m:], lx0, r, inv)
+			}
+		}
+	}
+
+	iz, rz := lz0/r, lz0%r
+	lerpPlane(p0, iz)
+	lerpPlane(p1, iz+1)
+	for z := 0; z < d; z++ {
+		fz := float64(float64(rz) * inv)
+		gz := 1 - fz
+		for y := 0; y < h; y++ {
+			row := out[z*nxy+y*nx:][:w]
+			a, b := p0[y*w:][:w], p1[y*w:][:w]
+			for i := range row {
+				row[i] += float64(scale * (float64(gz*a[i]) + float64(fz*b[i])))
+			}
+		}
+		if rz++; rz == r && z+1 < d {
+			rz, iz = 0, iz+1
+			p0, p1 = p1, p0
+			lerpPlane(p1, iz+1)
 		}
 	}
 }

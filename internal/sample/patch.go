@@ -30,54 +30,9 @@ func (c *Compressed) Patches(region grid.Box) []Patch {
 // This is what a distributed worker holding only its own sub-domains uses
 // to apply a received patch without materializing the global grid.
 func (p Patch) AddToSubField(dst *grid.Field, origin grid.Point, scale float64) error {
-	if len(p.Samples) != p.Cell.SampleCount() {
-		return fmt.Errorf("sample: patch has %d samples, cell needs %d", len(p.Samples), p.Cell.SampleCount())
-	}
-	region := grid.BoxAt(origin, dst.Dim.Nx, dst.Dim.Ny, dst.Dim.Nz)
-	clip := p.Cell.Box.Intersect(region)
-	if clip.Empty() {
-		return nil
-	}
-	// Reuse the global-coordinates interpolation kernel on a shifted
-	// view: evaluate per point and write into local coordinates.
-	r := p.Cell.Rate
-	m := p.Cell.LatticePoints()
-	inv := 1 / float64(r)
-	for z := clip.Lo[2]; z < clip.Hi[2]; z++ {
-		lz := z - p.Cell.Box.Lo[2]
-		iz := lz / r
-		fz := float64(lz%r) * inv
-		for y := clip.Lo[1]; y < clip.Hi[1]; y++ {
-			ly := y - p.Cell.Box.Lo[1]
-			iy := ly / r
-			fy := float64(ly%r) * inv
-			for x := clip.Lo[0]; x < clip.Hi[0]; x++ {
-				lx := x - p.Cell.Box.Lo[0]
-				ix := lx / r
-				fx := float64(lx%r) * inv
-				var v float64
-				if r == 1 {
-					v = p.Samples[(iz*m+iy)*m+ix]
-				} else {
-					i000 := (iz*m+iy)*m + ix
-					i100 := i000 + 1
-					i010 := i000 + m
-					i110 := i010 + 1
-					i001 := i000 + m*m
-					i101 := i001 + 1
-					i011 := i001 + m
-					i111 := i011 + 1
-					s := p.Samples
-					v = (1-fz)*((1-fy)*((1-fx)*s[i000]+fx*s[i100])+
-						fy*((1-fx)*s[i010]+fx*s[i110])) +
-						fz*((1-fy)*((1-fx)*s[i001]+fx*s[i101])+
-							fy*((1-fx)*s[i011]+fx*s[i111]))
-				}
-				dst.Add(x-origin[0], y-origin[1], z-origin[2], scale*v)
-			}
-		}
-	}
-	return nil
+	sc := scratchPool.Get().(*lerpScratch)
+	defer scratchPool.Put(sc)
+	return p.addRegion(dst, origin, grid.BoxAt(origin, dst.Dim.Nx, dst.Dim.Ny, dst.Dim.Nz), scale, sc)
 }
 
 // patchHeader is the per-patch wire prefix: lo.x, lo.y, lo.z, size, rate,

@@ -1,11 +1,14 @@
 package sample
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/octree"
 )
 
 func TestDefaultPolicyValidates(t *testing.T) {
@@ -499,4 +502,223 @@ func TestAddToSubFieldMatchesGlobal(t *testing.T) {
 			t.Fatalf("mismatch at (%d,%d,%d): global %g local %g", x, y, z, g, l)
 		}
 	})
+}
+
+// oracleAddClip is the per-voxel trilinear formula the separable kernel
+// replaced, kept as its reference: three divisions and eight lattice loads
+// per output. Products are explicitly rounded, as in the kernel, so the two
+// may be compared bit for bit on architectures that fuse multiply-adds.
+func oracleAddClip(p Patch, dst *grid.Field, origin grid.Point, clip grid.Box, scale float64) {
+	cell, s := p.Cell, p.Samples
+	r := cell.Rate
+	m := cell.LatticePoints()
+	inv := 1 / float64(r)
+	for z := clip.Lo[2]; z < clip.Hi[2]; z++ {
+		lz := z - cell.Box.Lo[2]
+		iz := lz / r
+		fz := float64(float64(lz%r) * inv)
+		for y := clip.Lo[1]; y < clip.Hi[1]; y++ {
+			ly := y - cell.Box.Lo[1]
+			iy := ly / r
+			fy := float64(float64(ly%r) * inv)
+			for x := clip.Lo[0]; x < clip.Hi[0]; x++ {
+				lx := x - cell.Box.Lo[0]
+				ix := lx / r
+				fx := float64(float64(lx%r) * inv)
+				i000 := (iz*m+iy)*m + ix
+				var v float64
+				if r == 1 {
+					v = s[i000]
+				} else {
+					i100 := i000 + 1
+					i010 := i000 + m
+					i110 := i010 + 1
+					i001 := i000 + m*m
+					i101 := i001 + 1
+					i011 := i001 + m
+					i111 := i011 + 1
+					x00 := float64((1-fx)*s[i000]) + float64(fx*s[i100])
+					x10 := float64((1-fx)*s[i010]) + float64(fx*s[i110])
+					x01 := float64((1-fx)*s[i001]) + float64(fx*s[i101])
+					x11 := float64((1-fx)*s[i011]) + float64(fx*s[i111])
+					y0 := float64((1-fy)*x00) + float64(fy*x10)
+					y1 := float64((1-fy)*x01) + float64(fy*x11)
+					v = float64((1-fz)*y0) + float64(fz*y1)
+				}
+				dst.Data[dst.Dim.Index(x-origin[0], y-origin[1], z-origin[2])] += float64(scale * v)
+			}
+		}
+	}
+}
+
+// kernelCase is one cell with random samples inside a grid that is not
+// cubic (so a wrong stride shows) and one clip of the cell.
+type kernelCase struct {
+	name  string
+	dim   grid.Dim3
+	patch Patch
+	clip  grid.Box
+}
+
+// kernelCases covers every (cell size, rate) pair — rate = size is the
+// two-point lattice, rate 1 the copy path — with clips that are the whole
+// cell, a single voxel, one voxel thick along each axis, and a box whose
+// start and end are both off the lattice.
+func kernelCases(rng *rand.Rand) []kernelCase {
+	var cases []kernelCase
+	for _, size := range []int{1, 2, 4, 8, 16, 32} {
+		for rate := 1; rate <= size; rate *= 2 {
+			lo := grid.Point{1 + rng.Intn(3), rng.Intn(3), 2 + rng.Intn(3)}
+			cell := octree.Cell{Box: grid.CubeAt(lo, size), Rate: rate}
+			p := Patch{Cell: cell, Samples: make([]float64, cell.SampleCount())}
+			for i := range p.Samples {
+				p.Samples[i] = rng.NormFloat64()
+			}
+			dim := grid.Dim3{Nx: size + 5, Ny: size + 4, Nz: size + 7}
+			at := func(l [3]int, ext [3]int) grid.Box {
+				return grid.BoxAt(grid.Point{lo[0] + l[0], lo[1] + l[1], lo[2] + l[2]}, ext[0], ext[1], ext[2])
+			}
+			pt := [3]int{rng.Intn(size), rng.Intn(size), rng.Intn(size)}
+			clips := []struct {
+				name string
+				box  grid.Box
+			}{
+				{"whole", cell.Box},
+				{"voxel", at(pt, [3]int{1, 1, 1})},
+				{"thinx", at([3]int{pt[0], 0, 0}, [3]int{1, size, size})},
+				{"thiny", at([3]int{0, pt[1], 0}, [3]int{size, 1, size})},
+				{"thinz", at([3]int{0, 0, pt[2]}, [3]int{size, size, 1})},
+				// Start at 1 and stop one short: off the lattice at both ends
+				// for every rate > 1 (empty, and skipped, for size ≤ 2).
+				{"offlattice", at([3]int{1, 1, 1}, [3]int{size - 2, size - 2, size - 2})},
+			}
+			for _, c := range clips {
+				if c.box.Empty() {
+					continue
+				}
+				cases = append(cases, kernelCase{
+					name: fmt.Sprintf("size%d/rate%d/%s", size, rate, c.name),
+					dim:  dim, patch: p, clip: c.box,
+				})
+			}
+		}
+	}
+	return cases
+}
+
+func randomField(rng *rand.Rand, d grid.Dim3) *grid.Field {
+	f := grid.NewField(d)
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+	}
+	return f
+}
+
+func sameBits(t *testing.T, what string, got, want *grid.Field) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			x, y, z := want.Dim.Coords(i)
+			t.Fatalf("%s: (%d,%d,%d) = %x, want %x", what, x, y, z,
+				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// TestKernelMatchesFormula holds the separable kernel to the bits of the
+// per-voxel formula, through AddToRegion on the whole grid and through
+// AddToSubField on a window that is exactly the clip, onto non-zero data.
+func TestKernelMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, kc := range kernelCases(rng) {
+		for _, scale := range []float64{1, -0.5} {
+			base := randomField(rng, kc.dim)
+			want := base.Clone()
+			oracleAddClip(kc.patch, want, grid.Point{}, kc.clip, scale)
+
+			got := base.Clone()
+			if err := kc.patch.AddToRegion(got, kc.clip, scale); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, kc.name+" AddToRegion", got, want)
+
+			window, err := base.ExtractBox(kc.clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kc.patch.AddToSubField(window, kc.clip.Lo, scale); err != nil {
+				t.Fatal(err)
+			}
+			wantWindow, err := want.ExtractBox(kc.clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, kc.name+" AddToSubField", window, wantWindow)
+		}
+	}
+}
+
+// TestAddToWarmZeroAllocs pins the accumulation's allocation behaviour: one
+// walk of the tree with a running sample offset and no per-cell scratch, so
+// a caller that brings its scratch allocates nothing, and AddTo on its own
+// at most the scratch it could not find pooled.
+func TestAddToWarmZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d := grid.Cube(32)
+	tree, err := DefaultPolicy(grid.CubeAt(grid.Point{8, 8, 8}, 8), 16).Tree(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compress(smoothField(d), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := grid.NewField(d)
+	var sc lerpScratch
+	if n := testing.AllocsPerRun(10, func() {
+		if err := c.addRegion(dst, d.Bounds(), 1, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Compressed.addRegion with a warm scratch: %v allocs, want 0", n)
+	}
+	patches := c.Patches(d.Bounds())
+	if n := testing.AllocsPerRun(10, func() {
+		for _, p := range patches {
+			if err := p.addRegion(dst, grid.Point{}, d.Bounds(), 1, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Patch.addRegion over %d patches with a warm scratch: %v allocs, want 0", len(patches), n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := c.AddTo(dst, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Compressed.AddTo: %v allocs, want ≤ 1", n)
+	}
+}
+
+// BenchmarkAddTo interpolates and accumulates one sub-domain result into
+// the dense grid — the receiver's cost per result in the accumulation step
+// — at the three sizes the codec benchmarks use.
+func BenchmarkAddTo(b *testing.B) {
+	for _, size := range codecBenchSizes {
+		c := codecBenchResult(b, size.n, size.k)
+		dst := grid.NewField(c.Tree.Dim)
+		b.Run(fmt.Sprintf("n%dk%d", size.n, size.k), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * c.Tree.Dim.Len()))
+			for i := 0; i < b.N; i++ {
+				if err := c.AddTo(dst, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(c.Tree.CellCount()), "cells")
+		})
+	}
 }
