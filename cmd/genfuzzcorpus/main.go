@@ -76,6 +76,11 @@ func main() {
 	writeSeed(fftDir, "seed-large-prime", 127, []byte{3, 1, 4, 1, 5, 9, 2, 6})
 	writeSeed(fftDir, "seed-composite", 48, []byte{0xaa, 0x55, 0xaa, 0x55})
 	writeSeed(fftDir, "seed-length-one", 1, []byte{42})
+	// The target transforms length (n mod 512) + 1: the radix-4 kernel's
+	// trivial sizes and both parities of log₂ n.
+	for _, n := range []int{2, 4, 16, 32, 128, 256} {
+		writeSeed(fftDir, fmt.Sprintf("seed-radix4-n%d", n), n-1, []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, byte(n)})
+	}
 
 	// FuzzOctreeMetaCodec(n int, totalSamples int, metaBytes []byte)
 	octDir := filepath.Join("internal", "octree", "testdata", "fuzz", "FuzzOctreeMetaCodec")

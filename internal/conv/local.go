@@ -332,11 +332,22 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 // a plane, by row, so the inverse stage transforms only the rows that carry
 // a sample and gathers straight from each inverse-transformed line — the
 // "compression algorithm applied after each 1D iFFT stage". A counting sort
-// on the key z·n+y: two walks of the tree, no maps.
+// on the key z·n+y, no maps: the counts are taken a lattice row at a time (a
+// row's m samples share one key; its one wrap per row can afford the
+// modulo), the fill is one walk of the samples.
 func (l *Local) buildSampleIndex() {
 	n := l.n
 	off := make([]int32, n*n+1)
-	l.tree.ForEachSample(func(cell, s, x, y, z int) { off[z*n+y+1]++ })
+	for _, c := range l.tree.Cells {
+		m := c.LatticePoints()
+		for iz := 0; iz < m; iz++ {
+			z := (c.Box.Lo[2] + iz*c.Rate) % n
+			for iy := 0; iy < m; iy++ {
+				y := (c.Box.Lo[1] + iy*c.Rate) % n
+				off[z*n+y+1] += int32(m)
+			}
+		}
+	}
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
@@ -578,7 +589,7 @@ func (l *Local) slabSlice(w, i int) {
 		for kx := 1; kx < h; kx++ {
 			zk, zm := line[kx], line[n-kx]
 			sum := complex(real(zk)+real(zm), imag(zk)-imag(zm)) // Z[kx] + conj Z[−kx]
-			col[kx*n] = sum / 2
+			col[kx*n] = complex(real(sum)/2, imag(sum)/2)
 			if paired {
 				dif := complex(real(zk)-real(zm), imag(zk)+imag(zm)) // Z[kx] − conj Z[−kx]
 				col[kx*n+1] = complex(imag(dif)/2, -real(dif)/2)

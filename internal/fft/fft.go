@@ -2,8 +2,9 @@
 //
 // It provides:
 //
-//   - 1D complex transforms of any length (iterative radix-2 for powers of
-//     two, Bluestein's chirp-z algorithm otherwise) behind a reusable Plan;
+//   - 1D complex transforms of any length (one in-place radix-4 kernel for
+//     powers of two, Bluestein's chirp-z algorithm otherwise) behind a
+//     reusable Plan;
 //   - strided and batched execution for pencil/slab pipelines;
 //   - 2D and 3D plans with optional parallel execution across lines.
 //
@@ -26,9 +27,12 @@ import (
 type Plan struct {
 	n    int
 	pow2 bool
-	perm []int32      // bit-reversal permutation (pow2 only)
-	tw   []complex128 // tw[j] = exp(-2πi j/n), j < n/2 (pow2 only)
-	bs   *bluestein   // non-pow2 lengths
+	bs   *bluestein // non-pow2 lengths
+
+	// Power-of-two lengths (see pow2Transform).
+	perm      []int32    // bit-reversal permutation: the out-of-place gather
+	swaps     []int32    // its 2-cycles as (i, j) pairs: the in-place reorder
+	tw, twInv []twiddle3 // per-pass twiddle triples, forward and conjugate
 }
 
 // NewPlan creates a plan for transforms of length n ≥ 1.
@@ -39,11 +43,9 @@ func NewPlan(n int) (*Plan, error) {
 	p := &Plan{n: n, pow2: n&(n-1) == 0}
 	if p.pow2 {
 		p.perm = bitRevPerm(n)
-		p.tw = make([]complex128, n/2)
-		for j := range p.tw {
-			s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
-			p.tw[j] = complex(c, s)
-		}
+		p.swaps = swapPairs(p.perm)
+		p.tw = twiddleTable(n, -1)
+		p.twInv = twiddleTable(n, +1)
 	} else {
 		var err error
 		p.bs, err = newBluestein(n)
@@ -89,45 +91,146 @@ func (p *Plan) transform(dst, src []complex128, inverse bool) error {
 	return nil
 }
 
-// pow2Transform runs the iterative radix-2 DIT algorithm.
+// pow2Transform is the one power-of-two kernel: an in-place radix-4
+// decimation-in-time transform over bit-reversed input. Two consecutive
+// radix-2 stages of the textbook algorithm are one radix-4 pass here, so the
+// reorder is the plain bit reversal whatever the parity of log₂ n; the first
+// pass does a whole size-8 (odd log₂ n) or size-4 (even) transform in
+// registers. The inverse is the same butterflies with the conjugate
+// twiddles, the ±i outputs exchanged, and 1/n folded into the first loads.
 func (p *Plan) pow2Transform(dst, src []complex128, inverse bool) {
 	n := p.n
-	// Bit-reversal copy (handles aliasing because perm is an involution
-	// applied as a gather only when dst != src; for aliasing use swaps).
+	scale, tw := 1.0, p.tw
+	if inverse {
+		scale, tw = 1/float64(n), p.twInv
+	}
+	if n <= 2 {
+		a := src[0]
+		if n == 2 {
+			b := src[1]
+			a, b = a+b, a-b
+			dst[1] = scaled(b, scale)
+		}
+		dst[0] = scaled(a, scale)
+		return
+	}
 	if &dst[0] == &src[0] {
-		for i, j := range p.perm {
-			if int(j) > i {
-				dst[i], dst[j] = dst[j], dst[i]
-			}
+		// Bit reversal is an involution: swapping each pair once is the
+		// whole in-place reorder.
+		sw := p.swaps
+		for k := 1; k < len(sw); k += 2 {
+			i, j := sw[k-1], sw[k]
+			dst[i], dst[j] = dst[j], dst[i]
 		}
 	} else {
 		for i, j := range p.perm {
 			dst[i] = src[j]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tj := 0
-			for j := start; j < start+half; j++ {
-				w := p.tw[tj]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				t := w * dst[j+half]
-				dst[j+half] = dst[j] - t
-				dst[j] = dst[j] + t
-				tj += step
+	q := firstRadix(n)
+	firstPass(dst, q, scale, inverse)
+	for ; q < n; q <<= 2 {
+		w := tw[:q]
+		tw = tw[q:]
+		for base := 0; base < n; base += 4 * q {
+			blk := dst[base : base+4*q]
+			x1, x3 := blk[q:2*q], blk[3*q:]
+			o1, o3 := x1, x3
+			if inverse {
+				o1, o3 = x3, x1
 			}
+			radix4(blk[:q], x1, blk[2*q:3*q], x3, o1, o3, w)
 		}
 	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range dst {
-			dst[i] *= inv
+}
+
+// firstRadix is the block size of the first pass for n ≥ 4: 8 when log₂ n is
+// odd, 4 when it is even, so that radix-4 passes reach n exactly.
+func firstRadix(n int) int { return 4 << (bits.TrailingZeros(uint(n)) & 1) }
+
+// firstPass transforms every aligned block of radix (8 or 4) bit-reversed
+// points of x in registers — the only twiddles are ±i and (±1±i)/√2 —
+// scaling each load by scale. A block's inverse is its forward transform
+// with output k written to −k.
+func firstPass(x []complex128, radix int, scale float64, inverse bool) {
+	if radix == 4 {
+		for len(x) >= 4 {
+			a0, a1, a2, a3 := scaled(x[0], scale), scaled(x[1], scale), scaled(x[2], scale), scaled(x[3], scale)
+			b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
+			y1, y3 := b1+b3, b1-b3
+			if inverse {
+				y1, y3 = y3, y1
+			}
+			x[0], x[1], x[2], x[3] = b0+b2, y1, b0-b2, y3
+			x = x[4:]
+		}
+		return
+	}
+	const h = math.Sqrt2 / 2
+	for len(x) >= 8 {
+		a0, a1, a2, a3 := scaled(x[0], scale), scaled(x[1], scale), scaled(x[2], scale), scaled(x[3], scale)
+		a4, a5, a6, a7 := scaled(x[4], scale), scaled(x[5], scale), scaled(x[6], scale), scaled(x[7], scale)
+		b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
+		b4, b5, b6, b7 := a4+a5, a4-a5, a6+a7, mulNegI(a6-a7)
+		c0, c1, c2, c3 := b0+b2, b1+b3, b0-b2, b1-b3
+		c4, c5, c6, c7 := b4+b6, b5+b7, mulNegI(b4-b6), b5-b7
+		// W₈·c5 and W₈³·c7, W₈ = (1−i)/√2.
+		c5 = complex((real(c5)+imag(c5))*h, (imag(c5)-real(c5))*h)
+		c7 = complex((imag(c7)-real(c7))*h, -(real(c7)+imag(c7))*h)
+		y0, y1, y2, y3 := c0+c4, c1+c5, c2+c6, c3+c7
+		y4, y5, y6, y7 := c0-c4, c1-c5, c2-c6, c3-c7
+		if inverse {
+			y1, y2, y3, y5, y6, y7 = y7, y6, y5, y3, y2, y1
+		}
+		x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = y0, y1, y2, y3, y4, y5, y6, y7
+		x = x[8:]
+	}
+}
+
+// radix4 combines four length-q transforms x0..x3 (consecutive quarters of
+// one block) into the block's length-4q transform, in place: with
+// (t1, t2, t3) = (W²ʲ·x1, Wʲ·x2, W³ʲ·x3), quarter 0 gets x0+t1+t2+t3,
+// quarter 2 x0+t1−t2−t3, and o1/o3 get (x0−t1) ∓ i(t2−t3). o1, o3 are x1, x3
+// for the forward transform and exchanged for the inverse, which is the
+// whole difference between −i and +i.
+func radix4(x0, x1, x2, x3, o1, o3 []complex128, tw []twiddle3) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	o1, o3, tw = o1[:len(x0)], o3[:len(x0)], tw[:len(x0)]
+	for j := range x0 {
+		w := &tw[j]
+		t1, t2, t3 := w.w2*x1[j], w.w1*x2[j], w.w3*x3[j]
+		c0, c1 := x0[j]+t1, x0[j]-t1
+		c2, c3 := t2+t3, mulNegI(t2-t3)
+		x0[j], x2[j] = c0+c2, c0-c2
+		o1[j], o3[j] = c1+c3, c1-c3
+	}
+}
+
+func scaled(c complex128, s float64) complex128 { return complex(real(c)*s, imag(c)*s) }
+
+// mulNegI returns −i·c.
+func mulNegI(c complex128) complex128 { return complex(imag(c), -real(c)) }
+
+// twiddle3 is one butterfly's twiddles, W = e^{∓2πi/4q}: W^j, W^2j, W^3j.
+type twiddle3 struct{ w1, w2, w3 complex128 }
+
+// twiddleTable lays the radix-4 passes' twiddles end to end in the order the
+// passes read them: for q = firstRadix(n), 4q, … < n, the q triples of the
+// pass that builds blocks of 4q. sign is −1 for the forward table, +1 for
+// the pre-conjugated inverse one.
+func twiddleTable(n int, sign float64) []twiddle3 {
+	var tw []twiddle3
+	for q := firstRadix(n); q < n; q <<= 2 {
+		for j := 0; j < q; j++ {
+			var t [3]complex128
+			for m := range t {
+				s, c := math.Sincos(sign * 2 * math.Pi * float64((m+1)*j) / float64(4*q))
+				t[m] = complex(c, s)
+			}
+			tw = append(tw, twiddle3{t[0], t[1], t[2]})
 		}
 	}
+	return tw
 }
 
 func bitRevPerm(n int) []int32 {
@@ -137,6 +240,18 @@ func bitRevPerm(n int) []int32 {
 		perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
 	return perm
+}
+
+// swapPairs lists each 2-cycle (i, perm[i]), i < perm[i], of the bit
+// reversal as consecutive entries.
+func swapPairs(perm []int32) []int32 {
+	var sw []int32
+	for i, j := range perm {
+		if int(j) > i {
+			sw = append(sw, int32(i), j)
+		}
+	}
+	return sw
 }
 
 // ForwardStrided computes the forward DFT of the length-N strided sequence

@@ -1,9 +1,12 @@
 package fft
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -292,7 +295,7 @@ func TestConvolutionTheorem1D(t *testing.T) {
 }
 
 func TestAllSmallSizesMatchDirect(t *testing.T) {
-	// Exhaustive sweep: every transform length 1..64 (radix-2 and
+	// Exhaustive sweep: every transform length 1..64 (radix-4 and
 	// Bluestein paths) against the O(n²) definition, plus round trips.
 	for n := 1; n <= 64; n++ {
 		p, err := NewPlan(n)
@@ -318,12 +321,172 @@ func TestAllSmallSizesMatchDirect(t *testing.T) {
 	}
 }
 
+// radix2 is the textbook iterative radix-2 decimation-in-time transform the
+// package ran before the radix-4 kernel: bit-reversal copy, log₂ n butterfly
+// passes reading tw[j·n/size], a separate 1/n pass on the inverse. It is the
+// kernel's differential oracle — same reorder, different summation order.
+func radix2(src []complex128, inverse bool) []complex128 {
+	n := len(src)
+	dst := make([]complex128, n)
+	for i, j := range bitRevPerm(n) {
+		dst[i] = src[j]
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		for start := 0; start < n; start += size {
+			for j := 0; j < half; j++ {
+				s, c := math.Sincos(sign * 2 * math.Pi * float64(j) / float64(size))
+				t := complex(c, s) * dst[start+j+half]
+				dst[start+j+half] = dst[start+j] - t
+				dst[start+j] += t
+			}
+		}
+	}
+	if inverse {
+		for i := range dst {
+			dst[i] *= complex(1/float64(n), 0)
+		}
+	}
+	return dst
+}
+
+// firstDiff returns the first index at which a and b differ in any bit that
+// == sees, or -1.
+func firstDiff(a, b []complex128) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+func maxAbs(x []complex128) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = max(m, cmplx.Abs(v))
+	}
+	return m
+}
+
+// TestPow2KernelMatchesRadix2 runs every power of two up to 2¹² — the three
+// trivial sizes, both parities of log₂ n, so both first passes and every
+// depth of radix-4 pass — forward and inverse against the radix-2 oracle
+// (and the O(n²) definition while that is cheap), and checks what the
+// kernel must keep whatever its summation order: the in-place result is the
+// out-of-place one bit for bit, the transform is linear, Parseval holds and
+// Inverse undoes Forward.
+func TestPow2KernelMatchesRadix2(t *testing.T) {
+	for n := 1; n <= 1<<12; n <<= 1 {
+		p := MustPlan(n)
+		x, y := randComplex(n, int64(n)), randComplex(n, int64(3*n+1))
+		run := func(dst, src []complex128, inverse bool) {
+			t.Helper()
+			f := p.Forward
+			if inverse {
+				f = p.Inverse
+			}
+			if err := f(dst, src); err != nil {
+				t.Fatalf("n=%d inverse=%v: %v", n, inverse, err)
+			}
+		}
+		for _, inverse := range []bool{false, true} {
+			got := make([]complex128, n)
+			run(got, x, inverse)
+			want := radix2(x, inverse)
+			if d := maxDiff(got, want); !(d <= 1e-13*maxAbs(want)) {
+				t.Errorf("n=%d inverse=%v: differs from radix-2 by %g of %g", n, inverse, d, maxAbs(want))
+			}
+			inPlace := append([]complex128(nil), x...)
+			run(inPlace, inPlace, inverse)
+			if i := firstDiff(inPlace, got); i >= 0 {
+				t.Fatalf("n=%d inverse=%v: in-place [%d] = %v, out-of-place %v", n, inverse, i, inPlace[i], got[i])
+			}
+		}
+		fx, fy := make([]complex128, n), make([]complex128, n)
+		run(fx, x, false)
+		run(fy, y, false)
+		scale := maxAbs(fx) + maxAbs(fy)
+		if n <= 512 {
+			if d := maxDiff(fx, DFTDirect(x)); !(d <= 1e-12*scale) {
+				t.Errorf("n=%d: differs from the direct DFT by %g", n, d)
+			}
+		}
+		a, b := complex(2.5, -1), complex(-0.5, 3)
+		z, fz := make([]complex128, n), make([]complex128, n)
+		for i := range z {
+			z[i] = a*x[i] + b*y[i]
+		}
+		run(fz, z, false)
+		var ex, efx float64
+		for i := range fz {
+			if d := cmplx.Abs(fz[i] - (a*fx[i] + b*fy[i])); !(d <= 1e-12*scale) {
+				t.Fatalf("n=%d: linearity off by %g at %d", n, d, i)
+			}
+			ex += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
+			efx += real(fx[i])*real(fx[i]) + imag(fx[i])*imag(fx[i])
+		}
+		if math.Abs(ex-efx/float64(n)) > 1e-12*ex {
+			t.Errorf("n=%d: Parseval: Σ|x|² = %g, Σ|X|²/n = %g", n, ex, efx/float64(n))
+		}
+		run(fx, fx, true)
+		if d := maxDiff(fx, x); !(d <= 1e-13*maxAbs(x)*float64(bits.Len(uint(n)))) {
+			t.Errorf("n=%d: Inverse∘Forward is off by %g", n, d)
+		}
+	}
+}
+
+// TestPlanSharedAcrossGoroutines drives one Plan from 8 goroutines at once,
+// as every stage worker of the pipeline does: under -race it fails on any
+// write to the plan's tables, and each result must be the serial one.
+func TestPlanSharedAcrossGoroutines(t *testing.T) {
+	for _, n := range []int{64, 128} {
+		p := MustPlan(n)
+		x := randComplex(n, 5)
+		want := make([]complex128, n)
+		if err := p.Forward(want, x); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]complex128, n)
+				for rep := 0; rep < 200; rep++ {
+					copy(buf, x)
+					if err := p.Forward(buf, buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if i := firstDiff(buf, want); i >= 0 {
+						t.Errorf("n=%d rep %d: [%d] = %v, serial %v", n, rep, i, buf[i], want[i])
+						return
+					}
+					if err := p.Inverse(buf, buf); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkPlan1D times the out-of-place forward transform at the large
+// sizes and, at n = 64 and 128 — the lengths conv.Local runs — the in-place
+// forward + inverse pair that is the call shape of its stages A, B and C.
 func BenchmarkPlan1D(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		p := MustPlan(n)
 		x := randComplex(n, int64(n))
 		y := make([]complex128, n)
-		b.Run(p2s(n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.SetBytes(int64(16 * n))
 			for i := 0; i < b.N; i++ {
 				if err := p.Forward(y, x); err != nil {
@@ -332,25 +495,29 @@ func BenchmarkPlan1D(b *testing.B) {
 			}
 		})
 	}
-}
-
-func p2s(n int) string {
-	switch n {
-	case 256:
-		return "n256"
-	case 1024:
-		return "n1024"
-	case 4096:
-		return "n4096"
+	for _, n := range []int{64, 128} {
+		p := MustPlan(n)
+		x := randComplex(n, int64(n))
+		b.Run(fmt.Sprintf("pair-inplace-n%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * 16 * n))
+			for i := 0; i < b.N; i++ {
+				if err := p.Forward(x, x); err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Inverse(x, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	return "n"
 }
 
 // TestPlanTransformZeroAllocs pins the 1D transform of a built plan at
 // zero allocations per call: every pencil and row of the pipeline is one.
-// n = 96 takes the Bluestein path, whose convolution buffer is pooled.
+// n = 96 takes the Bluestein path, whose convolution buffer is pooled; 64
+// and 128 are the lengths the pipeline runs, one of each parity of log₂ n.
 func TestPlanTransformZeroAllocs(t *testing.T) {
-	for _, n := range []int{96, 256, 1024, 4096} {
+	for _, n := range []int{64, 96, 128, 256, 1024, 4096} {
 		if raceEnabled && n&(n-1) != 0 {
 			continue // the pool refills under -race; asserted by the non-race suite
 		}

@@ -7,16 +7,18 @@ import (
 )
 
 // FuzzFFTRoundTrip asserts Inverse(Forward(x)) ≈ x for arbitrary lengths —
-// the radix-2 path for powers of two and the Bluestein chirp-z path for
-// everything else (including primes) — with inputs built from fuzzed bytes.
+// the radix-4 kernel for powers of two and the Bluestein chirp-z path for
+// everything else (including primes) — with inputs built from fuzzed bytes,
+// out of place and in place: the two must agree bit for bit. The transform
+// length is the fuzzed int mod 512, plus one.
 func FuzzFFTRoundTrip(f *testing.F) {
-	f.Add(8, []byte{1, 2, 3, 4})          // radix-2
-	f.Add(7, []byte{0xff, 0x00, 0x7f})    // Bluestein prime
-	f.Add(13, []byte{9, 9, 9, 9, 9, 9})   // Bluestein prime
-	f.Add(1, []byte{42})                  // degenerate length
-	f.Add(12, []byte{5, 4, 3, 2, 1, 0})   // composite non-pow2
-	f.Add(64, []byte{})                   // zero input, larger pow2
-	f.Add(31, []byte{128, 64, 32, 16, 8}) // Mersenne prime
+	f.Add(8, []byte{1, 2, 3, 4})          // n = 9
+	f.Add(7, []byte{0xff, 0x00, 0x7f})    // n = 8: radix-4, one register pass
+	f.Add(13, []byte{9, 9, 9, 9, 9, 9})   // n = 14
+	f.Add(1, []byte{42})                  // n = 2
+	f.Add(12, []byte{5, 4, 3, 2, 1, 0})   // n = 13: Bluestein prime
+	f.Add(64, []byte{})                   // n = 65, zero input
+	f.Add(31, []byte{128, 64, 32, 16, 8}) // n = 32: radix-4, odd log₂ n
 	f.Add(100, []byte{1, 1, 2, 3, 5, 8, 13})
 
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
@@ -46,6 +48,19 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		back := make([]complex128, n)
 		if err := plan.Inverse(back, spec); err != nil {
 			t.Fatalf("Inverse(n=%d): %v", n, err)
+		}
+		inPlace := append([]complex128(nil), x...)
+		if err := plan.Forward(inPlace, inPlace); err != nil {
+			t.Fatalf("in-place Forward(n=%d): %v", n, err)
+		}
+		if i := firstDiff(inPlace, spec); i >= 0 {
+			t.Fatalf("n=%d: in-place Forward [%d] = %v, out-of-place %v", n, i, inPlace[i], spec[i])
+		}
+		if err := plan.Inverse(inPlace, inPlace); err != nil {
+			t.Fatalf("in-place Inverse(n=%d): %v", n, err)
+		}
+		if i := firstDiff(inPlace, back); i >= 0 {
+			t.Fatalf("n=%d: in-place Inverse [%d] = %v, out-of-place %v", n, i, inPlace[i], back[i])
 		}
 		// Relative tolerance scaled by input magnitude and n: Bluestein
 		// round-trips through a larger padded transform, so allow a few

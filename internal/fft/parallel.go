@@ -3,6 +3,7 @@ package fft
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lowcomm3d/internal/obs"
 )
@@ -107,42 +108,29 @@ func Workers(requested int) int {
 // FirstError collects the first error recorded from concurrent workers.
 // The zero value is ready to use.
 type FirstError struct {
-	mu  sync.Mutex
-	err error
+	err atomic.Pointer[error]
 }
 
 // Record stores err if it is the first non-nil error seen.
 func (f *FirstError) Record(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		f.err.CompareAndSwap(nil, &err)
 	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
 }
 
 // Reset clears any recorded error so the collector can be reused across
 // runs (long-lived pipelines keep one FirstError instead of allocating a
 // fresh collector per run).
-func (f *FirstError) Reset() {
-	f.mu.Lock()
-	f.err = nil
-	f.mu.Unlock()
-}
+func (f *FirstError) Reset() { f.err.Store(nil) }
 
 // Err returns the first recorded error, or nil.
 func (f *FirstError) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+	if p := f.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Failed reports whether any error has been recorded; workers use it to
-// bail out early.
-func (f *FirstError) Failed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err != nil
-}
+// bail out early, once per tile, plane and slice — so it is one atomic load.
+func (f *FirstError) Failed() bool { return f.err.Load() != nil }

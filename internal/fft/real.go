@@ -78,8 +78,10 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) error {
 	for k := 0; k <= h; k++ {
 		zk := zAt(k)
 		zc := conj(zAt((h - k) % h))
-		e := (zk + zc) / 2
-		o := (zk - zc) / complex(0, 2)
+		// Real scalings of the parts: a complex128 division is a runtime call.
+		sum, dif := zk+zc, zk-zc
+		e := complex(real(sum)/2, imag(sum)/2)
+		o := complex(imag(dif)/2, -real(dif)/2) // dif / 2i
 		dst[k] = e + p.w[k]*o
 	}
 	return nil
@@ -102,10 +104,11 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) error {
 	for k := 0; k < h; k++ {
 		xk := src[k]
 		xc := conj(src[h-k])
-		e := (xk + xc) / 2
+		sum := xk + xc
+		e := complex(real(sum)/2, imag(sum)/2)
 		// O[k] = (X[k] − conj(X[h−k]))·w^{-k}/2.
-		o := (xk - xc) * conj(p.w[k]) / 2
-		z[k] = e + complex(0, 1)*o
+		o := (xk - xc) * conj(p.w[k])
+		z[k] = e + complex(-imag(o)/2, real(o)/2) // e + i·o
 	}
 	if err := p.half.Inverse(z, z); err != nil {
 		return err

@@ -204,19 +204,27 @@ func (t *Tree) ForEachSample(f func(cell, sample int, x, y, z int)) {
 	n := t.Dim.Nx
 	idx := 0
 	for ci, c := range t.Cells {
-		m := c.LatticePoints()
+		m, r := c.LatticePoints(), c.Rate
 		for iz := 0; iz < m; iz++ {
-			z := (c.Box.Lo[2] + iz*c.Rate) % n
+			z := wrapHigh(c.Box.Lo[2]+iz*r, n)
 			for iy := 0; iy < m; iy++ {
-				y := (c.Box.Lo[1] + iy*c.Rate) % n
+				y := wrapHigh(c.Box.Lo[1]+iy*r, n)
 				for ix := 0; ix < m; ix++ {
-					x := (c.Box.Lo[0] + ix*c.Rate) % n
-					f(ci, idx, x, y, z)
+					f(ci, idx, wrapHigh(c.Box.Lo[0]+ix*r, n), y, z)
 					idx++
 				}
 			}
 		}
 	}
+}
+
+// wrapHigh wraps a lattice coordinate onto the torus. A cell lies inside the
+// grid, so Lo + i·Rate ≤ Hi ≤ n: the only coordinate to wrap is n itself.
+func wrapHigh(v, n int) int {
+	if v == n {
+		return 0
+	}
+	return v
 }
 
 // CellOffsets returns, for each cell, the index of its first sample in the

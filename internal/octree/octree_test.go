@@ -139,6 +139,42 @@ func TestForEachSampleIndicesAndWrap(t *testing.T) {
 	}
 }
 
+// TestForEachSampleMatchesReference pins the visiting order — it is the
+// layout of every Compressed.Samples and of conv's gather index — against
+// the walk ForEachSample replaced: three modulo wraps per sample.
+func TestForEachSampleMatchesReference(t *testing.T) {
+	uniform, err := Build(grid.Cube(8), uniformRate(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"uniform": uniform, "adaptive": locatorTree(t)} {
+		type visit struct{ cell, sample, x, y, z int }
+		var want []visit
+		n := tr.Dim.Nx
+		for ci, c := range tr.Cells {
+			m := c.LatticePoints()
+			for iz := 0; iz < m; iz++ {
+				for iy := 0; iy < m; iy++ {
+					for ix := 0; ix < m; ix++ {
+						want = append(want, visit{ci, len(want),
+							(c.Box.Lo[0] + ix*c.Rate) % n, (c.Box.Lo[1] + iy*c.Rate) % n, (c.Box.Lo[2] + iz*c.Rate) % n})
+					}
+				}
+			}
+		}
+		i := 0
+		tr.ForEachSample(func(cell, sample, x, y, z int) {
+			if got := (visit{cell, sample, x, y, z}); i >= len(want) || got != want[i] {
+				t.Fatalf("%s: visit %d = %+v, reference has %d visits, this one %+v", name, i, got, len(want), want[min(i, len(want)-1)])
+			}
+			i++
+		})
+		if i != len(want) {
+			t.Fatalf("%s: %d visits, reference %d", name, i, len(want))
+		}
+	}
+}
+
 func TestCellOffsets(t *testing.T) {
 	tr, err := Build(grid.Cube(16), uniformRate(8, 2))
 	if err != nil {
