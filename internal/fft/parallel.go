@@ -111,10 +111,13 @@ type FirstError struct {
 	err atomic.Pointer[error]
 }
 
-// Record stores err if it is the first non-nil error seen.
+// Record stores err if it is the first non-nil error seen. Only a non-nil
+// err is copied to the heap: taking the parameter's own address would move
+// it there on every call, the per-line nil calls of the transforms included.
 func (f *FirstError) Record(err error) {
 	if err != nil {
-		f.err.CompareAndSwap(nil, &err)
+		e := err
+		f.err.CompareAndSwap(nil, &e)
 	}
 }
 

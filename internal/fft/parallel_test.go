@@ -59,6 +59,19 @@ func TestParallelForSpannedEarlyBailEndsAllSpans(t *testing.T) {
 	}
 }
 
+// TestFirstErrorRecordZeroAllocs pins Record(nil) — once per transformed
+// line in Plan3D, Plan2D and the real transforms — at zero allocations: only
+// a recorded error may reach the heap.
+func TestFirstErrorRecordZeroAllocs(t *testing.T) {
+	var ec FirstError
+	if allocs := testing.AllocsPerRun(100, func() { ec.Record(nil) }); allocs != 0 {
+		t.Errorf("Record(nil): %v allocs per call, want 0", allocs)
+	}
+	if ec.Failed() {
+		t.Error("Record(nil) recorded an error")
+	}
+}
+
 // TestParallelForSpannedNilParent pins the nil-trace degradation: with no
 // parent span the loop must still visit every index exactly once.
 func TestParallelForSpannedNilParent(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 )
@@ -27,41 +26,26 @@ import (
 // belonging to the same family of linear inhomogeneous PDEs".
 func SolveAccelerated(m *Microstructure, E grid.SymTensor, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	plan, err := fft.NewPlan3D(m.Dim, opt.Workers)
+	lambda0, mu0 := m.ReferenceMedium()
+	step, spectra, err := gammaStep(m, green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
 	if err != nil {
 		return nil, err
 	}
-	lambda0, mu0 := m.ReferenceMedium()
-	gamma := green.Gamma{Lambda0: lambda0, Mu0: mu0}
 	if E.Norm() == 0 {
 		return nil, fmt.Errorf("massif: applied strain must be nonzero")
 	}
 
-	spectra := make([]*grid.ComplexField, grid.NumVoigt)
-	for v := range spectra {
-		spectra[v] = grid.NewComplexField(m.Dim)
-	}
 	// applyA computes dst = src + Γ̂⁰*(δC : src). dst may alias src.
 	applyA := func(dst, src *grid.TensorField) error {
-		for i := 0; i < m.Dim.Len(); i++ {
+		// δC:e = C(x):e − C⁰:e, through the full constitutive law so
+		// anisotropic microstructures work unchanged.
+		if err := step(func(i int) grid.SymTensor {
 			e := src.AtIndex(i)
-			// δC:e = C(x):e − C⁰:e, through the full constitutive law so
-			// anisotropic microstructures work unchanged.
-			tau := m.StressIndex(i, e).Sub(green.IsotropicStress(lambda0, mu0, e))
-			for v := 0; v < grid.NumVoigt; v++ {
-				spectra[v].Data[i] = complex(tau[v], 0)
-			}
+			return m.StressIndex(i, e).Sub(green.IsotropicStress(lambda0, mu0, e))
+		}); err != nil {
+			return err
 		}
 		for v := 0; v < grid.NumVoigt; v++ {
-			if err := plan.Forward(spectra[v]); err != nil {
-				return err
-			}
-		}
-		applyGammaSpectra(gamma, m.Dim, spectra)
-		for v := 0; v < grid.NumVoigt; v++ {
-			if err := plan.Inverse(spectra[v]); err != nil {
-				return err
-			}
 			s := src.Comp[v].Data
 			d := dst.Comp[v].Data
 			for i := range d {

@@ -31,7 +31,7 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 		return nil, fmt.Errorf("massif: applied strain must be nonzero")
 	}
 	lambda0, mu0 := m.ReferenceMedium()
-	gamma := green.Gamma{Lambda0: lambda0, Mu0: mu0}
+	op := gammaOp(m.Dim, green.Gamma{Lambda0: lambda0, Mu0: mu0})
 	zPer := n / c.P
 	plan2d, err := fft.NewPlan2D(n, n, 1)
 	if err != nil {
@@ -45,15 +45,14 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 	strain := grid.NewTensorField(m.Dim)
 	stress := grid.NewTensorField(m.Dim)
 	res := &Result{Strain: strain, Stress: stress}
-	iterDone := make([]int, c.P)
-	converged := make([]bool, c.P)
 
 	err = c.Run(func(w *cluster.Worker) error {
-		z0 := w.ID * zPer
-		// Per-component local strain slabs (real), z ∈ [z0, z0+zPer).
+		// Per-component local strain slabs, z ∈ [z0, z0+zPer): the worker's
+		// own planes of the result, which no other worker touches.
+		off := w.ID * zPer * n * n
 		eps := make([][]float64, grid.NumVoigt)
 		for v := range eps {
-			eps[v] = make([]float64, n*n*zPer)
+			eps[v] = strain.Comp[v].Data[off : off+n*n*zPer]
 			for i := range eps[v] {
 				eps[v][i] = E[v]
 			}
@@ -63,24 +62,20 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 		for v := range slabs {
 			slabs[v] = make([]complex128, n*n*zPer)
 		}
-		pencil := make([]complex128, n)
-		var sigma grid.SymTensor
+		lines := make([][]complex128, grid.NumVoigt) // the six z-lines of one (kx, ky)
+		for v := range lines {
+			lines[v] = make([]complex128, n)
+		}
 		var epsT grid.SymTensor
 
 		for iter := 0; iter < opt.MaxIter; iter++ {
 			// σ = C:ε locally, loaded into the complex slabs.
-			for zi := 0; zi < zPer; zi++ {
-				for y := 0; y < n; y++ {
-					for x := 0; x < n; x++ {
-						li := zi*n*n + y*n + x
-						for v := 0; v < grid.NumVoigt; v++ {
-							epsT[v] = eps[v][li]
-						}
-						sigma = m.StressAt(x, y, z0+zi, epsT)
-						for v := 0; v < grid.NumVoigt; v++ {
-							slabs[v][li] = complex(sigma[v], 0)
-						}
-					}
+			for i := range eps[0] {
+				for v := range epsT {
+					epsT[v] = eps[v][i]
+				}
+				for v, s := range m.StressIndex(off+i, epsT) {
+					slabs[v][i] = complex(s, 0)
 				}
 			}
 			// Forward: local 2D FFTs, then one transpose per component.
@@ -102,40 +97,22 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 			y0 := w.ID * zPer
 			for yi := 0; yi < zPer; yi++ {
 				for kx := 0; kx < n; kx++ {
-					for v := 0; v < grid.NumVoigt; v++ {
-						for z := 0; z < n; z++ {
-							pencil[z] = ySlabs[v][z*n*zPer+yi*n+kx]
+					at := yi*n + kx
+					for v, line := range lines {
+						for z := range line {
+							line[z] = ySlabs[v][z*n*zPer+at]
 						}
-						if err := planZ.Forward(pencil, pencil); err != nil {
+						if err := planZ.Forward(line, line); err != nil {
 							return err
 						}
-						for z := 0; z < n; z++ {
-							ySlabs[v][z*n*zPer+yi*n+kx] = pencil[z]
-						}
 					}
-					// Γ̂ couples components per (kx, ky, kz).
-					for kz := 0; kz < n; kz++ {
-						var re, im grid.SymTensor
-						for v := 0; v < grid.NumVoigt; v++ {
-							cv := ySlabs[v][kz*n*zPer+yi*n+kx]
-							re[v] = real(cv)
-							im[v] = imag(cv)
-						}
-						gre := gamma.ApplyAt(m.Dim, kx, y0+yi, kz, re)
-						gim := gamma.ApplyAt(m.Dim, kx, y0+yi, kz, im)
-						for v := 0; v < grid.NumVoigt; v++ {
-							ySlabs[v][kz*n*zPer+yi*n+kx] = complex(gre[v], gim[v])
-						}
-					}
-					for v := 0; v < grid.NumVoigt; v++ {
-						for z := 0; z < n; z++ {
-							pencil[z] = ySlabs[v][z*n*zPer+yi*n+kx]
-						}
-						if err := planZ.Inverse(pencil, pencil); err != nil {
+					op(kx, y0+yi, lines)
+					for v, line := range lines {
+						if err := planZ.Inverse(line, line); err != nil {
 							return err
 						}
-						for z := 0; z < n; z++ {
-							ySlabs[v][z*n*zPer+yi*n+kx] = pencil[z]
+						for z, c := range line {
+							ySlabs[v][z*n*zPer+at] = c
 						}
 					}
 				}
@@ -173,23 +150,12 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 				return err
 			}
 			r := math.Sqrt(total[0]) / normE
-			iterDone[w.ID] = iter + 1
 			if w.ID == 0 {
 				res.Residuals = append(res.Residuals, r)
+				res.Iterations, res.Converged = iter+1, r < opt.Tol
 			}
 			if r < opt.Tol {
-				converged[w.ID] = true
 				break
-			}
-		}
-		// Assemble owned planes into the shared result (disjoint regions).
-		for v := 0; v < grid.NumVoigt; v++ {
-			for zi := 0; zi < zPer; zi++ {
-				for y := 0; y < n; y++ {
-					for x := 0; x < n; x++ {
-						strain.Comp[v].Set(x, y, z0+zi, eps[v][zi*n*n+y*n+x])
-					}
-				}
 			}
 		}
 		return nil
@@ -197,8 +163,6 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 	if err != nil {
 		return nil, err
 	}
-	res.Iterations = iterDone[0]
-	res.Converged = converged[0]
 	if _, err := m.StressField(strain, stress); err != nil {
 		return nil, err
 	}

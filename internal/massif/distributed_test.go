@@ -1,10 +1,12 @@
 package massif
 
 import (
+	"math"
 	"testing"
 
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/obs"
 )
 
 func TestDistributedMatchesSerialLowComm(t *testing.T) {
@@ -135,5 +137,104 @@ func TestDistributedErrors(t *testing.T) {
 	}
 	if _, err := SolveLowCommDistributed(c, m, grid.SymTensor{0.01, 0, 0, 0, 0, 0}, LowCommOptions{SubSize: 3}); err == nil {
 		t.Error("bad sub size should fail")
+	}
+}
+
+// TestLowCommIsDistributedOnOneRank: SolveLowComm is the distributed loop on
+// one rank, so a one-worker cluster must reproduce it bit for bit — strain,
+// residual history and accounting — and report a healthy fault record.
+func TestLowCommIsDistributedOnOneRank(t *testing.T) {
+	p0, p1 := steelAndSoft()
+	m, err := NewMicrostructure(grid.Cube(16), p0, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetSphere(grid.Point{8, 8, 8}, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
+	opt := LowCommOptions{
+		Options: Options{MaxIter: 4, Workers: 2},
+		SubSize: 8, FarRate: 8, BatchB: 37,
+	}
+	serial, err := SolveLowComm(m, E, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(1, cluster.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := SolveLowCommDistributed(c, m, E, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.Iterations != serial.Iterations || dist.Converged != serial.Converged || dist.Comm != serial.Comm {
+		t.Fatalf("one-rank distributed %d/%v %+v, serial %d/%v %+v",
+			dist.Iterations, dist.Converged, dist.Comm, serial.Iterations, serial.Converged, serial.Comm)
+	}
+	if dist.Fault.Degraded || dist.Fault.Restarts != 0 || len(dist.Fault.Dead) != 0 {
+		t.Errorf("healthy one-rank solve reported a fault: %+v", dist.Fault)
+	}
+	for i, r := range serial.Residuals {
+		if math.Float64bits(dist.Residuals[i]) != math.Float64bits(r) {
+			t.Fatalf("residual %d: %v, serial %v", i, dist.Residuals[i], r)
+		}
+	}
+	for v := range serial.Strain.Comp {
+		for i, want := range serial.Strain.Comp[v].Data {
+			if got := dist.Strain.Comp[v].Data[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("strain component %d voxel %d: %v, serial %v", v, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDistributedRecordsIterations: the distributed solve runs the serial
+// solve's loop, so it records the same observability — one
+// massif.iteration span and iteration_seconds sample per iteration and the
+// massif.iterations counter on rank 0, and every rank's samples and bytes.
+func TestDistributedRecordsIterations(t *testing.T) {
+	p0, p1 := steelAndSoft()
+	m, err := NewMicrostructure(grid.Cube(16), p0, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetSphere(grid.Point{8, 8, 8}, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	c, err := cluster.New(2, cluster.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveLowCommDistributed(c, m, grid.SymTensor{0.01, 0, 0, 0, 0, 0}, LowCommOptions{
+		Options: Options{Tol: 1e-12, MaxIter: 3, Trace: tr},
+		SubSize: 8, FarRate: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := int64(res.Iterations)
+	if got := tr.CounterValue("massif.iterations"); got != it {
+		t.Errorf("massif.iterations = %d, want Iterations = %d", got, it)
+	}
+	if got := tr.Histogram("massif.iteration_seconds").Count(); got != it {
+		t.Errorf("massif.iteration_seconds count = %d, want %d", got, it)
+	}
+	spans := int64(0)
+	for _, sp := range tr.Spans() {
+		if sp.Name == "massif.iteration" {
+			spans++
+		}
+	}
+	if spans != it {
+		t.Errorf("%d massif.iteration spans, want %d", spans, it)
+	}
+	if got, want := tr.CounterValue("massif.samples"), it*int64(res.Comm.SamplesPerIter); got != want {
+		t.Errorf("massif.samples = %d, want iterations × SamplesPerIter = %d", got, want)
+	}
+	if got, want := tr.CounterValue("massif.sample_bytes"), it*int64(res.Comm.BytesPerIter); got != want {
+		t.Errorf("massif.sample_bytes = %d, want iterations × BytesPerIter = %d", got, want)
 	}
 }

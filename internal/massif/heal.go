@@ -3,15 +3,11 @@ package massif
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
-	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/gpu"
-	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
 	"lowcomm3d/internal/supervise"
@@ -86,8 +82,8 @@ func (e errGenAbort) Error() string {
 
 // HealWorkerBytes models the honest per-worker device footprint of a
 // healing solve: the resident per-box strain and delta fields plus one
-// shared stress scratch, and the streamed peak of ONE local pipeline
-// (six N²k-complex slabs plus six kept-plane buffers; boxes run
+// shared stress scratch, and the streamed peak of ONE local pipeline (six
+// half-spectrum slabs of k planes plus six kept-plane buffers; boxes run
 // sequentially and release their buffers, see conv.Local.ReleaseBuffers).
 // Refining k shrinks this charge — the slab term scales with k and the
 // resident term stays fixed at the grid share — which is exactly why
@@ -108,9 +104,13 @@ func HealWorkerBytes(dim grid.Dim3, p int, opt LowCommOptions) int64 {
 		}
 		nz = gpu.KeptZPlanes(n, k, far)
 	}
-	pipeline := int64(grid.NumVoigt) * 16 * int64(n) * int64(n) * int64(k)  // slabs
-	pipeline += int64(grid.NumVoigt) * 16 * int64(n) * int64(n) * int64(nz) // kept z planes
-	return resident + pipeline
+	return resident + pipelineBytes(n, k) + pipelineBytes(n, nz)
+}
+
+// pipelineBytes is one six-component conv.Local buffer of depth z planes
+// over the half spectrum: 16·(N/2+1)·N·depth bytes per component.
+func pipelineBytes(n, depth int) int64 {
+	return grid.NumVoigt * 16 * int64(n/2+1) * int64(n) * int64(depth)
 }
 
 // refineSubSize returns the next smaller sub-domain edge that still
@@ -170,47 +170,6 @@ func admitWorkers(dim grid.Dim3, p int, opt LowCommOptions, h *HealOptions) (int
 	}
 }
 
-// fillSigma computes σ = C(x):ε voxelwise for one sub-domain against the
-// global phase map.
-func fillSigma(m *Microstructure, box grid.Box, eps *grid.TensorField, kd grid.Dim3, sigma []*grid.Field) {
-	k := kd.Nx
-	for z := 0; z < k; z++ {
-		for y := 0; y < k; y++ {
-			for x := 0; x < k; x++ {
-				s := m.StressAt(box.Lo[0]+x, box.Lo[1]+y, box.Lo[2]+z, eps.At(x, y, z))
-				i := kd.Index(x, y, z)
-				for v := 0; v < grid.NumVoigt; v++ {
-					sigma[v].Data[i] = s[v]
-				}
-			}
-		}
-	}
-}
-
-// encodePeerMsgs splits the per-box compressed convolution results into
-// one payload per destination rank: each peer receives only the patches
-// overlapping its sub-domains (the paper's sparse all-to-all).
-func encodePeerMsgs(results [][]*sample.Compressed, parts [][]grid.Box, bounds grid.Box, p int) [][]float64 {
-	msgs := make([][]float64, p)
-	for q := 0; q < p; q++ {
-		perComp := make([][]sample.Patch, grid.NumVoigt)
-		for _, comps := range results {
-			for v, comp := range comps {
-				for _, pt := range comp.Patches(bounds) {
-					for _, qb := range parts[q] {
-						if pt.Cell.Box.Overlaps(qb) {
-							perComp[v] = append(perComp[v], pt)
-							break
-						}
-					}
-				}
-			}
-		}
-		msgs[q] = sample.EncodeComponentPatches(perComp)
-	}
-	return msgs
-}
-
 // solveSelfHealing is the heal-on-fault distributed solve: generations of
 // workers run Algorithm 2 in lockstep; any worker death aborts the
 // generation at the iteration barrier (every survivor's durable
@@ -225,7 +184,6 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 	// The store's byte counter is cumulative across every solve sharing
 	// its trace; report only this solve's durable writes.
 	ckptBase := h.Store.BytesWritten()
-	o := opt.Options.withDefaults()
 	maxGen := h.MaxGenerations
 	if maxGen <= 0 {
 		maxGen = 2*c.P + 2
@@ -243,296 +201,23 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 		}
 	}()
 	if refinements > 0 {
-		o.Trace.Counter("heal.k_refinements").Add(int64(refinements))
+		opt.Trace.Counter("heal.k_refinements").Add(int64(refinements))
 	}
 	opt.SubSize = subSize
-
-	boxes, err := grid.Decompose(m.Dim, opt.SubSize)
+	s, err := newLowComm(m, E, opt, c.P)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := grid.Partition(boxes, c.P)
-	if err != nil {
-		return nil, err
-	}
-	lambda0, mu0 := m.ReferenceMedium()
-	gamma := green.Gamma{Lambda0: lambda0, Mu0: mu0}
-	normE := E.Norm() * math.Sqrt(float64(m.Dim.Len()))
-	if normE == 0 {
-		return nil, fmt.Errorf("massif: applied strain must be nonzero")
-	}
-	kd := grid.Cube(opt.SubSize)
 
 	h.Supervise.Flight = h.Flight
 	h.Store.SetFlight(h.Flight)
 	sup := supervise.New(c.P, h.Supervise)
 	sup.Start(c.DeclareDead)
 	defer sup.Stop()
-
-	out := &LowCommResult{}
-	out.Comm.SubDomains = len(boxes)
-	strain := grid.NewTensorField(m.Dim)
-	stress := grid.NewTensorField(m.Dim)
-	out.Result.Strain = strain
-	out.Result.Stress = stress
-	residuals := make([]float64, o.MaxIter)
-	iterDone := make([]int, c.P)
-	converged := make([]bool, c.P)
-	bytesPerIter := make([]int, c.P)
-	samplesPerIter := make([]int, c.P)
-	genC := o.Trace.Counter("heal.generations")
+	genC := opt.Trace.Counter("heal.generations")
 
 	startIter := 0
-	respawned := map[int]bool{}
-
-	runGeneration := func() []error {
-		workerFn := func(w *cluster.Worker) error {
-			owned := parts[w.ID]
-			type boxState struct {
-				box   grid.Box
-				eps   *grid.TensorField
-				local *conv.Local
-			}
-			// Restore from the durable checkpoint when one exists —
-			// respawned replacements and surviving ranks alike resume from
-			// their last deposited iteration-start strain (the states may
-			// be one iteration apart across ranks; the fixed point is
-			// contractive, so mixed-age states converge regardless).
-			snap, err := h.Store.LoadStrain(w.ID)
-			if err != nil {
-				return err
-			}
-			// One transform pair per rank: its own pipelines and the
-			// speculative backup pipelines below all share it.
-			plans, err := conv.NewPlanSet(m.Dim, opt.Workers)
-			if err != nil {
-				return err
-			}
-			states := make([]*boxState, len(owned))
-			for i, b := range owned {
-				local, err := gammaLocal(plans, m, b, gamma, opt)
-				if err != nil {
-					return err
-				}
-				eps := grid.NewTensorField(kd)
-				eps.Fill(E)
-				if snap != nil && i < len(snap.Strain) {
-					for v := 0; v < grid.NumVoigt; v++ {
-						copy(eps.Comp[v].Data, snap.Strain[i][v])
-					}
-				}
-				states[i] = &boxState{box: b, eps: eps, local: local}
-			}
-			sigma := make([]*grid.Field, grid.NumVoigt)
-			for v := range sigma {
-				sigma[v] = grid.NewField(kd)
-			}
-			deltas := make([]*grid.TensorField, len(owned))
-			for i := range deltas {
-				deltas[i] = grid.NewTensorField(kd)
-			}
-			saveSnap := func(iter int) error {
-				s := &ckpt.Snapshot{Worker: w.ID, Iter: iter, Strain: make([][][]float64, len(states))}
-				for i, st := range states {
-					s.Strain[i] = make([][]float64, grid.NumVoigt)
-					for v := 0; v < grid.NumVoigt; v++ {
-						s.Strain[i][v] = st.eps.Comp[v].Data
-					}
-				}
-				return h.Store.SaveStrain(s)
-			}
-			// computeMsgs runs the full local compute for this worker's
-			// boxes at their iteration-start strain: σ, local convolution,
-			// sparse per-peer encoding. Pipelines stream (buffers released
-			// per box) so the live footprint matches HealWorkerBytes.
-			computeMsgs := func(states []*boxState) ([][]float64, int, int, error) {
-				results := make([][]*sample.Compressed, 0, len(states))
-				nsamp, nbytes := 0, 0
-				for _, st := range states {
-					fillSigma(m, st.box, st.eps, kd, sigma)
-					comps := make([]*sample.Compressed, grid.NumVoigt)
-					cs, err := st.local.RunComponents(sigma, comps)
-					if err != nil {
-						return nil, 0, 0, err
-					}
-					st.local.ReleaseBuffers()
-					nsamp += cs.SampleCount
-					nbytes += cs.SampleBytes
-					results = append(results, comps)
-				}
-				return encodePeerMsgs(results, parts, m.Dim.Bounds(), c.P), nsamp, nbytes, nil
-			}
-			// Speculative backup state: pipelines for peers this worker has
-			// helped, built lazily and keyed by rank.
-			peerStates := map[int][]*boxState{}
-			backupFor := func(rank, iter int) ([][]float64, error) {
-				psnap, err := h.Store.LoadStrain(rank)
-				if err != nil || psnap == nil || psnap.Iter != iter {
-					return nil, fmt.Errorf("massif: no usable checkpoint for straggler %d at iter %d", rank, iter)
-				}
-				sts, ok := peerStates[rank]
-				if !ok {
-					for _, b := range parts[rank] {
-						local, err := gammaLocal(plans, m, b, gamma, opt)
-						if err != nil {
-							return nil, err
-						}
-						sts = append(sts, &boxState{box: b, eps: grid.NewTensorField(kd), local: local})
-					}
-					peerStates[rank] = sts
-				}
-				for i, st := range sts {
-					if i < len(psnap.Strain) {
-						for v := 0; v < grid.NumVoigt; v++ {
-							copy(st.eps.Comp[v].Data, psnap.Strain[i][v])
-						}
-					}
-				}
-				msgs, _, _, err := computeMsgs(sts)
-				return msgs, err
-			}
-
-			for iter := startIter; iter < o.MaxIter; iter++ {
-				sup.Beat(w.ID, iter)
-				if err := saveSnap(iter); err != nil {
-					return err
-				}
-				sup.BeginCompute(w.ID, iter)
-				if d := h.Chaos.Delay(w.ID, iter); d > 0 {
-					time.Sleep(d)
-				}
-				var msgs [][]float64
-				if v, ok := sup.Claim(w.ID, iter); ok {
-					// A backup already re-executed this straggler's boxes —
-					// adopt its (deterministically identical) result and
-					// skip the slow compute entirely.
-					msgs = v.([][]float64)
-				} else {
-					var nsamp, nbytes int
-					msgs, nsamp, nbytes, err = computeMsgs(states)
-					if err != nil {
-						return err
-					}
-					bytesPerIter[w.ID] = nbytes
-					samplesPerIter[w.ID] = nsamp
-					// Late finish after a backup deposited is discarded by
-					// sequence number at the board (results are identical
-					// either way; the counter records the wasted work).
-					sup.Deposit(w.ID, iter, msgs)
-				}
-				sup.EndCompute(w.ID, iter)
-				// Idle before the collective: while a peer is still computing
-				// this iteration the all-to-all would block on it anyway, so
-				// polling for straggler flags here is free. Serve at most one
-				// backup; the deadline bounds the wait if a peer dies inside
-				// its compute phase and its in-flight mark never clears.
-				helpDeadline := time.Now().Add(helpPollBudget)
-				for sup.PeersPending(w.ID, iter) && time.Now().Before(helpDeadline) {
-					sup.CheckStragglers()
-					rank, hIter, ok := sup.HelpRequest()
-					if !ok {
-						time.Sleep(helpPollInterval)
-						continue
-					}
-					// Stale flags (earlier iterations, or this worker's own
-					// compute flagged by a faster peer) are dropped unserved.
-					if rank != w.ID && hIter == iter {
-						if backupMsgs, err := backupFor(rank, hIter); err == nil {
-							sup.Deposit(rank, hIter, backupMsgs)
-						}
-						break
-					}
-				}
-
-				recv, missing, err := w.AllToAllFT(msgs)
-				if err != nil {
-					return err // this worker's own injected crash
-				}
-				if len(missing) > 0 {
-					return errGenAbort{iter}
-				}
-				for i := range deltas {
-					for v := range deltas[i].Comp {
-						deltas[i].Comp[v].Zero()
-					}
-				}
-				for q := 0; q < c.P; q++ {
-					perComp, err := sample.DecodeComponentPatches(recv[q])
-					if err != nil {
-						return err
-					}
-					for v, ps := range perComp {
-						for _, p := range ps {
-							for i, st := range states {
-								if err := p.AddToSubField(deltas[i].Comp[v], st.box.Lo, 1); err != nil {
-									return err
-								}
-							}
-						}
-					}
-				}
-
-				partial := make([]float64, 2*grid.NumVoigt)
-				for i := range deltas {
-					for v := 0; v < grid.NumVoigt; v++ {
-						for _, d := range deltas[i].Comp[v].Data {
-							partial[v] += d
-							partial[grid.NumVoigt+v] += d * d
-						}
-					}
-				}
-				tot, mask, err := w.AllReduceSumFT(partial)
-				if err != nil {
-					return err
-				}
-				for _, d := range mask {
-					if d {
-						return errGenAbort{iter}
-					}
-				}
-				nTot := float64(len(boxes) * kd.Len())
-				delta2 := 0.0
-				var mean [grid.NumVoigt]float64
-				for v := 0; v < grid.NumVoigt; v++ {
-					mean[v] = tot[v] / nTot
-					wgt := 1.0
-					if v >= grid.VYZ {
-						wgt = 2.0
-					}
-					delta2 += wgt * (tot[grid.NumVoigt+v] - nTot*mean[v]*mean[v])
-				}
-				for i, st := range states {
-					for v := 0; v < grid.NumVoigt; v++ {
-						ed := st.eps.Comp[v].Data
-						for j, d := range deltas[i].Comp[v].Data {
-							ed[j] -= d - mean[v]
-						}
-					}
-				}
-				r := math.Sqrt(math.Max(delta2, 0)) / normE
-				iterDone[w.ID] = iter + 1
-				if w.ID == 0 {
-					residuals[iter] = r
-				}
-				if r < o.Tol {
-					converged[w.ID] = true
-					break
-				}
-			}
-
-			for _, st := range states {
-				for v := 0; v < grid.NumVoigt; v++ {
-					sub := &grid.Field{Dim: kd, Data: st.eps.Comp[v].Data}
-					if err := strain.Comp[v].InsertBox(st.box, sub); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		return c.RunAll(workerFn)
-	}
-
+	respawned := make([]bool, c.P)
 	gen := 0
 	for {
 		gen++
@@ -540,7 +225,24 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 			return nil, fmt.Errorf("massif: healing solve exceeded %d generations", maxGen)
 		}
 		genC.Add(1)
-		errs := runGeneration()
+		errs := c.RunAll(func(w *cluster.Worker) error {
+			// Respawned replacements and surviving ranks alike resume from
+			// their last deposited iteration-start strain (the states may
+			// be one iteration apart across ranks; the fixed point is
+			// contractive, so mixed-age states converge regardless).
+			snap, err := h.Store.LoadStrain(w.ID)
+			if err != nil {
+				return err
+			}
+			r, err := s.newRank(w.ID, nil)
+			if err != nil {
+				return err
+			}
+			if snap != nil {
+				r.load(snap.Strain)
+			}
+			return r.run(startIter, &healer{w: w, h: h, sup: sup, peers: map[int]*rank{}})
+		})
 		aborted := false
 		for rank, e := range errs {
 			if e == nil {
@@ -574,27 +276,19 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 		// Resume from the newest durable deposit: every rank restores its
 		// own checkpoint (older ones lag at most one iteration; the
 		// contraction absorbs the skew).
-		next := startIter
 		for q := 0; q < c.P; q++ {
-			if s, err := h.Store.LoadStrain(q); err == nil && s != nil && s.Iter > next {
-				next = s.Iter
+			if snap, err := h.Store.LoadStrain(q); err == nil && snap != nil && snap.Iter > startIter {
+				startIter = snap.Iter
 			}
 		}
-		startIter = next
 	}
 
-	out.Iterations = iterDone[0]
-	out.Converged = converged[0]
-	out.Residuals = append(out.Residuals, residuals[:out.Iterations]...)
-	out.Comm.Iterations = out.Iterations
-	for wID := range bytesPerIter {
-		out.Comm.BytesPerIter += bytesPerIter[wID]
-		out.Comm.SamplesPerIter += samplesPerIter[wID]
+	out, err := s.finish()
+	if err != nil {
+		return nil, err
 	}
-	out.Comm.DenseBytesPerIter = 8 * m.Dim.Len() * grid.NumVoigt * len(boxes)
-
 	st := sup.Snapshot()
-	report := &HealReport{
+	out.Heal = &HealReport{
 		Generations:         gen,
 		Respawns:            st.Respawns,
 		RespawnLatency:      st.RespawnLatency,
@@ -606,14 +300,116 @@ func solveSelfHealing(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, o
 		SubSize:             opt.SubSize,
 		CheckpointBytes:     h.Store.BytesWritten() - ckptBase,
 	}
-	for q := range respawned {
-		report.Respawned = append(report.Respawned, q)
-	}
-	sort.Ints(report.Respawned)
-	out.Heal = report
-
-	if _, err := m.StressField(strain, stress); err != nil {
-		return nil, err
+	for q, ok := range respawned {
+		if ok {
+			out.Heal.Respawned = append(out.Heal.Respawned, q)
+		}
 	}
 	return out, nil
+}
+
+// healer is the heal-on-fault policy of one rank in one generation: a
+// durable checkpoint and a heartbeat at every iteration start, results
+// deposited on (or adopted from) the supervisor's board, straggler help
+// while peers compute, and a generation abort on any death.
+type healer struct {
+	w     *cluster.Worker
+	h     *HealOptions
+	sup   *supervise.Supervisor
+	peers map[int]*rank // backup state for peers this rank has helped
+}
+
+func (p *healer) begin(r *rank, iter int) error {
+	p.sup.Beat(r.id, iter)
+	if err := p.h.Store.SaveStrain(&ckpt.Snapshot{Worker: r.id, Iter: iter, Strain: r.strain()}); err != nil {
+		return err
+	}
+	p.sup.BeginCompute(r.id, iter)
+	if d := p.h.Chaos.Delay(r.id, iter); d > 0 {
+		time.Sleep(d)
+	}
+	return nil
+}
+
+func (p *healer) exchange(r *rank, iter int) ([][][]sample.Patch, error) {
+	var msgs [][]float64
+	if v, ok := p.sup.Claim(r.id, iter); ok {
+		// A backup already re-executed this straggler's boxes — adopt its
+		// (deterministically identical) result and skip the slow compute.
+		msgs = v.([][]float64)
+	} else {
+		if err := r.compute(); err != nil {
+			return nil, err
+		}
+		msgs = r.encode()
+		// Late finish after a backup deposited is discarded by sequence
+		// number at the board (results are identical either way; the
+		// counter records the wasted work).
+		p.sup.Deposit(r.id, iter, msgs)
+	}
+	p.sup.EndCompute(r.id, iter)
+	// Idle before the collective: while a peer is still computing this
+	// iteration the all-to-all would block on it anyway, so polling for
+	// straggler flags here is free. Serve at most one backup; the deadline
+	// bounds the wait if a peer dies inside its compute phase and its
+	// in-flight mark never clears.
+	deadline := time.Now().Add(helpPollBudget)
+	for p.sup.PeersPending(r.id, iter) && time.Now().Before(deadline) {
+		p.sup.CheckStragglers()
+		q, qIter, ok := p.sup.HelpRequest()
+		if !ok {
+			time.Sleep(helpPollInterval)
+			continue
+		}
+		// Stale flags (earlier iterations, or this worker's own compute
+		// flagged by a faster peer) are dropped unserved.
+		if q != r.id && qIter == iter {
+			if backup, err := p.backupFor(r, q, iter); err == nil {
+				p.sup.Deposit(q, iter, backup)
+			}
+			break
+		}
+	}
+	recv, missing, err := p.w.AllToAllFT(msgs)
+	if err != nil {
+		return nil, err // this worker's own injected crash
+	}
+	if len(missing) > 0 {
+		return nil, errGenAbort{iter}
+	}
+	return decode(recv)
+}
+
+func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float64, bool, error) {
+	total, mask, err := p.w.AllReduceSumFT(partial)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	for _, dead := range mask {
+		if dead {
+			return nil, 0, false, errGenAbort{iter}
+		}
+	}
+	return total, float64(len(r.s.boxes) * r.s.kd.Len()), false, nil
+}
+
+// backupFor re-executes straggler q's iteration iter from its durable
+// checkpoint on r's plans, with q's own rank state built on first use.
+func (p *healer) backupFor(r *rank, q, iter int) ([][]float64, error) {
+	snap, err := p.h.Store.LoadStrain(q)
+	if err != nil || snap == nil || snap.Iter != iter {
+		return nil, fmt.Errorf("massif: no usable checkpoint for straggler %d at iter %d", q, iter)
+	}
+	peer, ok := p.peers[q]
+	if !ok {
+		if peer, err = r.s.newRank(q, r.plans); err != nil {
+			return nil, err
+		}
+		p.peers[q] = peer
+	}
+	peer.load(snap.Strain)
+	if err := peer.compute(); err != nil {
+		return nil, err
+	}
+	return peer.encode(), nil
 }

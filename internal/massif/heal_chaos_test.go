@@ -7,9 +7,12 @@ import (
 
 	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/gpu"
+	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
+	"lowcomm3d/internal/sample"
 	"lowcomm3d/internal/supervise"
 )
 
@@ -327,5 +330,44 @@ func TestSelfHealingAdmissionRefinesK(t *testing.T) {
 	}
 	if _, err := SolveLowCommDistributed(c2, m, E, fopt); !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Errorf("floored admission returned %v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestHealWorkerBytesMatchesPipeline pins the admission model's two pipeline
+// terms to what a real six-component pipeline allocates: the half-spectrum
+// slab of k planes and the kept-plane buffer, both (N/2+1)·N per plane.
+func TestHealWorkerBytesMatchesPipeline(t *testing.T) {
+	p0, p1 := steelAndSoft()
+	for _, nk := range [][2]int{{16, 8}, {32, 8}} {
+		n, k := nk[0], nk[1]
+		m, err := NewMicrostructure(grid.Cube(n), p0, p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := conv.NewPlanSet(m.Dim, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := LowCommOptions{Options: Options{Workers: 1}, SubSize: k, FarRate: 8}
+		lambda0, mu0 := m.ReferenceMedium()
+		local, err := gammaLocal(plans, m, grid.CubeAt(grid.Point{}, k), green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigma := make([]*grid.Field, grid.NumVoigt)
+		for v := range sigma {
+			sigma[v] = grid.NewField(grid.Cube(k))
+			sigma[v].Fill(float64(v + 1))
+		}
+		st, err := local.RunComponents(sigma, make([]*sample.Compressed, grid.NumVoigt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pipelineBytes(n, k); got != int64(st.SlabBytes) {
+			t.Errorf("N=%d k=%d: modeled slab %d B, pipeline allocates %d B", n, k, got, st.SlabBytes)
+		}
+		if got := pipelineBytes(n, st.KeptZPlanes); got != int64(st.PlanesBytes) {
+			t.Errorf("N=%d k=%d: modeled %d kept planes at %d B, pipeline allocates %d B", n, k, st.KeptZPlanes, got, st.PlanesBytes)
+		}
 	}
 }

@@ -16,10 +16,11 @@ type Options struct {
 	MaxIter int     // iteration cap (default 500)
 	Workers int     // FFT parallelism (≤0: GOMAXPROCS)
 
-	// Trace, when non-nil, records one "massif.iteration" span per solver
-	// iteration plus the "massif.iterations" counter; the reference solver
-	// also propagates it into its 3D FFT plan (axis sweeps and worker
-	// lanes). Nil disables recording.
+	// Trace, when non-nil, records one "massif.iteration" span per
+	// fixed-point iteration plus the "massif.iterations" counter (rank 0's
+	// in the distributed low-comm solves); the full-grid solvers also
+	// propagate it into their 3D FFT plan (axis sweeps and worker lanes).
+	// Nil disables recording.
 	Trace *obs.Trace
 }
 
@@ -56,21 +57,14 @@ func (r *Result) MeanStress() grid.SymTensor { return r.Stress.Mean() }
 // all-to-all transposes the proposed method eliminates.
 func SolveReference(m *Microstructure, E grid.SymTensor, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	plan, err := fft.NewPlan3D(m.Dim, opt.Workers)
+	lambda0, mu0 := m.ReferenceMedium()
+	step, spectra, err := gammaStep(m, green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
 	if err != nil {
 		return nil, err
 	}
-	plan.SetTrace(opt.Trace)
-	lambda0, mu0 := m.ReferenceMedium()
-	gamma := green.Gamma{Lambda0: lambda0, Mu0: mu0}
-
 	eps := grid.NewTensorField(m.Dim)
 	eps.Fill(E)
 	stress := grid.NewTensorField(m.Dim)
-	spectra := make([]*grid.ComplexField, grid.NumVoigt)
-	for v := range spectra {
-		spectra[v] = grid.NewComplexField(m.Dim)
-	}
 	res := &Result{Strain: eps, Stress: stress}
 	// Residuals are ‖Δε‖ relative to ‖ε⁰‖ = ‖E‖·√N³, the norm of the
 	// uniform initial strain field (the standard relative criterion).
@@ -84,29 +78,9 @@ func SolveReference(m *Microstructure, E grid.SymTensor, opt Options) (*Result, 
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		iterSpan := opt.Trace.Start("massif.iteration")
 		iterC.Add(1)
-		if _, err := m.StressField(eps, stress); err != nil {
+		if err := step(func(i int) grid.SymTensor { return m.StressIndex(i, eps.AtIndex(i)) }); err != nil {
 			iterSpan.End()
 			return nil, err
-		}
-		// Forward FFT of all six stress components (Algorithm 1 step 2).
-		for v := 0; v < grid.NumVoigt; v++ {
-			for i, s := range stress.Comp[v].Data {
-				spectra[v].Data[i] = complex(s, 0)
-			}
-			if err := plan.Forward(spectra[v]); err != nil {
-				iterSpan.End()
-				return nil, err
-			}
-		}
-		// Γ̂:σ̂ per frequency point (step 3); zero mode pinned to zero so
-		// the mean strain remains E.
-		applyGammaSpectra(gamma, m.Dim, spectra)
-		// Inverse FFT of the strain correction (step 5).
-		for v := 0; v < grid.NumVoigt; v++ {
-			if err := plan.Inverse(spectra[v]); err != nil {
-				iterSpan.End()
-				return nil, err
-			}
 		}
 		// Update ε ← ε − Δε and measure the correction norm.
 		delta2 := 0.0
@@ -137,29 +111,57 @@ func SolveReference(m *Microstructure, E grid.SymTensor, opt Options) (*Result, 
 	return res, nil
 }
 
-// applyGammaSpectra contracts Γ̂(ξ) with the six Hermitian stress spectra
-// in place (real and imaginary parts separately — Γ̂ is real). Nyquist
-// handling follows green.Gamma.ApplyAt: ambiguous modes are zeroed so the
-// operator stays Hermitian-even and the basic and accelerated schemes
-// share one discrete fixed point.
-func applyGammaSpectra(gamma green.Gamma, d grid.Dim3, spectra []*grid.ComplexField) {
-	i := 0
-	for kz := 0; kz < d.Nz; kz++ {
-		for ky := 0; ky < d.Ny; ky++ {
-			for kx := 0; kx < d.Nx; kx++ {
-				var re, im grid.SymTensor
-				for v := 0; v < grid.NumVoigt; v++ {
-					c := spectra[v].Data[i]
-					re[v] = real(c)
-					im[v] = imag(c)
-				}
-				gre := gamma.ApplyAt(d, kx, ky, kz, re)
-				gim := gamma.ApplyAt(d, kx, ky, kz, im)
-				for v := 0; v < grid.NumVoigt; v++ {
-					spectra[v].Data[i] = complex(gre[v], gim[v])
-				}
-				i++
+// gammaStep builds the dense Γ̂ step of the full-grid solvers (Algorithm 1
+// steps 2–5): step loads the six components of field(i) at every voxel i,
+// transforms them forward, contracts every (kx, ky) z-line with gammaOp —
+// the zero mode maps to zero, so the mean strain stays E — and transforms
+// back, in place; Γ̂∗field is then the real parts of spectra.
+func gammaStep(m *Microstructure, gamma green.Gamma, opt Options) (step func(field func(i int) grid.SymTensor) error, spectra []*grid.ComplexField, err error) {
+	plan, err := fft.NewPlan3D(m.Dim, opt.Workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan.SetTrace(opt.Trace)
+	d := m.Dim
+	op := gammaOp(d, gamma)
+	spectra = make([]*grid.ComplexField, grid.NumVoigt)
+	lines := make([][]complex128, grid.NumVoigt)
+	for v := range spectra {
+		spectra[v] = grid.NewComplexField(d)
+		lines[v] = make([]complex128, d.Nz)
+	}
+	step = func(field func(i int) grid.SymTensor) error {
+		for i := range d.Len() {
+			for v, x := range field(i) {
+				spectra[v].Data[i] = complex(x, 0)
 			}
 		}
+		for _, s := range spectra {
+			if err := plan.Forward(s); err != nil {
+				return err
+			}
+		}
+		for ky := 0; ky < d.Ny; ky++ {
+			for kx := 0; kx < d.Nx; kx++ {
+				for v, line := range lines {
+					for kz := range line {
+						line[kz] = spectra[v].Data[d.Index(kx, ky, kz)]
+					}
+				}
+				op(kx, ky, lines)
+				for v, line := range lines {
+					for kz, c := range line {
+						spectra[v].Data[d.Index(kx, ky, kz)] = c
+					}
+				}
+			}
+		}
+		for _, s := range spectra {
+			if err := plan.Inverse(s); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return step, spectra, nil
 }
