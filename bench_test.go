@@ -283,8 +283,9 @@ func BenchmarkAblationInterp(b *testing.B) {
 	})
 }
 
-// BenchmarkMassifIteration compares the per-iteration cost of the two
-// solvers on a 16³ composite.
+// BenchmarkMassifIteration compares the per-iteration cost of the solvers
+// on a 16³ composite; distributed-p2 is a healthy two-worker
+// SolveLowCommDistributed, which checkpoints every rank every iteration.
 func BenchmarkMassifIteration(b *testing.B) {
 	l1, m1 := green.LameFromENu(210, 0.3)
 	l2, m2 := green.LameFromENu(70, 0.3)
@@ -307,6 +308,21 @@ func BenchmarkMassifIteration(b *testing.B) {
 	b.Run("lowcomm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := massif.SolveLowComm(m, E, massif.LowCommOptions{
+				Options: massif.Options{Tol: 1e-12, MaxIter: 3},
+				SubSize: 8, FarRate: 8,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("distributed-p2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c, err := cluster.New(2, cluster.DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = massif.SolveLowCommDistributed(c, m, E, massif.LowCommOptions{
 				Options: massif.Options{Tol: 1e-12, MaxIter: 3},
 				SubSize: 8, FarRate: 8,
 			})

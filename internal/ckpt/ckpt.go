@@ -1,19 +1,16 @@
-// Package ckpt is the durable checkpoint store behind the self-healing
-// distributed solve: versioned, CRC64-checksummed, atomically-written
-// snapshot files for per-worker strain state and per-sub-domain
-// convolution results.
+// Package ckpt is the checkpoint store behind the distributed MASSIF solve:
+// versioned, CRC64-checksummed snapshots of per-worker strain state, kept
+// as atomically-written files in a directory or in memory.
 //
-// PR 1's in-memory strainCheckpoint makes a crashed iteration redoable by
-// the survivors, but the crashed rank's own state dies with its goroutine
-// — every fault permanently freezes its sub-domains. The paper's k³
-// decomposition makes sub-domain work restartable and relocatable (each
-// sub-domain convolves locally against the full-grid kernel, §3), and the
-// recovery state is small: boxes × 6 Voigt components × k³ doubles per
-// worker, never the global grid. This package persists exactly that, so a
-// supervisor can respawn a replacement worker from the last durable
-// deposit and rejoin it at the iteration barrier.
+// The paper's k³ decomposition makes sub-domain work restartable and
+// relocatable (each sub-domain convolves locally against the full-grid
+// kernel, §3), and the recovery state is small: boxes × 6 Voigt components
+// × k³ doubles per worker, never the global grid. The solve deposits
+// exactly that at every iteration start, so a crashed worker is respawned
+// from its last deposit and rejoins at the iteration barrier, and an idle
+// worker can re-execute a straggler's iteration from it.
 //
-// On-disk snapshot format (little endian):
+// Snapshot format (little endian):
 //
 //	magic   uint32  "LCCK"
 //	version uint32  1
@@ -26,13 +23,13 @@
 //	payload boxes·comps·perBox float64
 //
 // The decoder is hardened like sample.ReadCompressed: every count is
-// bounds-checked and the payload is read in bounded chunks, so a forged
-// header cannot trigger a large upfront allocation — a lying stream fails
-// at EOF after at most one chunk.
+// bounds-checked and the payload buffer grows only as bytes arrive, so a
+// forged header cannot trigger a large upfront allocation — a lying stream
+// fails at EOF after at most one chunk.
 package ckpt
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -40,15 +37,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"lowcomm3d/internal/obs"
-	"lowcomm3d/internal/sample"
 	"lowcomm3d/internal/telemetry"
 )
 
 const (
-	magic   = 0x4c43434b // "LCCK"
-	version = 1
+	magic     = 0x4c43434b // "LCCK"
+	version   = 1
+	headerLen = 40
 
 	// maxBoxes/maxComps/maxPerBox bound what a header may claim before any
 	// allocation happens. The limits are far above real deployments (a
@@ -58,16 +56,17 @@ const (
 	maxComps  = 1 << 8
 	maxPerBox = 1 << 27
 
-	// chunk bounds per-read allocations while decoding untrusted streams
-	// (64Ki float64 = 512 KiB at a time), mirroring sample.ReadCompressed.
+	// chunk is the first payload read while decoding untrusted streams
+	// (64Ki float64 = 512 KiB); the buffer at most doubles per read after
+	// that, mirroring sample.ReadCompressed.
 	chunk = 1 << 16
 )
 
 // crcTable is the ECMA polynomial table shared by encode and decode.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// Snapshot is one worker's durable strain state: the deposit made at the
-// start of iteration Iter, organized box → component → values.
+// Snapshot is one worker's strain state: the deposit made at the start of
+// iteration Iter, organized box → component → values.
 type Snapshot struct {
 	Worker int
 	Iter   int
@@ -98,127 +97,111 @@ func (s *Snapshot) validateShape() (comps, perBox int, err error) {
 	return comps, perBox, nil
 }
 
-// WriteSnapshot serializes the snapshot with its payload CRC. It returns
-// the bytes written.
-func WriteSnapshot(w io.Writer, s *Snapshot) (int64, error) {
+// encode returns the snapshot's serialization in one exact-size buffer,
+// checksummed in one call.
+func (s *Snapshot) encode() ([]byte, error) {
 	comps, perBox, err := s.validateShape()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if s.Worker < 0 || s.Iter < 0 {
-		return 0, fmt.Errorf("ckpt: negative worker %d or iter %d", s.Worker, s.Iter)
+		return nil, fmt.Errorf("ckpt: negative worker %d or iter %d", s.Worker, s.Iter)
 	}
-	crc := crc64.New(crcTable)
-	var scratch [8]byte
+	le := binary.LittleEndian
+	buf := make([]byte, headerLen, headerLen+8*len(s.Strain)*comps*perBox)
+	for i, h := range []uint32{magic, version, uint32(s.Worker), uint32(s.Iter), uint32(len(s.Strain)), uint32(comps)} {
+		le.PutUint32(buf[4*i:], h)
+	}
+	le.PutUint64(buf[24:], uint64(perBox))
 	for _, box := range s.Strain {
 		for _, data := range box {
 			for _, v := range data {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-				crc.Write(scratch[:])
+				buf = le.AppendUint64(buf, math.Float64bits(v))
 			}
 		}
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
+	le.PutUint64(buf[32:], crc64.Checksum(buf[headerLen:], crcTable))
+	return buf, nil
+}
+
+// WriteSnapshot serializes the snapshot with its payload CRC. It returns
+// the bytes written.
+func WriteSnapshot(w io.Writer, s *Snapshot) (int64, error) {
+	buf, err := s.encode()
+	if err != nil {
+		return 0, err
 	}
-	for _, h := range []uint32{magic, version, uint32(s.Worker), uint32(s.Iter), uint32(len(s.Strain)), uint32(comps)} {
-		if err := write(h); err != nil {
-			return n, err
-		}
-	}
-	if err := write(uint64(perBox)); err != nil {
-		return n, err
-	}
-	if err := write(crc.Sum64()); err != nil {
-		return n, err
-	}
-	for _, box := range s.Strain {
-		for _, data := range box {
-			if err := write(data); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 // ReadSnapshot deserializes a snapshot written by WriteSnapshot, verifying
 // the header bounds and the payload CRC. Allocation is bounded by bytes
 // actually received, never by header claims alone.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	var header [6]uint32
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("ckpt: reading header: %w", err)
-		}
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("ckpt: reading header: %w", err)
 	}
-	if header[0] != magic {
-		return nil, fmt.Errorf("ckpt: bad magic %#x", header[0])
+	le := binary.LittleEndian
+	if m := le.Uint32(hdr[0:]); m != magic {
+		return nil, fmt.Errorf("ckpt: bad magic %#x", m)
 	}
-	if header[1] != version {
-		return nil, fmt.Errorf("ckpt: unsupported version %d", header[1])
+	if v := le.Uint32(hdr[4:]); v != version {
+		return nil, fmt.Errorf("ckpt: unsupported version %d", v)
 	}
-	worker, iter := int(header[2]), int(header[3])
-	boxes, comps := int(header[4]), int(header[5])
+	boxes, comps := int(le.Uint32(hdr[16:])), int(le.Uint32(hdr[20:]))
 	if boxes <= 0 || boxes > maxBoxes || comps <= 0 || comps > maxComps {
 		return nil, fmt.Errorf("ckpt: implausible header boxes=%d comps=%d", boxes, comps)
 	}
-	var perBox64, wantCRC uint64
-	if err := binary.Read(br, binary.LittleEndian, &perBox64); err != nil {
-		return nil, fmt.Errorf("ckpt: reading per-box count: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("ckpt: reading checksum: %w", err)
-	}
+	perBox64 := le.Uint64(hdr[24:])
 	if perBox64 == 0 || perBox64 > maxPerBox {
 		return nil, fmt.Errorf("ckpt: implausible per-box count %d", perBox64)
 	}
 	perBox := int(perBox64)
-	crc := crc64.New(crcTable)
-	var scratch [8]byte
-	s := &Snapshot{Worker: worker, Iter: iter, Strain: make([][][]float64, 0, minInt(boxes, chunk))}
-	for b := 0; b < boxes; b++ {
-		box := make([][]float64, 0, comps)
-		for v := 0; v < comps; v++ {
-			// Chunked payload read: a forged (boxes, comps, perBox) triple
-			// can claim terabytes; growth is bounded by data that arrives.
-			data := make([]float64, 0, minInt(perBox, chunk))
-			for remaining := perBox; remaining > 0; {
-				c := minInt(remaining, chunk)
-				buf := make([]float64, c)
-				if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
-					return nil, fmt.Errorf("ckpt: reading box %d comp %d: %w", b, v, err)
-				}
-				for _, x := range buf {
-					binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(x))
-					crc.Write(scratch[:])
-				}
-				data = append(data, buf...)
-				remaining -= c
-			}
-			box = append(box, data)
+	// Growth is bounded by data that arrives: a forged (boxes, comps,
+	// perBox) triple can claim petabytes and fails at EOF after one chunk.
+	size := 8 * boxes * comps * perBox
+	raw := make([]byte, min(size, 8*chunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, raw[read:]); err != nil {
+			return nil, fmt.Errorf("ckpt: reading payload: %w", err)
 		}
-		s.Strain = append(s.Strain, box)
+		if read = len(raw); read == size {
+			break
+		}
+		raw = append(raw, make([]byte, min(size-read, read))...)
 	}
-	if got := crc.Sum64(); got != wantCRC {
-		return nil, fmt.Errorf("ckpt: payload checksum mismatch: got %#x want %#x", got, wantCRC)
+	if got, want := crc64.Checksum(raw, crcTable), le.Uint64(hdr[32:]); got != want {
+		return nil, fmt.Errorf("ckpt: payload checksum mismatch: got %#x want %#x", got, want)
+	}
+	vals := make([]float64, size/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(le.Uint64(raw[8*i:]))
+	}
+	s := &Snapshot{Worker: int(le.Uint32(hdr[8:])), Iter: int(le.Uint32(hdr[12:])), Strain: make([][][]float64, boxes)}
+	for b := range s.Strain {
+		box := make([][]float64, comps)
+		for v := range box {
+			box[v], vals = vals[:perBox:perBox], vals[perBox:]
+		}
+		s.Strain[b] = box
 	}
 	return s, nil
 }
 
-// Store is a directory of durable per-worker snapshots with atomic
-// replacement: every save writes a temp file and renames it over the
-// previous deposit, so readers only ever observe complete snapshots —
-// a crash mid-write leaves the prior checkpoint intact.
+// Store holds each worker's last snapshot, either as files in a directory
+// (NewStore) or in memory (NewMemStore). Both save through the same codec
+// and checksum. A directory store replaces files atomically: every save
+// writes a temp file, fsyncs it and renames it over the previous deposit,
+// so readers only ever observe complete snapshots — a crash mid-write
+// leaves the prior checkpoint intact. A memory store keeps the encoded
+// bytes, never the caller's slices, so a deposit is a copy.
 type Store struct {
-	dir string
+	dir string // "" for a memory store
+
+	mu  sync.Mutex
+	mem map[int][]byte // memory store: encoded snapshot by worker
 
 	bytesC *obs.Counter        // ckpt.bytes_written
 	savesC *obs.Counter        // ckpt.saves
@@ -226,9 +209,10 @@ type Store struct {
 	flight *telemetry.Recorder // per-rank checkpoint events, nil OK
 }
 
-// NewStore opens (creating if needed) the checkpoint directory. A non-nil
-// trace records ckpt.bytes_written / ckpt.saves counters and the
-// ckpt.max_file_bytes gauge.
+// NewStore opens (creating if needed) the checkpoint directory. The trace
+// records ckpt.bytes_written / ckpt.saves counters and the
+// ckpt.max_file_bytes gauge; a nil trace selects a private one, so
+// BytesWritten still counts.
 func NewStore(dir string, tr *obs.Trace) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ckpt: empty store directory")
@@ -236,40 +220,48 @@ func NewStore(dir string, tr *obs.Trace) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating store: %w", err)
 	}
+	return newStore(dir, tr), nil
+}
+
+// NewMemStore returns a store that keeps every deposit in memory, with the
+// same counters as NewStore.
+func NewMemStore(tr *obs.Trace) *Store { return newStore("", tr) }
+
+func newStore(dir string, tr *obs.Trace) *Store {
+	if tr == nil {
+		tr = obs.New()
+	}
 	return &Store{
 		dir:    dir,
+		mem:    map[int][]byte{},
 		bytesC: tr.Counter("ckpt.bytes_written"),
 		savesC: tr.Counter("ckpt.saves"),
 		fileG:  tr.Gauge("ckpt.max_file_bytes"),
-	}, nil
+	}
 }
 
-// Dir returns the store's directory.
+// Dir returns the store's directory, "" for a memory store.
 func (s *Store) Dir() string { return s.dir }
 
-// SetFlight attaches a flight recorder: every durable strain deposit is
-// recorded as a per-rank checkpoint event, so a postmortem can name a
-// dead rank's last durable checkpoint. A nil recorder disables recording.
+// SetFlight attaches a flight recorder: every strain deposit is recorded
+// as a per-rank checkpoint event, so a postmortem can name a dead rank's
+// last checkpoint. A nil recorder disables recording.
 func (s *Store) SetFlight(rec *telemetry.Recorder) { s.flight = rec }
 
 func (s *Store) strainPath(worker int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("strain-%04d.ckpt", worker))
 }
 
-func (s *Store) resultPath(worker, box int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("result-%04d-%04d.lc3d", worker, box))
-}
-
-// writeAtomic writes via a temp file in the same directory and renames it
-// into place, fsyncing the data first so the rename publishes a complete
-// file.
-func (s *Store) writeAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
+// writeAtomic writes data via a temp file in the same directory and
+// renames it into place, fsyncing the data first so the rename publishes a
+// complete file.
+func (s *Store) writeAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return 0, fmt.Errorf("ckpt: temp file: %w", err)
+		return fmt.Errorf("ckpt: temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	n, err := write(tmp)
+	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -277,23 +269,29 @@ func (s *Store) writeAtomic(path string, write func(io.Writer) (int64, error)) (
 		err = cerr
 	}
 	if err != nil {
-		return n, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return n, fmt.Errorf("ckpt: publishing %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("ckpt: publishing %s: %w", filepath.Base(path), err)
 	}
-	return n, nil
+	return nil
 }
 
-// SaveStrain durably deposits worker's strain for iter, replacing any
-// earlier deposit atomically.
+// SaveStrain deposits worker's strain for iter, replacing any earlier
+// deposit atomically.
 func (s *Store) SaveStrain(snap *Snapshot) error {
-	n, err := s.writeAtomic(s.strainPath(snap.Worker), func(w io.Writer) (int64, error) {
-		return WriteSnapshot(w, snap)
-	})
+	data, err := snap.encode()
 	if err != nil {
 		return err
 	}
+	if s.dir == "" {
+		s.mu.Lock()
+		s.mem[snap.Worker] = data
+		s.mu.Unlock()
+	} else if err := s.writeAtomic(s.strainPath(snap.Worker), data); err != nil {
+		return err
+	}
+	n := int64(len(data))
 	s.bytesC.Add(n)
 	s.savesC.Add(1)
 	s.fileG.Max(n)
@@ -301,18 +299,30 @@ func (s *Store) SaveStrain(snap *Snapshot) error {
 	return nil
 }
 
-// LoadStrain returns worker's last durable deposit, or (nil, nil) when the
-// worker has never checkpointed.
+// LoadStrain returns worker's last deposit, or (nil, nil) when the worker
+// has never checkpointed.
 func (s *Store) LoadStrain(worker int) (*Snapshot, error) {
-	f, err := os.Open(s.strainPath(worker))
-	if os.IsNotExist(err) {
-		return nil, nil
+	var r io.Reader
+	if s.dir == "" {
+		s.mu.Lock()
+		data, ok := s.mem[worker]
+		s.mu.Unlock()
+		if !ok {
+			return nil, nil
+		}
+		r = bytes.NewReader(data)
+	} else {
+		f, err := os.Open(s.strainPath(worker))
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: opening strain %d: %w", worker, err)
+		}
+		defer f.Close()
+		r = f
 	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: opening strain %d: %w", worker, err)
-	}
-	defer f.Close()
-	snap, err := ReadSnapshot(f)
+	snap, err := ReadSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: worker %d: %w", worker, err)
 	}
@@ -322,40 +332,5 @@ func (s *Store) LoadStrain(worker int) (*Snapshot, error) {
 	return snap, nil
 }
 
-// SaveResult durably deposits one sub-domain's compressed convolution
-// result (sample.Compressed binary format, atomic replacement).
-func (s *Store) SaveResult(worker, box int, c *sample.Compressed) error {
-	n, err := s.writeAtomic(s.resultPath(worker, box), c.WriteTo)
-	if err != nil {
-		return err
-	}
-	s.bytesC.Add(n)
-	s.savesC.Add(1)
-	s.fileG.Max(n)
-	return nil
-}
-
-// LoadResult loads a sub-domain result deposited by SaveResult, or
-// (nil, nil) when absent.
-func (s *Store) LoadResult(worker, box int) (*sample.Compressed, error) {
-	f, err := os.Open(s.resultPath(worker, box))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: opening result %d/%d: %w", worker, box, err)
-	}
-	defer f.Close()
-	return sample.ReadCompressed(f)
-}
-
-// BytesWritten returns the total durable bytes this store has written
-// (zero when the store was opened without a trace).
+// BytesWritten returns the total bytes this store has saved.
 func (s *Store) BytesWritten() int64 { return s.bytesC.Value() }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

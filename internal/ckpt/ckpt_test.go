@@ -1,17 +1,21 @@
 package ckpt
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"hash/crc64"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
-	"lowcomm3d/internal/sample"
 )
 
 // readMem records (TotalAlloc, Mallocs) so tests can bound how much a
@@ -35,6 +39,97 @@ func testSnapshot(worker, iter, boxes, perBox int) *Snapshot {
 		}
 	}
 	return s
+}
+
+// writeSnapshotOracle is the reference encoder: per-value CRC updates and
+// reflective binary.Write through a bufio.Writer. WriteSnapshot must
+// produce its bytes exactly.
+func writeSnapshotOracle(w io.Writer, s *Snapshot) (int64, error) {
+	comps, perBox, err := s.validateShape()
+	if err != nil {
+		return 0, err
+	}
+	crc := crc64.New(crcTable)
+	var scratch [8]byte
+	for _, box := range s.Strain {
+		for _, data := range box {
+			for _, v := range data {
+				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
+				crc.Write(scratch[:])
+			}
+		}
+	}
+	bw := bufio.NewWriter(w)
+	var n int64
+	write := func(v any) error {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+			return err
+		}
+		n += int64(binary.Size(v))
+		return nil
+	}
+	for _, h := range []uint32{magic, version, uint32(s.Worker), uint32(s.Iter), uint32(len(s.Strain)), uint32(comps)} {
+		if err := write(h); err != nil {
+			return n, err
+		}
+	}
+	if err := write(uint64(perBox)); err != nil {
+		return n, err
+	}
+	if err := write(crc.Sum64()); err != nil {
+		return n, err
+	}
+	for _, box := range s.Strain {
+		for _, data := range box {
+			if err := write(data); err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, bw.Flush()
+}
+
+// TestWriteSnapshotMatchesOracle holds the one-buffer encoder byte-identical
+// to the reference encoder, special values included, and the decoder to an
+// exact inverse across the first-chunk boundary.
+func TestWriteSnapshotMatchesOracle(t *testing.T) {
+	special := testSnapshot(9, 1, 2, 5)
+	copy(special.Strain[1][3], []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64})
+	twoComps := &Snapshot{Worker: 1, Iter: 2, Strain: [][][]float64{{{1, 2, 3}, {4, 5, 6}}}}
+	for _, snap := range []*Snapshot{
+		testSnapshot(0, 0, 1, 1),
+		testSnapshot(3, 17, 4, 64),
+		testSnapshot(2, 5, 3, 8),
+		testSnapshot(1, 9, 2, chunk+3),
+		special,
+		twoComps,
+	} {
+		var got, want bytes.Buffer
+		n, err := WriteSnapshot(&got, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wn, err := writeSnapshotOracle(&want, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != wn || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("worker %d: %d bytes, oracle %d; streams equal: %v", snap.Worker, n, wn, bytes.Equal(got.Bytes(), want.Bytes()))
+		}
+		back, err := ReadSnapshot(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := range snap.Strain {
+			for v := range snap.Strain[b] {
+				for i, x := range snap.Strain[b][v] {
+					if math.Float64bits(back.Strain[b][v][i]) != math.Float64bits(x) {
+						t.Fatalf("worker %d strain[%d][%d][%d] = %v, want %v", snap.Worker, b, v, i, back.Strain[b][v][i], x)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -175,6 +270,75 @@ func TestStoreSaveLoadStrain(t *testing.T) {
 	}
 }
 
+// TestMemStoreSaveLoadStrain: the memory store saves through the same codec
+// as the directory store, keeps a copy rather than the caller's slices, and
+// counts its bytes with or without a trace.
+func TestMemStoreSaveLoadStrain(t *testing.T) {
+	if _, err := NewStore("", nil); err == nil {
+		t.Fatal("NewStore accepted an empty directory")
+	}
+	st := NewMemStore(nil)
+	if st.Dir() != "" {
+		t.Errorf("memory store Dir = %q, want empty", st.Dir())
+	}
+	if snap, err := st.LoadStrain(3); err != nil || snap != nil {
+		t.Fatalf("missing checkpoint: got (%v, %v), want (nil, nil)", snap, err)
+	}
+	live := testSnapshot(3, 4, 2, 8)
+	if err := st.SaveStrain(live); err != nil {
+		t.Fatal(err)
+	}
+	live.Strain[0][1][2] = -7 // the solver keeps iterating on its live strain
+	got, err := st.LoadStrain(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testSnapshot(3, 4, 2, 8).Strain[0][1][2]; got.Iter != 4 || got.Strain[0][1][2] != want {
+		t.Errorf("load: iter=%d strain=%g, want 4, %g (the deposit must not alias live strain)", got.Iter, got.Strain[0][1][2], want)
+	}
+	var enc bytes.Buffer
+	n, err := WriteSnapshot(&enc, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BytesWritten() != n {
+		t.Errorf("BytesWritten = %d with a nil trace, want %d", st.BytesWritten(), n)
+	}
+	if err := st.SaveStrain(&Snapshot{Worker: 3}); err == nil {
+		t.Error("empty snapshot saved")
+	}
+}
+
+// TestMemStoreConcurrentSaveLoad: ranks deposit while a helper loads a
+// peer's deposit, as a distributed solve does; run under -race.
+func TestMemStoreConcurrentSaveLoad(t *testing.T) {
+	st := NewMemStore(obs.New())
+	const p, iters = 4, 20
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				if err := st.SaveStrain(testSnapshot(w, it, 2, 8)); err != nil {
+					t.Error(err)
+					return
+				}
+				if snap, err := st.LoadStrain((w + 1) % p); err != nil || (snap != nil && snap.Worker != (w+1)%p) {
+					t.Errorf("load of peer %d: %v, %v", (w+1)%p, snap, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < p; w++ {
+		if snap, err := st.LoadStrain(w); err != nil || snap.Iter != iters-1 {
+			t.Fatalf("worker %d final deposit: %v, %v", w, snap, err)
+		}
+	}
+}
+
 func TestStoreRejectsWorkerMismatch(t *testing.T) {
 	st, err := NewStore(t.TempDir(), nil)
 	if err != nil {
@@ -189,34 +353,6 @@ func TestStoreRejectsWorkerMismatch(t *testing.T) {
 	}
 	if _, err := st.LoadStrain(2); err == nil {
 		t.Fatal("worker-mismatched checkpoint accepted")
-	}
-}
-
-func TestStoreResultRoundTrip(t *testing.T) {
-	st, err := NewStore(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := sample.Uniform{Rate: 2, CellSize: 8}.Tree(grid.Cube(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := sample.NewCompressed(tree)
-	for i := range c.Samples {
-		c.Samples[i] = float64(i) * 0.5
-	}
-	if err := st.SaveResult(0, 3, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.LoadResult(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(c.Samples) || got.Samples[5] != c.Samples[5] {
-		t.Errorf("result round trip mismatch: %d samples", len(got.Samples))
-	}
-	if missing, err := st.LoadResult(0, 4); err != nil || missing != nil {
-		t.Errorf("missing result: got (%v, %v), want (nil, nil)", missing, err)
 	}
 }
 

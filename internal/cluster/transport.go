@@ -78,8 +78,9 @@ type FaultPlan struct {
 	// Crashes are one-shot crash points: each fires at most once, so a
 	// respawned replacement worker survives the op index that killed its
 	// predecessor. The legacy CrashWorker/CrashAtOp pair stays sticky
-	// (op >= CrashAtOp keeps firing) for degrade-mode tests that want the
-	// worker to stay down.
+	// (op >= CrashAtOp keeps firing) for a worker that must stay down:
+	// LowCommConvolve's degraded convolution, and the MASSIF test that a
+	// solve losing the same worker every generation gives up.
 	Crashes []CrashPoint
 }
 

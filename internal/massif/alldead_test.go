@@ -1,7 +1,7 @@
 package massif
 
 import (
-	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,10 +9,10 @@ import (
 	"lowcomm3d/internal/grid"
 )
 
-// TestAllWorkersDeadTypedError kills every worker in a degrade-mode solve
-// and checks the edge is reported as the typed sentinel: errors.Is
-// matches ErrAllWorkersDead and errors.As still reaches the causal
-// transport crash, via multi-error unwrapping.
+// TestAllWorkersDeadTypedError kills every worker inside iteration 1's
+// all-to-all. No rank survives the generation, yet each one checkpointed
+// iteration 1, so the solve respawns both and finishes with the healthy
+// solve's bits.
 func TestAllWorkersDeadTypedError(t *testing.T) {
 	p0, p1 := steelAndSoft()
 	m, err := NewMicrostructure(grid.Cube(8), p0, p1)
@@ -23,6 +23,17 @@ func TestAllWorkersDeadTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0}
+	opt := LowCommOptions{
+		Options: Options{Tol: 1e-4, MaxIter: 8},
+		SubSize: 4, FarRate: 4,
+	}
+	healthy, err := SolveLowCommDistributed(mustCluster(t, 2, cluster.Options{}), m, E, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healthy.Iterations < 2 {
+		t.Fatalf("healthy solve stopped after %d iterations; the crashes never fire", healthy.Iterations)
+	}
 	inj := cluster.NewFaultInjector(cluster.FaultPlan{
 		Seed: 1,
 		Crashes: []cluster.CrashPoint{
@@ -30,33 +41,16 @@ func TestAllWorkersDeadTypedError(t *testing.T) {
 			{Worker: 1, Op: 3},
 		},
 	})
-	c, err := cluster.NewWithOptions(2, cluster.DefaultParams(), cluster.Options{
+	res, err := healSolve(t, mustCluster(t, 2, cluster.Options{
 		RecvTimeout: 100 * time.Millisecond,
 		RetryBudget: 3,
 		Transport:   inj,
-	})
+	}), m, E, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := LowCommOptions{
-		Options: Options{Tol: 1e-4, MaxIter: 8},
-		SubSize: 4, FarRate: 4,
+	if !slices.Equal(res.Heal.Respawned, []int{0, 1}) || res.Heal.Generations != 2 {
+		t.Errorf("respawned %v in %d generations, want [0 1] in 2", res.Heal.Respawned, res.Heal.Generations)
 	}
-	_, solveErr := SolveLowCommDistributed(c, m, E, opt)
-	if solveErr == nil {
-		t.Fatal("all-dead solve returned nil error")
-	}
-	if !errors.Is(solveErr, ErrAllWorkersDead) {
-		t.Errorf("errors.Is(err, ErrAllWorkersDead) = false for %v", solveErr)
-	}
-	var ce *cluster.CrashError
-	if !errors.As(solveErr, &ce) {
-		t.Errorf("errors.As(err, *cluster.CrashError) = false for %v", solveErr)
-	}
-	var ade *AllDeadError
-	if !errors.As(solveErr, &ade) {
-		t.Fatalf("errors.As(err, *AllDeadError) = false for %v", solveErr)
-	} else if ade.Workers != 2 {
-		t.Errorf("AllDeadError.Workers = %d, want 2", ade.Workers)
-	}
+	sameBits(t, res, healthy)
 }

@@ -3,11 +3,13 @@ package massif
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"time"
 
+	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
+	"lowcomm3d/internal/supervise"
 )
 
 // SolveLowCommDistributed runs Algorithm 2 on a simulated cluster — the
@@ -21,193 +23,270 @@ import (
 // on more, the mean and residual sums are added in a different order and
 // the results agree to round-off.
 //
-// On a faulty fabric the solve degrades instead of aborting: transient
-// faults heal in the transport layer; a worker declared dead mid-solve
-// triggers a checkpoint restart of the affected iteration on the
-// survivors (the all-reduce broadcast doubles as the failure-agreement
-// round, so every survivor redoes the same iteration with the same dead
-// set), the fixed point continues over the live sub-domains with the mean
-// pinned over live voxels, and the dead rank's sub-domains enter the final
-// assembly frozen at their last checkpointed strain. The outcome is
-// recorded in the result's Fault report. A dead root (rank 0) is not
-// survivable — the reduction tree has no other trunk.
+// On a faulty fabric the solve heals: transient faults heal in the
+// transport layer; every rank checkpoints its strain at each iteration
+// start (opt.Heal.Store, or a store held in memory for this solve); any
+// worker death aborts the generation at the iteration barrier, the cluster
+// epoch is reset, and a full replacement generation — the dead ranks
+// respawned, the root included — resumes from the checkpoints, so the
+// result has no frozen sub-domains. A supervisor also re-executes
+// stragglers' iterations on idle peers. After 2P+2 aborted generations the
+// solve gives up with an error wrapping the last worker crash
+// (errors.As reaches *cluster.CrashError). Result.Heal reports what the
+// recovery did.
 func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*LowCommResult, error) {
+	var h HealOptions
 	if opt.Heal != nil {
-		return solveSelfHealing(c, m, E, opt)
+		h = *opt.Heal
 	}
+	if h.Store == nil {
+		h.Store = ckpt.NewMemStore(opt.Trace)
+	}
+	// The store's byte counter is cumulative across every solve sharing
+	// its trace; report only this solve's writes.
+	ckptBase := h.Store.BytesWritten()
+
+	// Admission control: charge the fleet before any pipeline exists,
+	// refining k until the plan fits (Table 4 as runtime behavior).
+	subSize, admissions, refinements, err := admitWorkers(m.Dim, c.P, opt, &h)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, a := range admissions {
+			a.Free()
+		}
+	}()
+	if refinements > 0 {
+		opt.Trace.Counter("heal.k_refinements").Add(int64(refinements))
+	}
+	opt.SubSize = subSize
 	s, err := newLowComm(m, E, opt, c.P)
 	if err != nil {
 		return nil, err
 	}
-	ckpt := make([][][][]float64, c.P)
-	deadAtStart := make([]bool, c.P)
-	for _, q := range c.DeadWorkers() {
-		deadAtStart[q] = true
-	}
-	restarts := make([]int, c.P)
-	errs := c.RunAll(func(w *cluster.Worker) error {
-		r, err := s.newRank(w.ID, nil)
-		if err != nil {
-			return err
-		}
-		return r.run(0, &degrade{
-			w: w, ckpt: ckpt, restarts: restarts,
-			dead: append([]bool(nil), deadAtStart...), frozen: make([][]float64, c.P),
+
+	h.Supervise.Flight = h.Flight
+	h.Store.SetFlight(h.Flight)
+	sup := supervise.New(c.P, h.Supervise)
+	sup.Start(c.DeclareDead)
+	defer sup.Stop()
+	genC := opt.Trace.Counter("heal.generations")
+
+	maxGen := 2*c.P + 2
+	startIter := 0
+	respawned := make([]bool, c.P)
+	gen := 0
+	for {
+		gen++
+		genC.Add(1)
+		errs := c.RunAll(func(w *cluster.Worker) error {
+			// Respawned replacements and surviving ranks alike resume from
+			// their last deposited iteration-start strain (the states may
+			// be one iteration apart across ranks; the fixed point is
+			// contractive, so mixed-age states converge regardless).
+			snap, err := h.Store.LoadStrain(w.ID)
+			if err != nil {
+				return err
+			}
+			r, err := s.newRank(w.ID, nil)
+			if err != nil {
+				return err
+			}
+			if snap != nil {
+				r.load(snap.Strain)
+			}
+			return r.run(startIter, &healer{w: w, store: h.Store, chaos: h.Chaos, sup: sup, peers: map[int]*rank{}})
 		})
-	})
-	isDead := make([]bool, c.P)
-	var lastDeadErr error
-	for rank, e := range errs {
-		if e == nil {
-			continue
-		}
-		var ce *cluster.CrashError
-		var fe *cluster.FaultError
-		crashed := errors.As(e, &ce)
-		if crashed || errors.As(e, &fe) {
-			isDead[rank] = true
-			// Keep a rank's own crash over a peer's report of it: which
-			// of the two a later rank returns depends on who got there
-			// first.
-			if crashed || lastDeadErr == nil {
-				lastDeadErr = e
+		// Only ranks whose own run ended in a transport crash count as
+		// respawned: survivors parked at the barrier (errGenAbort) or caught
+		// in a peer's death (FaultError) restart with the generation anyway,
+		// and monitor kills are accounted by the heartbeat-deaths counter.
+		var cause error // the last rank's own crash, else the first abort
+		for rank, e := range errs {
+			var ce *cluster.CrashError
+			var fe *cluster.FaultError
+			var ga errGenAbort
+			switch {
+			case e == nil:
+			case errors.As(e, &ce):
+				cause = e
+				respawned[rank] = true
+				sup.ArmRespawn(rank)
+				h.Flight.Crash(rank, ce.Op, e)
+			case errors.As(e, &ga), errors.As(e, &fe):
+				if cause == nil {
+					cause = e
+				}
+			default:
+				return nil, e
 			}
-			continue
 		}
-		return nil, e
-	}
-	for _, q := range c.DeadWorkers() {
-		isDead[q] = true
-	}
-	var dead []int
-	for q, d := range isDead {
-		if d {
-			dead = append(dead, q)
+		if cause == nil {
+			break
 		}
-	}
-
-	// Degraded assembly: a dead rank never reached the assembly step, so
-	// its sub-domains enter the result frozen at its last checkpointed
-	// strain (or the applied strain E if it died before checkpointing).
-	sub := grid.NewField(s.kd)
-	for _, q := range dead {
-		for i, b := range s.parts[q] {
-			for v, f := range s.out.Strain.Comp {
-				sub.Fill(E[v])
-				if ckpt[q] != nil {
-					copy(sub.Data, ckpt[q][i][v])
-				}
-				if err := f.InsertBox(b, sub); err != nil {
-					return nil, err
-				}
+		if gen == maxGen {
+			return nil, fmt.Errorf("massif: healing solve gave up after %d generations: %w", maxGen, cause)
+		}
+		c.ResetEpoch()
+		sup.ResetGeneration()
+		h.Flight.Note(0, fmt.Sprintf("generation %d aborted; epoch reset, respawning from checkpoints", gen))
+		// Resume from the newest deposit: every rank restores its own
+		// checkpoint (older ones lag at most one iteration; the
+		// contraction absorbs the skew).
+		for q := 0; q < c.P; q++ {
+			if snap, err := h.Store.LoadStrain(q); err == nil && snap != nil && snap.Iter > startIter {
+				startIter = snap.Iter
 			}
 		}
 	}
 
-	if len(dead) == c.P {
-		// Every rank died: there is no surviving state worth assembling
-		// into a degraded result. Surface the typed sentinel (wrapping the
-		// last worker failure) so callers can distinguish "total loss" from
-		// "degraded but usable".
-		return nil, &AllDeadError{Workers: c.P, Last: lastDeadErr}
-	}
 	out, err := s.finish()
 	if err != nil {
 		return nil, err
 	}
-	out.Fault = LowCommFaultReport{Dead: dead, Restarts: slices.Max(restarts), Degraded: len(dead) > 0}
+	st := sup.Snapshot()
+	out.Heal = &HealReport{
+		Generations:         gen,
+		Respawns:            st.Respawns,
+		RespawnLatency:      st.RespawnLatency,
+		HeartbeatDeaths:     st.HeartbeatDeaths,
+		StragglersDetected:  st.StragglersDetected,
+		SpeculativeWins:     st.SpeculativeWins,
+		DuplicatesDiscarded: st.DuplicatesDiscarded,
+		KRefinements:        refinements,
+		SubSize:             opt.SubSize,
+		CheckpointBytes:     h.Store.BytesWritten() - ckptBase,
+	}
+	for q, ok := range respawned {
+		if ok {
+			out.Heal.Respawned = append(out.Heal.Respawned, q)
+		}
+	}
 	return out, nil
 }
 
-// degrade is the degrade-on-fault policy of one rank: an in-memory strain
-// checkpoint at every iteration start, the dead mask agreed through the
-// all-reduce, and frozen contributions for dead peers.
-type degrade struct {
-	w *cluster.Worker
-	// ckpt[q] is a deep copy of rank q's strain at its last iteration
-	// start (boxes × Voigt components × k³ values — far smaller than the
-	// global grid). Survivors restore from it to redo an iteration whose
-	// sparse exchange a peer died inside of, and a dead rank's sub-domains
-	// are assembled from it — frozen at the crash iteration — instead of
-	// being lost.
-	ckpt     [][][][]float64
-	restarts []int // by rank: iterations redone
-	dead     []bool
-	// frozen[q] is the last payload delivered by peer q. When q dies, its
-	// contribution is not omitted — omitting a box's stress convolution
-	// perturbs the fixed-point operator by O(‖E‖) every iteration and
-	// destabilizes the solve — but frozen: survivors keep accumulating q's
-	// last delivered patches, the constant source term matching the frozen
-	// strain its sub-domains are assembled with.
-	frozen [][]float64
+// errGenAbort is the in-band signal that a worker observed a peer death
+// and is parking at the generation barrier: its checkpoint is complete,
+// its strain is at the iteration-start state, and the outer loop should
+// respawn everyone. It is not a failure.
+type errGenAbort struct{ iter int }
+
+func (e errGenAbort) Error() string {
+	return fmt.Sprintf("massif: generation abort at iteration %d", e.iter)
 }
 
-func (d *degrade) begin(r *rank, _ int) error {
-	snap := r.strain()
-	for _, box := range snap {
-		for v, data := range box {
-			box[v] = append([]float64(nil), data...)
-		}
+// healer is the distributed policy of one rank in one generation: a
+// checkpoint and a heartbeat at every iteration start, results deposited
+// on (or adopted from) the supervisor's board, straggler help while peers
+// compute, and a generation abort on any death.
+type healer struct {
+	w     *cluster.Worker
+	store *ckpt.Store
+	chaos *supervise.ChaosSchedule
+	sup   *supervise.Supervisor
+	peers map[int]*rank // backup state for peers this rank has helped
+}
+
+func (p *healer) begin(r *rank, iter int) error {
+	p.sup.Beat(r.id, iter)
+	if err := p.store.SaveStrain(&ckpt.Snapshot{Worker: r.id, Iter: iter, Strain: r.strain()}); err != nil {
+		return err
 	}
-	d.ckpt[r.id] = snap
+	p.sup.BeginCompute(r.id, iter)
+	if d := p.chaos.Delay(r.id, iter); d > 0 {
+		time.Sleep(d)
+	}
 	return nil
 }
 
-// exchange is the one sparse all-to-all. A dead peer's slot is nil: its
-// frozen contribution stands in. (After a retry-exhaustion death — as
-// opposed to an injected crash, which dies before sending — survivors may
-// have frozen the peer one exchange apart; the checkpoint redo keeps the
-// iteration itself consistent, and the residual absorbs the
-// one-iteration-old source.)
-func (d *degrade) exchange(r *rank, _ int) ([][][]sample.Patch, error) {
-	if err := r.compute(); err != nil {
-		return nil, err
+func (p *healer) exchange(r *rank, iter int) ([][][]sample.Patch, error) {
+	var msgs [][]float64
+	if v, ok := p.sup.Claim(r.id, iter); ok {
+		// A backup already re-executed this straggler's boxes — adopt its
+		// (deterministically identical) result and skip the slow compute.
+		msgs = v.([][]float64)
+	} else {
+		if err := r.compute(); err != nil {
+			return nil, err
+		}
+		msgs = r.encode()
+		// Late finish after a backup deposited is discarded by sequence
+		// number at the board (results are identical either way; the
+		// counter records the wasted work).
+		p.sup.Deposit(r.id, iter, msgs)
 	}
-	recv, _, err := d.w.AllToAllFT(r.encode())
+	p.sup.EndCompute(r.id, iter)
+	// While this rank blocks in the all-to-all on peers that still compute,
+	// its plans are idle: a helper lends them to a straggler's backup. The
+	// rank takes them back before it returns.
+	done, helped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(helped)
+		p.help(r, iter, done)
+	}()
+	recv, missing, err := p.w.AllToAllFT(msgs)
+	close(done)
+	<-helped
 	if err != nil {
 		return nil, err // this worker's own injected crash
 	}
-	for q, msg := range recv {
-		if msg == nil {
-			recv[q] = d.frozen[q]
-		} else {
-			d.frozen[q] = msg
-		}
+	if len(missing) > 0 {
+		return nil, errGenAbort{iter}
 	}
 	return decode(recv)
 }
 
-// reduce is the 12-value all-reduce, which doubles as the failure-agreement
-// round: the root's broadcast hands every survivor the same dead mask. A
-// peer that died inside the iteration may have left survivors with
-// inconsistent accumulations (some received its patches, others declared it
-// dead mid exchange), so a grown mask restores the iteration-start strain
-// and redoes the iteration with the dead set excluded everywhere. The mean
-// and residual are over live voxels: dead sub-domains are frozen, so
-// pinning the live mean keeps the survivors' average strain at E.
-func (d *degrade) reduce(r *rank, iter int, partial []float64) ([]float64, float64, bool, error) {
-	total, mask, err := d.w.AllReduceSumFT(partial)
+func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float64, error) {
+	total, mask, err := p.w.AllReduceSumFT(partial)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	grew := false
-	for q, dead := range mask {
-		if dead && !d.dead[q] {
-			d.dead[q], grew = true, true
+	for _, dead := range mask {
+		if dead {
+			return nil, 0, errGenAbort{iter}
 		}
 	}
-	if grew {
-		if d.restarts[r.id]++; d.restarts[r.id] > len(mask) {
-			return nil, 0, false, fmt.Errorf("massif: worker %d exceeded restart limit at iteration %d", r.id, iter)
+	return total, float64(len(r.s.boxes) * r.s.kd.Len()), nil
+}
+
+// help waits for a straggler while peers still compute iteration iter,
+// until done closes, and serves at most one: the flagged rank's iteration
+// re-executed from its checkpoint and deposited on the board. Stale flags
+// (earlier iterations, or this rank's own compute flagged by a faster
+// peer) are dropped unserved.
+func (p *healer) help(r *rank, iter int, done <-chan struct{}) {
+	for {
+		q, qIter, ok := p.sup.AwaitHelp(r.id, iter, done)
+		if !ok {
+			return
 		}
-		r.load(d.ckpt[r.id])
-		return nil, 0, true, nil
-	}
-	boxes := 0
-	for q, dead := range d.dead {
-		if !dead {
-			boxes += len(r.s.parts[q])
+		if q != r.id && qIter == iter {
+			if backup, err := p.backupFor(r, q, iter); err == nil {
+				p.sup.Deposit(q, iter, backup)
+			}
+			return
 		}
 	}
-	return total, float64(boxes * r.s.kd.Len()), false, nil
+}
+
+// backupFor re-executes straggler q's iteration iter from its checkpoint
+// on r's plans, with q's own rank state built on first use.
+func (p *healer) backupFor(r *rank, q, iter int) ([][]float64, error) {
+	snap, err := p.store.LoadStrain(q)
+	if err != nil || snap == nil || snap.Iter != iter {
+		return nil, fmt.Errorf("massif: no usable checkpoint for straggler %d at iter %d", q, iter)
+	}
+	peer, ok := p.peers[q]
+	if !ok {
+		if peer, err = r.s.newRank(q, r.plans); err != nil {
+			return nil, err
+		}
+		p.peers[q] = peer
+	}
+	peer.load(snap.Strain)
+	if err := peer.compute(); err != nil {
+		return nil, err
+	}
+	return peer.encode(), nil
 }

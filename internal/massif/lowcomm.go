@@ -19,10 +19,9 @@ type LowCommOptions struct {
 	FullRes bool // rate-1 sampling everywhere: exact mode for validation
 	BatchB  int  // pencils per batch (§5.4)
 
-	// Heal switches the distributed solve from degrade-on-fault to
-	// heal-on-fault (supervised respawn from durable checkpoints,
-	// straggler speculation, OOM-driven k-refinement). Nil keeps PR 1's
-	// freeze-and-omit behavior.
+	// Heal tunes the distributed solve's recovery (checkpoint store,
+	// supervision, admission control); nil selects HealOptions' zero
+	// value. SolveLowComm ignores it.
 	Heal *HealOptions
 }
 
@@ -35,23 +34,11 @@ type LowCommStats struct {
 	Iterations        int
 }
 
-// LowCommFaultReport describes the degraded-mode outcome of a distributed
-// solve on a faulty fabric: which ranks died, how many iterations were
-// redone from a strain checkpoint, and whether the solution omits dead
-// workers' live contributions (their sub-domains are frozen at their last
-// checkpointed strain).
-type LowCommFaultReport struct {
-	Dead     []int // ranks declared dead during the solve
-	Restarts int   // iterations redone from a strain checkpoint
-	Degraded bool  // true when any rank died
-}
-
 // LowCommResult bundles the solution with its communication accounting.
 type LowCommResult struct {
 	Result
-	Comm  LowCommStats
-	Fault LowCommFaultReport // zero value on a healthy run
-	Heal  *HealReport        // non-nil only for self-healing solves
+	Comm LowCommStats
+	Heal *HealReport // non-nil only for SolveLowCommDistributed
 }
 
 // SolveLowComm runs the paper's Algorithm 2: each iteration convolves every
@@ -239,8 +226,8 @@ type policy interface {
 	// nothing.
 	exchange(r *rank, iter int) ([][][]sample.Patch, error)
 	// reduce returns the sums of partial over the ranks and the voxel count
-	// they cover, or redo to have the iteration computed again.
-	reduce(r *rank, iter int, partial []float64) (total []float64, n float64, redo bool, err error)
+	// they cover.
+	reduce(r *rank, iter int, partial []float64) (total []float64, n float64, err error)
 }
 
 // oneRank is SolveLowComm's policy: one rank owns every box, so the
@@ -256,8 +243,8 @@ func (oneRank) exchange(r *rank, _ int) ([][][]sample.Patch, error) {
 	return r.send, nil
 }
 
-func (oneRank) reduce(r *rank, _ int, partial []float64) ([]float64, float64, bool, error) {
-	return partial, float64(len(r.s.boxes) * r.s.kd.Len()), false, nil
+func (oneRank) reduce(r *rank, _ int, partial []float64) ([]float64, float64, error) {
+	return partial, float64(len(r.s.boxes) * r.s.kd.Len()), nil
 }
 
 // run iterates Algorithm 2 under pol from iteration start until the
@@ -312,52 +299,47 @@ func (r *rank) iterate(pol policy, iter int) (float64, error) {
 	if err := pol.begin(r, iter); err != nil {
 		return 0, err
 	}
-	for {
-		in, err := pol.exchange(r, iter)
-		if err != nil {
-			return 0, err
-		}
-		if err := r.accumulate(in); err != nil {
-			return 0, err
-		}
-		partial := make([]float64, 2*grid.NumVoigt)
-		for _, d := range r.delta {
-			for v, f := range d.Comp {
-				for _, x := range f.Data {
-					partial[v] += x
-					partial[grid.NumVoigt+v] += x * x
-				}
-			}
-		}
-		total, n, redo, err := pol.reduce(r, iter, partial)
-		if err != nil {
-			return 0, err
-		}
-		if redo {
-			continue
-		}
-		// Pin the mean strain to E: the exact Δε̂(0) is zero, compression
-		// can drift the mean, so project it out; Σ(d−μ)² = Σd² − n·μ².
-		delta2 := 0.0
-		var mean [grid.NumVoigt]float64
-		for v := range mean {
-			mean[v] = total[v] / n
-			w := 1.0
-			if v >= grid.VYZ {
-				w = 2.0
-			}
-			delta2 += w * (total[grid.NumVoigt+v] - n*mean[v]*mean[v])
-		}
-		for i, d := range r.delta {
-			for v, f := range d.Comp {
-				e := r.eps[i].Comp[v].Data
-				for j, x := range f.Data {
-					e[j] -= x - mean[v]
-				}
-			}
-		}
-		return math.Sqrt(math.Max(delta2, 0)) / r.s.normE, nil
+	in, err := pol.exchange(r, iter)
+	if err != nil {
+		return 0, err
 	}
+	if err := r.accumulate(in); err != nil {
+		return 0, err
+	}
+	partial := make([]float64, 2*grid.NumVoigt)
+	for _, d := range r.delta {
+		for v, f := range d.Comp {
+			for _, x := range f.Data {
+				partial[v] += x
+				partial[grid.NumVoigt+v] += x * x
+			}
+		}
+	}
+	total, n, err := pol.reduce(r, iter, partial)
+	if err != nil {
+		return 0, err
+	}
+	// Pin the mean strain to E: the exact Δε̂(0) is zero, compression
+	// can drift the mean, so project it out; Σ(d−μ)² = Σd² − n·μ².
+	delta2 := 0.0
+	var mean [grid.NumVoigt]float64
+	for v := range mean {
+		mean[v] = total[v] / n
+		w := 1.0
+		if v >= grid.VYZ {
+			w = 2.0
+		}
+		delta2 += w * (total[grid.NumVoigt+v] - n*mean[v]*mean[v])
+	}
+	for i, d := range r.delta {
+		for v, f := range d.Comp {
+			e := r.eps[i].Comp[v].Data
+			for j, x := range f.Data {
+				e[j] -= x - mean[v]
+			}
+		}
+	}
+	return math.Sqrt(math.Max(delta2, 0)) / r.s.normE, nil
 }
 
 // compute runs the local convolution of every owned box at its current

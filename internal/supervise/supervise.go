@@ -8,7 +8,7 @@
 //
 // The package is deliberately mechanism-only: it never touches solver
 // state. The solver (massif) calls Beat/BeginCompute/EndCompute at its
-// iteration points, asks HelpRequest for a straggler to back up, and
+// iteration points, waits in AwaitHelp for a straggler to back up, and
 // moves payloads through Deposit/Claim. Death handling is a callback so
 // the cluster layer keeps ownership of its own dead-set protocol.
 // Everything is observable through internal/obs counters:
@@ -50,8 +50,8 @@ type Options struct {
 	StragglerFloor time.Duration
 	// Trace records the supervise.* counters and the per-(rank, iter)
 	// compute-duration histogram "supervise.compute_seconds" — the same
-	// distribution the straggler quantile cutoff is computed from; nil
-	// disables (obs is nil-safe).
+	// distribution the straggler quantile cutoff is computed from. Nil
+	// selects a private trace, so Snapshot still counts.
 	Trace *obs.Trace
 	// Flight, when non-nil, records every Beat and every heartbeat-monitor
 	// death into the per-rank flight recorder, so a postmortem can name a
@@ -71,6 +71,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StragglerFloor <= 0 {
 		o.StragglerFloor = 50 * time.Millisecond
+	}
+	if o.Trace == nil {
+		o.Trace = obs.New()
 	}
 	return o
 }
@@ -102,7 +105,8 @@ type Supervisor struct {
 	helpQ     []key        // flagged pairs not yet handed to a helper
 	armed     map[int]time.Time
 	board     map[key]any
-	claimed   map[key]bool // board entries already consumed by their owner
+	claimed   map[key]bool  // board entries already consumed by their owner
+	progress  chan struct{} // closed and replaced when a compute phase begins or ends, or a flag is raised
 	onDead    func(rank int)
 	stopCh    chan struct{}
 	monitorWG sync.WaitGroup
@@ -142,6 +146,7 @@ func New(p int, opt Options) *Supervisor {
 		armed:    map[int]time.Time{},
 		board:    map[key]any{},
 		claimed:  map[key]bool{},
+		progress: make(chan struct{}),
 
 		hbDeaths:   tr.Counter("supervise.heartbeat_deaths"),
 		respawns:   tr.Counter("supervise.respawns"),
@@ -250,6 +255,7 @@ func (s *Supervisor) BeginCompute(rank, iter int) {
 	s.mu.Lock()
 	s.inflight[rank] = time.Now()
 	s.inflIter[rank] = iter
+	s.notifyLocked()
 	s.mu.Unlock()
 }
 
@@ -270,7 +276,14 @@ func (s *Supervisor) EndCompute(rank, iter int) {
 	if iter > s.ended[rank] {
 		s.ended[rank] = iter
 	}
+	s.notifyLocked()
 	s.mu.Unlock()
+}
+
+// notifyLocked wakes every AwaitHelp caller to re-read the state.
+func (s *Supervisor) notifyLocked() {
+	close(s.progress)
+	s.progress = make(chan struct{})
 }
 
 // stragglerThresholdLocked returns the current cutoff, or 0 when the
@@ -290,10 +303,12 @@ func (s *Supervisor) stragglerThresholdLocked() time.Duration {
 	return cut
 }
 
-func (s *Supervisor) flagStragglersLocked(now time.Time) {
+// flagStragglersLocked queues every in-flight compute past the cutoff for
+// help, once per (rank, iter), and returns the cutoff (0: disarmed).
+func (s *Supervisor) flagStragglersLocked(now time.Time) time.Duration {
 	cut := s.stragglerThresholdLocked()
 	if cut == 0 {
-		return
+		return 0
 	}
 	for r := 0; r < s.p; r++ {
 		if s.inflight[r].IsZero() || now.Sub(s.inflight[r]) <= cut {
@@ -306,26 +321,34 @@ func (s *Supervisor) flagStragglersLocked(now time.Time) {
 		s.flagged[k] = true
 		s.helpQ = append(s.helpQ, k)
 		s.stragglers.Add(1)
+		s.notifyLocked()
 	}
+	return cut
 }
 
-// CheckStragglers runs one straggler sweep immediately, for solvers that
-// drive detection from their own loop instead of the monitor goroutine.
-func (s *Supervisor) CheckStragglers() {
-	s.mu.Lock()
-	s.flagStragglersLocked(time.Now())
-	s.mu.Unlock()
+// nextFlagLocked returns how long until the first unflagged in-flight
+// compute crosses cut, and false when none can.
+func (s *Supervisor) nextFlagLocked(now time.Time, cut time.Duration) (time.Duration, bool) {
+	next, armed := time.Duration(0), false
+	if cut == 0 {
+		return next, armed
+	}
+	for r := 0; r < s.p; r++ {
+		if s.inflight[r].IsZero() || s.flagged[key{r, s.inflIter[r]}] {
+			continue
+		}
+		if d := s.inflight[r].Add(cut).Sub(now); !armed || d < next {
+			next, armed = d, true
+		}
+	}
+	return next, armed
 }
 
-// PeersPending reports whether any rank other than self has not yet
+// peersPendingLocked reports whether any rank other than self has not yet
 // completed its compute phase for iteration iter — whether it is still
-// mid-compute or has not even reached BeginCompute (e.g. still writing
-// its checkpoint). Idle workers use it to keep polling for straggler
-// flags exactly as long as the iteration's collective would block on a
-// peer anyway — no longer, so a finished iteration never waits.
-func (s *Supervisor) PeersPending(self, iter int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// mid-compute or has not even reached BeginCompute (e.g. still writing its
+// checkpoint).
+func (s *Supervisor) peersPendingLocked(self, iter int) bool {
 	for r := 0; r < s.p; r++ {
 		if r != self && s.ended[r] < iter {
 			return true
@@ -334,17 +357,49 @@ func (s *Supervisor) PeersPending(self, iter int) bool {
 	return false
 }
 
-// HelpRequest pops a flagged straggler for an idle worker to back up.
-// Each (rank, iter) pair is handed out at most once.
-func (s *Supervisor) HelpRequest() (rank, iter int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.helpQ) == 0 {
-		return 0, 0, false
+// AwaitHelp hands a worker idle in iteration iter a flagged straggler to
+// back up: while a rank other than self has not ended that iteration's
+// compute phase, it sweeps for stragglers and returns the first flagged
+// (rank, iter) pair, each handed out at most once; it returns ok = false
+// once no peer is pending or done closes. It sleeps until a compute phase
+// begins or ends, a flag is raised, or an in-flight compute crosses the
+// cutoff, so waiting costs no polling.
+func (s *Supervisor) AwaitHelp(self, iter int, done <-chan struct{}) (rank, flaggedIter int, ok bool) {
+	for {
+		s.mu.Lock()
+		now := time.Now()
+		cut := s.flagStragglersLocked(now)
+		if len(s.helpQ) > 0 {
+			k := s.helpQ[0]
+			s.helpQ = s.helpQ[1:]
+			s.mu.Unlock()
+			return k.Rank, k.Iter, true
+		}
+		pending, progress := s.peersPendingLocked(self, iter), s.progress
+		next, armed := s.nextFlagLocked(now, cut)
+		s.mu.Unlock()
+		if !pending || waitChange(progress, done, next, armed) {
+			return 0, 0, false
+		}
 	}
-	k := s.helpQ[0]
-	s.helpQ = s.helpQ[1:]
-	return k.Rank, k.Iter, true
+}
+
+// waitChange blocks until progress closes, d elapses (when armed) or done
+// closes, and reports whether done closed.
+func waitChange(progress, done <-chan struct{}, d time.Duration, armed bool) bool {
+	var expire <-chan time.Time
+	if armed {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expire = t.C
+	}
+	select {
+	case <-progress:
+	case <-expire:
+	case <-done:
+		return true
+	}
+	return false
 }
 
 // Deposit posts a speculative result for (rank, iter) — the sequence

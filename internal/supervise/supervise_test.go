@@ -93,18 +93,18 @@ func TestStragglerDetectionByQuantile(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		s.EndCompute(0, i)
 	}
-	// Rank 3 starts iteration 6 and stalls past the floor.
+	// Rank 3 starts iteration 6 and stalls past the floor. A closed done
+	// makes AwaitHelp sweep once instead of waiting.
 	s.BeginCompute(3, 6)
 	time.Sleep(30 * time.Millisecond)
-	s.CheckStragglers()
-
-	rank, iter, ok := s.HelpRequest()
+	done := make(chan struct{})
+	close(done)
+	rank, iter, ok := s.AwaitHelp(0, 6, done)
 	if !ok || rank != 3 || iter != 6 {
-		t.Fatalf("HelpRequest = (%d, %d, %v), want (3, 6, true)", rank, iter, ok)
+		t.Fatalf("AwaitHelp = (%d, %d, %v), want (3, 6, true)", rank, iter, ok)
 	}
 	// The same (rank, iter) is never handed out twice.
-	s.CheckStragglers()
-	if _, _, again := s.HelpRequest(); again {
+	if _, _, again := s.AwaitHelp(1, 6, done); again {
 		t.Error("straggler handed to a second helper")
 	}
 	if s.Snapshot().StragglersDetected != 1 {
@@ -116,8 +116,10 @@ func TestNoStragglerWithThinHistory(t *testing.T) {
 	s := New(2, Options{StragglerFloor: time.Millisecond})
 	s.BeginCompute(0, 0)
 	time.Sleep(5 * time.Millisecond)
-	s.CheckStragglers() // only 0 completed durations: detection is disarmed
-	if _, _, ok := s.HelpRequest(); ok {
+	done := make(chan struct{})
+	close(done)
+	// Only 0 completed durations: detection is disarmed.
+	if _, _, ok := s.AwaitHelp(1, 0, done); ok {
 		t.Error("straggler flagged before any duration history existed")
 	}
 }
@@ -156,6 +158,58 @@ func TestBoardFirstDepositWins(t *testing.T) {
 	s.ResetGeneration()
 	if _, ok := s.Claim(0, 7); ok {
 		t.Error("board entry survived generation reset")
+	}
+}
+
+// TestSnapshotCountsWithoutTrace: a supervisor built with no trace still
+// reports what it did, so a solve that passes none reads real counts.
+func TestSnapshotCountsWithoutTrace(t *testing.T) {
+	s := New(2, Options{})
+	s.Deposit(1, 0, "first")
+	s.Deposit(1, 0, "late")
+	s.ArmRespawn(0)
+	s.Beat(0, 1)
+	if st := s.Snapshot(); st.DuplicatesDiscarded != 1 || st.Respawns != 1 {
+		t.Errorf("dups=%d respawns=%d with no trace, want 1, 1", st.DuplicatesDiscarded, st.Respawns)
+	}
+}
+
+// TestAwaitHelpSleepsUntilSomethingChanges: an idle worker waiting out a
+// peer's compute returns when the peer ends it, or when done closes; once
+// detection is armed it returns the flagged straggler as the peer's
+// compute crosses the cutoff, with no polling by the caller.
+func TestAwaitHelpSleepsUntilSomethingChanges(t *testing.T) {
+	s := New(2, Options{StragglerFloor: 20 * time.Millisecond})
+	s.BeginCompute(1, 0)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		s.EndCompute(1, 0)
+	}()
+	if _, _, ok := s.AwaitHelp(0, 0, nil); ok {
+		t.Fatal("AwaitHelp flagged a straggler with no duration history")
+	}
+	if _, _, ok := s.AwaitHelp(0, 0, nil); ok {
+		t.Fatal("AwaitHelp with no peer pending returned a flag")
+	}
+
+	for it := 1; it <= minHistory; it++ {
+		s.BeginCompute(0, it)
+		s.EndCompute(0, it)
+	}
+	s.BeginCompute(1, 9)
+	start := time.Now()
+	rank, iter, ok := s.AwaitHelp(0, 9, nil)
+	if !ok || rank != 1 || iter != 9 {
+		t.Fatalf("AwaitHelp = (%d, %d, %v), want (1, 9, true)", rank, iter, ok)
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Errorf("straggler flagged after %v, before the 20ms cutoff", waited)
+	}
+
+	done := make(chan struct{})
+	time.AfterFunc(10*time.Millisecond, func() { close(done) })
+	if _, _, ok := s.AwaitHelp(0, 10, done); ok {
+		t.Fatal("AwaitHelp returned a flag after done closed")
 	}
 }
 

@@ -65,9 +65,9 @@ var helpText = map[string]string{
 	"supervise.duplicates_discarded": "Late duplicate results dropped at the speculation board.",
 	"heal.generations":               "Worker generations run by the self-healing solve (1 = fault-free).",
 	"heal.k_refinements":             "Admission-control decomposition refinements (Table 4's memory model as runtime behavior).",
-	"ckpt.bytes_written":             "Durable checkpoint bytes written (temp+fsync+rename).",
-	"ckpt.saves":                     "Durable checkpoint deposits completed.",
-	"ckpt.max_file_bytes":            "Largest single checkpoint file written.",
+	"ckpt.bytes_written":             "Checkpoint bytes saved (to a file by temp+fsync+rename, or in memory).",
+	"ckpt.saves":                     "Checkpoint deposits completed.",
+	"ckpt.max_file_bytes":            "Largest single checkpoint saved.",
 	"serve.jobs_cancelled":           "Queued jobs freed because their context ended before a worker picked them up.",
 	"serve.kernel_updates":           "Live kernel swaps (UpdateKernel); each bumps the fingerprint that keys the plan cache.",
 	"fleet.jobs_placed":              "Jobs admitted by the fleet scheduler onto some device's ledger (cheapest admissible placement under the Eq. 2 alpha-beta cost).",
