@@ -112,9 +112,10 @@ func TestAblationInterpAccuracy(t *testing.T) {
 // r can be increased to reduce the memory requirement further if needed,
 // but at the cost of accuracy").
 func TestAblationFarRateErrorTradeoff(t *testing.T) {
-	// k=8 with the sub-domain in a corner so the far region (beyond
-	// Chebyshev distance 4k=32) actually exists inside the 64³ grid.
-	n, k := 64, 8
+	// k=8 in a 128³ grid so the far region exists: on the torus no point
+	// is farther than (N−k+1)/2 = 60 from the sub-domain, beyond 4k=32
+	// only when N/k > 9.
+	n, k := 128, 8
 	dim := grid.Cube(n)
 	sub := grid.CubeAt(grid.Point{0, 0, 0}, k)
 	kernel := green.Gaussian{Sigma: 2}
@@ -126,11 +127,7 @@ func TestAblationFarRateErrorTradeoff(t *testing.T) {
 	prevSamples := 1 << 62
 	var errs []float64
 	for _, far := range []int{2, 16} {
-		// No edge band: it would re-densify the grid boundary and mask
-		// the far-rate effect (subdividing the band into tiny cells is
-		// itself expensive — see EXPERIMENTS.md).
-		pol := sample.Policy{Sub: sub, NearRate: 2, MidRate: 8, FarRate: far}
-		tree, err := pol.Tree(dim)
+		tree, err := sample.DefaultPolicy(sub, far).Tree(dim)
 		if err != nil {
 			t.Fatal(err)
 		}

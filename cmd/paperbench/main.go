@@ -817,8 +817,9 @@ func fleetStudy() error {
 func rateSweep() error {
 	// The §5.4 dial, measured for real: "the downsampling rate r can be
 	// increased to reduce the memory requirement further if needed, but at
-	// the cost of accuracy". Corner sub-domain so every rate band exists.
-	n, k := 64, 8
+	// the cost of accuracy". N/k = 16 so the far shell (torus distance ≥ 4k)
+	// exists at all: no point is farther than (N−k+1)/2 from the sub-domain.
+	n, k := 128, 8
 	dim := grid.Cube(n)
 	sub := grid.CubeAt(grid.Point{0, 0, 0}, k)
 	kernel := green.Gaussian{Sigma: 2}
@@ -835,7 +836,7 @@ func rateSweep() error {
 	if err != nil {
 		return err
 	}
-	t := report.New(fmt.Sprintf("§5.4 measured accuracy/compression tradeoff, N=%d k=%d (no edge band)", n, k),
+	t := report.New(fmt.Sprintf("§5.4 measured accuracy/compression tradeoff, N=%d k=%d", n, k),
 		"far r", "samples", "compression", "rel L2 error")
 	for _, far := range []int{2, 4, 8, 16, 32} {
 		pol := sample.Policy{Sub: sub, NearRate: 2, MidRate: 8, FarRate: far}

@@ -113,9 +113,7 @@ func (dc Decomposed) Run(f *grid.Field) (*grid.Field, DecomposedStats, error) {
 			jobs = append(jobs, b)
 		}
 	}
-	out, ds, err := dc.runBoxes(f, jobs, func(b grid.Box) sample.Policy {
-		return sample.DefaultPolicy(b, dc.FarRate)
-	})
+	out, ds, err := dc.runBoxes(f, jobs)
 	ds.SkippedZero = len(boxes) - len(jobs)
 	return out, ds, err
 }
@@ -136,22 +134,16 @@ func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, Decompos
 	if err != nil {
 		return nil, DecomposedStats{}, err
 	}
-	// No edge band here: with the small cubes an adaptive partition
-	// produces, a k/4-wide boundary band shatters into unit cells and
-	// dominates the sample budget (see the far-rate ablation in
-	// EXPERIMENTS.md).
-	out, ds, err := dc.runBoxes(f, boxes, func(b grid.Box) sample.Policy {
-		return sample.Policy{Sub: b, NearRate: 2, MidRate: 8, FarRate: dc.FarRate}
-	})
+	out, ds, err := dc.runBoxes(f, boxes)
 	ds.SkippedZero = len(full) - len(boxes) // vs the regular partition, informational
 	return out, ds, err
 }
 
 // runBoxes is the box loop behind Run and RunAdaptive: one plan set and one
 // kernel callback for the call, one pipeline per box (dc.Parallel at a
-// time) sampled by dc.TreeFor or else by policy, then accumulation in box
-// order.
-func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box, policy func(grid.Box) sample.Policy) (*grid.Field, DecomposedStats, error) {
+// time) sampled by dc.TreeFor or else by sample.DefaultPolicy, then
+// accumulation in box order.
+func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, DecomposedStats, error) {
 	var ds DecomposedStats
 	plans, err := NewPlanSet(f.Dim, dc.Cfg.Workers)
 	if err != nil {
@@ -180,7 +172,7 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box, policy func(grid.B
 		if dc.TreeFor != nil {
 			tree, err = dc.TreeFor(box, f.Dim)
 		} else {
-			tree, err = policy(box).Tree(f.Dim)
+			tree, err = sample.DefaultPolicy(box, dc.FarRate).Tree(f.Dim)
 		}
 		if err != nil {
 			ec.Record(err)

@@ -71,8 +71,11 @@ func (m MemoryBreakdown) Estimated() int64 {
 func (m MemoryBreakdown) Actual() int64 { return m.Estimated() + m.CufftWork }
 
 // KeptZPlanes estimates the total number of z planes carrying samples for
-// the §5.4 rate policy without an edge band: the sub-domain and its
-// near shell at rate 2, the mid shell at rate 8, the rest at rate r.
+// the §5.4 rate policy on the torus: the sub-domain and its near shell at
+// rate 2, the mid shell at rate 8, the rest at rate r. For a box of
+// grid.Decompose it is the pipeline's count while no point lies 4k from the
+// box (N/k ≤ 8); the far shell's start is off the rate-8 lattice, so past
+// that it undercounts.
 func KeptZPlanes(n, k, r int) int {
 	near := 2 * k // z span of sub ∪ near shell: k + 2·(k/2)
 	if near > n {
@@ -85,6 +88,11 @@ func KeptZPlanes(n, k, r int) int {
 	planes := k // rate-1 planes of the sub-domain itself
 	planes += (near - k) / 2
 	planes += (midSpan - near) / 8
+	if k%16 == 8 && midSpan > near {
+		// The near shell ends half-way between two rate-8 planes, so
+		// neither end plane of the mid shell's lattice is a near plane.
+		planes++
+	}
 	planes += (n - midSpan) / r
 	if planes > n {
 		planes = n

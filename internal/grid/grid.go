@@ -153,6 +153,56 @@ func (b Box) ChebyshevDistBox(c Box) int {
 	return d
 }
 
+// TorusDist returns the L∞ lattice distance from (x, y, z) to the box on the
+// periodic grid d (zero if the point is inside): every transform in the
+// library is cyclic, so a point by one face of the grid is near a box on
+// the opposite face. The box and the point lie inside d.
+func (b Box) TorusDist(d Dim3, x, y, z int) int {
+	n, p := [3]int{d.Nx, d.Ny, d.Nz}, [3]int{x, y, z}
+	m := 0
+	for i := range n {
+		m = max(m, ringDist(n[i], b.Lo[i], b.Hi[i], p[i]))
+	}
+	return m
+}
+
+// TorusDistRange returns the minimum and maximum of TorusDist over the
+// points of c. The distance is the largest per-axis ring distance, so both
+// extremes are separable: each is the largest of the per-axis extremes.
+func (b Box) TorusDistRange(d Dim3, c Box) (lo, hi int) {
+	n := [3]int{d.Nx, d.Ny, d.Nz}
+	for i := range n {
+		mn, mx := ringRange(n[i], b.Lo[i], b.Hi[i], c.Lo[i], c.Hi[i]-1)
+		lo, hi = max(lo, mn), max(hi, mx)
+	}
+	return lo, hi
+}
+
+// ringDist is the distance on a ring of n points from p to the arc [lo, hi).
+func ringDist(n, lo, hi, p int) int {
+	if p >= lo && p < hi {
+		return 0
+	}
+	return min((lo-p+n)%n, (p-hi+1+n)%n)
+}
+
+// ringRange returns the minimum and maximum of ringDist over [a, z]. Off
+// the arc the distance is a tent whose peak is opposite the arc, so both
+// extremes lie at a, at z, or at the peak. Where the top is two points
+// wide, checking the first suffices: an interval holding only the second
+// starts at it.
+func ringRange(n, lo, hi, a, z int) (mn, mx int) {
+	fa, fz := ringDist(n, lo, hi, a), ringDist(n, lo, hi, z)
+	mn, mx = min(fa, fz), max(fa, fz)
+	if a < hi && z >= lo {
+		mn = 0
+	}
+	if peak := (hi - 1 + (n-hi+lo+1)/2) % n; peak >= a && peak <= z {
+		mx = ringDist(n, lo, hi, peak)
+	}
+	return mn, mx
+}
+
 // String implements fmt.Stringer.
 func (b Box) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)x[%d,%d)", b.Lo[0], b.Hi[0], b.Lo[1], b.Hi[1], b.Lo[2], b.Hi[2])

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,77 @@ func TestChebyshevDistBox(t *testing.T) {
 	c := CubeAt(Point{2, 2, 2}, 4)
 	if got := a.ChebyshevDistBox(c); got != 0 {
 		t.Fatalf("overlap dist = %d want 0", got)
+	}
+}
+
+// TestTorusDistRangeMatchesBruteForce checks TorusDist at every point, and
+// TorusDistRange over every dyadic cell and over random boxes, against the
+// distance to the nearest of the box's 27 periodic images taken point by
+// point, for boxes at the corner, inside, at the high faces and off any
+// lattice.
+func TestTorusDistRangeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{8, 16, 32} {
+		d := Cube(n)
+		subs := []Box{
+			CubeAt(Point{0, 0, 0}, n/4),
+			CubeAt(Point{n / 2, n / 2, n / 2}, n/4),
+			CubeAt(Point{n - n/4, n - n/4, n - n/4}, n/4),
+			CubeAt(Point{0, n - 1, 3}, 1),
+			d.Bounds(),
+		}
+		for i := 0; i < 12; i++ {
+			var lo, size Point
+			for a := range lo {
+				size[a] = 1 + rng.Intn(n)
+				lo[a] = rng.Intn(n - size[a] + 1)
+			}
+			subs = append(subs, BoxAt(lo, size[0], size[1], size[2]))
+		}
+		for _, sub := range subs {
+			dist := make([]int, d.Len())
+			for i := range dist {
+				x, y, z := d.Coords(i)
+				dist[i] = math.MaxInt
+				for _, sx := range []int{-n, 0, n} {
+					for _, sy := range []int{-n, 0, n} {
+						for _, sz := range []int{-n, 0, n} {
+							dist[i] = min(dist[i], sub.ChebyshevDist(x+sx, y+sy, z+sz))
+						}
+					}
+				}
+				if got := sub.TorusDist(d, x, y, z); got != dist[i] {
+					t.Fatalf("n=%d box %v: TorusDist(%d,%d,%d) = %d, brute force %d", n, sub, x, y, z, got, dist[i])
+				}
+			}
+			var cells []Box
+			for size := 1; size <= n; size *= 2 {
+				for z := 0; z < n; z += size {
+					for y := 0; y < n; y += size {
+						for x := 0; x < n; x += size {
+							cells = append(cells, CubeAt(Point{x, y, z}, size))
+						}
+					}
+				}
+			}
+			for i := 0; i < 200; i++ {
+				var lo, hi Point
+				for a := range lo {
+					lo[a] = rng.Intn(n)
+					hi[a] = lo[a] + 1 + rng.Intn(n-lo[a])
+				}
+				cells = append(cells, Box{Lo: lo, Hi: hi})
+			}
+			for _, cell := range cells {
+				lo, hi := math.MaxInt, 0
+				cell.ForEach(func(x, y, z int) {
+					lo, hi = min(lo, dist[d.Index(x, y, z)]), max(hi, dist[d.Index(x, y, z)])
+				})
+				if gl, gh := sub.TorusDistRange(d, cell); gl != lo || gh != hi {
+					t.Fatalf("n=%d box %v cell %v: TorusDistRange = [%d, %d], brute force [%d, %d]", n, sub, cell, gl, gh, lo, hi)
+				}
+			}
+		}
 	}
 }
 

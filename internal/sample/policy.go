@@ -15,16 +15,14 @@ import (
 // Policy is the paper's heuristic sampling strategy (§5.4): "we use r=2
 // for distance k/2 from sub-domain, increase it to r=8 for distance >k/2
 // and <4k, and set it to high values like r=16 or 32 beyond", with the
-// sub-domain itself "always sampled at full resolution" and the grid edges
-// "subject to specific boundary conditions ... densely sampled again"
-// (Fig. 3).
+// sub-domain itself "always sampled at full resolution". Distances are
+// measured on the torus, as the cyclic convolution sees them: a box on one
+// face of the grid has its near shell wrap onto the opposite face.
 type Policy struct {
 	Sub      grid.Box // the k×k×k sub-domain, sampled at rate 1
 	NearRate int      // rate within Chebyshev distance k/2 of the sub-domain
 	MidRate  int      // rate within distance 4k
 	FarRate  int      // rate beyond 4k
-	Edgeband int      // width of the densely re-sampled boundary band (0 disables)
-	EdgeRate int      // rate inside the boundary band
 
 	// MinCell bounds the uniformity subdivision: cells at this size stop
 	// splitting and take the finest rate present inside them (0 selects
@@ -39,16 +37,7 @@ type Policy struct {
 // DefaultPolicy returns the paper's §5.4 hyperparameters for sub-domain
 // box sub with far-field rate far (16 or 32 in the paper).
 func DefaultPolicy(sub grid.Box, far int) Policy {
-	k := sub.Hi[0] - sub.Lo[0]
-	return Policy{
-		Sub:      sub,
-		NearRate: 2,
-		MidRate:  8,
-		FarRate:  far,
-		Edgeband: k / 4,
-		EdgeRate: 2,
-		MinCell:  4,
-	}
+	return Policy{Sub: sub, NearRate: 2, MidRate: 8, FarRate: far, MinCell: 4}
 }
 
 // Validate checks that all rates are positive powers of two.
@@ -57,9 +46,6 @@ func (p Policy) Validate() error {
 		if r < 1 || r&(r-1) != 0 {
 			return fmt.Errorf("sample: rate %d must be a positive power of two", r)
 		}
-	}
-	if p.Edgeband > 0 && (p.EdgeRate < 1 || p.EdgeRate&(p.EdgeRate-1) != 0) {
-		return fmt.Errorf("sample: edge rate %d must be a positive power of two", p.EdgeRate)
 	}
 	if p.Sub.Empty() {
 		return fmt.Errorf("sample: empty sub-domain box")
@@ -76,11 +62,7 @@ func (p Policy) RateAt(d grid.Dim3, x, y, z int) int {
 	if p.Sub.Contains(x, y, z) {
 		return 1
 	}
-	r := p.baseRate(p.Sub.ChebyshevDist(x, y, z))
-	if p.Edgeband > 0 && edgeDist(d, x, y, z) < p.Edgeband && p.EdgeRate < r {
-		return p.EdgeRate
-	}
-	return r
+	return p.baseRate(p.Sub.TorusDist(d, x, y, z))
 }
 
 func (p Policy) baseRate(dist int) int {
@@ -93,17 +75,6 @@ func (p Policy) baseRate(dist int) int {
 	default:
 		return p.FarRate
 	}
-}
-
-// edgeDist is the Chebyshev distance from a point to the grid boundary.
-func edgeDist(d grid.Dim3, x, y, z int) int {
-	m := x
-	for _, v := range []int{d.Nx - 1 - x, y, d.Ny - 1 - y, z, d.Nz - 1 - z} {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // RateFunc adapts the policy to the octree builder: it returns the uniform
@@ -121,24 +92,10 @@ func (p Policy) RateFunc(d grid.Dim3) octree.RateFunc {
 		if p.Sub.Overlaps(b) {
 			return 0 // partially inside the sub-domain: split
 		}
-		atFloor := b.Hi[0]-b.Lo[0] <= minCell
-		dmin := p.Sub.ChebyshevDistBox(b)
-		dmax := maxChebyshevDistBox(p.Sub, b)
+		dmin, dmax := p.Sub.TorusDistRange(d, b)
 		base := p.baseRate(dmin) // the finer of the straddled rates
-		if p.baseRate(dmin) != p.baseRate(dmax) && !atFloor {
+		if base != p.baseRate(dmax) && b.Hi[0]-b.Lo[0] > minCell {
 			return 0
-		}
-		if p.Edgeband > 0 && p.EdgeRate < base {
-			eMin, eMax := edgeDistRange(d, b)
-			switch {
-			case eMax < p.Edgeband:
-				return p.EdgeRate // entirely inside the boundary band
-			case eMin < p.Edgeband:
-				if atFloor {
-					return p.EdgeRate // conservative: the finer rate
-				}
-				return 0 // straddles the band: split
-			}
 		}
 		return base
 	}
@@ -154,68 +111,6 @@ func (p Policy) Tree(d grid.Dim3) (*octree.Tree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// maxChebyshevDistBox returns the maximum Chebyshev distance from any
-// point of b to the box sub; the maximum of a convex function over a box
-// is attained at one of its 8 corners.
-func maxChebyshevDistBox(sub, b grid.Box) int {
-	m := 0
-	for dz := 0; dz < 2; dz++ {
-		for dy := 0; dy < 2; dy++ {
-			for dx := 0; dx < 2; dx++ {
-				x := b.Lo[0] + dx*(b.Hi[0]-b.Lo[0]-1)
-				y := b.Lo[1] + dy*(b.Hi[1]-b.Lo[1]-1)
-				z := b.Lo[2] + dz*(b.Hi[2]-b.Lo[2]-1)
-				if d := sub.ChebyshevDist(x, y, z); d > m {
-					m = d
-				}
-			}
-		}
-	}
-	return m
-}
-
-// edgeDistRange returns the minimum and maximum over box b of the
-// Chebyshev distance to the grid boundary. Both extremes are separable
-// per axis: dist(p) = min_i tent_i(p_i), so the box minimum is the min of
-// per-axis interval minima and the box maximum is the min of per-axis
-// interval maxima.
-func edgeDistRange(d grid.Dim3, b grid.Box) (lo, hi int) {
-	n := [3]int{d.Nx, d.Ny, d.Nz}
-	lo, hi = 1<<30, 1<<30
-	for i := 0; i < 3; i++ {
-		a, z := b.Lo[i], b.Hi[i]-1
-		tent := func(x int) int {
-			if r := n[i] - 1 - x; r < x {
-				return r
-			}
-			return x
-		}
-		// Minimum of the tent over [a, z] is at an endpoint.
-		mn := tent(a)
-		if t := tent(z); t < mn {
-			mn = t
-		}
-		// Maximum is at the point closest to the center (n-1)/2.
-		c := (n[i] - 1) / 2
-		var mx int
-		switch {
-		case c < a:
-			mx = tent(a)
-		case c > z:
-			mx = tent(z)
-		default:
-			mx = tent(c)
-		}
-		if mn < lo {
-			lo = mn
-		}
-		if mx < hi {
-			hi = mx
-		}
-	}
-	return lo, hi
 }
 
 // Uniform is a trivial policy sampling the whole grid at one rate — the

@@ -24,7 +24,6 @@ func TestPolicyValidateErrors(t *testing.T) {
 		{Sub: sub, NearRate: 3, MidRate: 8, FarRate: 16},
 		{Sub: sub, NearRate: 2, MidRate: 0, FarRate: 16},
 		{Sub: sub, NearRate: 2, MidRate: 8, FarRate: -16},
-		{Sub: sub, NearRate: 2, MidRate: 8, FarRate: 16, Edgeband: 2, EdgeRate: 5},
 		{Sub: grid.Box{}, NearRate: 2, MidRate: 8, FarRate: 16},
 	}
 	for i, p := range bad {
@@ -66,53 +65,67 @@ func TestRateAtFarRegion(t *testing.T) {
 	}
 }
 
-func TestRateAtEdgeBand(t *testing.T) {
+func TestRateAtWrapsAround(t *testing.T) {
+	// A corner sub-domain's shells wrap onto the opposite faces, as the
+	// cyclic convolution does: k=8, thresholds k/2=4 and 4k=32.
 	d := grid.Cube(64)
-	p := Policy{
-		Sub:      grid.CubeAt(grid.Point{24, 24, 24}, 8),
-		NearRate: 2, MidRate: 8, FarRate: 32,
-		Edgeband: 4, EdgeRate: 2,
+	p := DefaultPolicy(grid.CubeAt(grid.Point{0, 0, 0}, 8), 32)
+	cases := []struct {
+		x, y, z, want int
+	}{
+		{63, 4, 4, 2},   // one step across the x face
+		{60, 60, 60, 2}, // distance 4 through the far corner
+		{59, 4, 4, 8},   // distance 5
+		{40, 4, 4, 8},   // distance min(33, 24) = 24 < 4k
 	}
-	// (1,32,32) is distance 23 ≥ 4k=32? k=8, 4k=32; dist from sub in x:
-	// 24-1=23 < 32 → mid rate 8, but edge distance is 1 < 4 → edge rate 2.
-	if got := p.RateAt(d, 1, 32, 32); got != 2 {
-		t.Errorf("edge rate = %d want 2", got)
-	}
-	// Interior points keep their base rate: (32,32,40) is Chebyshev
-	// distance 9 from the sub-domain (> k/2 = 4) and far from any edge.
-	if got := p.RateAt(d, 32, 32, 40); got != 8 {
-		t.Errorf("mid rate = %d want 8", got)
+	for _, c := range cases {
+		if got := p.RateAt(d, c.x, c.y, c.z); got != c.want {
+			t.Errorf("RateAt(%d,%d,%d) = %d want %d", c.x, c.y, c.z, got, c.want)
+		}
 	}
 }
 
+// TestPolicyTreeConsistentWithPointwiseRates holds RateFunc to RateAt at
+// every point of every leaf, for boxes at a corner, inside, at the high
+// faces and off the k lattice, with and without a far shell.
 func TestPolicyTreeConsistentWithPointwiseRates(t *testing.T) {
-	d := grid.Cube(32)
-	sub := grid.CubeAt(grid.Point{8, 8, 8}, 8)
-	p := DefaultPolicy(sub, 16)
-	tree, err := p.Tree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range tree.Cells {
-		size := c.Box.Hi[0] - c.Box.Lo[0]
-		// Cells at or above MinCell may mix pointwise rates; the builder
-		// must then adopt the finest rate present (conservative), clamped
-		// to the cell size.
-		finest := 1 << 30
-		c.Box.ForEach(func(x, y, z int) {
-			if r := p.RateAt(d, x, y, z); r < finest {
-				finest = r
-			}
-		})
-		if finest > size {
-			finest = size // Build clamps rates to the cell size
+	for _, c := range []struct {
+		n, k int
+		lo   grid.Point
+	}{
+		{32, 8, grid.Point{8, 8, 8}},
+		{32, 8, grid.Point{0, 0, 0}},
+		{32, 8, grid.Point{24, 24, 24}},
+		{32, 8, grid.Point{3, 21, 14}},
+		{16, 4, grid.Point{12, 0, 6}},
+		{64, 4, grid.Point{0, 60, 28}}, // N/k = 16: the far shell exists
+	} {
+		d := grid.Cube(c.n)
+		p := DefaultPolicy(grid.CubeAt(c.lo, c.k), 16)
+		tree, err := p.Tree(d)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.Rate != finest {
-			t.Fatalf("cell %v rate %d but finest pointwise rate is %d",
-				c.Box, c.Rate, finest)
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range tree.Cells {
+			size := cell.Box.Hi[0] - cell.Box.Lo[0]
+			// A cell above MinCell has one pointwise rate; one at MinCell
+			// may mix them and must adopt the finest present. Either way
+			// Build clamps the rate to the cell size.
+			finest, coarsest := 1<<30, 0
+			cell.Box.ForEach(func(x, y, z int) {
+				r := p.RateAt(d, x, y, z)
+				finest, coarsest = min(finest, r), max(coarsest, r)
+			})
+			if size > p.MinCell && finest != coarsest {
+				t.Fatalf("n=%d sub %v: cell %v mixes rates %d and %d", c.n, p.Sub, cell.Box, finest, coarsest)
+			}
+			if cell.Rate != min(finest, size) {
+				t.Fatalf("n=%d sub %v: cell %v rate %d but finest pointwise rate is %d",
+					c.n, p.Sub, cell.Box, cell.Rate, finest)
+			}
 		}
 	}
 }
