@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -158,6 +159,34 @@ func main() {
 	lying := bytes.Clone(v64.Bytes())
 	binary.LittleEndian.PutUint64(lying[16:], 1<<39) // forge a huge sample count
 	writeSeed(smpDir, "seed-lying-count", lying)
+
+	// FuzzPatchCodec(data []byte): float64 messages, little-endian. The
+	// genuine one is what cluster.LowCommConvolve sends a peer that owns
+	// the upper z-slab of a 16³ grid on two workers: one EncodePatches group
+	// per owned box.
+	patchDir := filepath.Join("internal", "sample", "testdata", "fuzz", "FuzzPatchCodec")
+	floats := func(msg []float64) []byte {
+		var raw []byte
+		for _, v := range msg {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		return raw
+	}
+	var exchange []float64
+	for i, lo := range []grid.Point{{0, 0, 0}, {8, 0, 0}} {
+		ptree, err := sample.DefaultPolicy(grid.CubeAt(lo, 8), 4).Tree(grid.Cube(16))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := sample.NewCompressed(ptree)
+		for j := range res.Samples {
+			res.Samples[j] = float64(i+j) * 0.125
+		}
+		exchange = append(exchange, sample.EncodePatches(res.Patches(grid.BoxAt(grid.Point{0, 0, 8}, 16, 16, 8)))...)
+	}
+	writeSeed(patchDir, "seed-exchange", floats(exchange))
+	writeSeed(patchDir, "seed-huge-count", floats([]float64{1e12}))
+	writeSeed(patchDir, "seed-wrapping-lattice", floats([]float64{1, 0, 0, 0, 1<<22 - 1, 1, 0}))
 
 	// FuzzCheckpointCodec(data []byte)
 	ckptDir := filepath.Join("internal", "ckpt", "testdata", "fuzz", "FuzzCheckpointCodec")

@@ -121,7 +121,7 @@ func (c *ChaosConn) Write(b []byte) (int, error) {
 		c.inj.corrupts.Add(1)
 		bad := make([]byte, len(b))
 		copy(bad, b)
-		bit := mix64(uint64(c.inj.plan.Seed) ^ uint64(i))
+		bit := SplitMix64(uint64(c.inj.plan.Seed) ^ uint64(i))
 		bad[bit%uint64(len(bad))] ^= 1 << (bit % 8)
 		return c.Conn.Write(bad)
 	case ConnDelay:

@@ -171,8 +171,8 @@ func (s *Stats) FaultSnapshot() FaultStats {
 // FaultError reports an unrecoverable communication fault: worker Worker
 // exhausted its retry budget (Attempts timed-out receive attempts with
 // exponential backoff) waiting for peer Peer during operation Op. The
-// peer is declared dead cluster-wide; degradable pipelines continue
-// without it, strict pipelines surface this error from Run.
+// peer is declared dead cluster-wide; healing pipelines abort the
+// generation and run again, strict ones surface this error from Run.
 type FaultError struct {
 	Worker   int
 	Peer     int
@@ -187,7 +187,7 @@ func (e *FaultError) Error() string {
 
 // CrashError reports that a fault-injected worker died at its OpIndex-th
 // top-level communication operation. It marks the injected failure itself,
-// not a bug; degradable pipelines treat it as a dead worker.
+// not a bug; healing pipelines respawn the worker in a new generation.
 type CrashError struct {
 	Worker  int
 	Op      string
@@ -502,8 +502,9 @@ func (c *Cluster) Run(fn func(w *Worker) error) error {
 }
 
 // RunAll executes fn concurrently on every worker and returns every
-// worker's error (nil entries for clean completions). Degradable
-// pipelines use this to distinguish injected crashes from real failures.
+// worker's error (nil entries for clean completions). Healing pipelines
+// use this to tell injected crashes and dead peers, which cost a
+// generation, from real failures.
 func (c *Cluster) RunAll(fn func(w *Worker) error) []error {
 	errs := make([]error, c.P)
 	var wg sync.WaitGroup
@@ -634,8 +635,8 @@ func (w *Worker) Recv(from int) ([]float64, error) {
 // peer, and the returned slice holds in[from] for every rank. One
 // collective round is accounted with the α–β model using the global
 // maximum pairwise buffer across ranks. Any dead peer makes the strict
-// variant fail with a typed FaultError; pipelines that can degrade should
-// use AllToAllFT.
+// variant fail with a typed FaultError; AllToAllFT lists dead peers
+// instead.
 func (w *Worker) AllToAll(out [][]float64) ([][]float64, error) {
 	in, missing, err := w.AllToAllFT(out)
 	if err != nil {
@@ -647,10 +648,10 @@ func (w *Worker) AllToAll(out [][]float64) ([][]float64, error) {
 	return in, nil
 }
 
-// AllToAllFT is the degradable all-to-all: dead peers' slots come back nil
-// and their ranks are listed in missing, so the caller can proceed without
-// those contributions (and widen its error bound accordingly). err is
-// non-nil only for this worker's own injected crash.
+// AllToAllFT is the fault-tolerant all-to-all: dead peers' slots come back
+// nil and their ranks are listed in missing, so the caller decides what a
+// death costs (the healing MASSIF solve parks at its generation barrier).
+// err is non-nil only for this worker's own injected crash.
 func (w *Worker) AllToAllFT(out [][]float64) (in [][]float64, missing []int, err error) {
 	if len(out) != w.c.P {
 		return nil, nil, fmt.Errorf("cluster: all-to-all needs %d buffers, got %d", w.c.P, len(out))
@@ -707,7 +708,7 @@ func (w *Worker) AllToAllFT(out [][]float64) (in [][]float64, missing []int, err
 // AllReduceSum sums the per-worker vectors elementwise across the cluster
 // and returns the total on every worker (gather-to-root + broadcast,
 // counted as 2(P−1) α–β-timed messages). A dead worker makes this strict
-// variant fail; degradable solvers use AllReduceSumFT.
+// variant fail; AllReduceSumFT returns the dead mask instead.
 func (w *Worker) AllReduceSum(local []float64) ([]float64, error) {
 	total, mask, err := w.AllReduceSumFT(local)
 	if err != nil {
@@ -721,12 +722,12 @@ func (w *Worker) AllReduceSum(local []float64) ([]float64, error) {
 	return total, nil
 }
 
-// AllReduceSumFT is the degradable all-reduce: the root (rank 0) sums the
+// AllReduceSumFT is the fault-tolerant all-reduce: the root (rank 0) sums the
 // contributions of every live worker and broadcasts the total together
 // with the cluster's dead-worker mask, so every survivor leaves the
 // operation with an identical view of both the sum and the failure state —
-// the agreement round degradable solvers key their checkpoint-restart
-// decision on. err is non-nil for this worker's own crash or a dead root.
+// the agreement round the healing MASSIF solve keys its generation abort
+// on. err is non-nil for this worker's own crash or a dead root.
 func (w *Worker) AllReduceSumFT(local []float64) (total []float64, dead []bool, err error) {
 	if err := w.crashPoint("all-reduce"); err != nil {
 		return nil, nil, err

@@ -3,14 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
+	"slices"
+	"time"
 
 	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -175,158 +175,184 @@ func (w *Worker) TransposeZY(in []complex128, n, per int, back bool) ([]complex1
 }
 
 // LowCommResult is the outcome of the proposed distributed convolution.
-// On a faulty fabric the exchange degrades instead of failing: Missing
-// lists workers declared dead during the sparse exchange, MissingBoxes
-// their sub-domains (whose contributions are absent from the
-// accumulation), LostRegions the output z-slabs a dead worker owned and
-// therefore never assembled, and Bound carries the missing-mass widening
-// of the Taylor error bound covering the omitted contributions.
 type LowCommResult struct {
-	Field        *grid.Field
-	SampleBytes  int64 // compressed bytes that crossed the fabric
-	Missing      []int
-	MissingBoxes []grid.Box
-	LostRegions  []grid.Box
-	Bound        sample.ErrorBound
-	Degraded     bool
+	Field       *grid.Field
+	SampleBytes int64         // compressed bytes that crossed the fabric, aborted generations included
+	Generations int           // worker generations run; 1 when no rank died
+	Accumulate  time.Duration // the slowest rank's accumulation of its z-slab
 }
 
-// MissingMassBound bounds the contribution omitted when the sub-domains in
-// boxes never reach the accumulation: for circular convolution,
-// ‖f·1_B ⊛ g‖₂ ≤ max|ĝ|·‖f·1_B‖₂ and ‖f·1_B ⊛ g‖_∞ ≤ ‖f·1_B‖₂·‖g‖₂
-// (Young/Cauchy–Schwarz through Parseval). L2 is reported as an RMS over
-// the grid, commensurate with sample.ErrorBound.L2.
-func MissingMassBound(f *grid.Field, kernel green.Kernel, boxes []grid.Box) sample.MissingMass {
-	if len(boxes) == 0 {
-		return sample.MissingMass{}
-	}
-	d := f.Dim
-	maxHat, sumHat2 := 0.0, 0.0
-	for z := 0; z < d.Nz; z++ {
-		for y := 0; y < d.Ny; y++ {
-			for x := 0; x < d.Nx; x++ {
-				h := kernel.Hat(d, x, y, z)
-				if h < 0 {
-					h = -h
-				}
-				if h > maxHat {
-					maxHat = h
-				}
-				sumHat2 += h * h
-			}
-		}
-	}
-	norm := sample.BoxRestrictedL2(f, boxes)
-	n3 := float64(d.Len())
-	return sample.MissingMass{
-		L2:   maxHat * norm / math.Sqrt(n3),
-		LInf: norm * math.Sqrt(sumHat2/n3),
-	}
+// lowComm is the layout LowCommConvolve runs and LowCommExchangeBytes
+// prices: the jobs dealt to the ranks by grid.Partition, each sampled by
+// the default policy, and one output z-slab per rank.
+type lowComm struct {
+	dim   grid.Dim3
+	far   int
+	parts [][]grid.Box
+	order map[grid.Box]int // a job's position in the canonical job list
 }
 
-// ExchangeMessages builds the sparse exchange's per-peer payloads: for
-// each peer q, every patch of the worker's compressed results that
-// intersects q's output region, encoded as one flat message. Shared by
-// LowCommConvolve and fleet's cluster spill (with computed samples) and
-// LowCommExchangeBytes (with zero-valued samples — the encoding length is
-// sample-independent).
-func ExchangeMessages(results []*sample.Compressed, p int, region func(int) grid.Box) [][]float64 {
-	msgs := make([][]float64, p)
-	for q := 0; q < p; q++ {
-		var patches []sample.Patch
+func newLowComm(d grid.Dim3, p int, jobs []grid.Box, far int) (*lowComm, error) {
+	n := d.Nx
+	if d.Ny != n || d.Nz != n {
+		return nil, fmt.Errorf("cluster: grid %v must be cubic", d)
+	}
+	if p < 1 || n%p != 0 {
+		return nil, fmt.Errorf("cluster: grid size %d not divisible by %d workers", n, p)
+	}
+	parts, err := grid.Partition(jobs, p)
+	if err != nil {
+		return nil, err
+	}
+	l := &lowComm{dim: d, far: far, parts: parts, order: make(map[grid.Box]int, len(jobs))}
+	for i, b := range jobs {
+		l.order[b] = i
+	}
+	return l, nil
+}
+
+// region is rank q's output z-slab.
+func (l *lowComm) region(q int) grid.Box {
+	n := l.dim.Nx
+	zPer := n / len(l.parts)
+	return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
+}
+
+func (l *lowComm) tree(b grid.Box) (*octree.Tree, error) {
+	return sample.DefaultPolicy(b, l.far).Tree(l.dim)
+}
+
+// convolve runs one box's local pipeline — no communication at all (Fig.
+// 1b: "the FFT-based convolution computation is local to the workers till
+// the last step").
+func (l *lowComm) convolve(f *grid.Field, b grid.Box, plans *conv.PlanSet, pw conv.Pointwise, cfg conv.Config) (*sample.Compressed, error) {
+	tree, err := l.tree(b)
+	if err != nil {
+		return nil, err
+	}
+	local, err := plans.NewLocal(b, tree, pw, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := f.ExtractBox(b)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := local.Run(sub)
+	local.ReleaseBuffers()
+	return res, err
+}
+
+// messages frames a rank's results, one per owned box in parts order, for
+// the single sparse exchange: the message to peer q is, per owned box, one
+// EncodePatches group of the box's patches that intersect q's z-slab — one
+// count per (box, peer) pair, which lets q add every box in job order.
+func (l *lowComm) messages(results []*sample.Compressed) [][]float64 {
+	msgs := make([][]float64, len(l.parts))
+	for q := range msgs {
+		region := l.region(q)
 		for _, res := range results {
-			patches = append(patches, res.Patches(region(q))...)
+			msgs[q] = append(msgs[q], sample.EncodePatches(res.Patches(region))...)
 		}
-		msgs[q] = sample.EncodePatches(patches)
 	}
 	return msgs
 }
 
+// accumulate adds the received groups to rank w's z-slab of out in job
+// order — sender q's j-th group is box parts[q][j] — the order
+// conv.Accumulate adds the same results in, so every voxel sums the same
+// addends in the same order as conv.Decomposed.Run.
+func (l *lowComm) accumulate(out *grid.Field, w int, recv [][]float64) error {
+	byJob := make([][]sample.Patch, len(l.order))
+	for q, msg := range recv {
+		groups, err := sample.DecodePatchGroups(msg)
+		if err != nil {
+			return fmt.Errorf("cluster: exchange from rank %d: %w", q, err)
+		}
+		if len(groups) != len(l.parts[q]) {
+			return fmt.Errorf("cluster: rank %d sent %d patch groups for %d boxes", q, len(groups), len(l.parts[q]))
+		}
+		for j, g := range groups {
+			byJob[l.order[l.parts[q][j]]] = g
+		}
+	}
+	mine := l.region(w)
+	for _, ps := range byJob {
+		for _, p := range ps {
+			if err := p.AddToRegion(out, mine, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // LowCommExchangeBytes predicts, exactly, the fabric bytes the single
-// sparse exchange of LowCommConvolve(d, subSize, farRate) will move on P
-// healthy workers: Σ over workers w and peers q≠w of 8·len(msg[w→q]). The
-// patch layout depends only on the decomposition and sampling octrees —
-// never on field values — so the prediction is computed from zero-filled
-// compressed results without running any transforms. This is the
-// implementation-exact counterpart of the Eq. 6 model figure TOursBytes
-// (which ignores patch metadata and counts each worker's whole output
-// once rather than per-peer slab intersections).
+// sparse exchange of LowCommConvolve(d, subSize, farRate) moves on P healthy
+// workers for an input with no all-zero sub-domain: Σ over workers w and
+// peers q≠w of 8·len(msg[w→q]). The patch layout depends only on the
+// decomposition and sampling octrees — never on field values — so the
+// prediction frames zero-filled results of the same layout without running
+// any transforms. This is the implementation-exact counterpart of the Eq. 6
+// model figure TOursBytes (which ignores patch metadata and counts each
+// worker's whole output once rather than per-peer slab intersections).
 func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
-	n := d.Nx
-	if d.Ny != n || d.Nz != n {
-		return 0, fmt.Errorf("cluster: grid %v must be cubic", d)
-	}
-	if p < 1 || n%p != 0 {
-		return 0, fmt.Errorf("cluster: grid size %d not divisible by %d workers", n, p)
-	}
 	boxes, err := grid.Decompose(d, subSize)
 	if err != nil {
 		return 0, err
 	}
-	parts, err := grid.Partition(boxes, p)
+	l, err := newLowComm(d, p, boxes, farRate)
 	if err != nil {
 		return 0, err
 	}
-	zPer := n / p
-	region := func(q int) grid.Box {
-		return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
-	}
 	total := int64(0)
-	for w := 0; w < p; w++ {
-		var results []*sample.Compressed
-		for _, b := range parts[w] {
-			tree, err := sample.DefaultPolicy(b, farRate).Tree(d)
+	for w, owned := range l.parts {
+		results := make([]*sample.Compressed, len(owned))
+		for j, b := range owned {
+			tree, err := l.tree(b)
 			if err != nil {
 				return 0, err
 			}
-			results = append(results, sample.NewCompressed(tree))
+			results[j] = sample.NewCompressed(tree)
 		}
-		msgs := ExchangeMessages(results, p, region)
-		for q := 0; q < p; q++ {
-			if q == w {
-				continue
+		for q, msg := range l.messages(results) {
+			if q != w {
+				total += int64(8 * len(msg))
 			}
-			total += int64(8 * len(msgs[q]))
 		}
 	}
 	return total, nil
 }
 
 // LowCommConvolve runs the proposed method of Fig. 1b on P simulated
-// workers: sub-domains are partitioned round-robin; every worker convolves
-// its sub-domains locally (slab/pencil pipeline with octree
-// sampling — zero communication), then a single all-to-all ships to each
-// peer only the patches intersecting that peer's output z-slab; each
-// worker accumulates its region by interpolation.
+// workers and returns conv.Decomposed.Run's field bit for bit, for any P.
+// All-zero sub-domains are skipped and the rest dealt by grid.Partition;
+// every worker convolves its sub-domains locally, then a single all-to-all
+// ships each peer only the patches intersecting its output z-slab, framed
+// per box, and each worker accumulates its slab in job order (Algorithm 2
+// line 6).
 //
-// On a fault-injecting transport the single exchange is survivable:
-// transient drops, delays, duplicates, and corruption heal through the
-// deadline/retry layer; a worker dead after retries are exhausted degrades
-// the result (its contributions are omitted and the omission is folded
-// into the returned Taylor bound) instead of deadlocking the exchange.
+// On a fault-injecting transport, drops, delays, duplicates and corruption
+// heal in the deadline/retry layer. A crashed or unresponsive worker aborts
+// the generation: the cluster epoch is reset and every worker runs again,
+// up to 2P+2 generations, after which the error wraps the last worker crash
+// (errors.As reaches *CrashError).
 func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, farRate int, cfg conv.Config) (*LowCommResult, error) {
 	d := f.Dim
-	n := d.Nx
-	if d.Ny != n || d.Nz != n {
-		return nil, fmt.Errorf("cluster: grid %v must be cubic", d)
-	}
-	p := c.P
-	if n%p != 0 {
-		return nil, fmt.Errorf("cluster: grid size %d not divisible by %d workers", n, p)
-	}
 	boxes, err := grid.Decompose(d, subSize)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := grid.Partition(boxes, p)
+	var jobs []grid.Box
+	for _, b := range boxes {
+		if !f.BoxAllZero(b) {
+			jobs = append(jobs, b)
+		}
+	}
+	l, err := newLowComm(d, c.P, jobs, farRate)
 	if err != nil {
 		return nil, err
 	}
-	zPer := n / p
-	region := func(q int) grid.Box {
-		return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
-	}
-
 	// One plan set and one kernel table for the call: both are read-only
 	// and shared by every worker's pipelines.
 	plans, err := conv.NewPlanSet(d, cfg.Workers)
@@ -335,100 +361,57 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 	}
 	pw := conv.KernelPointwise(d, kernel)
 
-	out := grid.NewField(d)
-	var missingMu sync.Mutex
-	missingSet := map[int]bool{}
+	res := &LowCommResult{}
 	bytesBefore, _, _, _ := c.Stats.Snapshot()
-	workerFn := func(w *Worker) error {
-		// Local convolutions — no communication at all (Fig. 1b: "the
-		// FFT-based convolution computation is local to the workers till
-		// the last step").
-		var results []*sample.Compressed
-		for _, b := range parts[w.ID] {
-			subField, err := f.ExtractBox(b)
-			if err != nil {
-				return err
-			}
-			tree, err := sample.DefaultPolicy(b, farRate).Tree(d)
-			if err != nil {
-				return err
-			}
-			local, err := plans.NewLocal(b, tree, pw, cfg)
-			if err != nil {
-				return err
-			}
-			res, _, err := local.Run(subField)
-			local.ReleaseBuffers()
-			if err != nil {
-				return err
-			}
-			results = append(results, res)
-		}
-		// The single sparse exchange: patches intersecting each peer's
-		// output region.
-		msgs := ExchangeMessages(results, p, region)
-		recv, missing, err := w.AllToAllFT(msgs)
-		if err != nil {
-			return err
-		}
-		if len(missing) > 0 {
-			missingMu.Lock()
-			for _, q := range missing {
-				missingSet[q] = true
-			}
-			missingMu.Unlock()
-		}
-		// Accumulate the owned region (Algorithm 2 line 6); dead peers'
-		// contributions are absent and covered by the missing-mass bound.
-		mine := region(w.ID)
-		for q := 0; q < p; q++ {
-			if recv[q] == nil {
-				continue
-			}
-			patches, err := sample.DecodePatches(recv[q])
-			if err != nil {
-				return err
-			}
-			for _, patch := range patches {
-				if err := patch.AddToRegion(out, mine, 1); err != nil {
+	maxGen := 2*c.P + 2
+	for {
+		res.Generations++
+		out := grid.NewField(d)
+		acc := make([]time.Duration, c.P)
+		errs := c.RunAll(func(w *Worker) error {
+			results := make([]*sample.Compressed, len(l.parts[w.ID]))
+			for j, b := range l.parts[w.ID] {
+				r, err := l.convolve(f, b, plans, pw, cfg)
+				if err != nil {
 					return err
 				}
+				results[j] = r
+			}
+			recv, err := w.AllToAll(l.messages(results))
+			if err != nil {
+				return err
+			}
+			t0 := time.Now()
+			err = l.accumulate(out, w.ID, recv)
+			acc[w.ID] = time.Since(t0)
+			return err
+		})
+		var cause error // the last worker's own crash, else the first fault
+		for _, e := range errs {
+			var ce *CrashError
+			var fe *FaultError
+			switch {
+			case e == nil:
+			case errors.As(e, &ce):
+				cause = e
+			case errors.As(e, &fe):
+				if cause == nil {
+					cause = e
+				}
+			default:
+				return nil, e
 			}
 		}
-		return nil
-	}
-	errs := c.RunAll(workerFn)
-	for rank, e := range errs {
-		if e == nil {
-			continue
+		if cause == nil {
+			res.Field, res.Accumulate = out, slices.Max(acc)
+			break
 		}
-		var ce *CrashError
-		var fe *FaultError
-		if errors.As(e, &ce) || errors.As(e, &fe) {
-			// The rank died (injected crash) or could not complete its own
-			// receives (its peers were all declared dead from its side) —
-			// degrade: drop its contributions, surrender its output slab.
-			missingMu.Lock()
-			missingSet[rank] = true
-			missingMu.Unlock()
-			continue
+		if res.Generations == maxGen {
+			return nil, fmt.Errorf("cluster: low-comm convolution gave up after %d generations: %w", maxGen, cause)
 		}
-		return nil, e
+		c.ResetEpoch()
 	}
-	res := &LowCommResult{Field: out}
 	bytesAfter, _, _, _ := c.Stats.Snapshot()
 	res.SampleBytes = bytesAfter - bytesBefore
-	if len(missingSet) > 0 {
-		res.Degraded = true
-		for q := range missingSet {
-			res.Missing = append(res.Missing, q)
-		}
-		sort.Ints(res.Missing)
-		for _, q := range res.Missing {
-			res.MissingBoxes = append(res.MissingBoxes, parts[q]...)
-			res.LostRegions = append(res.LostRegions, region(q))
-		}
-		res.Bound.Missing = MissingMassBound(f, kernel, res.MissingBoxes)
-	}
 	return res, nil
 }

@@ -467,102 +467,109 @@ func TestAllToAllGlobalMaxAccounting(t *testing.T) {
 	}
 }
 
-// TestLowCommConvolveDegraded crashes one worker inside the single sparse
-// exchange and checks graceful degradation: the survivors' regions carry
-// at most the missing-mass bound of the dead worker's contributions, the
-// dead worker's own output slab is reported lost, and nothing deadlocks.
-func TestLowCommConvolveDegraded(t *testing.T) {
-	d := grid.Cube(32)
-	f := randGrid(d, 21)
-	kernel := green.Gaussian{Sigma: 2}
-	const p = 4
-
-	// Serial reference with the identical decomposition and full-rate
-	// sampling: the healthy distributed run is bit-compatible with it, so
-	// on the surviving regions the entire difference is exactly the dead
-	// worker's omitted contribution — the quantity MissingMassBound bounds.
-	dc := conv.Decomposed{Kernel: kernel, SubSize: 8, FarRate: 1}
-	want, _, err := dc.Run(f)
+// healthyLowComm runs the fault-free reference the healing tests compare
+// against.
+func healthyLowComm(t *testing.T, f *grid.Field, p int) *grid.Field {
+	t.Helper()
+	c, err := New(p, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 2}, 8, 8, conv.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Field
+}
 
-	inj := NewFaultInjector(FaultPlan{Seed: 1, CrashWorker: 3, CrashAtOp: 1})
-	// The deadline must outlast the skew between live workers reaching the
-	// exchange, or a slow survivor is declared dead next to the crashed one.
-	// Each worker computes 16 full-rate boxes first (~1 s under -race, four
-	// workers on two CPUs, arrivals 100–350 ms apart); faultyOptions' 10 ms
-	// gives 150 ms of patience over four doubling attempts, 50 ms gives 750.
-	opts := faultyOptions(inj)
+// TestLowCommConvolveHealsCrash: worker 3 dies at the exchange (its first
+// top-level op) once; the generation aborts, the epoch resets, and the
+// second generation returns the healthy bits.
+func TestLowCommConvolveHealsCrash(t *testing.T) {
+	const p = 4
+	f := randGrid(grid.Cube(16), 21)
+	want := healthyLowComm(t, f, p)
+	// 50 ms × four doubling attempts outlasts the skew between live workers
+	// reaching the exchange, even under -race: a live worker declared dead
+	// would cost a third generation.
+	opts := faultyOptions(NewFaultInjector(FaultPlan{Seed: 1, Crashes: []CrashPoint{{Worker: 3, Op: 1}}}))
 	opts.RecvTimeout = 50 * time.Millisecond
 	c, err := NewWithOptions(p, DefaultParams(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res *LowCommResult
-	withWatchdog(t, "degraded-convolve", 60*time.Second, func() error {
-		res, err = LowCommConvolve(c, f, kernel, 8, 1, conv.Config{})
+	err = withWatchdog(t, "healed-convolve", 60*time.Second, func() (err error) {
+		res, err = LowCommConvolve(c, f, green.Gaussian{Sigma: 2}, 8, 8, conv.Config{Workers: 1})
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded {
-		t.Fatal("crash run not flagged degraded")
+	if res.Generations != 2 {
+		t.Errorf("%d generations, want 2 (one aborted by the crash)", res.Generations)
 	}
-	if len(res.Missing) != 1 || res.Missing[0] != 3 {
-		t.Fatalf("missing workers %v, want [3]", res.Missing)
-	}
-	if len(res.MissingBoxes) == 0 || len(res.LostRegions) != 1 {
-		t.Fatalf("missing boxes %d, lost regions %v", len(res.MissingBoxes), res.LostRegions)
-	}
-	if res.Bound.Missing.IsZero() {
-		t.Fatal("degraded result carries no missing-mass bound")
-	}
-
-	// Verify the widened bound on the surviving regions.
-	lost := res.LostRegions[0]
-	maxErr, sumSq := 0.0, 0.0
-	for z := 0; z < d.Nz; z++ {
-		for y := 0; y < d.Ny; y++ {
-			for x := 0; x < d.Nx; x++ {
-				if lost.Contains(x, y, z) {
-					continue
-				}
-				e := math.Abs(res.Field.At(x, y, z) - want.At(x, y, z))
-				if e > maxErr {
-					maxErr = e
-				}
-				sumSq += e * e
-			}
-		}
-	}
-	if maxErr == 0 {
-		t.Fatal("degraded run identical to serial — crash did not remove any contribution")
-	}
-	if maxErr > res.Bound.Missing.LInf*(1+1e-9) {
-		t.Errorf("measured L∞ %g exceeds missing-mass bound %g", maxErr, res.Bound.Missing.LInf)
-	}
-	// Bound.Missing.L2 is an RMS over the full grid; compare L2 norms.
-	if got, bound := math.Sqrt(sumSq), res.Bound.Missing.L2*math.Sqrt(float64(d.Len())); got > bound*(1+1e-9) {
-		t.Errorf("measured L2 %g exceeds missing-mass bound %g", got, bound)
+	if i, ok := sameBits(res.Field, want); !ok {
+		t.Errorf("healed field differs from the healthy run at voxel %d", i)
 	}
 }
 
-// TestLowCommConvolveHealthyNotDegraded guards the healthy path: the
-// reliable fabric must report no degradation and a zero missing-mass term.
-func TestLowCommConvolveHealthyNotDegraded(t *testing.T) {
-	d := grid.Cube(16)
-	f := randGrid(d, 4)
-	c, err := New(2, DefaultParams())
+// TestLowCommConvolveGivesUpOnStickyCrash: a worker that dies at every
+// exchange aborts every generation; after 2P+2 the call returns an error
+// wrapping that worker's *CrashError, and never hangs.
+func TestLowCommConvolveGivesUpOnStickyCrash(t *testing.T) {
+	const p = 4
+	c, err := NewWithOptions(p, DefaultParams(),
+		faultyOptions(NewFaultInjector(FaultPlan{Seed: 1, CrashWorker: 3, CrashAtOp: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 1.5}, 8, 8, conv.Config{})
-	if err != nil {
-		t.Fatal(err)
+	err = withWatchdog(t, "sticky-crash-convolve", 60*time.Second, func() error {
+		_, err := LowCommConvolve(c, randGrid(grid.Cube(16), 4), green.Gaussian{Sigma: 2}, 8, 8, conv.Config{Workers: 1})
+		return err
+	})
+	var ce *CrashError
+	if !errors.As(err, &ce) || ce.Worker != 3 {
+		t.Fatalf("sticky crash returned %v, want an error wrapping worker 3's *CrashError", err)
 	}
-	if res.Degraded || len(res.Missing) != 0 || !res.Bound.Missing.IsZero() {
-		t.Errorf("healthy run flagged degraded: %+v", res)
+	// One exchange per generation: the crash's op index counts them.
+	if ce.OpIndex != 2*p+2 {
+		t.Errorf("gave up after %d generations, want 2P+2 = %d", ce.OpIndex, 2*p+2)
+	}
+}
+
+// TestLowCommConvolveTransientFaultsBitIdentical: drops, corruption,
+// duplicates and delays in the single exchange heal in the transport and
+// leave the field bit-identical to the fault-free run.
+func TestLowCommConvolveTransientFaultsBitIdentical(t *testing.T) {
+	const p = 4
+	f := randGrid(grid.Cube(32), 17)
+	want := healthyLowComm(t, f, p)
+	for _, pl := range []struct {
+		name string
+		plan FaultPlan
+	}{
+		{"drop", FaultPlan{Seed: 7, DropProb: 0.3}},
+		{"corrupt", FaultPlan{Seed: 7, CorruptProb: 0.2}},
+		{"dup", FaultPlan{Seed: 7, DupProb: 0.5}},
+		{"delay", FaultPlan{Seed: 7, DelayProb: 0.5, Delay: 2 * time.Millisecond}},
+	} {
+		opts := faultyOptions(NewFaultInjector(pl.plan))
+		opts.RecvTimeout = 50 * time.Millisecond
+		c, err := NewWithOptions(p, DefaultParams(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *LowCommResult
+		err = withWatchdog(t, pl.name, 60*time.Second, func() (err error) {
+			res, err = LowCommConvolve(c, f, green.Gaussian{Sigma: 2}, 8, 8, conv.Config{Workers: 1})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", pl.name, err)
+		}
+		if i, ok := sameBits(res.Field, want); !ok {
+			t.Errorf("%s: field differs from the fault-free run at voxel %d", pl.name, i)
+		}
 	}
 }

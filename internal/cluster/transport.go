@@ -78,9 +78,9 @@ type FaultPlan struct {
 	// Crashes are one-shot crash points: each fires at most once, so a
 	// respawned replacement worker survives the op index that killed its
 	// predecessor. The legacy CrashWorker/CrashAtOp pair stays sticky
-	// (op >= CrashAtOp keeps firing) for a worker that must stay down:
-	// LowCommConvolve's degraded convolution, and the MASSIF test that a
-	// solve losing the same worker every generation gives up.
+	// (op >= CrashAtOp keeps firing) for a worker that must stay down: the
+	// tests that a healing run (LowCommConvolve, the distributed MASSIF
+	// solve) losing the same worker every generation gives up.
 	Crashes []CrashPoint
 }
 
@@ -114,8 +114,11 @@ func (f *FaultInjector) Injected() (drops, delays, dups, corrupts int64) {
 	return f.drops.Load(), f.delays.Load(), f.dups.Load(), f.corrupts.Load()
 }
 
-// splitmix64 finalizer: a well-mixed 64-bit hash.
-func mix64(x uint64) uint64 {
+// SplitMix64 is the splitmix64 finalizer, a well-mixed 64-bit hash: the one
+// hash behind every seeded fault schedule (this package's FaultPlan and
+// ChaosConn, supervise.ChaosSchedule, fleet.FaultSchedule), so each
+// decision is a pure function of its seed and coordinates.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -126,9 +129,9 @@ func mix64(x uint64) uint64 {
 // and the message coordinates, independent of scheduling order.
 func (f *FaultInjector) roll(salt uint64, from, to int, seq uint64, attempt int) float64 {
 	x := uint64(f.plan.Seed)
-	x = mix64(x ^ salt)
-	x = mix64(x ^ uint64(from)<<32 ^ uint64(to))
-	x = mix64(x ^ seq<<8 ^ uint64(attempt))
+	x = SplitMix64(x ^ salt)
+	x = SplitMix64(x ^ uint64(from)<<32 ^ uint64(to))
+	x = SplitMix64(x ^ seq<<8 ^ uint64(attempt))
 	return float64(x>>11) / (1 << 53)
 }
 
@@ -143,7 +146,7 @@ func (f *FaultInjector) Transmit(from, to int, m message, attempt int, deliver f
 		f.corrupts.Add(1)
 		bad := make([]float64, len(m.payload))
 		copy(bad, m.payload)
-		i := int(mix64(uint64(f.plan.Seed)^m.seq^uint64(from))) % len(bad)
+		i := int(SplitMix64(uint64(f.plan.Seed)^m.seq^uint64(from))) % len(bad)
 		if i < 0 {
 			i = -i
 		}

@@ -36,12 +36,6 @@ type EngineOptions struct {
 	// Conv is the per-pipeline configuration (workers, batch size, trace).
 	Conv conv.Config
 
-	// SpillWorkers sizes the simulated cluster for spilled solves (≤0: 4;
-	// clamped to a divisor of N). SpillParams prices its fabric (zero
-	// value: DefaultIB).
-	SpillWorkers int
-	SpillParams  cluster.Params
-
 	// Faults injects seeded deterministic device faults into every batch
 	// (crash, hang, transient, slowdown at dispatch / mid-batch /
 	// completion). Setting it starts the health monitor — hangs are only
@@ -82,7 +76,7 @@ type Engine struct {
 	dim   grid.Dim3
 	far   int
 	pw    conv.Pointwise
-	plans *conv.PlanSet // read-only; shared by every runner and the spill workers
+	plans *conv.PlanSet // read-only; shared by every runner
 
 	mu     sync.Mutex
 	closed bool
@@ -344,7 +338,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 	tj.Event(jobtrace.KindAdmit, -1, "", int64(len(jobs)))
 	if spill {
 		tj.Event(jobtrace.KindSpill, -1, "no-fit", 0)
-		return e.runSpill(f, jobs, &st, tj)
+		return e.runSpill(f, &st, tj)
 	}
 
 	fp := e.sched.Footprint(k)
@@ -386,7 +380,7 @@ func (e *Engine) Solve(tenant string, f *grid.Field) (*grid.Field, SolveStats, e
 			// absorb: recompute the whole solve there. Canonical-order
 			// assembly keeps the output byte-identical to a healthy fleet.
 			tj.Event(jobtrace.KindSpill, -1, "capacity-loss", 0)
-			return e.runSpill(f, jobs, &st, tj)
+			return e.runSpill(f, &st, tj)
 		}
 		return nil, st, firstErr
 	}
@@ -411,95 +405,31 @@ func (e *Engine) accumulate(results []*sample.Compressed, tj *jobtrace.Job) (*gr
 	return out, err
 }
 
-// runSpill executes a solve too large for any device on the simulated
-// low-communication cluster: jobs are partitioned round-robin, each
-// worker convolves its share locally and ships each peer the compressed
-// patches intersecting that peer's output z-slab in a single all-to-all
-// (the fabric bytes are counted, not modeled). Results land in their
-// canonical slots, and assembly accumulates them in canonical order —
-// the same order the device path uses — so a spilled solve is
-// byte-identical to the same solve on a big-enough device.
-func (e *Engine) runSpill(f *grid.Field, jobs []grid.Box, st *SolveStats, tj *jobtrace.Job) (*grid.Field, SolveStats, error) {
+// spillWorkers is the size of the simulated cluster a spilled solve runs
+// on, before clamping to the job count and a divisor of N.
+const spillWorkers = 4
+
+// runSpill executes a solve too large for the fleet on the simulated
+// low-communication cluster: cluster.LowCommConvolve on up to spillWorkers
+// ranks priced by DefaultIB, whose field is conv.Decomposed.Run's bit for
+// bit — the same bits the device path accumulates — and whose exchange
+// bytes are counted, not modeled.
+func (e *Engine) runSpill(f *grid.Field, st *SolveStats, tj *jobtrace.Job) (*grid.Field, SolveStats, error) {
 	n := e.dim.Nx
-	p := e.opts.SpillWorkers
-	if p <= 0 {
-		p = 4
-	}
-	if p > len(jobs) {
-		p = len(jobs)
-	}
+	p := min(spillWorkers, st.Jobs)
 	for p > 1 && n%p != 0 {
 		p--
 	}
-	params := e.opts.SpillParams
-	if params == (cluster.Params{}) {
-		params = DefaultIB()
-	}
-	c, err := cluster.New(p, params)
+	c, err := cluster.New(p, DefaultIB())
 	if err != nil {
 		return nil, *st, err
 	}
-	parts, err := grid.Partition(jobs, p)
+	res, err := cluster.LowCommConvolve(c, f, e.opts.Kernel, st.K, e.far, e.opts.Conv)
 	if err != nil {
 		return nil, *st, err
 	}
-	zPer := n / p
-	region := func(q int) grid.Box {
-		return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
-	}
-	results := make([]*sample.Compressed, len(jobs))
-	bytesBefore, _, _, _ := c.Stats.Snapshot()
-	errs := c.RunAll(func(w *Worker) error {
-		mine := make([]*sample.Compressed, len(parts[w.ID]))
-		for j, b := range parts[w.ID] {
-			tree, err := sample.DefaultPolicy(b, e.far).Tree(e.dim)
-			if err != nil {
-				return err
-			}
-			local, err := e.plans.NewLocal(b, tree, e.pw, e.opts.Conv)
-			if err != nil {
-				return err
-			}
-			sub, err := f.ExtractBox(b)
-			if err != nil {
-				return err
-			}
-			res, _, err := local.Run(sub)
-			local.ReleaseBuffers()
-			if err != nil {
-				return err
-			}
-			mine[j] = res
-			// grid.Partition is round-robin: parts[w][j] is jobs[w+j*p].
-			results[w.ID+j*p] = res
-		}
-		// The single sparse exchange (Fig. 1b): each peer receives the
-		// patches intersecting its output z-slab. The engine assembles
-		// from the canonical slots for byte-stable output; the exchange
-		// still moves (and counts) the real sample traffic.
-		recv, missing, err := w.AllToAllFT(cluster.ExchangeMessages(mine, p, region))
-		if err != nil {
-			return err
-		}
-		if len(missing) > 0 {
-			return fmt.Errorf("fleet: spill exchange lost workers %v", missing)
-		}
-		for q := 0; q < p; q++ {
-			if _, err := sample.DecodePatches(recv[q]); err != nil {
-				return fmt.Errorf("fleet: spill exchange from %d: %w", q, err)
-			}
-		}
-		return nil
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, *st, err
-	}
-	bytesAfter, _, _, _ := c.Stats.Snapshot()
+	tj.Stage("acc", -1, res.Accumulate)
 	st.Spilled = true
-	st.SpillBytes = bytesAfter - bytesBefore
-	out, err := e.accumulate(results, tj)
-	return out, *st, err
+	st.SpillBytes = res.SampleBytes
+	return res.Field, *st, nil
 }
-
-// Worker aliases cluster.Worker for the spill callback signature.
-type Worker = cluster.Worker

@@ -1,6 +1,10 @@
 package fleet
 
-import "time"
+import (
+	"time"
+
+	"lowcomm3d/internal/cluster"
+)
 
 // FaultKind is one injected device failure mode — the device-level
 // analogue of cluster.Transport's message faults and
@@ -93,16 +97,9 @@ type FaultSchedule struct {
 	ProbeFailProb float64
 }
 
-// faultMix is the splitmix64 finalizer, matching the deterministic rolls
-// of cluster's fault plan and supervise's chaos schedule.
-func faultMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func roll(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+// roll hashes x with the splitmix64 finalizer every seeded schedule shares
+// and maps it to a uniform [0,1) value.
+func roll(x uint64) float64 { return float64(cluster.SplitMix64(x)>>11) / (1 << 53) }
 
 // At returns the fault injected at point for device dev's dispatch-th
 // batch (FaultNone for most rolls). Nil schedules inject nothing.
@@ -110,7 +107,7 @@ func (f *FaultSchedule) At(dev int, dispatch uint64, point FaultPoint) FaultKind
 	if f == nil {
 		return FaultNone
 	}
-	u := roll(faultMix(f.Seed ^ uint64(dev)<<48 ^ dispatch<<8 ^ uint64(point)))
+	u := roll(f.Seed ^ uint64(dev)<<48 ^ dispatch<<8 ^ uint64(point))
 	switch {
 	case u < f.CrashProb:
 		return FaultCrash
@@ -131,7 +128,7 @@ func (f *FaultSchedule) ProbeOK(dev, probe int) bool {
 	if f == nil || f.ProbeFailProb <= 0 {
 		return true
 	}
-	u := roll(faultMix(f.Seed ^ 0x70726f6265 ^ uint64(dev)<<32 ^ uint64(probe)))
+	u := roll(f.Seed ^ 0x70726f6265 ^ uint64(dev)<<32 ^ uint64(probe))
 	return u >= f.ProbeFailProb
 }
 

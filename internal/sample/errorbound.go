@@ -55,64 +55,11 @@ func MaxSecondDerivative(f *grid.Field) float64 {
 
 // ErrorBound is the Taylor bound on the reconstruction error of a
 // compressed field, as a function of the design choices the paper names:
-// the octree rates (driven by k and r) and the field's smoothness M₂. On a
-// degraded run (a worker declared dead mid-exchange) Missing widens the
-// bound by the mass of the contributions that never arrived.
+// the octree rates (driven by k and r) and the field's smoothness M₂.
 type ErrorBound struct {
 	LInf    float64 // max over cells of (3/8)·rate²·M₂
 	L2      float64 // volume-weighted RMS of the per-cell bounds
 	MaxRate int
-	Missing MissingMass // omitted-contribution term; zero on a healthy run
-}
-
-// MissingMass bounds the contribution absent from a degraded accumulation:
-// when a dead worker's sub-domains are omitted, the error incurred is at
-// most the convolution of the field restricted to those sub-domains with
-// the kernel, which Parseval/Young bound in terms of ‖f·1_B‖₂ and the
-// kernel spectrum. Both members are additive with the interpolation bound
-// by the triangle inequality.
-type MissingMass struct {
-	L2   float64 // RMS bound over the grid on the omitted contribution
-	LInf float64 // pointwise bound on the omitted contribution
-}
-
-// IsZero reports whether no mass is missing (healthy run).
-func (m MissingMass) IsZero() bool { return m.L2 == 0 && m.LInf == 0 }
-
-// WithMissing returns b widened by the missing-mass term m.
-func (b ErrorBound) WithMissing(m MissingMass) ErrorBound {
-	b.Missing = m
-	return b
-}
-
-// TotalLInf is the degraded-mode pointwise bound: interpolation error plus
-// the omitted contribution (triangle inequality).
-func (b ErrorBound) TotalLInf() float64 { return b.LInf + b.Missing.LInf }
-
-// TotalL2 is the degraded-mode RMS bound.
-func (b ErrorBound) TotalL2() float64 { return b.L2 + b.Missing.L2 }
-
-// BoxRestrictedL2 returns ‖f·1_B‖₂, the l2 norm of f restricted to the
-// union of boxes (overlapping voxels counted once) — the field-side factor
-// of the missing-mass bound.
-func BoxRestrictedL2(f *grid.Field, boxes []grid.Box) float64 {
-	seen := make([]bool, f.Dim.Len())
-	sum := 0.0
-	for _, b := range boxes {
-		clip := b.Intersect(f.Dim.Bounds())
-		if clip.Empty() {
-			continue
-		}
-		clip.ForEach(func(x, y, z int) {
-			i := f.Dim.Index(x, y, z)
-			if seen[i] {
-				return
-			}
-			seen[i] = true
-			sum += f.Data[i] * f.Data[i]
-		})
-	}
-	return math.Sqrt(sum)
 }
 
 // Bound evaluates the per-cell Taylor bound for the tree of c with

@@ -140,54 +140,6 @@ func TestBoundScalesQuadraticallyWithRate(t *testing.T) {
 	}
 }
 
-func TestBoxRestrictedL2(t *testing.T) {
-	// f ≡ 1, so ‖f·1_B‖₂ is the square root of the union volume; the
-	// overlap of the two boxes must be counted once, and boxes reaching
-	// past the grid must be clipped.
-	d := grid.Cube(8)
-	f := grid.NewField(d)
-	for i := range f.Data {
-		f.Data[i] = 1
-	}
-	b1 := grid.CubeAt(grid.Point{0, 0, 0}, 4)
-	b2 := grid.CubeAt(grid.Point{2, 0, 0}, 4) // overlaps b1 in 2×4×4
-	got := BoxRestrictedL2(f, []grid.Box{b1, b2})
-	want := math.Sqrt(64 + 64 - 32)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("union norm %g want %g", got, want)
-	}
-	if n := BoxRestrictedL2(f, nil); n != 0 {
-		t.Errorf("empty box list: norm %g want 0", n)
-	}
-	clipped := BoxRestrictedL2(f, []grid.Box{grid.CubeAt(grid.Point{6, 6, 6}, 4)})
-	if want = math.Sqrt(8); math.Abs(clipped-want) > 1e-12 {
-		t.Errorf("clipped norm %g want %g", clipped, want)
-	}
-}
-
-func TestMissingMassWidensBound(t *testing.T) {
-	if !(MissingMass{}).IsZero() {
-		t.Error("zero MissingMass not reported zero")
-	}
-	m := MissingMass{L2: 0.02, LInf: 0.3}
-	if m.IsZero() {
-		t.Error("non-zero MissingMass reported zero")
-	}
-	b := ErrorBound{LInf: 0.5, L2: 0.1}
-	// Healthy bound: totals are just the interpolation members.
-	if b.TotalLInf() != b.LInf || b.TotalL2() != b.L2 {
-		t.Errorf("healthy totals (%g, %g) != (%g, %g)", b.TotalLInf(), b.TotalL2(), b.LInf, b.L2)
-	}
-	w := b.WithMissing(m)
-	if math.Abs(w.TotalLInf()-0.8) > 1e-15 || math.Abs(w.TotalL2()-0.12) > 1e-15 {
-		t.Errorf("degraded totals (%g, %g) want (0.8, 0.12)", w.TotalLInf(), w.TotalL2())
-	}
-	// Widening must not touch the interpolation members themselves.
-	if w.LInf != b.LInf || w.L2 != b.L2 {
-		t.Errorf("WithMissing mutated interpolation members: %+v", w)
-	}
-}
-
 func TestVerifyBoundDimMismatch(t *testing.T) {
 	tree, err := Uniform{Rate: 2}.Tree(grid.Cube(16))
 	if err != nil {

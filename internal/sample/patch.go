@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -78,9 +79,10 @@ func DecodeComponentPatches(msg []float64) ([][]Patch, error) {
 	if len(msg) < 1 {
 		return nil, fmt.Errorf("sample: empty component-patch message")
 	}
-	nc := int(msg[0])
-	if nc < 0 {
-		return nil, fmt.Errorf("sample: negative component count %d", nc)
+	// A component is at least its blob length and a patch count.
+	nc, ok := headerInt(msg[0], 0, (len(msg)-1)/2)
+	if !ok {
+		return nil, fmt.Errorf("sample: component count %g in a %d-value message", msg[0], len(msg))
 	}
 	pos := 1
 	out := make([][]Patch, nc)
@@ -88,11 +90,11 @@ func DecodeComponentPatches(msg []float64) ([][]Patch, error) {
 		if pos >= len(msg) {
 			return nil, fmt.Errorf("sample: truncated component %d", c)
 		}
-		bl := int(msg[pos])
-		pos++
-		if bl < 0 || pos+bl > len(msg) {
-			return nil, fmt.Errorf("sample: bad component %d blob length %d", c, bl)
+		bl, ok := headerInt(msg[pos], 0, len(msg)-pos-1)
+		if !ok {
+			return nil, fmt.Errorf("sample: bad component %d blob length %g", c, msg[pos])
 		}
+		pos++
 		ps, err := DecodePatches(msg[pos : pos+bl])
 		if err != nil {
 			return nil, fmt.Errorf("sample: component %d: %w", c, err)
@@ -106,33 +108,76 @@ func DecodeComponentPatches(msg []float64) ([][]Patch, error) {
 // DecodePatches inverts EncodePatches. Sample slices alias the message
 // buffer.
 func DecodePatches(msg []float64) ([]Patch, error) {
-	if len(msg) < 1 {
-		return nil, fmt.Errorf("sample: empty patch message")
+	ps, _, err := decodePatches(msg)
+	return ps, err
+}
+
+// DecodePatchGroups splits msg, EncodePatches messages laid back to back,
+// into one patch list per message. Sample slices alias msg.
+func DecodePatchGroups(msg []float64) ([][]Patch, error) {
+	var groups [][]Patch
+	for len(msg) > 0 {
+		ps, used, err := decodePatches(msg)
+		if err != nil {
+			return nil, fmt.Errorf("sample: patch group %d: %w", len(groups), err)
+		}
+		groups = append(groups, ps)
+		msg = msg[used:]
 	}
-	count := int(msg[0])
-	if count < 0 {
-		return nil, fmt.Errorf("sample: negative patch count %d", count)
+	return groups, nil
+}
+
+// decodePatches decodes the EncodePatches message at the front of msg and
+// returns its patches and the number of values it spans. The header is
+// untrusted: nothing is sized before it is checked against the values msg
+// holds, and a cell must be one a valid octree could hold.
+func decodePatches(msg []float64) ([]Patch, int, error) {
+	if len(msg) < 1 {
+		return nil, 0, fmt.Errorf("sample: empty patch message")
+	}
+	count, ok := headerInt(msg[0], 0, (len(msg)-1)/patchHeader)
+	if !ok {
+		return nil, 0, fmt.Errorf("sample: patch count %g in a %d-value message", msg[0], len(msg))
 	}
 	pos := 1
 	out := make([]Patch, 0, count)
 	for i := 0; i < count; i++ {
 		if pos+patchHeader > len(msg) {
-			return nil, fmt.Errorf("sample: truncated patch header at %d", pos)
+			return nil, 0, fmt.Errorf("sample: truncated patch header at %d", pos)
 		}
-		lo := grid.Point{int(msg[pos]), int(msg[pos+1]), int(msg[pos+2])}
-		size := int(msg[pos+3])
-		rate := int(msg[pos+4])
-		ns := int(msg[pos+5])
+		h := msg[pos : pos+patchHeader]
 		pos += patchHeader
-		if size < 1 || rate < 1 || ns < 0 || pos+ns > len(msg) {
-			return nil, fmt.Errorf("sample: malformed patch %d (size=%d rate=%d ns=%d)", i, size, rate, ns)
+		var v [patchHeader - 1]int // lo.x, lo.y, lo.z, size, rate
+		valid := true
+		for j := range v {
+			least := 0
+			if j >= 3 {
+				least = 1
+			}
+			v[j], ok = headerInt(h[j], least, octree.MaxGridSize)
+			valid = valid && ok
 		}
-		cell := octree.Cell{Box: grid.CubeAt(lo, size), Rate: rate}
+		size, rate := v[3], v[4]
+		ns, ok := headerInt(h[5], 0, len(msg)-pos)
+		// size ≤ MaxGridSize keeps the lattice cube below 2⁶¹: no overflow.
+		if !valid || !ok || rate&(rate-1) != 0 || size%rate != 0 {
+			return nil, 0, fmt.Errorf("sample: malformed patch %d header %v", i, h)
+		}
+		cell := octree.Cell{Box: grid.CubeAt(grid.Point{v[0], v[1], v[2]}, size), Rate: rate}
 		if cell.SampleCount() != ns {
-			return nil, fmt.Errorf("sample: patch %d sample count %d != cell %d", i, ns, cell.SampleCount())
+			return nil, 0, fmt.Errorf("sample: patch %d sample count %d != cell %d", i, ns, cell.SampleCount())
 		}
 		out = append(out, Patch{Cell: cell, Samples: msg[pos : pos+ns]})
 		pos += ns
 	}
-	return out, nil
+	return out, pos, nil
+}
+
+// headerInt reads a header value as an integer in [lo, hi]; NaN, fractions
+// and out-of-range values fail before any conversion.
+func headerInt(v float64, lo, hi int) (int, bool) {
+	if !(v >= float64(lo) && v <= float64(hi)) || v != math.Trunc(v) {
+		return 0, false
+	}
+	return int(v), true
 }

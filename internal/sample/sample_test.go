@@ -444,6 +444,87 @@ func TestDecodePatchesMalformed(t *testing.T) {
 	}
 }
 
+// lyingPatchMessages are headers that once crashed the decoder: a patch
+// count that sized a 10¹²-entry allocation (a fatal, unrecoverable
+// out-of-memory), and a 2²²−1 cell whose (size/rate+1)³ lattice count
+// wrapped to the 0 samples that followed, so AddToRegion sliced past them.
+var lyingPatchMessages = [][]float64{
+	{1e12},
+	{1, 0, 0, 0, 1<<22 - 1, 1, 0},
+}
+
+func TestDecodeRejectsLyingHeaders(t *testing.T) {
+	for i, msg := range lyingPatchMessages {
+		if _, err := DecodePatches(msg); err == nil {
+			t.Errorf("message %d: DecodePatches accepted %v", i, msg)
+		}
+		if _, err := DecodePatchGroups(msg); err == nil {
+			t.Errorf("message %d: DecodePatchGroups accepted %v", i, msg)
+		}
+	}
+	if _, err := DecodeComponentPatches([]float64{1e12}); err == nil {
+		t.Error("DecodeComponentPatches accepted a 10¹²-component header")
+	}
+	for _, h := range [][]float64{
+		{1, -8, 0, 0, 2, 1, 27}, // negative corner
+		{1, 0, 0, 0, 6, 3, 27},  // rate not a power of two
+		{1, 0, 0, 0, 6, 4, 8},   // rate does not divide size
+		{1, 0, 0, 0, 1<<20 + 2, 2, 8},
+		{0.5},
+		{math.NaN()},
+	} {
+		msg := append(h, make([]float64, 27)...)
+		if _, err := DecodePatches(msg); err == nil {
+			t.Errorf("DecodePatches accepted header %v", h)
+		}
+	}
+}
+
+// TestPatchGroupsRoundTrip: back-to-back EncodePatches messages, empty ones
+// included, decode into the same groups in order, and a trailing fragment
+// fails.
+func TestPatchGroupsRoundTrip(t *testing.T) {
+	d := grid.Cube(16)
+	tree, err := DefaultPolicy(grid.CubeAt(grid.Point{0, 0, 0}, 8), 4).Tree(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compress(smoothField(d), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := [][]Patch{c.Patches(grid.BoxAt(grid.Point{0, 0, 4}, 16, 16, 4)), nil, c.Patches(d.Bounds())}
+	var msg []float64
+	for _, g := range groups {
+		msg = append(msg, EncodePatches(g)...)
+	}
+	back, err := DecodePatchGroups(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(groups) {
+		t.Fatalf("%d groups, want %d", len(back), len(groups))
+	}
+	for i := range groups {
+		if len(back[i]) != len(groups[i]) {
+			t.Fatalf("group %d: %d patches, want %d", i, len(back[i]), len(groups[i]))
+		}
+		for j, p := range groups[i] {
+			if back[i][j].Cell != p.Cell {
+				t.Fatalf("group %d patch %d: cell %v, want %v", i, j, back[i][j].Cell, p.Cell)
+			}
+			for s, v := range p.Samples {
+				if back[i][j].Samples[s] != v {
+					t.Fatalf("group %d patch %d sample %d changed", i, j, s)
+				}
+			}
+		}
+	}
+	if _, err := DecodePatchGroups(append(msg, 3)); err == nil {
+		t.Error("a trailing fragment should fail")
+	}
+}
+
 func TestComponentPatchCodecRoundTrip(t *testing.T) {
 	d := grid.Cube(16)
 	tree, err := Uniform{Rate: 2, CellSize: 4}.Tree(d)

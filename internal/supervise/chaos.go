@@ -1,6 +1,10 @@
 package supervise
 
-import "time"
+import (
+	"time"
+
+	"lowcomm3d/internal/cluster"
+)
 
 // ChaosSchedule injects deterministic compute-time straggle into worker
 // iterations, complementing cluster.FaultPlan's transport faults. Like the
@@ -16,21 +20,13 @@ type ChaosSchedule struct {
 	StraggleDelay time.Duration
 }
 
-// splitmix64 finalizer, matching cluster's deterministic fault rolls.
-func chaosMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Delay returns the injected compute delay for (worker, iter): zero for
 // most pairs, StraggleDelay when the seeded roll fires.
 func (c *ChaosSchedule) Delay(worker, iter int) time.Duration {
 	if c == nil || c.StraggleProb <= 0 || c.StraggleDelay <= 0 {
 		return 0
 	}
-	x := chaosMix(c.Seed ^ uint64(worker)<<32 ^ uint64(iter))
+	x := cluster.SplitMix64(c.Seed ^ uint64(worker)<<32 ^ uint64(iter))
 	if float64(x>>11)/(1<<53) < c.StraggleProb {
 		return c.StraggleDelay
 	}
