@@ -7,8 +7,10 @@
 // kernel, §3), and the recovery state is small: boxes × 6 Voigt components
 // × k³ doubles per worker, never the global grid. The solve deposits
 // exactly that at every iteration start, so a crashed worker is respawned
-// from its last deposit and rejoins at the iteration barrier, and an idle
-// worker can re-execute a straggler's iteration from it.
+// from a deposit and rejoins at the iteration barrier, and an idle worker
+// can re-execute a straggler's iteration from it. The store keeps each
+// worker's last two deposits: ranks abort at most one iteration apart, so
+// between them every rank holds the iteration they all resume from.
 //
 // Snapshot format (little endian):
 //
@@ -190,18 +192,19 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// Store holds each worker's last snapshot, either as files in a directory
-// (NewStore) or in memory (NewMemStore). Both save through the same codec
-// and checksum. A directory store replaces files atomically: every save
-// writes a temp file, fsyncs it and renames it over the previous deposit,
-// so readers only ever observe complete snapshots — a crash mid-write
-// leaves the prior checkpoint intact. A memory store keeps the encoded
-// bytes, never the caller's slices, so a deposit is a copy.
+// Store holds each worker's last two snapshots, either as files in a
+// directory (NewStore) or in memory (NewMemStore). Both save through the
+// same codec and checksum. A directory store replaces files atomically:
+// every save hard-links the last deposit to the previous-deposit file,
+// writes a temp file, fsyncs it and renames it over the last deposit, so
+// readers only ever observe complete snapshots — a crash mid-write leaves
+// the prior checkpoint intact. A memory store keeps the encoded bytes,
+// never the caller's slices, so a deposit is a copy.
 type Store struct {
 	dir string // "" for a memory store
 
 	mu  sync.Mutex
-	mem map[int][]byte // memory store: encoded snapshot by worker
+	mem map[int][2][]byte // memory store: encoded last and previous snapshot by worker
 
 	bytesC *obs.Counter        // ckpt.bytes_written
 	savesC *obs.Counter        // ckpt.saves
@@ -233,7 +236,7 @@ func newStore(dir string, tr *obs.Trace) *Store {
 	}
 	return &Store{
 		dir:    dir,
-		mem:    map[int][]byte{},
+		mem:    map[int][2][]byte{},
 		bytesC: tr.Counter("ckpt.bytes_written"),
 		savesC: tr.Counter("ckpt.saves"),
 		fileG:  tr.Gauge("ckpt.max_file_bytes"),
@@ -248,7 +251,12 @@ func (s *Store) Dir() string { return s.dir }
 // last checkpoint. A nil recorder disables recording.
 func (s *Store) SetFlight(rec *telemetry.Recorder) { s.flight = rec }
 
-func (s *Store) strainPath(worker int) string {
+// strainPath is the file of worker's last deposit (slot 0) or the one
+// before it (slot 1).
+func (s *Store) strainPath(worker, slot int) string {
+	if slot == 1 {
+		return filepath.Join(s.dir, fmt.Sprintf("strain-%04d.prev.ckpt", worker))
+	}
 	return filepath.Join(s.dir, fmt.Sprintf("strain-%04d.ckpt", worker))
 }
 
@@ -277,8 +285,8 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// SaveStrain deposits worker's strain for iter, replacing any earlier
-// deposit atomically.
+// SaveStrain deposits worker's strain for iter atomically; the last
+// deposit becomes the previous one and the one before that is dropped.
 func (s *Store) SaveStrain(snap *Snapshot) error {
 	data, err := snap.encode()
 	if err != nil {
@@ -286,10 +294,19 @@ func (s *Store) SaveStrain(snap *Snapshot) error {
 	}
 	if s.dir == "" {
 		s.mu.Lock()
-		s.mem[snap.Worker] = data
+		s.mem[snap.Worker] = [2][]byte{data, s.mem[snap.Worker][0]}
 		s.mu.Unlock()
-	} else if err := s.writeAtomic(s.strainPath(snap.Worker), data); err != nil {
-		return err
+	} else {
+		last, prev := s.strainPath(snap.Worker, 0), s.strainPath(snap.Worker, 1)
+		if err := os.Remove(prev); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("ckpt: dropping previous deposit: %w", err)
+		}
+		if err := os.Link(last, prev); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("ckpt: keeping previous deposit: %w", err)
+		}
+		if err := s.writeAtomic(last, data); err != nil {
+			return err
+		}
 	}
 	n := int64(len(data))
 	s.bytesC.Add(n)
@@ -301,18 +318,33 @@ func (s *Store) SaveStrain(snap *Snapshot) error {
 
 // LoadStrain returns worker's last deposit, or (nil, nil) when the worker
 // has never checkpointed.
-func (s *Store) LoadStrain(worker int) (*Snapshot, error) {
+func (s *Store) LoadStrain(worker int) (*Snapshot, error) { return s.load(worker, 0) }
+
+// LoadStrainAt returns worker's deposit for iteration iter when it is one
+// of the two the store keeps (the later one if both are), or (nil, nil).
+func (s *Store) LoadStrainAt(worker, iter int) (*Snapshot, error) {
+	for slot := range 2 {
+		snap, err := s.load(worker, slot)
+		if err != nil || (snap != nil && snap.Iter == iter) {
+			return snap, err
+		}
+	}
+	return nil, nil
+}
+
+// load reads worker's last deposit (slot 0) or the one before it (slot 1).
+func (s *Store) load(worker, slot int) (*Snapshot, error) {
 	var r io.Reader
 	if s.dir == "" {
 		s.mu.Lock()
-		data, ok := s.mem[worker]
+		data := s.mem[worker][slot]
 		s.mu.Unlock()
-		if !ok {
+		if data == nil {
 			return nil, nil
 		}
 		r = bytes.NewReader(data)
 	} else {
-		f, err := os.Open(s.strainPath(worker))
+		f, err := os.Open(s.strainPath(worker, slot))
 		if os.IsNotExist(err) {
 			return nil, nil
 		}

@@ -309,6 +309,41 @@ func TestMemStoreSaveLoadStrain(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsPreviousDeposit: both stores answer LoadStrainAt for the
+// last two deposits of a worker and nothing older, and a repeated
+// iteration resolves to its later deposit.
+func TestStoreKeepsPreviousDeposit(t *testing.T) {
+	dir, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{NewMemStore(nil), dir} {
+		if snap, err := st.LoadStrainAt(5, 0); err != nil || snap != nil {
+			t.Fatalf("dir %q: no deposit yet: got (%v, %v), want (nil, nil)", st.Dir(), snap, err)
+		}
+		for _, d := range []struct{ it, mark int }{{2, 20}, {3, 30}, {4, 40}, {3, -1}} {
+			snap := testSnapshot(5, d.it, 2, 8)
+			snap.Strain[1][1][1] = float64(d.mark)
+			if err := st.SaveStrain(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Deposits 4 then 3 (the second 3) are kept; 2 and the first 3 are gone.
+		for it, want := range map[int]float64{4: 40, 3: -1} {
+			snap, err := st.LoadStrainAt(5, it)
+			if err != nil || snap == nil || snap.Iter != it || snap.Strain[1][1][1] != want {
+				t.Errorf("dir %q: LoadStrainAt(5, %d) = (%v, %v), want iteration %d with marker %g", st.Dir(), it, snap, err, it, want)
+			}
+		}
+		if snap, err := st.LoadStrainAt(5, 2); err != nil || snap != nil {
+			t.Errorf("dir %q: a third-newest deposit survived: (%v, %v)", st.Dir(), snap, err)
+		}
+		if last, err := st.LoadStrain(5); err != nil || last.Iter != 3 {
+			t.Errorf("dir %q: LoadStrain = (%v, %v), want the last deposit, iteration 3", st.Dir(), last, err)
+		}
+	}
+}
+
 // TestMemStoreConcurrentSaveLoad: ranks deposit while a helper loads a
 // peer's deposit, as a distributed solve does; run under -race.
 func TestMemStoreConcurrentSaveLoad(t *testing.T) {
@@ -348,7 +383,7 @@ func TestStoreRejectsWorkerMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a misrouted file: worker 2's slot holding worker 1's data.
-	if err := os.Rename(st.strainPath(1), st.strainPath(2)); err != nil {
+	if err := os.Rename(st.strainPath(1, 0), st.strainPath(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.LoadStrain(2); err == nil {

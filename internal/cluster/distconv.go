@@ -67,25 +67,28 @@ func DistFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fiel
 			return err
 		}
 		// Stage 3–5: z-direction FFT, kernel multiply, inverse z FFT —
-		// all local to the worker's y range.
+		// all local to the worker's y range. The pencil's copies in and out
+		// go through planZ.Perm, so the transforms skip their reorders.
 		y0 := w.ID * zPer
 		pencil := make([]complex128, n)
+		perm := planZ.Perm()
 		for yi := 0; yi < zPer; yi++ {
 			for x := 0; x < n; x++ {
-				for z := 0; z < n; z++ {
-					pencil[z] = ySlab[z*n*zPer+yi*n+x]
+				for i, z := range perm {
+					pencil[i] = ySlab[int(z)*n*zPer+yi*n+x]
 				}
-				if err := planZ.Forward(pencil, pencil); err != nil {
+				if err := planZ.ForwardFromPerm(pencil); err != nil {
 					return err
 				}
-				for kz := 0; kz < n; kz++ {
-					pencil[kz] *= complex(kernel.Hat(d, x, y0+yi, kz), 0)
+				for kz, v := range pencil {
+					r := kernel.Hat(d, x, y0+yi, kz)
+					pencil[kz] = complex(real(v)*r, imag(v)*r)
 				}
-				if err := planZ.Inverse(pencil, pencil); err != nil {
+				if err := planZ.InverseToPerm(pencil); err != nil {
 					return err
 				}
-				for z := 0; z < n; z++ {
-					ySlab[z*n*zPer+yi*n+x] = pencil[z]
+				for i, z := range perm {
+					ySlab[int(z)*n*zPer+yi*n+x] = pencil[i]
 				}
 			}
 		}

@@ -43,7 +43,9 @@ var ErrNotHermitian = errors.New("conv: pointwise callback is not Hermitian")
 // Separable kernels (green.Separable) get a fast path: three per-axis
 // tables are precomputed once, so the hot pencil loop multiplies three
 // table entries instead of evaluating the transcendental Hat per point,
-// with the (kx, ky) product hoisted out of the kz loop.
+// with the (kx, ky) product hoisted out of the kz loop. Both paths scale
+// the real and imaginary parts by the real kernel value: two multiplies,
+// where a complex multiply by complex(r, 0) takes four and two adds.
 func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 	if s, ok := k.(green.Separable); ok {
 		tx := make([]float64, d.Nx)
@@ -72,7 +74,8 @@ func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 			txy := tx[kx] * ty[ky]
 			for _, line := range spec {
 				for kz, v := range line {
-					line[kz] = v * complex(txy*tz[kz], 0)
+					r := txy * tz[kz]
+					line[kz] = complex(real(v)*r, imag(v)*r)
 				}
 			}
 		}
@@ -80,7 +83,8 @@ func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 	return func(kx, ky int, spec [][]complex128) {
 		for _, line := range spec {
 			for kz, v := range line {
-				line[kz] = v * complex(k.Hat(d, kx, ky, kz), 0)
+				r := k.Hat(d, kx, ky, kz)
+				line[kz] = complex(real(v)*r, imag(v)*r)
 			}
 		}
 	}
@@ -141,9 +145,12 @@ type Local struct {
 	tree  *octree.Tree
 	cfg   Config
 	plan  *fft.Plan
+	perm  []int32 // plan.Perm(): where every copy into or out of a line puts index i
 
 	// Sampling index: the kept z planes in ascending order, the rows of
 	// each that carry a sample (ascending y), and each row's gather points.
+	// Rows and gather points are stored at their positions through perm,
+	// where stage C's inverse transforms leave them.
 	keptZ     []int
 	planeRows [][]sampleRow
 	gather    []gatherPoint
@@ -185,13 +192,14 @@ type Local struct {
 	hA, hB, hC *obs.Histogram
 }
 
-// sampleRow is one row y of a kept plane and its gather points,
-// gather[lo:hi].
+// sampleRow is one row of a kept plane, at column position y, and its
+// gather points, gather[lo:hi].
 type sampleRow struct {
 	y      int32
 	lo, hi int32
 }
 
+// gatherPoint is one sample, at line position x.
 type gatherPoint struct {
 	x      int32
 	sample int32
@@ -259,7 +267,7 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	if err := probeHermitian(n, comps, pw); err != nil {
 		return nil, err
 	}
-	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg, plan: ps.plan}
+	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
 	l.scratch = make([]pencilScratch, ps.workers)
 	for w := range l.scratch {
 		sc := &l.scratch[w]
@@ -334,7 +342,8 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 // "compression algorithm applied after each 1D iFFT stage". A counting sort
 // on the key z·n+y, no maps: the counts are taken a lattice row at a time (a
 // row's m samples share one key; its one wrap per row can afford the
-// modulo), the fill is one walk of the samples.
+// modulo), the fill is one walk of the samples. Rows and points are stored
+// through perm.
 func (l *Local) buildSampleIndex() {
 	n := l.n
 	off := make([]int32, n*n+1)
@@ -355,7 +364,7 @@ func (l *Local) buildSampleIndex() {
 		var rows []sampleRow
 		for y := 0; y < n; y++ {
 			if lo, hi := off[z*n+y], off[z*n+y+1]; hi > lo {
-				rows = append(rows, sampleRow{y: int32(y), lo: lo, hi: hi})
+				rows = append(rows, sampleRow{y: l.perm[y], lo: lo, hi: hi})
 			}
 		}
 		if len(rows) > 0 {
@@ -368,7 +377,7 @@ func (l *Local) buildSampleIndex() {
 	l.tree.ForEachSample(func(cell, s, x, y, z int) {
 		i := off[z*n+y]
 		off[z*n+y]++
-		l.gather[i] = gatherPoint{x: int32(x), sample: int32(s)}
+		l.gather[i] = gatherPoint{x: l.perm[x], sample: int32(s)}
 	})
 }
 
@@ -379,8 +388,8 @@ func (l *Local) Tree() *octree.Tree { return l.tree }
 // next run of any pipeline draws from, so a caller that streams many
 // pipelines one at a time — or builds one per box and runs it once — holds
 // one set of live slabs between runs and allocates (and zeroes) none after
-// the first. A recycled buffer is never cleared: stage A writes or clears
-// every slab element and stage B writes every kept-plane element.
+// the first. A recycled buffer is never cleared here: stage A clears each
+// slab plane before writing it and stage B writes every kept-plane element.
 func (l *Local) ReleaseBuffers() {
 	putBuffer(l.slabBuf)
 	putBuffer(l.planesBuf)
@@ -456,7 +465,7 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	// Stage A — forward x and y transforms of the k sub-domain slices into
 	// the h×N×k half-spectrum slab ("the small domain undergoes a 2D
 	// transform to a slab"). The reused buffer needs no zeroing: each slice
-	// worker writes or clears every element of its plane.
+	// worker clears its plane before writing it.
 	tA := time.Now()
 	spanA := run.Start("conv.stageA")
 	if len(l.slabBuf) != comps*h*n*k {
@@ -550,9 +559,10 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 // from l.runIn). The k non-zero rows are transformed along x two at a time:
 // rows a, b packed as a + i·b go through one complex transform and come
 // apart by symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
-// (Z[kx] − conj Z[−kx])/2i, written straight into column kx at [oy, oy+k).
-// Then each of the h columns is cleared outside that range and transformed
-// along y in place.
+// (Z[kx] − conj Z[−kx])/2i, written straight into column kx. Then each of
+// the h columns is transformed along y in place. Every copy into a line
+// goes through perm — the packed row, and the x output into the columns of
+// a cleared plane — so both transforms start without a reorder.
 func (l *Local) slabSlice(w, i int) {
 	if l.ec.Failed() {
 		return
@@ -561,6 +571,8 @@ func (l *Local) slabSlice(w, i int) {
 	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
 	slab := l.slabBuf[i*h*n : (i+1)*h*n]
 	line := l.scratch[w].tile[0][0]
+	px, py := l.perm[ox:ox+k], l.perm[oy:oy+k]
+	clear(slab)
 	for yy := 0; yy < k; yy += 2 {
 		paired := yy+1 < k
 		a := rows[yy*k : (yy+1)*k]
@@ -568,39 +580,36 @@ func (l *Local) slabSlice(w, i int) {
 		if paired {
 			b = rows[(yy+1)*k : (yy+2)*k]
 		}
-		clear(line[:ox])
-		clear(line[ox+k:])
+		clear(line)
 		for xx, v := range a {
 			if paired {
-				line[ox+xx] = complex(v, b[xx])
+				line[px[xx]] = complex(v, b[xx])
 			} else {
-				line[ox+xx] = complex(v, 0)
+				line[px[xx]] = complex(v, 0)
 			}
 		}
-		if err := l.plan.Forward(line, line); err != nil {
+		if err := l.plan.ForwardFromPerm(line); err != nil {
 			l.ec.Record(err)
 			return
 		}
-		col := slab[oy+yy:]
-		col[0] = complex(real(line[0]), 0)
+		colA, colB := slab[py[yy]:], slab // colB is row yy+1's, when paired
+		colA[0] = complex(real(line[0]), 0)
 		if paired {
-			col[1] = complex(imag(line[0]), 0)
+			colB = slab[py[yy+1]:]
+			colB[0] = complex(imag(line[0]), 0)
 		}
 		for kx := 1; kx < h; kx++ {
 			zk, zm := line[kx], line[n-kx]
 			sum := complex(real(zk)+real(zm), imag(zk)-imag(zm)) // Z[kx] + conj Z[−kx]
-			col[kx*n] = complex(real(sum)/2, imag(sum)/2)
+			colA[kx*n] = complex(real(sum)/2, imag(sum)/2)
 			if paired {
 				dif := complex(real(zk)-real(zm), imag(zk)+imag(zm)) // Z[kx] − conj Z[−kx]
-				col[kx*n+1] = complex(imag(dif)/2, -real(dif)/2)
+				colB[kx*n] = complex(imag(dif)/2, -real(dif)/2)
 			}
 		}
 	}
 	for kx := 0; kx < h; kx++ {
-		col := slab[kx*n : (kx+1)*n]
-		clear(col[:oy])
-		clear(col[oy+k:])
-		if err := l.plan.Forward(col, col); err != nil {
+		if err := l.plan.ForwardFromPerm(slab[kx*n : (kx+1)*n]); err != nil {
 			l.ec.Record(err)
 			return
 		}
@@ -609,10 +618,11 @@ func (l *Local) slabSlice(w, i int) {
 
 // pencilTileWorker is the stage-B worker for tile i of the current batch:
 // up to pencilTile adjacent pencils q = kx·n+ky. Their slab values arrive
-// one cache line per slab plane; each line is cleared outside [oz, oz+k),
-// forward z transformed, passed through the pointwise callback with the
-// pencil's other components, inverse transformed in place, and the kept
-// planes leave one cache line per plane.
+// one cache line per slab plane and are placed through perm into cleared
+// lines; each line is forward z transformed, passed through the pointwise
+// callback in natural order with the pencil's other components, inverse
+// transformed in place, and the kept planes leave one cache line per plane,
+// read back through perm.
 func (l *Local) pencilTileWorker(w, i int) {
 	if l.ec.Failed() {
 		return
@@ -622,21 +632,20 @@ func (l *Local) pencilTileWorker(w, i int) {
 	t := min(pencilTile, l.bEnd-q0)
 	sc := &l.scratch[w]
 	stride := comps * n // between the same component's lines of adjacent pencils
+	clear(sc.lines[:t*stride])
 	for c := 0; c < comps; c++ {
 		slab := l.slabBuf[c*k*hn+q0:]
-		dst := sc.lines[c*n+oz:]
-		for zi := 0; zi < k; zi++ {
+		dst := sc.lines[c*n:]
+		for zi, z := range l.perm[oz : oz+k] {
 			for j, v := range slab[zi*hn:][:t] {
-				dst[j*stride+zi] = v
+				dst[j*stride+int(z)] = v
 			}
 		}
 	}
 	for j := 0; j < t; j++ {
 		spec := sc.tile[j]
 		for _, line := range spec {
-			clear(line[:oz])
-			clear(line[oz+k:])
-			if err := l.plan.Forward(line, line); err != nil {
+			if err := l.plan.ForwardFromPerm(line); err != nil {
 				l.ec.Record(err)
 				return
 			}
@@ -645,7 +654,7 @@ func (l *Local) pencilTileWorker(w, i int) {
 		q := q0 + j
 		l.pw(q/n, q%n, spec)
 		for _, line := range spec {
-			if err := l.plan.Inverse(line, line); err != nil {
+			if err := l.plan.InverseToPerm(line); err != nil {
 				l.ec.Record(err)
 				return
 			}
@@ -657,8 +666,9 @@ func (l *Local) pencilTileWorker(w, i int) {
 		src := sc.lines[c*n:]
 		for slot, z := range l.keptZ {
 			dst := planes[slot*hn:][:t]
+			at := int(l.perm[z])
 			for j := range dst {
-				dst[j] = src[j*stride+z]
+				dst[j] = src[j*stride+at]
 			}
 		}
 	}
@@ -670,7 +680,8 @@ func (l *Local) pencilTileWorker(w, i int) {
 // a, b with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
 // negative kx by Hermitian symmetry with the DC and Nyquist terms taken
 // real, so F⁻¹Z = a + i·b; the samples are gathered from that line and the
-// rows are never written back.
+// rows are never written back. Both inverses leave their output in perm
+// order, where planeRows and gather already point.
 func (l *Local) keptPlane(w, i int) {
 	if l.ec.Failed() {
 		return
@@ -679,8 +690,7 @@ func (l *Local) keptPlane(w, i int) {
 	nz := len(l.keptZ)
 	plane := l.planesBuf[i*h*n : (i+1)*h*n]
 	for kx := 0; kx < h; kx++ {
-		col := plane[kx*n : (kx+1)*n]
-		if err := l.plan.Inverse(col, col); err != nil {
+		if err := l.plan.InverseToPerm(plane[kx*n : (kx+1)*n]); err != nil {
 			l.ec.Record(err)
 			return
 		}
@@ -706,7 +716,7 @@ func (l *Local) keptPlane(w, i int) {
 		if n%2 == 0 {
 			line[n/2] = complex(real(pa[n/2*n]), real(pb[n/2*n]))
 		}
-		if err := l.plan.Inverse(line, line); err != nil {
+		if err := l.plan.InverseToPerm(line); err != nil {
 			l.ec.Record(err)
 			return
 		}

@@ -63,36 +63,36 @@ func (b *bluestein) transform(dst, src []complex128, inverse bool) {
 	up := b.scratch.Get().(*[]complex128)
 	defer b.scratch.Put(up)
 	u := *up
-	clear(u[b.n:]) // the zero padding; [0, n) is overwritten below
+	// The chirp multiply places u through the sub-plan's bit reversal and
+	// the final one reads it back, so the sub-transforms run without their
+	// reorders; the zero padding lands anywhere, hence the whole clear.
+	clear(u)
+	perm := b.sub.perm
 	if inverse {
 		// Inverse via conjugation: IDFT(x) = conj(DFT(conj(x)))/n.
 		for t := 0; t < b.n; t++ {
-			u[t] = complex(real(src[t]), -imag(src[t])) * b.w[t]
+			u[perm[t]] = complex(real(src[t]), -imag(src[t])) * b.w[t]
 		}
 	} else {
 		for t := 0; t < b.n; t++ {
-			u[t] = src[t] * b.w[t]
+			u[perm[t]] = src[t] * b.w[t]
 		}
 	}
 	// Convolution with the fixed chirp kernel.
-	if err := b.sub.Forward(u, u); err != nil {
-		panic(err) // lengths are internally consistent
-	}
+	b.sub.kernel(u, false)
 	for i := range u {
 		u[i] *= b.vhat[i]
 	}
-	if err := b.sub.Inverse(u, u); err != nil {
-		panic(err)
-	}
+	b.sub.kernel(u, true)
 	if inverse {
 		inv := 1 / float64(b.n)
 		for k := 0; k < b.n; k++ {
-			y := u[k] * b.w[k]
+			y := u[perm[k]] * b.w[k]
 			dst[k] = complex(real(y)*inv, -imag(y)*inv)
 		}
 	} else {
 		for k := 0; k < b.n; k++ {
-			dst[k] = u[k] * b.w[k]
+			dst[k] = u[perm[k]] * b.w[k]
 		}
 	}
 }

@@ -2,9 +2,10 @@
 //
 // It provides:
 //
-//   - 1D complex transforms of any length (one in-place radix-4 kernel for
-//     powers of two, Bluestein's chirp-z algorithm otherwise) behind a
-//     reusable Plan;
+//   - 1D complex transforms of any length behind a reusable Plan: for
+//     powers of two a radix-4 decimation-in-time kernel forward and its
+//     decimation-in-frequency transpose inverse, with the bit reversal a
+//     separate step (see Perm); Bluestein's chirp-z algorithm otherwise;
 //   - strided and batched execution for pencil/slab pipelines;
 //   - 2D and 3D plans with optional parallel execution across lines.
 //
@@ -29,9 +30,10 @@ type Plan struct {
 	pow2 bool
 	bs   *bluestein // non-pow2 lengths
 
-	// Power-of-two lengths (see pow2Transform).
-	perm      []int32    // bit-reversal permutation: the out-of-place gather
-	swaps     []int32    // its 2-cycles as (i, j) pairs: the in-place reorder
+	perm []int32 // see Perm: the bit reversal, or the identity for non-pow2 lengths
+
+	// Power-of-two lengths (see dit and dif).
+	swaps     []int32    // perm's 2-cycles as (i, j) pairs: the in-place reorder
 	tw, twInv []twiddle3 // per-pass twiddle triples, forward and conjugate
 }
 
@@ -52,6 +54,10 @@ func NewPlan(n int) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.perm = make([]int32, n)
+		for i := range p.perm {
+			p.perm[i] = int32(i)
+		}
 	}
 	return p, nil
 }
@@ -68,80 +74,140 @@ func MustPlan(n int) *Plan {
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
+// Perm returns the order ForwardFromPerm reads and InverseToPerm writes:
+// position i holds element Perm()[i]. It is the bit reversal for powers of
+// two and the identity otherwise, and it is its own inverse. The slice is
+// the plan's table and must not be modified.
+func (p *Plan) Perm() []int32 { return p.perm }
+
 // Forward computes the unnormalized DFT of src into dst (dst and src may
 // alias). Both must have length N.
-func (p *Plan) Forward(dst, src []complex128) error {
-	return p.transform(dst, src, false)
-}
+func (p *Plan) Forward(dst, src []complex128) error { return p.transform(dst, src, false) }
 
 // Inverse computes the normalized (1/N) inverse DFT of src into dst.
-func (p *Plan) Inverse(dst, src []complex128) error {
-	return p.transform(dst, src, true)
-}
+func (p *Plan) Inverse(dst, src []complex128) error { return p.transform(dst, src, true) }
 
+// ForwardFromPerm is Forward in place on input stored in Perm order,
+// x[i] = input[Perm()[i]]: the transform without its reorder, for callers
+// that place their data through Perm in a copy they make anyway. The
+// result is in natural order and bit for bit Forward's.
+func (p *Plan) ForwardFromPerm(x []complex128) error { return p.inPerm(x, false) }
+
+// InverseToPerm is Inverse in place on natural-order input, leaving the
+// result in Perm order: element j of Inverse's output is x[Perm()[j]].
+func (p *Plan) InverseToPerm(x []complex128) error { return p.inPerm(x, true) }
+
+// transform is the kernel with the reorder around it: swaps in place, the
+// Perm gather before the forward kernel out of place.
 func (p *Plan) transform(dst, src []complex128, inverse bool) error {
 	if len(dst) != p.n || len(src) != p.n {
 		return fmt.Errorf("fft: length mismatch: plan %d, dst %d, src %d", p.n, len(dst), len(src))
 	}
-	if p.pow2 {
-		p.pow2Transform(dst, src, inverse)
-	} else {
+	switch {
+	case !p.pow2:
 		p.bs.transform(dst, src, inverse)
-	}
-	return nil
-}
-
-// pow2Transform is the one power-of-two kernel: an in-place radix-4
-// decimation-in-time transform over bit-reversed input. Two consecutive
-// radix-2 stages of the textbook algorithm are one radix-4 pass here, so the
-// reorder is the plain bit reversal whatever the parity of log₂ n; the first
-// pass does a whole size-8 (odd log₂ n) or size-4 (even) transform in
-// registers. The inverse is the same butterflies with the conjugate
-// twiddles, the ±i outputs exchanged, and 1/n folded into the first loads.
-func (p *Plan) pow2Transform(dst, src []complex128, inverse bool) {
-	n := p.n
-	scale, tw := 1.0, p.tw
-	if inverse {
-		scale, tw = 1/float64(n), p.twInv
-	}
-	if n <= 2 {
-		a := src[0]
-		if n == 2 {
-			b := src[1]
-			a, b = a+b, a-b
-			dst[1] = scaled(b, scale)
+		return nil
+	case inverse:
+		if &dst[0] != &src[0] {
+			copy(dst, src)
 		}
-		dst[0] = scaled(a, scale)
-		return
-	}
-	if &dst[0] == &src[0] {
-		// Bit reversal is an involution: swapping each pair once is the
-		// whole in-place reorder.
-		sw := p.swaps
-		for k := 1; k < len(sw); k += 2 {
-			i, j := sw[k-1], sw[k]
-			dst[i], dst[j] = dst[j], dst[i]
-		}
-	} else {
+		p.dif(dst)
+		p.swap(dst)
+		return nil
+	case &dst[0] == &src[0]:
+		p.swap(dst)
+	default:
 		for i, j := range p.perm {
 			dst[i] = src[j]
 		}
 	}
+	p.dit(dst)
+	return nil
+}
+
+func (p *Plan) inPerm(x []complex128, inverse bool) error {
+	if len(x) != p.n {
+		return fmt.Errorf("fft: length mismatch: plan %d, line %d", p.n, len(x))
+	}
+	p.kernel(x, inverse)
+	return nil
+}
+
+// kernel transforms x in place without a reorder: forward from Perm order,
+// inverse into it.
+func (p *Plan) kernel(x []complex128, inverse bool) {
+	switch {
+	case !p.pow2:
+		p.bs.transform(x, x, inverse)
+	case inverse:
+		p.dif(x)
+	default:
+		p.dit(x)
+	}
+}
+
+// swap applies the bit reversal in place. It is an involution: swapping
+// each pair once is the whole reorder.
+func (p *Plan) swap(x []complex128) {
+	sw := p.swaps
+	for k := 1; k < len(sw); k += 2 {
+		i, j := sw[k-1], sw[k]
+		x[i], x[j] = x[j], x[i]
+	}
+}
+
+// dit is the forward power-of-two kernel: an in-place radix-4
+// decimation-in-time transform of bit-reversed input into natural-order
+// output. Two consecutive radix-2 stages of the textbook algorithm are one
+// radix-4 pass here, so the reorder is the plain bit reversal whatever the
+// parity of log₂ n; the first pass does a whole size-8 (odd log₂ n) or
+// size-4 (even) transform in registers.
+func (p *Plan) dit(x []complex128) {
+	n := p.n
+	if n <= 2 {
+		if n == 2 {
+			x[0], x[1] = x[0]+x[1], x[0]-x[1]
+		}
+		return
+	}
 	q := firstRadix(n)
-	firstPass(dst, q, scale, inverse)
+	firstPass(x, q)
+	tw := p.tw
 	for ; q < n; q <<= 2 {
 		w := tw[:q]
 		tw = tw[q:]
 		for base := 0; base < n; base += 4 * q {
-			blk := dst[base : base+4*q]
-			x1, x3 := blk[q:2*q], blk[3*q:]
-			o1, o3 := x1, x3
-			if inverse {
-				o1, o3 = x3, x1
-			}
-			radix4(blk[:q], x1, blk[2*q:3*q], x3, o1, o3, w)
+			blk := x[base : base+4*q]
+			radix4(blk[:q], blk[q:2*q], blk[2*q:3*q], blk[3*q:], w)
 		}
 	}
+}
+
+// dif is the inverse power-of-two kernel, dit's transpose: an in-place
+// radix-4 decimation-in-frequency transform of natural-order input into
+// bit-reversed output, with 1/n folded in. Its passes run from blocks of n
+// down, then lastPass finishes every block of 8 or 4 in registers.
+func (p *Plan) dif(x []complex128) {
+	n := p.n
+	s := 1 / float64(n)
+	if n <= 2 {
+		if n == 2 {
+			x[0], x[1] = x[0]+x[1], x[0]-x[1]
+			x[1] = scaled(x[1], s)
+		}
+		x[0] = scaled(x[0], s)
+		return
+	}
+	r := firstRadix(n)
+	for q := n / 4; q >= r; q >>= 2 {
+		o := (q - r) / 3 // the passes below q fill twInv up to here
+		w := p.twInv[o : o+q]
+		for base := 0; base < n; base += 4 * q {
+			blk := x[base : base+4*q]
+			radix4DIF(blk[:q], blk[q:2*q], blk[2*q:3*q], blk[3*q:], w)
+		}
+	}
+	lastPass(x, r, s)
 }
 
 // firstRadix is the block size of the first pass for n ≥ 4: 8 when log₂ n is
@@ -149,27 +215,18 @@ func (p *Plan) pow2Transform(dst, src []complex128, inverse bool) {
 func firstRadix(n int) int { return 4 << (bits.TrailingZeros(uint(n)) & 1) }
 
 // firstPass transforms every aligned block of radix (8 or 4) bit-reversed
-// points of x in registers — the only twiddles are ±i and (±1±i)/√2 —
-// scaling each load by scale. A block's inverse is its forward transform
-// with output k written to −k.
-func firstPass(x []complex128, radix int, scale float64, inverse bool) {
+// points of x in registers — the only twiddles are ±i and (±1±i)/√2.
+func firstPass(x []complex128, radix int) {
 	if radix == 4 {
 		for len(x) >= 4 {
-			a0, a1, a2, a3 := scaled(x[0], scale), scaled(x[1], scale), scaled(x[2], scale), scaled(x[3], scale)
-			b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
-			y1, y3 := b1+b3, b1-b3
-			if inverse {
-				y1, y3 = y3, y1
-			}
-			x[0], x[1], x[2], x[3] = b0+b2, y1, b0-b2, y3
+			x[0], x[1], x[2], x[3] = dft4(x[0], x[1], x[2], x[3])
 			x = x[4:]
 		}
 		return
 	}
 	const h = math.Sqrt2 / 2
 	for len(x) >= 8 {
-		a0, a1, a2, a3 := scaled(x[0], scale), scaled(x[1], scale), scaled(x[2], scale), scaled(x[3], scale)
-		a4, a5, a6, a7 := scaled(x[4], scale), scaled(x[5], scale), scaled(x[6], scale), scaled(x[7], scale)
+		a0, a1, a2, a3, a4, a5, a6, a7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 		b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
 		b4, b5, b6, b7 := a4+a5, a4-a5, a6+a7, mulNegI(a6-a7)
 		c0, c1, c2, c3 := b0+b2, b1+b3, b0-b2, b1-b3
@@ -177,32 +234,76 @@ func firstPass(x []complex128, radix int, scale float64, inverse bool) {
 		// W₈·c5 and W₈³·c7, W₈ = (1−i)/√2.
 		c5 = complex((real(c5)+imag(c5))*h, (imag(c5)-real(c5))*h)
 		c7 = complex((imag(c7)-real(c7))*h, -(real(c7)+imag(c7))*h)
-		y0, y1, y2, y3 := c0+c4, c1+c5, c2+c6, c3+c7
-		y4, y5, y6, y7 := c0-c4, c1-c5, c2-c6, c3-c7
-		if inverse {
-			y1, y2, y3, y5, y6, y7 = y7, y6, y5, y3, y2, y1
-		}
-		x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = y0, y1, y2, y3, y4, y5, y6, y7
+		x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = c0+c4, c1+c5, c2+c6, c3+c7, c0-c4, c1-c5, c2-c6, c3-c7
 		x = x[8:]
 	}
+}
+
+// lastPass inverse-transforms every aligned block of radix (8 or 4)
+// natural-order points of x in registers, scaling each load by s, and
+// stores the block bit-reversed. A block's inverse DFT is the forward DFT of
+// its mirror a[−m], so the loads feed firstPass's arithmetic that mirror in
+// bit-reversed order.
+func lastPass(x []complex128, radix int, s float64) {
+	if radix == 4 {
+		for len(x) >= 4 {
+			x[0], x[2], x[1], x[3] = dft4(scaled(x[0], s), scaled(x[2], s), scaled(x[3], s), scaled(x[1], s))
+			x = x[4:]
+		}
+		return
+	}
+	const h = math.Sqrt2 / 2
+	for len(x) >= 8 {
+		// firstPass's size-8 block, spelled out again: as a function it
+		// would not be inlined, and the call costs a tenth of the transform.
+		a0, a1, a2, a3 := scaled(x[0], s), scaled(x[4], s), scaled(x[6], s), scaled(x[2], s)
+		a4, a5, a6, a7 := scaled(x[7], s), scaled(x[3], s), scaled(x[5], s), scaled(x[1], s)
+		b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
+		b4, b5, b6, b7 := a4+a5, a4-a5, a6+a7, mulNegI(a6-a7)
+		c0, c1, c2, c3 := b0+b2, b1+b3, b0-b2, b1-b3
+		c4, c5, c6, c7 := b4+b6, b5+b7, mulNegI(b4-b6), b5-b7
+		c5 = complex((real(c5)+imag(c5))*h, (imag(c5)-real(c5))*h)
+		c7 = complex((imag(c7)-real(c7))*h, -(real(c7)+imag(c7))*h)
+		x[0], x[4], x[2], x[6], x[1], x[5], x[3], x[7] = c0+c4, c1+c5, c2+c6, c3+c7, c0-c4, c1-c5, c2-c6, c3-c7
+		x = x[8:]
+	}
+}
+
+// dft4 is the forward DFT of a bit-reversed block of four, in natural order.
+func dft4(a0, a1, a2, a3 complex128) (y0, y1, y2, y3 complex128) {
+	b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, mulNegI(a2-a3)
+	return b0 + b2, b1 + b3, b0 - b2, b1 - b3
 }
 
 // radix4 combines four length-q transforms x0..x3 (consecutive quarters of
 // one block) into the block's length-4q transform, in place: with
 // (t1, t2, t3) = (W²ʲ·x1, Wʲ·x2, W³ʲ·x3), quarter 0 gets x0+t1+t2+t3,
-// quarter 2 x0+t1−t2−t3, and o1/o3 get (x0−t1) ∓ i(t2−t3). o1, o3 are x1, x3
-// for the forward transform and exchanged for the inverse, which is the
-// whole difference between −i and +i.
-func radix4(x0, x1, x2, x3, o1, o3 []complex128, tw []twiddle3) {
-	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
-	o1, o3, tw = o1[:len(x0)], o3[:len(x0)], tw[:len(x0)]
+// quarter 2 x0+t1−t2−t3, and quarters 1 and 3 (x0−t1) ∓ i(t2−t3).
+func radix4(x0, x1, x2, x3 []complex128, tw []twiddle3) {
+	x1, x2, x3, tw = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], tw[:len(x0)]
 	for j := range x0 {
 		w := &tw[j]
 		t1, t2, t3 := w.w2*x1[j], w.w1*x2[j], w.w3*x3[j]
 		c0, c1 := x0[j]+t1, x0[j]-t1
 		c2, c3 := t2+t3, mulNegI(t2-t3)
 		x0[j], x2[j] = c0+c2, c0-c2
-		o1[j], o3[j] = c1+c3, c1-c3
+		x1[j], x3[j] = c1+c3, c1-c3
+	}
+}
+
+// radix4DIF splits one natural-order block of 4q into the four length-q
+// inverse transforms radix4 combines, in place: from quarters Q0..Q3 and
+// the conjugate twiddles W̄, quarter 0 gets (Q0+Q2)+(Q1+Q3), quarter 1
+// W̄²ʲ·((Q0+Q2)−(Q1+Q3)), quarters 2 and 3 W̄ʲ and W̄³ʲ times
+// (Q0−Q2) ± i(Q1−Q3).
+func radix4DIF(x0, x1, x2, x3 []complex128, tw []twiddle3) {
+	x1, x2, x3, tw = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], tw[:len(x0)]
+	for j := range x0 {
+		w := &tw[j]
+		s02, d02 := x0[j]+x2[j], x0[j]-x2[j]
+		s13, d13 := x1[j]+x3[j], mulNegI(x1[j]-x3[j])
+		x0[j], x1[j] = s02+s13, w.w2*(s02-s13)
+		x2[j], x3[j] = w.w1*(d02-d13), w.w3*(d02+d13)
 	}
 }
 
@@ -215,9 +316,9 @@ func mulNegI(c complex128) complex128 { return complex(imag(c), -real(c)) }
 type twiddle3 struct{ w1, w2, w3 complex128 }
 
 // twiddleTable lays the radix-4 passes' twiddles end to end in the order the
-// passes read them: for q = firstRadix(n), 4q, … < n, the q triples of the
-// pass that builds blocks of 4q. sign is −1 for the forward table, +1 for
-// the pre-conjugated inverse one.
+// forward passes read them: for q = firstRadix(n), 4q, … < n, the q triples
+// of the pass that builds blocks of 4q. sign is −1 for the forward table,
+// +1 for the pre-conjugated inverse one.
 func twiddleTable(n int, sign float64) []twiddle3 {
 	var tw []twiddle3
 	for q := firstRadix(n); q < n; q <<= 2 {
@@ -278,14 +379,20 @@ func (p *Plan) strided(data []complex128, off, stride int, scratch []complex128,
 		return fmt.Errorf("fft: scratch length %d < %d", len(scratch), p.n)
 	}
 	s := scratch[:p.n]
-	for i := 0; i < p.n; i++ {
-		s[i] = data[off+i*stride]
+	// The gather carries the forward transform's reorder, the scatter the
+	// inverse's.
+	for i, j := range p.perm {
+		if inverse {
+			j = int32(i)
+		}
+		s[i] = data[off+int(j)*stride]
 	}
-	if err := p.transform(s, s, inverse); err != nil {
-		return err
-	}
-	for i := 0; i < p.n; i++ {
-		data[off+i*stride] = s[i]
+	p.kernel(s, inverse)
+	for i, j := range p.perm {
+		if !inverse {
+			j = int32(i)
+		}
+		data[off+int(j)*stride] = s[i]
 	}
 	return nil
 }

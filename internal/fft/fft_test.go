@@ -440,6 +440,76 @@ func TestPow2KernelMatchesRadix2(t *testing.T) {
 	}
 }
 
+// TestPermEntryPoints checks the kernels without their reorder: for every
+// power of two up to 2¹², ForwardFromPerm on input placed through Perm is
+// Forward bit for bit, InverseToPerm read back through Perm is Inverse bit
+// for bit, and both match the radix-2 oracle. Other lengths have the
+// identity Perm and run Bluestein in place, matching Forward and Inverse.
+func TestPermEntryPoints(t *testing.T) {
+	var sizes []int
+	for n := 1; n <= 1<<12; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	for _, n := range append(sizes, 3, 12, 96, 251) {
+		p := MustPlan(n)
+		perm := p.Perm()
+		if len(perm) != n {
+			t.Fatalf("n=%d: Perm has length %d", n, len(perm))
+		}
+		x := randComplex(n, int64(7*n))
+		fwd, inv := make([]complex128, n), make([]complex128, n)
+		if err := p.Forward(fwd, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Inverse(inv, x); err != nil {
+			t.Fatal(err)
+		}
+		placed := make([]complex128, n)
+		for i, j := range perm {
+			if n&(n-1) != 0 && int(j) != i {
+				t.Fatalf("n=%d: Perm[%d] = %d, want the identity", n, i, j)
+			}
+			placed[i] = x[j]
+		}
+		if err := p.ForwardFromPerm(placed); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(placed, fwd); i >= 0 {
+			t.Fatalf("n=%d: ForwardFromPerm [%d] = %v, Forward %v", n, i, placed[i], fwd[i])
+		}
+		out := append([]complex128(nil), x...)
+		if err := p.InverseToPerm(out); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, n)
+		for i, j := range perm {
+			got[i] = out[j]
+		}
+		if i := firstDiff(got, inv); i >= 0 {
+			t.Fatalf("n=%d: InverseToPerm [%d] = %v, Inverse %v", n, i, got[i], inv[i])
+		}
+		if n&(n-1) != 0 {
+			if d := maxDiff(placed, DFTDirect(x)); !(d <= 1e-9*maxAbs(placed)) {
+				t.Errorf("n=%d: Bluestein ForwardFromPerm differs from the direct DFT by %g", n, d)
+			}
+			continue
+		}
+		for _, c := range []struct {
+			got     []complex128
+			inverse bool
+		}{{placed, false}, {got, true}} {
+			want := radix2(x, c.inverse)
+			if d := maxDiff(c.got, want); !(d <= 1e-13*maxAbs(want)) {
+				t.Errorf("n=%d inverse=%v: differs from radix-2 by %g of %g", n, c.inverse, d, maxAbs(want))
+			}
+		}
+	}
+	p := MustPlan(8)
+	if p.ForwardFromPerm(make([]complex128, 4)) == nil || p.InverseToPerm(make([]complex128, 9)) == nil {
+		t.Error("a wrong-length line should fail")
+	}
+}
+
 // TestPlanSharedAcrossGoroutines drives one Plan from 8 goroutines at once,
 // as every stage worker of the pipeline does: under -race it fails on any
 // write to the plan's tables, and each result must be the serial one.
@@ -480,7 +550,9 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 
 // BenchmarkPlan1D times the out-of-place forward transform at the large
 // sizes and, at n = 64 and 128 — the lengths conv.Local runs — the in-place
-// forward + inverse pair that is the call shape of its stages A, B and C.
+// forward + inverse pair with its reorders (pair-inplace) and without them
+// (perm-pair: ForwardFromPerm + InverseToPerm, the call shape of conv.Local's
+// stages, whose copies carry the reorder).
 func BenchmarkPlan1D(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		p := MustPlan(n)
@@ -509,6 +581,17 @@ func BenchmarkPlan1D(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("perm-pair-n%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * 16 * n))
+			for i := 0; i < b.N; i++ {
+				if err := p.ForwardFromPerm(x); err != nil {
+					b.Fatal(err)
+				}
+				if err := p.InverseToPerm(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -531,8 +614,14 @@ func TestPlanTransformZeroAllocs(t *testing.T) {
 			if err := p.Inverse(y, y); err != nil {
 				t.Fatal(err)
 			}
+			if err := p.ForwardFromPerm(y); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.InverseToPerm(y); err != nil {
+				t.Fatal(err)
+			}
 		}); allocs != 0 {
-			t.Errorf("n=%d: %v allocs per Forward+Inverse, want 0", n, allocs)
+			t.Errorf("n=%d: %v allocs per Forward+Inverse+ForwardFromPerm+InverseToPerm, want 0", n, allocs)
 		}
 	}
 	for _, n := range []int{256, 1024} {

@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzFFTRoundTrip asserts Inverse(Forward(x)) ≈ x for arbitrary lengths —
-// the radix-4 kernel for powers of two and the Bluestein chirp-z path for
+// the radix-4 kernels for powers of two and the Bluestein chirp-z path for
 // everything else (including primes) — with inputs built from fuzzed bytes,
-// out of place and in place: the two must agree bit for bit. The transform
-// length is the fuzzed int mod 512, plus one.
+// out of place, in place, and as ForwardFromPerm → InverseToPerm on input
+// placed through Perm and read back through it: all three must agree bit
+// for bit. The transform length is the fuzzed int mod 512, plus one.
 func FuzzFFTRoundTrip(f *testing.F) {
 	f.Add(8, []byte{1, 2, 3, 4})          // n = 9
 	f.Add(7, []byte{0xff, 0x00, 0x7f})    // n = 8: radix-4, one register pass
@@ -61,6 +62,25 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		}
 		if i := firstDiff(inPlace, back); i >= 0 {
 			t.Fatalf("n=%d: in-place Inverse [%d] = %v, out-of-place %v", n, i, inPlace[i], back[i])
+		}
+		perm := plan.Perm()
+		line := make([]complex128, n)
+		for i, j := range perm {
+			line[i] = x[j]
+		}
+		if err := plan.ForwardFromPerm(line); err != nil {
+			t.Fatalf("ForwardFromPerm(n=%d): %v", n, err)
+		}
+		if i := firstDiff(line, spec); i >= 0 {
+			t.Fatalf("n=%d: ForwardFromPerm [%d] = %v, Forward %v", n, i, line[i], spec[i])
+		}
+		if err := plan.InverseToPerm(line); err != nil {
+			t.Fatalf("InverseToPerm(n=%d): %v", n, err)
+		}
+		for i, j := range perm {
+			if line[j] != back[i] {
+				t.Fatalf("n=%d: InverseToPerm element %d = %v, Inverse %v", n, i, line[j], back[i])
+			}
 		}
 		// Relative tolerance scaled by input magnitude and n: Bluestein
 		// round-trips through a larger padded transform, so allow a few

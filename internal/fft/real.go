@@ -65,12 +65,12 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) error {
 	zp := p.scratch.Get().(*[]complex128)
 	defer p.scratch.Put(zp)
 	z := *zp
-	for j := 0; j < h; j++ {
-		z[j] = complex(src[2*j], src[2*j+1])
+	// The packing places z through the half plan's Perm, so the transform
+	// skips its reorder; Inverse's final copy reads back through it.
+	for j, i := range p.half.perm {
+		z[i] = complex(src[2*j], src[2*j+1])
 	}
-	if err := p.half.Forward(z, z); err != nil {
-		return err
-	}
+	p.half.kernel(z, false)
 	// Unpack: with E, O the DFTs of the even/odd subsequences,
 	// Z[k] = E[k] + i·O[k] and conj(Z[h−k]) = E[k] − i·O[k], so
 	// X[k] = E[k] + w^k·O[k].
@@ -110,12 +110,10 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) error {
 		o := (xk - xc) * conj(p.w[k])
 		z[k] = e + complex(-imag(o)/2, real(o)/2) // e + i·o
 	}
-	if err := p.half.Inverse(z, z); err != nil {
-		return err
-	}
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(z[j])
-		dst[2*j+1] = imag(z[j])
+	p.half.kernel(z, true)
+	for j, i := range p.half.perm {
+		dst[2*j] = real(z[i])
+		dst[2*j+1] = imag(z[i])
 	}
 	return nil
 }

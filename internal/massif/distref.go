@@ -93,26 +93,28 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 			}
 			// z-direction FFTs, the Γ̂ contraction, inverse z FFTs — all
 			// local to the worker's ky range (y-slab layout:
-			// idx = z·n·zPer + yi·n + kx).
+			// idx = z·n·zPer + yi·n + kx). The lines' copies in and out go
+			// through planZ.Perm, so the transforms skip their reorders.
 			y0 := w.ID * zPer
+			perm := planZ.Perm()
 			for yi := 0; yi < zPer; yi++ {
 				for kx := 0; kx < n; kx++ {
 					at := yi*n + kx
 					for v, line := range lines {
-						for z := range line {
-							line[z] = ySlabs[v][z*n*zPer+at]
+						for i, z := range perm {
+							line[i] = ySlabs[v][int(z)*n*zPer+at]
 						}
-						if err := planZ.Forward(line, line); err != nil {
+						if err := planZ.ForwardFromPerm(line); err != nil {
 							return err
 						}
 					}
 					op(kx, y0+yi, lines)
 					for v, line := range lines {
-						if err := planZ.Inverse(line, line); err != nil {
+						if err := planZ.InverseToPerm(line); err != nil {
 							return err
 						}
-						for z, c := range line {
-							ySlabs[v][z*n*zPer+at] = c
+						for i, z := range perm {
+							ySlabs[v][int(z)*n*zPer+at] = line[i]
 						}
 					}
 				}

@@ -28,8 +28,9 @@ import (
 // start (opt.Heal.Store, or a store held in memory for this solve); any
 // worker death aborts the generation at the iteration barrier, the cluster
 // epoch is reset, and a full replacement generation — the dead ranks
-// respawned, the root included — resumes from the checkpoints, so the
-// result has no frozen sub-domains. A supervisor also re-executes
+// respawned, the root included — resumes every rank from its checkpoint of
+// one iteration, the newest all ranks have, so a healed solve returns the
+// healthy solve's bits. A supervisor also re-executes
 // stragglers' iterations on idle peers. After 2P+2 aborted generations the
 // solve gives up with an error wrapping the last worker crash
 // (errors.As reaches *cluster.CrashError). Result.Heal reports what the
@@ -82,18 +83,20 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		genC.Add(1)
 		errs := c.RunAll(func(w *cluster.Worker) error {
 			// Respawned replacements and surviving ranks alike resume from
-			// their last deposited iteration-start strain (the states may
-			// be one iteration apart across ranks; the fixed point is
-			// contractive, so mixed-age states converge regardless).
-			snap, err := h.Store.LoadStrain(w.ID)
-			if err != nil {
-				return err
-			}
+			// their iteration-start strain of startIter; iteration 0's is E,
+			// which newRank sets.
 			r, err := s.newRank(w.ID, nil)
 			if err != nil {
 				return err
 			}
-			if snap != nil {
+			if startIter > 0 {
+				snap, err := h.Store.LoadStrainAt(w.ID, startIter)
+				if err != nil {
+					return err
+				}
+				if snap == nil {
+					return fmt.Errorf("massif: rank %d has no checkpoint of iteration %d", w.ID, startIter)
+				}
 				r.load(snap.Strain)
 			}
 			return r.run(startIter, &healer{w: w, store: h.Store, chaos: h.Chaos, sup: sup, peers: map[int]*rank{}})
@@ -131,14 +134,11 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		c.ResetEpoch()
 		sup.ResetGeneration()
 		h.Flight.Note(0, fmt.Sprintf("generation %d aborted; epoch reset, respawning from checkpoints", gen))
-		// Resume from the newest deposit: every rank restores its own
-		// checkpoint (older ones lag at most one iteration; the
-		// contraction absorbs the skew).
-		for q := 0; q < c.P; q++ {
-			if snap, err := h.Store.LoadStrain(q); err == nil && snap != nil && snap.Iter > startIter {
-				startIter = snap.Iter
-			}
+		if startIter, err = resumeIter(h.Store, c.P); err != nil {
+			return nil, err
 		}
+		// Rank 0 may have recorded iterations past the resume point.
+		s.out.Iterations, s.out.Converged = startIter, false
 	}
 
 	out, err := s.finish()
@@ -164,6 +164,26 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		}
 	}
 	return out, nil
+}
+
+// resumeIter is the iteration a new generation resumes from: the oldest of
+// the ranks' last deposits, 0 if a rank has none. A rank deposits at each
+// iteration start and none passes an iteration's exchange before every rank
+// has deposited it, so the last deposits are at most one iteration apart
+// and a rank that is ahead still holds the resume iteration as its
+// previous deposit.
+func resumeIter(st *ckpt.Store, p int) (int, error) {
+	iter := -1
+	for q := 0; q < p; q++ {
+		snap, err := st.LoadStrain(q)
+		if err != nil || snap == nil {
+			return 0, err
+		}
+		if iter < 0 || snap.Iter < iter {
+			iter = snap.Iter
+		}
+	}
+	return iter, nil
 }
 
 // errGenAbort is the in-band signal that a worker observed a peer death
@@ -273,8 +293,8 @@ func (p *healer) help(r *rank, iter int, done <-chan struct{}) {
 // backupFor re-executes straggler q's iteration iter from its checkpoint
 // on r's plans, with q's own rank state built on first use.
 func (p *healer) backupFor(r *rank, q, iter int) ([][]float64, error) {
-	snap, err := p.store.LoadStrain(q)
-	if err != nil || snap == nil || snap.Iter != iter {
+	snap, err := p.store.LoadStrainAt(q, iter)
+	if err != nil || snap == nil {
 		return nil, fmt.Errorf("massif: no usable checkpoint for straggler %d at iter %d", q, iter)
 	}
 	peer, ok := p.peers[q]
