@@ -157,9 +157,11 @@ func TestAblationFarRateErrorTradeoff(t *testing.T) {
 	}
 }
 
-// TestAblationSlabMemoryModel: the measured slab footprint must equal the
-// paper's 8·N²·k model plus the one Nyquist column of the half spectrum,
-// ×(N+2)/N — DESIGN.md §5 ablation 5.
+// TestAblationSlabMemoryModel: the paper sizes the slab the 2-D transform
+// leaves at 8·N²·k (Table 1) — DESIGN.md §5 ablation 5. The pipeline never
+// holds that slab: it transforms one kx at a time, so what stage A leaves
+// is the x spectra, exactly the model × k(N+2)/N² (k/N of it plus the
+// Nyquist column), and everything a run holds undercuts the dense grid.
 func TestAblationSlabMemoryModel(t *testing.T) {
 	n, k := 64, 16
 	dim := grid.Cube(n)
@@ -177,8 +179,8 @@ func TestAblationSlabMemoryModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlabBytes != st.ModelBytes*(n+2)/n {
-		t.Errorf("slab %d != model %d × (n+2)/n", st.SlabBytes, st.ModelBytes)
+	if st.SlabBytes*n*n != st.ModelBytes*k*(n+2) {
+		t.Errorf("x spectra %d != model %d × k(n+2)/n²", st.SlabBytes, st.ModelBytes)
 	}
 	if st.PeakBytes >= 16*dim.Len() {
 		t.Errorf("peak %d must undercut the dense complex grid %d", st.PeakBytes, 16*dim.Len())

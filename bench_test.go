@@ -171,32 +171,11 @@ func BenchmarkFig3Octree(b *testing.B) {
 		float64(dim.Len())/float64(samples))
 }
 
-// BenchmarkSec54BatchB measures the real Go pipeline at different pencil
-// batch sizes (the §5.4 parameter), alongside the calibrated GPU model.
+// BenchmarkSec54BatchB logs the calibrated GPU model of the §5.4 pencil
+// batch B. The CPU pipeline has no batch to sweep: its stage-B unit is one
+// kx slice (conv.Local), so B only ever split one parallel loop into
+// sequential ones.
 func BenchmarkSec54BatchB(b *testing.B) {
-	n, k := 64, 16
-	dim := grid.Cube(n)
-	sub := grid.CubeAt(grid.Point{24, 24, 24}, k)
-	kernel := green.Gaussian{Sigma: 2}
-	tree, err := sample.DefaultPolicy(sub, 16).Tree(dim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subField := smoothSub(k)
-	for _, batch := range []int{256, 1024, 4096} {
-		local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-			conv.Config{BatchB: batch})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("B%d", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := local.Run(subField); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	rows, err := gpu.BatchStudy()
 	if err != nil {
 		b.Fatal(err)

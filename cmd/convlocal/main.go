@@ -29,7 +29,6 @@ func main() {
 		k     = flag.Int("k", 16, "sub-domain size k")
 		far   = flag.Int("far", 16, "far-field downsampling rate")
 		sigma = flag.Float64("sigma", 2, "Gaussian kernel width (grid cells)")
-		batch = flag.Int("batch", 0, "pencil batch size B (0 = all)")
 		model = flag.Bool("model", false, "print the analytic GPU memory model instead of running (works at paper scales, e.g. -n 2048)")
 	)
 	flag.Parse()
@@ -65,8 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel),
-		conv.Config{BatchB: *batch})
+	local, err := conv.NewLocal(dim, sub, tree, conv.KernelPointwise(dim, kernel), conv.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,17 +111,20 @@ func main() {
 	t.AddCells("rel L2 error", fmt.Sprintf("%.4f", rel))
 	t.AddCells("compression", fmt.Sprintf("%.1fx", st.Compression))
 	t.AddCells("samples", fmt.Sprint(st.SampleCount))
-	t.AddCells("kept z planes", fmt.Sprintf("%d of %d", st.KeptZPlanes, *n))
+	t.AddCells("z planes with samples", fmt.Sprintf("%d of %d", st.KeptZPlanes, *n))
 	t.AddCells("half-spectrum z pencils", fmt.Sprint(st.PencilCount))
-	t.AddCells("paper model 8·N²·k", report.Bytes(int64(st.ModelBytes)))
-	t.AddCells("half-spectrum slab bytes", fmt.Sprintf("%s (%.2fx the paper model)",
-		report.Bytes(int64(st.SlabBytes)), float64(st.SlabBytes)/float64(st.ModelBytes)))
-	t.AddCells("planes bytes", report.Bytes(int64(st.PlanesBytes)))
+	t.AddCells("paper slab model 8·N²·k", report.Bytes(int64(st.ModelBytes)))
+	ofModel := func(b int) string {
+		return fmt.Sprintf("%s (%.2fx the paper model)", report.Bytes(int64(b)), float64(b)/float64(st.ModelBytes))
+	}
+	t.AddCells("x-spectrum bytes", ofModel(st.SlabBytes))
+	t.AddCells("kept-row bytes", ofModel(st.PlanesBytes))
 	t.AddCells("compressed bytes", report.Bytes(int64(st.SampleBytes)))
+	t.AddCells("peak bytes (all held at once)", ofModel(st.PeakBytes))
 	t.AddCells("dense result bytes", report.Bytes(8*int64(dim.Len())))
-	t.AddCells("stage A (x, y forward)", st.StageA.String())
-	t.AddCells("stage B (z pencils, kernel)", st.StageB.String())
-	t.AddCells("stage C (inverse + sampling)", st.StageC.String())
+	t.AddCells("stage A (x forward)", st.StageA.String())
+	t.AddCells("stage B (per kx: y, z + kernel, inverse y)", st.StageB.String())
+	t.AddCells("stage C (inverse x + sampling)", st.StageC.String())
 	t.AddCells("local runtime", localDur.String())
 	t.AddCells("baseline runtime", baseDur.String())
 	t.Render(os.Stdout)

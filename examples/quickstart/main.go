@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("grid %v, sub-domain %v\n", dim, sub)
 	fmt.Printf("compressed result: %d samples (%.1fx compression, %d of %d z planes kept)\n",
 		stats.SampleCount, stats.Compression, stats.KeptZPlanes, n)
-	fmt.Printf("working set: slab %d B vs dense complex grid %d B\n",
-		stats.SlabBytes, 16*dim.Len())
+	fmt.Printf("working set: x spectra %d B + kept rows %d B, peak %d B vs the paper's 8·N²·k slab %d B and the dense complex grid %d B\n",
+		stats.SlabBytes, stats.PlanesBytes, stats.PeakBytes, stats.ModelBytes, 16*dim.Len())
 	fmt.Printf("relative L2 error vs dense convolution: %.4f\n", rel)
 }

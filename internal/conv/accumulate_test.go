@@ -78,12 +78,13 @@ func TestAccumulateScheduleFree(t *testing.T) {
 	}
 }
 
-// TestRecycledBuffersNeedNoClearing: a pipeline that draws its slab and
-// kept planes from the pool computes the samples a fresh one does even when
-// the pooled buffers are full of NaN and were sized for another box — here a
-// corner box and a smaller interior one that is off the octree's alignment,
-// so slab size and kept-plane count both differ. Stage A writes or clears
-// every slab element and stage B every kept-plane element.
+// TestRecycledBuffersNeedNoClearing: a pipeline that draws its buffer from
+// the pool computes the samples a fresh one does even when the pooled
+// buffer is full of NaN and was sized for another box — here a corner box
+// and a smaller interior one that is off the octree's alignment, so the x
+// spectra, the kept-row count and the kx blocks all differ in size. Stage A
+// writes every x-spectrum element, stage B clears or writes every block
+// line it reads and writes every kept row.
 func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 	const n = 32
 	dim := grid.Cube(n)
@@ -122,8 +123,8 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			}
 			return outs
 		}
-		if a, b := newLocal(boxes[0]), newLocal(boxes[1]); len(a.keptZ) == len(b.keptZ) {
-			t.Fatalf("both boxes keep %d planes; the test needs them to differ", len(a.keptZ))
+		if a, b := newLocal(boxes[0]), newLocal(boxes[1]); len(a.keptZ) == len(b.keptZ) || len(a.rows) == len(b.rows) {
+			t.Fatalf("both boxes keep %d planes and %d rows; the test needs them to differ", len(a.keptZ), len(a.rows))
 		}
 		// The pool may drop a buffer (under -race it does so at random), so
 		// go round a few times, in both orders of sizes.
@@ -133,13 +134,14 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 
 			a := newLocal(first)
 			run(a)
-			slab, planes := a.slabBuf, a.planesBuf
-			a.ReleaseBuffers()
-			for i := range slab {
-				slab[i] = nan
+			if len(a.xspec)+len(a.kept)+len(a.blocks) != len(a.buf) {
+				t.Fatalf("x spectra, kept rows and blocks cover %d of the buffer's %d elements",
+					len(a.xspec)+len(a.kept)+len(a.blocks), len(a.buf))
 			}
-			for i := range planes {
-				planes[i] = nan
+			buf := a.buf
+			a.ReleaseBuffers()
+			for i := range buf {
+				buf[i] = nan
 			}
 			b := newLocal(second)
 			got := run(b)

@@ -13,8 +13,7 @@ import (
 // pipeline together changes nothing about any one of them. A C = 3 run
 // whose callback applies a different scalar kernel to each line must equal
 // three C = 1 runs byte for byte — at a sub-domain offset aligned to
-// nothing, with and without worker parallelism and a batch size that does
-// not divide N².
+// nothing, with and without worker parallelism.
 func TestRunComponentsMatchesScalar(t *testing.T) {
 	const n, k = 32, 8
 	dim := grid.Cube(n)
@@ -36,50 +35,48 @@ func TestRunComponentsMatchesScalar(t *testing.T) {
 	}
 	in := []*grid.Field{randSub(k, 1), randSub(k, 2), randSub(k, 3)}
 	for _, workers := range []int{1, 3} {
-		for _, batch := range []int{0, 37} {
-			cfg := Config{Workers: workers, BatchB: batch}
-			ps, err := NewPlanSet(dim, workers)
+		cfg := Config{Workers: workers}
+		ps, err := NewPlanSet(dim, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := ps.NewLocalComponents(sub, tree, len(pws), perLine, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]*sample.Compressed, len(pws))
+		st, err := multi.RunComponents(in, outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum Stats
+		for c, pw := range pws {
+			scalar, err := ps.NewLocal(sub, tree, pw, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			multi, err := ps.NewLocalComponents(sub, tree, len(pws), perLine, cfg)
+			want, st1, err := scalar.Run(in[c])
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs := make([]*sample.Compressed, len(pws))
-			st, err := multi.RunComponents(in, outs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum Stats
-			for c, pw := range pws {
-				scalar, err := ps.NewLocal(sub, tree, pw, cfg)
-				if err != nil {
-					t.Fatal(err)
+			for i, w := range want.Samples {
+				if math.Float64bits(outs[c].Samples[i]) != math.Float64bits(w) {
+					t.Fatalf("workers %d component %d sample %d: %v != scalar %v",
+						workers, c, i, outs[c].Samples[i], w)
 				}
-				want, st1, err := scalar.Run(in[c])
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, w := range want.Samples {
-					if math.Float64bits(outs[c].Samples[i]) != math.Float64bits(w) {
-						t.Fatalf("workers %d batch %d component %d sample %d: %v != scalar %v",
-							workers, batch, c, i, outs[c].Samples[i], w)
-					}
-				}
-				sum.SlabBytes += st1.SlabBytes
-				sum.PlanesBytes += st1.PlanesBytes
-				sum.SampleBytes += st1.SampleBytes
-				sum.SampleCount += st1.SampleCount
-				sum.ModelBytes += st1.ModelBytes
-				sum.PeakBytes += st1.PeakBytes
 			}
-			// The footprint of C components is C scalar footprints.
-			st.StageA, st.StageB, st.StageC = 0, 0, 0
-			sum.KeptZPlanes, sum.PencilCount, sum.Compression = st.KeptZPlanes, st.PencilCount, st.Compression
-			if st != sum {
-				t.Errorf("workers %d batch %d: stats %+v, want the sum of the scalar runs %+v", workers, batch, st, sum)
-			}
+			sum.SlabBytes += st1.SlabBytes
+			sum.PlanesBytes += st1.PlanesBytes
+			sum.SampleBytes += st1.SampleBytes
+			sum.SampleCount += st1.SampleCount
+			sum.ModelBytes += st1.ModelBytes
+			sum.PeakBytes += st1.PeakBytes
+		}
+		// The footprint of C components is C scalar footprints.
+		st.StageA, st.StageB, st.StageC = 0, 0, 0
+		sum.KeptZPlanes, sum.PencilCount, sum.Compression = st.KeptZPlanes, st.PencilCount, st.Compression
+		if st != sum {
+			t.Errorf("workers %d: stats %+v, want the sum of the scalar runs %+v", workers, st, sum)
 		}
 	}
 }

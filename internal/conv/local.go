@@ -92,8 +92,7 @@ func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 
 // Config tunes the local pipeline.
 type Config struct {
-	Workers int // goroutines for batched pencil stages (≤0: GOMAXPROCS)
-	BatchB  int // pencils per batch, the paper's §5.4 batch parameter (≤0: one batch)
+	Workers int // goroutines for each stage's parallel loop (≤0: GOMAXPROCS)
 
 	// Trace, when non-nil, records per-stage spans ("conv.run",
 	// "conv.stageA/B/C"), per-stage latency histograms
@@ -108,10 +107,10 @@ type Config struct {
 // quantities behind the paper's Tables 1 and 4. The byte and sample figures
 // cover all C components of the pipeline.
 type Stats struct {
-	SlabBytes   int // C half-spectrum slabs of (N/2+1)×N×k complex: ModelBytes·(N+2)/N
-	PlanesBytes int // kept inverse planes, C×(N/2+1)×N×|Z| complex
+	SlabBytes   int // x spectra, C×k×k×(N/2+1) complex: stage A's output, stage B's input
+	PlanesBytes int // kept rows, C×(N/2+1)×R complex, R = rows of the kept z planes that carry a sample
 	SampleBytes int // compressed outputs (samples + octree metadata)
-	PeakBytes   int // max simultaneously-live intermediate footprint
+	PeakBytes   int // all of the above plus the per-worker kx blocks: everything a run holds at once
 	ModelBytes  int // the paper's 8·N²·k back-of-envelope figure, times C
 	KeptZPlanes int
 	PencilCount int // z pencils of one component's half spectrum, (N/2+1)·N
@@ -120,9 +119,9 @@ type Stats struct {
 
 	// Per-stage wall time, measured whether or not a Trace is attached, so
 	// job timelines can attribute compute latency to stages A/B/C.
-	StageA time.Duration // forward x (real rows, two per transform) and y transforms into the slab
-	StageB time.Duration // batched 1D z transforms + pointwise
-	StageC time.Duration // inverse y, inverse x of the sampled rows + octree gather
+	StageA time.Duration // forward x transforms (real rows, two per transform) into the x spectra
+	StageB time.Duration // per kx: forward y, z pencils + pointwise, inverse y of the kept planes
+	StageC time.Duration // inverse x of the kept rows + octree gather
 }
 
 // Local performs the paper's domain-local convolution of one k³ sub-domain
@@ -134,9 +133,10 @@ type Stats struct {
 // scalar kernel, six Voigt components for MASSIF's Γ̂), coupled only inside
 // the Pointwise callback.
 //
-// Slab and kept planes hold the half spectrum kx ∈ [0, h), h = N/2+1, and
-// are stored [plane][kx][ky] with ky fastest, so every y transform is a
-// contiguous in-place line and four adjacent z pencils share a cache line.
+// It carries the half spectrum kx ∈ [0, h), h = N/2+1, one kx at a time:
+// stage B takes each through the y, z and inverse y transforms in a
+// per-worker block that stays in cache and keeps only the rows stage C
+// samples, so neither the h×N×k slab nor a kept z plane is ever held whole.
 type Local struct {
 	dim   grid.Dim3
 	sub   grid.Box
@@ -147,40 +147,42 @@ type Local struct {
 	plan  *fft.Plan
 	perm  []int32 // plan.Perm(): where every copy into or out of a line puts index i
 
-	// Sampling index: the kept z planes in ascending order, the rows of
-	// each that carry a sample (ascending y), and each row's gather points.
-	// Rows and gather points are stored at their positions through perm,
-	// where stage C's inverse transforms leave them.
-	keptZ     []int
-	planeRows [][]sampleRow
-	gather    []gatherPoint
-	rowPairs  int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
+	// Sampling index: the kept z planes in ascending order, the rows that
+	// carry a sample (by z, then y; kept plane slot's are
+	// rows[rowOff[slot]:rowOff[slot+1]]) and each row's gather points, all
+	// stored at their positions through perm.
+	keptZ    []int
+	rows     []sampleRow
+	rowOff   []int
+	gather   []gatherPoint
+	rowPairs int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
 
 	// Reused working buffers (Run is therefore not safe for concurrent
-	// use on one Local; create one Local per goroutine). scratch holds the
-	// per-worker line buffers, allocated once so a warm Run performs no
-	// heap allocations. slabBuf and planesBuf are component-major:
-	// component c's k slab planes, then component c+1's.
-	slabBuf   []complex128
-	planesBuf []complex128
-	scratch   []pencilScratch
+	// use on one Local; create one Local per goroutine): the one pooled buf,
+	// cut into the component-major xspec, kept and blocks, and the per-worker
+	// tile lines, allocated once so a warm Run performs no heap allocations.
+	buf     []complex128
+	xspec   []complex128 // [c][z][y][kx]: stage A's x transforms
+	kept    []complex128 // [c][kx][r]: row r of rows after the inverse y transform
+	blocks  []complex128 // per worker: [c][line] of bl lines at stride N+blockPad
+	scratch []pencilScratch
 
 	// Fixed geometry, cached at construction.
 	n, h, k    int // grid edge, half-spectrum width n/2+1, sub-domain edge
 	ox, oy, oz int // sub-domain low corner
+	bl         int // lines per component of a kx block: max(k, kept planes)
 
 	// Per-run state read by the prebuilt worker funcs below. The funcs
-	// are method values bound once at construction: a closure literal in
-	// Run would be heap-allocated per call (its captures escape into
+	// are bound once at construction: a closure literal in Run would be
+	// heap-allocated per call (its captures escape into
 	// ParallelForSpanned), which is exactly what the steady-state serving
 	// path cannot afford.
-	runIn        []*grid.Field        // current job's input sub-fields, one per component
-	runOut       []*sample.Compressed // current job's outputs, one per component
-	bStart, bEnd int                  // current stage-B batch of pencils
-	ec           fft.FirstError       // per-run first-error collector
-	fnA          func(w, i int)
-	fnB          func(w, i int)
-	fnC          func(w, i int)
+	runIn  []*grid.Field        // current job's input sub-fields, one per component
+	runOut []*sample.Compressed // current job's outputs, one per component
+	ec     fft.FirstError       // per-run first-error collector
+	fnA    func(w, i int)
+	fnB    func(w, i int)
+	fnC    func(w, i int)
 
 	// Array backing for the one-element slices RunInto hands RunComponents,
 	// so the scalar warm path allocates nothing.
@@ -206,9 +208,13 @@ type gatherPoint struct {
 }
 
 // pencilTile is how many adjacent ky pencils stage B carries at once: four
-// complex128 are one 64-byte cache line, so each N²-strided slab read and
-// kept-plane write serves the whole tile.
+// complex128 are one 64-byte cache line, so each read from and write to a
+// line of the kx block serves the whole tile.
 const pencilTile = 4
+
+// blockPad pads a kx block's line stride past N, so that at a power-of-two
+// N the lines a tile reads do not all map to one cache set.
+const blockPad = 4
 
 // pencilScratch is one worker's reusable length-n lines, one per tile
 // pencil per component: lines is the flat backing (pencil-major), tile[j]
@@ -282,10 +288,11 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	}
 	l.n, l.h, l.k = n, n/2+1, k
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
-	l.fnA = l.slabSlice
-	l.fnB = l.pencilTileWorker
-	l.fnC = l.keptPlane
+	l.fnA = l.recorded(l.xSlice)
+	l.fnB = l.recorded(l.kxSlice)
+	l.fnC = l.recorded(l.keptPlane)
 	l.buildSampleIndex()
+	l.bl = max(k, len(l.keptZ))
 	l.hA = cfg.Trace.Histogram("conv.stage_a_seconds")
 	l.hB = cfg.Trace.Histogram("conv.stage_b_seconds")
 	l.hC = cfg.Trace.Histogram("conv.stage_c_seconds")
@@ -337,13 +344,13 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 }
 
 // buildSampleIndex groups the octree's sample points by z plane and, within
-// a plane, by row, so the inverse stage transforms only the rows that carry
-// a sample and gathers straight from each inverse-transformed line — the
-// "compression algorithm applied after each 1D iFFT stage". A counting sort
-// on the key z·n+y, no maps: the counts are taken a lattice row at a time (a
-// row's m samples share one key; its one wrap per row can afford the
-// modulo), the fill is one walk of the samples. Rows and points are stored
-// through perm.
+// a plane, by row, so the pipeline keeps and transforms only the rows that
+// carry a sample and gathers straight from each inverse-transformed line —
+// the "compression algorithm applied after each 1D iFFT stage". A counting
+// sort on the key z·n+y, no maps: the counts are taken a lattice row at a
+// time (a row's m samples share one key; its one wrap per row can afford
+// the modulo), the fill is one walk of the samples. Rows and points are
+// stored through perm.
 func (l *Local) buildSampleIndex() {
 	n := l.n
 	off := make([]int32, n*n+1)
@@ -360,17 +367,18 @@ func (l *Local) buildSampleIndex() {
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
+	l.rowOff = []int{0}
 	for z := 0; z < n; z++ {
-		var rows []sampleRow
+		first := len(l.rows)
 		for y := 0; y < n; y++ {
 			if lo, hi := off[z*n+y], off[z*n+y+1]; hi > lo {
-				rows = append(rows, sampleRow{y: l.perm[y], lo: lo, hi: hi})
+				l.rows = append(l.rows, sampleRow{y: l.perm[y], lo: lo, hi: hi})
 			}
 		}
-		if len(rows) > 0 {
+		if len(l.rows) > first {
 			l.keptZ = append(l.keptZ, z)
-			l.planeRows = append(l.planeRows, rows)
-			l.rowPairs += (len(rows) + 1) / 2
+			l.rowOff = append(l.rowOff, len(l.rows))
+			l.rowPairs += (len(l.rows) - first + 1) / 2
 		}
 	}
 	l.gather = make([]gatherPoint, off[n*n])
@@ -384,19 +392,17 @@ func (l *Local) buildSampleIndex() {
 // Tree returns the sampling octree used by the pipeline.
 func (l *Local) Tree() *octree.Tree { return l.tree }
 
-// ReleaseBuffers hands the slab and kept-plane buffers to a pool that the
-// next run of any pipeline draws from, so a caller that streams many
-// pipelines one at a time — or builds one per box and runs it once — holds
-// one set of live slabs between runs and allocates (and zeroes) none after
-// the first. A recycled buffer is never cleared here: stage A clears each
-// slab plane before writing it and stage B writes every kept-plane element.
+// ReleaseBuffers hands the pipeline's buffer to a pool that the next run of
+// any pipeline draws from, so a caller that streams many pipelines one at a
+// time — or builds one per box and runs it once — holds one live buffer
+// between runs and allocates (and zeroes) none after the first. It is never
+// cleared: the stages write, or clear, every element before reading it.
 func (l *Local) ReleaseBuffers() {
-	putBuffer(l.slabBuf)
-	putBuffer(l.planesBuf)
-	l.slabBuf, l.planesBuf = nil, nil
+	putBuffer(l.buf)
+	l.buf, l.xspec, l.kept, l.blocks = nil, nil, nil, nil
 }
 
-// bufferPool recycles slab and kept-plane buffers across pipelines.
+// bufferPool recycles pipeline buffers across pipelines.
 var bufferPool sync.Pool // of *[]complex128
 
 func putBuffer(b []complex128) {
@@ -457,69 +463,42 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		}
 	}
 	n, h, k, comps := l.n, l.h, l.k, l.comps
-	l.runIn = in
 	l.ec.Reset()
 	run := l.cfg.Trace.Start("conv.run")
 	defer run.End()
 
-	// Stage A — forward x and y transforms of the k sub-domain slices into
-	// the h×N×k half-spectrum slab ("the small domain undergoes a 2D
-	// transform to a slab"). The reused buffer needs no zeroing: each slice
-	// worker clears its plane before writing it.
-	tA := time.Now()
-	spanA := run.Start("conv.stageA")
-	if len(l.slabBuf) != comps*h*n*k {
-		l.slabBuf = takeBuffer(comps * h * n * k)
+	// Stage A — forward x transforms of the k rows of every sub-domain
+	// slice, two real rows per complex transform, into the x spectra.
+	tA, spanA := time.Now(), run.Start("conv.stageA")
+	nz := len(l.keptZ)
+	xn, kn := comps*k*k*h, comps*h*len(l.rows)
+	bw := min(fft.Workers(l.cfg.Workers), h) // stage-B workers, one block each
+	if size := xn + kn + bw*comps*l.bl*(n+blockPad); len(l.buf) != size {
+		l.buf = takeBuffer(size)
 	}
-	workers := fft.Workers(l.cfg.Workers)
-	fft.ParallelForSpanned(spanA, "conv.stageA.worker", comps*k, workers, l.fnA)
+	l.xspec, l.kept, l.blocks = l.buf[:xn], l.buf[xn:xn+kn], l.buf[xn+kn:]
+	st.SlabBytes, st.PlanesBytes = 16*xn, 16*kn
+	st.KeptZPlanes, st.PencilCount = nz, h*n
+	l.runIn = in
+	var err error
+	st.StageA, err = l.stage(spanA, tA, "conv.stageA.worker", comps*k, l.fnA, l.hA)
 	l.runIn = nil // input is only read in stage A; don't retain it
-	spanA.End()
-	if err := l.ec.Err(); err != nil {
+	if err != nil {
 		return st, err
 	}
-	st.StageA = time.Since(tA)
-	l.hA.Observe(st.StageA)
-	st.SlabBytes = 16 * comps * h * n * k
 
-	// Stage B — batched 1D z transforms of the h·N pencils with the
-	// pointwise callback, inverse z transform, keeping only sampled z
-	// planes ("the slab is then transformed in a batch fashion by taking
-	// 1D transforms of B pencils at a time in the z-dimension"). A batch
-	// is handed out in tiles of pencilTile adjacent pencils; the last tile
-	// of a batch may be short.
-	tB := time.Now()
-	spanB := run.Start("conv.stageB")
-	nz := len(l.keptZ)
-	if len(l.planesBuf) != comps*h*n*nz {
-		l.planesBuf = takeBuffer(comps * h * n * nz)
+	// Stage B — per kx, forward y transforms, its N z pencils with the
+	// pointwise callback ("1D transforms of B pencils at a time in the
+	// z-dimension"), inverse y of the kept z planes, the sampled rows kept.
+	tB, spanB := time.Now(), run.Start("conv.stageB")
+	if st.StageB, err = l.stage(spanB, tB, "conv.stageB.worker", h, l.fnB, l.hB); err != nil {
+		return st, err
 	}
-	st.PlanesBytes = 16 * comps * h * n * nz
-	st.KeptZPlanes = nz
-	st.PencilCount = h * n
-	batch := l.cfg.BatchB
-	if batch <= 0 || batch > h*n {
-		batch = h * n
-	}
-	for start := 0; start < h*n; start += batch {
-		l.bStart, l.bEnd = start, min(start+batch, h*n)
-		tiles := (l.bEnd - l.bStart + pencilTile - 1) / pencilTile
-		fft.ParallelForSpanned(spanB, "conv.stageB.worker", tiles, workers, l.fnB)
-		if err := l.ec.Err(); err != nil {
-			spanB.End()
-			return st, err
-		}
-	}
-	spanB.End()
-	st.StageB = time.Since(tB)
-	l.hB.Observe(st.StageB)
 
-	// Stage C — per kept plane, inverse y transforms, then the inverse x
-	// transform of the sampled rows only and the octree gather (the full 3D
-	// result is never materialized). Every sample slot is rewritten, so a
-	// recycled output needs no zeroing.
-	tC := time.Now()
-	spanC := run.Start("conv.stageC")
+	// Stage C — per kept plane, the inverse x transform of its kept rows
+	// and the octree gather (the full 3D result is never materialized).
+	// Every sample slot is rewritten, so a recycled output needs no zeroing.
+	tC, spanC := time.Now(), run.Start("conv.stageC")
 	for c, out := range outs {
 		if out == nil || out.Tree != l.tree || len(out.Samples) != l.tree.SampleCount() {
 			out = sample.NewCompressed(l.tree)
@@ -529,25 +508,21 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		st.SampleBytes += out.MemoryBytes()
 	}
 	l.runOut = outs
-	fft.ParallelForSpanned(spanC, "conv.stageC.worker", comps*nz, workers, l.fnC)
+	st.StageC, err = l.stage(spanC, tC, "conv.stageC.worker", comps*nz, l.fnC, l.hC)
 	l.runOut = nil
-	spanC.End()
-	if err := l.ec.Err(); err != nil {
+	if err != nil {
 		return st, err
 	}
 	st.ModelBytes = 8 * comps * n * n * k
-	st.PeakBytes = st.SlabBytes + st.PlanesBytes + st.SampleBytes
+	st.PeakBytes = 16*len(l.buf) + st.SampleBytes
 	st.Compression = outs[0].CompressionRatio()
-	st.StageC = time.Since(tC)
-	l.hC.Observe(st.StageC)
 	if tr := l.cfg.Trace; tr != nil {
 		tr.Counter("conv.pencils").Add(int64(st.PencilCount))
 		tr.Counter("conv.samples").Add(int64(st.SampleCount))
 		tr.Counter("conv.sample_bytes").Add(int64(st.SampleBytes))
 		// FLOP model in length-n transforms per component: stage A does
-		// ⌈k/2⌉ packed row pairs and h columns per slice, stage B two per
-		// pencil, stage C h columns per kept plane and one per pair of
-		// sampled rows.
+		// ⌈k/2⌉ packed row pairs per slice, stage B k columns, two per
+		// pencil and nz kept lines per kx, stage C one per pair of kept rows.
 		lines := k*((k+1)/2+h) + 2*h*n + nz*h + l.rowPairs
 		tr.Counter("conv.flops_model").Add(int64(comps) * int64(lines) * obs.FFTFlops(n))
 		tr.Gauge("conv.peak_bytes").Max(int64(st.PeakBytes))
@@ -555,24 +530,42 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	return st, nil
 }
 
-// slabSlice is the stage-A worker for slice i%k of component i/k (read
-// from l.runIn). The k non-zero rows are transformed along x two at a time:
-// rows a, b packed as a + i·b go through one complex transform and come
-// apart by symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
-// (Z[kx] − conj Z[−kx])/2i, written straight into column kx. Then each of
-// the h columns is transformed along y in place. Every copy into a line
-// goes through perm — the packed row, and the x output into the columns of
-// a cleared plane — so both transforms start without a reorder.
-func (l *Local) slabSlice(w, i int) {
-	if l.ec.Failed() {
-		return
+// stage finishes the stage begun at t0 under span: count work items on the
+// pipeline's workers, each worker under span worker. It returns the stage's
+// wall time, observed into hist, or the first error a worker recorded.
+func (l *Local) stage(span *obs.Span, t0 time.Time, worker string, count int, fn func(w, i int), hist *obs.Histogram) (time.Duration, error) {
+	fft.ParallelForSpanned(span, worker, count, fft.Workers(l.cfg.Workers), fn)
+	span.End()
+	if err := l.ec.Err(); err != nil {
+		return 0, err
 	}
-	n, h, k, ox, oy := l.n, l.h, l.k, l.ox, l.oy
+	d := time.Since(t0)
+	hist.Observe(d)
+	return d, nil
+}
+
+// recorded adapts a stage worker to fft.ParallelFor: its error goes to the
+// run's collector, and once any worker has failed the rest do nothing.
+func (l *Local) recorded(f func(w, i int) error) func(w, i int) {
+	return func(w, i int) {
+		if !l.ec.Failed() {
+			l.ec.Record(f(w, i))
+		}
+	}
+}
+
+// xSlice is the stage-A worker for slice i%k of component i/k (read from
+// l.runIn). The k rows are transformed along x two at a time: rows a, b
+// packed as a + i·b go through one complex transform and come apart by
+// symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
+// (Z[kx] − conj Z[−kx])/2i, written to the rows' x spectra. The packed row
+// is placed through perm, so the transform starts without a reorder.
+func (l *Local) xSlice(w, i int) error {
+	n, h, k := l.n, l.h, l.k
 	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
-	slab := l.slabBuf[i*h*n : (i+1)*h*n]
+	xs := l.xspec[i*k*h:][:k*h]
 	line := l.scratch[w].tile[0][0]
-	px, py := l.perm[ox:ox+k], l.perm[oy:oy+k]
-	clear(slab)
+	px := l.perm[l.ox : l.ox+k]
 	for yy := 0; yy < k; yy += 2 {
 		paired := yy+1 < k
 		a := rows[yy*k : (yy+1)*k]
@@ -589,55 +582,88 @@ func (l *Local) slabSlice(w, i int) {
 			}
 		}
 		if err := l.plan.ForwardFromPerm(line); err != nil {
-			l.ec.Record(err)
-			return
+			return err
 		}
-		colA, colB := slab[py[yy]:], slab // colB is row yy+1's, when paired
-		colA[0] = complex(real(line[0]), 0)
+		xa, xb := xs[yy*h:][:h], xs // xb is row yy+1's, when paired
+		xa[0] = complex(real(line[0]), 0)
 		if paired {
-			colB = slab[py[yy+1]:]
-			colB[0] = complex(imag(line[0]), 0)
+			xb = xs[(yy+1)*h:][:h]
+			xb[0] = complex(imag(line[0]), 0)
 		}
 		for kx := 1; kx < h; kx++ {
 			zk, zm := line[kx], line[n-kx]
 			sum := complex(real(zk)+real(zm), imag(zk)-imag(zm)) // Z[kx] + conj Z[−kx]
-			colA[kx*n] = complex(real(sum)/2, imag(sum)/2)
+			xa[kx] = complex(real(sum)/2, imag(sum)/2)
 			if paired {
 				dif := complex(real(zk)-real(zm), imag(zk)+imag(zm)) // Z[kx] − conj Z[−kx]
-				colB[kx*n] = complex(imag(dif)/2, -real(dif)/2)
+				xb[kx] = complex(imag(dif)/2, -real(dif)/2)
 			}
 		}
 	}
-	for kx := 0; kx < h; kx++ {
-		if err := l.plan.ForwardFromPerm(slab[kx*n : (kx+1)*n]); err != nil {
-			l.ec.Record(err)
-			return
-		}
-	}
+	return nil
 }
 
-// pencilTileWorker is the stage-B worker for tile i of the current batch:
-// up to pencilTile adjacent pencils q = kx·n+ky. Their slab values arrive
-// one cache line per slab plane and are placed through perm into cleared
-// lines; each line is forward z transformed, passed through the pointwise
-// callback in natural order with the pencil's other components, inverse
-// transformed in place, and the kept planes leave one cache line per plane,
-// read back through perm.
-func (l *Local) pencilTileWorker(w, i int) {
-	if l.ec.Failed() {
-		return
+// kxSlice is the stage-B worker for frequency kx, in worker w's block of
+// bl lines per component: line zi takes the y transform of slice zi's
+// column kx, placed through perm into a cleared line; zTile carries the z
+// pencils, leaving kept plane slot in line slot; each kept line is inverse
+// y transformed in place and its rows that carry a sample are copied out.
+func (l *Local) kxSlice(w, kx int) error {
+	n, h, k, comps, bl := l.n, l.h, l.k, l.comps, l.bl
+	ls := n + blockPad
+	blk := l.blocks[w*comps*bl*ls:][:comps*bl*ls]
+	for c := 0; c < comps; c++ {
+		for zi := 0; zi < k; zi++ {
+			line := blk[(c*bl+zi)*ls:][:n]
+			col := l.xspec[(c*k+zi)*k*h+kx:]
+			clear(line)
+			for yy, y := range l.perm[l.oy : l.oy+k] {
+				line[y] = col[yy*h]
+			}
+			if err := l.plan.ForwardFromPerm(line); err != nil {
+				return err
+			}
+		}
 	}
-	n, k, oz, comps, hn := l.n, l.k, l.oz, l.comps, l.h*l.n
-	q0 := l.bStart + i*pencilTile
-	t := min(pencilTile, l.bEnd-q0)
 	sc := &l.scratch[w]
+	for ky0 := 0; ky0 < n; ky0 += pencilTile {
+		if err := l.zTile(sc, blk, kx, ky0); err != nil {
+			return err
+		}
+	}
+	nr := len(l.rows)
+	for c := 0; c < comps; c++ {
+		kept := l.kept[(c*h+kx)*nr:][:nr]
+		for slot := range l.keptZ {
+			line := blk[(c*bl+slot)*ls:][:n]
+			if err := l.plan.InverseToPerm(line); err != nil {
+				return err
+			}
+			for r := l.rowOff[slot]; r < l.rowOff[slot+1]; r++ {
+				kept[r] = line[l.rows[r].y]
+			}
+		}
+	}
+	return nil
+}
+
+// zTile carries the z pencils of ky ∈ [ky0, ky0+pencilTile) of frequency
+// kx: their values are read one cache line per block line and placed
+// through perm into cleared lines; each line is forward z transformed,
+// passed through the callback with the pencil's other components and
+// inverse transformed in place. Kept plane slot's values leave, read back
+// through perm, to block line slot at the tile's columns, which the tile
+// has already read from every line.
+func (l *Local) zTile(sc *pencilScratch, blk []complex128, kx, ky0 int) error {
+	n, comps, bl, ls := l.n, l.comps, l.bl, l.n+blockPad
+	t := min(pencilTile, n-ky0)
 	stride := comps * n // between the same component's lines of adjacent pencils
 	clear(sc.lines[:t*stride])
 	for c := 0; c < comps; c++ {
-		slab := l.slabBuf[c*k*hn+q0:]
 		dst := sc.lines[c*n:]
-		for zi, z := range l.perm[oz : oz+k] {
-			for j, v := range slab[zi*hn:][:t] {
+		src := blk[c*bl*ls+ky0:]
+		for zi, z := range l.perm[l.oz : l.oz+l.k] {
+			for j, v := range src[zi*ls:][:t] {
 				dst[j*stride+int(z)] = v
 			}
 		}
@@ -646,87 +672,68 @@ func (l *Local) pencilTileWorker(w, i int) {
 		spec := sc.tile[j]
 		for _, line := range spec {
 			if err := l.plan.ForwardFromPerm(line); err != nil {
-				l.ec.Record(err)
-				return
+				return err
 			}
 		}
 		// Pointwise kernel multiply — the cuFFT-callback stage.
-		q := q0 + j
-		l.pw(q/n, q%n, spec)
+		l.pw(kx, ky0+j, spec)
 		for _, line := range spec {
 			if err := l.plan.InverseToPerm(line); err != nil {
-				l.ec.Record(err)
-				return
+				return err
 			}
 		}
 	}
-	nz := len(l.keptZ)
 	for c := 0; c < comps; c++ {
-		planes := l.planesBuf[c*nz*hn+q0:]
 		src := sc.lines[c*n:]
+		dst := blk[c*bl*ls+ky0:]
 		for slot, z := range l.keptZ {
-			dst := planes[slot*hn:][:t]
 			at := int(l.perm[z])
-			for j := range dst {
-				dst[j] = src[j*stride+at]
+			for j := range dst[slot*ls:][:t] {
+				dst[slot*ls+j] = src[j*stride+at]
 			}
 		}
 	}
+	return nil
 }
 
 // keptPlane is the stage-C worker for kept plane i%nz of component i/nz:
-// inverse y transform of the h columns in place, then the inverse x
-// transform of only the rows that carry a sample, two per transform. Rows
-// a, b with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
+// the inverse x transform of its kept rows, two per transform. Rows a, b
+// with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
 // negative kx by Hermitian symmetry with the DC and Nyquist terms taken
-// real, so F⁻¹Z = a + i·b; the samples are gathered from that line and the
-// rows are never written back. Both inverses leave their output in perm
-// order, where planeRows and gather already point.
-func (l *Local) keptPlane(w, i int) {
-	if l.ec.Failed() {
-		return
-	}
-	n, h := l.n, l.h
-	nz := len(l.keptZ)
-	plane := l.planesBuf[i*h*n : (i+1)*h*n]
-	for kx := 0; kx < h; kx++ {
-		if err := l.plan.InverseToPerm(plane[kx*n : (kx+1)*n]); err != nil {
-			l.ec.Record(err)
-			return
-		}
-	}
-	out := l.runOut[i/nz].Samples
-	rows := l.planeRows[i%nz]
+// real, so F⁻¹Z = a + i·b; the samples are gathered from that line, which
+// the inverse leaves in perm order, where gather already points.
+func (l *Local) keptPlane(w, i int) error {
+	n, h, nr, nz := l.n, l.h, len(l.rows), len(l.keptZ)
+	c, slot := i/nz, i%nz
+	kept := l.kept[c*h*nr:][:h*nr] // row r's value at kx is kept[kx*nr+r]
+	out := l.runOut[c].Samples
 	line := l.scratch[w].tile[0][0]
-	for r := 0; r < len(rows); r += 2 {
-		ra := rows[r]
-		rb, paired := ra, r+1 < len(rows)
-		if paired {
-			rb = rows[r+1]
-		}
+	end := l.rowOff[slot+1]
+	for ra := l.rowOff[slot]; ra < end; ra += 2 {
 		// An unpaired last row rides with itself; its imaginary half is
 		// not gathered.
-		pa, pb := plane[ra.y:], plane[rb.y:]
+		rb := min(ra+1, end-1)
+		pa, pb := kept[ra:], kept[rb:]
 		line[0] = complex(real(pa[0]), real(pb[0]))
 		for kx := 1; kx < n-h+1; kx++ {
-			a, b := pa[kx*n], pb[kx*n]
+			a, b := pa[kx*nr], pb[kx*nr]
 			line[kx] = complex(real(a)-imag(b), imag(a)+real(b))   // Â + i·B̂
 			line[n-kx] = complex(real(a)+imag(b), real(b)-imag(a)) // conj Â + i·conj B̂
 		}
 		if n%2 == 0 {
-			line[n/2] = complex(real(pa[n/2*n]), real(pb[n/2*n]))
+			line[n/2] = complex(real(pa[n/2*nr]), real(pb[n/2*nr]))
 		}
 		if err := l.plan.InverseToPerm(line); err != nil {
-			l.ec.Record(err)
-			return
+			return err
 		}
-		for _, g := range l.gather[ra.lo:ra.hi] {
+		for _, g := range l.gather[l.rows[ra].lo:l.rows[ra].hi] {
 			out[g.sample] = real(line[g.x])
 		}
-		if paired {
-			for _, g := range l.gather[rb.lo:rb.hi] {
+		if rb != ra {
+			for _, g := range l.gather[l.rows[rb].lo:l.rows[rb].hi] {
 				out[g.sample] = imag(line[g.x])
 			}
 		}
 	}
+	return nil
 }

@@ -155,7 +155,7 @@ func TestLowCommIsDistributedOnOneRank(t *testing.T) {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	opt := LowCommOptions{
 		Options: Options{MaxIter: 4, Workers: 2},
-		SubSize: 8, FarRate: 8, BatchB: 37,
+		SubSize: 8, FarRate: 8,
 	}
 	serial, err := SolveLowComm(m, E, opt)
 	if err != nil {

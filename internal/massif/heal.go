@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lowcomm3d/internal/ckpt"
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/gpu"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/supervise"
@@ -60,35 +61,38 @@ type HealReport struct {
 
 // HealWorkerBytes models the honest per-worker device footprint of a
 // distributed solve: the resident per-box strain and delta fields plus one
-// shared stress scratch, and the streamed peak of ONE local pipeline (six
-// half-spectrum slabs of k planes plus six kept-plane buffers; boxes run
-// sequentially and release their buffers, see conv.Local.ReleaseBuffers).
-// Refining k shrinks this charge — the slab term scales with k and the
-// resident term stays fixed at the grid share — which is exactly why
+// shared stress scratch, and the streamed peak of ONE local pipeline (boxes
+// run sequentially and release their buffer, see conv.Local.ReleaseBuffers).
+// Refining k shrinks this charge — the pipeline's x spectra scale with k²
+// and the resident term stays fixed at the grid share — which is exactly why
 // admission control can heal an OOM by refining instead of failing.
 func HealWorkerBytes(dim grid.Dim3, p int, opt LowCommOptions) int64 {
-	n := dim.Nx
 	k := opt.SubSize
 	kd := int64(k) * int64(k) * int64(k)
 	boxes := int64(dim.Len()) / kd
 	per := (boxes + int64(p) - 1) / int64(p)     // worst-case round-robin share
 	resident := per * 2 * grid.NumVoigt * 8 * kd // eps + delta per box
 	resident += grid.NumVoigt * 8 * kd           // shared sigma scratch
-	nz := n
-	if !opt.FullRes {
-		far := opt.FarRate
-		if far == 0 {
-			far = 16
-		}
-		nz = gpu.KeptZPlanes(n, k, far)
-	}
-	return resident + pipelineBytes(n, k) + pipelineBytes(n, nz)
+	return resident + pipelineBytes(dim, opt)
 }
 
-// pipelineBytes is one six-component conv.Local buffer of depth z planes
-// over the half spectrum: 16·(N/2+1)·N·depth bytes per component.
-func pipelineBytes(n, depth int) int64 {
-	return grid.NumVoigt * 16 * int64(n/2+1) * int64(n) * int64(depth)
+// pipelineBytes is the one buffer of a six-component conv.Local on a box of
+// edge k over the half spectrum h = N/2+1, per component: k·k·h complex of
+// x spectra, h per kept row, and per pipeline worker (at most h) a kx block
+// of max(k, kept planes) lines of N+4. The kept planes and rows are counted
+// from the corner box's tree: the sampling rate is a function of torus
+// distance, so every box's tree is a translate of it.
+func pipelineBytes(dim grid.Dim3, opt LowCommOptions) int64 {
+	n, k := dim.Nx, opt.SubSize
+	h := n/2 + 1
+	planes, rows := n, n*n // a tree that does not build is charged as full resolution
+	if tree, err := boxTree(dim, grid.CubeAt(grid.Point{}, k), opt); err == nil {
+		plane, row := map[int]bool{}, map[int]bool{}
+		tree.ForEachSample(func(_, _, _, y, z int) { plane[z], row[z*n+y] = true, true })
+		planes, rows = len(plane), len(row)
+	}
+	blocks := min(fft.Workers(opt.Workers), h) * max(k, planes) * (n + 4)
+	return grid.NumVoigt * 16 * int64(k*k*h+h*rows+blocks)
 }
 
 // refineSubSize returns the next smaller sub-domain edge that still

@@ -327,41 +327,48 @@ func TestSelfHealingAdmissionRefinesK(t *testing.T) {
 	}
 }
 
-// TestHealWorkerBytesMatchesPipeline pins the admission model's two pipeline
-// terms to what a real six-component pipeline allocates: the half-spectrum
-// slab of k planes and the kept-plane buffer, both (N/2+1)·N per plane.
+// TestHealWorkerBytesMatchesPipeline pins the admission model's pipeline
+// term to what a real six-component pipeline holds — x spectra, kept rows
+// and the kx blocks of its workers — on the corner box the model counts
+// from and on one elsewhere on the torus, at one and two workers and at
+// full resolution.
 func TestHealWorkerBytesMatchesPipeline(t *testing.T) {
 	p0, p1 := steelAndSoft()
-	for _, nk := range [][2]int{{16, 8}, {32, 8}} {
-		n, k := nk[0], nk[1]
+	for _, tc := range []struct {
+		n, k    int
+		fullRes bool
+	}{{16, 8, false}, {32, 8, false}, {16, 4, true}} {
+		n, k := tc.n, tc.k
 		m, err := NewMicrostructure(grid.Cube(n), p0, p1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans, err := conv.NewPlanSet(m.Dim, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := LowCommOptions{Options: Options{Workers: 1}, SubSize: k, FarRate: 8}
 		lambda0, mu0 := m.ReferenceMedium()
-		local, err := gammaLocal(plans, m, grid.CubeAt(grid.Point{}, k), green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sigma := make([]*grid.Field, grid.NumVoigt)
 		for v := range sigma {
 			sigma[v] = grid.NewField(grid.Cube(k))
 			sigma[v].Fill(float64(v + 1))
 		}
-		st, err := local.RunComponents(sigma, make([]*sample.Compressed, grid.NumVoigt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pipelineBytes(n, k); got != int64(st.SlabBytes) {
-			t.Errorf("N=%d k=%d: modeled slab %d B, pipeline allocates %d B", n, k, got, st.SlabBytes)
-		}
-		if got := pipelineBytes(n, st.KeptZPlanes); got != int64(st.PlanesBytes) {
-			t.Errorf("N=%d k=%d: modeled %d kept planes at %d B, pipeline allocates %d B", n, k, st.KeptZPlanes, got, st.PlanesBytes)
+		for _, workers := range []int{1, 2} {
+			plans, err := conv.NewPlanSet(m.Dim, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := LowCommOptions{Options: Options{Workers: workers}, SubSize: k, FarRate: 8, FullRes: tc.fullRes}
+			for _, lo := range []grid.Point{{}, {n - k, k, n / 2}} {
+				local, err := gammaLocal(plans, m, grid.CubeAt(lo, k), green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := local.RunComponents(sigma, make([]*sample.Compressed, grid.NumVoigt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, held := pipelineBytes(m.Dim, opt), int64(st.PeakBytes-st.SampleBytes); got != held {
+					t.Errorf("N=%d k=%d full %v workers %d box at %v: modeled %d B, pipeline holds %d B (x spectra %d, kept rows %d)",
+						n, k, tc.fullRes, workers, lo, got, held, st.SlabBytes, st.PlanesBytes)
+				}
+			}
 		}
 	}
 }

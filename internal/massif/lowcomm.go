@@ -17,7 +17,6 @@ type LowCommOptions struct {
 	SubSize int  // k — sub-domain edge length
 	FarRate int  // far-field downsampling rate (paper: 16 or 32)
 	FullRes bool // rate-1 sampling everywhere: exact mode for validation
-	BatchB  int  // pencils per batch (§5.4)
 
 	// Heal tunes the distributed solve's recovery (checkpoint store,
 	// supervision, admission control); nil selects HealOptions' zero
@@ -442,15 +441,15 @@ func (r *rank) load(snap [][][]float64) {
 // boxTree builds the sampling tree for one sub-domain under opt: rate-1
 // everywhere in FullRes validation mode, otherwise the default near/far
 // policy at the configured far rate.
-func boxTree(m *Microstructure, b grid.Box, opt LowCommOptions) (*octree.Tree, error) {
+func boxTree(dim grid.Dim3, b grid.Box, opt LowCommOptions) (*octree.Tree, error) {
 	if opt.FullRes {
-		return sample.Uniform{Rate: 1, CellSize: min(8, m.Dim.Nx)}.Tree(m.Dim)
+		return sample.Uniform{Rate: 1, CellSize: min(8, dim.Nx)}.Tree(dim)
 	}
 	far := opt.FarRate
 	if far == 0 {
 		far = 16
 	}
-	return sample.DefaultPolicy(b, far).Tree(m.Dim)
+	return sample.DefaultPolicy(b, far).Tree(dim)
 }
 
 // gammaOp is the Γ̂ contraction per frequency (Algorithm 1 step 3,
@@ -479,10 +478,10 @@ func gammaOp(dim grid.Dim3, gamma green.Gamma) conv.Pointwise {
 // gammaLocal builds the six-component local pipeline of one sub-domain —
 // conv.Local with Γ̂ as its callback — on one rank's shared plans.
 func gammaLocal(plans *conv.PlanSet, m *Microstructure, box grid.Box, gamma green.Gamma, opt LowCommOptions) (*conv.Local, error) {
-	tree, err := boxTree(m, box, opt)
+	tree, err := boxTree(m.Dim, box, opt)
 	if err != nil {
 		return nil, err
 	}
 	return plans.NewLocalComponents(box, tree, grid.NumVoigt, gammaOp(m.Dim, gamma),
-		conv.Config{Workers: opt.Workers, BatchB: opt.BatchB, Trace: opt.Trace})
+		conv.Config{Workers: opt.Workers, Trace: opt.Trace})
 }

@@ -402,10 +402,10 @@ func TestVoronoiPolycrystalSolves(t *testing.T) {
 	}
 }
 
-// TestLowCommDeterministicAcrossWorkersAndBatch: the tensor path is
-// conv.Local, so it inherits its promise — worker count and pencil batch
-// size decide only who computes a pencil and when, never a bit of it.
-func TestLowCommDeterministicAcrossWorkersAndBatch(t *testing.T) {
+// TestLowCommDeterministicAcrossWorkers: the tensor path is conv.Local, so
+// it inherits its promise — the worker count decides only who computes a
+// pencil and when, never a bit of it.
+func TestLowCommDeterministicAcrossWorkers(t *testing.T) {
 	p0, p1 := steelAndSoft()
 	m, err := NewMicrostructure(grid.Cube(16), p0, p1)
 	if err != nil {
@@ -417,24 +417,22 @@ func TestLowCommDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0.002}
 	var ref *LowCommResult
 	for _, workers := range []int{1, 3} {
-		for _, batch := range []int{0, 37} {
-			got, err := SolveLowComm(m, E, LowCommOptions{
-				Options: Options{Tol: 1e-12, MaxIter: 3, Workers: workers},
-				SubSize: 8, FarRate: 8, BatchB: batch,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			for v := range ref.Strain.Comp {
-				for i, want := range ref.Strain.Comp[v].Data {
-					if math.Float64bits(got.Strain.Comp[v].Data[i]) != math.Float64bits(want) {
-						t.Fatalf("workers %d batch %d: strain component %d voxel %d is %v, want %v",
-							workers, batch, v, i, got.Strain.Comp[v].Data[i], want)
-					}
+		got, err := SolveLowComm(m, E, LowCommOptions{
+			Options: Options{Tol: 1e-12, MaxIter: 3, Workers: workers},
+			SubSize: 8, FarRate: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for v := range ref.Strain.Comp {
+			for i, want := range ref.Strain.Comp[v].Data {
+				if math.Float64bits(got.Strain.Comp[v].Data[i]) != math.Float64bits(want) {
+					t.Fatalf("workers %d: strain component %d voxel %d is %v, want %v",
+						workers, v, i, got.Strain.Comp[v].Data[i], want)
 				}
 			}
 		}
