@@ -120,31 +120,24 @@ func DistFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fiel
 // TransposeZY exchanges a z-slab (per planes of n×n, plane-major) for a
 // y-slab (n z-planes of per×n rows owned in y) via one all-to-all, or the
 // reverse when back is true — the building block of slab-decomposed
-// distributed FFTs, exported so distributed solvers can reuse it. Layouts:
+// distributed FFTs, exported so distributed solvers can reuse it. Layouts,
+// with s the slab's own axis and u the other one's global index:
 //
-//	z-slab: idx = zi*n*n + y*n + x          (zi local, y global)
-//	y-slab: idx = z*n*per + yi*n + x        (z global, yi local)
+//	z-slab: idx = zi*n*n + y*n + x          (s = zi, u = y)
+//	y-slab: idx = z*n*per + yi*n + x        (s = yi, u = z)
 func (w *Worker) TransposeZY(in []complex128, n, per int, back bool) ([]complex128, error) {
-	p := w.c.P
-	out := make([][]float64, p)
-	for q := 0; q < p; q++ {
-		// Block destined for worker q: my z (or y) range × q's y (or z) range.
-		buf := make([]float64, 2*per*per*n)
-		i := 0
-		for a := 0; a < per; a++ { // my local plane index
-			for b := 0; b < per; b++ { // q's local index
-				for x := 0; x < n; x++ {
-					var v complex128
-					if back {
-						// in is y-slab: a = my yi, global z = q*per + b.
-						v = in[(q*per+b)*n*per+a*n+x]
-					} else {
-						// in is z-slab: a = my zi, global y = q*per + b.
-						v = in[a*n*n+(q*per+b)*n+x]
-					}
-					buf[i] = real(v)
-					buf[i+1] = imag(v)
-					i += 2
+	sIn, uIn, sOut, uOut := n*n, n, n, n*per
+	if back {
+		sIn, uIn, sOut, uOut = sOut, uOut, sIn, uIn
+	}
+	out := make([][]float64, w.c.P)
+	for q := range out {
+		// Block destined for worker q: my planes × q's range of the other axis.
+		buf := make([]float64, 0, 2*per*per*n)
+		for a := 0; a < per; a++ {
+			for b := 0; b < per; b++ {
+				for _, v := range in[a*sIn+(q*per+b)*uIn:][:n] {
+					buf = append(buf, real(v), imag(v))
 				}
 			}
 		}
@@ -155,21 +148,13 @@ func (w *Worker) TransposeZY(in []complex128, n, per int, back bool) ([]complex1
 		return nil, err
 	}
 	res := make([]complex128, n*n*per)
-	for q := 0; q < p; q++ {
-		buf := recv[q]
-		i := 0
-		for a := 0; a < per; a++ { // sender's local index
-			for b := 0; b < per; b++ { // my local index
-				for x := 0; x < n; x++ {
-					v := complex(buf[i], buf[i+1])
-					i += 2
-					if back {
-						// Receiving z-slab rows: my zi = b, global y = q*per + a.
-						res[b*n*n+(q*per+a)*n+x] = v
-					} else {
-						// Receiving y-slab rows: my yi = b, global z = q*per + a.
-						res[(q*per+a)*n*per+b*n+x] = v
-					}
+	for q, buf := range recv {
+		for a := 0; a < per; a++ { // the sender's plane, my range of the other axis
+			for b := 0; b < per; b++ { // my plane
+				row := res[b*sOut+(q*per+a)*uOut:][:n]
+				for x := range row {
+					i := 2 * ((a*per+b)*n + x)
+					row[x] = complex(buf[i], buf[i+1])
 				}
 			}
 		}
@@ -186,13 +171,14 @@ type LowCommResult struct {
 }
 
 // lowComm is the layout LowCommConvolve runs and LowCommExchangeBytes
-// prices: the jobs dealt to the ranks by grid.Partition, each sampled by
-// the default policy, and one output z-slab per rank.
+// prices: the jobs dealt round robin to the ranks by grid.Partition — job i
+// is rank i mod P's (i div P)-th — each sampled by the default policy, and
+// one output z-slab per rank.
 type lowComm struct {
 	dim   grid.Dim3
 	far   int
+	jobs  int
 	parts [][]grid.Box
-	order map[grid.Box]int // a job's position in the canonical job list
 }
 
 func newLowComm(d grid.Dim3, p int, jobs []grid.Box, far int) (*lowComm, error) {
@@ -207,11 +193,7 @@ func newLowComm(d grid.Dim3, p int, jobs []grid.Box, far int) (*lowComm, error) 
 	if err != nil {
 		return nil, err
 	}
-	l := &lowComm{dim: d, far: far, parts: parts, order: make(map[grid.Box]int, len(jobs))}
-	for i, b := range jobs {
-		l.order[b] = i
-	}
-	return l, nil
+	return &lowComm{dim: d, far: far, jobs: len(jobs), parts: parts}, nil
 }
 
 // region is rank q's output z-slab.
@@ -262,32 +244,25 @@ func (l *lowComm) messages(results []*sample.Compressed) [][]float64 {
 }
 
 // accumulate adds the received groups to rank w's z-slab of out in job
-// order — sender q's j-th group is box parts[q][j] — the order
-// conv.Accumulate adds the same results in, so every voxel sums the same
-// addends in the same order as conv.Decomposed.Run.
+// order — sender q's j-th group is job q + j·P — the order conv.Accumulate
+// adds the same results in; a voxel's value depends on that order alone, so
+// it is conv.Decomposed.Run's bit for bit.
 func (l *lowComm) accumulate(out *grid.Field, w int, recv [][]float64) error {
-	byJob := make([][]sample.Patch, len(l.order))
+	groups := make([][][]sample.Patch, len(recv))
 	for q, msg := range recv {
-		groups, err := sample.DecodePatchGroups(msg)
-		if err != nil {
+		var err error
+		if groups[q], err = sample.DecodePatchGroups(msg); err != nil {
 			return fmt.Errorf("cluster: exchange from rank %d: %w", q, err)
 		}
-		if len(groups) != len(l.parts[q]) {
-			return fmt.Errorf("cluster: rank %d sent %d patch groups for %d boxes", q, len(groups), len(l.parts[q]))
-		}
-		for j, g := range groups {
-			byJob[l.order[l.parts[q][j]]] = g
+		if len(groups[q]) != len(l.parts[q]) {
+			return fmt.Errorf("cluster: rank %d sent %d patch groups for %d boxes", q, len(groups[q]), len(l.parts[q]))
 		}
 	}
-	mine := l.region(w)
-	for _, ps := range byJob {
-		for _, p := range ps {
-			if err := p.AddToRegion(out, mine, 1); err != nil {
-				return err
-			}
-		}
+	var ps []sample.Patch
+	for i, p := 0, len(l.parts); i < l.jobs; i++ {
+		ps = append(ps, groups[i%p][i/p]...)
 	}
-	return nil
+	return sample.AddPatches(out, grid.Point{}, l.region(w), ps, 1)
 }
 
 // LowCommExchangeBytes predicts, exactly, the fabric bytes the single

@@ -31,17 +31,6 @@ func (p Params) MessageTime(m int) float64 {
 	return p.Alpha + p.Beta*float64(m)
 }
 
-// AllToAllTime estimates one all-to-all round among P workers where each
-// worker contributes totalBytes/P to every peer: P−1 messages per worker,
-// pairwise overlapped (the standard linear-cost model).
-func (p Params) AllToAllTime(workers, perWorkerBytes int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	msg := perWorkerBytes / workers
-	return float64(workers-1) * p.MessageTime(msg)
-}
-
 // TCommFFT evaluates the paper's Eq. 1: per-node communication time of a
 // traditional 3D FFT on an N³ grid over P workers with two all-to-all
 // stages, T = 2·N³·8 / (P·β_link), expressed through β = 1/β_link.

@@ -28,14 +28,10 @@ func PencilFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fi
 	if p1*p1 != c.P {
 		return nil, fmt.Errorf("cluster: pencil decomposition needs a square worker count, got %d", c.P)
 	}
-	p2 := p1
-	if n%p1 != 0 || n%p2 != 0 {
-		return nil, fmt.Errorf("cluster: grid size %d not divisible by process grid %dx%d", n, p1, p2)
+	if n%p1 != 0 {
+		return nil, fmt.Errorf("cluster: grid size %d not divisible by process grid %dx%d", n, p1, p1)
 	}
-	ny := n / p1 // local y extent in the x-pencil phase
-	nz := n / p2 // local z extent
-	nx := n / p1 // local x extent after the first transpose
-	my := n / p2 // local y extent after the second transpose
+	per := n / p1 // every local extent: y and z of an x-pencil, then x and z, then x and y
 
 	plan, err := fft.NewPlan(n)
 	if err != nil {
@@ -46,13 +42,18 @@ func PencilFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fi
 	err = c.Run(func(w *Worker) error {
 		a := w.ID % p1 // row coordinate: owns y block a (x-pencils) / x block a later
 		b := w.ID / p1 // column coordinate: owns z block b / y block b later
-		y0, z0 := a*ny, b*nz
+		y0, z0 := a*per, b*per
+		// The row group (one b) swaps x-pencils and y-pencils, the column
+		// group (one a) y-pencils and z-pencils; idx is (z·per + y)·n + x,
+		// then (z·per + x)·n + y, then (y·per + x)·n + z.
+		inRow := func(q int) (int, bool) { return q % p1, q/p1 == b }
+		inCol := func(q int) (int, bool) { return q / p1, q%p1 == a }
 
-		// Phase X: x-pencils, idx = (zl·ny + yl)·n + x.
-		bufX := make([]complex128, ny*nz*n)
-		for zl := 0; zl < nz; zl++ {
-			for yl := 0; yl < ny; yl++ {
-				row := bufX[(zl*ny+yl)*n : (zl*ny+yl)*n+n]
+		// Phase X: x-pencils.
+		bufX := make([]complex128, per*per*n)
+		for zl := 0; zl < per; zl++ {
+			for yl := 0; yl < per; yl++ {
+				row := bufX[(zl*per+yl)*n : (zl*per+yl)*n+n]
 				for x := 0; x < n; x++ {
 					row[x] = complex(f.At(x, y0+yl, z0+zl), 0)
 				}
@@ -73,57 +74,58 @@ func PencilFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fi
 			}
 			return nil
 		}
-		if err := forEachPencil(bufX, ny*nz, false); err != nil {
+		pencils := per * per
+		if err := forEachPencil(bufX, pencils, false); err != nil {
 			return err
 		}
-		// Transpose 1: x ↔ y within the row group (fixed b).
-		bufY, err := transposeXY(w, bufX, n, p1, ny, nz, a, b, false)
+		// Transpose 1: x ↔ y within the row group.
+		bufY, err := transposePencils(w, bufX, n, per, per*n, n, inRow)
 		if err != nil {
 			return err
 		}
-		if err := forEachPencil(bufY, nx*nz, false); err != nil {
+		if err := forEachPencil(bufY, pencils, false); err != nil {
 			return err
 		}
-		// Transpose 2: y ↔ z within the column group (fixed a).
-		bufZ, err := transposeYZ(w, bufY, n, p1, p2, nx, nz, a, b, false)
+		// Transpose 2: y ↔ z within the column group.
+		bufZ, err := transposePencils(w, bufY, n, per, n, per*n, inCol)
 		if err != nil {
 			return err
 		}
-		if err := forEachPencil(bufZ, nx*my, false); err != nil {
+		if err := forEachPencil(bufZ, pencils, false); err != nil {
 			return err
 		}
 		// Pointwise kernel multiply on z-pencils: global (x, y) known.
-		x0 := a * nx
-		yy0 := b * my
-		for yl := 0; yl < my; yl++ {
-			for xl := 0; xl < nx; xl++ {
-				row := bufZ[(yl*nx+xl)*n : (yl*nx+xl)*n+n]
+		x0, yy0 := a*per, b*per
+		for yl := 0; yl < per; yl++ {
+			for xl := 0; xl < per; xl++ {
+				row := bufZ[(yl*per+xl)*n : (yl*per+xl)*n+n]
 				for kz := 0; kz < n; kz++ {
 					row[kz] *= complex(kernel.Hat(d, x0+xl, yy0+yl, kz), 0)
 				}
 			}
 		}
-		// Inverse chain: z FFT, transpose back, y FFT, transpose back, x FFT.
-		if err := forEachPencil(bufZ, nx*my, true); err != nil {
+		// Inverse chain: z FFT, transpose back, y FFT, transpose back, x FFT;
+		// each transpose is its own inverse.
+		if err := forEachPencil(bufZ, pencils, true); err != nil {
 			return err
 		}
-		bufY, err = transposeYZ(w, bufZ, n, p1, p2, nx, nz, a, b, true)
+		bufY, err = transposePencils(w, bufZ, n, per, n, per*n, inCol)
 		if err != nil {
 			return err
 		}
-		if err := forEachPencil(bufY, nx*nz, true); err != nil {
+		if err := forEachPencil(bufY, pencils, true); err != nil {
 			return err
 		}
-		bufX, err = transposeXY(w, bufY, n, p1, ny, nz, a, b, true)
+		bufX, err = transposePencils(w, bufY, n, per, per*n, n, inRow)
 		if err != nil {
 			return err
 		}
-		if err := forEachPencil(bufX, ny*nz, true); err != nil {
+		if err := forEachPencil(bufX, pencils, true); err != nil {
 			return err
 		}
-		for zl := 0; zl < nz; zl++ {
-			for yl := 0; yl < ny; yl++ {
-				row := bufX[(zl*ny+yl)*n : (zl*ny+yl)*n+n]
+		for zl := 0; zl < per; zl++ {
+			for yl := 0; yl < per; yl++ {
+				row := bufX[(zl*per+yl)*n : (zl*per+yl)*n+n]
 				for x := 0; x < n; x++ {
 					out.Set(x, y0+yl, z0+zl, real(row[x]))
 				}
@@ -137,37 +139,24 @@ func PencilFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Fi
 	return out, nil
 }
 
-// transposeXY exchanges x-pencils (y ∈ block a, z ∈ block b, idx =
-// (zl·ny+yl)·n + x) for y-pencils (x ∈ block a, z ∈ block b, idx =
-// (zl·nx+xl)·n + y) within the row group, or back when reverse is true.
-func transposeXY(w *Worker, in []complex128, n, p1, ny, nz, a, b int, reverse bool) ([]complex128, error) {
-	p := w.c.P
-	nx := ny // square process grid: N/p1 both ways
-	msgs := make([][]float64, p)
-	for q := 0; q < p; q++ {
-		qa, qb := q%p1, q/p1
-		if qb != b {
-			msgs[q] = nil // outside the row group
-			continue
+// transposePencils swaps the pencil axis and one local axis within a
+// process-grid group. Element (g, l, t) of a pencil buffer — g the group's
+// fixed axis, l the swapped local axis, t the pencil axis — sits at
+// g·sg + l·sl + t; peer(q) reports whether q is in the group and the block
+// of the pencil axis it owns. Every local extent is per, so the buffer is
+// the same size after the swap and swapping twice is the identity.
+func transposePencils(w *Worker, in []complex128, n, per, sg, sl int, peer func(q int) (int, bool)) ([]complex128, error) {
+	msgs := make([][]float64, w.c.P)
+	for q := range msgs {
+		blk, ok := peer(q)
+		if !ok {
+			continue // outside the group
 		}
-		// Block destined for (qa, b): x ∈ A(qa) (forward) or y ∈ A(qa)
-		// (reverse), my local slice of the other axis, all z local.
-		buf := make([]float64, 2*nz*ny*nx)
-		i := 0
-		for zl := 0; zl < nz; zl++ {
-			for l := 0; l < ny; l++ { // my local y (fwd) / x (rev)
-				for t := 0; t < nx; t++ { // target-owned x (fwd) / y (rev)
-					var v complex128
-					if reverse {
-						// in is y-pencils: idx = (zl·nx+xl)·n + y.
-						v = in[(zl*nx+l)*n+(qa*ny+t)]
-					} else {
-						// in is x-pencils: idx = (zl·ny+yl)·n + x.
-						v = in[(zl*ny+l)*n+(qa*nx+t)]
-					}
-					buf[i] = real(v)
-					buf[i+1] = imag(v)
-					i += 2
+		buf := make([]float64, 0, 2*per*per*per)
+		for g := 0; g < per; g++ {
+			for l := 0; l < per; l++ {
+				for _, v := range in[g*sg+l*sl+blk*per:][:per] {
+					buf = append(buf, real(v), imag(v))
 				}
 			}
 		}
@@ -177,107 +166,20 @@ func transposeXY(w *Worker, in []complex128, n, p1, ny, nz, a, b int, reverse bo
 	if err != nil {
 		return nil, err
 	}
-	outBuf := make([]complex128, nx*nz*n)
-	for q := 0; q < p; q++ {
-		qa, qb := q%p1, q/p1
-		if qb != b {
+	out := make([]complex128, len(in))
+	for q, buf := range recv {
+		blk, ok := peer(q)
+		if !ok {
 			continue
 		}
-		buf := recv[q]
-		i := 0
-		for zl := 0; zl < nz; zl++ {
-			for l := 0; l < ny; l++ { // sender's local axis index
-				for t := 0; t < nx; t++ { // my local axis index
-					v := complex(buf[i], buf[i+1])
-					i += 2
-					if reverse {
-						// Assemble x-pencils: my y = l global? Sender
-						// (qa,b) held y global = qa·ny + l? No: reverse
-						// sender holds y-pencils with x ∈ A(qa); it sent
-						// me y ∈ A(a)=..., t is my y index, l is its x.
-						outBuf[(zl*nx+t)*n+(qa*ny+l)] = v
-					} else {
-						// Assemble y-pencils: idx = (zl·nx+xl)·n + y,
-						// xl = t (mine), y = qa·ny + l (sender's block).
-						outBuf[(zl*nx+t)*n+(qa*ny+l)] = v
-					}
+		for g := 0; g < per; g++ {
+			for l := 0; l < per; l++ { // the sender's pencil position, my swapped axis
+				for t := 0; t < per; t++ {
+					i := 2 * ((g*per+l)*per + t)
+					out[g*sg+t*sl+blk*per+l] = complex(buf[i], buf[i+1])
 				}
 			}
 		}
 	}
-	return outBuf, nil
-}
-
-// transposeYZ exchanges y-pencils (x ∈ block a, z ∈ block b, idx =
-// (zl·nx+xl)·n + y) for z-pencils (x ∈ block a, y ∈ B2(b), idx =
-// (yl·nx+xl)·n + z) within the column group, or back when reverse is true.
-func transposeYZ(w *Worker, in []complex128, n, p1, p2, nx, nz, a, b int, reverse bool) ([]complex128, error) {
-	p := w.c.P
-	my := n / p2
-	msgs := make([][]float64, p)
-	for q := 0; q < p; q++ {
-		qa, qb := q%p1, q/p1
-		if qa != a {
-			msgs[q] = nil // outside the column group
-			continue
-		}
-		buf := make([]float64, 2*nx*nz*my)
-		i := 0
-		for xl := 0; xl < nx; xl++ {
-			for l := 0; l < nz; l++ { // my local z (fwd) / y (rev)
-				for t := 0; t < my; t++ { // target block y (fwd) / z (rev)
-					var v complex128
-					if reverse {
-						// in is z-pencils: idx = (yl·nx+xl)·n + z.
-						v = in[(l*nx+xl)*n+(qb*nz+t)]
-					} else {
-						// in is y-pencils: idx = (zl·nx+xl)·n + y.
-						v = in[(l*nx+xl)*n+(qb*my+t)]
-					}
-					buf[i] = real(v)
-					buf[i+1] = imag(v)
-					i += 2
-				}
-			}
-		}
-		msgs[q] = buf
-	}
-	recv, err := w.AllToAll(msgs)
-	if err != nil {
-		return nil, err
-	}
-	var outBuf []complex128
-	if reverse {
-		outBuf = make([]complex128, nx*nz*n) // back to y-pencils
-	} else {
-		outBuf = make([]complex128, nx*my*n) // z-pencils
-	}
-	for q := 0; q < p; q++ {
-		qa, qb := q%p1, q/p1
-		if qa != a {
-			continue
-		}
-		buf := recv[q]
-		i := 0
-		for xl := 0; xl < nx; xl++ {
-			for l := 0; l < nz; l++ { // sender's local index
-				for t := 0; t < my; t++ { // my local index
-					v := complex(buf[i], buf[i+1])
-					i += 2
-					if reverse {
-						// Assemble y-pencils: my z = l? Sender (a,qb)
-						// held z-pencils with y ∈ B2(qb); it sent z ∈
-						// B(b): t is my z index? Mirror of forward:
-						// my zl = t, y = qb·my + l.
-						outBuf[(t*nx+xl)*n+(qb*my+l)] = v
-					} else {
-						// Assemble z-pencils: idx = (yl·nx+xl)·n + z,
-						// yl = t, z = qb·nz + l.
-						outBuf[(t*nx+xl)*n+(qb*nz+l)] = v
-					}
-				}
-			}
-		}
-	}
-	return outBuf, nil
+	return out, nil
 }

@@ -24,17 +24,11 @@ func Accumulate(dim grid.Dim3, results []*sample.Compressed) (*grid.Field, error
 // owns that region computes after receiving every sub-domain's samples.
 //
 // The region is cut into one contiguous z-slab per worker and each worker
-// adds every result, in the order given, into its own slab: a voxel has one
-// writer and receives its addends in the caller's order, so the field does
-// not depend on the worker count. One slab per worker, not more — each
-// (result, slab) pair walks the result's whole cell list and rebuilds the
-// face planes of the cells that straddle the cut.
+// runs sample.AddResults on its own slab: every block of every rate is
+// interpolated once from the sum of the results' corner samples, and a
+// voxel's value depends on the order of results alone, so the field does
+// not depend on the worker count.
 func AccumulateRegion(dim grid.Dim3, results []*sample.Compressed, region grid.Box) (*grid.Field, error) {
-	for i, r := range results {
-		if r.Tree.Dim != dim {
-			return nil, fmt.Errorf("conv: result %d dims %v != %v", i, r.Tree.Dim, dim)
-		}
-	}
 	out := grid.NewField(dim)
 	region = region.Intersect(dim.Bounds())
 	workers := fft.Workers(0)
@@ -43,15 +37,10 @@ func AccumulateRegion(dim grid.Dim3, results []*sample.Compressed, region grid.B
 	fft.ParallelFor(workers, workers, func(_, w int) {
 		slab := region
 		slab.Lo[2], slab.Hi[2] = z0+nz*w/workers, z0+nz*(w+1)/workers
-		for i, r := range results {
-			if err := r.AddRegion(out, slab, 1); err != nil {
-				ec.Record(fmt.Errorf("conv: accumulating result %d: %w", i, err))
-				return
-			}
-		}
+		ec.Record(sample.AddResults(out, slab, results, 1))
 	})
 	if err := ec.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("conv: accumulating: %w", err)
 	}
 	return out, nil
 }

@@ -363,28 +363,33 @@ func (r *rank) compute() error {
 	return nil
 }
 
-// accumulate sets Δε on the owned boxes to the sum of the received patches,
-// each added only to the owned boxes it overlaps, in source then patch
-// order.
+// accumulate sets Δε on the owned boxes to the sum of the received patches:
+// per component, the patches that overlap each owned box, in source then
+// patch order, are block-summed into it.
 func (r *rank) accumulate(in [][][]sample.Patch) error {
 	s := r.s
-	for _, d := range r.delta {
-		for _, f := range d.Comp {
-			f.Zero()
+	mine := make([][]sample.Patch, len(r.owned))
+	for v := range grid.NumVoigt {
+		for j := range mine {
+			mine[j] = mine[j][:0]
 		}
-	}
-	for _, comps := range in {
-		for v, ps := range comps {
-			for _, pt := range ps {
-				var err error
+		for _, comps := range in {
+			if v >= len(comps) {
+				continue
+			}
+			for _, pt := range comps[v] {
 				s.forBoxes(pt.Cell.Box, func(i int) {
-					if i%s.p == r.id && err == nil {
-						err = pt.AddToSubField(r.delta[i/s.p].Comp[v], s.boxes[i].Lo, 1)
+					if i%s.p == r.id {
+						mine[i/s.p] = append(mine[i/s.p], pt)
 					}
 				})
-				if err != nil {
-					return err
-				}
+			}
+		}
+		for j, b := range r.owned {
+			f := r.delta[j].Comp[v]
+			f.Zero()
+			if err := sample.AddPatches(f, b.Lo, b, mine[j], 1); err != nil {
+				return err
 			}
 		}
 	}

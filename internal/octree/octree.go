@@ -41,6 +41,24 @@ func (c Cell) SampleCount() int {
 	return m * m * m
 }
 
+// OnLattice reports whether the cell's corner is a multiple of its rate,
+// so its samples sit on the global lattice of that rate: every cell Build
+// emits does, since a cell's corner is a multiple of its size and its rate
+// divides the size.
+func (c Cell) OnLattice() bool {
+	lo := c.Box.Lo
+	return lo[0]%c.Rate == 0 && lo[1]%c.Rate == 0 && lo[2]%c.Rate == 0
+}
+
+// OffLatticeError reports a cell whose corner is not a multiple of its
+// rate. The accumulation sums the corner samples of cells of one rate block
+// by block across results, which needs every such cell on the same lattice.
+type OffLatticeError struct{ Cell Cell }
+
+func (e *OffLatticeError) Error() string {
+	return fmt.Sprintf("octree: cell %v corner is off the rate-%d lattice", e.Cell.Box, e.Cell.Rate)
+}
+
 // Tree is a complete octree decomposition of a grid.
 type Tree struct {
 	Dim   grid.Dim3
@@ -120,8 +138,9 @@ func (t *Tree) CellCount() int { return len(t.Cells) }
 const MaxGridSize = 1 << 20
 
 // Validate checks the structural invariants: cells are cubic with size ≥ 1,
-// lie within bounds, have power-of-two rates dividing their sizes, and tile
-// the grid exactly — disjoint and covering every point.
+// lie within bounds, have power-of-two rates dividing their sizes and their
+// corners (an *OffLatticeError otherwise), and tile the grid exactly —
+// disjoint and covering every point.
 //
 // The tiling check is linear in the cell count. With every cell a
 // non-empty in-bounds box and the volumes summing to exactly the grid's
@@ -156,6 +175,9 @@ func (t *Tree) Validate() error {
 		}
 		if s[0]%c.Rate != 0 {
 			return fmt.Errorf("octree: cell %d rate %d does not divide size %d", i, c.Rate, s[0])
+		}
+		if !c.OnLattice() {
+			return fmt.Errorf("octree: cell %d: %w", i, &OffLatticeError{Cell: c})
 		}
 		v := c.Box.Volume()
 		if v > total-vol {

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"errors"
 	"testing"
 
 	"lowcomm3d/internal/grid"
@@ -296,6 +297,30 @@ func TestValidateDetectsGap(t *testing.T) {
 	tr.Cells = []Cell{{Box: grid.CubeAt(grid.Point{0, 0, 0}, 4), Rate: 1}}
 	if err := tr.Validate(); err == nil {
 		t.Error("partial cover must fail validation")
+	}
+}
+
+// TestValidateRejectsOffLatticeCell: a tiling of 3³ by one 2³ cell at
+// corner (1,1,1) and unit cells is valid at rate 1, and refused with an
+// *OffLatticeError naming the cell at rate 2, whose corner is odd.
+func TestValidateRejectsOffLatticeCell(t *testing.T) {
+	off := grid.CubeAt(grid.Point{1, 1, 1}, 2)
+	tr := &Tree{Dim: grid.Cube(3), Cells: []Cell{{Box: off, Rate: 1}}}
+	grid.Cube(3).Bounds().ForEach(func(x, y, z int) {
+		if !off.Contains(x, y, z) {
+			tr.Cells = append(tr.Cells, Cell{Box: grid.CubeAt(grid.Point{x, y, z}, 1), Rate: 1})
+		}
+	})
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("rate-1 tiling: %v", err)
+	}
+	tr.Cells[0].Rate = 2
+	var lat *OffLatticeError
+	if err := tr.Validate(); !errors.As(err, &lat) || lat.Cell != tr.Cells[0] {
+		t.Errorf("rate-2 cell at an odd corner: got %v, want an *OffLatticeError for %v", err, tr.Cells[0])
+	}
+	if !(Cell{Box: grid.CubeAt(grid.Point{4, 0, 8}, 4), Rate: 4}).OnLattice() {
+		t.Error("a rate-4 cell at (4,0,8) is on its lattice")
 	}
 }
 

@@ -33,6 +33,9 @@ func validatePairwise(t *Tree) error {
 		if s[0]%c.Rate != 0 {
 			return fmt.Errorf("cell %d rate %d does not divide size %d", i, c.Rate, s[0])
 		}
+		if c.Box.Lo[0]%c.Rate != 0 || c.Box.Lo[1]%c.Rate != 0 || c.Box.Lo[2]%c.Rate != 0 {
+			return fmt.Errorf("cell %d corner %v off the rate-%d lattice", i, c.Box.Lo, c.Rate)
+		}
 		for j := i + 1; j < len(t.Cells); j++ {
 			if c.Box.Overlaps(t.Cells[j].Box) {
 				return fmt.Errorf("cells %d and %d overlap", i, j)
@@ -59,7 +62,7 @@ func agree(tb testing.TB, t *Tree) bool {
 
 // randomTiling tiles the n³ grid (any n, not only powers of two) with
 // random cubes: the first uncovered point in scan order gets a cube of a
-// random size that still fits. Rates divide sizes.
+// random size that still fits. Rates divide sizes and corners.
 func randomTiling(rng *rand.Rand, n int) *Tree {
 	t := &Tree{Dim: grid.Cube(n)}
 	d := t.Dim
@@ -83,8 +86,8 @@ func randomTiling(rng *rand.Rand, n int) *Tree {
 		b := grid.CubeAt(grid.Point{x, y, z}, size)
 		b.ForEach(func(x, y, z int) { covered[d.Index(x, y, z)] = true })
 		rate := 1
-		for rate*2 <= size && size%(rate*2) == 0 && rng.Intn(2) == 0 {
-			rate *= 2
+		for r := rate * 2; r <= size && size%r == 0 && x%r == 0 && y%r == 0 && z%r == 0 && rng.Intn(2) == 0; r *= 2 {
+			rate = r
 		}
 		t.Cells = append(t.Cells, Cell{Box: b, Rate: rate})
 	}

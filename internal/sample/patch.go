@@ -31,9 +31,7 @@ func (c *Compressed) Patches(region grid.Box) []Patch {
 // This is what a distributed worker holding only its own sub-domains uses
 // to apply a received patch without materializing the global grid.
 func (p Patch) AddToSubField(dst *grid.Field, origin grid.Point, scale float64) error {
-	sc := scratchPool.Get().(*lerpScratch)
-	defer scratchPool.Put(sc)
-	return p.addRegion(dst, origin, grid.BoxAt(origin, dst.Dim.Nx, dst.Dim.Ny, dst.Dim.Nz), scale, sc)
+	return AddPatches(dst, origin, grid.BoxAt(origin, dst.Dim.Nx, dst.Dim.Ny, dst.Dim.Nz), []Patch{p}, scale)
 }
 
 // patchHeader is the per-patch wire prefix: lo.x, lo.y, lo.z, size, rate,
@@ -164,6 +162,9 @@ func decodePatches(msg []float64) ([]Patch, int, error) {
 			return nil, 0, fmt.Errorf("sample: malformed patch %d header %v", i, h)
 		}
 		cell := octree.Cell{Box: grid.CubeAt(grid.Point{v[0], v[1], v[2]}, size), Rate: rate}
+		if !cell.OnLattice() {
+			return nil, 0, fmt.Errorf("sample: patch %d: %w", i, &octree.OffLatticeError{Cell: cell})
+		}
 		if cell.SampleCount() != ns {
 			return nil, 0, fmt.Errorf("sample: patch %d sample count %d != cell %d", i, ns, cell.SampleCount())
 		}

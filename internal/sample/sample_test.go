@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -467,6 +468,7 @@ func TestDecodeRejectsLyingHeaders(t *testing.T) {
 	}
 	for _, h := range [][]float64{
 		{1, -8, 0, 0, 2, 1, 27}, // negative corner
+		{1, 2, 0, 0, 4, 4, 8},   // corner off the rate's lattice
 		{1, 0, 0, 0, 6, 3, 27},  // rate not a power of two
 		{1, 0, 0, 0, 6, 4, 8},   // rate does not divide size
 		{1, 0, 0, 0, 1<<20 + 2, 2, 8},
@@ -477,6 +479,10 @@ func TestDecodeRejectsLyingHeaders(t *testing.T) {
 		if _, err := DecodePatches(msg); err == nil {
 			t.Errorf("DecodePatches accepted header %v", h)
 		}
+	}
+	var lat *octree.OffLatticeError
+	if _, err := DecodePatches([]float64{1, 8, 4, 2, 4, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.As(err, &lat) || lat.Cell.Box.Lo != (grid.Point{8, 4, 2}) {
+		t.Errorf("a rate-4 patch at (8,4,2): got %v, want an *octree.OffLatticeError", err)
 	}
 }
 
@@ -752,10 +758,9 @@ func TestKernelMatchesFormula(t *testing.T) {
 	}
 }
 
-// TestAddToWarmZeroAllocs pins the accumulation's allocation behaviour: one
-// walk of the tree with a running sample offset and no per-cell scratch, so
-// a caller that brings its scratch allocates nothing, and AddTo on its own
-// at most the scratch it could not find pooled.
+// TestAddToWarmZeroAllocs pins the one-result accumulation's allocation
+// behaviour: a kernel that brings its warm working memory allocates nothing,
+// and AddTo on its own at most the kernel it could not find pooled.
 func TestAddToWarmZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -770,23 +775,21 @@ func TestAddToWarmZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := grid.NewField(d)
-	var sc lerpScratch
+	var bs blockSum
 	if n := testing.AllocsPerRun(10, func() {
-		if err := c.addRegion(dst, d.Bounds(), 1, &sc); err != nil {
+		if err := bs.add(dst, grid.Point{}, d.Bounds(), addends{results: []*Compressed{c}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("Compressed.addRegion with a warm scratch: %v allocs, want 0", n)
+		t.Errorf("one result with a warm kernel: %v allocs, want 0", n)
 	}
 	patches := c.Patches(d.Bounds())
 	if n := testing.AllocsPerRun(10, func() {
-		for _, p := range patches {
-			if err := p.addRegion(dst, grid.Point{}, d.Bounds(), 1, &sc); err != nil {
-				t.Fatal(err)
-			}
+		if err := bs.add(dst, grid.Point{}, d.Bounds(), addends{ps: patches}, 1); err != nil {
+			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("Patch.addRegion over %d patches with a warm scratch: %v allocs, want 0", len(patches), n)
+		t.Errorf("%d patches with a warm kernel: %v allocs, want 0", len(patches), n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		if err := c.AddTo(dst, 1); err != nil {
@@ -795,6 +798,107 @@ func TestAddToWarmZeroAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Compressed.AddTo: %v allocs, want ≤ 1", n)
 	}
+}
+
+// TestAccumulateWarmZeroAllocs: summing the 8 box results of a 32³/k16
+// decomposition — three rates, blocks shared between results — allocates
+// nothing once the kernel's block windows and run buffer have grown, and AddResults at most the kernel it could not find pooled.
+func TestAccumulateWarmZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d := grid.Cube(32)
+	boxes, err := grid.Decompose(d, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Compressed, len(boxes))
+	for i, b := range boxes {
+		tree, err := DefaultPolicy(b, 16).Tree(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = Compress(smoothField(d), tree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := grid.NewField(d)
+	var bs blockSum
+	if n := testing.AllocsPerRun(10, func() {
+		if err := bs.add(dst, grid.Point{}, d.Bounds(), addends{results: results}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("%d results with a warm kernel: %v allocs, want 0", len(results), n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := AddResults(dst, grid.BoxAt(grid.Point{0, 0, 5}, 32, 32, 13), results, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("AddResults: %v allocs, want ≤ 1", n)
+	}
+}
+
+// TestAddPatchesMatchesAddResults: the block sum of many results does not
+// depend on where the field is cut. AddPatches of the results' patches into
+// a window at an origin, through windows that cut blocks, cells and chunks,
+// gives the bits AddResults gives on the whole grid. A cell off the lattice
+// that its rate's earlier cells sit on is refused.
+func TestAddPatchesMatchesAddResults(t *testing.T) {
+	d := grid.Cube(32)
+	boxes, err := grid.Decompose(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	results := make([]*Compressed, len(boxes))
+	for i, b := range boxes {
+		tree, err := DefaultPolicy(b, 8).Tree(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = Compress(randomField(rng, d), tree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := grid.NewField(d)
+	if err := AddResults(want, d.Bounds(), results, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, win := range []grid.Box{
+		grid.BoxAt(grid.Point{3, 5, 7}, 13, 9, 11),
+		grid.CubeAt(grid.Point{8, 16, 24}, 8),
+		grid.BoxAt(grid.Point{0, 0, 29}, 32, 32, 3),
+	} {
+		var ps []Patch
+		for _, r := range results {
+			ps = append(ps, r.Patches(win)...)
+		}
+		s := win.Size()
+		got := grid.NewField(grid.Dim3{Nx: s[0], Ny: s[1], Nz: s[2]})
+		if err := AddPatches(got, win.Lo, win, ps, 1); err != nil {
+			t.Fatal(err)
+		}
+		win.ForEach(func(x, y, z int) {
+			if g, w := got.At(x-win.Lo[0], y-win.Lo[1], z-win.Lo[2]), want.At(x, y, z); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("window %v: (%d,%d,%d) is %v, AddResults gives %v", win, x, y, z, g, w)
+			}
+		})
+	}
+
+	ps := results[0].Patches(d.Bounds())
+	for _, p := range ps {
+		if p.Cell.Rate == 2 {
+			off := p
+			off.Cell.Box = grid.CubeAt(p.Cell.Box.Lo.Add(grid.Point{1, 0, 0}), p.Cell.Box.Size()[0])
+			if err := AddPatches(grid.NewField(d), grid.Point{}, d.Bounds(), []Patch{p, off}, 1); err == nil {
+				t.Errorf("rate-2 cells at %v and %v share no lattice, yet AddPatches summed them", p.Cell.Box.Lo, off.Cell.Box.Lo)
+			}
+			return
+		}
+	}
+	t.Fatal("no rate-2 cell in the tree")
 }
 
 // BenchmarkAddTo interpolates and accumulates one sub-domain result into
