@@ -5,10 +5,13 @@
 # heavily concurrent; -race is not optional for it). That run includes the
 # codec's differential tests — octree TestValidateMatchesPairwise (1.1e5
 # trees against the pairwise oracle) and sample's decode-all-ways checks.
+# The arm64 vet builds the non-amd64 side of internal/fft, whose passes are
+# the Go loops alone; the amd64 vet checks the AVX assembly (asmdecl).
 verify:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	go build ./...
 	go test -race ./...
 

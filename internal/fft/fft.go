@@ -9,6 +9,13 @@
 //   - strided and batched execution for pencil/slab pipelines;
 //   - 2D and 3D plans with optional parallel execution across lines.
 //
+// On amd64, when CPUID and XGETBV report AVX with the YMM state saved by
+// the OS (checked once, at package init), every pass of the power-of-two
+// kernel — radix4, radix4DIF, firstPass and lastPass — runs as its AVX twin
+// in fft_amd64.s, two complex128 per register. The twins do their Go loop's
+// operations in the same order and use no FMA, so every output bit is the
+// Go loop's; elsewhere the Go loops are the kernel.
+//
 // Convention: Forward is unnormalized (e^{-2πi nk/N}); Inverse applies the
 // 1/N factor, so Inverse(Forward(x)) == x up to round-off. Multi-d plans
 // apply 1/N per axis on the inverse.
@@ -35,6 +42,9 @@ type Plan struct {
 	// Power-of-two lengths (see dit and dif).
 	swaps     []int32    // perm's 2-cycles as (i, j) pairs: the in-place reorder
 	tw, twInv []twiddle3 // per-pass twiddle triples, forward and conjugate
+	// The same twiddles as the AVX passes read them, built whatever the
+	// CPU so that a plan serves either path useAVX selects.
+	twAVX, twInvAVX []twiddlePair
 }
 
 // NewPlan creates a plan for transforms of length n ≥ 1.
@@ -48,6 +58,8 @@ func NewPlan(n int) (*Plan, error) {
 		p.swaps = swapPairs(p.perm)
 		p.tw = twiddleTable(n, -1)
 		p.twInv = twiddleTable(n, +1)
+		p.twAVX = pairTwiddles(p.tw)
+		p.twInvAVX = pairTwiddles(p.twInv)
 	} else {
 		var err error
 		p.bs, err = newBluestein(n)
@@ -172,10 +184,12 @@ func (p *Plan) dit(x []complex128) {
 	}
 	q := firstRadix(n)
 	firstPass(x, q)
-	tw := p.tw
-	for ; q < n; q <<= 2 {
-		w := tw[:q]
-		tw = tw[q:]
+	for o := 0; q < n; o, q = o+q, q<<2 { // o: the pass's first triple
+		if useAVX {
+			radix4AVX(x, p.twAVX[o/2:(o+q)/2])
+			continue
+		}
+		w := p.tw[o : o+q]
 		for base := 0; base < n; base += 4 * q {
 			blk := x[base : base+4*q]
 			radix4(blk[:q], blk[q:2*q], blk[2*q:3*q], blk[3*q:], w)
@@ -201,6 +215,10 @@ func (p *Plan) dif(x []complex128) {
 	r := firstRadix(n)
 	for q := n / 4; q >= r; q >>= 2 {
 		o := (q - r) / 3 // the passes below q fill twInv up to here
+		if useAVX {
+			radix4DIFAVX(x, p.twInvAVX[o/2:(o+q)/2])
+			continue
+		}
 		w := p.twInv[o : o+q]
 		for base := 0; base < n; base += 4 * q {
 			blk := x[base : base+4*q]
@@ -217,6 +235,14 @@ func firstRadix(n int) int { return 4 << (bits.TrailingZeros(uint(n)) & 1) }
 // firstPass transforms every aligned block of radix (8 or 4) bit-reversed
 // points of x in registers — the only twiddles are ±i and (±1±i)/√2.
 func firstPass(x []complex128, radix int) {
+	if useAVX && len(x) > radix { // the AVX twins take blocks in pairs
+		if radix == 4 {
+			firstPass4AVX(x)
+		} else {
+			firstPass8AVX(x)
+		}
+		return
+	}
 	if radix == 4 {
 		for len(x) >= 4 {
 			x[0], x[1], x[2], x[3] = dft4(x[0], x[1], x[2], x[3])
@@ -245,6 +271,14 @@ func firstPass(x []complex128, radix int) {
 // its mirror a[−m], so the loads feed firstPass's arithmetic that mirror in
 // bit-reversed order.
 func lastPass(x []complex128, radix int, s float64) {
+	if useAVX && len(x) > radix { // the AVX twins take blocks in pairs
+		if radix == 4 {
+			lastPass4AVX(x, s)
+		} else {
+			lastPass8AVX(x, s)
+		}
+		return
+	}
 	if radix == 4 {
 		for len(x) >= 4 {
 			x[0], x[2], x[1], x[3] = dft4(scaled(x[0], s), scaled(x[2], s), scaled(x[3], s), scaled(x[1], s))
@@ -279,6 +313,7 @@ func dft4(a0, a1, a2, a3 complex128) (y0, y1, y2, y3 complex128) {
 // one block) into the block's length-4q transform, in place: with
 // (t1, t2, t3) = (W²ʲ·x1, Wʲ·x2, W³ʲ·x3), quarter 0 gets x0+t1+t2+t3,
 // quarter 2 x0+t1−t2−t3, and quarters 1 and 3 (x0−t1) ∓ i(t2−t3).
+// Its AVX twin radix4AVX runs a whole pass, bit for bit this loop's result.
 func radix4(x0, x1, x2, x3 []complex128, tw []twiddle3) {
 	x1, x2, x3, tw = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], tw[:len(x0)]
 	for j := range x0 {
@@ -295,7 +330,7 @@ func radix4(x0, x1, x2, x3 []complex128, tw []twiddle3) {
 // inverse transforms radix4 combines, in place: from quarters Q0..Q3 and
 // the conjugate twiddles W̄, quarter 0 gets (Q0+Q2)+(Q1+Q3), quarter 1
 // W̄²ʲ·((Q0+Q2)−(Q1+Q3)), quarters 2 and 3 W̄ʲ and W̄³ʲ times
-// (Q0−Q2) ± i(Q1−Q3).
+// (Q0−Q2) ± i(Q1−Q3). Its AVX twin is radix4DIFAVX, bit for bit.
 func radix4DIF(x0, x1, x2, x3 []complex128, tw []twiddle3) {
 	x1, x2, x3, tw = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], tw[:len(x0)]
 	for j := range x0 {
@@ -332,6 +367,25 @@ func twiddleTable(n int, sign float64) []twiddle3 {
 		}
 	}
 	return tw
+}
+
+// twiddlePair is the twiddles of butterflies j and j+1 as the AVX passes
+// read them: for W^j, W^2j and W^3j in turn, the real parts of both, each
+// twice, then the imaginary parts.
+type twiddlePair [3][2][4]float64
+
+func pairTwiddles(tw []twiddle3) []twiddlePair {
+	pt := make([]twiddlePair, len(tw)/2)
+	for i := range pt {
+		for k := 0; k < 2; k++ {
+			t := tw[2*i+k]
+			for m, w := range [3]complex128{t.w1, t.w2, t.w3} {
+				pt[i][m][0][2*k], pt[i][m][0][2*k+1] = real(w), real(w)
+				pt[i][m][1][2*k], pt[i][m][1][2*k+1] = imag(w), imag(w)
+			}
+		}
+	}
+	return pt
 }
 
 func bitRevPerm(n int) []int32 {

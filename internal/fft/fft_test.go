@@ -379,8 +379,10 @@ func maxAbs(x []complex128) float64 {
 // (and the O(n²) definition while that is cheap), and checks what the
 // kernel must keep whatever its summation order: the in-place result is the
 // out-of-place one bit for bit, the transform is linear, Parseval holds and
-// Inverse undoes Forward.
-func TestPow2KernelMatchesRadix2(t *testing.T) {
+// Inverse undoes Forward. It runs on both kernels (see bothKernels).
+func TestPow2KernelMatchesRadix2(t *testing.T) { bothKernels(t, pow2KernelMatchesRadix2) }
+
+func pow2KernelMatchesRadix2(t *testing.T) {
 	for n := 1; n <= 1<<12; n <<= 1 {
 		p := MustPlan(n)
 		x, y := randComplex(n, int64(n)), randComplex(n, int64(3*n+1))
@@ -445,7 +447,10 @@ func TestPow2KernelMatchesRadix2(t *testing.T) {
 // Forward bit for bit, InverseToPerm read back through Perm is Inverse bit
 // for bit, and both match the radix-2 oracle. Other lengths have the
 // identity Perm and run Bluestein in place, matching Forward and Inverse.
-func TestPermEntryPoints(t *testing.T) {
+// It runs on both kernels (see bothKernels).
+func TestPermEntryPoints(t *testing.T) { bothKernels(t, permEntryPoints) }
+
+func permEntryPoints(t *testing.T) {
 	var sizes []int
 	for n := 1; n <= 1<<12; n <<= 1 {
 		sizes = append(sizes, n)

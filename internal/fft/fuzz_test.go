@@ -11,7 +11,9 @@ import (
 // everything else (including primes) — with inputs built from fuzzed bytes,
 // out of place, in place, and as ForwardFromPerm → InverseToPerm on input
 // placed through Perm and read back through it: all three must agree bit
-// for bit. The transform length is the fuzzed int mod 512, plus one.
+// for bit. Where the AVX passes run, Forward and Inverse must also equal
+// the Go loops' bit for bit. The transform length is the fuzzed int mod
+// 512, plus one.
 func FuzzFFTRoundTrip(f *testing.F) {
 	f.Add(8, []byte{1, 2, 3, 4})          // n = 9
 	f.Add(7, []byte{0xff, 0x00, 0x7f})    // n = 8: radix-4, one register pass
@@ -49,6 +51,23 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		back := make([]complex128, n)
 		if err := plan.Inverse(back, spec); err != nil {
 			t.Fatalf("Inverse(n=%d): %v", n, err)
+		}
+		if useAVX {
+			goSpec, goBack := make([]complex128, n), make([]complex128, n)
+			goLoops(func() {
+				if err := plan.Forward(goSpec, x); err != nil {
+					t.Fatalf("Go-loop Forward(n=%d): %v", n, err)
+				}
+				if err := plan.Inverse(goBack, spec); err != nil {
+					t.Fatalf("Go-loop Inverse(n=%d): %v", n, err)
+				}
+			})
+			if i := firstBitDiff(spec, goSpec); i >= 0 {
+				t.Fatalf("n=%d: Forward [%d] = %v, Go loops %v", n, i, spec[i], goSpec[i])
+			}
+			if i := firstBitDiff(back, goBack); i >= 0 {
+				t.Fatalf("n=%d: Inverse [%d] = %v, Go loops %v", n, i, back[i], goBack[i])
+			}
 		}
 		inPlace := append([]complex128(nil), x...)
 		if err := plan.Forward(inPlace, inPlace); err != nil {

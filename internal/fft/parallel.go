@@ -14,38 +14,7 @@ import (
 // the worker id w (0 ≤ w < workers) so callers can index per-worker
 // scratch buffers.
 func ParallelFor(n, workers int, f func(w, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(w, i)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	ParallelForSpanned(nil, "", n, workers, f)
 }
 
 // ParallelForSpanned is ParallelFor with per-worker observability: each
@@ -55,10 +24,6 @@ func ParallelFor(n, workers int, f func(w, i int)) {
 // imbalance is visible as ragged span ends. A nil parent degrades to plain
 // ParallelFor with no recording.
 func ParallelForSpanned(parent *obs.Span, name string, n, workers int, f func(w, i int)) {
-	if parent == nil {
-		ParallelFor(n, workers, f)
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
