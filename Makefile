@@ -1,4 +1,4 @@
-.PHONY: verify build test bench fuzz-smoke
+.PHONY: verify build test bench fuzz-smoke profile
 
 # The gate for every change: static checks, full build, and the complete
 # test suite under the race detector (the fault-tolerant transport is
@@ -27,10 +27,24 @@ test:
 bench:
 	go test -bench=. -benchmem ./...
 
+# CPU profiles of one conv.Local run on one core at the local and solve
+# shapes (BenchmarkLocalRun/n128-k32 and /n64-k16-fresh), and the top of
+# each: where a local op spends its time. The profiles and the test binary
+# go to a fresh temporary directory, named at the end. Not part of verify.
+profile:
+	@d=$$(mktemp -d) && \
+	for b in n128-k32 n64-k16-fresh; do \
+		go test -run '^$$' -bench "LocalRun/^$$b\$$" -cpu 1 -benchtime 3s \
+			-o $$d/conv.test -cpuprofile $$d/local-$$b.prof ./internal/conv && \
+		go tool pprof -top -nodecount 25 $$d/conv.test $$d/local-$$b.prof || exit 1; \
+	done; \
+	echo "profiles in $$d"
+
 # 10s smoke of each fuzz target against the committed seed corpora; the
 # full 30s runs are part of the PR acceptance checklist.
 fuzz-smoke:
 	go test ./internal/fft/ -fuzz=FuzzFFTRoundTrip -fuzztime=10s -fuzzminimizetime=5x
+	go test ./internal/fft/ -fuzz=FuzzScaleReal -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzOctreeMetaCodec -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzValidateMatchesPairwise -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/sample/ -fuzz=FuzzCompressedIO -fuzztime=10s -fuzzminimizetime=5x

@@ -127,3 +127,84 @@ func TestAVXKernelMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// scaleEdges are the parts TestScaleRealMatchesGo and FuzzScaleReal mix
+// into their lines and factors: signed zeros, subnormals, ±1e300 (whose
+// products overflow) and ±Inf (whose products with zero are NaN).
+var scaleEdges = []float64{0, math.Copysign(0, -1), 5e-324, -3.3e-310, 2.2e-308, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
+
+// scaleRealCase runs ScaleReal on x copied into got, dispatched, and into
+// want, on the Go loop, and returns the first index at which the two
+// differ in any bit.
+func scaleRealCase(got, want, x []complex128, s float64, r []float64) int {
+	got, want = got[:len(x)], want[:len(x)]
+	copy(got, x)
+	copy(want, x)
+	ScaleReal(got, s, r)
+	goLoops(func() { ScaleReal(want, s, r) })
+	return firstBitDiff(got, want)
+}
+
+// TestScaleRealMatchesGo holds scaleRealAVX to ScaleReal's Go loop bit for
+// bit on every length 0…2¹⁴, odd tails included, for s ∈ {0, −0, 1,
+// random} in turn. Lines of up to 256 points take a quarter of their parts
+// from scaleEdges, longer ones one in 256, so that the subnormals' slow
+// arithmetic does not swamp the sweep. Under the race detector, which has
+// nothing to watch in this one goroutine, the sweep stops at 2¹⁰.
+func TestScaleRealMatchesGo(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX kernel on this CPU")
+	}
+	const dense = 256
+	most := 1 << 14
+	if raceEnabled {
+		most = 1 << 10
+	}
+	rng := rand.New(rand.NewSource(1))
+	line := func(m, edgeEvery int) ([]complex128, []float64) {
+		part := func() float64 {
+			if rng.Intn(edgeEvery) == 0 {
+				return scaleEdges[rng.Intn(len(scaleEdges))]
+			}
+			return rng.NormFloat64() * math.Exp2(float64(rng.Intn(41)-20))
+		}
+		x, r := make([]complex128, m), make([]float64, 2*m)
+		for i := range x {
+			x[i], r[2*i], r[2*i+1] = complex(part(), part()), part(), part()
+		}
+		return x, r
+	}
+	xd, rd := line(2*dense, 4)
+	xs, rs := line(2*most, dense)
+	ScaleReal(nil, 1, nil) // nothing to scale, nothing read
+	got, want := make([]complex128, most), make([]complex128, most)
+	for n := 0; n <= most; n++ {
+		x, r := xd, rd
+		if n > dense {
+			x, r = xs, rs
+		}
+		s := [4]float64{0, math.Copysign(0, -1), 1, rng.NormFloat64()}[(n/2)%4]
+		o := rng.Intn(len(x) - n + 1) // a fresh window of the lines for each length
+		if i := scaleRealCase(got, want, x[o:o+n], s, r[2*o:2*(o+n)]); i >= 0 {
+			t.Fatalf("n=%d s=%v: [%d] = %v, Go loop %v (x %v, r %v)", n, s, i, got[i], want[i], x[o+i], r[2*(o+i):2*(o+i+1)])
+		}
+	}
+}
+
+// BenchmarkScaleReal times one ScaleReal of a 128-point line, the kernel
+// multiply of a conv.Local z pencil at n = 128, dispatched and on the Go
+// loop.
+func BenchmarkScaleReal(b *testing.B) {
+	const n = 128
+	x, r := randComplex(n, 1), make([]float64, 2*n)
+	for i := range r {
+		r[i] = 1 // the line stays as it is, never drifting into subnormals
+	}
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ScaleReal(x, 1, r)
+		}
+	}
+	b.Run("dispatched", run)
+	b.Run("go-loop", func(b *testing.B) { goLoops(func() { run(b) }) })
+}

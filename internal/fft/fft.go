@@ -16,6 +16,13 @@
 // operations in the same order and use no FMA, so every output bit is the
 // Go loop's; elsewhere the Go loops are the kernel.
 //
+// ScaleReal, the multiply of a separable convolution kernel (conv's
+// KernelPointwise applies it to every z pencil line), has an AVX twin of
+// the same kind: scaleRealAVX forms s·r[j] for both parts of two points per
+// register and then multiplies the points by it, as the Go loop does, so
+// its output too is the Go loop's bit for bit (TestScaleRealMatchesGo,
+// FuzzScaleReal).
+//
 // Convention: Forward is unnormalized (e^{-2πi nk/N}); Inverse applies the
 // 1/N factor, so Inverse(Forward(x)) == x up to round-off. Multi-d plans
 // apply 1/N per axis on the inverse.
@@ -343,6 +350,24 @@ func radix4DIF(x0, x1, x2, x3 []complex128, tw []twiddle3) {
 }
 
 func scaled(c complex128, s float64) complex128 { return complex(real(c)*s, imag(c)*s) }
+
+// ScaleReal scales each part of x by s times its own real factor: r holds
+// two per point, r[2i] for real(x[i]) and r[2i+1] for imag(x[i]), and each
+// product s·r[j] is formed first. With the factor of a point given twice it
+// is x[i]·(s·r[2i]), two multiplies where a complex multiply by a real
+// takes four and two adds. r must hold at least 2·len(x) factors. With AVX
+// it runs as scaleRealAVX on pairs of points, bit for bit the Go loop.
+func ScaleReal(x []complex128, s float64, r []float64) {
+	r = r[:2*len(x)]
+	if useAVX {
+		m := len(x) &^ 1
+		scaleRealAVX(x[:m], s, r[:2*m])
+		x, r = x[m:], r[2*m:]
+	}
+	for i, v := range x {
+		x[i] = complex(real(v)*(s*r[2*i]), imag(v)*(s*r[2*i+1]))
+	}
+}
 
 // mulNegI returns −i·c.
 func mulNegI(c complex128) complex128 { return complex(imag(c), -real(c)) }

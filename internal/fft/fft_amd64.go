@@ -46,3 +46,9 @@ func lastPass4AVX(x []complex128, s float64)
 
 //go:noescape
 func lastPass8AVX(x []complex128, s float64)
+
+// scaleRealAVX is ScaleReal's loop on an even number of points, bit for
+// bit; r holds 2·len(x) factors.
+//
+//go:noescape
+func scaleRealAVX(x []complex128, s float64, r []float64)

@@ -334,6 +334,43 @@ last8:
 	VZEROUPPER
 	RET
 
+// func scaleRealAVX(x []complex128, s float64, r []float64)
+//
+// Four points per step, two per register, then the last pair: the factors
+// r (two per point, as the parts lie in x) times the broadcast s, then
+// times the points, as ScaleReal computes real(v)·(s·r[2i]).
+TEXT ·scaleRealAVX(SB), NOSPLIT, $0-56
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         r_base+32(FP), SI
+	VBROADCASTSD s+24(FP), Y2
+	MOVQ         CX, BX
+	SHRQ         $2, BX // four-point steps
+	JZ           scalePair
+
+scale4:
+	VMULPD  (SI), Y2, Y0
+	VMULPD  32(SI), Y2, Y1
+	VMULPD  (DI), Y0, Y0
+	VMULPD  32(DI), Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	DECQ    BX
+	JNZ     scale4
+
+scalePair:
+	TESTQ   $2, CX
+	JZ      scaleDone
+	VMULPD  (SI), Y2, Y0
+	VMULPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+
+scaleDone:
+	VZEROUPPER
+	RET
+
 // func cpuidECX1() uint32
 TEXT ·cpuidECX1(SB), NOSPLIT, $0-4
 	MOVL $1, AX

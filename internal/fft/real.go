@@ -118,21 +118,4 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) error {
 	return nil
 }
 
-// FullSpectrum expands a half spectrum to the full n coefficients via
-// Hermitian symmetry X[n−k] = conj(X[k]) — a bridge to code paths that
-// expect dense complex spectra.
-func (p *RealPlan) FullSpectrum(dst, half []complex128) error {
-	if len(dst) != p.n {
-		return fmt.Errorf("fft: full spectrum length %d != %d", len(dst), p.n)
-	}
-	if len(half) != p.SpectrumLen() {
-		return fmt.Errorf("fft: half spectrum length %d != %d", len(half), p.SpectrumLen())
-	}
-	copy(dst, half)
-	for k := p.n/2 + 1; k < p.n; k++ {
-		dst[k] = conj(half[p.n-k])
-	}
-	return nil
-}
-
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }

@@ -41,14 +41,6 @@ func TestRealForwardMatchesComplex(t *testing.T) {
 				t.Errorf("n=%d k=%d: r2c %v complex %v", n, k, half[k], want[k])
 			}
 		}
-		// Full expansion must reproduce the whole Hermitian spectrum.
-		full := make([]complex128, n)
-		if err := rp.FullSpectrum(full, half); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxDiff(full, want); d > 1e-10*float64(n) {
-			t.Errorf("n=%d: full spectrum diff %g", n, d)
-		}
 	}
 }
 
@@ -120,12 +112,6 @@ func TestRealPlanErrors(t *testing.T) {
 	}
 	if err := rp.Inverse(make([]float64, 6), make([]complex128, 5)); err == nil {
 		t.Error("short output should fail")
-	}
-	if err := rp.FullSpectrum(make([]complex128, 4), make([]complex128, 5)); err == nil {
-		t.Error("short full buffer should fail")
-	}
-	if err := rp.FullSpectrum(make([]complex128, 8), make([]complex128, 3)); err == nil {
-		t.Error("short half buffer should fail")
 	}
 }
 
