@@ -121,3 +121,41 @@ func TestLocalComponentsPinnedBits(t *testing.T) {
 		t.Errorf("samples hash %s, want %s", got, want)
 	}
 }
+
+// fieldHash is samplesHash for a dense field: the first 8 bytes, in hex, of
+// SHA-256 over its values' little-endian Float64bits.
+func fieldHash(f *grid.Field) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range f.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestDecomposedPinnedBits pins the accumulated field of Decomposed.Run —
+// every box's pipeline and tree, and the block-summed accumulation — the
+// way TestLocalPinnedBits pins one pipeline: randField(N³, 11) under the
+// Gaussian σ = 2 kernel, two boxes at a time on one worker each.
+func TestDecomposedPinnedBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bits are pinned on amd64 only")
+	}
+	for _, c := range []struct {
+		n, k, far int
+		want      string
+	}{
+		{64, 16, 16, "79adf7586538617e"},
+		{32, 8, 8, "90c0fd0ff0f2140c"},
+	} {
+		dc := Decomposed{Kernel: green.Gaussian{Sigma: 2}, SubSize: c.k, FarRate: c.far, Cfg: Config{Workers: 1}, Parallel: 2}
+		out, _, err := dc.Run(randField(grid.Cube(c.n), 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fieldHash(out); got != c.want {
+			t.Errorf("%d³/k%d, far %d: field hash %s, want %s", c.n, c.k, c.far, got, c.want)
+		}
+	}
+}
