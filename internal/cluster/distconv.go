@@ -10,7 +10,6 @@ import (
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -203,19 +202,11 @@ func (l *lowComm) region(q int) grid.Box {
 	return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
 }
 
-func (l *lowComm) tree(b grid.Box) (*octree.Tree, error) {
-	return sample.DefaultPolicy(b, l.far).Tree(l.dim)
-}
-
 // convolve runs one box's local pipeline — no communication at all (Fig.
 // 1b: "the FFT-based convolution computation is local to the workers till
 // the last step").
 func (l *lowComm) convolve(f *grid.Field, b grid.Box, plans *conv.PlanSet, pw conv.Pointwise, cfg conv.Config) (*sample.Compressed, error) {
-	tree, err := l.tree(b)
-	if err != nil {
-		return nil, err
-	}
-	local, err := plans.NewLocal(b, tree, pw, cfg)
+	local, err := plans.NewPolicyLocal(sample.DefaultPolicy(b, l.far), pw, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +278,7 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 	for w, owned := range l.parts {
 		results := make([]*sample.Compressed, len(owned))
 		for j, b := range owned {
-			tree, err := l.tree(b)
+			tree, err := sample.DefaultPolicy(b, l.far).Tree(l.dim)
 			if err != nil {
 				return 0, err
 			}

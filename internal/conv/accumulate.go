@@ -130,8 +130,8 @@ func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, Decompos
 
 // runBoxes is the box loop behind Run and RunAdaptive: one plan set and one
 // kernel callback for the call, one pipeline per box (dc.Parallel at a
-// time) sampled by dc.TreeFor or else by sample.DefaultPolicy, then
-// accumulation in box order.
+// time) sampled by dc.TreeFor or else placed by NewPolicyLocal under
+// sample.DefaultPolicy, then accumulation in box order.
 func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, DecomposedStats, error) {
 	var ds DecomposedStats
 	plans, err := NewPlanSet(f.Dim, dc.Cfg.Workers)
@@ -156,18 +156,16 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, Deco
 			return
 		}
 		box := jobs[i]
-		var tree *octree.Tree
+		var local *Local
 		var err error
 		if dc.TreeFor != nil {
-			tree, err = dc.TreeFor(box, f.Dim)
+			var tree *octree.Tree
+			if tree, err = dc.TreeFor(box, f.Dim); err == nil {
+				local, err = plans.NewLocal(box, tree, pw, dc.Cfg)
+			}
 		} else {
-			tree, err = sample.DefaultPolicy(box, dc.FarRate).Tree(f.Dim)
+			local, err = plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), pw, dc.Cfg)
 		}
-		if err != nil {
-			ec.Record(err)
-			return
-		}
-		local, err := plans.NewLocal(box, tree, pw, dc.Cfg)
 		if err != nil {
 			ec.Record(err)
 			return

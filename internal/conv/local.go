@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/cmplx"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -141,14 +140,16 @@ type Local struct {
 	plan  *fft.Plan
 	perm  []int32 // plan.Perm(): where every copy into or out of a line puts index i
 
-	// Sampling index: the kept z planes in ascending order, the rows that
-	// carry a sample (by z, then y; kept plane slot's are
-	// rows[rowOff[slot]:rowOff[slot+1]]) and each row's gather points, all
-	// stored at their positions through perm.
+	// Sampling index, a geometry placed at the box (Local.place): the kept
+	// z planes in ascending order, the rows that carry a sample (by z, then
+	// y; kept plane slot's are rows[rowOff[slot]:rowOff[slot+1]]), both
+	// stored at their positions through perm, and each row's gather points,
+	// shared with the geometry, whose frame x xpos takes to a line position.
 	keptZ    []int32
 	rows     []sampleRow
 	rowOff   []int
 	gather   []gatherPoint
+	xpos     []int32
 	rowPairs int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
 
 	// Reused working buffers (Run is therefore not safe for concurrent
@@ -195,7 +196,7 @@ type sampleRow struct {
 	lo, hi int32
 }
 
-// gatherPoint is one sample, at line position x.
+// gatherPoint is one sample, at frame x (line position xpos[x]).
 type gatherPoint struct {
 	x      int32
 	sample int32
@@ -225,7 +226,8 @@ type pencilScratch struct {
 // an N³ grid (dim), with the sampling octree tree (typically from
 // sample.Policy) and the frequency-domain callback pw. The transform plan
 // is built privately; use PlanSet.NewLocal to share it across pipelines
-// on the same grid.
+// on the same grid, and PlanSet.NewPolicyLocal to share the sampling index
+// too.
 func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
 	ps, err := NewPlanSet(dim, cfg.Workers)
 	if err != nil {
@@ -238,38 +240,70 @@ func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 // of one sub-domain box through the shared plan together; pw sees all
 // comps spectrum lines of a pencil at once and must pass the Hermitian
 // probe (ErrNotHermitian otherwise). cfg must resolve to the set's
-// effective worker count.
+// effective worker count. The sampling index is built from tree in sub's
+// frame, and the pipeline keeps tree itself.
 func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int, pw Pointwise, cfg Config) (*Local, error) {
+	if tree.Dim != ps.dim {
+		return nil, fmt.Errorf("conv: tree dims %v != grid dims %v", tree.Dim, ps.dim)
+	}
+	if err := ps.check(sub, comps, cfg); err != nil {
+		return nil, err
+	}
+	return ps.build(newGeometry(tree, sub.Lo), sub, comps, pw, cfg)
+}
+
+// NewPolicyLocal builds a one-component pipeline for box p.Sub sampled by
+// policy p's tree. Where that tree is the translate of the policy's origin
+// box tree — every box of a regular decomposition at N/k ≤ 4 — the pipeline
+// is placed from the origin box's geometry, built once per plan set, and
+// costs O(N + rows + cells); its tree lists the origin tree's cells, moved,
+// in the origin tree's order. Any other box gets its own tree's geometry.
+// Either way its samples are those of NewLocal with p.Tree, bit for bit.
+func (ps *PlanSet) NewPolicyLocal(p sample.Policy, pw Pointwise, cfg Config) (*Local, error) {
+	if err := ps.check(p.Sub, 1, cfg); err != nil {
+		return nil, err
+	}
+	g, err := ps.policyGeometry(p)
+	if err != nil {
+		return nil, err
+	}
+	return ps.build(g, p.Sub, 1, pw, cfg)
+}
+
+// check validates a pipeline's shape against the set.
+func (ps *PlanSet) check(sub grid.Box, comps int, cfg Config) error {
 	if fft.Workers(cfg.Workers) != ps.workers {
-		return nil, fmt.Errorf("conv: cfg workers %d do not match plan set workers %d",
+		return fmt.Errorf("conv: cfg workers %d do not match plan set workers %d",
 			fft.Workers(cfg.Workers), ps.workers)
 	}
 	if comps < 1 {
-		return nil, fmt.Errorf("conv: component count %d must be ≥ 1", comps)
+		return fmt.Errorf("conv: component count %d must be ≥ 1", comps)
 	}
 	dim := ps.dim
 	if dim.Nx != dim.Ny || dim.Ny != dim.Nz {
-		return nil, fmt.Errorf("conv: grid %v must be cubic", dim)
-	}
-	if tree.Dim != dim {
-		return nil, fmt.Errorf("conv: tree dims %v != grid dims %v", tree.Dim, dim)
+		return fmt.Errorf("conv: grid %v must be cubic", dim)
 	}
 	if !dim.Bounds().ContainsBox(sub) {
-		return nil, fmt.Errorf("conv: sub-domain %v outside grid %v", sub, dim)
+		return fmt.Errorf("conv: sub-domain %v outside grid %v", sub, dim)
 	}
 	s := sub.Size()
 	if s[0] != s[1] || s[1] != s[2] {
-		return nil, fmt.Errorf("conv: sub-domain %v must be cubic", sub)
+		return fmt.Errorf("conv: sub-domain %v must be cubic", sub)
 	}
-	n := dim.Nx
-	k := s[0]
-	if k < 1 {
-		return nil, fmt.Errorf("conv: sub-domain size %d must be ≥ 1", k)
+	if s[0] < 1 {
+		return fmt.Errorf("conv: sub-domain size %d must be ≥ 1", s[0])
 	}
+	return nil
+}
+
+// build is every constructor's last step: the pipeline for box sub, placed
+// from geometry g.
+func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg Config) (*Local, error) {
+	n, k := ps.dim.Nx, sub.Size()[0]
 	if err := probeHermitian(n, comps, pw); err != nil {
 		return nil, err
 	}
-	l := &Local{dim: dim, sub: sub, comps: comps, pw: pw, tree: tree, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
+	l := &Local{dim: ps.dim, sub: sub, comps: comps, pw: pw, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
 	l.scratch = make([]pencilScratch, ps.workers)
 	for w := range l.scratch {
 		sc := &l.scratch[w]
@@ -287,7 +321,7 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	l.fnA = l.recorded(l.xSlice)
 	l.fnB = l.recorded(l.kxSlice)
 	l.fnC = l.recorded(l.keptPlane)
-	l.buildSampleIndex()
+	l.place(g)
 	l.bl = max(k, len(l.keptZ))
 	l.hA = cfg.Trace.Histogram("conv.stage_a_seconds")
 	l.hB = cfg.Trace.Histogram("conv.stage_b_seconds")
@@ -300,20 +334,29 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 // mirror of what it returns at k, to 1e-9 of the largest output. The
 // self-conjugate pairs — (0, 0), (N/2, N/2) — test the symmetry in kz alone;
 // (N/2, 1) is the mixed-Nyquist case a direction-dependent kernel gets wrong
-// unless it zeroes those modes.
+// unless it zeroes those modes. The probe values are a splitmix64 stream,
+// uniform in [−1, 1), seeded alike on every call.
 func probeHermitian(n, comps int, pw Pointwise) error {
 	neg := func(i int) int { return (n - i) % n }
+	lines := make([]complex128, 2*comps*n)
 	a := make([][]complex128, comps)
 	b := make([][]complex128, comps)
 	for c := range a {
-		a[c] = make([]complex128, n)
-		b[c] = make([]complex128, n)
+		a[c] = lines[2*c*n : (2*c+1)*n]
+		b[c] = lines[(2*c+1)*n : (2*c+2)*n]
 	}
-	rng := rand.New(rand.NewSource(1))
+	var seed uint64
+	next := func() float64 {
+		seed += 0x9e3779b97f4a7c15
+		z := seed
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return float64(int64(z^z>>31)>>11) / (1 << 52)
+	}
 	for _, p := range [][2]int{{0, 0}, {n / 2, 1 % n}, {n / 2, n / 2}, {1 % n, 2 % n}, {3 % n, n - 1}} {
 		for c := range a {
 			for kz := range a[c] {
-				a[c][kz] = complex(rng.NormFloat64(), rng.NormFloat64())
+				a[c][kz] = complex(next(), next())
 			}
 			for kz := range b[c] {
 				b[c][kz] = cmplx.Conj(a[c][neg(kz)])
@@ -337,52 +380,6 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 		}
 	}
 	return nil
-}
-
-// buildSampleIndex groups the octree's sample points by z plane and, within
-// a plane, by row, so the pipeline keeps and transforms only the rows that
-// carry a sample and gathers straight from each inverse-transformed line —
-// the "compression algorithm applied after each 1D iFFT stage". A counting
-// sort on the key z·n+y, no maps: the counts are taken a lattice row at a
-// time (a row's m samples share one key; its one wrap per row can afford
-// the modulo), the fill is one walk of the samples. Rows and points are
-// stored through perm.
-func (l *Local) buildSampleIndex() {
-	n := l.n
-	off := make([]int32, n*n+1)
-	for _, c := range l.tree.Cells {
-		m := c.LatticePoints()
-		for iz := 0; iz < m; iz++ {
-			z := (c.Box.Lo[2] + iz*c.Rate) % n
-			for iy := 0; iy < m; iy++ {
-				y := (c.Box.Lo[1] + iy*c.Rate) % n
-				off[z*n+y+1] += int32(m)
-			}
-		}
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	l.rowOff = []int{0}
-	for z := 0; z < n; z++ {
-		first := len(l.rows)
-		for y := 0; y < n; y++ {
-			if lo, hi := off[z*n+y], off[z*n+y+1]; hi > lo {
-				l.rows = append(l.rows, sampleRow{y: l.perm[y], lo: lo, hi: hi})
-			}
-		}
-		if len(l.rows) > first {
-			l.keptZ = append(l.keptZ, l.perm[z])
-			l.rowOff = append(l.rowOff, len(l.rows))
-			l.rowPairs += (len(l.rows) - first + 1) / 2
-		}
-	}
-	l.gather = make([]gatherPoint, off[n*n])
-	l.tree.ForEachSample(func(cell, s, x, y, z int) {
-		i := off[z*n+y]
-		off[z*n+y]++
-		l.gather[i] = gatherPoint{x: l.perm[x], sample: int32(s)}
-	})
 }
 
 // Tree returns the sampling octree used by the pipeline.
@@ -707,12 +704,12 @@ func tileOut(dst []complex128, ls int, s0, s1, s2, s3 []complex128, at []int32) 
 // with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
 // negative kx by Hermitian symmetry with the DC and Nyquist terms taken
 // real, so F⁻¹Z = a + i·b; the samples are gathered from that line, which
-// the inverse leaves in perm order, where gather already points.
+// the inverse leaves in perm order, where xpos points.
 func (l *Local) keptPlane(w, i int) error {
 	n, h, nr, nz := l.n, l.h, len(l.rows), len(l.keptZ)
 	c, slot := i/nz, i%nz
 	kept := l.kept[c*h*nr:][:h*nr] // row r's value at kx is kept[kx*nr+r]
-	out := l.runOut[c].Samples
+	out, xpos := l.runOut[c].Samples, l.xpos
 	line := l.scratch[w].tile[0][0]
 	end := l.rowOff[slot+1]
 	for ra := l.rowOff[slot]; ra < end; ra += 2 {
@@ -733,11 +730,11 @@ func (l *Local) keptPlane(w, i int) error {
 			return err
 		}
 		for _, g := range l.gather[l.rows[ra].lo:l.rows[ra].hi] {
-			out[g.sample] = real(line[g.x])
+			out[g.sample] = real(line[xpos[g.x]])
 		}
 		if rb != ra {
 			for _, g := range l.gather[l.rows[rb].lo:l.rows[rb].hi] {
-				out[g.sample] = imag(line[g.x])
+				out[g.sample] = imag(line[xpos[g.x]])
 			}
 		}
 	}

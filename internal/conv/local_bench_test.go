@@ -12,8 +12,9 @@ import (
 // the end-to-end workloads, with the Gaussian σ = 2 kernel and far rate 16
 // they use: n128-k32 is a warm pipeline on the centre box, as in
 // local-n128-k32; n64-k16 a warm pipeline on one box of solve-n64-k16; and
-// n64-k16-fresh builds a new pipeline per box from a shared plan set, runs
-// it and releases its buffer, walking all 64 boxes as a solve's tasks do.
+// n64-k16-fresh places a new pipeline per box from a shared plan set (and
+// its memoized sampling geometry), runs it and releases its buffer, walking
+// all 64 boxes as a solve's tasks do.
 func BenchmarkLocalRun(b *testing.B) {
 	kernel := green.Gaussian{Sigma: 2}
 	warm := func(b *testing.B, n, k int) {
@@ -54,12 +55,7 @@ func BenchmarkLocalRun(b *testing.B) {
 		in := randSub(k, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			box := boxes[i%len(boxes)]
-			tree, err := sample.DefaultPolicy(box, 16).Tree(dim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l, err := ps.NewLocal(box, tree, pw, Config{Workers: 1})
+			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), pw, Config{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,8 @@
 package conv
 
 import (
+	"sync"
+
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -13,11 +15,13 @@ import (
 // and it is entirely read-only after construction, so one PlanSet can back
 // any number of Locals of any sub-domain size running concurrently. The
 // serving and fleet engines each build one at start and run every job
-// over it.
+// over it. Next to the plan it memoizes the sampling geometry of each
+// policy's origin box (NewPolicyLocal), immutable once built.
 type PlanSet struct {
 	dim     grid.Dim3
 	workers int
 	plan    *fft.Plan
+	geoms   sync.Map // sample.Policy with Sub at the origin → *geometry
 }
 
 // NewPlanSet builds the shared plan for an N³ grid. workers is

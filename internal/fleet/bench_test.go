@@ -3,7 +3,9 @@ package fleet
 import (
 	"testing"
 
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/gpu"
+	"lowcomm3d/internal/green"
 )
 
 func benchScheduler(b *testing.B) *Scheduler {
@@ -61,4 +63,34 @@ func TestPlacementZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Place/Release allocates %v objects per op, want 0", allocs)
 	}
+}
+
+// BenchmarkEngineSolve times one Engine.Solve at the shape of the
+// solve-n64-k16 workload: 64³ in 16³ boxes, far rate 16, the Gaussian
+// σ = 2 kernel, two V100 devices and one FFT worker per pipeline. The
+// engine is built and warmed by one solve before the timer starts, so a
+// CPU profile of it (-cpuprofile) shows a warm solve's work.
+func BenchmarkEngineSolve(b *testing.B) {
+	b.Run("n64-k16", func(b *testing.B) {
+		e, err := NewEngine(EngineOptions{
+			Fleet:   Options{Devices: []*gpu.Device{gpu.V100_32GB(), gpu.V100_32GB()}, N: 64, FarRate: 16},
+			Kernel:  green.Gaussian{Sigma: 2},
+			SubSize: 16,
+			Conv:    conv.Config{Workers: 1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		f := testField(64, 1)
+		if _, _, err := e.Solve("bench", f); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := e.Solve("bench", f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

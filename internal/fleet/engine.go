@@ -251,11 +251,7 @@ func (e *Engine) injectFault(di int, batch []*Task, kind FaultKind, t0 time.Time
 }
 
 func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
-	tree, err := sample.DefaultPolicy(t.Box, e.far).Tree(e.dim)
-	if err != nil {
-		return nil, err
-	}
-	local, err := e.plans.NewLocal(t.Box, tree, e.pw, e.opts.Conv)
+	local, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(t.Box, e.far), e.pw, e.opts.Conv)
 	if err != nil {
 		return nil, err
 	}

@@ -119,6 +119,22 @@ func (t *Tree) subdivide(b grid.Box, rate RateFunc) error {
 	return nil
 }
 
+// Translate returns the tree with every cell moved by s on the torus, in
+// the same order. No moved cell may wrap, which holds when every component
+// of s is a multiple of every cell's edge.
+func (t *Tree) Translate(s grid.Point) *Tree {
+	n := [3]int{t.Dim.Nx, t.Dim.Ny, t.Dim.Nz}
+	cells := make([]Cell, len(t.Cells))
+	for i, c := range t.Cells {
+		lo := c.Box.Lo
+		for a := range lo {
+			lo[a] = (lo[a] + s[a]) % n[a]
+		}
+		cells[i] = Cell{Box: grid.CubeAt(lo, c.Box.Hi[0]-c.Box.Lo[0]), Rate: c.Rate}
+	}
+	return &Tree{Dim: t.Dim, Cells: cells}
+}
+
 // SampleCount returns the total number of samples across all cells.
 func (t *Tree) SampleCount() int {
 	n := 0

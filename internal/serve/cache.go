@@ -25,8 +25,9 @@ type pipeline struct {
 	outs   sync.Pool // *sample.Compressed
 }
 
-// local borrows a pipeline, building one over the engine's plan set only
-// when the pool is empty.
+// local borrows a pipeline, building one over the engine's plan set and
+// the pipeline's tree only when the pool is empty, so every pipeline of the
+// box shares the tree its output arenas are built for.
 func (p *pipeline) local(ps *conv.PlanSet) (*conv.Local, error) {
 	if v := p.locals.Get(); v != nil {
 		return v.(*conv.Local), nil

@@ -900,21 +900,24 @@ func (e *Engine) execute(t *task) {
 	t.res = Result{Output: res, Stats: st, Wait: wait, pipe: p}
 }
 
-// buildPipeline assembles a pipeline for box on a cache miss: a fresh
-// sampling octree and the given kernel generation. The engine's plan set
-// is pure FFT machinery — twiddle tables and permutations independent of
-// the kernel and of the box — so it lives outside the pipeline and a
-// kernel update keeps it; everything kernel-dependent lives in the
-// pipeline, whose cache key carries the fingerprint.
+// buildPipeline assembles a pipeline for box on a cache miss under the
+// given kernel generation: its first conv.Local, placed from the engine's
+// plan set by the default policy, goes to the pool, and its tree becomes
+// the pipeline's. The engine's plan set — FFT machinery and the policy's
+// sampling geometry, independent of the kernel — lives outside the
+// pipeline and a kernel update keeps it; everything kernel-dependent lives
+// in the pipeline, whose cache key carries the fingerprint.
 func (e *Engine) buildPipeline(box grid.Box, ks *kernelState) (*pipeline, error) {
-	tree, err := sample.DefaultPolicy(box, e.far).Tree(e.dim)
+	l, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(box, e.far), ks.pw, e.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &pipeline{
+	p := &pipeline{
 		key: pipeKey{box: box, kernel: ks.fp}, box: box,
-		tree: tree, cfg: e.cfg, pw: ks.pw,
-	}, nil
+		tree: l.Tree(), cfg: e.cfg, pw: ks.pw,
+	}
+	p.locals.Put(l)
+	return p, nil
 }
 
 // kernelState is one immutable kernel generation: the pointwise callback

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs/jobtrace"
+	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -45,6 +47,33 @@ func testEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
+// sampleDiff describes how got, a served result, differs from want, a
+// direct pipeline's result for the same box, or is "" when it does not:
+// both trees must hold the same cells, in any order (a served tree may list
+// its cells in the order of the tree it was translated from), and each cell
+// the same samples, bit for bit.
+func sampleDiff(got, want *sample.Compressed) string {
+	if len(got.Tree.Cells) != len(want.Tree.Cells) {
+		return fmt.Sprintf("served %d cells, direct %d", len(got.Tree.Cells), len(want.Tree.Cells))
+	}
+	direct := map[octree.Cell][]float64{}
+	for _, p := range want.Patches(want.Tree.Dim.Bounds()) {
+		direct[p.Cell] = p.Samples
+	}
+	for _, p := range got.Patches(got.Tree.Dim.Bounds()) {
+		w, ok := direct[p.Cell]
+		if !ok {
+			return fmt.Sprintf("served cell %v at rate %d is not in the direct tree", p.Cell.Box, p.Cell.Rate)
+		}
+		for i, v := range p.Samples {
+			if math.Float64bits(v) != math.Float64bits(w[i]) {
+				return fmt.Sprintf("cell %v sample %d: served %g, direct %g", p.Cell.Box, i, v, w[i])
+			}
+		}
+	}
+	return ""
+}
+
 // TestSubmitMatchesDirectPipeline pins correctness: a served job returns
 // exactly what a directly-constructed conv.Local computes for the same
 // box, tree policy, and kernel.
@@ -72,13 +101,8 @@ func TestSubmitMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Output.Samples) != len(want.Samples) {
-		t.Fatalf("served %d samples, direct %d", len(res.Output.Samples), len(want.Samples))
-	}
-	for i := range want.Samples {
-		if res.Output.Samples[i] != want.Samples[i] {
-			t.Fatalf("sample %d: served %g, direct %g", i, res.Output.Samples[i], want.Samples[i])
-		}
+	if d := sampleDiff(res.Output, want); d != "" {
+		t.Fatal(d)
 	}
 	if res.Stats.SampleCount != len(want.Samples) {
 		t.Errorf("Stats.SampleCount = %d, want %d", res.Stats.SampleCount, len(want.Samples))
@@ -292,7 +316,7 @@ func TestPlanSetSharedAcrossSizes(t *testing.T) {
 	type job struct {
 		box  grid.Box
 		in   *grid.Field
-		want []float64
+		want *sample.Compressed
 	}
 	var jobs []job
 	for i, b := range []grid.Box{
@@ -315,7 +339,7 @@ func TestPlanSetSharedAcrossSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{box: b, in: in, want: want.Samples})
+		jobs = append(jobs, job{box: b, in: in, want: want})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -329,16 +353,8 @@ func TestPlanSetSharedAcrossSizes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got := res.Output.Samples
-				if len(got) != len(j.want) {
-					t.Errorf("box %v: %d samples, want %d", j.box, len(got), len(j.want))
-				} else {
-					for s := range got {
-						if math.Float64bits(got[s]) != math.Float64bits(j.want[s]) {
-							t.Errorf("box %v sample %d: served %g, direct %g", j.box, s, got[s], j.want[s])
-							break
-						}
-					}
+				if d := sampleDiff(res.Output, j.want); d != "" {
+					t.Errorf("box %v: %s", j.box, d)
 				}
 				res.Release()
 			}
@@ -546,10 +562,8 @@ func TestUpdateKernelInvalidatesPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Samples {
-		if res2.Output.Samples[i] != want.Samples[i] {
-			t.Fatalf("sample %d after update: served %g, direct %g", i, res2.Output.Samples[i], want.Samples[i])
-		}
+	if d := sampleDiff(res2.Output, want); d != "" {
+		t.Fatalf("after update: %s", d)
 	}
 	if got := e.Trace().CounterValue("serve.kernel_updates"); got != 1 {
 		t.Errorf("serve.kernel_updates = %d, want 1", got)
