@@ -315,7 +315,10 @@ func BenchmarkMassifIteration(b *testing.B) {
 // BenchmarkFFT1D tracks the core transform throughput.
 func BenchmarkFFT1D(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
-		p := fft.MustPlan(n)
+		p, err := fft.NewPlan(n)
+		if err != nil {
+			b.Fatal(err)
+		}
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(float64(i%7), float64(i%5))

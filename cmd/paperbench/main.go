@@ -329,7 +329,7 @@ func batchStudy() error {
 
 func measured() error {
 	t := report.New("§5.3 — measured (pure Go): local pipeline vs dense baseline",
-		"N", "k", "far r", "rel L2 error", "compression", "local (ms)", "baseline (ms)")
+		"N", "k", "far r", "rel L2 error", "L∞ error", "Taylor bound", "compression", "local (ms)", "baseline (ms)")
 	for _, c := range []struct {
 		n, k, far int
 		sigma     float64
@@ -383,8 +383,15 @@ func measured() error {
 		if err != nil {
 			return err
 		}
+		// The §5.3 Taylor bound of the result's octree for the dense
+		// answer's curvature; an error above it fails the run.
+		linf, bound, err := res.VerifyBound(want)
+		if err != nil {
+			return err
+		}
 		t.AddCells(fmt.Sprint(c.n), fmt.Sprint(c.k), fmt.Sprint(c.far),
-			fmt.Sprintf("%.4f", rel), fmt.Sprintf("%.1fx", st.Compression),
+			fmt.Sprintf("%.4f", rel), fmt.Sprintf("%.2e", linf), fmt.Sprintf("%.2e", bound),
+			fmt.Sprintf("%.1fx", st.Compression),
 			fmt.Sprintf("%.1f", localMs), fmt.Sprintf("%.1f", baseMs))
 	}
 	t.Render(os.Stdout)

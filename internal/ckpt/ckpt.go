@@ -243,9 +243,6 @@ func newStore(dir string, tr *obs.Trace) *Store {
 	}
 }
 
-// Dir returns the store's directory, "" for a memory store.
-func (s *Store) Dir() string { return s.dir }
-
 // SetFlight attaches a flight recorder: every strain deposit is recorded
 // as a per-rank checkpoint event, so a postmortem can name a dead rank's
 // last checkpoint. A nil recorder disables recording.

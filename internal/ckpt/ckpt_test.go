@@ -259,7 +259,7 @@ func TestStoreSaveLoadStrain(t *testing.T) {
 		t.Errorf("obs counters not recorded: bytes=%d saves=%d", st.BytesWritten(), tr.CounterValue("ckpt.saves"))
 	}
 	// No temp-file litter after successful publishes.
-	entries, err := os.ReadDir(st.Dir())
+	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +278,8 @@ func TestMemStoreSaveLoadStrain(t *testing.T) {
 		t.Fatal("NewStore accepted an empty directory")
 	}
 	st := NewMemStore(nil)
-	if st.Dir() != "" {
-		t.Errorf("memory store Dir = %q, want empty", st.Dir())
+	if st.dir != "" {
+		t.Errorf("memory store Dir = %q, want empty", st.dir)
 	}
 	if snap, err := st.LoadStrain(3); err != nil || snap != nil {
 		t.Fatalf("missing checkpoint: got (%v, %v), want (nil, nil)", snap, err)
@@ -319,7 +319,7 @@ func TestStoreKeepsPreviousDeposit(t *testing.T) {
 	}
 	for _, st := range []*Store{NewMemStore(nil), dir} {
 		if snap, err := st.LoadStrainAt(5, 0); err != nil || snap != nil {
-			t.Fatalf("dir %q: no deposit yet: got (%v, %v), want (nil, nil)", st.Dir(), snap, err)
+			t.Fatalf("dir %q: no deposit yet: got (%v, %v), want (nil, nil)", st.dir, snap, err)
 		}
 		for _, d := range []struct{ it, mark int }{{2, 20}, {3, 30}, {4, 40}, {3, -1}} {
 			snap := testSnapshot(5, d.it, 2, 8)
@@ -332,14 +332,14 @@ func TestStoreKeepsPreviousDeposit(t *testing.T) {
 		for it, want := range map[int]float64{4: 40, 3: -1} {
 			snap, err := st.LoadStrainAt(5, it)
 			if err != nil || snap == nil || snap.Iter != it || snap.Strain[1][1][1] != want {
-				t.Errorf("dir %q: LoadStrainAt(5, %d) = (%v, %v), want iteration %d with marker %g", st.Dir(), it, snap, err, it, want)
+				t.Errorf("dir %q: LoadStrainAt(5, %d) = (%v, %v), want iteration %d with marker %g", st.dir, it, snap, err, it, want)
 			}
 		}
 		if snap, err := st.LoadStrainAt(5, 2); err != nil || snap != nil {
-			t.Errorf("dir %q: a third-newest deposit survived: (%v, %v)", st.Dir(), snap, err)
+			t.Errorf("dir %q: a third-newest deposit survived: (%v, %v)", st.dir, snap, err)
 		}
 		if last, err := st.LoadStrain(5); err != nil || last.Iter != 3 {
-			t.Errorf("dir %q: LoadStrain = (%v, %v), want the last deposit, iteration 3", st.Dir(), last, err)
+			t.Errorf("dir %q: LoadStrain = (%v, %v), want the last deposit, iteration 3", st.dir, last, err)
 		}
 	}
 }
@@ -403,7 +403,7 @@ func TestCrashMidWriteKeepsPriorCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crashed writer leaves only a torn temp file behind.
-	torn := filepath.Join(st.Dir(), "strain-0000.ckpt.tmp-dead")
+	torn := filepath.Join(st.dir, "strain-0000.ckpt.tmp-dead")
 	if err := os.WriteFile(torn, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,6 @@ func NewChaosConn(inner net.Conn, plan FaultPlan, points ...ConnFaultPoint) *Cha
 	return &ChaosConn{Conn: inner, inj: NewFaultInjector(plan), points: m}
 }
 
-// Injected reports how many faults of each class fired.
-func (c *ChaosConn) Injected() (drops, delays, corrupts, closes int64) {
-	drops, delays, _, corrupts = c.inj.Injected()
-	return drops, delays, corrupts, c.closes.Load()
-}
-
 // fate resolves the fault for write i: the explicit point if one exists,
 // else the plan's seeded rolls in the same fixed order as Transmit.
 func (c *ChaosConn) fate(i int) ConnFaultKind {
@@ -134,7 +128,3 @@ func (c *ChaosConn) Write(b []byte) (int, error) {
 	}
 	return c.Conn.Write(b)
 }
-
-// Writes returns the number of Write calls observed so far — the state
-// axis a chaos matrix sweeps its fault points across.
-func (c *ChaosConn) Writes() int64 { return c.writes.Load() }

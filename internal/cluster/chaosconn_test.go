@@ -98,8 +98,7 @@ func TestChaosConnFaultClasses(t *testing.T) {
 		if _, err := c.Write(msg); err == nil {
 			t.Fatal("write 2 succeeded through a closed connection")
 		}
-		_, _, _, closes := c.Injected()
-		if closes != 1 {
+		if closes := c.closes.Load(); closes != 1 {
 			t.Fatalf("closes = %d, want 1", closes)
 		}
 	})

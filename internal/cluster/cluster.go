@@ -77,15 +77,6 @@ func (s *Stats) attachTrace(t *obs.Trace) {
 	s.bcH = t.Histogram("cluster.broadcast_seconds")
 }
 
-// CollectiveSnapshot returns a copy of the measured collective rounds.
-func (s *Stats) CollectiveSnapshot() []MeasuredCollective {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]MeasuredCollective, len(s.Collectives))
-	copy(out, s.Collectives)
-	return out
-}
-
 // recordMessage counts one point-to-point or collective-internal message.
 // timed selects whether the message contributes α–β time directly;
 // all-to-all internals pass false because recordCollective models the
@@ -375,9 +366,6 @@ func (c *Cluster) DeclareDead(rank int) {
 	}
 }
 
-// Epoch returns the current cluster epoch (bumped by each ResetEpoch).
-func (c *Cluster) Epoch() uint32 { return c.epoch.Load() }
-
 // ResetEpoch prepares the cluster for a respawned generation of workers:
 // it bumps the epoch (so straggling deliveries from the old generation —
 // including delay-injected time.AfterFunc deliveries still in flight —
@@ -543,15 +531,6 @@ func (w *Worker) sendRaw(to int, data []float64, timed bool) {
 	w.c.transmit(w.ID, to, m, 0)
 }
 
-// Send delivers data to peer `to` (counted, α–β timed).
-func (w *Worker) Send(to int, data []float64) error {
-	if err := w.crashPoint("send"); err != nil {
-		return err
-	}
-	w.sendRaw(to, data, true)
-	return nil
-}
-
 // recvRaw blocks until the next in-order message from peer `from` arrives,
 // survives drops/duplicates/corruption/delay via checksum validation,
 // sequence tracking, and deadline-triggered retransmission with
@@ -620,15 +599,6 @@ func (w *Worker) recvRaw(from int, op string) ([]float64, error) {
 		}
 		timeout *= 2
 	}
-}
-
-// Recv blocks until a message from peer `from` arrives, bounded by the
-// cluster's receive deadline and retry budget.
-func (w *Worker) Recv(from int) ([]float64, error) {
-	if err := w.crashPoint("recv"); err != nil {
-		return nil, err
-	}
-	return w.recvRaw(from, "recv")
 }
 
 // AllToAll performs one personalized all-to-all: out[peer] is sent to each

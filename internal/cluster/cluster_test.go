@@ -10,6 +10,27 @@ import (
 	"lowcomm3d/internal/grid"
 )
 
+// Send and Recv are the point-to-point pair the fault suites drive the
+// fabric with; the collectives use sendRaw and recvRaw directly.
+
+// Send delivers data to peer `to` (counted, α–β timed).
+func (w *Worker) Send(to int, data []float64) error {
+	if err := w.crashPoint("send"); err != nil {
+		return err
+	}
+	w.sendRaw(to, data, true)
+	return nil
+}
+
+// Recv blocks until a message from peer `from` arrives, bounded by the
+// cluster's receive deadline and retry budget.
+func (w *Worker) Recv(from int) ([]float64, error) {
+	if err := w.crashPoint("recv"); err != nil {
+		return nil, err
+	}
+	return w.recvRaw(from, "recv")
+}
+
 func TestMessageTime(t *testing.T) {
 	p := Params{Alpha: 1e-6, Beta: 1e-9}
 	if got := p.MessageTime(1000); math.Abs(got-(1e-6+1e-6)) > 1e-18 {

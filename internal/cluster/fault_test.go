@@ -210,8 +210,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		if runErr != nil && !isTypedFault(runErr) {
 			t.Fatalf("untyped error: %v", runErr)
 		}
-		d, _, _, _ := inj.Injected()
-		return d, digest
+		return inj.drops.Load(), digest
 	}
 	d1, g1 := run()
 	d2, g2 := run()
@@ -293,8 +292,7 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		return
 	}
-	_, _, _, corrupts := inj.Injected()
-	if corrupts == 0 {
+	if inj.corrupts.Load() == 0 {
 		t.Fatal("injector corrupted nothing; schedule not exercised")
 	}
 	if fs := c.Stats.FaultSnapshot(); fs.CorruptDropped == 0 {

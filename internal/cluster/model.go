@@ -35,8 +35,7 @@ func (p Params) MessageTime(m int) float64 {
 // traditional 3D FFT on an N³ grid over P workers with two all-to-all
 // stages, T = 2·N³·8 / (P·β_link), expressed through β = 1/β_link.
 func (p Params) TCommFFT(n, workers int) float64 {
-	bytes := 8.0 * float64(n) * float64(n) * float64(n)
-	return 2 * bytes * p.Beta / float64(workers)
+	return float64(TCommFFTBytes(n)) * p.Beta / float64(workers)
 }
 
 // TCommFFTBytes is Eq. 1's byte numerator, exactly and in integers:

@@ -44,7 +44,7 @@ func TestMeasuredCommMatchesModel(t *testing.T) {
 		if _, err := DistFFTConvolve(c, f, green.Gaussian{Sigma: 1.5}); err != nil {
 			t.Fatalf("P=%d: DistFFTConvolve: %v", P, err)
 		}
-		colls := c.Stats.CollectiveSnapshot()
+		colls := c.Stats.Collectives
 		if len(colls) != 2 {
 			t.Fatalf("P=%d: %d collective rounds, want 2", P, len(colls))
 		}
@@ -140,7 +140,7 @@ func TestLowCommExchangeBytesMatchesMeasured(t *testing.T) {
 	if got := tr.CounterValue("cluster.collective.bytes"); got != predicted {
 		t.Errorf("measured %d fabric bytes, predicted %d", got, predicted)
 	}
-	colls := c.Stats.CollectiveSnapshot()
+	colls := c.Stats.Collectives
 	if len(colls) != 1 {
 		t.Fatalf("%d collective rounds, want 1 (the single sparse exchange)", len(colls))
 	}

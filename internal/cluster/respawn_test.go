@@ -54,8 +54,8 @@ func TestResetEpochClearsDeathAndState(t *testing.T) {
 	if got := c.DeadWorkers(); len(got) != 0 {
 		t.Fatalf("dead set %v survived ResetEpoch", got)
 	}
-	if c.Epoch() != 1 {
-		t.Fatalf("epoch = %d after one reset, want 1", c.Epoch())
+	if e := c.epoch.Load(); e != 1 {
+		t.Fatalf("epoch = %d after one reset, want 1", e)
 	}
 
 	// Generation 2: the one-shot crash point is consumed, so the

@@ -109,11 +109,6 @@ func NewFaultInjector(plan FaultPlan) *FaultInjector {
 	return &FaultInjector{plan: plan, fired: make([]atomic.Bool, len(plan.Crashes))}
 }
 
-// Injected reports how many faults of each class were injected.
-func (f *FaultInjector) Injected() (drops, delays, dups, corrupts int64) {
-	return f.drops.Load(), f.delays.Load(), f.dups.Load(), f.corrupts.Load()
-}
-
 // SplitMix64 is the splitmix64 finalizer, a well-mixed 64-bit hash: the one
 // hash behind every seeded fault schedule (this package's FaultPlan and
 // ChaosConn, supervise.ChaosSchedule, fleet.FaultSchedule), so each

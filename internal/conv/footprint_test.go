@@ -46,7 +46,7 @@ func TestDecomposedLazyExtractionFootprint(t *testing.T) {
 				workers, ds.MaxLiveSubFields, workers)
 		}
 	}
-	if hw := tr.GaugeValue("conv.live_subfields"); hw < 1 || hw > 2 {
+	if hw := tr.Gauge("conv.live_subfields").Value(); hw < 1 || hw > 2 {
 		t.Errorf("conv.live_subfields gauge = %d, want 1..2", hw)
 	}
 }

@@ -112,7 +112,7 @@ func TestAVXKernelMatchesGo(t *testing.T) {
 	}
 	names := [6]string{"Forward", "Inverse", "in-place Forward", "in-place Inverse", "ForwardFromPerm", "InverseToPerm"}
 	for n := 1; n <= 1<<14; n <<= 1 {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		for k, x := range [][]complex128{
 			edgeInput(n, int64(n), 0.25), edgeInput(n, int64(n)+1, 0.9), signedZeros(n, int64(n)), boxLine(n, int64(n)),
 		} {

@@ -81,15 +81,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// MustPlan is NewPlan that panics on error; for use with known-good sizes.
-func MustPlan(n int) *Plan {
-	p, err := NewPlan(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
@@ -474,22 +465,4 @@ func (p *Plan) strided(data []complex128, off, stride int, scratch []complex128,
 		data[off+int(j)*stride] = s[i]
 	}
 	return nil
-}
-
-// DFTDirect computes the unnormalized DFT by the O(n²) definition. It is
-// the correctness reference used by tests and is exported so higher-level
-// packages can validate against it too.
-func DFTDirect(src []complex128) []complex128 {
-	n := len(src)
-	dst := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k*t%n) / float64(n)
-			s, c := math.Sincos(ang)
-			sum += src[t] * complex(c, s)
-		}
-		dst[k] = sum
-	}
-	return dst
 }

@@ -111,7 +111,7 @@ func TestPlan3DSeparability(t *testing.T) {
 			}
 		}
 	}
-	p1 := MustPlan(8)
+	p1 := mustPlan(8)
 	fa := make([]complex128, 8)
 	fb := make([]complex128, 8)
 	fc := make([]complex128, 8)

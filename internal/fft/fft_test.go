@@ -11,6 +11,32 @@ import (
 	"testing/quick"
 )
 
+// mustPlan is NewPlan for the known-good sizes the tests use.
+func mustPlan(n int) *Plan {
+	p, err := NewPlan(n)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// DFTDirect computes the unnormalized DFT by the O(n²) definition: the
+// correctness reference the transforms are held to.
+func DFTDirect(src []complex128) []complex128 {
+	n := len(src)
+	dst := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			ang := -2 * math.Pi * float64(k*t%n) / float64(n)
+			s, c := math.Sincos(ang)
+			sum += src[t] * complex(c, s)
+		}
+		dst[k] = sum
+	}
+	return dst
+}
+
 func randComplex(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]complex128, n)
@@ -32,7 +58,7 @@ func maxDiff(a, b []complex128) float64 {
 
 func TestForwardMatchesDirect(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 60, 64, 100, 128} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, int64(n))
 		got := make([]complex128, n)
 		if err := p.Forward(got, x); err != nil {
@@ -47,7 +73,7 @@ func TestForwardMatchesDirect(t *testing.T) {
 
 func TestInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8, 13, 16, 27, 64, 81, 128, 256} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, int64(2*n+1))
 		y := make([]complex128, n)
 		if err := p.Forward(y, x); err != nil {
@@ -65,7 +91,7 @@ func TestInverseRoundTrip(t *testing.T) {
 
 func TestInPlaceTransform(t *testing.T) {
 	for _, n := range []int{8, 12, 64} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, 99)
 		want := make([]complex128, n)
 		if err := p.Forward(want, x); err != nil {
@@ -84,7 +110,7 @@ func TestInPlaceTransform(t *testing.T) {
 func TestImpulseResponse(t *testing.T) {
 	// DFT of delta at 0 is all-ones.
 	n := 16
-	p := MustPlan(n)
+	p := mustPlan(n)
 	x := make([]complex128, n)
 	x[0] = 1
 	y := make([]complex128, n)
@@ -102,7 +128,7 @@ func TestShiftedImpulse(t *testing.T) {
 	// DFT of delta at t0 is exp(-2πi·k·t0/n).
 	n := 32
 	t0 := 5
-	p := MustPlan(n)
+	p := mustPlan(n)
 	x := make([]complex128, n)
 	x[t0] = 1
 	y := make([]complex128, n)
@@ -119,7 +145,7 @@ func TestShiftedImpulse(t *testing.T) {
 
 func TestLinearity(t *testing.T) {
 	n := 24 // exercises Bluestein
-	p := MustPlan(n)
+	p := mustPlan(n)
 	x := randComplex(n, 1)
 	y := randComplex(n, 2)
 	a, b := complex(2.5, -1), complex(-0.5, 3)
@@ -151,7 +177,7 @@ func TestLinearity(t *testing.T) {
 func TestParsevalQuick(t *testing.T) {
 	// Σ|x|² == (1/n)·Σ|X|² for the unnormalized forward transform.
 	n := 64
-	p := MustPlan(n)
+	p := mustPlan(n)
 	f := func(seed int64) bool {
 		x := randComplex(n, seed)
 		y := make([]complex128, n)
@@ -177,7 +203,7 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := NewPlan(-4); err == nil {
 		t.Error("NewPlan(-4) should fail")
 	}
-	p := MustPlan(8)
+	p := mustPlan(8)
 	if err := p.Forward(make([]complex128, 4), make([]complex128, 8)); err == nil {
 		t.Error("short dst should fail")
 	}
@@ -190,7 +216,7 @@ func TestStridedTransform(t *testing.T) {
 	// Embed a length-8 sequence with stride 3 in a larger buffer and check
 	// the strided transform matches the contiguous one.
 	n, stride, off := 8, 3, 2
-	p := MustPlan(n)
+	p := mustPlan(n)
 	x := randComplex(n, 7)
 	buf := make([]complex128, off+n*stride+1)
 	for i := 0; i < n; i++ {
@@ -218,7 +244,7 @@ func TestStridedTransform(t *testing.T) {
 }
 
 func TestStridedErrors(t *testing.T) {
-	p := MustPlan(8)
+	p := mustPlan(8)
 	buf := make([]complex128, 16)
 	scratch := make([]complex128, 8)
 	if err := p.ForwardStrided(buf, 0, 0, scratch); err == nil {
@@ -237,7 +263,7 @@ func TestStridedErrors(t *testing.T) {
 
 func TestBluesteinLargePrime(t *testing.T) {
 	n := 251
-	p := MustPlan(n)
+	p := mustPlan(n)
 	x := randComplex(n, 11)
 	got := make([]complex128, n)
 	if err := p.Forward(got, x); err != nil {
@@ -252,7 +278,7 @@ func TestBluesteinLargePrime(t *testing.T) {
 func TestConvolutionTheorem1D(t *testing.T) {
 	// Circular convolution via FFT must match the direct O(n²) sum.
 	n := 16
-	p := MustPlan(n)
+	p := mustPlan(n)
 	rng := rand.New(rand.NewSource(5))
 	x := make([]float64, n)
 	h := make([]float64, n)
@@ -384,7 +410,7 @@ func TestPow2KernelMatchesRadix2(t *testing.T) { bothKernels(t, pow2KernelMatche
 
 func pow2KernelMatchesRadix2(t *testing.T) {
 	for n := 1; n <= 1<<12; n <<= 1 {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x, y := randComplex(n, int64(n)), randComplex(n, int64(3*n+1))
 		run := func(dst, src []complex128, inverse bool) {
 			t.Helper()
@@ -456,7 +482,7 @@ func permEntryPoints(t *testing.T) {
 		sizes = append(sizes, n)
 	}
 	for _, n := range append(sizes, 3, 12, 96, 251) {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		perm := p.Perm()
 		if len(perm) != n {
 			t.Fatalf("n=%d: Perm has length %d", n, len(perm))
@@ -509,7 +535,7 @@ func permEntryPoints(t *testing.T) {
 			}
 		}
 	}
-	p := MustPlan(8)
+	p := mustPlan(8)
 	if p.ForwardFromPerm(make([]complex128, 4)) == nil || p.InverseToPerm(make([]complex128, 9)) == nil {
 		t.Error("a wrong-length line should fail")
 	}
@@ -520,7 +546,7 @@ func permEntryPoints(t *testing.T) {
 // write to the plan's tables, and each result must be the serial one.
 func TestPlanSharedAcrossGoroutines(t *testing.T) {
 	for _, n := range []int{64, 128} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, 5)
 		want := make([]complex128, n)
 		if err := p.Forward(want, x); err != nil {
@@ -560,7 +586,7 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 // stages, whose copies carry the reorder).
 func BenchmarkPlan1D(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, int64(n))
 		y := make([]complex128, n)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -573,7 +599,7 @@ func BenchmarkPlan1D(b *testing.B) {
 		})
 	}
 	for _, n := range []int{64, 128} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, int64(n))
 		b.Run(fmt.Sprintf("pair-inplace-n%d", n), func(b *testing.B) {
 			b.SetBytes(int64(2 * 16 * n))
@@ -609,7 +635,7 @@ func TestPlanTransformZeroAllocs(t *testing.T) {
 		if raceEnabled && n&(n-1) != 0 {
 			continue // the pool refills under -race; asserted by the non-race suite
 		}
-		p := MustPlan(n)
+		p := mustPlan(n)
 		x := randComplex(n, int64(n))
 		y := make([]complex128, n)
 		if allocs := testing.AllocsPerRun(100, func() {

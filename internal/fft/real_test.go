@@ -33,7 +33,7 @@ func TestRealForwardMatchesComplex(t *testing.T) {
 			cx[i] = complex(v, 0)
 		}
 		want := make([]complex128, n)
-		if err := MustPlan(n).Forward(want, cx); err != nil {
+		if err := mustPlan(n).Forward(want, cx); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k <= n/2; k++ {
@@ -141,7 +141,7 @@ func TestRealParseval(t *testing.T) {
 func BenchmarkRealVsComplexFFT(b *testing.B) {
 	n := 4096
 	rp, _ := NewRealPlan(n)
-	cp := MustPlan(n)
+	cp := mustPlan(n)
 	x := randReal(n, 1)
 	half := make([]complex128, rp.SpectrumLen())
 	cx := make([]complex128, n)

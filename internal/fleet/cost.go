@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/gpu"
 )
@@ -29,18 +27,6 @@ type CostModel struct {
 	// still letting them absorb load when every trusted device is
 	// saturated (≤0: 4).
 	HealthPenalty float64
-}
-
-// DefaultCostModel returns the calibrated model used when Options.Cost is
-// the zero value.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		Perf:          gpu.DefaultPerf(),
-		NVLink:        DefaultNVLink(),
-		IB:            DefaultIB(),
-		BatchDial:     1024,
-		HealthPenalty: 4,
-	}
 }
 
 func (m CostModel) withDefaults() CostModel {
@@ -80,25 +66,6 @@ func (m CostModel) TransferSeconds(n, k, far int, crossBox bool) float64 {
 // (gpu.PerfModel's Table 3 model at the configured batch dial).
 func (m CostModel) ComputeSeconds(n, k, far int) (float64, error) {
 	return m.Perf.GPULocalConvSeconds(n, k, far, m.BatchDial)
-}
-
-// BatchSeconds models admitting `jobs` compatible k³ jobs as ONE batched
-// run: every job's pencil stage launches at the combined dial
-// BatchDial·jobs, so per-launch utilization rises and launch gaps
-// amortize across tenants — the §5.4 batch-dial gain applied across
-// jobs. Because the utilization curve is monotone in work per launch,
-// BatchSeconds(jobs) never exceeds jobs × ComputeSeconds (the
-// amortization inequality TestPlacementCostMonotone pins against the
-// gpu.DGX2BatchStudy rows).
-func (m CostModel) BatchSeconds(n, k, far, jobs int) (float64, error) {
-	if jobs < 1 {
-		return 0, fmt.Errorf("fleet: batch of %d jobs", jobs)
-	}
-	per, err := m.Perf.GPULocalConvSeconds(n, k, far, m.BatchDial*jobs)
-	if err != nil {
-		return 0, err
-	}
-	return float64(jobs) * per, nil
 }
 
 // PlacementSeconds is the full placement cost of one job on one device:

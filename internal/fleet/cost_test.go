@@ -8,6 +8,16 @@ import (
 	"lowcomm3d/internal/gpu"
 )
 
+// bestCost prices the cheapest currently-admissible device for a k³ job on
+// the reservation path without reserving anything: the device Place would
+// pick (-1 when none is admissible now), its cost, and whether any device
+// could ever admit the footprint.
+func bestCost(s *Scheduler, k int, footprint int64, homeBox int) (dev int, cost float64, fits bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bestExplainLocked(k, footprint, homeBox, false, 0, 1, nil)
+}
+
 // TestPlacementCostMonotone is the metamorphic suite over the cost
 // model: properties that must hold for ANY valid input, checked on
 // seeded random configurations instead of hand-picked examples.
@@ -21,7 +31,7 @@ import (
 //     strictly amortizes, checked against the gpu.DGX2BatchStudy rows.
 func TestPlacementCostMonotone(t *testing.T) {
 	t.Run("shrinking-k", func(t *testing.T) {
-		m := DefaultCostModel().withDefaults()
+		m := CostModel{}.withDefaults()
 		for seed := int64(0); seed < 10; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			n := []int{256, 512, 1024}[rng.Intn(3)]
@@ -74,8 +84,8 @@ func TestPlacementCostMonotone(t *testing.T) {
 			for _, k := range []int{32, 64, 128} {
 				fp := small.Footprint(k)
 				for home := 0; home < 2; home++ {
-					d1, c1, _ := small.BestCost(k, fp, home)
-					d2, c2, fits2 := big.BestCost(k, fp, home)
+					d1, c1, _ := bestCost(small, k, fp, home)
+					d2, c2, fits2 := bestCost(big, k, fp, home)
 					if d1 < 0 {
 						continue // smaller fleet can't place it; nothing to compare
 					}
@@ -99,7 +109,7 @@ func TestPlacementCostMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := DefaultCostModel().withDefaults()
+		m := CostModel{}.withDefaults()
 		for _, row := range rows {
 			solo, err := m.ComputeSeconds(row.N, row.K, row.R)
 			if err != nil {
@@ -111,7 +121,7 @@ func TestPlacementCostMonotone(t *testing.T) {
 				t.Errorf("N=%d: ComputeSeconds %.6e != study ConvSec %.6e", row.N, solo, row.ConvSec)
 			}
 			for jobs := 2; jobs <= 8; jobs++ {
-				batched, err := m.BatchSeconds(row.N, row.K, row.R, jobs)
+				batched, err := batchSeconds(m, row.N, row.K, row.R, jobs)
 				if err != nil {
 					t.Fatalf("N=%d jobs=%d: %v", row.N, jobs, err)
 				}

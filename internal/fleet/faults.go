@@ -132,13 +132,6 @@ func (f *FaultSchedule) ProbeOK(dev, probe int) bool {
 	return u >= f.ProbeFailProb
 }
 
-func (f *FaultSchedule) slowFactor() float64 {
-	if f == nil || f.SlowFactor <= 0 {
-		return 4
-	}
-	return f.SlowFactor
-}
-
 func (f *FaultSchedule) slowDelay() time.Duration {
 	if f == nil || f.SlowDelay <= 0 {
 		return 20 * time.Millisecond

@@ -51,7 +51,7 @@ func TestFleetFaultMatrix(t *testing.T) {
 		for seed := int64(0); seed < 25; seed++ {
 			name := fmt.Sprintf("p%d-seed%d", devices, seed)
 			t.Run(name, func(t *testing.T) {
-				log := NewLog()
+				log := &Log{}
 				rep, err := RunSim(matrixConfig(seed, devices, log))
 				if err != nil {
 					dumpPostmortem(t, log, "faultmatrix-"+name)
@@ -112,7 +112,7 @@ func TestFleetFaultMatrix(t *testing.T) {
 // traces.
 func TestFaultTraceDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		logA, logB := NewLog(), NewLog()
+		logA, logB := &Log{}, &Log{}
 		cfgA := matrixConfig(seed, 3, logA)
 		repA, err := RunSim(cfgA)
 		if err != nil {

@@ -21,17 +21,16 @@
 // The scheduler is deliberately a deterministic state machine behind one
 // mutex: given the same sequence of calls (and a simulated clock), it
 // makes the same decisions and, with a Log attached, emits a byte-stable
-// decision trace. RunSim drives it with seeded synthetic workloads so
-// every property of the scheduler — no ledger overcommit, exactly-once
-// release, steal determinism, starvation freedom — is checked by
-// reproducible property tests rather than examples.
+// decision trace. The tests' RunSim drives it with seeded synthetic
+// workloads so every property of the scheduler — no ledger overcommit,
+// exactly-once release, steal determinism, starvation freedom — is
+// checked by reproducible property tests rather than examples.
 package fleet
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lowcomm3d/internal/cluster"
@@ -92,25 +91,6 @@ type WallClock struct{}
 // Now returns the wall time.
 func (WallClock) Now() time.Time { return time.Now() }
 
-// SimClock is a manually-advanced clock. It is safe for concurrent use,
-// but deterministic traces require single-threaded driving (RunSim).
-type SimClock struct {
-	t atomic.Int64
-}
-
-// NewSimClock starts a simulated clock at the epoch.
-func NewSimClock() *SimClock { return &SimClock{} }
-
-// Now returns the current simulated instant.
-func (c *SimClock) Now() time.Time { return time.Unix(0, c.t.Load()) }
-
-// Advance moves the simulated clock forward by d (never backward).
-func (c *SimClock) Advance(d time.Duration) {
-	if d > 0 {
-		c.t.Add(int64(d))
-	}
-}
-
 // Options configures a Scheduler.
 type Options struct {
 	// Devices is the fleet; at least one. The scheduler reserves job
@@ -134,8 +114,8 @@ type Options struct {
 	MaxBatch   int
 	StealMin   int
 
-	// Cost overrides the placement cost model; zero-value fields default
-	// (DefaultCostModel).
+	// Cost overrides the placement cost model; zero-value fields take the
+	// calibrated defaults (gpu.DefaultPerf, DefaultNVLink, DefaultIB).
 	Cost CostModel
 
 	// Health tunes the device health monitor (suspect/dead deadlines,
@@ -254,7 +234,7 @@ func newResultSink(n int) *resultSink {
 	return s
 }
 
-// Device returns the device the task is placed on (valid after Enqueue).
+// Device returns the device the task is placed on (valid once queued).
 func (t *Task) Device() int { return t.dev }
 
 // DefaultNVLink models an NVSwitch hop inside a DGX-2-style box:

@@ -81,8 +81,6 @@ type HealthOptions struct {
 	// MaxAttempts bounds a job's execution attempts across fault
 	// recoveries before it fails with ErrRetriesExhausted (≤0: 4).
 	MaxAttempts int
-	// DisableHedge turns off hedged re-execution of suspect batches.
-	DisableHedge bool
 	// ReadmitPenalty is how long a freshly-readmitted device keeps the
 	// CostModel.HealthPenalty price multiplier after its probe streak
 	// promotes it back to Healthy — long enough for real completions to
@@ -118,13 +116,6 @@ func (h HealthOptions) withDefaults() HealthOptions {
 // Now returns the scheduler clock's current reading — what drivers pass
 // back into CheckHealth.
 func (s *Scheduler) Now() time.Time { return s.clock.Now() }
-
-// DeviceHealth returns device di's current supervision state.
-func (s *Scheduler) DeviceHealth(di int) Health {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.devs[di].health
-}
 
 // closedChan is returned by ResetChan for a device whose reset already
 // fired (dead or scheduler closed): a wedged runner unblocks immediately.
@@ -184,7 +175,8 @@ func (s *Scheduler) armDeadlineLocked(di, n int, now time.Time) {
 // CheckHealth advances the health state machine to now and returns the
 // quarantined devices due for a readmission probe; the caller performs
 // each probe and reports it via Probe. Drivers call it periodically — the
-// Engine from its monitor goroutine, RunSim from its event loop.
+// Engine from its monitor goroutine, the tests' RunSim from its event
+// loop.
 func (s *Scheduler) CheckHealth(now time.Time) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,9 +193,7 @@ func (s *Scheduler) CheckHealth(now time.Time) []int {
 				s.cSuspect.Add(1)
 				s.flight.Health(i, "suspect", "missed batch deadline")
 				s.log.printf(now, "suspect dev=%d inflight=%d", i, len(d.running))
-				if !s.health.DisableHedge {
-					s.hedgeLocked(i, now)
-				}
+				s.hedgeLocked(i, now)
 			}
 		case Suspect:
 			if len(d.running) == 0 {
@@ -224,37 +214,6 @@ func (s *Scheduler) CheckHealth(now time.Time) []int {
 		s.cProbes.Add(int64(len(probes)))
 	}
 	return probes
-}
-
-// NextHealthEvent returns the earliest instant at which CheckHealth
-// could change state — a running batch's suspect or dead deadline, or a
-// quarantined device's next probe due time. ok is false when no health
-// event is pending, so event-driven drivers (RunSim) can skip straight
-// to the next meaningful check instead of polling.
-func (s *Scheduler) NextHealthEvent() (at time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	add := func(t time.Time) {
-		if !ok || t.Before(at) {
-			at, ok = t, true
-		}
-	}
-	for i := range s.devs {
-		d := &s.devs[i]
-		switch d.health {
-		case Healthy:
-			if len(d.running) > 0 {
-				add(d.suspectAt)
-			}
-		case Suspect:
-			if len(d.running) > 0 {
-				add(d.deadAt)
-			}
-		case Dead, Probation:
-			add(d.nextProbe)
-		}
-	}
-	return at, ok
 }
 
 // Probe reports a readmission probe's outcome for a quarantined device.
@@ -413,7 +372,7 @@ func (s *Scheduler) hedgeLocked(di int, now time.Time) {
 		if t.attempt+1 >= s.health.MaxAttempts {
 			continue // out of attempts: let death recovery decide
 		}
-		dj, _, _ := s.bestTriedLocked(t.K, t.Footprint, t.HomeBox, true, 1<<uint(di))
+		dj, _, _ := s.bestExplainLocked(t.K, t.Footprint, t.HomeBox, true, 1<<uint(di), 1, nil)
 		if dj < 0 {
 			continue // nowhere to hedge right now
 		}

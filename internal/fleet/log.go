@@ -19,9 +19,6 @@ type Log struct {
 	buf bytes.Buffer
 }
 
-// NewLog returns an empty decision trace.
-func NewLog() *Log { return &Log{} }
-
 // printf appends one stamped line. now is the scheduler clock reading at
 // decision time.
 func (l *Log) printf(now time.Time, format string, args ...any) {

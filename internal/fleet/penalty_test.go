@@ -58,9 +58,9 @@ func TestPlacementPrefersHealthyOverProbation(t *testing.T) {
 	// penalty over the winner's.
 	rejectsBefore := s.Trace().CounterValue("fleet.placement_rejects")
 	j := col.Start("acme")
-	di, err := s.PlaceTraced(k, fp, 0, j)
+	di, err := s.PlaceWeighted(k, fp, 0, 1, j)
 	if err != nil || di != 1 {
-		t.Fatalf("PlaceTraced with dev 0 on probation = (%d, %v), want dev 1", di, err)
+		t.Fatalf("PlaceWeighted with dev 0 on probation = (%d, %v), want dev 1", di, err)
 	}
 	s.Release(1, fp)
 	snap := j.Snapshot()

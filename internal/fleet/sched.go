@@ -47,8 +47,8 @@ type devState struct {
 
 // Scheduler is the fleet placement core: a deterministic state machine
 // behind one mutex. serve.Engine uses Place/Release/Observe as its
-// multi-device admission ledger; the fleet Engine and RunSim drive the
-// full queue/steal/batch API.
+// multi-device admission ledger; the fleet Engine drives the full
+// queue/steal/batch API.
 type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -212,25 +212,6 @@ func (s *Scheduler) costLocked(k, homeBox, di int, weight float64, now time.Time
 	return c, false, nil
 }
 
-// BestCost prices the cheapest currently-admissible device for a k³ job
-// without reserving anything. fits reports whether any device could ever
-// admit the footprint (capacity-wise); dev is -1 when none is admissible
-// right now. Exported for the metamorphic placement tests and the
-// placement benchmark.
-func (s *Scheduler) BestCost(k int, footprint int64, homeBox int) (dev int, cost float64, fits bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bestLocked(k, footprint, homeBox, false)
-}
-
-// bestLocked selects the cheapest device whose free ledger bytes admit
-// footprint (and, when forQueue, whose queue has room). Ties break
-// toward the lower index: placement is a pure function of scheduler
-// state. fits reports capacity-level admissibility on any device.
-func (s *Scheduler) bestLocked(k int, footprint int64, homeBox int, forQueue bool) (int, float64, bool) {
-	return s.bestTriedLocked(k, footprint, homeBox, forQueue, 0)
-}
-
 // taskWeight normalizes a task's tenant weight for cost scaling.
 func taskWeight(t *Task) float64 {
 	if t == nil || t.Weight <= 0 {
@@ -314,23 +295,18 @@ func (s *Scheduler) RetryAfter(di int) time.Duration {
 // hints). Every successful Place must be paired with exactly one
 // Release.
 func (s *Scheduler) Place(k int, footprint int64, homeBox int) (int, error) {
-	return s.PlaceTraced(k, footprint, homeBox, nil)
+	return s.PlaceWeighted(k, footprint, homeBox, 1, nil)
 }
 
-// PlaceTraced is Place recording the decision on a job timeline: the
+// PlaceWeighted is Place carrying the tenant's dispatch weight into the
+// Eq. 2 cost and recording the decision on a job timeline. The weight
+// divides each device's EWMA-backlog term, so a weight-w tenant's jobs
+// see queue wait at 1/w and its backlog drains faster fleet-wide; weight
+// ≤ 0 (and exactly 1) price identically to Place. The timeline gets the
 // winning device with its Eq. 2 cost, plus every scored or rejected
 // alternative (typed reject reasons), so each placement is explainable
 // after the fact. A nil job traces nothing; the hot path stays
 // allocation-free either way (the explain scratch lives in the scheduler).
-func (s *Scheduler) PlaceTraced(k int, footprint int64, homeBox int, j *jobtrace.Job) (int, error) {
-	return s.PlaceWeighted(k, footprint, homeBox, 1, j)
-}
-
-// PlaceWeighted is PlaceTraced carrying the tenant's dispatch weight
-// into the Eq. 2 cost: the weight divides each device's EWMA-backlog
-// term, so a weight-w tenant's jobs see queue wait at 1/w and its
-// backlog drains faster fleet-wide. weight ≤ 0 (and exactly 1) price
-// identically to PlaceTraced.
 func (s *Scheduler) PlaceWeighted(k int, footprint int64, homeBox int, weight float64, j *jobtrace.Job) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,16 +344,13 @@ func (s *Scheduler) explainFor(j *jobtrace.Job) *jobtrace.Explain {
 	return &s.ex
 }
 
-// bestTriedLocked is bestLocked minus the devices in the tried bitmask.
-func (s *Scheduler) bestTriedLocked(k int, footprint int64, homeBox int, forQueue bool, tried uint64) (int, float64, bool) {
-	return s.bestExplainLocked(k, footprint, homeBox, forQueue, tried, 1, nil)
-}
-
-// bestExplainLocked selects the cheapest admissible device, classifying
-// every candidate it passes over: each rejection ticks the
-// fleet.placement_rejects counter with a typed reason (dead, probation,
-// no-fit, suspect, memory, queue-full), and — when ex is non-nil — lands
-// in the explain scratch alongside the scored losers' Eq. 2 costs.
+// bestExplainLocked selects the cheapest admissible device outside the
+// tried bitmask (ties break toward the lower index: placement is a pure
+// function of scheduler state), classifying every candidate it passes
+// over: each rejection ticks the fleet.placement_rejects counter with a
+// typed reason (dead, probation, no-fit, suspect, memory, queue-full), and
+// — when ex is non-nil — lands in the explain scratch alongside the scored
+// losers' Eq. 2 costs.
 //
 // Health prices into the decision instead of merely gating it. Dead
 // devices are never selectable. On the queue path (forQueue) Probation
@@ -496,18 +469,11 @@ func (s *Scheduler) observeLocked(di int, d time.Duration) {
 	s.devs[di].ewmaNanos = nw
 }
 
-// Enqueue places one task on the cheapest admissible device queue,
-// reserving its footprint there. The returned index is the chosen
-// device; the typed errors mirror serve's admission contract with
-// per-device hints.
-func (s *Scheduler) Enqueue(t *Task) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enqueueLocked(t)
-}
-
-// EnqueueBlocking is Enqueue with backpressure: an overloaded fleet
-// blocks the caller until capacity frees instead of rejecting — how the
+// EnqueueBlocking places one task on the cheapest admissible device
+// queue, reserving its footprint there, and returns the chosen device.
+// The typed errors mirror serve's admission contract with per-device
+// hints, but with backpressure: an overloaded fleet blocks the caller
+// until capacity frees instead of rejecting — how the
 // Engine feeds a solve's full job list through bounded queues. The wait
 // ends early when ctx is cancelled (returning ctx.Err()) and never
 // starts for a footprint no live device can ever fit — that fast-fails
@@ -612,16 +578,6 @@ func (s *Scheduler) inflightLocked() int64 {
 		q += int64(s.devs[i].inflight)
 	}
 	return q
-}
-
-// NextBatch pops device di's next batch without blocking: up to MaxBatch
-// queued jobs sharing the head job's k, stealing from the most-loaded
-// sibling first when di's own queue is empty. Returns nil when there is
-// nothing runnable on di. dst is reused as the batch backing array.
-func (s *Scheduler) NextBatch(di int, dst []*Task) []*Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextBatchLocked(di, dst)
 }
 
 // WaitBatch blocks until a batch is runnable on di or the scheduler
@@ -868,49 +824,6 @@ func (s *Scheduler) FailBatch(di int, batch []*Task, cause error, d time.Duratio
 	s.cond.Broadcast()
 }
 
-// CancelQueued removes a still-queued (or orphaned) task by ID,
-// releasing any reservation it holds and delivering context.Canceled to
-// its solve. It reports whether the task was found (false means a runner
-// already owns it).
-func (s *Scheduler) CancelQueued(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.devs {
-		d := &s.devs[i]
-		for j, t := range d.queue {
-			if t.ID != id {
-				continue
-			}
-			copy(d.queue[j:], d.queue[j+1:])
-			d.queue[len(d.queue)-1] = nil
-			d.queue = d.queue[:len(d.queue)-1]
-			t.done = true
-			d.dev.Release(t.Footprint)
-			s.releasedBytes += t.Footprint
-			s.cCancelled.Add(1)
-			s.deliverLocked(t, nil, context.Canceled, -1)
-			t.Job.Event(jobtrace.KindFail, i, "cancelled", 0)
-			s.log.printf(s.clock.Now(), "cancel id=%d dev=%d", id, i)
-			return true
-		}
-	}
-	for j, t := range s.orphans {
-		if t.ID != id {
-			continue
-		}
-		copy(s.orphans[j:], s.orphans[j+1:])
-		s.orphans[len(s.orphans)-1] = nil
-		s.orphans = s.orphans[:len(s.orphans)-1]
-		t.done = true // orphans hold no reservation: nothing to release
-		s.cCancelled.Add(1)
-		s.deliverLocked(t, nil, context.Canceled, -1)
-		t.Job.Event(jobtrace.KindFail, -1, "cancelled", 0)
-		s.log.printf(s.clock.Now(), "cancel id=%d orphan", id)
-		return true
-	}
-	return false
-}
-
 // Close drains the scheduler: every queued, in-flight, and orphaned task
 // is resolved with ErrClosed (its reservation released exactly once),
 // every reset channel fires so wedged runners unblock, and every blocked
@@ -967,28 +880,6 @@ func (s *Scheduler) QueueDepth(di int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.devs[di].queue)
-}
-
-// UsedTotal sums the fleet's outstanding ledger bytes.
-func (s *Scheduler) UsedTotal() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var u int64
-	for i := range s.devs {
-		u += s.devs[i].dev.Used()
-	}
-	return u
-}
-
-// Audit returns the reservation ledger totals: bytes reserved at
-// admission, bytes released at completion/cancellation, and the count of
-// double completions (always 0 under correct use). reserved == released
-// with every device's Used() at zero is the exactly-once-release
-// invariant the property suite pins.
-func (s *Scheduler) Audit() (reserved, released, doubleReleases int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reservedBytes, s.releasedBytes, s.doubleReleases
 }
 
 // Status snapshots every device for telemetry and the wire protocol.

@@ -45,7 +45,7 @@ func TestFleetNeverOvercommits(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			log := NewLog()
+			log := &Log{}
 			cfg := SimConfig{
 				Seed:    seed,
 				Devices: 2 + int(seed%5),
@@ -161,7 +161,7 @@ func TestStealDeterminism(t *testing.T) {
 	var steals int64
 	for seed := int64(0); seed < 20; seed++ {
 		cfg := SimConfig{Seed: seed, Devices: 3 + int(seed%3), Jobs: 60}
-		logA, logB := NewLog(), NewLog()
+		logA, logB := &Log{}, &Log{}
 		cfg.Log = logA
 		repA, err := RunSim(cfg)
 		if err != nil {

@@ -1,13 +1,21 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"lowcomm3d/internal/gpu"
+	"lowcomm3d/internal/obs/jobtrace"
 )
+
+// This file is the scheduler's test driver: RunSim, a seeded
+// single-threaded simulation on a SimClock, and the Scheduler entry points
+// only it and the property tests call. The fleet Engine drives the same
+// state machine through EnqueueBlocking, WaitBatch and its health monitor.
 
 // SimConfig seeds one deterministic scheduler simulation: a random fleet
 // (capacities, boxes) and a random job stream (arrival times, sub-domain
@@ -340,7 +348,7 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 				s.ReportDeviceFailure(i, errSimCrash)
 				continue
 			}
-			sec, err := cost.BatchSeconds(cfg.N, b[0].K, cfg.FarRate, len(b))
+			sec, err := batchSeconds(cost, cfg.N, b[0].K, cfg.FarRate, len(b))
 			if err != nil {
 				return nil, err
 			}
@@ -394,4 +402,162 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		rep.EndUsed[i] = d.Used()
 	}
 	return rep, nil
+}
+
+// SimClock is a manually-advanced clock. It is safe for concurrent use,
+// but deterministic traces require single-threaded driving (RunSim).
+// Production schedulers run on WallClock.
+type SimClock struct {
+	t atomic.Int64
+}
+
+// NewSimClock starts a simulated clock at the epoch.
+func NewSimClock() *SimClock { return &SimClock{} }
+
+// Now returns the current simulated instant.
+func (c *SimClock) Now() time.Time { return time.Unix(0, c.t.Load()) }
+
+// Advance moves the simulated clock forward by d (never backward).
+func (c *SimClock) Advance(d time.Duration) {
+	if d > 0 {
+		c.t.Add(int64(d))
+	}
+}
+
+// Enqueue places one task on the cheapest admissible device queue,
+// reserving its footprint there. The returned index is the chosen
+// device; the typed errors mirror serve's admission contract with
+// per-device hints.
+func (s *Scheduler) Enqueue(t *Task) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enqueueLocked(t)
+}
+
+// NextBatch pops device di's next batch without blocking: up to MaxBatch
+// queued jobs sharing the head job's k, stealing from the most-loaded
+// sibling first when di's own queue is empty. Returns nil when there is
+// nothing runnable on di. dst is reused as the batch backing array.
+func (s *Scheduler) NextBatch(di int, dst []*Task) []*Task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nextBatchLocked(di, dst)
+}
+
+// CancelQueued removes a still-queued (or orphaned) task by ID,
+// releasing any reservation it holds and delivering context.Canceled to
+// its solve. It reports whether the task was found (false means a runner
+// already owns it).
+func (s *Scheduler) CancelQueued(id uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.devs {
+		d := &s.devs[i]
+		for j, t := range d.queue {
+			if t.ID != id {
+				continue
+			}
+			copy(d.queue[j:], d.queue[j+1:])
+			d.queue[len(d.queue)-1] = nil
+			d.queue = d.queue[:len(d.queue)-1]
+			t.done = true
+			d.dev.Release(t.Footprint)
+			s.releasedBytes += t.Footprint
+			s.cCancelled.Add(1)
+			s.deliverLocked(t, nil, context.Canceled, -1)
+			t.Job.Event(jobtrace.KindFail, i, "cancelled", 0)
+			s.log.printf(s.clock.Now(), "cancel id=%d dev=%d", id, i)
+			return true
+		}
+	}
+	for j, t := range s.orphans {
+		if t.ID != id {
+			continue
+		}
+		copy(s.orphans[j:], s.orphans[j+1:])
+		s.orphans[len(s.orphans)-1] = nil
+		s.orphans = s.orphans[:len(s.orphans)-1]
+		t.done = true // orphans hold no reservation: nothing to release
+		s.cCancelled.Add(1)
+		s.deliverLocked(t, nil, context.Canceled, -1)
+		t.Job.Event(jobtrace.KindFail, -1, "cancelled", 0)
+		s.log.printf(s.clock.Now(), "cancel id=%d orphan", id)
+		return true
+	}
+	return false
+}
+
+// Audit returns the reservation ledger totals: bytes reserved at
+// admission, bytes released at completion/cancellation, and the count of
+// double completions (always 0 under correct use). reserved == released
+// with every device's Used() at zero is the exactly-once-release
+// invariant the property suite pins.
+func (s *Scheduler) Audit() (reserved, released, doubleReleases int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reservedBytes, s.releasedBytes, s.doubleReleases
+}
+
+// DeviceHealth returns device di's current supervision state.
+func (s *Scheduler) DeviceHealth(di int) Health {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.devs[di].health
+}
+
+// NextHealthEvent returns the earliest instant at which CheckHealth
+// could change state — a running batch's suspect or dead deadline, or a
+// quarantined device's next probe due time. ok is false when no health
+// event is pending, so event-driven drivers (RunSim) can skip straight
+// to the next meaningful check instead of polling.
+func (s *Scheduler) NextHealthEvent() (at time.Time, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	add := func(t time.Time) {
+		if !ok || t.Before(at) {
+			at, ok = t, true
+		}
+	}
+	for i := range s.devs {
+		d := &s.devs[i]
+		switch d.health {
+		case Healthy:
+			if len(d.running) > 0 {
+				add(d.suspectAt)
+			}
+		case Suspect:
+			if len(d.running) > 0 {
+				add(d.deadAt)
+			}
+		case Dead, Probation:
+			add(d.nextProbe)
+		}
+	}
+	return at, ok
+}
+
+func (f *FaultSchedule) slowFactor() float64 {
+	if f == nil || f.SlowFactor <= 0 {
+		return 4
+	}
+	return f.SlowFactor
+}
+
+// batchSeconds models admitting `jobs` compatible k³ jobs as ONE batched
+// run, the simulated duration of a batch: every job's pencil stage
+// launches at the combined dial BatchDial·jobs, so per-launch utilization
+// rises and launch gaps amortize across tenants — the §5.4 batch-dial
+// gain applied across jobs. Because the utilization curve is monotone in
+// work per launch, batchSeconds never exceeds jobs × ComputeSeconds (the
+// amortization inequality TestPlacementCostMonotone pins against the
+// gpu.DGX2BatchStudy rows).
+func batchSeconds(m CostModel, n, k, far, jobs int) (float64, error) {
+	if jobs < 1 {
+		return 0, fmt.Errorf("fleet: batch of %d jobs", jobs)
+	}
+	per, err := m.Perf.GPULocalConvSeconds(n, k, far, m.BatchDial*jobs)
+	if err != nil {
+		return 0, err
+	}
+	return float64(jobs) * per, nil
 }

@@ -293,8 +293,3 @@ func Table2() ([]Table2Row, error) {
 	}
 	return rows, nil
 }
-
-// GBString formats bytes as the paper's binary gigabytes.
-func GBString(b int64) string {
-	return fmt.Sprintf("%.2f", float64(b)/GiB)
-}

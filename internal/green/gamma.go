@@ -84,26 +84,6 @@ func (g Gamma) ApplyAt(d grid.Dim3, kx, ky, kz int, s grid.SymTensor) grid.SymTe
 // even length-n transform.
 func nyquist(n, k int) bool { return n%2 == 0 && k == n/2 }
 
-// Component returns the raw tensor entry Γ̂_ijkl(ξ) from Eq. 3, used by
-// tests to validate Apply against the definition.
-func (g Gamma) Component(xi [3]float64, i, j, k, l int) float64 {
-	q := xi[0]*xi[0] + xi[1]*xi[1] + xi[2]*xi[2]
-	if q == 0 {
-		return 0
-	}
-	d := func(a, b int) float64 {
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	first := (d(k, i)*xi[l]*xi[j] + d(l, i)*xi[k]*xi[j] +
-		d(k, j)*xi[l]*xi[i] + d(l, j)*xi[k]*xi[i]) / (4 * g.Mu0 * q)
-	second := (g.Lambda0 + g.Mu0) / (g.Mu0 * (g.Lambda0 + 2*g.Mu0)) *
-		xi[i] * xi[j] * xi[k] * xi[l] / (q * q)
-	return first - second
-}
-
 // IsotropicStress applies the isotropic Hooke's law σ = λ·tr(ε)·I + 2μ·ε.
 func IsotropicStress(lambda, mu float64, eps grid.SymTensor) grid.SymTensor {
 	tr := eps.Trace()
@@ -123,22 +103,4 @@ func LameFromENu(e, nu float64) (lambda, mu float64) {
 	lambda = e * nu / ((1 + nu) * (1 - 2*nu))
 	mu = e / (2 * (1 + nu))
 	return
-}
-
-// IsotropicInverse applies the inverse of the isotropic stiffness with
-// Lamé coefficients (λ, μ) to a symmetric tensor: it solves
-// λ·tr(e)·I + 2μ·e = s for e. Used by the accelerated (Eyre–Milton)
-// scheme, which needs (C(x)+C⁰)⁻¹ voxelwise.
-func IsotropicInverse(lambda, mu float64, s grid.SymTensor) grid.SymTensor {
-	tr := s.Trace()
-	// tr(e) = tr(s)/(3λ+2μ); e = (s − λ·tr(e)·I)/(2μ).
-	trE := tr / (3*lambda + 2*mu)
-	var e grid.SymTensor
-	for v := 0; v < grid.NumVoigt; v++ {
-		e[v] = s[v] / (2 * mu)
-		if v < 3 {
-			e[v] -= lambda * trE / (2 * mu)
-		}
-	}
-	return e
 }

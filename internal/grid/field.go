@@ -42,15 +42,6 @@ func (f *Field) Clone() *Field {
 	return g
 }
 
-// CopyFrom copies the contents of g into f; the dimensions must match.
-func (f *Field) CopyFrom(g *Field) error {
-	if f.Dim != g.Dim {
-		return fmt.Errorf("grid: copy dimension mismatch %v != %v", f.Dim, g.Dim)
-	}
-	copy(f.Data, g.Data)
-	return nil
-}
-
 // AddScaled computes f += s*g pointwise; the dimensions must match.
 func (f *Field) AddScaled(s float64, g *Field) error {
 	if f.Dim != g.Dim {
@@ -60,26 +51,6 @@ func (f *Field) AddScaled(s float64, g *Field) error {
 		f.Data[i] += s * v
 	}
 	return nil
-}
-
-// Norm2 returns the L2 norm sqrt(Σ f²).
-func (f *Field) Norm2() float64 {
-	s := 0.0
-	for _, v := range f.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute value on the grid.
-func (f *Field) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range f.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Sum returns Σ f over the grid.
@@ -204,18 +175,6 @@ func (f *ComplexField) Real() *Field {
 		g.Data[i] = real(v)
 	}
 	return g
-}
-
-// MaxImagAbs returns the largest |Im| over the grid, a diagnostic for
-// results that should be purely real.
-func (f *ComplexField) MaxImagAbs() float64 {
-	m := 0.0
-	for _, v := range f.Data {
-		if a := math.Abs(imag(v)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // FromReal builds a complex field from a real one (imaginary parts zero).

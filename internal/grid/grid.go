@@ -41,11 +41,6 @@ func (d Dim3) Coords(i int) (x, y, z int) {
 	return
 }
 
-// InBounds reports whether (x, y, z) lies inside the grid.
-func (d Dim3) InBounds(x, y, z int) bool {
-	return x >= 0 && x < d.Nx && y >= 0 && y < d.Ny && z >= 0 && z < d.Nz
-}
-
 // Bounds returns the box covering the whole grid.
 func (d Dim3) Bounds() Box { return Box{Lo: Point{0, 0, 0}, Hi: Point{d.Nx, d.Ny, d.Nz}} }
 
@@ -82,13 +77,6 @@ func (b Box) Volume() int {
 // Empty reports whether the box contains no lattice points.
 func (b Box) Empty() bool { return b.Volume() == 0 }
 
-// Contains reports whether (x, y, z) lies inside the box.
-func (b Box) Contains(x, y, z int) bool {
-	return x >= b.Lo[0] && x < b.Hi[0] &&
-		y >= b.Lo[1] && y < b.Hi[1] &&
-		z >= b.Lo[2] && z < b.Hi[2]
-}
-
 // ContainsBox reports whether every point of c lies inside b.
 func (b Box) ContainsBox(c Box) bool {
 	if c.Empty() {
@@ -115,60 +103,12 @@ func (b Box) Intersect(c Box) Box {
 // Overlaps reports whether b and c share at least one lattice point.
 func (b Box) Overlaps(c Box) bool { return !b.Intersect(c).Empty() }
 
-// ChebyshevDist returns the L∞ lattice distance from (x, y, z) to the box
-// (zero if the point is inside).
-func (b Box) ChebyshevDist(x, y, z int) int {
-	d := 0
-	p := [3]int{x, y, z}
-	for i := 0; i < 3; i++ {
-		if p[i] < b.Lo[i] {
-			if v := b.Lo[i] - p[i]; v > d {
-				d = v
-			}
-		} else if p[i] >= b.Hi[i] {
-			if v := p[i] - (b.Hi[i] - 1); v > d {
-				d = v
-			}
-		}
-	}
-	return d
-}
-
-// ChebyshevDistBox returns the minimum L∞ lattice distance between any
-// point of b and any point of c (zero if they overlap).
-func (b Box) ChebyshevDistBox(c Box) int {
-	d := 0
-	for i := 0; i < 3; i++ {
-		var v int
-		switch {
-		case c.Hi[i] <= b.Lo[i]:
-			v = b.Lo[i] - (c.Hi[i] - 1)
-		case c.Lo[i] >= b.Hi[i]:
-			v = c.Lo[i] - (b.Hi[i] - 1)
-		}
-		if v > d {
-			d = v
-		}
-	}
-	return d
-}
-
-// TorusDist returns the L∞ lattice distance from (x, y, z) to the box on the
-// periodic grid d (zero if the point is inside): every transform in the
-// library is cyclic, so a point by one face of the grid is near a box on
-// the opposite face. The box and the point lie inside d.
-func (b Box) TorusDist(d Dim3, x, y, z int) int {
-	n, p := [3]int{d.Nx, d.Ny, d.Nz}, [3]int{x, y, z}
-	m := 0
-	for i := range n {
-		m = max(m, ringDist(n[i], b.Lo[i], b.Hi[i], p[i]))
-	}
-	return m
-}
-
-// TorusDistRange returns the minimum and maximum of TorusDist over the
-// points of c. The distance is the largest per-axis ring distance, so both
-// extremes are separable: each is the largest of the per-axis extremes.
+// TorusDistRange returns the minimum and maximum over the points of c of
+// their L∞ lattice distance to the box on the periodic grid d (zero
+// inside): every transform in the library is cyclic, so a point by one
+// face of the grid is near a box on the opposite face. The distance is the
+// largest per-axis ring distance, so both extremes are separable: each is
+// the largest of the per-axis extremes. Both boxes lie inside d.
 func (b Box) TorusDistRange(d Dim3, c Box) (lo, hi int) {
 	n := [3]int{d.Nx, d.Ny, d.Nz}
 	for i := range n {

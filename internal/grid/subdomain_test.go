@@ -91,7 +91,7 @@ func TestDecomposeAdaptiveSparse(t *testing.T) {
 	if s := b.Size(); s[0] != 4 {
 		t.Fatalf("box size %v want 4", s)
 	}
-	if !b.Contains(5, 9, 17) {
+	if !b.ContainsBox(BoxAt(Point{5, 9, 17}, 1, 1, 1)) {
 		t.Fatalf("box %v misses the active point", b)
 	}
 }

@@ -74,15 +74,6 @@ func (t SymTensor) Sub(u SymTensor) SymTensor {
 	return r
 }
 
-// Scale returns s·t.
-func (t SymTensor) Scale(s float64) SymTensor {
-	var r SymTensor
-	for v := range r {
-		r[v] = s * t[v]
-	}
-	return r
-}
-
 // Trace returns t11 + t22 + t33.
 func (t SymTensor) Trace() float64 { return t[VXX] + t[VYY] + t[VZZ] }
 
@@ -167,22 +158,6 @@ func (t *TensorField) Mean() SymTensor {
 		s[v] = t.Comp[v].Mean()
 	}
 	return s
-}
-
-// Norm2 returns the global L2 norm over all components, with off-diagonal
-// components weighted twice (full-tensor Frobenius convention).
-func (t *TensorField) Norm2() float64 {
-	s := 0.0
-	for v := range t.Comp {
-		w := 1.0
-		if v >= VYZ {
-			w = 2.0
-		}
-		for _, x := range t.Comp[v].Data {
-			s += w * x * x
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // RelL2Tensor returns ‖t−u‖₂/‖u‖₂ over all components.

@@ -161,9 +161,6 @@ func (m *Microstructure) SetAnisotropic(stiff []Stiffness) error {
 	return nil
 }
 
-// Anisotropic reports whether a full stiffness law is attached.
-func (m *Microstructure) Anisotropic() bool { return m.aniso != nil }
-
 // RandomOrientedPolycrystal builds a Voronoi polycrystal of numGrains
 // grains, each carrying the crystal stiffness in an independent random
 // orientation. One phase slot per grain; the isotropic reference phase ref

@@ -39,10 +39,10 @@ func TestSetSphereVolumeFraction(t *testing.T) {
 	if f < 0.04 || f > 0.1 {
 		t.Errorf("sphere volume fraction %g out of range", f)
 	}
-	if got := m.PhaseAt(8, 8, 8); got != p1 {
+	if got := m.Phases[m.Index[m.Dim.Index(8, 8, 8)]]; got != p1 {
 		t.Error("center must be inclusion phase")
 	}
-	if got := m.PhaseAt(0, 0, 0); got != p0 {
+	if got := m.Phases[m.Index[m.Dim.Index(0, 0, 0)]]; got != p0 {
 		t.Error("corner must be matrix phase")
 	}
 	if err := m.SetSphere(grid.Point{0, 0, 0}, 1, 9); err == nil {

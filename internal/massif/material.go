@@ -56,11 +56,6 @@ func NewMicrostructure(d grid.Dim3, phases ...Phase) (*Microstructure, error) {
 	}, nil
 }
 
-// PhaseAt returns the phase of voxel (x, y, z).
-func (m *Microstructure) PhaseAt(x, y, z int) Phase {
-	return m.Phases[m.Index[m.Dim.Index(x, y, z)]]
-}
-
 // SetSphere assigns phase p to every voxel within radius r of center c —
 // the classic spherical-inclusion benchmark microstructure.
 func (m *Microstructure) SetSphere(c grid.Point, r float64, p uint8) error {

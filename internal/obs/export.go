@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 )
@@ -67,41 +66,4 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// WriteText writes a flat human-readable summary: spans aggregated by
-// name (calls, total, min, max) followed by counters and gauges in
-// registration order. Nil-safe.
-func (t *Trace) WriteText(w io.Writer) error {
-	if t == nil {
-		_, err := fmt.Fprintln(w, "(no trace)")
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-32s %8s %14s %14s %14s\n", "span", "calls", "total", "min", "max"); err != nil {
-		return err
-	}
-	for _, a := range t.Aggregate() {
-		if _, err := fmt.Fprintf(w, "%-32s %8d %14s %14s %14s\n",
-			a.Name, a.Calls, a.Total, a.Min, a.Max); err != nil {
-			return err
-		}
-	}
-	for _, c := range t.Counters() {
-		if _, err := fmt.Fprintf(w, "%-32s %23d\n", c.Name, c.Value); err != nil {
-			return err
-		}
-	}
-	for _, g := range t.Gauges() {
-		if _, err := fmt.Fprintf(w, "%-32s %23d (high water)\n", g.Name, g.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range t.Histograms() {
-		hh := t.Histogram(h.Name)
-		if _, err := fmt.Fprintf(w, "%-32s %8d obs %12s p50 %12s p99 %12s max\n",
-			h.Name, h.Count, hh.Quantile(0.5), hh.Quantile(0.99), hh.Quantile(1)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

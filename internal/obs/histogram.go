@@ -18,7 +18,7 @@ const histSlots = 64
 // ~0.5 KiB of atomics: Observe is lock-free and allocation-free, cheap
 // enough for per-collective and per-pencil-batch hot paths.
 //
-// Reads (Count, Sum, Quantile, snapshots) are weakly consistent under
+// Reads (Count, Sum, Mean, snapshots) are weakly consistent under
 // concurrent Observe: they may see a count that is one observation ahead
 // of the buckets or vice versa, but never a torn value. Nil-safe like
 // every obs primitive: all methods on a nil *Histogram are no-ops.
@@ -82,38 +82,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sum.Load() / n)
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) as the upper bound of the
-// bucket holding the target rank — a conservative (over-)estimate with at
-// most 2× relative error, which is what straggler cutoffs and alert
-// thresholds want. Nil-safe (zero); zero when empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histSlots; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return time.Duration(bucketUpperNs(i))
-		}
-	}
-	return time.Duration(bucketUpperNs(histSlots - 1))
 }
 
 // HistogramBucket is one non-empty bucket of a snapshot: the inclusive

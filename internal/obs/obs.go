@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,17 +208,6 @@ func (t *Trace) CounterValue(name string) int64 {
 	return c.Value()
 }
 
-// GaugeValue returns the named gauge's high-water mark, zero if absent.
-func (t *Trace) GaugeValue(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	g := t.gauges[name]
-	t.mu.Unlock()
-	return g.Value()
-}
-
 // Spans returns a copy of every completed span. Nil-safe.
 func (t *Trace) Spans() []SpanRecord {
 	if t == nil {
@@ -229,60 +217,6 @@ func (t *Trace) Spans() []SpanRecord {
 	defer t.mu.Unlock()
 	out := make([]SpanRecord, len(t.spans))
 	copy(out, t.spans)
-	return out
-}
-
-// SpanTotal sums the durations of all completed spans with the given name.
-func (t *Trace) SpanTotal(name string) time.Duration {
-	var total time.Duration
-	for _, s := range t.Spans() {
-		if s.Name == name {
-			total += s.Dur
-		}
-	}
-	return total
-}
-
-// SpanAgg is the per-name aggregate of completed spans.
-type SpanAgg struct {
-	Name  string
-	Calls int64
-	Total time.Duration
-	Min   time.Duration
-	Max   time.Duration
-}
-
-// Aggregate groups completed spans by name, sorted by total time
-// descending (ties broken by name for determinism).
-func (t *Trace) Aggregate() []SpanAgg {
-	byName := map[string]*SpanAgg{}
-	var names []string
-	for _, s := range t.Spans() {
-		a, ok := byName[s.Name]
-		if !ok {
-			a = &SpanAgg{Name: s.Name, Min: s.Dur, Max: s.Dur}
-			byName[s.Name] = a
-			names = append(names, s.Name)
-		}
-		a.Calls++
-		a.Total += s.Dur
-		if s.Dur < a.Min {
-			a.Min = s.Dur
-		}
-		if s.Dur > a.Max {
-			a.Max = s.Dur
-		}
-	}
-	out := make([]SpanAgg, 0, len(names))
-	for _, n := range names {
-		out = append(out, *byName[n])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 

@@ -277,20 +277,8 @@ func (t *Tree) CellOffsets() []int {
 	return off
 }
 
-// FindCell returns the index of the cell containing (x, y, z), or -1, by a
-// linear scan over the cells: no index to build, fine for a handful of
-// queries. Use a Locator to query many points against a large tree.
-func (t *Tree) FindCell(x, y, z int) int {
-	for i, c := range t.Cells {
-		if c.Box.Contains(x, y, z) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Locator answers point-location queries in O(tree depth) by descending
-// the implicit octree, instead of FindCell's linear scan — worthwhile when
+// the implicit octree, instead of a linear scan over the cells — worthwhile when
 // querying many points against a large adaptive tree (rendering,
 // per-voxel rate lookups).
 type Locator struct {

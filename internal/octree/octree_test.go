@@ -7,6 +7,33 @@ import (
 	"lowcomm3d/internal/grid"
 )
 
+// FindCell returns the index of the cell containing (x, y, z), or -1, by a
+// linear scan over the cells: the reference the Locator is held to.
+func (t *Tree) FindCell(x, y, z int) int {
+	for i, c := range t.Cells {
+		if c.Box.ContainsBox(grid.BoxAt(grid.Point{x, y, z}, 1, 1, 1)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// chebyshevDistBox returns the minimum L∞ lattice distance between any
+// point of b and any point of c (zero if they overlap): the shells of the
+// test trees' rate functions.
+func chebyshevDistBox(b, c grid.Box) int {
+	d := 0
+	for i := 0; i < 3; i++ {
+		switch {
+		case c.Hi[i] <= b.Lo[i]:
+			d = max(d, b.Lo[i]-(c.Hi[i]-1))
+		case c.Lo[i] >= b.Hi[i]:
+			d = max(d, c.Lo[i]-(b.Hi[i]-1))
+		}
+	}
+	return d
+}
+
 // uniformRate returns a RateFunc emitting fixed-rate cells of the given
 // cell size.
 func uniformRate(cellSize, rate int) RateFunc {
@@ -200,7 +227,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			return 1
 		case sub.Overlaps(b):
 			return 0
-		case sub.ChebyshevDistBox(b) <= 4:
+		case chebyshevDistBox(sub, b) <= 4:
 			return 2
 		default:
 			return 8
@@ -260,9 +287,9 @@ func TestMetadataBytesSmall(t *testing.T) {
 			return 1
 		case sub.Overlaps(b):
 			return 0
-		case sub.ChebyshevDistBox(b) <= 16:
+		case chebyshevDistBox(sub, b) <= 16:
 			return 2
-		case sub.ChebyshevDistBox(b) <= 128:
+		case chebyshevDistBox(sub, b) <= 128:
 			return 8
 		default:
 			return 16
@@ -307,7 +334,7 @@ func TestValidateRejectsOffLatticeCell(t *testing.T) {
 	off := grid.CubeAt(grid.Point{1, 1, 1}, 2)
 	tr := &Tree{Dim: grid.Cube(3), Cells: []Cell{{Box: off, Rate: 1}}}
 	grid.Cube(3).Bounds().ForEach(func(x, y, z int) {
-		if !off.Contains(x, y, z) {
+		if !off.ContainsBox(grid.CubeAt(grid.Point{x, y, z}, 1)) {
 			tr.Cells = append(tr.Cells, Cell{Box: grid.CubeAt(grid.Point{x, y, z}, 1), Rate: 1})
 		}
 	})
@@ -340,7 +367,7 @@ func TestLocatorMatchesFindCell(t *testing.T) {
 			return 1
 		case sub.Overlaps(b):
 			return 0
-		case sub.ChebyshevDistBox(b) <= 4:
+		case chebyshevDistBox(sub, b) <= 4:
 			return 2
 		default:
 			return 8
@@ -376,7 +403,7 @@ func locatorTree(tb testing.TB) *Tree {
 			return 1
 		case sub.Overlaps(bx):
 			return 0
-		case sub.ChebyshevDistBox(bx) <= 16:
+		case chebyshevDistBox(sub, bx) <= 16:
 			return 2
 		default:
 			return 8

@@ -58,28 +58,6 @@ func ChunkAt(stream []byte, from int64, size int) (Chunk, error) {
 	return Chunk{Offset: from, Total: total, CRC: crc32.Checksum(p, chunkCRC), Payload: p}, nil
 }
 
-// ChunkStream cuts an encoded stream into CRC-stamped chunks of at most
-// size payload bytes (DefaultChunkBytes when size ≤ 0), starting at byte
-// offset from — the resume path passes the receiver's ack offset. Chunks
-// alias the stream; they are views, not copies.
-func ChunkStream(stream []byte, from int64, size int) ([]Chunk, error) {
-	if from < 0 || from > int64(len(stream)) {
-		return nil, fmt.Errorf("sample: chunk offset %d outside stream of %d bytes", from, len(stream))
-	}
-	if size <= 0 {
-		size = DefaultChunkBytes
-	}
-	var out []Chunk
-	for off := from; off < int64(len(stream)); off += int64(size) {
-		ch, err := ChunkAt(stream, off, size)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ch)
-	}
-	return out, nil
-}
-
 // Assembler reassembles a chunked stream on the receiving side. It
 // accepts chunks strictly in stream order, skipping exact replays (a
 // resume may legitimately re-deliver bytes the receiver already holds),

@@ -24,6 +24,20 @@ func chunkTestCompressed(t *testing.T) *Compressed {
 	return c
 }
 
+// chunkStream cuts stream into the chunks ChunkAt returns from byte
+// offset from on, as a sender walks the stream.
+func chunkStream(stream []byte, from int64, size int) ([]Chunk, error) {
+	var out []Chunk
+	for off := from; off < int64(len(stream)); off += int64(size) {
+		ch, err := ChunkAt(stream, off, size)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ch)
+	}
+	return out, nil
+}
+
 // TestChunkRoundTrip pins the chunked wire path end to end: encode, cut
 // into chunks, reassemble, decode — byte- and sample-identical.
 func TestChunkRoundTrip(t *testing.T) {
@@ -33,7 +47,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []int{1, 7, 64, 1 << 20} {
-		chunks, err := ChunkStream(stream, 0, size)
+		chunks, err := chunkStream(stream, 0, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +84,7 @@ func TestChunkResumeFromOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ChunkStream(stream, 0, 128)
+	first, err := chunkStream(stream, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +99,7 @@ func TestChunkResumeFromOffset(t *testing.T) {
 		t.Fatalf("ack offset = %d, want %d", ack, 3*128)
 	}
 	// Server resumes from one chunk before the ack (replay tolerated).
-	resumed, err := ChunkStream(stream, ack-128, 128)
+	resumed, err := chunkStream(stream, ack-128, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +122,7 @@ func TestAssemblerRejectsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := ChunkStream(stream, 0, 256)
+	chunks, err := chunkStream(stream, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,6 @@ type Patch struct {
 	Samples []float64
 }
 
-// AddToRegion accumulates scale × the patch's trilinear reconstruction,
-// restricted to region, into dst.
-func (p Patch) AddToRegion(dst *grid.Field, region grid.Box, scale float64) error {
-	return AddPatches(dst, grid.Point{}, region, []Patch{p}, scale)
-}
-
 // NearestReconstruct reconstructs using nearest-lattice-point values
 // instead of trilinear interpolation — the interpolation ablation
 // baseline.

@@ -29,7 +29,7 @@ func FuzzPatchCodec(f *testing.F) {
 		add := func(groups [][]Patch) {
 			for _, ps := range groups {
 				for _, p := range ps {
-					if err := p.AddToRegion(dst, dst.Dim.Bounds(), 1); err != nil {
+					if err := AddPatches(dst, grid.Point{}, dst.Dim.Bounds(), []Patch{p}, 1); err != nil {
 						t.Fatalf("decoded patch %v does not add: %v", p.Cell, err)
 					}
 				}

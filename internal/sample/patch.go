@@ -26,14 +26,6 @@ func (c *Compressed) Patches(region grid.Box) []Patch {
 	return out
 }
 
-// AddToSubField accumulates scale × the patch's reconstruction into a
-// local sub-field: dst covers the grid region [origin, origin+dst.Dim).
-// This is what a distributed worker holding only its own sub-domains uses
-// to apply a received patch without materializing the global grid.
-func (p Patch) AddToSubField(dst *grid.Field, origin grid.Point, scale float64) error {
-	return AddPatches(dst, origin, grid.BoxAt(origin, dst.Dim.Nx, dst.Dim.Ny, dst.Dim.Nz), []Patch{p}, scale)
-}
-
 // patchHeader is the per-patch wire prefix: lo.x, lo.y, lo.z, size, rate,
 // sampleCount — mirroring the paper's five-integer octree metadata plus an
 // explicit count for framing.

@@ -56,15 +56,6 @@ func (p Policy) Validate() error {
 // K returns the sub-domain edge length.
 func (p Policy) K() int { return p.Sub.Hi[0] - p.Sub.Lo[0] }
 
-// RateAt returns the sampling rate at a single grid point of a d-sized
-// grid, the pointwise reference for the box-level RateFunc.
-func (p Policy) RateAt(d grid.Dim3, x, y, z int) int {
-	if p.Sub.Contains(x, y, z) {
-		return 1
-	}
-	return p.baseRate(p.Sub.TorusDist(d, x, y, z))
-}
-
 func (p Policy) baseRate(dist int) int {
 	k := p.K()
 	switch {

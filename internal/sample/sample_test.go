@@ -34,6 +34,16 @@ func TestPolicyValidateErrors(t *testing.T) {
 	}
 }
 
+// RateAt returns the sampling rate at a single grid point of a d-sized
+// grid, the pointwise reference the box-level RateFunc is held to.
+func (p Policy) RateAt(d grid.Dim3, x, y, z int) int {
+	dist, _ := p.Sub.TorusDistRange(d, grid.BoxAt(grid.Point{x, y, z}, 1, 1, 1))
+	if dist == 0 {
+		return 1
+	}
+	return p.baseRate(dist)
+}
+
 func TestRateAtRegions(t *testing.T) {
 	// 64³ grid, 16³ sub-domain at (16,16,16): k=16, thresholds k/2=8, 4k=64.
 	d := grid.Cube(64)
@@ -139,12 +149,13 @@ func TestPolicyTreeSubdomainFullResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.ForEach(func(x, y, z int) {
-		ci := tree.FindCell(x, y, z)
-		if ci < 0 || tree.Cells[ci].Rate != 1 {
-			t.Fatalf("sub-domain point (%d,%d,%d) not at full resolution", x, y, z)
+	// The cells tile the grid, so every sub-domain point is at full
+	// resolution when every cell that meets the sub-domain is.
+	for _, cell := range tree.Cells {
+		if cell.Box.Overlaps(sub) && cell.Rate != 1 {
+			t.Fatalf("cell %v meets the sub-domain at rate %d, want 1", cell.Box, cell.Rate)
 		}
-	})
+	}
 }
 
 func TestPolicyTreeCompresses(t *testing.T) {
@@ -448,7 +459,7 @@ func TestDecodePatchesMalformed(t *testing.T) {
 // lyingPatchMessages are headers that once crashed the decoder: a patch
 // count that sized a 10¹²-entry allocation (a fatal, unrecoverable
 // out-of-memory), and a 2²²−1 cell whose (size/rate+1)³ lattice count
-// wrapped to the 0 samples that followed, so AddToRegion sliced past them.
+// wrapped to the 0 samples that followed, so the accumulation sliced past them.
 var lyingPatchMessages = [][]float64{
 	{1e12},
 	{1, 0, 0, 0, 1<<22 - 1, 1, 0},
@@ -570,7 +581,7 @@ func TestComponentPatchCodecRoundTrip(t *testing.T) {
 
 func TestAddToSubFieldMatchesGlobal(t *testing.T) {
 	// Applying a patch to a local sub-field view must equal the global
-	// AddToRegion restricted to that region.
+	// accumulation restricted to that region.
 	d := grid.Cube(32)
 	sub := grid.CubeAt(grid.Point{8, 8, 8}, 8)
 	tree, err := DefaultPolicy(sub, 8).Tree(d)
@@ -588,10 +599,10 @@ func TestAddToSubFieldMatchesGlobal(t *testing.T) {
 	globalDst := grid.NewField(d)
 	localDst := grid.NewField(kd)
 	for _, p := range c.Patches(region) {
-		if err := p.AddToRegion(globalDst, region, 1); err != nil {
+		if err := AddPatches(globalDst, grid.Point{}, region, []Patch{p}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddToSubField(localDst, origin, 1); err != nil {
+		if err := AddPatches(localDst, origin, region, []Patch{p}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -726,8 +737,8 @@ func sameBits(t *testing.T, what string, got, want *grid.Field) {
 }
 
 // TestKernelMatchesFormula holds the separable kernel to the bits of the
-// per-voxel formula, through AddToRegion on the whole grid and through
-// AddToSubField on a window that is exactly the clip, onto non-zero data.
+// per-voxel formula, through AddPatches on the whole grid and on a window
+// that is exactly the clip, onto non-zero data.
 func TestKernelMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, kc := range kernelCases(rng) {
@@ -737,23 +748,23 @@ func TestKernelMatchesFormula(t *testing.T) {
 			oracleAddClip(kc.patch, want, grid.Point{}, kc.clip, scale)
 
 			got := base.Clone()
-			if err := kc.patch.AddToRegion(got, kc.clip, scale); err != nil {
+			if err := AddPatches(got, grid.Point{}, kc.clip, []Patch{kc.patch}, scale); err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, kc.name+" AddToRegion", got, want)
+			sameBits(t, kc.name+" whole grid", got, want)
 
 			window, err := base.ExtractBox(kc.clip)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := kc.patch.AddToSubField(window, kc.clip.Lo, scale); err != nil {
+			if err := AddPatches(window, kc.clip.Lo, kc.clip, []Patch{kc.patch}, scale); err != nil {
 				t.Fatal(err)
 			}
 			wantWindow, err := want.ExtractBox(kc.clip)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, kc.name+" AddToSubField", window, wantWindow)
+			sameBits(t, kc.name+" window", window, wantWindow)
 		}
 	}
 }

@@ -40,10 +40,8 @@ type Options struct {
 	Kernel  green.Kernel // frequency-domain kernel applied to every job
 	FarRate int          // far-field sampling rate (≤0: 16)
 
-	Workers         int // engine worker goroutines (≤0: GOMAXPROCS)
-	PipelineWorkers int // fft workers inside each pipeline (≤0: 1 — jobs parallelize across engine workers instead)
-	QueueDepth      int // max admitted-but-unstarted jobs (≤0: 64)
-	Pipelines       int // per-box pipeline LRU capacity (≤0: 64)
+	Workers    int // engine worker goroutines (≤0: GOMAXPROCS)
+	QueueDepth int // max admitted-but-unstarted jobs (≤0: 64)
 
 	// Device, when non-nil, is the admission ledger: each accepted job
 	// reserves its modeled footprint (slab + kept planes + samples) for
@@ -72,12 +70,6 @@ type Options struct {
 	// Submit and finishes it when the submitter is done. Tracing keeps the
 	// warm path allocation-free (pooled event rings).
 	Jobs *jobtrace.Collector
-
-	// TracePipelines additionally attaches the trace to every conv
-	// pipeline (per-stage spans and histograms). Span recording allocates
-	// and grows the trace per job, so this trades the zero-allocation
-	// steady state for deep visibility; leave it off in production loops.
-	TracePipelines bool
 
 	// TenantWeights assigns deficit-round-robin dispatch weights: a
 	// weight-w tenant is served up to w jobs per dispatch visit, so under
@@ -180,9 +172,8 @@ const maxTenantWeight = 1 << 20
 type Engine struct {
 	dim      grid.Dim3
 	far      int
-	kern     atomic.Pointer[kernelState] // current kernel pointwise + fingerprint
-	cfg      conv.Config                 // per-pipeline config (workers, optional trace)
-	sched    *fleet.Scheduler            // nil when no devices are configured
+	pw       conv.Pointwise   // the kernel every pipeline applies
+	sched    *fleet.Scheduler // nil when no devices are configured
 	tr       *obs.Trace
 	jobs     *jobtrace.Collector // nil: no lifecycle timelines
 	plans    *conv.PlanSet       // the one set every pipeline of this engine runs over
@@ -210,7 +201,7 @@ type Engine struct {
 	// Metrics are resolved once so the hot path only touches atomics.
 	cSubmitted, cCompleted, cRejected *obs.Counter
 	cRejQueue, cRejMem                *obs.Counter
-	cCancelled, cKernelUpdates        *obs.Counter
+	cCancelled                        *obs.Counter
 	cPlanHits, cPlanMisses            *obs.Counter
 	gQueue, gBusy                     *obs.Gauge
 	hJob, hWait                       *obs.Histogram
@@ -278,28 +269,13 @@ func New(opts Options) (*Engine, error) {
 		}
 		e.sched = sched
 	}
-	pipes := opts.Pipelines
-	if pipes <= 0 {
-		pipes = 64
-	}
-	e.pipes = newPipeCache(pipes)
-	pw := opts.PipelineWorkers
-	if pw <= 0 {
-		pw = 1
-	}
-	e.cfg = conv.Config{Workers: pw}
-	plans, err := conv.NewPlanSet(d, pw)
+	e.pipes = newPipeCache(pipelineCap)
+	plans, err := conv.NewPlanSet(d, pipelineConfig.Workers)
 	if err != nil {
 		return nil, err
 	}
 	e.plans = plans
-	if opts.TracePipelines {
-		e.cfg.Trace = e.tr
-	}
-	e.kern.Store(&kernelState{
-		pw: conv.KernelPointwise(d, opts.Kernel),
-		fp: green.Fingerprint(d, opts.Kernel),
-	})
+	e.pw = conv.KernelPointwise(d, opts.Kernel)
 	e.cond = sync.NewCond(&e.mu)
 	e.taskPool.New = func() any { return &task{done: make(chan struct{}, 1), dev: -1} }
 
@@ -309,7 +285,6 @@ func New(opts Options) (*Engine, error) {
 	e.cRejQueue = e.tr.Counter("serve.rejects_queue_full")
 	e.cRejMem = e.tr.Counter("serve.rejects_memory")
 	e.cCancelled = e.tr.Counter("serve.jobs_cancelled")
-	e.cKernelUpdates = e.tr.Counter("serve.kernel_updates")
 	e.cPlanHits = e.tr.Counter("serve.plan_cache_hits")
 	e.cPlanMisses = e.tr.Counter("serve.plan_cache_misses")
 	e.cPlanMisses.Add(1) // the plan-set build above: the engine's only one
@@ -868,13 +843,11 @@ func (e *Engine) runJob(t *task) {
 // output arena) and runs the convolution, filling t.res / t.err.
 func (e *Engine) execute(t *task) {
 	wait := time.Since(t.enq)
-	ks := e.kern.Load()
-	key := pipeKey{box: t.box, kernel: ks.fp}
-	p := e.pipes.lookup(key)
+	p := e.pipes.lookup(t.box)
 	if p == nil {
 		var err error
-		p, err = e.pipes.insert(key, func() (*pipeline, error) {
-			return e.buildPipeline(t.box, ks)
+		p, err = e.pipes.insert(t.box, func() (*pipeline, error) {
+			return e.buildPipeline(t.box)
 		})
 		if err != nil {
 			t.err = err
@@ -900,49 +873,17 @@ func (e *Engine) execute(t *task) {
 	t.res = Result{Output: res, Stats: st, Wait: wait, pipe: p}
 }
 
-// buildPipeline assembles a pipeline for box on a cache miss under the
-// given kernel generation: its first conv.Local, placed from the engine's
-// plan set by the default policy, goes to the pool, and its tree becomes
-// the pipeline's. The engine's plan set — FFT machinery and the policy's
-// sampling geometry, independent of the kernel — lives outside the
-// pipeline and a kernel update keeps it; everything kernel-dependent lives
-// in the pipeline, whose cache key carries the fingerprint.
-func (e *Engine) buildPipeline(box grid.Box, ks *kernelState) (*pipeline, error) {
-	l, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(box, e.far), ks.pw, e.cfg)
+// buildPipeline assembles a pipeline for box on a cache miss: its first
+// conv.Local, placed from the engine's plan set by the default policy,
+// goes to the pool.
+func (e *Engine) buildPipeline(box grid.Box) (*pipeline, error) {
+	p := &pipeline{policy: sample.DefaultPolicy(box, e.far), pw: e.pw}
+	l, err := p.newLocal(e.plans)
 	if err != nil {
 		return nil, err
 	}
-	p := &pipeline{
-		key: pipeKey{box: box, kernel: ks.fp}, box: box,
-		tree: l.Tree(), cfg: e.cfg, pw: ks.pw,
-	}
 	p.locals.Put(l)
 	return p, nil
-}
-
-// kernelState is one immutable kernel generation: the pointwise callback
-// pipelines apply and the fingerprint that keys cached pipelines, swapped
-// atomically by UpdateKernel.
-type kernelState struct {
-	pw conv.Pointwise
-	fp uint64
-}
-
-// UpdateKernel replaces the engine's frequency-domain kernel. Jobs
-// dispatched after the swap build (or hit) pipelines keyed by the new
-// kernel's fingerprint, so no job is ever served a pipeline caching a
-// stale pointwise table; pipelines for the old kernel age out of the LRU.
-// Jobs already executing finish under the kernel they started with.
-func (e *Engine) UpdateKernel(k green.Kernel) error {
-	if k == nil {
-		return fmt.Errorf("serve: nil kernel")
-	}
-	e.kern.Store(&kernelState{
-		pw: conv.KernelPointwise(e.dim, k),
-		fp: green.Fingerprint(e.dim, k),
-	})
-	e.cKernelUpdates.Add(1)
-	return nil
 }
 
 // Drain stops admission, lets every accepted job finish, and shuts the

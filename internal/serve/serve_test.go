@@ -510,70 +510,6 @@ func TestSubmitContextExpiredBeforeDequeue(t *testing.T) {
 	}
 }
 
-// TestUpdateKernelInvalidatesPipelines is the stale-plan regression test:
-// before pipelines were keyed on a kernel fingerprint, a Submit after
-// UpdateKernel hit the pipeline cached for the old kernel and returned
-// stale samples. The delta kernel reproduces the input exactly, so the
-// stale and fresh results are maximally distinguishable.
-func TestUpdateKernelInvalidatesPipelines(t *testing.T) {
-	dim := grid.Cube(16)
-	box := grid.CubeAt(grid.Point{4, 4, 4}, 4)
-	in := testField(4, 11)
-	e := testEngine(t, Options{Dim: dim, Workers: 1, Kernel: green.Delta{}})
-
-	res1, err := e.Submit(context.Background(), "a", box, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]float64(nil), res1.Output.Samples...)
-	res1.Release()
-
-	if err := e.UpdateKernel(green.Gaussian{Sigma: 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e.Submit(context.Background(), "a", box, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Release()
-
-	same := true
-	for i := range before {
-		if res2.Output.Samples[i] != before[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("post-update result identical to pre-update result: stale cached pipeline served")
-	}
-
-	// And the new result must match a fresh direct pipeline under the new
-	// kernel — invalidation without correctness would be worse.
-	tree, err := sample.DefaultPolicy(box, 8).Tree(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := conv.NewLocal(dim, box, tree, conv.KernelPointwise(dim, green.Gaussian{Sigma: 1.5}), conv.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := local.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sampleDiff(res2.Output, want); d != "" {
-		t.Fatalf("after update: %s", d)
-	}
-	if got := e.Trace().CounterValue("serve.kernel_updates"); got != 1 {
-		t.Errorf("serve.kernel_updates = %d, want 1", got)
-	}
-	// Old and new kernel generations occupy distinct cache entries.
-	if got := e.pipes.len(); got != 2 {
-		t.Errorf("pipeline cache holds %d entries, want 2 (one per kernel generation)", got)
-	}
-}
-
 // TestJobTimelinePhaseDecomposition pins the tenant SLO breakdown: with
 // tracing on, every finished job's per-tenant phase histograms (place,
 // queue, compute, stream) partition its end-to-end latency exactly, the

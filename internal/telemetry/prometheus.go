@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 
 	"lowcomm3d/internal/obs"
@@ -69,7 +68,6 @@ var helpText = map[string]string{
 	"ckpt.saves":                     "Checkpoint deposits completed.",
 	"ckpt.max_file_bytes":            "Largest single checkpoint saved.",
 	"serve.jobs_cancelled":           "Queued jobs freed because their context ended before a worker picked them up.",
-	"serve.kernel_updates":           "Live kernel swaps (UpdateKernel); each bumps the fingerprint that keys the plan cache.",
 	"fleet.jobs_placed":              "Jobs admitted by the fleet scheduler onto some device's ledger (cheapest admissible placement under the Eq. 2 alpha-beta cost).",
 	"fleet.jobs_rejected":            "Jobs refused by the fleet scheduler (every admissible device's bounded queue full, or no device fits the modeled footprint).",
 	"fleet.jobs_completed":           "Fleet jobs that ran to completion and released their reservation exactly once.",
@@ -364,15 +362,4 @@ func WriteRuntimeMetrics(w io.Writer) error {
 		}
 	}
 	return p.err
-}
-
-// DocumentedMetrics returns the exported names this package documents with
-// model-anchored HELP text, sorted — the stable-name contract tests pin.
-func DocumentedMetrics() []string {
-	out := make([]string, 0, len(helpText))
-	for name := range helpText {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -165,9 +164,4 @@ func ServeWith(addr string, cfg ServeConfig) (*Server, error) {
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
-}
-
-// ServeURL is a convenience for log lines: "http://<addr>/metrics".
-func (s *Server) ServeURL() string {
-	return fmt.Sprintf("http://%s/metrics", s.Addr())
 }
