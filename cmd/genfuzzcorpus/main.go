@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"lowcomm3d/internal/ckpt"
+	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
@@ -161,9 +162,10 @@ func main() {
 	writeSeed(smpDir, "seed-lying-count", lying)
 
 	// FuzzPatchCodec(data []byte): float64 messages, little-endian. The
-	// genuine one is what cluster.LowCommConvolve sends a peer that owns
-	// the upper z-slab of a 16³ grid on two workers: one EncodePatches group
-	// per owned box.
+	// genuine one is what cluster.LowCommConvolve's rank 0 sends rank 1 on
+	// a 16³ grid at k 8, far rate 4, on two workers: one patch group per
+	// box of rank 0 with patches over a box of rank 1, framed by the
+	// cluster exchange's own encoder.
 	patchDir := filepath.Join("internal", "sample", "testdata", "fuzz", "FuzzPatchCodec")
 	floats := func(msg []float64) []byte {
 		var raw []byte
@@ -172,21 +174,27 @@ func main() {
 		}
 		return raw
 	}
-	var exchange []float64
-	for i, lo := range []grid.Point{{0, 0, 0}, {8, 0, 0}} {
-		ptree, err := sample.DefaultPolicy(grid.CubeAt(lo, 8), 4).Tree(grid.Cube(16))
+	x, err := cluster.NewExchange(grid.Cube(16), 8, 2, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	owned := x.Owned(0)
+	outs := make([][]*sample.Compressed, len(owned))
+	for i, j := range owned {
+		ptree, err := sample.DefaultPolicy(x.Boxes[j], 4).Tree(grid.Cube(16))
 		if err != nil {
 			log.Fatal(err)
 		}
 		res := sample.NewCompressed(ptree)
-		for j := range res.Samples {
-			res.Samples[j] = float64(i+j) * 0.125
+		for v := range res.Samples {
+			res.Samples[v] = float64(i+v) * 0.125
 		}
-		exchange = append(exchange, sample.EncodePatches(res.Patches(grid.BoxAt(grid.Point{0, 0, 8}, 16, 16, 8)))...)
+		outs[i] = []*sample.Compressed{res}
 	}
-	writeSeed(patchDir, "seed-exchange", floats(exchange))
-	writeSeed(patchDir, "seed-huge-count", floats([]float64{1e12}))
-	writeSeed(patchDir, "seed-wrapping-lattice", floats([]float64{1, 0, 0, 0, 1<<22 - 1, 1, 0}))
+	writeSeed(patchDir, "seed-exchange", floats(x.Encode(x.Sends(owned, outs))[1]))
+	// The lying headers of sample's lyingPatchMessages, in a group of box 0.
+	writeSeed(patchDir, "seed-huge-count", floats([]float64{0, 1e12}))
+	writeSeed(patchDir, "seed-wrapping-lattice", floats([]float64{0, 1, 0, 0, 0, 1<<22 - 1, 1, 0}))
 
 	// FuzzCheckpointCodec(data []byte)
 	ckptDir := filepath.Join("internal", "ckpt", "testdata", "fuzz", "FuzzCheckpointCodec")

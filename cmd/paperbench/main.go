@@ -212,49 +212,49 @@ func table4() error {
 }
 
 func fig1() error {
-	// Measured: real distributed convolutions on the simulated cluster.
-	// One sub-domain per worker with a large N/k ratio, the paper's
-	// operating regime (toy ratios make the sparse exchange larger than
-	// the transposes; see EXPERIMENTS.md).
-	n, k, p := 64, 32, 4
+	// Measured: real distributed convolutions on the simulated cluster,
+	// the eight 32³ sub-domains of a 64³ grid on four and on eight workers.
+	n, k := 64, 32
 	f := grid.NewField(grid.Cube(n))
 	for i := range f.Data {
 		f.Data[i] = float64(i%17) / 17
 	}
 	kernel := green.Gaussian{Sigma: 2}
-
-	cTrad, err := cluster.NewWithOptions(p, cluster.DefaultParams(), cluster.Options{Trace: tr})
-	if err != nil {
-		return err
+	t := report.New(fmt.Sprintf("Fig. 1 — measured communication, N=%d k=%d (simulated cluster)", n, k),
+		"P", "pipeline", "all-to-all rounds", "messages", "bytes", "α-β time")
+	for _, p := range []int{4, 8} {
+		for _, pl := range []struct {
+			name   string
+			square bool // a pencil grid needs a square worker count
+			run    func(c *cluster.Cluster) error
+		}{
+			{"traditional FFT (pencil, Eq. 1)", true, func(c *cluster.Cluster) error {
+				_, err := cluster.PencilFFTConvolve(c, f, kernel)
+				return err
+			}},
+			{"traditional FFT (slab)", false, func(c *cluster.Cluster) error {
+				_, err := cluster.DistFFTConvolve(c, f, kernel)
+				return err
+			}},
+			{"ours (low-comm)", false, func(c *cluster.Cluster) error {
+				_, err := cluster.LowCommConvolve(c, f, kernel, k, 16, conv.Config{Trace: tr})
+				return err
+			}},
+		} {
+			if q := int(math.Sqrt(float64(p))); pl.square && q*q != p {
+				continue
+			}
+			c, err := cluster.NewWithOptions(p, cluster.DefaultParams(), cluster.Options{Trace: tr})
+			if err != nil {
+				return err
+			}
+			if err := pl.run(c); err != nil {
+				return err
+			}
+			b, m, r, sec := c.Stats.Snapshot()
+			t.AddCells(fmt.Sprint(p), pl.name, fmt.Sprint(r), fmt.Sprint(m), report.Bytes(b), report.Seconds(sec))
+		}
 	}
-	if _, err := cluster.DistFFTConvolve(cTrad, f, kernel); err != nil {
-		return err
-	}
-	tb, tm, tc, ts := cTrad.Stats.Snapshot()
-
-	cPencil, err := cluster.NewWithOptions(p, cluster.DefaultParams(), cluster.Options{Trace: tr})
-	if err != nil {
-		return err
-	}
-	if _, err := cluster.PencilFFTConvolve(cPencil, f, kernel); err != nil {
-		return err
-	}
-	pb, pm, pc, ps := cPencil.Stats.Snapshot()
-
-	cOurs, err := cluster.NewWithOptions(p, cluster.DefaultParams(), cluster.Options{Trace: tr})
-	if err != nil {
-		return err
-	}
-	if _, err := cluster.LowCommConvolve(cOurs, f, kernel, k, 16, conv.Config{Trace: tr}); err != nil {
-		return err
-	}
-	ob, om, oc, osim := cOurs.Stats.Snapshot()
-
-	t := report.New(fmt.Sprintf("Fig. 1 — measured communication, N=%d k=%d P=%d (simulated cluster)", n, k, p),
-		"pipeline", "all-to-all rounds", "messages", "bytes", "α-β time")
-	t.AddCells("traditional FFT (pencil, Eq. 1)", fmt.Sprint(pc), fmt.Sprint(pm), report.Bytes(pb), report.Seconds(ps))
-	t.AddCells("traditional FFT (slab)", fmt.Sprint(tc), fmt.Sprint(tm), report.Bytes(tb), report.Seconds(ts))
-	t.AddCells("ours (low-comm)", fmt.Sprint(oc), fmt.Sprint(om), report.Bytes(ob), report.Seconds(osim))
 	t.Render(os.Stdout)
 
 	// Analytic: Eq. 1 vs Eq. 6 at the paper's scales.

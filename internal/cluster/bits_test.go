@@ -16,8 +16,8 @@ import (
 // TestLowCommConvolvePinnedBits pins the field LowCommConvolve returns:
 // the first 8 bytes, in hex, of SHA-256 over its values' little-endian
 // Float64bits, for randGrid(N³, 11) under the Gaussian σ = 2 kernel. Every
-// P returns conv.Decomposed.Run's field, so one hash serves both P. Bits
-// are pinned on amd64 only, as conv's are.
+// P returns conv.Decomposed.Run's field, so one hash serves every P, N/P
+// whole or not. Bits are pinned on amd64 only, as conv's are.
 func TestLowCommConvolvePinnedBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bits are pinned on amd64 only")
@@ -30,7 +30,7 @@ func TestLowCommConvolvePinnedBits(t *testing.T) {
 		{64, 16, 16, "79adf7586538617e"},
 	} {
 		f := randGrid(grid.Cube(c.n), 11)
-		for _, p := range []int{1, 4} {
+		for _, p := range []int{1, 3, 4} {
 			cl, err := New(p, DefaultParams())
 			if err != nil {
 				t.Fatal(err)

@@ -255,9 +255,10 @@ func sameBits(got, want *grid.Field) (int, bool) {
 
 // TestLowCommConvolveMatchesSerialDecomposed: by linearity the distributed
 // sum is the serial sum, and with every worker adding the received boxes
-// in job order it is the same float64 sum — bit for bit, for any P. 64/8
-// has far cells larger than k that straddle the z-slab boundaries; the
-// sparse input leaves most boxes all-zero, so both sides skip them.
+// in job order it is the same float64 sum — bit for bit, for any P, N/P
+// whole or not. 64/8 has far cells larger than k that straddle many boxes;
+// the sparse input leaves most boxes all-zero, so both sides skip them, yet
+// each skipped box's owner still accumulates its region.
 func TestLowCommConvolveMatchesSerialDecomposed(t *testing.T) {
 	kernel := green.Gaussian{Sigma: 2}
 	sparse := grid.NewField(grid.Cube(32))
@@ -290,7 +291,7 @@ func TestLowCommConvolveMatchesSerialDecomposed(t *testing.T) {
 			if tc.name == "32-8-sparse" && ds.SkippedZero == 0 {
 				t.Errorf("sparse input skipped no box")
 			}
-			for _, p := range []int{1, 2, 4} {
+			for _, p := range []int{1, 2, 3, 4} {
 				c, err := New(p, DefaultParams())
 				if err != nil {
 					t.Fatal(err)

@@ -166,94 +166,17 @@ type LowCommResult struct {
 	Field       *grid.Field
 	SampleBytes int64         // compressed bytes that crossed the fabric, aborted generations included
 	Generations int           // worker generations run; 1 when no rank died
-	Accumulate  time.Duration // the slowest rank's accumulation of its z-slab
+	Accumulate  time.Duration // the slowest rank's accumulation of its boxes
 }
 
-// lowComm is the layout LowCommConvolve runs and LowCommExchangeBytes
-// prices: the jobs dealt round robin to the ranks by grid.Partition — job i
-// is rank i mod P's (i div P)-th — each sampled by the default policy, and
-// one output z-slab per rank.
-type lowComm struct {
-	dim   grid.Dim3
-	far   int
-	jobs  int
-	parts [][]grid.Box
-}
-
-func newLowComm(d grid.Dim3, p int, jobs []grid.Box, far int) (*lowComm, error) {
-	n := d.Nx
-	if d.Ny != n || d.Nz != n {
-		return nil, fmt.Errorf("cluster: grid %v must be cubic", d)
-	}
-	if p < 1 || n%p != 0 {
-		return nil, fmt.Errorf("cluster: grid size %d not divisible by %d workers", n, p)
-	}
-	parts, err := grid.Partition(jobs, p)
-	if err != nil {
-		return nil, err
-	}
-	return &lowComm{dim: d, far: far, jobs: len(jobs), parts: parts}, nil
-}
-
-// region is rank q's output z-slab.
-func (l *lowComm) region(q int) grid.Box {
-	n := l.dim.Nx
-	zPer := n / len(l.parts)
-	return grid.BoxAt(grid.Point{0, 0, q * zPer}, n, n, zPer)
-}
-
-// convolve runs one box's local pipeline — no communication at all (Fig.
-// 1b: "the FFT-based convolution computation is local to the workers till
-// the last step").
-func (l *lowComm) convolve(f *grid.Field, b grid.Box, plans *conv.PlanSet, pw conv.Pointwise, cfg conv.Config) (*sample.Compressed, error) {
-	local, err := plans.NewPolicyLocal(sample.DefaultPolicy(b, l.far), pw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := f.ExtractBox(b)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := local.Run(sub)
-	local.ReleaseBuffers()
-	return res, err
-}
-
-// messages frames a rank's results, one per owned box in parts order, for
-// the single sparse exchange: the message to peer q is, per owned box, one
-// EncodePatches group of the box's patches that intersect q's z-slab — one
-// count per (box, peer) pair, which lets q add every box in job order.
-func (l *lowComm) messages(results []*sample.Compressed) [][]float64 {
-	msgs := make([][]float64, len(l.parts))
-	for q := range msgs {
-		region := l.region(q)
-		for _, res := range results {
-			msgs[q] = append(msgs[q], sample.EncodePatches(res.Patches(region))...)
-		}
-	}
-	return msgs
-}
-
-// accumulate adds the received groups to rank w's z-slab of out in job
-// order — sender q's j-th group is job q + j·P — the order conv.Accumulate
-// adds the same results in; a voxel's value depends on that order alone, so
-// it is conv.Decomposed.Run's bit for bit.
-func (l *lowComm) accumulate(out *grid.Field, w int, recv [][]float64) error {
-	groups := make([][][]sample.Patch, len(recv))
-	for q, msg := range recv {
-		var err error
-		if groups[q], err = sample.DecodePatchGroups(msg); err != nil {
-			return fmt.Errorf("cluster: exchange from rank %d: %w", q, err)
-		}
-		if len(groups[q]) != len(l.parts[q]) {
-			return fmt.Errorf("cluster: rank %d sent %d patch groups for %d boxes", q, len(groups[q]), len(l.parts[q]))
-		}
-	}
-	var ps []sample.Patch
-	for i, p := 0, len(l.parts); i < l.jobs; i++ {
-		ps = append(ps, groups[i%p][i/p]...)
-	}
-	return sample.AddPatches(out, grid.Point{}, l.region(w), ps, 1)
+// convRank is one rank's share of LowCommConvolve: its boxes that are not
+// all zero, a pipeline and an output per box, and its send lists, built
+// once per call on those outputs.
+type convRank struct {
+	src    []int
+	locals []*conv.Local
+	outs   [][]*sample.Compressed
+	send   [][]sample.PatchGroup
 }
 
 // LowCommExchangeBytes predicts, exactly, the fabric bytes the single
@@ -264,27 +187,25 @@ func (l *lowComm) accumulate(out *grid.Field, w int, recv [][]float64) error {
 // prediction frames zero-filled results of the same layout without running
 // any transforms. This is the implementation-exact counterpart of the Eq. 6
 // model figure TOursBytes (which ignores patch metadata and counts each
-// worker's whole output once rather than per-peer slab intersections).
+// worker's whole output once rather than the patches each peer's boxes
+// need).
 func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
-	boxes, err := grid.Decompose(d, subSize)
-	if err != nil {
-		return 0, err
-	}
-	l, err := newLowComm(d, p, boxes, farRate)
+	x, err := NewExchange(d, subSize, p, 1)
 	if err != nil {
 		return 0, err
 	}
 	total := int64(0)
-	for w, owned := range l.parts {
-		results := make([]*sample.Compressed, len(owned))
-		for j, b := range owned {
-			tree, err := sample.DefaultPolicy(b, l.far).Tree(l.dim)
+	for w := range p {
+		owned := x.Owned(w)
+		outs := make([][]*sample.Compressed, len(owned))
+		for i, j := range owned {
+			tree, err := sample.DefaultPolicy(x.Boxes[j], farRate).Tree(d)
 			if err != nil {
 				return 0, err
 			}
-			results[j] = sample.NewCompressed(tree)
+			outs[i] = []*sample.Compressed{sample.NewCompressed(tree)}
 		}
-		for q, msg := range l.messages(results) {
+		for q, msg := range x.Encode(x.Sends(owned, outs)) {
 			if q != w {
 				total += int64(8 * len(msg))
 			}
@@ -295,11 +216,10 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 
 // LowCommConvolve runs the proposed method of Fig. 1b on P simulated
 // workers and returns conv.Decomposed.Run's field bit for bit, for any P.
-// All-zero sub-domains are skipped and the rest dealt by grid.Partition;
-// every worker convolves its sub-domains locally, then a single all-to-all
-// ships each peer only the patches intersecting its output z-slab, framed
-// per box, and each worker accumulates its slab in job order (Algorithm 2
-// line 6).
+// It runs the Exchange's layout: rank q convolves its boxes j ≡ q mod P
+// that are not all zero locally, then a single all-to-all ships each peer
+// only the patches overlapping the peer's boxes, and each rank adds them
+// into its own boxes in job order (Algorithm 2 line 6).
 //
 // On a fault-injecting transport, drops, delays, duplicates and corruption
 // heal in the deadline/retry layer. A crashed or unresponsive worker aborts
@@ -308,17 +228,7 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 // (errors.As reaches *CrashError).
 func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, farRate int, cfg conv.Config) (*LowCommResult, error) {
 	d := f.Dim
-	boxes, err := grid.Decompose(d, subSize)
-	if err != nil {
-		return nil, err
-	}
-	var jobs []grid.Box
-	for _, b := range boxes {
-		if !f.BoxAllZero(b) {
-			jobs = append(jobs, b)
-		}
-	}
-	l, err := newLowComm(d, c.P, jobs, farRate)
+	x, err := NewExchange(d, subSize, c.P, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -329,6 +239,24 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 		return nil, err
 	}
 	pw := conv.KernelPointwise(d, kernel)
+	ranks := make([]*convRank, c.P)
+	for q := range ranks {
+		r := &convRank{}
+		for _, j := range x.Owned(q) {
+			if f.BoxAllZero(x.Boxes[j]) {
+				continue
+			}
+			local, err := plans.NewPolicyLocal(sample.DefaultPolicy(x.Boxes[j], farRate), pw, cfg)
+			if err != nil {
+				return nil, err
+			}
+			r.src = append(r.src, j)
+			r.locals = append(r.locals, local)
+			r.outs = append(r.outs, []*sample.Compressed{sample.NewCompressed(local.Tree())})
+		}
+		r.send = x.Sends(r.src, r.outs)
+		ranks[q] = r
+	}
 
 	res := &LowCommResult{}
 	bytesBefore, _, _, _ := c.Stats.Snapshot()
@@ -338,20 +266,31 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 		out := grid.NewField(d)
 		acc := make([]time.Duration, c.P)
 		errs := c.RunAll(func(w *Worker) error {
-			results := make([]*sample.Compressed, len(l.parts[w.ID]))
-			for j, b := range l.parts[w.ID] {
-				r, err := l.convolve(f, b, plans, pw, cfg)
+			// Every box's local pipeline — no communication at all (Fig.
+			// 1b: "the FFT-based convolution computation is local to the
+			// workers till the last step").
+			r := ranks[w.ID]
+			for i, j := range r.src {
+				sub, err := f.ExtractBox(x.Boxes[j])
 				if err != nil {
 					return err
 				}
-				results[j] = r
+				_, _, err = r.locals[i].RunInto(sub, r.outs[i][0])
+				r.locals[i].ReleaseBuffers()
+				if err != nil {
+					return err
+				}
 			}
-			recv, err := w.AllToAll(l.messages(results))
+			recv, err := w.AllToAll(x.Encode(r.send))
 			if err != nil {
 				return err
 			}
 			t0 := time.Now()
-			err = l.accumulate(out, w.ID, recv)
+			in, err := x.Decode(recv)
+			if err != nil {
+				return err
+			}
+			err = x.Accumulate(w.ID, in, func(int, int) (*grid.Field, grid.Point) { return out, grid.Point{} })
 			acc[w.ID] = time.Since(t0)
 			return err
 		})

@@ -110,47 +110,50 @@ func TestMeasuredCommMatchesModel(t *testing.T) {
 // TestLowCommExchangeBytesMatchesMeasured pins the implementation-exact
 // prediction against the real pipeline: the single sparse exchange of
 // LowCommConvolve must move exactly the bytes LowCommExchangeBytes
-// computes from the decomposition geometry alone.
+// computes from the decomposition geometry alone, at every P, N/P whole or
+// not.
 func TestLowCommExchangeBytesMatchesMeasured(t *testing.T) {
-	const n, sub, far, P = 16, 8, 4, 4
+	const n, sub, far = 16, 8, 4
 	d := grid.Cube(n)
-	predicted, err := LowCommExchangeBytes(d, P, sub, far)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if predicted <= 0 {
-		t.Fatalf("predicted %d bytes, want > 0", predicted)
-	}
-	tr := obs.New()
-	c, err := NewWithOptions(P, DefaultParams(), Options{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := grid.NewField(d)
 	for i := range f.Data {
 		f.Data[i] = float64((i*7)%23) / 23
 	}
-	res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 1.5}, sub, far, conv.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SampleBytes != predicted {
-		t.Errorf("result reports %d sample bytes, predicted %d", res.SampleBytes, predicted)
-	}
-	if got := tr.CounterValue("cluster.collective.bytes"); got != predicted {
-		t.Errorf("measured %d fabric bytes, predicted %d", got, predicted)
-	}
-	colls := c.Stats.Collectives
-	if len(colls) != 1 {
-		t.Fatalf("%d collective rounds, want 1 (the single sparse exchange)", len(colls))
-	}
-	if colls[0].Bytes != predicted {
-		t.Errorf("round bytes %d != predicted %d", colls[0].Bytes, predicted)
-	}
-	// The per-round model input must be the true global max pair buffer.
-	if colls[0].MaxPairBytes <= 0 || int64(colls[0].MaxPairBytes)*int64(P)*int64(P-1) < predicted {
-		t.Errorf("MaxPairBytes %d inconsistent with total %d over %d pairs",
-			colls[0].MaxPairBytes, predicted, P*(P-1))
+	for _, P := range []int{2, 3, 4} {
+		predicted, err := LowCommExchangeBytes(d, P, sub, far)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if predicted <= 0 {
+			t.Fatalf("P=%d: predicted %d bytes, want > 0", P, predicted)
+		}
+		tr := obs.New()
+		c, err := NewWithOptions(P, DefaultParams(), Options{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := LowCommConvolve(c, f, green.Gaussian{Sigma: 1.5}, sub, far, conv.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SampleBytes != predicted {
+			t.Errorf("P=%d: result reports %d sample bytes, predicted %d", P, res.SampleBytes, predicted)
+		}
+		if got := tr.CounterValue("cluster.collective.bytes"); got != predicted {
+			t.Errorf("P=%d: measured %d fabric bytes, predicted %d", P, got, predicted)
+		}
+		colls := c.Stats.Collectives
+		if len(colls) != 1 {
+			t.Fatalf("P=%d: %d collective rounds, want 1 (the single sparse exchange)", P, len(colls))
+		}
+		if colls[0].Bytes != predicted {
+			t.Errorf("P=%d: round bytes %d != predicted %d", P, colls[0].Bytes, predicted)
+		}
+		// The per-round model input must be the true global max pair buffer.
+		if colls[0].MaxPairBytes <= 0 || int64(colls[0].MaxPairBytes)*int64(P)*int64(P-1) < predicted {
+			t.Errorf("P=%d: MaxPairBytes %d inconsistent with total %d over %d pairs",
+				P, colls[0].MaxPairBytes, predicted, P*(P-1))
+		}
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // cellSamples maps each cell of a result to its samples.
 func cellSamples(res *sample.Compressed) map[octree.Cell][]float64 {
 	m := make(map[octree.Cell][]float64, len(res.Tree.Cells))
-	for _, p := range res.Patches(res.Tree.Dim.Bounds()) {
-		m[p.Cell] = p.Samples
+	off := 0
+	for _, c := range res.Tree.Cells {
+		m[c] = res.Samples[off : off+c.SampleCount()]
+		off += c.SampleCount()
 	}
 	return m
 }

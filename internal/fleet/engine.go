@@ -402,7 +402,7 @@ func (e *Engine) accumulate(results []*sample.Compressed, tj *jobtrace.Job) (*gr
 }
 
 // spillWorkers is the size of the simulated cluster a spilled solve runs
-// on, before clamping to the job count and a divisor of N.
+// on, before clamping to the job count.
 const spillWorkers = 4
 
 // runSpill executes a solve too large for the fleet on the simulated
@@ -411,12 +411,7 @@ const spillWorkers = 4
 // bit — the same bits the device path accumulates — and whose exchange
 // bytes are counted, not modeled.
 func (e *Engine) runSpill(f *grid.Field, st *SolveStats, tj *jobtrace.Job) (*grid.Field, SolveStats, error) {
-	n := e.dim.Nx
-	p := min(spillWorkers, st.Jobs)
-	for p > 1 && n%p != 0 {
-		p--
-	}
-	c, err := cluster.New(p, DefaultIB())
+	c, err := cluster.New(min(spillWorkers, st.Jobs), DefaultIB())
 	if err != nil {
 		return nil, *st, err
 	}

@@ -105,18 +105,3 @@ func ActiveNonzero(f *Field) func(Box) bool {
 		return found
 	}
 }
-
-// Partition assigns the given boxes round-robin to p workers and returns
-// the per-worker box lists. It is the batching rule from the paper's Fig. 2:
-// "multiple chunks can be batch processed by a single worker".
-func Partition(boxes []Box, p int) ([][]Box, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("grid: worker count %d must be positive", p)
-	}
-	out := make([][]Box, p)
-	for i, b := range boxes {
-		w := i % p
-		out[w] = append(out[w], b)
-	}
-	return out, nil
-}

@@ -50,31 +50,6 @@ func TestDecomposeSingleBox(t *testing.T) {
 	}
 }
 
-func TestPartitionRoundRobin(t *testing.T) {
-	boxes, _ := Decompose(Dim3{8, 8, 8}, 2) // 64 boxes
-	parts, err := Partition(boxes, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for w, p := range parts {
-		total += len(p)
-		// Round-robin: worker loads differ by at most one.
-		if len(p) < len(boxes)/5 || len(p) > len(boxes)/5+1 {
-			t.Errorf("worker %d has %d boxes", w, len(p))
-		}
-	}
-	if total != len(boxes) {
-		t.Fatalf("partition lost boxes: %d != %d", total, len(boxes))
-	}
-}
-
-func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(nil, 0); err == nil {
-		t.Error("expected error for zero workers")
-	}
-}
-
 func TestDecomposeAdaptiveSparse(t *testing.T) {
 	d := Dim3{Nx: 32, Ny: 32, Nz: 32}
 	f := NewField(d)

@@ -85,7 +85,7 @@ func TestSolveLowCommDistributedPinnedBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strainHash(res.Strain), "2435719c525f7071"; got != want {
+	if got, want := strainHash(res.Strain), "7ae713994c859faa"; got != want {
 		t.Errorf("16³/k8, P=4: strain hash %s, want %s", got, want)
 	}
 }

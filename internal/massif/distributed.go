@@ -220,7 +220,7 @@ func (p *healer) begin(r *rank, iter int) error {
 	return nil
 }
 
-func (p *healer) exchange(r *rank, iter int) ([][][]sample.Patch, error) {
+func (p *healer) exchange(r *rank, iter int) ([][]sample.PatchGroup, error) {
 	var msgs [][]float64
 	if v, ok := p.sup.Claim(r.id, iter); ok {
 		// A backup already re-executed this straggler's boxes — adopt its
@@ -230,7 +230,7 @@ func (p *healer) exchange(r *rank, iter int) ([][][]sample.Patch, error) {
 		if err := r.compute(); err != nil {
 			return nil, err
 		}
-		msgs = r.encode()
+		msgs = r.s.x.Encode(r.send)
 		// Late finish after a backup deposited is discarded by sequence
 		// number at the board (results are identical either way; the
 		// counter records the wasted work).
@@ -254,7 +254,7 @@ func (p *healer) exchange(r *rank, iter int) ([][][]sample.Patch, error) {
 	if len(missing) > 0 {
 		return nil, errGenAbort{iter}
 	}
-	return decode(recv)
+	return r.s.x.Decode(recv)
 }
 
 func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float64, error) {
@@ -267,7 +267,7 @@ func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float6
 			return nil, 0, errGenAbort{iter}
 		}
 	}
-	return total, float64(len(r.s.boxes) * r.s.kd.Len()), nil
+	return total, float64(len(r.s.x.Boxes) * r.s.kd.Len()), nil
 }
 
 // help waits for a straggler while peers still compute iteration iter,
@@ -308,5 +308,5 @@ func (p *healer) backupFor(r *rank, q, iter int) ([][]float64, error) {
 	if err := peer.compute(); err != nil {
 		return nil, err
 	}
-	return peer.encode(), nil
+	return peer.s.x.Encode(peer.send), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
@@ -63,9 +64,9 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 }
 
 // lowComm is one Algorithm 2 solve on p ranks: the decomposition and its
-// round-robin partition, Γ̂, the residual normalization, and the result
-// every rank assembles its sub-domains into. Rank q writes only its own
-// slots of the per-rank slices, and rank 0 alone the iteration outcome.
+// exchange, Γ̂, the residual normalization, and the result every rank
+// assembles its sub-domains into. Rank q writes only its own slots of the
+// per-rank slices, and rank 0 alone the iteration outcome.
 type lowComm struct {
 	m     *Microstructure
 	E     grid.SymTensor
@@ -75,9 +76,7 @@ type lowComm struct {
 	normE float64
 	p     int
 	kd    grid.Dim3
-	boxes []grid.Box
-	parts [][]grid.Box
-	nb    [3]int // boxes per axis: the k-lattice
+	x     *cluster.Exchange
 
 	out       *LowCommResult
 	residuals []float64 // by iteration
@@ -86,11 +85,7 @@ type lowComm struct {
 }
 
 func newLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions, p int) (*lowComm, error) {
-	boxes, err := grid.Decompose(m.Dim, opt.SubSize)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := grid.Partition(boxes, p)
+	x, err := cluster.NewExchange(m.Dim, opt.SubSize, p, grid.NumVoigt)
 	if err != nil {
 		return nil, err
 	}
@@ -100,32 +95,18 @@ func newLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions, p int) 
 		return nil, fmt.Errorf("massif: applied strain must be nonzero")
 	}
 	lambda0, mu0 := m.ReferenceMedium()
-	o, k := opt.Options.withDefaults(), opt.SubSize
+	o := opt.Options.withDefaults()
 	return &lowComm{
 		m: m, E: E, opt: opt, o: o, p: p, normE: normE,
-		kd: grid.Cube(k), boxes: boxes, parts: parts,
-		nb:      [3]int{m.Dim.Nx / k, m.Dim.Ny / k, m.Dim.Nz / k},
+		kd: grid.Cube(opt.SubSize), x: x,
 		samples: make([]int, p), bytes: make([]int, p),
 		residuals: make([]float64, o.MaxIter),
 		gamma:     green.Gamma{Lambda0: lambda0, Mu0: mu0},
 		out: &LowCommResult{
 			Result: Result{Strain: grid.NewTensorField(m.Dim), Stress: grid.NewTensorField(m.Dim)},
-			Comm:   LowCommStats{SubDomains: len(boxes), DenseBytesPerIter: 8 * m.Dim.Len() * grid.NumVoigt * len(boxes)},
+			Comm:   LowCommStats{SubDomains: len(x.Boxes), DenseBytesPerIter: 8 * m.Dim.Len() * grid.NumVoigt * len(x.Boxes)},
 		},
 	}, nil
-}
-
-// forBoxes calls f with the index of every sub-domain that c overlaps, found
-// on the k-lattice instead of by testing every box.
-func (s *lowComm) forBoxes(c grid.Box, f func(i int)) {
-	k := s.kd.Nx
-	for bz := c.Lo[2] / k; bz <= (c.Hi[2]-1)/k; bz++ {
-		for by := c.Lo[1] / k; by <= (c.Hi[1]-1)/k; by++ {
-			for bx := c.Lo[0] / k; bx <= (c.Hi[0]-1)/k; bx++ {
-				f(bx + s.nb[0]*(by+s.nb[1]*bz))
-			}
-		}
-	}
 }
 
 // finish completes the accounting and computes the stress of the assembled
@@ -147,20 +128,19 @@ func (s *lowComm) finish() (*LowCommResult, error) {
 // rank is one rank's share of the solve: the strain and Δε of its owned
 // sub-domains, one σ scratch, and a conv.Local per box on one PlanSet. The
 // compressed outputs are handed back to RunComponents run after run, so
-// their sample storage never moves and send — per destination rank and
-// component, the patches overlapping a box that rank owns, in box then
-// cell order — is built once.
+// their sample storage never moves and send, the exchange's send lists on
+// them, is built once.
 type rank struct {
 	s      *lowComm
 	id     int
 	plans  *conv.PlanSet
-	owned  []grid.Box
+	owned  []int // box indices
 	eps    []*grid.TensorField
 	delta  []*grid.TensorField
 	locals []*conv.Local
 	outs   [][]*sample.Compressed
 	sigma  *grid.TensorField
-	send   [][][]sample.Patch
+	send   [][]sample.PatchGroup
 
 	samples, bytes int // per iteration, over the owned boxes
 }
@@ -174,14 +154,9 @@ func (s *lowComm) newRank(id int, plans *conv.PlanSet) (*rank, error) {
 			return nil, err
 		}
 	}
-	r := &rank{s: s, id: id, plans: plans, owned: s.parts[id], sigma: grid.NewTensorField(s.kd)}
-	r.send = make([][][]sample.Patch, s.p)
-	for q := range r.send {
-		r.send[q] = make([][]sample.Patch, grid.NumVoigt)
-	}
-	sent, stamp := make([]int, s.p), 0 // sent[q]: stamp of the last patch sent to q
-	for _, b := range r.owned {
-		local, err := gammaLocal(plans, s.m, b, s.gamma, s.opt)
+	r := &rank{s: s, id: id, plans: plans, owned: s.x.Owned(id), sigma: grid.NewTensorField(s.kd)}
+	for _, j := range r.owned {
+		local, err := gammaLocal(plans, s.m, s.x.Boxes[j], s.gamma, s.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -193,24 +168,13 @@ func (s *lowComm) newRank(id int, plans *conv.PlanSet) (*rank, error) {
 			outs[v] = out
 			r.samples += len(out.Samples)
 			r.bytes += out.MemoryBytes()
-			off := 0
-			for _, cell := range out.Tree.Cells {
-				pt := sample.Patch{Cell: cell, Samples: out.Samples[off : off+cell.SampleCount()]}
-				off += len(pt.Samples)
-				stamp++
-				s.forBoxes(cell.Box, func(j int) {
-					if q := j % s.p; sent[q] != stamp {
-						sent[q] = stamp
-						r.send[q][v] = append(r.send[q][v], pt)
-					}
-				})
-			}
 		}
 		r.locals = append(r.locals, local)
 		r.eps = append(r.eps, eps)
 		r.delta = append(r.delta, grid.NewTensorField(s.kd))
 		r.outs = append(r.outs, outs)
 	}
+	r.send = s.x.Sends(r.owned, r.outs)
 	return r, nil
 }
 
@@ -221,21 +185,20 @@ type policy interface {
 	// begin runs once at the start of iteration iter.
 	begin(r *rank, iter int) error
 	// exchange has r's patches computed (or adopted) and returns, per
-	// source rank, the per-component patches sent to r; a nil source adds
-	// nothing.
-	exchange(r *rank, iter int) ([][][]sample.Patch, error)
+	// source rank, the groups sent to r; a nil source adds nothing.
+	exchange(r *rank, iter int) ([][]sample.PatchGroup, error)
 	// reduce returns the sums of partial over the ranks and the voxel count
 	// they cover.
 	reduce(r *rank, iter int, partial []float64) (total []float64, n float64, err error)
 }
 
 // oneRank is SolveLowComm's policy: one rank owns every box, so the
-// exchange hands its own patches back and the reduction is the identity.
+// exchange hands its own groups back and the reduction is the identity.
 type oneRank struct{}
 
 func (oneRank) begin(*rank, int) error { return nil }
 
-func (oneRank) exchange(r *rank, _ int) ([][][]sample.Patch, error) {
+func (oneRank) exchange(r *rank, _ int) ([][]sample.PatchGroup, error) {
 	if err := r.compute(); err != nil {
 		return nil, err
 	}
@@ -243,7 +206,7 @@ func (oneRank) exchange(r *rank, _ int) ([][][]sample.Patch, error) {
 }
 
 func (oneRank) reduce(r *rank, _ int, partial []float64) ([]float64, float64, error) {
-	return partial, float64(len(r.s.boxes) * r.s.kd.Len()), nil
+	return partial, float64(len(r.s.x.Boxes) * r.s.kd.Len()), nil
 }
 
 // run iterates Algorithm 2 under pol from iteration start until the
@@ -280,9 +243,9 @@ func (r *rank) run(start int, pol policy) error {
 			break
 		}
 	}
-	for i, b := range r.owned {
+	for i, j := range r.owned {
 		for v, f := range r.eps[i].Comp {
-			if err := s.out.Strain.Comp[v].InsertBox(b, f); err != nil {
+			if err := s.out.Strain.Comp[v].InsertBox(s.x.Boxes[j], f); err != nil {
 				return err
 			}
 		}
@@ -346,7 +309,8 @@ func (r *rank) iterate(pol policy, iter int) (float64, error) {
 // releasing each pipeline's buffers after its run.
 func (r *rank) compute() error {
 	kd := r.s.kd
-	for i, b := range r.owned {
+	for i, bj := range r.owned {
+		b := r.s.x.Boxes[bj]
 		for j := range kd.Len() {
 			x, y, z := kd.Coords(j)
 			sig := r.s.m.StressAt(b.Lo[0]+x, b.Lo[1]+y, b.Lo[2]+z, r.eps[i].AtIndex(j))
@@ -363,62 +327,17 @@ func (r *rank) compute() error {
 	return nil
 }
 
-// accumulate sets Δε on the owned boxes to the sum of the received patches:
-// per component, the patches that overlap each owned box, in source then
-// patch order, are block-summed into it.
-func (r *rank) accumulate(in [][][]sample.Patch) error {
-	s := r.s
-	mine := make([][]sample.Patch, len(r.owned))
-	for v := range grid.NumVoigt {
-		for j := range mine {
-			mine[j] = mine[j][:0]
-		}
-		for _, comps := range in {
-			if v >= len(comps) {
-				continue
-			}
-			for _, pt := range comps[v] {
-				s.forBoxes(pt.Cell.Box, func(i int) {
-					if i%s.p == r.id {
-						mine[i/s.p] = append(mine[i/s.p], pt)
-					}
-				})
-			}
-		}
-		for j, b := range r.owned {
-			f := r.delta[j].Comp[v]
+// accumulate sets Δε on the owned boxes to the sum of the received
+// groups, added by the exchange.
+func (r *rank) accumulate(in [][]sample.PatchGroup) error {
+	for _, d := range r.delta {
+		for _, f := range d.Comp {
 			f.Zero()
-			if err := sample.AddPatches(f, b.Lo, b, mine[j], 1); err != nil {
-				return err
-			}
 		}
 	}
-	return nil
-}
-
-// encode frames send as one message per destination rank for the cluster
-// collective.
-func (r *rank) encode() [][]float64 {
-	msgs := make([][]float64, len(r.send))
-	for q, comps := range r.send {
-		msgs[q] = sample.EncodeComponentPatches(comps)
-	}
-	return msgs
-}
-
-// decode inverts encode for every received message; a nil one stays nil.
-func decode(recv [][]float64) ([][][]sample.Patch, error) {
-	in := make([][][]sample.Patch, len(recv))
-	for q, msg := range recv {
-		if msg == nil {
-			continue
-		}
-		var err error
-		if in[q], err = sample.DecodeComponentPatches(msg); err != nil {
-			return nil, err
-		}
-	}
-	return in, nil
+	return r.s.x.Accumulate(r.id, in, func(j, v int) (*grid.Field, grid.Point) {
+		return r.delta[j/r.s.p].Comp[v], r.s.x.Boxes[j].Lo
+	})
 }
 
 // strain views the owned strain as box → component → voxels, aliasing it.

@@ -9,10 +9,10 @@ import (
 	"lowcomm3d/internal/grid"
 )
 
-// FuzzPatchCodec feeds the exchange decoders arbitrary values (the input
-// bytes read as little-endian float64s): DecodeComponentPatches and
-// DecodePatchGroups must return patches or an error, never panic or
-// allocate what the message does not hold, and every patch they return
+// FuzzPatchCodec feeds the exchange decoder arbitrary values (the input
+// bytes read as little-endian float64s), as groups of one component and of
+// six: DecodePatchGroups must return patches or an error, never panic or
+// allocate what the message does not hold, and every patch it returns
 // must add into an 8³ grid. The committed corpus (cmd/genfuzzcorpus) holds
 // a real exchange message and the lying headers of lyingPatchMessages.
 func FuzzPatchCodec(f *testing.F) {
@@ -26,20 +26,20 @@ func FuzzPatchCodec(f *testing.F) {
 			msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
 		dst := grid.NewField(grid.Cube(8))
-		add := func(groups [][]Patch) {
-			for _, ps := range groups {
-				for _, p := range ps {
-					if err := AddPatches(dst, grid.Point{}, dst.Dim.Bounds(), []Patch{p}, 1); err != nil {
-						t.Fatalf("decoded patch %v does not add: %v", p.Cell, err)
+		for _, comps := range []int{1, 6} {
+			gs, err := DecodePatchGroups(msg, comps)
+			if err != nil {
+				continue
+			}
+			for _, g := range gs {
+				for _, ps := range g.Comps {
+					for _, p := range ps {
+						if err := AddPatches(dst, grid.Point{}, dst.Dim.Bounds(), []Patch{p}, 1); err != nil {
+							t.Fatalf("decoded patch %v does not add: %v", p.Cell, err)
+						}
 					}
 				}
 			}
-		}
-		if comps, err := DecodeComponentPatches(msg); err == nil {
-			add(comps)
-		}
-		if groups, err := DecodePatchGroups(msg); err == nil {
-			add(groups)
 		}
 	})
 }

@@ -8,22 +8,11 @@ import (
 	"lowcomm3d/internal/octree"
 )
 
-// Patches returns the patches of c whose cells intersect region — the
-// sparse payload a worker sends to the peer owning that region. Sample
-// slices alias the compressed storage; encode before mutating.
-func (c *Compressed) Patches(region grid.Box) []Patch {
-	offsets := c.Tree.CellOffsets()
-	var out []Patch
-	for ci, cell := range c.Tree.Cells {
-		if !cell.Box.Overlaps(region) {
-			continue
-		}
-		out = append(out, Patch{
-			Cell:    cell,
-			Samples: c.Samples[offsets[ci] : offsets[ci]+cell.SampleCount()],
-		})
-	}
-	return out
+// PatchGroup is one sub-domain's share of an exchange message: the index
+// of the box that produced it and one patch list per component.
+type PatchGroup struct {
+	Box   int
+	Comps [][]Patch
 }
 
 // patchHeader is the per-patch wire prefix: lo.x, lo.y, lo.z, size, rate,
@@ -31,99 +20,71 @@ func (c *Compressed) Patches(region grid.Box) []Patch {
 // explicit count for framing.
 const patchHeader = 6
 
-// EncodePatches serializes patches to a flat float64 message for the
+// EncodePatchGroups frames groups as one flat float64 message for the
 // simulated fabric (real MPI would use bytes; the footprint accounting is
-// identical at 8 bytes per value).
-func EncodePatches(ps []Patch) []float64 {
-	n := 1
-	for _, p := range ps {
-		n += patchHeader + len(p.Samples)
+// identical at 8 bytes per value). Each group is its box index, then per
+// component a patch count and the patches, each a patchHeader prefix and
+// its samples.
+func EncodePatchGroups(gs []PatchGroup) []float64 {
+	n := 0
+	for _, g := range gs {
+		n += 1 + len(g.Comps)
+		for _, ps := range g.Comps {
+			for _, p := range ps {
+				n += patchHeader + len(p.Samples)
+			}
+		}
 	}
 	out := make([]float64, 0, n)
-	out = append(out, float64(len(ps)))
-	for _, p := range ps {
-		out = append(out,
-			float64(p.Cell.Box.Lo[0]), float64(p.Cell.Box.Lo[1]), float64(p.Cell.Box.Lo[2]),
-			float64(p.Cell.Box.Hi[0]-p.Cell.Box.Lo[0]), float64(p.Cell.Rate),
-			float64(len(p.Samples)))
-		out = append(out, p.Samples...)
+	for _, g := range gs {
+		out = append(out, float64(g.Box))
+		for _, ps := range g.Comps {
+			out = append(out, float64(len(ps)))
+			for _, p := range ps {
+				out = append(out,
+					float64(p.Cell.Box.Lo[0]), float64(p.Cell.Box.Lo[1]), float64(p.Cell.Box.Lo[2]),
+					float64(p.Cell.Box.Hi[0]-p.Cell.Box.Lo[0]), float64(p.Cell.Rate),
+					float64(len(p.Samples)))
+				out = append(out, p.Samples...)
+			}
+		}
 	}
 	return out
 }
 
-// EncodeComponentPatches frames one patch list per tensor component into a
-// single message — the per-iteration exchange unit of the distributed
-// MASSIF solver (six Voigt components per sub-domain result).
-func EncodeComponentPatches(comps [][]Patch) []float64 {
-	out := []float64{float64(len(comps))}
-	for _, ps := range comps {
-		blob := EncodePatches(ps)
-		out = append(out, float64(len(blob)))
-		out = append(out, blob...)
-	}
-	return out
-}
-
-// DecodeComponentPatches inverts EncodeComponentPatches.
-func DecodeComponentPatches(msg []float64) ([][]Patch, error) {
-	if len(msg) < 1 {
-		return nil, fmt.Errorf("sample: empty component-patch message")
-	}
-	// A component is at least its blob length and a patch count.
-	nc, ok := headerInt(msg[0], 0, (len(msg)-1)/2)
-	if !ok {
-		return nil, fmt.Errorf("sample: component count %g in a %d-value message", msg[0], len(msg))
-	}
-	pos := 1
-	out := make([][]Patch, nc)
-	for c := 0; c < nc; c++ {
-		if pos >= len(msg) {
-			return nil, fmt.Errorf("sample: truncated component %d", c)
-		}
-		bl, ok := headerInt(msg[pos], 0, len(msg)-pos-1)
-		if !ok {
-			return nil, fmt.Errorf("sample: bad component %d blob length %g", c, msg[pos])
-		}
-		pos++
-		ps, err := DecodePatches(msg[pos : pos+bl])
-		if err != nil {
-			return nil, fmt.Errorf("sample: component %d: %w", c, err)
-		}
-		out[c] = ps
-		pos += bl
-	}
-	return out, nil
-}
-
-// DecodePatches inverts EncodePatches. Sample slices alias the message
-// buffer.
-func DecodePatches(msg []float64) ([]Patch, error) {
-	ps, _, err := decodePatches(msg)
-	return ps, err
-}
-
-// DecodePatchGroups splits msg, EncodePatches messages laid back to back,
-// into one patch list per message. Sample slices alias msg.
-func DecodePatchGroups(msg []float64) ([][]Patch, error) {
-	var groups [][]Patch
+// DecodePatchGroups inverts EncodePatchGroups for groups of comps
+// components each. Sample slices alias msg.
+func DecodePatchGroups(msg []float64, comps int) ([]PatchGroup, error) {
+	var gs []PatchGroup
 	for len(msg) > 0 {
-		ps, used, err := decodePatches(msg)
-		if err != nil {
-			return nil, fmt.Errorf("sample: patch group %d: %w", len(groups), err)
+		box, ok := headerInt(msg[0], 0, math.MaxInt32)
+		if !ok {
+			return nil, fmt.Errorf("sample: patch group %d: box index %g", len(gs), msg[0])
 		}
-		groups = append(groups, ps)
-		msg = msg[used:]
+		pos := 1
+		g := PatchGroup{Box: box, Comps: make([][]Patch, comps)}
+		for c := range g.Comps {
+			ps, used, err := decodePatches(msg[pos:])
+			if err != nil {
+				return nil, fmt.Errorf("sample: patch group %d component %d: %w", len(gs), c, err)
+			}
+			g.Comps[c] = ps
+			pos += used
+		}
+		gs = append(gs, g)
+		msg = msg[pos:]
 	}
-	return groups, nil
+	return gs, nil
 }
 
-// decodePatches decodes the EncodePatches message at the front of msg and
-// returns its patches and the number of values it spans. The header is
-// untrusted: nothing is sized before it is checked against the values msg
-// holds, and a cell must be one a valid octree could hold.
+// decodePatches decodes the patch list at the front of msg — a count,
+// then the patches — and returns its patches and the number of values it
+// spans. The header is untrusted: nothing is sized before it is checked
+// against the values msg holds, and a cell must be one a valid octree
+// could hold.
 func decodePatches(msg []float64) ([]Patch, int, error) {
 	if len(msg) < 1 {
-		return nil, 0, fmt.Errorf("sample: empty patch message")
+		return nil, 0, fmt.Errorf("sample: truncated patch list")
 	}
 	count, ok := headerInt(msg[0], 0, (len(msg)-1)/patchHeader)
 	if !ok {

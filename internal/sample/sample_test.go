@@ -398,6 +398,50 @@ func TestDecayingFieldAdaptiveAccuracy(t *testing.T) {
 	}
 }
 
+// patchesIn returns the patches of c whose cells overlap region, in cell
+// order; their samples alias c.
+func patchesIn(c *Compressed, region grid.Box) []Patch {
+	var out []Patch
+	off := 0
+	for _, cell := range c.Tree.Cells {
+		if cell.Box.Overlaps(region) {
+			out = append(out, Patch{Cell: cell, Samples: c.Samples[off : off+cell.SampleCount()]})
+		}
+		off += cell.SampleCount()
+	}
+	return out
+}
+
+// samePatchGroups reports whether got decodes want: the same boxes, and per
+// component the same cells with the same sample bits.
+func samePatchGroups(got, want []PatchGroup) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, g := range want {
+		if got[i].Box != g.Box || len(got[i].Comps) != len(g.Comps) {
+			return false
+		}
+		for c, ps := range g.Comps {
+			if len(got[i].Comps[c]) != len(ps) {
+				return false
+			}
+			for j, p := range ps {
+				q := got[i].Comps[c][j]
+				if q.Cell != p.Cell || len(q.Samples) != len(p.Samples) {
+					return false
+				}
+				for k, v := range p.Samples {
+					if math.Float64bits(q.Samples[k]) != math.Float64bits(v) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
 func TestPatchCodecQuick(t *testing.T) {
 	// Property: encode/decode round-trips arbitrary (valid) patch sets.
 	d := grid.Cube(32)
@@ -411,29 +455,12 @@ func TestPatchCodecQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(lox, loy, loz, size uint8) bool {
+	check := func(box uint16, lox, loy, loz, size uint8) bool {
 		region := grid.BoxAt(grid.Point{int(lox) % 32, int(loy) % 32, int(loz) % 32},
 			1+int(size)%16, 1+int(size)%16, 1+int(size)%16)
-		ps := c.Patches(region)
-		msg := EncodePatches(ps)
-		back, err := DecodePatches(msg)
-		if err != nil {
-			return false
-		}
-		if len(back) != len(ps) {
-			return false
-		}
-		for i := range ps {
-			if back[i].Cell != ps[i].Cell || len(back[i].Samples) != len(ps[i].Samples) {
-				return false
-			}
-			for j := range ps[i].Samples {
-				if back[i].Samples[j] != ps[i].Samples[j] {
-					return false
-				}
-			}
-		}
-		return true
+		gs := []PatchGroup{{Box: int(box), Comps: [][]Patch{patchesIn(c, region)}}}
+		back, err := DecodePatchGroups(EncodePatchGroups(gs), 1)
+		return err == nil && samePatchGroups(back, gs)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -442,40 +469,40 @@ func TestPatchCodecQuick(t *testing.T) {
 
 func TestDecodePatchesMalformed(t *testing.T) {
 	cases := [][]float64{
-		nil,
-		{-1},
-		{1, 0, 0, 0, 2, 1},                   // truncated header
-		{1, 0, 0, 0, 2, 1, 5, 1, 2, 3, 4, 5}, // count 5 != cell sample count
-		{1, 0, 0, 0, -2, 1, 8},               // negative size
-		{2, 0, 0, 0, 1, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8}, // second patch missing
+		{-1, 0},                                 // negative box index
+		{0},                                     // group without its patch list
+		{0, 1, 0, 0, 0, 2, 1},                   // truncated header
+		{0, 1, 0, 0, 0, 2, 1, 5, 1, 2, 3, 4, 5}, // count 5 != cell sample count
+		{0, 1, 0, 0, 0, -2, 1, 8},               // negative size
+		{0, 2, 0, 0, 0, 1, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8}, // second patch missing
 	}
 	for i, msg := range cases {
-		if _, err := DecodePatches(msg); err == nil {
+		if _, err := DecodePatchGroups(msg, 1); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
 }
 
-// lyingPatchMessages are headers that once crashed the decoder: a patch
-// count that sized a 10¹²-entry allocation (a fatal, unrecoverable
-// out-of-memory), and a 2²²−1 cell whose (size/rate+1)³ lattice count
-// wrapped to the 0 samples that followed, so the accumulation sliced past them.
+// lyingPatchMessages are headers that once crashed the decoder, each in a
+// group of box 0: a patch count that sized a 10¹²-entry allocation (a
+// fatal, unrecoverable out-of-memory), and a 2²²−1 cell whose
+// (size/rate+1)³ lattice count wrapped to the 0 samples that followed, so
+// the accumulation sliced past them.
 var lyingPatchMessages = [][]float64{
-	{1e12},
-	{1, 0, 0, 0, 1<<22 - 1, 1, 0},
+	{0, 1e12},
+	{0, 1, 0, 0, 0, 1<<22 - 1, 1, 0},
 }
 
 func TestDecodeRejectsLyingHeaders(t *testing.T) {
 	for i, msg := range lyingPatchMessages {
-		if _, err := DecodePatches(msg); err == nil {
-			t.Errorf("message %d: DecodePatches accepted %v", i, msg)
-		}
-		if _, err := DecodePatchGroups(msg); err == nil {
-			t.Errorf("message %d: DecodePatchGroups accepted %v", i, msg)
+		for _, comps := range []int{1, 6} {
+			if _, err := DecodePatchGroups(msg, comps); err == nil {
+				t.Errorf("message %d: DecodePatchGroups(%d components) accepted %v", i, comps, msg)
+			}
 		}
 	}
-	if _, err := DecodeComponentPatches([]float64{1e12}); err == nil {
-		t.Error("DecodeComponentPatches accepted a 10¹²-component header")
+	if _, err := DecodePatchGroups([]float64{1e12, 0}, 1); err == nil {
+		t.Error("DecodePatchGroups accepted box index 10¹²")
 	}
 	for _, h := range [][]float64{
 		{1, -8, 0, 0, 2, 1, 27}, // negative corner
@@ -486,20 +513,20 @@ func TestDecodeRejectsLyingHeaders(t *testing.T) {
 		{0.5},
 		{math.NaN()},
 	} {
-		msg := append(h, make([]float64, 27)...)
-		if _, err := DecodePatches(msg); err == nil {
-			t.Errorf("DecodePatches accepted header %v", h)
+		msg := append(append([]float64{0}, h...), make([]float64, 27)...)
+		if _, err := DecodePatchGroups(msg, 1); err == nil {
+			t.Errorf("DecodePatchGroups accepted header %v", h)
 		}
 	}
 	var lat *octree.OffLatticeError
-	if _, err := DecodePatches([]float64{1, 8, 4, 2, 4, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.As(err, &lat) || lat.Cell.Box.Lo != (grid.Point{8, 4, 2}) {
+	if _, err := DecodePatchGroups([]float64{0, 1, 8, 4, 2, 4, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1); !errors.As(err, &lat) || lat.Cell.Box.Lo != (grid.Point{8, 4, 2}) {
 		t.Errorf("a rate-4 patch at (8,4,2): got %v, want an *octree.OffLatticeError", err)
 	}
 }
 
-// TestPatchGroupsRoundTrip: back-to-back EncodePatches messages, empty ones
-// included, decode into the same groups in order, and a trailing fragment
-// fails.
+// TestPatchGroupsRoundTrip: one-component groups, an empty one included,
+// decode into the same groups in order, an empty message into none, and a
+// trailing fragment fails.
 func TestPatchGroupsRoundTrip(t *testing.T) {
 	d := grid.Cube(16)
 	tree, err := DefaultPolicy(grid.CubeAt(grid.Point{0, 0, 0}, 8), 4).Tree(d)
@@ -510,38 +537,30 @@ func TestPatchGroupsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := [][]Patch{c.Patches(grid.BoxAt(grid.Point{0, 0, 4}, 16, 16, 4)), nil, c.Patches(d.Bounds())}
-	var msg []float64
-	for _, g := range groups {
-		msg = append(msg, EncodePatches(g)...)
+	groups := []PatchGroup{
+		{Box: 3, Comps: [][]Patch{patchesIn(c, grid.BoxAt(grid.Point{0, 0, 4}, 16, 16, 4))}},
+		{Box: 5, Comps: [][]Patch{nil}},
+		{Box: 9, Comps: [][]Patch{patchesIn(c, d.Bounds())}},
 	}
-	back, err := DecodePatchGroups(msg)
+	msg := EncodePatchGroups(groups)
+	back, err := DecodePatchGroups(msg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(groups) {
-		t.Fatalf("%d groups, want %d", len(back), len(groups))
+	if !samePatchGroups(back, groups) {
+		t.Fatalf("decoded %d groups differ from the %d encoded", len(back), len(groups))
 	}
-	for i := range groups {
-		if len(back[i]) != len(groups[i]) {
-			t.Fatalf("group %d: %d patches, want %d", i, len(back[i]), len(groups[i]))
-		}
-		for j, p := range groups[i] {
-			if back[i][j].Cell != p.Cell {
-				t.Fatalf("group %d patch %d: cell %v, want %v", i, j, back[i][j].Cell, p.Cell)
-			}
-			for s, v := range p.Samples {
-				if back[i][j].Samples[s] != v {
-					t.Fatalf("group %d patch %d sample %d changed", i, j, s)
-				}
-			}
-		}
+	if back, err := DecodePatchGroups(nil, 1); err != nil || len(back) != 0 {
+		t.Errorf("empty message: %d groups, %v", len(back), err)
 	}
-	if _, err := DecodePatchGroups(append(msg, 3)); err == nil {
+	if _, err := DecodePatchGroups(append(msg, 3), 1); err == nil {
 		t.Error("a trailing fragment should fail")
 	}
 }
 
+// TestComponentPatchCodecRoundTrip: groups of three components, an empty
+// component included, round-trip, and a message cut inside a group's
+// components fails.
 func TestComponentPatchCodecRoundTrip(t *testing.T) {
 	d := grid.Cube(16)
 	tree, err := Uniform{Rate: 2, CellSize: 4}.Tree(d)
@@ -553,29 +572,27 @@ func TestComponentPatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := [][]Patch{
-		c.Patches(grid.CubeAt(grid.Point{0, 0, 0}, 8)),
-		nil, // empty component must survive
-		c.Patches(grid.CubeAt(grid.Point{8, 8, 8}, 8)),
+	groups := []PatchGroup{
+		{Box: 0, Comps: [][]Patch{
+			patchesIn(c, grid.CubeAt(grid.Point{0, 0, 0}, 8)),
+			nil, // empty component must survive
+			patchesIn(c, grid.CubeAt(grid.Point{8, 8, 8}, 8)),
+		}},
+		{Box: 2, Comps: [][]Patch{nil, patchesIn(c, grid.CubeAt(grid.Point{4, 4, 4}, 4)), nil}},
 	}
-	msg := EncodeComponentPatches(comps)
-	back, err := DecodeComponentPatches(msg)
+	msg := EncodePatchGroups(groups)
+	back, err := DecodePatchGroups(msg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 3 {
-		t.Fatalf("components = %d", len(back))
+	if !samePatchGroups(back, groups) {
+		t.Fatal("three-component groups do not round-trip")
 	}
-	for ci := range comps {
-		if len(back[ci]) != len(comps[ci]) {
-			t.Fatalf("component %d: %d patches want %d", ci, len(back[ci]), len(comps[ci]))
-		}
+	if _, err := DecodePatchGroups(msg, 4); err == nil {
+		t.Error("decoding three-component groups as four should fail")
 	}
-	if _, err := DecodeComponentPatches(nil); err == nil {
-		t.Error("empty message should fail")
-	}
-	if _, err := DecodeComponentPatches([]float64{2, 5}); err == nil {
-		t.Error("truncated component should fail")
+	if _, err := DecodePatchGroups([]float64{0, 0, 0}, 3); err == nil {
+		t.Error("a group cut after two of three components should fail")
 	}
 }
 
@@ -598,7 +615,7 @@ func TestAddToSubFieldMatchesGlobal(t *testing.T) {
 	region := grid.BoxAt(origin, 8, 8, 8)
 	globalDst := grid.NewField(d)
 	localDst := grid.NewField(kd)
-	for _, p := range c.Patches(region) {
+	for _, p := range patchesIn(c, region) {
 		if err := AddPatches(globalDst, grid.Point{}, region, []Patch{p}, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -794,7 +811,7 @@ func TestAddToWarmZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("one result with a warm kernel: %v allocs, want 0", n)
 	}
-	patches := c.Patches(d.Bounds())
+	patches := patchesIn(c, d.Bounds())
 	if n := testing.AllocsPerRun(10, func() {
 		if err := bs.add(dst, grid.Point{}, d.Bounds(), addends{ps: patches}, 1); err != nil {
 			t.Fatal(err)
@@ -884,7 +901,7 @@ func TestAddPatchesMatchesAddResults(t *testing.T) {
 	} {
 		var ps []Patch
 		for _, r := range results {
-			ps = append(ps, r.Patches(win)...)
+			ps = append(ps, patchesIn(r, win)...)
 		}
 		s := win.Size()
 		got := grid.NewField(grid.Dim3{Nx: s[0], Ny: s[1], Nz: s[2]})
@@ -898,7 +915,7 @@ func TestAddPatchesMatchesAddResults(t *testing.T) {
 		})
 	}
 
-	ps := results[0].Patches(d.Bounds())
+	ps := patchesIn(results[0], d.Bounds())
 	for _, p := range ps {
 		if p.Cell.Rate == 2 {
 			off := p

@@ -57,19 +57,23 @@ func sampleDiff(got, want *sample.Compressed) string {
 		return fmt.Sprintf("served %d cells, direct %d", len(got.Tree.Cells), len(want.Tree.Cells))
 	}
 	direct := map[octree.Cell][]float64{}
-	for _, p := range want.Patches(want.Tree.Dim.Bounds()) {
-		direct[p.Cell] = p.Samples
+	off := 0
+	for _, c := range want.Tree.Cells {
+		direct[c] = want.Samples[off : off+c.SampleCount()]
+		off += c.SampleCount()
 	}
-	for _, p := range got.Patches(got.Tree.Dim.Bounds()) {
-		w, ok := direct[p.Cell]
+	off = 0
+	for _, c := range got.Tree.Cells {
+		w, ok := direct[c]
 		if !ok {
-			return fmt.Sprintf("served cell %v at rate %d is not in the direct tree", p.Cell.Box, p.Cell.Rate)
+			return fmt.Sprintf("served cell %v at rate %d is not in the direct tree", c.Box, c.Rate)
 		}
-		for i, v := range p.Samples {
+		for i, v := range got.Samples[off : off+c.SampleCount()] {
 			if math.Float64bits(v) != math.Float64bits(w[i]) {
-				return fmt.Sprintf("cell %v sample %d: served %g, direct %g", p.Cell.Box, i, v, w[i])
+				return fmt.Sprintf("cell %v sample %d: served %g, direct %g", c.Box, i, v, w[i])
 			}
 		}
+		off += c.SampleCount()
 	}
 	return ""
 }
