@@ -84,7 +84,7 @@ func main() {
 		writeSeed(fftDir, fmt.Sprintf("seed-radix4-n%d", n), n-1, []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, byte(n)})
 	}
 
-	// FuzzOctreeMetaCodec(n int, totalSamples int, metaBytes []byte)
+	// FuzzOctreeMetaCodec(n int, totalSlots int, metaBytes []byte)
 	octDir := filepath.Join("internal", "octree", "testdata", "fuzz", "FuzzOctreeMetaCodec")
 	near := grid.BoxAt(grid.Point{0, 0, 0}, 8, 8, 8)
 	tree, err := octree.Build(grid.Cube(16), func(b grid.Box) int {
@@ -99,13 +99,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeSeed(octDir, "seed-genuine", 16, tree.SampleCount(), metaBytes(tree.EncodeMeta()))
+	writeSeed(octDir, "seed-genuine", 16, tree.SlotCount(), metaBytes(tree.EncodeMeta()))
 	writeSeed(octDir, "seed-single-cell", 8, 27, metaBytes([]int32{0, 0, 0, 1, 0}))
 	writeSeed(octDir, "seed-negative-total", 4, -5, metaBytes([]int32{0, 0, 0, 1, 0}))
 	writeSeed(octDir, "seed-huge-total", 1<<20, 1<<50, metaBytes([]int32{0, 0, 0, 1, 0}))
 	corruptMeta := tree.EncodeMeta()
 	corruptMeta[3] = 3 // non-power-of-two rate
-	writeSeed(octDir, "seed-bad-rate", 16, tree.SampleCount(), metaBytes(corruptMeta))
+	writeSeed(octDir, "seed-bad-rate", 16, tree.SlotCount(), metaBytes(corruptMeta))
 
 	// FuzzValidateMatchesPairwise(n int, cells []byte): x, y, z, size, rate
 	// as one int8 per field, five bytes a cell.
@@ -158,7 +158,7 @@ func main() {
 	writeSeed(smpDir, "seed-truncated-header", v64.Bytes()[:20])
 	writeSeed(smpDir, "seed-truncated-payload", v64.Bytes()[:v64.Len()-3])
 	lying := bytes.Clone(v64.Bytes())
-	binary.LittleEndian.PutUint64(lying[16:], 1<<39) // forge a huge sample count
+	binary.LittleEndian.PutUint64(lying[24:], 1<<39) // forge a huge sample count
 	writeSeed(smpDir, "seed-lying-count", lying)
 
 	// FuzzPatchCodec(data []byte): float64 messages, little-endian. The

@@ -82,23 +82,30 @@ func main() {
 	}
 
 	fmt.Println()
-	t := report.New("per-rate statistics", "rate", "cells", "volume %", "samples")
-	byRate := map[int][3]int{}
+	t := report.New("per-rate statistics", "rate", "cells", "volume %", "slots", "stored")
+	byRate := map[int][4]int{}
 	for _, c := range tree.Cells {
 		e := byRate[c.Rate]
 		e[0]++
 		e[1] += c.Box.Volume()
-		e[2] += c.SampleCount()
+		e[2] += c.SlotCount()
 		byRate[c.Rate] = e
 	}
+	// A point shared by cells of several rates is stored with the cell of
+	// its first slot.
+	tree.ForEachPoint(func(ci, _, _, _, _ int) {
+		e := byRate[tree.Cells[ci].Rate]
+		e[3]++
+		byRate[tree.Cells[ci].Rate] = e
+	})
 	for r := 1; r <= tree.MaxRate(); r <<= 1 {
 		if e, ok := byRate[r]; ok {
-			t.Add(r, e[0], 100*float64(e[1])/float64(dim.Len()), e[2])
+			t.Add(r, e[0], 100*float64(e[1])/float64(dim.Len()), e[2], e[3])
 		}
 	}
 	t.Render(os.Stdout)
-	fmt.Printf("\n%d samples of %d points: %.1fx compression, metadata %s\n",
-		tree.SampleCount(), dim.Len(),
+	fmt.Printf("\n%d samples stored (one per point; %d lattice slots) of %d points: %.1fx compression, metadata %s\n",
+		tree.SampleCount(), tree.SlotCount(), dim.Len(),
 		float64(dim.Len())/float64(tree.SampleCount()),
 		report.Bytes(int64(tree.MetadataBytes())))
 }

@@ -256,6 +256,12 @@ func fig1() error {
 		}
 	}
 	t.Render(os.Stdout)
+	tree, err := sample.DefaultPolicy(grid.CubeAt(grid.Point{}, k), 16).Tree(f.Dim)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("ours: a box's result stores %d samples, one per sampled point (%d lattice slots); its patches carry the slots\n",
+		tree.SampleCount(), tree.SlotCount())
 
 	// Analytic: Eq. 1 vs Eq. 6 at the paper's scales.
 	params := cluster.DefaultParams()
@@ -286,28 +292,28 @@ func fig3() error {
 	}
 	rateCount := map[int]int{}
 	rateVolume := map[int]int{}
+	rateSlots := map[int]int{}
 	for _, c := range tree.Cells {
 		rateCount[c.Rate]++
 		rateVolume[c.Rate] += c.Box.Volume()
+		rateSlots[c.Rate] += c.SlotCount()
 	}
+	// A point shared by cells of several rates is stored with the cell of
+	// its first slot.
+	rateStored := map[int]int{}
+	tree.ForEachPoint(func(ci, _, _, _, _ int) { rateStored[tree.Cells[ci].Rate]++ })
 	t := report.New(fmt.Sprintf("Fig. 3 — octree sampling pattern: %d³ sub-domain in %d³ grid", k, n),
-		"rate r", "cells", "volume", "vol %", "samples")
+		"rate r", "cells", "volume", "vol %", "slots", "stored")
 	for _, r := range []int{1, 2, 8, 16} {
 		if rateCount[r] == 0 {
 			continue
 		}
-		samples := 0
-		for _, c := range tree.Cells {
-			if c.Rate == r {
-				samples += c.SampleCount()
-			}
-		}
 		t.Add(r, rateCount[r], rateVolume[r],
-			100*float64(rateVolume[r])/float64(dim.Len()), samples)
+			100*float64(rateVolume[r])/float64(dim.Len()), rateSlots[r], rateStored[r])
 	}
 	t.Render(os.Stdout)
-	fmt.Printf("\ntotal: %d cells, %d samples of %d grid points (%.1fx compression), metadata %s\n",
-		tree.CellCount(), tree.SampleCount(), dim.Len(),
+	fmt.Printf("\ntotal: %d cells, %d samples stored (one per point; %d lattice slots) of %d grid points (%.1fx compression), metadata %s\n",
+		tree.CellCount(), tree.SampleCount(), tree.SlotCount(), dim.Len(),
 		float64(dim.Len())/float64(tree.SampleCount()), report.Bytes(int64(tree.MetadataBytes())))
 	fmt.Println("(render the pattern itself with cmd/octviz)")
 	return nil
@@ -329,7 +335,7 @@ func batchStudy() error {
 
 func measured() error {
 	t := report.New("§5.3 — measured (pure Go): local pipeline vs dense baseline",
-		"N", "k", "far r", "rel L2 error", "L∞ error", "Taylor bound", "compression", "local (ms)", "baseline (ms)")
+		"N", "k", "far r", "samples stored", "rel L2 error", "L∞ error", "Taylor bound", "compression", "local (ms)", "baseline (ms)")
 	for _, c := range []struct {
 		n, k, far int
 		sigma     float64
@@ -389,7 +395,7 @@ func measured() error {
 		if err != nil {
 			return err
 		}
-		t.AddCells(fmt.Sprint(c.n), fmt.Sprint(c.k), fmt.Sprint(c.far),
+		t.AddCells(fmt.Sprint(c.n), fmt.Sprint(c.k), fmt.Sprint(c.far), fmt.Sprint(st.SampleCount),
 			fmt.Sprintf("%.4f", rel), fmt.Sprintf("%.2e", linf), fmt.Sprintf("%.2e", bound),
 			fmt.Sprintf("%.1fx", st.Compression),
 			fmt.Sprintf("%.1f", localMs), fmt.Sprintf("%.1f", baseMs))
@@ -822,7 +828,7 @@ func rateSweep() error {
 		return err
 	}
 	t := report.New(fmt.Sprintf("§5.4 measured accuracy/compression tradeoff, N=%d k=%d", n, k),
-		"far r", "samples", "compression", "rel L2 error")
+		"far r", "samples stored", "compression", "rel L2 error")
 	for _, far := range []int{2, 4, 8, 16, 32} {
 		pol := sample.Policy{Sub: sub, NearRate: 2, MidRate: 8, FarRate: far}
 		if far < 8 {

@@ -65,8 +65,9 @@ func (x *Exchange) forBoxes(c grid.Box, f func(j int)) {
 // Sends builds one rank's send lists: per destination rank, one group per
 // box src[i], in src order, each component of its results outs[i] listing,
 // in cell order, the patches that overlap a box the destination owns.
-// Patch samples alias outs, so a rank builds its lists once and every run
-// that refills outs in place sends the new values.
+// Patches are on the results' storage (sample.Compressed.CellPatch), so a
+// rank builds its lists once and every run that refills outs in place
+// sends the new values.
 func (x *Exchange) Sends(src []int, outs [][]*sample.Compressed) [][]sample.PatchGroup {
 	send := make([][]sample.PatchGroup, x.p)
 	to := make([]bool, x.p)
@@ -75,10 +76,8 @@ func (x *Exchange) Sends(src []int, outs [][]*sample.Compressed) [][]sample.Patc
 			send[q] = append(send[q], sample.PatchGroup{Box: j, Comps: make([][]sample.Patch, x.comps)})
 		}
 		for c, out := range outs[i] {
-			off := 0
-			for _, cell := range out.Tree.Cells {
-				pt := sample.Patch{Cell: cell, Samples: out.Samples[off : off+cell.SampleCount()]}
-				off += len(pt.Samples)
+			for ci, cell := range out.Tree.Cells {
+				pt := out.CellPatch(ci)
 				clear(to)
 				x.forBoxes(cell.Box, func(b int) { to[b%x.p] = true })
 				for q, ok := range to {
@@ -93,7 +92,8 @@ func (x *Exchange) Sends(src []int, outs [][]*sample.Compressed) [][]sample.Patc
 	return send
 }
 
-// Encode frames send lists as one message per destination rank.
+// Encode frames send lists as one message per destination rank, every
+// patch its cell's lattice as the results hold it.
 func (x *Exchange) Encode(send [][]sample.PatchGroup) [][]float64 {
 	msgs := make([][]float64, len(send))
 	for q, gs := range send {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"lowcomm3d/internal/grid"
@@ -73,7 +74,7 @@ func TestExchangeErrors(t *testing.T) {
 
 // TestExchangeSendsOverlaps: the lattice lookup sends each peer exactly
 // the cells that overlap one of its boxes, found here by testing every
-// box, once, in cell order.
+// box, once, in cell order, each a patch on its result's storage.
 func TestExchangeSendsOverlaps(t *testing.T) {
 	d := grid.Cube(32)
 	for _, p := range []int{1, 3, 4} {
@@ -92,40 +93,83 @@ func TestExchangeSendsOverlaps(t *testing.T) {
 		}
 		send := x.Sends(src, outs)
 		for q := range p {
-			var want []sample.PatchGroup
+			if len(send[q]) != len(src) {
+				t.Fatalf("P=%d: rank %d gets %d groups, want %d", p, q, len(send[q]), len(src))
+			}
 			for i, j := range src {
-				g := sample.PatchGroup{Box: j, Comps: make([][]sample.Patch, 2)}
+				got := send[q][i]
+				if got.Box != j {
+					t.Fatalf("P=%d: rank %d group %d is box %d, want %d", p, q, i, got.Box, j)
+				}
 				for c, out := range outs[i] {
-					off := 0
-					for _, cell := range out.Tree.Cells {
+					var want []sample.Patch
+					for ci, cell := range out.Tree.Cells {
 						for _, b := range x.Owned(q) {
 							if cell.Box.Overlaps(x.Boxes[b]) {
-								g.Comps[c] = append(g.Comps[c], sample.Patch{Cell: cell, Samples: out.Samples[off : off+cell.SampleCount()]})
+								want = append(want, out.CellPatch(ci))
 								break
 							}
 						}
-						off += cell.SampleCount()
 					}
-				}
-				want = append(want, g)
-			}
-			if len(send[q]) != len(want) {
-				t.Fatalf("P=%d: rank %d gets %d groups, want %d", p, q, len(send[q]), len(want))
-			}
-			for k, g := range want {
-				got := send[q][k]
-				if got.Box != g.Box {
-					t.Fatalf("P=%d: rank %d group %d is box %d, want %d", p, q, k, got.Box, g.Box)
-				}
-				for c := range g.Comps {
-					if len(got.Comps[c]) != len(g.Comps[c]) {
-						t.Fatalf("P=%d: rank %d box %d component %d: %d patches, want %d", p, q, g.Box, c, len(got.Comps[c]), len(g.Comps[c]))
+					if len(got.Comps[c]) != len(want) {
+						t.Fatalf("P=%d: rank %d box %d component %d: %d patches, want %d", p, q, j, c, len(got.Comps[c]), len(want))
 					}
-					for i, pt := range g.Comps[c] {
-						if got.Comps[c][i].Cell != pt.Cell || &got.Comps[c][i].Samples[0] != &pt.Samples[0] {
-							t.Fatalf("P=%d: rank %d box %d component %d patch %d is not cell %v aliasing its result", p, q, g.Box, c, i, pt.Cell)
+					for k, pt := range want {
+						g := got.Comps[c][k]
+						if g.Cell != pt.Cell || &g.Samples[0] != &out.Samples[0] || &g.View[0] != &pt.View[0] {
+							t.Fatalf("P=%d: rank %d box %d component %d patch %d is not cell %v on its result's storage", p, q, j, c, k, pt.Cell)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestExchangeEncodesRefilledValues: send lists are built once on the
+// results, and each Encode frames what the results hold then — every
+// patch its cell's lattice view — so a run that refills the results in
+// place sends the new values.
+func TestExchangeEncodesRefilledValues(t *testing.T) {
+	d := grid.Cube(32)
+	x, err := NewExchange(d, 8, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := x.Owned(1)
+	outs := make([][]*sample.Compressed, len(src))
+	for i, j := range src {
+		tree, err := sample.DefaultPolicy(x.Boxes[j], 8).Tree(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = []*sample.Compressed{sample.NewCompressed(tree)}
+	}
+	send := x.Sends(src, outs)
+	for run := range 2 {
+		for i, o := range outs {
+			for s := range o[0].Samples {
+				o[0].Samples[s] = float64(run*1_000_000 + i*10_000 + s)
+			}
+		}
+		recv := make([][]float64, 3)
+		recv[1] = x.Encode(send)[0]
+		in, err := x.Decode(recv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(in[1]) != len(src) {
+			t.Fatalf("run %d: %d groups, want %d", run, len(in[1]), len(src))
+		}
+		for i, g := range in[1] {
+			res, pts, sent := outs[i][0], g.Comps[0], send[0][i].Comps[0]
+			if len(pts) != len(sent) {
+				t.Fatalf("run %d box %d: %d patches, sent %d", run, g.Box, len(pts), len(sent))
+			}
+			for k, pt := range pts {
+				ci := slices.Index(res.Tree.Cells, sent[k].Cell)
+				if pt.Cell != sent[k].Cell || !slices.Equal(pt.Samples, res.AppendLattice(nil, ci)) {
+					t.Fatalf("run %d box %d patch %d: cell %v does not carry its lattice as it stands", run, g.Box, k, pt.Cell)
 				}
 			}
 		}

@@ -14,14 +14,20 @@ import (
 )
 
 // samplesHash is the first 8 bytes, in hex, of SHA-256 over the samples'
-// little-endian Float64bits, concatenated in component order.
+// little-endian Float64bits as the per-cell lattice view reads them — every
+// cell's closed lattice in slot order, shared points once per cell —
+// concatenated in component order.
 func samplesHash(outs []*sample.Compressed) string {
 	h := sha256.New()
 	var b [8]byte
+	var lat []float64
 	for _, o := range outs {
-		for _, v := range o.Samples {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
+		for i := range o.Tree.Cells {
+			lat = o.AppendLattice(lat[:0], i)
+			for _, v := range lat {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])

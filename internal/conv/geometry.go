@@ -26,28 +26,32 @@ type geometry struct {
 	maxEdge  int // the tree's largest cell edge
 }
 
-// newGeometry groups the octree's sample points by z plane and, within a
-// plane, by row, so the pipeline keeps and transforms only the rows that
-// carry a sample and gathers straight from each inverse-transformed line —
-// the "compression algorithm applied after each 1D iFFT stage". A counting
-// sort on the key z·n+y in at's frame, no maps: the counts are taken a
-// lattice row at a time (a row's m samples share one key; its one wrap per
-// row can afford the modulo), the fill is one walk of the samples.
+// newGeometry groups the octree's stored sample points by z plane and,
+// within a plane, by row, so the pipeline keeps and transforms only the
+// rows that carry a sample and gathers straight from each
+// inverse-transformed line — the "compression algorithm applied after each
+// 1D iFFT stage". Each distinct point is one gather, so stage C writes
+// every stored value once. A counting sort on the key z·n+y in at's frame,
+// no maps: one walk of the points takes each one's key and x, the fill is
+// one pass over them.
 func newGeometry(tree *octree.Tree, at grid.Point) *geometry {
 	n := tree.Dim.Nx
 	g := &geometry{tree: tree, at: at}
-	off := make([]int32, n*n+1)
 	for _, c := range tree.Cells {
-		m := c.LatticePoints()
 		g.maxEdge = max(g.maxEdge, c.Box.Hi[0]-c.Box.Lo[0])
-		for iz := 0; iz < m; iz++ {
-			z := (c.Box.Lo[2] - at[2] + n + iz*c.Rate) % n
-			for iy := 0; iy < m; iy++ {
-				y := (c.Box.Lo[1] - at[1] + n + iy*c.Rate) % n
-				off[z*n+y+1] += int32(m)
-			}
-		}
 	}
+	frame := func(v, a int) int {
+		if v -= a; v < 0 {
+			v += n
+		}
+		return v
+	}
+	off := make([]int32, n*n+1)
+	keys, xs := make([]int32, tree.SampleCount()), make([]int32, tree.SampleCount())
+	tree.ForEachPoint(func(_, s, x, y, z int) {
+		keys[s], xs[s] = int32(frame(z, at[2])*n+frame(y, at[1])), int32(frame(x, at[0]))
+		off[keys[s]+1]++
+	})
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
@@ -65,19 +69,11 @@ func newGeometry(tree *octree.Tree, at grid.Point) *geometry {
 			g.rowPairs += (len(g.rows) - first + 1) / 2
 		}
 	}
-	frame := func(v, a int) int {
-		if v -= a; v < 0 {
-			v += n
-		}
-		return v
+	g.gather = make([]gatherPoint, len(keys))
+	for s, k := range keys {
+		g.gather[off[k]] = gatherPoint{x: xs[s], sample: int32(s)}
+		off[k]++
 	}
-	g.gather = make([]gatherPoint, off[n*n])
-	tree.ForEachSample(func(cell, s, x, y, z int) {
-		key := frame(z, at[2])*n + frame(y, at[1])
-		i := off[key]
-		off[key]++
-		g.gather[i] = gatherPoint{x: int32(frame(x, at[0])), sample: int32(s)}
-	})
 	return g
 }
 

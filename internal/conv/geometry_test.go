@@ -10,13 +10,11 @@ import (
 	"lowcomm3d/internal/sample"
 )
 
-// cellSamples maps each cell of a result to its samples.
+// cellSamples maps each cell of a result to its lattice view.
 func cellSamples(res *sample.Compressed) map[octree.Cell][]float64 {
 	m := make(map[octree.Cell][]float64, len(res.Tree.Cells))
-	off := 0
-	for _, c := range res.Tree.Cells {
-		m[c] = res.Samples[off : off+c.SampleCount()]
-		off += c.SampleCount()
+	for i, c := range res.Tree.Cells {
+		m[c] = res.AppendLattice(nil, i)
 	}
 	return m
 }

@@ -38,3 +38,26 @@ func BenchmarkTreeValidate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTreeIndex builds the slot index of the §5.4 tree at the solve
+// and local shapes, each time on a fresh tree over the same cells: the
+// cost a receiver pays for a result whose tree it has not seen.
+func BenchmarkTreeIndex(b *testing.B) {
+	for _, nk := range [][2]int{{64, 16}, {128, 32}} {
+		n, k := nk[0], nk[1]
+		tr, err := sample.DefaultPolicy(grid.CubeAt(grid.Point{k, k, k}, k), 16).Tree(grid.Cube(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n%d-k%d", n, k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fresh := &octree.Tree{Dim: tr.Dim, Cells: tr.Cells}
+				if fresh.SampleCount() != tr.SampleCount() {
+					b.Fatal("index differs")
+				}
+			}
+			b.ReportMetric(float64(tr.SlotCount()), "slots")
+		})
+	}
+}

@@ -41,30 +41,30 @@ func FuzzOctreeMetaCodec(f *testing.F) {
 		for i, m := range meta {
 			binary.LittleEndian.PutUint32(raw[4*i:], uint32(m))
 		}
-		f.Add(16, tree.SampleCount(), raw)
+		f.Add(16, tree.SlotCount(), raw)
 	}
 	f.Add(8, 27, []byte{
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // corner (0,0,0)
 		1, 0, 0, 0, // rate 1
 		0, 0, 0, 0, // cum 0
-	}) // one 2³-lattice cell: 27 = 3³ samples → size 2
+	}) // one 2³-lattice cell: 27 = 3³ slots → size 2
 	f.Add(8, 0, []byte{})
 	f.Add(4, -5, []byte{1, 2, 3, 4})
 	f.Add(1<<20, 1<<30, make([]byte, 40))
 
-	f.Fuzz(func(t *testing.T, n int, totalSamples int, data []byte) {
+	f.Fuzz(func(t *testing.T, n int, totalSlots int, data []byte) {
 		meta := metaFromBytes(data)
-		tree, err := DecodeMeta(n, meta, totalSamples)
+		tree, err := DecodeMeta(n, meta, totalSlots)
 		if err != nil {
 			return // rejected cleanly — the required behavior for garbage
 		}
 		// Whatever decodes must be internally consistent enough to
 		// re-encode and decode to the same structure.
-		if tree.SampleCount() != totalSamples {
-			t.Fatalf("decoded tree has %d samples, header said %d", tree.SampleCount(), totalSamples)
+		if tree.SlotCount() != totalSlots {
+			t.Fatalf("decoded tree has %d slots, header said %d", tree.SlotCount(), totalSlots)
 		}
 		meta2 := tree.EncodeMeta()
-		tree2, err := DecodeMeta(n, meta2, totalSamples)
+		tree2, err := DecodeMeta(n, meta2, totalSlots)
 		if err != nil {
 			t.Fatalf("re-decoding own encoding failed: %v", err)
 		}

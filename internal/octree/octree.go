@@ -9,6 +9,7 @@ package octree
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"lowcomm3d/internal/grid"
 )
@@ -20,23 +21,26 @@ import (
 type RateFunc func(b grid.Box) int
 
 // Cell is one octree leaf: a cubic region sampled with stride Rate along
-// every axis. The sample lattice includes both end planes of the cell
-// (positions lo, lo+r, …, lo+size, the last wrapping periodically onto the
-// neighbouring cell) so each cell is self-contained for trilinear
-// reconstruction — no neighbour lookups during the accumulation step.
+// every axis. Its lattice includes both end planes (positions lo, lo+r, …,
+// lo+size, the last wrapping periodically onto the neighbouring cell), so
+// each cell reads as self-contained for trilinear reconstruction — no
+// neighbour lookups during the accumulation step. A point on a shared
+// face, edge or corner is a slot of every cell whose lattice holds it but
+// is stored once: the lattices are a view of the tree's storage (Index).
 type Cell struct {
 	Box  grid.Box
 	Rate int
 }
 
-// LatticePoints returns the number of sample points per axis:
+// LatticePoints returns the number of lattice points per axis:
 // size/rate + 1 (endpoint included).
 func (c Cell) LatticePoints() int {
 	return (c.Box.Hi[0]-c.Box.Lo[0])/c.Rate + 1
 }
 
-// SampleCount returns the number of samples stored for this cell.
-func (c Cell) SampleCount() int {
+// SlotCount returns the number of slots of the cell's closed lattice,
+// LatticePoints³: what its patch carries.
+func (c Cell) SlotCount() int {
 	m := c.LatticePoints()
 	return m * m * m
 }
@@ -63,6 +67,8 @@ func (e *OffLatticeError) Error() string {
 type Tree struct {
 	Dim   grid.Dim3
 	Cells []Cell
+
+	index atomic.Pointer[Index] // built by Index on first use
 }
 
 // Build constructs an octree over the cubic power-of-two grid d by
@@ -120,8 +126,8 @@ func (t *Tree) subdivide(b grid.Box, rate RateFunc) error {
 }
 
 // Translate returns the tree with every cell moved by s on the torus, in
-// the same order. No moved cell may wrap, which holds when every component
-// of s is a multiple of every cell's edge.
+// the same order, sharing t's index. No moved cell may wrap, which holds
+// when every component of s is a multiple of every cell's edge.
 func (t *Tree) Translate(s grid.Point) *Tree {
 	n := [3]int{t.Dim.Nx, t.Dim.Ny, t.Dim.Nz}
 	cells := make([]Cell, len(t.Cells))
@@ -132,16 +138,9 @@ func (t *Tree) Translate(s grid.Point) *Tree {
 		}
 		cells[i] = Cell{Box: grid.CubeAt(lo, c.Box.Hi[0]-c.Box.Lo[0]), Rate: c.Rate}
 	}
-	return &Tree{Dim: t.Dim, Cells: cells}
-}
-
-// SampleCount returns the total number of samples across all cells.
-func (t *Tree) SampleCount() int {
-	n := 0
-	for _, c := range t.Cells {
-		n += c.SampleCount()
-	}
-	return n
+	moved := &Tree{Dim: t.Dim, Cells: cells}
+	moved.index.Store(t.Index())
+	return moved
 }
 
 // CellCount returns the number of leaf cells.
@@ -233,12 +232,12 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// ForEachSample visits every sample point of every cell in storage order.
-// Sample coordinates on the high end planes wrap periodically onto the
-// torus, matching the circular-convolution convention of the library. f
-// receives the cell index, the running sample index, and the wrapped grid
-// coordinates.
-func (t *Tree) ForEachSample(f func(cell, sample int, x, y, z int)) {
+// ForEachSample visits every lattice slot of every cell in slot order.
+// Coordinates on the high end planes wrap periodically onto the torus,
+// matching the circular-convolution convention of the library. f receives
+// the cell index, the slot index, and the wrapped grid coordinates; a
+// shared point is visited once per cell that holds it.
+func (t *Tree) ForEachSample(f func(cell, slot int, x, y, z int)) {
 	n := t.Dim.Nx
 	idx := 0
 	for ci, c := range t.Cells {
@@ -256,6 +255,29 @@ func (t *Tree) ForEachSample(f func(cell, sample int, x, y, z int)) {
 	}
 }
 
+// ForEachPoint visits every stored sample once, in storage order: it is
+// ForEachSample at each point's first slot, with that slot's cell, the
+// sample index and the wrapped grid coordinates.
+func (t *Tree) ForEachPoint(f func(cell, sample int, x, y, z int)) {
+	slot, n := t.Index().slot, t.Dim.Nx
+	s, next := 0, int32(0)
+	for ci, c := range t.Cells {
+		m, r := c.LatticePoints(), c.Rate
+		for iz := 0; iz < m; iz++ {
+			z := wrapHigh(c.Box.Lo[2]+iz*r, n)
+			for iy := 0; iy < m; iy++ {
+				y := wrapHigh(c.Box.Lo[1]+iy*r, n)
+				for ix := 0; ix < m; ix, s = ix+1, s+1 {
+					if slot[s] == next {
+						f(ci, int(next), wrapHigh(c.Box.Lo[0]+ix*r, n), y, z)
+						next++
+					}
+				}
+			}
+		}
+	}
+}
+
 // wrapHigh wraps a lattice coordinate onto the torus. A cell lies inside the
 // grid, so Lo + i·Rate ≤ Hi ≤ n: the only coordinate to wrap is n itself.
 func wrapHigh(v, n int) int {
@@ -263,18 +285,6 @@ func wrapHigh(v, n int) int {
 		return 0
 	}
 	return v
-}
-
-// CellOffsets returns, for each cell, the index of its first sample in the
-// flat sample array (the cumulative counts of the paper's fifth integer).
-func (t *Tree) CellOffsets() []int {
-	off := make([]int, len(t.Cells))
-	cum := 0
-	for i, c := range t.Cells {
-		off[i] = cum
-		cum += c.SampleCount()
-	}
-	return off
 }
 
 // Locator answers point-location queries in O(tree depth) by descending

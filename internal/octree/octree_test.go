@@ -56,9 +56,13 @@ func TestBuildUniform(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Each 4³ cell at rate 2 has (4/2+1)³ = 27 samples.
-	if got := tr.SampleCount(); got != 64*27 {
-		t.Fatalf("samples = %d want %d", got, 64*27)
+	// Each 4³ cell at rate 2 has (4/2+1)³ = 27 slots; the distinct points
+	// are the rate-2 lattice of the 16³ torus, 8³.
+	if got := tr.SlotCount(); got != 64*27 {
+		t.Fatalf("slots = %d want %d", got, 64*27)
+	}
+	if got := tr.SampleCount(); got != 512 {
+		t.Fatalf("samples = %d want 512", got)
 	}
 }
 
@@ -73,9 +77,13 @@ func TestBuildSingleCell(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// 8³ at rate 1: 9³ samples (endpoint wraps periodically).
-	if got := tr.SampleCount(); got != 729 {
-		t.Fatalf("samples = %d want 729", got)
+	// 8³ at rate 1: 9³ slots, whose end planes wrap onto the first: 8³
+	// samples.
+	if got := tr.SlotCount(); got != 729 {
+		t.Fatalf("slots = %d want 729", got)
+	}
+	if got := tr.SampleCount(); got != 512 {
+		t.Fatalf("samples = %d want 512", got)
 	}
 }
 
@@ -149,7 +157,7 @@ func TestForEachSampleIndicesAndWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := tr.SampleCount()
+	total := tr.SlotCount()
 	seen := 0
 	lastIdx := -1
 	tr.ForEachSample(func(cell, sample, x, y, z int) {
@@ -168,8 +176,9 @@ func TestForEachSampleIndicesAndWrap(t *testing.T) {
 }
 
 // TestForEachSampleMatchesReference pins the visiting order — it is the
-// layout of every Compressed.Samples and of conv's gather index — against
-// the walk ForEachSample replaced: three modulo wraps per sample.
+// slot order of the lattice view, of the metadata's cumulative counts and
+// of every patch — against the walk ForEachSample replaced: three modulo
+// wraps per slot.
 func TestForEachSampleMatchesReference(t *testing.T) {
 	uniform, err := Build(grid.Cube(8), uniformRate(4, 2))
 	if err != nil {
@@ -203,19 +212,32 @@ func TestForEachSampleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCellOffsets: each cell's lattice is its m³ slots, the cells in
+// order, and the samples are numbered as their points are first seen.
 func TestCellOffsets(t *testing.T) {
 	tr, err := Build(grid.Cube(16), uniformRate(8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := tr.CellOffsets()
-	if off[0] != 0 {
-		t.Fatalf("first offset = %d", off[0])
-	}
-	for i := 1; i < len(off); i++ {
-		if off[i] != off[i-1]+tr.Cells[i-1].SampleCount() {
-			t.Fatalf("offset %d inconsistent", i)
+	x, slots, next := tr.Index(), 0, int32(0)
+	for i, c := range tr.Cells {
+		v := x.Cell(i)
+		if len(v) != c.SlotCount() || &v[0] != &x.slot[slots] {
+			t.Fatalf("cell %d: %d slots from slot %d, want %d from %d", i, len(v), int(x.cell[i]), c.SlotCount(), slots)
 		}
+		for _, s := range v {
+			if s > next {
+				t.Fatalf("cell %d reads sample %d before sample %d is stored", i, s, next)
+			}
+			if s == next {
+				next++
+			}
+		}
+		slots += len(v)
+	}
+	if slots != len(x.slot) || slots != tr.SlotCount() || int(next) != tr.SampleCount() {
+		t.Fatalf("cells cover %d slots and %d samples, index %d slots, tree %d and %d",
+			slots, next, len(x.slot), tr.SlotCount(), tr.SampleCount())
 	}
 }
 
@@ -241,7 +263,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(meta) != IntsPerCell*tr.CellCount() {
 		t.Fatalf("meta length %d", len(meta))
 	}
-	back, err := DecodeMeta(32, meta, tr.SampleCount())
+	back, err := DecodeMeta(32, meta, tr.SlotCount())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,5 +467,37 @@ func TestFindZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Locator.Find + Tree.FindCell: %v allocs per query, want 0", n)
+	}
+}
+
+// TestMovedMatchesTranslate: Moved recognizes the metadata of the tree
+// translated on the torus, sharing its index, and nothing else — not a
+// changed rate or cumulative count, not one cell moved alone, not a move
+// that would wrap a cell, not a different cell count.
+func TestMovedMatchesTranslate(t *testing.T) {
+	tr := locatorTree(t)
+	n := tr.Dim.Nx
+	for _, s := range []grid.Point{{}, {n / 2, 0, n / 2}, {0, n / 2, 0}} {
+		got := tr.Moved(tr.Translate(s).EncodeMeta())
+		if got == nil || got.Index() != tr.Index() {
+			t.Fatalf("shift %v: Moved gave %v", s, got)
+		}
+		for i, c := range tr.Translate(s).Cells {
+			if got.Cells[i] != c {
+				t.Fatalf("shift %v: cell %d is %v, want %v", s, i, got.Cells[i], c)
+			}
+		}
+	}
+	meta := tr.EncodeMeta()
+	for name, edit := range map[string]func(m []int32) []int32{
+		"rate":       func(m []int32) []int32 { m[3] *= 2; return m },
+		"cum":        func(m []int32) []int32 { m[IntsPerCell+4]++; return m },
+		"one cell":   func(m []int32) []int32 { m[IntsPerCell] = (m[IntsPerCell] + 1) % int32(n); return m },
+		"wrap":       func(m []int32) []int32 { return tr.Translate(grid.Point{1, 0, 0}).EncodeMeta() },
+		"cell count": func(m []int32) []int32 { return m[:len(m)-IntsPerCell] },
+	} {
+		if got := tr.Moved(edit(append([]int32(nil), meta...))); got != nil {
+			t.Errorf("%s: Moved accepted it", name)
+		}
 	}
 }

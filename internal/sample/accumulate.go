@@ -38,22 +38,29 @@ type addends struct {
 }
 
 // each calls f, in order, with every addend cell that meets the z-range
-// [z0, z1) and its samples. Rates are checked powers of two dividing the
-// cell size, so a lattice side is a shift away.
-func (a addends) each(z0, z1 int, f func(c octree.Cell, s []float64)) {
+// [z0, z1), the samples s it reads and its closed lattice view v: slot j's
+// value is s[v[j]]. A result's view is its tree's index, as is a patch's
+// on a result's storage; another patch's samples are its lattice, read
+// through iota, the identity.
+func (a addends) each(z0, z1 int, iota *[]int32, f func(c octree.Cell, s []float64, v []int32)) {
 	for _, res := range a.results {
-		off := 0
-		for _, c := range res.Tree.Cells {
-			m := (c.Box.Hi[0]-c.Box.Lo[0])>>bits.TrailingZeros(uint(c.Rate)) + 1
+		index := res.Tree.Index()
+		for i, c := range res.Tree.Cells {
 			if c.Box.Lo[2] < z1 && c.Box.Hi[2] > z0 {
-				f(c, res.Samples[off:off+m*m*m])
+				f(c, res.Samples, index.Cell(i))
 			}
-			off += m * m * m
 		}
 	}
 	for _, p := range a.ps {
 		if p.Cell.Box.Lo[2] < z1 && p.Cell.Box.Hi[2] > z0 {
-			f(p.Cell, p.Samples)
+			if p.View != nil {
+				f(p.Cell, p.Samples, p.View)
+				continue
+			}
+			for len(*iota) < len(p.Samples) {
+				*iota = append(*iota, int32(len(*iota)))
+			}
+			f(p.Cell, p.Samples, (*iota)[:len(p.Samples)])
 		}
 	}
 }
@@ -79,6 +86,7 @@ type blockSum struct {
 	layers []layer   // by log2(rate) − 1
 	top    int       // the chunk height: the coarsest rate met, at least 8
 	buf    []float64 // a run's four x-interpolated edges and two planes
+	iota   []int32   // the identity view of a patch's lattice
 }
 
 // layer is one rate's block window over the current chunk: the eight corner
@@ -117,8 +125,12 @@ func (bs *blockSum) add(dst *grid.Field, origin grid.Point, region grid.Box, a a
 		if err := bs.admit(p.Cell, region); err != nil {
 			return fmt.Errorf("sample: patch %d: %w", i, err)
 		}
-		if len(p.Samples) != p.Cell.SampleCount() {
-			return fmt.Errorf("sample: patch %d has %d samples, cell needs %d", i, len(p.Samples), p.Cell.SampleCount())
+		n := len(p.Samples)
+		if p.View != nil {
+			n = len(p.View)
+		}
+		if n != p.Cell.SlotCount() {
+			return fmt.Errorf("sample: patch %d has %d slots, cell needs %d", i, n, p.Cell.SlotCount())
 		}
 	}
 	for z := region.Lo[2] &^ (bs.top - 1); !region.Empty() && z < region.Hi[2]; z += bs.top {
@@ -162,13 +174,13 @@ func (bs *blockSum) chunk(dst *grid.Field, origin grid.Point, clip grid.Box, a a
 			l.window(clip)
 		}
 	}
-	a.each(clip.Lo[2], clip.Hi[2], func(c octree.Cell, s []float64) {
+	a.each(clip.Lo[2], clip.Hi[2], &bs.iota, func(c octree.Cell, s []float64, v []int32) {
 		switch k := c.Box.Intersect(clip); {
 		case k.Empty():
 		case c.Rate == 1:
-			addSamples(dst, origin, &c, s, k, scale)
+			addSamples(dst, origin, &c, s, v, k, scale)
 		default:
-			bs.layers[bits.TrailingZeros(uint(c.Rate))-1].addCorners(&c, s, k)
+			bs.layers[bits.TrailingZeros(uint(c.Rate))-1].addCorners(&c, s, v, k)
 		}
 	})
 	for i := range bs.layers {
@@ -192,9 +204,9 @@ func (l *layer) window(clip grid.Box) {
 	l.used = false
 }
 
-// addCorners adds the corners of the blocks of cell c, with samples s, that
-// meet k, a non-empty sub-box of the cell.
-func (l *layer) addCorners(c *octree.Cell, s []float64, k grid.Box) {
+// addCorners adds the corners of the blocks of cell c, whose lattice is
+// s read through v, that meet k, a non-empty sub-box of the cell.
+func (l *layer) addCorners(c *octree.Cell, s []float64, v []int32, k grid.Box) {
 	lo, sh, m := c.Box.Lo, l.shift, c.LatticePoints()
 	var i0, i1, b0 [3]int // the blocks' lattice range; the cell's first block in the window
 	for a := range 3 {
@@ -206,18 +218,23 @@ func (l *layer) addCorners(c *octree.Cell, s []float64, k grid.Box) {
 	for iz := i0[2]; iz < i1[2]; iz++ {
 		for iy := i0[1]; iy < i1[1]; iy++ {
 			b := ((b0[2]+iz)*l.n[1]+b0[1]+iy)*l.n[0] + b0[0] + i0[0]
-			r00 := s[(iz*m+iy)*m:]
+			r00 := v[(iz*m+iy)*m:]
 			r10, r01, r11 := r00[m:], r00[m*m:], r00[m*m+m:]
-			for ix := i0[0]; ix < i1[0]; ix, b = ix+1, b+1 {
+			// A block's high-x corners are the next block's low-x ones.
+			ix := i0[0]
+			c0, c2, c4, c6 := s[r00[ix]], s[r10[ix]], s[r01[ix]], s[r11[ix]]
+			for ; ix < i1[0]; ix, b = ix+1, b+1 {
 				q := l.sum[8*b:][:8]
+				c1, c3, c5, c7 := s[r00[ix+1]], s[r10[ix+1]], s[r01[ix+1]], s[r11[ix+1]]
 				if l.seen[b] {
-					q[0], q[1], q[2], q[3] = q[0]+r00[ix], q[1]+r00[ix+1], q[2]+r10[ix], q[3]+r10[ix+1]
-					q[4], q[5], q[6], q[7] = q[4]+r01[ix], q[5]+r01[ix+1], q[6]+r11[ix], q[7]+r11[ix+1]
+					q[0], q[1], q[2], q[3] = q[0]+c0, q[1]+c1, q[2]+c2, q[3]+c3
+					q[4], q[5], q[6], q[7] = q[4]+c4, q[5]+c5, q[6]+c6, q[7]+c7
 				} else {
-					q[0], q[1], q[2], q[3] = r00[ix], r00[ix+1], r10[ix], r10[ix+1]
-					q[4], q[5], q[6], q[7] = r01[ix], r01[ix+1], r11[ix], r11[ix+1]
+					q[0], q[1], q[2], q[3] = c0, c1, c2, c3
+					q[4], q[5], q[6], q[7] = c4, c5, c6, c7
 					l.seen[b] = true
 				}
+				c0, c2, c4, c6 = c1, c3, c5, c7
 			}
 		}
 	}
@@ -297,15 +314,16 @@ func (bs *blockSum) lerp(l *layer, dst *grid.Field, origin grid.Point, clip grid
 	}
 }
 
-// addSamples adds scale × the samples s of a rate-1 cell c over k, a
-// non-empty sub-box of the cell: at full resolution they are the values.
-func addSamples(dst *grid.Field, origin grid.Point, c *octree.Cell, s []float64, k grid.Box, scale float64) {
+// addSamples adds scale × the lattice of a rate-1 cell c, s read through v,
+// over k, a non-empty sub-box of the cell: at full resolution they are the
+// values.
+func addSamples(dst *grid.Field, origin grid.Point, c *octree.Cell, s []float64, v []int32, k grid.Box, scale float64) {
 	lo, m, w := c.Box.Lo, c.LatticePoints(), k.Hi[0]-k.Lo[0]
 	for z := k.Lo[2]; z < k.Hi[2]; z++ {
 		for y := k.Lo[1]; y < k.Hi[1]; y++ {
 			row := dst.Data[dst.Dim.Index(k.Lo[0]-origin[0], y-origin[1], z-origin[2]):][:w]
-			for i, v := range s[((z-lo[2])*m+y-lo[1])*m+k.Lo[0]-lo[0]:][:w] {
-				row[i] += float64(scale * v)
+			for i, j := range v[((z-lo[2])*m+y-lo[1])*m+k.Lo[0]-lo[0]:][:w] {
+				row[i] += float64(scale * s[j])
 			}
 		}
 	}

@@ -10,13 +10,16 @@ import (
 // Compressed is a convolution result stored in the paper's compressed
 // form: octree metadata plus the flat sample array, instead of the dense
 // N³ grid. This is the object exchanged between workers in the
-// accumulation step.
+// accumulation step. Samples holds each distinct sampled grid point once,
+// in the tree's storage order; a cell's closed lattice reads them through
+// Tree.Index().
 type Compressed struct {
 	Tree    *octree.Tree
 	Samples []float64
 }
 
-// NewCompressed allocates sample storage sized for the tree.
+// NewCompressed allocates sample storage sized for the tree: one value per
+// distinct sampled point.
 func NewCompressed(t *octree.Tree) *Compressed {
 	return &Compressed{Tree: t, Samples: make([]float64, t.SampleCount())}
 }
@@ -29,10 +32,19 @@ func Compress(f *grid.Field, t *octree.Tree) (*Compressed, error) {
 		return nil, fmt.Errorf("sample: field dims %v != tree dims %v", f.Dim, t.Dim)
 	}
 	c := NewCompressed(t)
-	t.ForEachSample(func(cell, s, x, y, z int) {
+	t.ForEachPoint(func(_, s, x, y, z int) {
 		c.Samples[s] = f.At(x, y, z)
 	})
 	return c, nil
+}
+
+// AppendLattice appends cell i's closed lattice to dst, in slot order:
+// the per-cell view of the stored samples, shared points repeated.
+func (c *Compressed) AppendLattice(dst []float64, i int) []float64 {
+	for _, s := range c.Tree.Index().Cell(i) {
+		dst = append(dst, c.Samples[s])
+	}
+	return dst
 }
 
 // MemoryBytes returns the storage footprint: 8 bytes per sample plus the
@@ -71,12 +83,21 @@ func (c *Compressed) AddRegion(dst *grid.Field, region grid.Box, scale float64) 
 	return AddResults(dst, region, []*Compressed{c}, scale)
 }
 
-// Patch is one octree cell with its sample values — the unit of the sparse
-// exchange between workers: a worker ships to each peer only the patches
-// whose cells intersect that peer's output region.
+// Patch is one octree cell and the values of its closed lattice — the
+// unit of the sparse exchange between workers: a worker ships to each peer
+// only the patches whose cells intersect that peer's output region. With
+// View nil, Samples is the lattice in slot order, as a decoded patch's is;
+// otherwise slot j's value is Samples[View[j]]: a patch on a result's
+// storage, through its tree's index (octree.Index.Cell).
 type Patch struct {
 	Cell    octree.Cell
 	Samples []float64
+	View    []int32
+}
+
+// CellPatch returns cell i of c as a patch on c's storage.
+func (c *Compressed) CellPatch(i int) Patch {
+	return Patch{Cell: c.Tree.Cells[i], Samples: c.Samples, View: c.Tree.Index().Cell(i)}
 }
 
 // NearestReconstruct reconstructs using nearest-lattice-point values
@@ -87,9 +108,9 @@ func (c *Compressed) NearestReconstruct() (*grid.Field, error) {
 		return nil, fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
 	}
 	out := grid.NewField(c.Tree.Dim)
-	offsets := c.Tree.CellOffsets()
+	var s []float64
 	for ci, cell := range c.Tree.Cells {
-		s := c.Samples[offsets[ci]:]
+		s = c.AppendLattice(s[:0], ci)
 		r := cell.Rate
 		m := cell.LatticePoints()
 		cell.Box.ForEach(func(x, y, z int) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
 
 	"lowcomm3d/internal/octree"
 )
@@ -12,26 +13,33 @@ import (
 // Binary serialization of compressed results, for checkpointing MASSIF
 // runs and for shipping sub-domain results through files or sockets. The
 // format mirrors the in-memory layout the paper describes: the 5-int
-// octree metadata followed by the flat sample array.
+// octree metadata followed by the flat sample array, each distinct sampled
+// point once.
 //
 //	magic   uint32  "LC3D"
-//	version uint32  1
+//	version uint32  3 (float64 samples) or 4 (float32)
 //	n       uint32  grid size (cubic)
 //	cells   uint32  octree cell count
-//	samples uint64  sample count
+//	slots   uint64  lattice slots, octree.Tree.SlotCount: sizes the last cell
+//	samples uint64  stored samples, octree.Tree.SampleCount
 //	meta    [5·cells]int32
-//	data    [samples]float64
+//	data    [samples]float64 or float32
 //
-// Everything is little-endian. Encoding and decoding cost O(cells +
-// samples): one pass over the bytes plus octree.Tree.Validate's linear
-// tiling check.
+// The metadata's cumulative counts are slot counts, so the cells decode as
+// before; the samples are in the tree's storage order (octree.Index), which
+// the decoder rebuilds from the cells. Versions 1 and 2 stored every
+// cell's closed lattice, shared points once per cell; they are refused.
+// Everything is little-endian. Encoding and decoding cost O(cells + slots):
+// one pass over the bytes, octree.Tree.Validate's linear tiling check and
+// the index build — or, for a tree that is the last one decoded moved on
+// the torus, O(cells) checks in their place (lastTree).
 
 const (
 	ioMagic     = 0x4c433344 // "LC3D"
-	ioVersion   = 1          // float64 samples
-	ioVersion32 = 2          // float32 samples (paper §4: "compressed further using lower precision")
+	ioVersion   = 3          // float64 samples
+	ioVersion32 = 4          // float32 samples (paper §4: "compressed further using lower precision")
 
-	ioHeaderBytes = 4*4 + 8
+	ioHeaderBytes = 4*4 + 2*8
 )
 
 // sampleWidth is the encoded size of one sample in a stream of version v.
@@ -77,7 +85,8 @@ func (c *Compressed) encode(version uint32) ([]byte, error) {
 	le.PutUint32(out[4:], version)
 	le.PutUint32(out[8:], uint32(c.Tree.Dim.Nx))
 	le.PutUint32(out[12:], uint32(len(c.Tree.Cells)))
-	le.PutUint64(out[16:], uint64(len(c.Samples)))
+	le.PutUint64(out[16:], uint64(c.Tree.SlotCount()))
+	le.PutUint64(out[24:], uint64(len(c.Samples)))
 	p := out[ioHeaderBytes:]
 	for i, m := range meta {
 		le.PutUint32(p[4*i:], uint32(m))
@@ -98,7 +107,9 @@ func (c *Compressed) encode(version uint32) ([]byte, error) {
 // ReadCompressed deserializes a compressed field written by WriteTo,
 // validating the octree structure before returning. Allocation is bounded
 // by bytes actually read: a forged header fails at EOF at most one
-// ioChunk of elements ahead of the data.
+// ioChunk of elements ahead of the data. The tree's index is built only
+// once the samples are in hand, at most eight slots per sample, plus three
+// tables of one entry per grid row, n ≤ octree.MaxGridSize.
 func ReadCompressed(r io.Reader) (*Compressed, error) {
 	return decode(&readerSource{r: r})
 }
@@ -178,6 +189,10 @@ func decode(src source) (*Compressed, error) {
 		return nil, fmt.Errorf("sample: bad magic %#x", magic)
 	}
 	version := le.Uint32(h[4:])
+	if version == 1 || version == 2 {
+		return nil, fmt.Errorf("sample: stream version %d stores each cell's closed lattice, shared points once per cell; "+
+			"this decoder reads versions %d and %d, one sample per point: re-encode the stream", version, ioVersion, ioVersion32)
+	}
 	if version != ioVersion && version != ioVersion32 {
 		return nil, fmt.Errorf("sample: unsupported version %d", version)
 	}
@@ -185,12 +200,15 @@ func decode(src source) (*Compressed, error) {
 	if n <= 0 || n > octree.MaxGridSize || cells <= 0 || cells > 1<<28 {
 		return nil, fmt.Errorf("sample: implausible header n=%d cells=%d", n, cells)
 	}
-	if h, err = src.next(8); err != nil {
-		return nil, fmt.Errorf("sample: reading sample count: %w", err)
+	if h, err = src.next(16); err != nil {
+		return nil, fmt.Errorf("sample: reading slot and sample counts: %w", err)
 	}
-	sampleCount := le.Uint64(h)
-	if sampleCount > 1<<40 {
-		return nil, fmt.Errorf("sample: implausible sample count %d", sampleCount)
+	// A point is a slot of at most eight cells' lattices, one per octant
+	// around it, so the index built below holds at most eight entries per
+	// sample read.
+	slots, sampleCount := le.Uint64(h), le.Uint64(h[8:])
+	if sampleCount > 1<<40 || slots < sampleCount || slots > 8*sampleCount || slots > math.MaxInt32 {
+		return nil, fmt.Errorf("sample: implausible slot and sample counts %d, %d", slots, sampleCount)
 	}
 
 	metaLen := octree.IntsPerCell * cells
@@ -204,15 +222,17 @@ func decode(src source) (*Compressed, error) {
 			meta = append(meta, int32(le.Uint32(raw)))
 		}
 	}
-	tree, err := octree.DecodeMeta(n, meta, int(sampleCount))
-	if err != nil {
-		return nil, err
+	var tree *octree.Tree
+	if last := lastTree.Load(); last != nil && last.Dim.Nx == n && last.SlotCount() == int(slots) {
+		tree = last.Moved(meta)
 	}
-	if err := tree.Validate(); err != nil {
-		return nil, fmt.Errorf("sample: decoded tree invalid: %w", err)
-	}
-	if tree.SampleCount() != int(sampleCount) {
-		return nil, fmt.Errorf("sample: tree needs %d samples, file has %d", tree.SampleCount(), sampleCount)
+	if tree == nil {
+		if tree, err = octree.DecodeMeta(n, meta, int(slots)); err != nil {
+			return nil, err
+		}
+		if err := tree.Validate(); err != nil {
+			return nil, fmt.Errorf("sample: decoded tree invalid: %w", err)
+		}
 	}
 
 	width := sampleWidth(version)
@@ -232,5 +252,17 @@ func decode(src source) (*Compressed, error) {
 			}
 		}
 	}
+	if tree.SampleCount() != len(samples) {
+		return nil, fmt.Errorf("sample: tree stores %d samples, stream has %d", tree.SampleCount(), len(samples))
+	}
+	lastTree.Store(tree)
 	return &Compressed{Tree: tree, Samples: samples}, nil
 }
+
+// lastTree is the tree of the last stream decoded. A receiver is sent
+// result after result on the trees of one shape, each a translate of the
+// one before (conv.PlanSet.NewPolicyLocal), so decode takes the next tree
+// as this one moved (octree.Tree.Moved) when the metadata says it is: no
+// tree check and no index build. Trees are immutable, so decoders on any
+// goroutine may share it.
+var lastTree atomic.Pointer[octree.Tree]

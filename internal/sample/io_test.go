@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lowcomm3d/internal/grid"
@@ -20,7 +21,7 @@ func referenceWrite(c *Compressed, w io.Writer, version uint32) error {
 	bw := bufio.NewWriter(w)
 	parts := []any{
 		[]uint32{ioMagic, version, uint32(c.Tree.Dim.Nx), uint32(len(c.Tree.Cells))},
-		uint64(len(c.Samples)),
+		[]uint64{uint64(c.Tree.SlotCount()), uint64(len(c.Samples))},
 		c.Tree.EncodeMeta(),
 	}
 	if version == ioVersion32 {
@@ -61,12 +62,13 @@ func referenceRead(r io.Reader) (*Compressed, error) {
 	if n <= 0 || n > 1<<20 || cells <= 0 || cells > 1<<28 {
 		return nil, fmt.Errorf("implausible header n=%d cells=%d", n, cells)
 	}
-	var sampleCount uint64
-	if err := binary.Read(br, binary.LittleEndian, &sampleCount); err != nil {
-		return nil, fmt.Errorf("reading sample count: %w", err)
+	var counts [2]uint64
+	if err := binary.Read(br, binary.LittleEndian, &counts); err != nil {
+		return nil, fmt.Errorf("reading slot and sample counts: %w", err)
 	}
-	if sampleCount > 1<<40 {
-		return nil, fmt.Errorf("implausible sample count %d", sampleCount)
+	slots, sampleCount := counts[0], counts[1]
+	if sampleCount > 1<<40 || slots < sampleCount || slots > 8*sampleCount || slots > math.MaxInt32 {
+		return nil, fmt.Errorf("implausible slot and sample counts %d, %d", slots, sampleCount)
 	}
 	var meta []int32
 	for remaining := octree.IntsPerCell * cells; remaining > 0; {
@@ -77,15 +79,12 @@ func referenceRead(r io.Reader) (*Compressed, error) {
 		meta = append(meta, buf...)
 		remaining -= len(buf)
 	}
-	tree, err := octree.DecodeMeta(n, meta, int(sampleCount))
+	tree, err := octree.DecodeMeta(n, meta, int(slots))
 	if err != nil {
 		return nil, err
 	}
 	if err := tree.Validate(); err != nil {
 		return nil, err
-	}
-	if tree.SampleCount() != int(sampleCount) {
-		return nil, fmt.Errorf("tree needs %d samples, file has %d", tree.SampleCount(), sampleCount)
 	}
 	var samples []float64
 	for remaining := int(sampleCount); remaining > 0; {
@@ -106,6 +105,9 @@ func referenceRead(r io.Reader) (*Compressed, error) {
 			samples = append(samples, buf...)
 		}
 		remaining -= chunk
+	}
+	if tree.SampleCount() != len(samples) {
+		return nil, fmt.Errorf("tree stores %d samples, file has %d", tree.SampleCount(), len(samples))
 	}
 	return &Compressed{Tree: tree, Samples: samples}, nil
 }
@@ -212,18 +214,19 @@ func TestEncodeMatchesReference(t *testing.T) {
 // carries fails at EOF without allocating ahead of the bytes in hand.
 func TestDecodeAllocationBoundedByBytesHeld(t *testing.T) {
 	le := binary.LittleEndian
-	header := func(n, cells uint32, samples uint64) []byte {
+	header := func(n, cells uint32, slots, samples uint64) []byte {
 		h := le.AppendUint32(nil, ioMagic)
 		h = le.AppendUint32(h, ioVersion)
 		h = le.AppendUint32(h, n)
 		h = le.AppendUint32(h, cells)
+		h = le.AppendUint64(h, slots)
 		return le.AppendUint64(h, samples)
 	}
 	// 2²⁸ cells claimed (5.4 GB of metadata), two cells' worth delivered.
-	lyingCells := append(header(1024, 1<<28, 27), make([]byte, 40)...)
-	// One valid rate-1 cell over a 1024³ grid: a 1025³-point lattice, 8.6 GB
-	// of samples claimed, 64 bytes delivered.
-	lyingSamples := header(1024, 1, 1025*1025*1025)
+	lyingCells := append(header(1024, 1<<28, 27, 8), make([]byte, 40)...)
+	// One valid rate-1 cell over a 1024³ grid: a 1025³-slot lattice on 1024³
+	// points, 8.6 GB of samples claimed, 64 bytes delivered.
+	lyingSamples := header(1024, 1, 1025*1025*1025, 1024*1024*1024)
 	for _, m := range []uint32{0, 0, 0, 1, 0} {
 		lyingSamples = le.AppendUint32(lyingSamples, m)
 	}
@@ -237,6 +240,31 @@ func TestDecodeAllocationBoundedByBytesHeld(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 			t.Errorf("%s: decoding a %d-byte lying stream three ways allocated %d bytes", name, len(stream), grew)
+		}
+	}
+}
+
+// TestDecodeRefusesLatticeVersions: streams of versions 1 and 2, which
+// stored every cell's closed lattice, fail with an error that says so,
+// however well formed the rest of the stream is.
+func TestDecodeRefusesLatticeVersions(t *testing.T) {
+	tree, err := Uniform{Rate: 2, CellSize: 8}.Tree(grid.Cube(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compress(smoothField(grid.Cube(16)), tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := c.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(stream[4:], old)
+		_, err := decodeAllWays(t, stream)
+		if err == nil || !strings.Contains(err.Error(), "closed lattice") || !strings.Contains(err.Error(), "re-encode") {
+			t.Errorf("version %d: %v, want an error naming the per-cell lattice format", old, err)
 		}
 	}
 }

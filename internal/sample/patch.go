@@ -24,14 +24,16 @@ const patchHeader = 6
 // simulated fabric (real MPI would use bytes; the footprint accounting is
 // identical at 8 bytes per value). Each group is its box index, then per
 // component a patch count and the patches, each a patchHeader prefix and
-// its samples.
+// its cell's closed lattice in slot order — read through the patch's view
+// where it has one, so a patch on a result's storage sends the values the
+// result holds when it is encoded.
 func EncodePatchGroups(gs []PatchGroup) []float64 {
 	n := 0
 	for _, g := range gs {
 		n += 1 + len(g.Comps)
 		for _, ps := range g.Comps {
 			for _, p := range ps {
-				n += patchHeader + len(p.Samples)
+				n += patchHeader + p.Cell.SlotCount()
 			}
 		}
 	}
@@ -44,8 +46,14 @@ func EncodePatchGroups(gs []PatchGroup) []float64 {
 				out = append(out,
 					float64(p.Cell.Box.Lo[0]), float64(p.Cell.Box.Lo[1]), float64(p.Cell.Box.Lo[2]),
 					float64(p.Cell.Box.Hi[0]-p.Cell.Box.Lo[0]), float64(p.Cell.Rate),
-					float64(len(p.Samples)))
-				out = append(out, p.Samples...)
+					float64(p.Cell.SlotCount()))
+				if p.View == nil {
+					out = append(out, p.Samples...)
+					continue
+				}
+				for _, j := range p.View {
+					out = append(out, p.Samples[j])
+				}
 			}
 		}
 	}
@@ -118,8 +126,8 @@ func decodePatches(msg []float64) ([]Patch, int, error) {
 		if !cell.OnLattice() {
 			return nil, 0, fmt.Errorf("sample: patch %d: %w", i, &octree.OffLatticeError{Cell: cell})
 		}
-		if cell.SampleCount() != ns {
-			return nil, 0, fmt.Errorf("sample: patch %d sample count %d != cell %d", i, ns, cell.SampleCount())
+		if cell.SlotCount() != ns {
+			return nil, 0, fmt.Errorf("sample: patch %d sample count %d != cell %d", i, ns, cell.SlotCount())
 		}
 		out = append(out, Patch{Cell: cell, Samples: msg[pos : pos+ns]})
 		pos += ns

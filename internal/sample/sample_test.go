@@ -399,15 +399,35 @@ func TestDecayingFieldAdaptiveAccuracy(t *testing.T) {
 }
 
 // patchesIn returns the patches of c whose cells overlap region, in cell
-// order; their samples alias c.
+// order, on c's storage.
 func patchesIn(c *Compressed, region grid.Box) []Patch {
 	var out []Patch
-	off := 0
-	for _, cell := range c.Tree.Cells {
+	for i, cell := range c.Tree.Cells {
 		if cell.Box.Overlaps(region) {
-			out = append(out, Patch{Cell: cell, Samples: c.Samples[off : off+cell.SampleCount()]})
+			out = append(out, c.CellPatch(i))
 		}
-		off += cell.SampleCount()
+	}
+	return out
+}
+
+// gathered returns groups with every patch's lattice gathered, in slot
+// order: what DecodePatchGroups returns for them.
+func gathered(groups []PatchGroup) []PatchGroup {
+	out := make([]PatchGroup, len(groups))
+	for i, g := range groups {
+		out[i] = PatchGroup{Box: g.Box, Comps: make([][]Patch, len(g.Comps))}
+		for c, ps := range g.Comps {
+			for _, p := range ps {
+				q := Patch{Cell: p.Cell, Samples: p.Samples}
+				if p.View != nil {
+					q.Samples = nil
+					for _, j := range p.View {
+						q.Samples = append(q.Samples, p.Samples[j])
+					}
+				}
+				out[i].Comps[c] = append(out[i].Comps[c], q)
+			}
+		}
 	}
 	return out
 }
@@ -460,7 +480,7 @@ func TestPatchCodecQuick(t *testing.T) {
 			1+int(size)%16, 1+int(size)%16, 1+int(size)%16)
 		gs := []PatchGroup{{Box: int(box), Comps: [][]Patch{patchesIn(c, region)}}}
 		back, err := DecodePatchGroups(EncodePatchGroups(gs), 1)
-		return err == nil && samePatchGroups(back, gs)
+		return err == nil && samePatchGroups(back, gathered(gs))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -547,7 +567,7 @@ func TestPatchGroupsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePatchGroups(back, groups) {
+	if !samePatchGroups(back, gathered(groups)) {
 		t.Fatalf("decoded %d groups differ from the %d encoded", len(back), len(groups))
 	}
 	if back, err := DecodePatchGroups(nil, 1); err != nil || len(back) != 0 {
@@ -585,7 +605,7 @@ func TestComponentPatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePatchGroups(back, groups) {
+	if !samePatchGroups(back, gathered(groups)) {
 		t.Fatal("three-component groups do not round-trip")
 	}
 	if _, err := DecodePatchGroups(msg, 4); err == nil {
@@ -698,7 +718,7 @@ func kernelCases(rng *rand.Rand) []kernelCase {
 		for rate := 1; rate <= size; rate *= 2 {
 			lo := grid.Point{1 + rng.Intn(3), rng.Intn(3), 2 + rng.Intn(3)}
 			cell := octree.Cell{Box: grid.CubeAt(lo, size), Rate: rate}
-			p := Patch{Cell: cell, Samples: make([]float64, cell.SampleCount())}
+			p := Patch{Cell: cell, Samples: make([]float64, cell.SlotCount())}
 			for i := range p.Samples {
 				p.Samples[i] = rng.NormFloat64()
 			}

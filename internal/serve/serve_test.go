@@ -50,30 +50,26 @@ func testEngine(t *testing.T, opts Options) *Engine {
 // sampleDiff describes how got, a served result, differs from want, a
 // direct pipeline's result for the same box, or is "" when it does not:
 // both trees must hold the same cells, in any order (a served tree may list
-// its cells in the order of the tree it was translated from), and each cell
-// the same samples, bit for bit.
+// its cells in the order of the tree it was translated from), and each
+// cell's lattice the same samples, bit for bit.
 func sampleDiff(got, want *sample.Compressed) string {
 	if len(got.Tree.Cells) != len(want.Tree.Cells) {
 		return fmt.Sprintf("served %d cells, direct %d", len(got.Tree.Cells), len(want.Tree.Cells))
 	}
 	direct := map[octree.Cell][]float64{}
-	off := 0
-	for _, c := range want.Tree.Cells {
-		direct[c] = want.Samples[off : off+c.SampleCount()]
-		off += c.SampleCount()
+	for i, c := range want.Tree.Cells {
+		direct[c] = want.AppendLattice(nil, i)
 	}
-	off = 0
-	for _, c := range got.Tree.Cells {
+	for ci, c := range got.Tree.Cells {
 		w, ok := direct[c]
 		if !ok {
 			return fmt.Sprintf("served cell %v at rate %d is not in the direct tree", c.Box, c.Rate)
 		}
-		for i, v := range got.Samples[off : off+c.SampleCount()] {
+		for i, v := range got.AppendLattice(nil, ci) {
 			if math.Float64bits(v) != math.Float64bits(w[i]) {
 				return fmt.Sprintf("cell %v sample %d: served %g, direct %g", c.Box, i, v, w[i])
 			}
 		}
-		off += c.SampleCount()
 	}
 	return ""
 }
