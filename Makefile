@@ -6,8 +6,11 @@
 # codec's differential tests — octree TestValidateMatchesPairwise (1.1e5
 # trees against the pairwise oracle) and sample's decode-all-ways checks.
 # The arm64 vet builds the non-amd64 side of internal/fft, whose passes are
-# the Go loops alone; the amd64 vet checks the AVX assembly (asmdecl).
+# the Go loops alone; the amd64 vet checks the AVX and AVX-512 assembly
+# (asmdecl). The first step prints the fft dispatch this machine runs (AVX,
+# AVX-512), so that a green log says which assembly twins it covered.
 verify:
+	@go test -count=1 -run '^TestDispatch$$' -v ./internal/fft | grep 'fft dispatch'
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
@@ -44,7 +47,7 @@ profile:
 # full 30s runs are part of the PR acceptance checklist.
 fuzz-smoke:
 	go test ./internal/fft/ -fuzz=FuzzFFTRoundTrip -fuzztime=10s -fuzzminimizetime=5x
-	go test ./internal/fft/ -fuzz=FuzzScaleReal -fuzztime=10s -fuzzminimizetime=5x
+	go test ./internal/fft/ -fuzz=FuzzTile -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzOctreeMetaCodec -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzValidateMatchesPairwise -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/sample/ -fuzz=FuzzCompressedIO -fuzztime=10s -fuzzminimizetime=5x

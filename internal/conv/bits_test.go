@@ -98,12 +98,12 @@ func TestLocalComponentsPinnedBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauss := KernelPointwise(dim, green.Gaussian{Sigma: 2})
-	pw := func(kx, ky int, spec [][]complex128) {
-		gauss(kx, ky, spec)
-		for c := len(spec) - 1; c > 0; c-- {
+	pw := func(kx, ky0 int, tile [][]complex128) {
+		gauss(kx, ky0, tile)
+		for c := len(tile) - 1; c > 0; c-- {
 			w := complex(float64(c+1)/8, 0)
-			for kz, v := range spec[c-1] {
-				spec[c][kz] += w * v
+			for i, v := range tile[c-1] {
+				tile[c][i] += w * v
 			}
 		}
 	}

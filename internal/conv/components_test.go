@@ -28,9 +28,9 @@ func TestRunComponentsMatchesScalar(t *testing.T) {
 		KernelPointwise(dim, green.Poisson{}),
 		KernelPointwise(dim, green.Yukawa{Kappa: 0.7}),
 	}
-	perLine := func(kx, ky int, spec [][]complex128) {
-		for c := range spec {
-			pws[c](kx, ky, spec[c:c+1])
+	perLine := func(kx, ky0 int, tile [][]complex128) {
+		for c := range tile {
+			pws[c](kx, ky0, tile[c:c+1])
 		}
 	}
 	in := []*grid.Field{randSub(k, 1), randSub(k, 2), randSub(k, 3)}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -533,19 +534,24 @@ func TestKernelPointwiseSeparableFastPath(t *testing.T) {
 		return v * complex(kernel.Hat(d, kx, ky, kz), 0)
 	}
 	v := complex(1.25, -0.5)
-	line := make([]complex128, d.Nz)
+	tile := make([]complex128, fft.Tile*d.Nz)
 	for ky := 0; ky < d.Ny; ky++ {
 		for kx := 0; kx < d.Nx; kx++ {
-			// One pencil at a time: fill the line, let the fast path
-			// rewrite it, compare every kz against the per-point Hat.
-			for kz := range line {
-				line[kz] = v
+			// One tile at a time, its first pencil at ky: fill the tile,
+			// let the fast path rewrite it, compare every kz of every
+			// pencil below Ny against the per-point Hat.
+			for i := range tile {
+				tile[i] = v
 			}
-			fast(kx, ky, [][]complex128{line})
-			for kz, a := range line {
-				b := generic(kx, ky, kz, v)
+			fast(kx, ky, [][]complex128{tile})
+			for i, a := range tile {
+				kz, j := i/fft.Tile, i%fft.Tile
+				if ky+j >= d.Ny {
+					continue // padding
+				}
+				b := generic(kx, ky+j, kz, v)
 				if math.Abs(real(a-b)) > 1e-15 || math.Abs(imag(a-b)) > 1e-15 {
-					t.Fatalf("(%d,%d,%d): fast %v generic %v", kx, ky, kz, a, b)
+					t.Fatalf("(%d,%d,%d): fast %v generic %v", kx, ky+j, kz, a, b)
 				}
 			}
 		}

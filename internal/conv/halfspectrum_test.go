@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
@@ -61,16 +62,19 @@ func gammaLike(dim grid.Dim3) Pointwise {
 }
 
 func gammaWith(apply func(d grid.Dim3, kx, ky, kz int, s grid.SymTensor) grid.SymTensor, dim grid.Dim3) Pointwise {
-	return func(kx, ky int, spec [][]complex128) {
-		for kz := range spec[0] {
-			var re, im grid.SymTensor
-			for v, line := range spec {
-				re[v], im[v] = real(line[kz]), imag(line[kz])
-			}
-			gre := apply(dim, kx, ky, kz, re)
-			gim := apply(dim, kx, ky, kz, im)
-			for v, line := range spec {
-				line[kz] = complex(gre[v], gim[v])
+	return func(kx, ky0 int, tile [][]complex128) {
+		for kz := range dim.Nz {
+			for j := range min(fft.Tile, dim.Ny-ky0) {
+				i := fft.Tile*kz + j
+				var re, im grid.SymTensor
+				for v, t := range tile {
+					re[v], im[v] = real(t[i]), imag(t[i])
+				}
+				gre := apply(dim, kx, ky0+j, kz, re)
+				gim := apply(dim, kx, ky0+j, kz, im)
+				for v, t := range tile {
+					t[i] = complex(gre[v], gim[v])
+				}
 			}
 		}
 	}
@@ -178,10 +182,10 @@ func TestHermitianProbe(t *testing.T) {
 			t.Errorf("n %d: odd spectrum gave %v, want ErrNotHermitian", n, err)
 		}
 		// Imaginary and even is just as wrong as real and odd.
-		imagEven := func(kx, ky int, spec [][]complex128) {
-			for _, line := range spec {
-				for kz := range line {
-					line[kz] *= 1i
+		imagEven := func(kx, ky0 int, tile [][]complex128) {
+			for _, t := range tile {
+				for i := range t {
+					t[i] *= 1i
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package conv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"sync"
 	"time"
@@ -18,20 +19,26 @@ import (
 // Pointwise is the frequency-domain callback applied between the forward
 // and inverse stages — the role played by cuFFT callback functions in the
 // paper's proof of concept (Fig. 4) and by the pointwise sub-plan in its
-// FFTX sketch (Fig. 5). It is called once per (kx, ky) pencil: spec[c] is
-// the forward-transformed length-N z line of component c (index = kz),
-// rewritten in place. Seeing every component of a frequency at once is what
-// lets a tensor kernel (MASSIF's Γ̂) couple them; a scalar kernel scales
-// each line independently. Calls for different pencils run concurrently.
+// FFTX sketch (Fig. 5). It is called once per tile of fft.Tile adjacent z
+// pencils of one kx, the paper's "B pencils at a time": tile[c] is
+// component c's tile, N rows of fft.Tile values, row kz holding the
+// forward-transformed pencils ky0 … ky0+Tile−1 at kz, pencil j at
+// tile[c][Tile·kz+j], rewritten in place. Seeing every component of a
+// frequency at once is what lets a tensor kernel (MASSIF's Γ̂) couple them;
+// a scalar kernel scales each component alike. Pencils ky ≥ N, which only
+// a last tile has when Tile does not divide N, are padding: what the
+// callback does to them is dropped. Calls for different tiles run
+// concurrently.
 //
 // The input is real, so the pipeline carries only the half spectrum
 // kx ∈ [0, N/2] and rebuilds the rest by Hermitian symmetry. That is only
 // right for a callback that keeps the symmetry — applied at −k to the
 // conjugate of what it sees at k it must return the conjugate: a real
-// spectrum even in ξ, or Γ̂. A run calls it with kx ≤ N/2 only, but it must
-// be defined for every index: construction probes mirrored pairs and
-// refuses anything else with ErrNotHermitian.
-type Pointwise func(kx, ky int, spec [][]complex128)
+// spectrum even in ξ, or Γ̂. A run calls it with kx ≤ N/2 and ky0 a
+// multiple of Tile only, but it must be defined for every index and any
+// ky0: construction probes mirrored pencils and refuses anything else with
+// ErrNotHermitian.
+type Pointwise func(kx, ky0 int, tile [][]complex128)
 
 // ErrNotHermitian is returned (wrapped with the offending index) by the
 // Local constructors for a callback the half-spectrum pipeline would
@@ -40,44 +47,46 @@ var ErrNotHermitian = errors.New("conv: pointwise callback is not Hermitian")
 
 // KernelPointwise adapts a scalar kernel to a Pointwise callback.
 // Separable kernels (green.Separable) get a fast path: three per-axis
-// tables are precomputed once, so the hot pencil loop multiplies three
-// table entries instead of evaluating the transcendental Hat per point,
-// with the (kx, ky) product hoisted out of the kz loop. The z table holds
-// each entry twice, one per part of a line point, so that fft.ScaleReal
-// (an AVX twin where the CPU has one) scales each line in one call. Both
-// paths scale the real and imaginary parts by the real kernel value: two
-// multiplies, where a complex multiply by complex(r, 0) takes four and two
-// adds.
+// tables are precomputed once, so the hot tile loop multiplies table
+// entries instead of evaluating the transcendental Hat per point: the
+// (kx, ky) product once per pencil, and then fft.ScaleTile (an AVX twin
+// where the CPU has one) scales each component's tile by it and the kz
+// table in one call. Both paths scale the real and imaginary parts by the
+// real kernel value: two multiplies, where a complex multiply by
+// complex(r, 0) takes four and two adds.
 func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 	if s, ok := k.(green.Separable); ok {
 		tx := make([]float64, d.Nx)
 		for kx := range tx {
 			tx[kx] = s.AxisHat(d.Nx, kx)
 		}
-		ty := tx
-		if d.Ny != d.Nx {
-			ty = make([]float64, d.Ny)
-			for ky := range ty {
-				ty[ky] = s.AxisHat(d.Ny, ky)
+		ty := make([]float64, d.Ny+fft.Tile-1) // padding pencils read a zero
+		for ky := range d.Ny {
+			ty[ky] = s.AxisHat(d.Ny, ky)
+		}
+		tz := make([]float64, d.Nz)
+		for kz := range tz {
+			tz[kz] = s.AxisHat(d.Nz, kz)
+		}
+		return func(kx, ky0 int, tile [][]complex128) {
+			var txy [fft.Tile]float64
+			for j := range txy {
+				txy[j] = tx[kx] * ty[ky0+j]
 			}
-		}
-		tz := make([]float64, 2*d.Nz) // tz[2kz] = tz[2kz+1]
-		for kz := 0; kz < d.Nz; kz++ {
-			tz[2*kz] = s.AxisHat(d.Nz, kz)
-			tz[2*kz+1] = tz[2*kz]
-		}
-		return func(kx, ky int, spec [][]complex128) {
-			txy := tx[kx] * ty[ky]
-			for _, line := range spec {
-				fft.ScaleReal(line, txy, tz)
+			for _, t := range tile {
+				fft.ScaleTile(t, txy, tz)
 			}
 		}
 	}
-	return func(kx, ky int, spec [][]complex128) {
-		for _, line := range spec {
-			for kz, v := range line {
-				r := k.Hat(d, kx, ky, kz)
-				line[kz] = complex(real(v)*r, imag(v)*r)
+	return func(kx, ky0 int, tile [][]complex128) {
+		pencils := min(fft.Tile, d.Ny-ky0)
+		for kz := range d.Nz {
+			for j := range pencils {
+				r := k.Hat(d, kx, ky0+j, kz)
+				for _, t := range tile {
+					v := t[fft.Tile*kz+j]
+					t[fft.Tile*kz+j] = complex(real(v)*r, imag(v)*r)
+				}
 			}
 		}
 	}
@@ -130,6 +139,10 @@ type Stats struct {
 // stage B takes each through the y, z and inverse y transforms in a
 // per-worker block that stays in cache and keeps only the rows stage C
 // samples, so neither the h×N×k slab nor a kept z plane is ever held whole.
+// Its z pencils go fft.Tile at a time through one tile transform
+// (fft.Plan.TileForward, the callback, TileInverse): the forward reads the
+// box's k rows of a tile straight from the block, every other z being
+// zero, and the inverse writes only the kept planes' rows back into it.
 type Local struct {
 	dim   grid.Dim3
 	sub   grid.Box
@@ -145,22 +158,28 @@ type Local struct {
 	// y; kept plane slot's are rows[rowOff[slot]:rowOff[slot+1]]), both
 	// stored at their positions through perm, and each row's gather points,
 	// shared with the geometry, whose frame x xpos takes to a line position.
+	// zIn and zOut are a tile's z rows in a kx block (see kxSlice): the
+	// box's k slices, which the forward reads, and the kept planes' lines,
+	// which the inverse writes.
 	keptZ    []int32
 	rows     []sampleRow
 	rowOff   []int
 	gather   []gatherPoint
 	xpos     []int32
 	rowPairs int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
+	zIn      fft.Rows
+	zOut     fft.Rows
 
 	// Reused working buffers (Run is therefore not safe for concurrent
 	// use on one Local; create one Local per goroutine): the one pooled buf,
-	// cut into the component-major xspec, kept and blocks, and the per-worker
-	// tile lines, allocated once so a warm Run performs no heap allocations.
+	// cut into the per-worker blocks and the component-major xspec and kept,
+	// and the per-worker tiles and line, allocated once so a warm Run
+	// performs no heap allocations.
 	buf     []complex128
+	blocks  []complex128 // per worker: [c][line] of bl lines at stride N+blockPad
 	xspec   []complex128 // [c][z][kx][y]: stage A's x transforms
 	kept    []complex128 // [c][kx][r]: row r of rows after the inverse y transform
-	blocks  []complex128 // per worker: [c][line] of bl lines at stride N+blockPad
-	scratch []pencilScratch
+	scratch []tileScratch
 
 	// Fixed geometry, cached at construction.
 	n, h, k    int // grid edge, half-spectrum width n/2+1, sub-domain edge
@@ -202,24 +221,20 @@ type gatherPoint struct {
 	sample int32
 }
 
-// pencilTile is how many adjacent ky pencils stage B carries at once: four
-// complex128 are one 64-byte cache line, so each read from and write to a
-// line of the kx block serves the whole tile.
-const pencilTile = 4
-
 // blockPad pads a kx block's line stride past N, so that at a power-of-two
-// N the lines a tile reads do not all map to one cache set. It also lets
-// every tile move whole rows of pencilTile columns: the last tile of an N
-// below pencilTile runs into the pad.
-const blockPad = 4
+// N the block lines a tile reads do not all map to one cache set, and so
+// that every tile reads and writes whole rows of fft.Tile columns: the last
+// tile of an N that Tile does not divide runs into the pad, and its
+// padding pencils carry the pad's values, which go no further.
+const blockPad = fft.Tile
 
-// pencilScratch is one worker's reusable length-n lines, one per tile
-// pencil per component: lines is the flat backing (pencil-major), tile[j]
-// the component lines of pencil j as the callback takes them. Stages A and
-// C use tile[0][0] as their one work line.
-type pencilScratch struct {
-	lines []complex128
-	tile  [pencilTile][][]complex128
+// tileScratch is one worker's reusable tiles, one per component, as the
+// callback takes them, and one length-n work line: stages A and C
+// transform in it, and a tile uses it where it runs through the line
+// kernel (fft.Plan.TileForward).
+type tileScratch struct {
+	tile [][]complex128
+	line []complex128
 }
 
 // NewLocal builds a local-convolution pipeline for sub-domain box sub of
@@ -238,7 +253,7 @@ func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 
 // NewLocalComponents builds a pipeline that carries comps component fields
 // of one sub-domain box through the shared plan together; pw sees all
-// comps spectrum lines of a pencil at once and must pass the Hermitian
+// comps component tiles of four pencils at once and must pass the Hermitian
 // probe (ErrNotHermitian otherwise). cfg must resolve to the set's
 // effective worker count. The sampling index is built from tree in sub's
 // frame, and the pipeline keeps tree itself.
@@ -304,17 +319,15 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 		return nil, err
 	}
 	l := &Local{dim: ps.dim, sub: sub, comps: comps, pw: pw, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
-	l.scratch = make([]pencilScratch, ps.workers)
+	l.scratch = make([]tileScratch, ps.workers)
 	for w := range l.scratch {
 		sc := &l.scratch[w]
-		sc.lines = make([]complex128, pencilTile*comps*n)
-		for j := range sc.tile {
-			sc.tile[j] = make([][]complex128, comps)
-			for c := range sc.tile[j] {
-				o := (j*comps + c) * n
-				sc.tile[j][c] = sc.lines[o : o+n : o+n]
-			}
+		lines := make([]complex128, (fft.Tile*comps+1)*n)
+		sc.tile = make([][]complex128, comps)
+		for c := range sc.tile {
+			sc.tile[c] = lines[fft.Tile*c*n : fft.Tile*(c+1)*n : fft.Tile*(c+1)*n]
 		}
+		sc.line = lines[fft.Tile*comps*n:]
 	}
 	l.n, l.h, l.k = n, n/2+1, k
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
@@ -323,6 +336,9 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 	l.fnC = l.recorded(l.keptPlane)
 	l.place(g)
 	l.bl = max(k, len(l.keptZ))
+	if err := l.tileRows(); err != nil {
+		return nil, err
+	}
 	l.hA = cfg.Trace.Histogram("conv.stage_a_seconds")
 	l.hB = cfg.Trace.Histogram("conv.stage_b_seconds")
 	l.hC = cfg.Trace.Histogram("conv.stage_c_seconds")
@@ -330,20 +346,26 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 }
 
 // probeHermitian checks, on a handful of (kx, ky) and their negations, that
-// pw applied at −k to the conjugate-mirrored lines returns the conjugate
-// mirror of what it returns at k, to 1e-9 of the largest output. The
-// self-conjugate pairs — (0, 0), (N/2, N/2) — test the symmetry in kz alone;
-// (N/2, 1) is the mixed-Nyquist case a direction-dependent kernel gets wrong
-// unless it zeroes those modes. The probe values are a splitmix64 stream,
-// uniform in [−1, 1), seeded alike on every call.
+// pw applied at −k to the conjugate-mirrored pencil returns the conjugate
+// mirror of what it returns at k, to 1e-9 of the largest output, both
+// measured by the larger of a value's two parts. Probe i puts its pencil in
+// lane j = min(i, Tile−1, ky) of a tile at (kx, ky − j), so that the five
+// probes cover every lane, and its mirror in lane 0 of an otherwise zero
+// tile at (−kx, −ky). The self-conjugate pairs — (0, 0), (N/2, N/2) — test
+// the symmetry in kz alone; (N/2, 1) is the mixed-Nyquist case a
+// direction-dependent kernel gets wrong unless it zeroes those modes. The
+// probe values are a splitmix64 stream, uniform in [−1, 1), seeded alike on
+// every call; every lane of a probe tile takes the same line.
 func probeHermitian(n, comps int, pw Pointwise) error {
+	const T = fft.Tile
 	neg := func(i int) int { return (n - i) % n }
-	lines := make([]complex128, 2*comps*n)
+	size := func(c complex128) float64 { return max(math.Abs(real(c)), math.Abs(imag(c))) }
+	tiles := make([]complex128, 2*comps*T*n)
 	a := make([][]complex128, comps)
 	b := make([][]complex128, comps)
 	for c := range a {
-		a[c] = lines[2*c*n : (2*c+1)*n]
-		b[c] = lines[(2*c+1)*n : (2*c+2)*n]
+		a[c] = tiles[2*c*T*n : (2*c+1)*T*n]
+		b[c] = tiles[(2*c+1)*T*n : (2*c+2)*T*n]
 	}
 	var seed uint64
 	next := func() float64 {
@@ -353,28 +375,33 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 		z = (z ^ z>>27) * 0x94d049bb133111eb
 		return float64(int64(z^z>>31)>>11) / (1 << 52)
 	}
-	for _, p := range [][2]int{{0, 0}, {n / 2, 1 % n}, {n / 2, n / 2}, {1 % n, 2 % n}, {3 % n, n - 1}} {
+	for i, p := range [][2]int{{0, 0}, {n / 2, 1 % n}, {n / 2, n / 2}, {1 % n, 2 % n}, {3 % n, n - 1}} {
+		kx, ky := p[0], p[1]
+		j := min(i, T-1, ky)
 		for c := range a {
-			for kz := range a[c] {
-				a[c][kz] = complex(next(), next())
-			}
-			for kz := range b[c] {
-				b[c][kz] = cmplx.Conj(a[c][neg(kz)])
+			clear(b[c])
+			for kz := 0; kz < n; kz++ {
+				v := complex(next(), next())
+				for l := range T {
+					a[c][T*kz+l] = v
+				}
+				b[c][T*neg(kz)] = cmplx.Conj(v)
 			}
 		}
-		pw(p[0], p[1], a)
-		pw(neg(p[0]), neg(p[1]), b)
+		pw(kx, ky-j, a)
+		pw(neg(kx), neg(ky), b)
 		var scale float64
 		for c := range a {
-			for _, v := range a[c] {
-				scale = max(scale, cmplx.Abs(v))
+			for kz := 0; kz < n; kz++ {
+				scale = max(scale, size(a[c][T*kz+j]))
 			}
 		}
 		for c := range a {
-			for kz, v := range b[c] {
-				if d := cmplx.Abs(v - cmplx.Conj(a[c][neg(kz)])); !(d <= 1e-9*scale) {
+			for kz := 0; kz < n; kz++ {
+				v, w := b[c][T*kz], a[c][T*neg(kz)+j]
+				if d := size(v - cmplx.Conj(w)); !(d <= 1e-9*scale) {
 					return fmt.Errorf("conv: component %d at (kx, ky, kz) = (%d, %d, %d) and its negation differ by %.3g of %.3g: %w",
-						c, p[0], p[1], neg(kz), d, scale, ErrNotHermitian)
+						c, kx, ky, neg(kz), d, scale, ErrNotHermitian)
 				}
 			}
 		}
@@ -389,7 +416,9 @@ func (l *Local) Tree() *octree.Tree { return l.tree }
 // any pipeline draws from, so a caller that streams many pipelines one at a
 // time — or builds one per box and runs it once — holds one live buffer
 // between runs and allocates (and zeroes) none after the first. It is never
-// cleared: the stages write, or clear, every element before reading it.
+// cleared: the stages write, or clear, every element before reading it, but
+// for the block's pad columns, whose values a last tile's padding pencils
+// carry and drop.
 func (l *Local) ReleaseBuffers() {
 	putBuffer(l.buf)
 	l.buf, l.xspec, l.kept, l.blocks = nil, nil, nil, nil
@@ -466,10 +495,13 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	nz := len(l.keptZ)
 	xn, kn := comps*k*k*h, comps*h*len(l.rows)
 	bw := min(fft.Workers(l.cfg.Workers), h) // stage-B workers, one block each
-	if size := xn + kn + bw*comps*l.bl*(n+blockPad); len(l.buf) != size {
+	bn := bw * comps * l.bl * (n + blockPad)
+	if size := bn + xn + kn; len(l.buf) != size {
 		l.buf = takeBuffer(size)
 	}
-	l.xspec, l.kept, l.blocks = l.buf[:xn], l.buf[xn:xn+kn], l.buf[xn+kn:]
+	// The blocks come first: at the start of a large buffer their tile rows
+	// are cache-line aligned.
+	l.blocks, l.xspec, l.kept = l.buf[:bn], l.buf[bn:bn+xn], l.buf[bn+xn:]
 	st.SlabBytes, st.PlanesBytes = 16*xn, 16*kn
 	st.KeptZPlanes, st.PencilCount = nz, h*n
 	l.runIn = in
@@ -480,9 +512,10 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		return st, err
 	}
 
-	// Stage B — per kx, forward y transforms, its N z pencils with the
-	// pointwise callback ("1D transforms of B pencils at a time in the
-	// z-dimension"), inverse y of the kept z planes, the sampled rows kept.
+	// Stage B — per kx, forward y transforms, its N z pencils four at a
+	// time, one tile transform each way with the pointwise callback between
+	// ("1D transforms of B pencils at a time in the z-dimension"), inverse y
+	// of the kept z planes, the sampled rows kept.
 	tB, spanB := time.Now(), run.Start("conv.stageB")
 	if st.StageB, err = l.stage(spanB, tB, "conv.stageB.worker", h, l.fnB, l.hB); err != nil {
 		return st, err
@@ -557,7 +590,7 @@ func (l *Local) xSlice(w, i int) error {
 	n, h, k := l.n, l.h, l.k
 	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
 	xs := l.xspec[i*k*h:][:k*h]
-	line := l.scratch[w].tile[0][0]
+	line := l.scratch[w].line
 	px := l.perm[l.ox : l.ox+k]
 	for yy := 0; yy < k; yy += 2 {
 		paired := yy+1 < k
@@ -622,7 +655,7 @@ func (l *Local) kxSlice(w, kx int) error {
 		}
 	}
 	sc := &l.scratch[w]
-	for ky0 := 0; ky0 < n; ky0 += pencilTile {
+	for ky0 := 0; ky0 < n; ky0 += fft.Tile {
 		if err := l.zTile(sc, blk, kx, ky0); err != nil {
 			return err
 		}
@@ -643,60 +676,50 @@ func (l *Local) kxSlice(w, kx int) error {
 	return nil
 }
 
-// zTile carries the z pencils of ky ∈ [ky0, ky0+pencilTile) of frequency
-// kx: their values are read one cache line per block line and placed,
-// through perm, one value into each of the tile's four named lines of the
-// component (cleared first); each line is forward z transformed, passed
-// through the callback with the pencil's other components and inverse
-// transformed in place. Kept plane slot's values leave the four lines, read
-// back through perm, as one cache line to block line slot at the tile's
-// columns, which the tile has already read from every line.
-func (l *Local) zTile(sc *pencilScratch, blk []complex128, kx, ky0 int) error {
-	n, comps, bl, ls := l.n, l.comps, l.bl, l.n+blockPad
-	clear(sc.lines)
-	for c := 0; c < comps; c++ {
-		tileIn(sc.tile[0][c], sc.tile[1][c], sc.tile[2][c], sc.tile[3][c], blk[c*bl*ls+ky0:], ls, l.perm[l.oz:l.oz+l.k])
-	}
-	// At n < pencilTile the tile read the block's pad columns into its
-	// spare pencils, which go no further.
-	t := min(pencilTile, n-ky0)
-	for j := 0; j < t; j++ {
-		spec := sc.tile[j]
-		for _, line := range spec {
-			if err := l.plan.ForwardFromPerm(line); err != nil {
-				return err
-			}
-		}
-		// Pointwise kernel multiply — the cuFFT-callback stage.
-		l.pw(kx, ky0+j, spec)
-		for _, line := range spec {
-			if err := l.plan.InverseToPerm(line); err != nil {
-				return err
-			}
+// zTile carries the z pencils of ky ∈ [ky0, ky0+fft.Tile) of frequency kx
+// through one tile transform per component: the forward reads the tile's
+// row of each of the box's k block lines (l.zIn), the callback sees every
+// component's tile, and the inverse writes kept plane slot's row to block
+// line slot at the tile's columns (l.zOut), which every forward of the
+// tile has already read.
+func (l *Local) zTile(sc *tileScratch, blk []complex128, kx, ky0 int) error {
+	cs := l.bl * (l.n + blockPad) // one component's block
+	for c, t := range sc.tile {
+		if err := l.plan.TileForward(t, blk[c*cs+ky0:], l.zIn, sc.line); err != nil {
+			return err
 		}
 	}
-	for c := 0; c < comps; c++ {
-		tileOut(blk[c*bl*ls+ky0:], ls, sc.tile[0][c], sc.tile[1][c], sc.tile[2][c], sc.tile[3][c], l.keptZ)
+	// Pointwise kernel multiply — the cuFFT-callback stage.
+	l.pw(kx, ky0, sc.tile)
+	for c, t := range sc.tile {
+		if err := l.plan.TileInverse(t, blk[c*cs+ky0:], l.zOut, sc.line); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// tileIn places row i of src (rows at stride ls, pencilTile values each)
-// at position at[i] of the tile's four lines of one component.
-func tileIn(d0, d1, d2, d3, src []complex128, ls int, at []int32) {
-	for i, z := range at {
-		r := src[i*ls:][:pencilTile]
-		d0[z], d1[z], d2[z], d3[z] = r[0], r[1], r[2], r[3]
+// tileRows builds zIn and zOut, offsets from a tile's first column in one
+// component's block: z position i of a tile is block line z − oz where the
+// box holds the plane at i, and kept plane slot's position is line slot.
+func (l *Local) tileRows() error {
+	ls := int32(l.n + blockPad)
+	in, out := make([]int32, l.n), make([]int32, l.n)
+	for i, z := range l.perm {
+		in[i], out[i] = -1, -1
+		if zi := int(z) - l.oz; zi >= 0 && zi < l.k {
+			in[i] = int32(zi) * ls
+		}
 	}
-}
-
-// tileOut is tileIn's way back: row i of dst gets position at[i] of the
-// four lines.
-func tileOut(dst []complex128, ls int, s0, s1, s2, s3 []complex128, at []int32) {
-	for i, z := range at {
-		r := dst[i*ls:][:pencilTile]
-		r[0], r[1], r[2], r[3] = s0[z], s1[z], s2[z], s3[z]
+	for slot, i := range l.keptZ {
+		out[i] = int32(slot) * ls
 	}
+	var err error
+	if l.zIn, err = l.plan.Rows(in); err != nil {
+		return err
+	}
+	l.zOut, err = l.plan.Rows(out)
+	return err
 }
 
 // keptPlane is the stage-C worker for kept plane i%nz of component i/nz:
@@ -710,7 +733,7 @@ func (l *Local) keptPlane(w, i int) error {
 	c, slot := i/nz, i%nz
 	kept := l.kept[c*h*nr:][:h*nr] // row r's value at kx is kept[kx*nr+r]
 	out, xpos := l.runOut[c].Samples, l.xpos
-	line := l.scratch[w].tile[0][0]
+	line := l.scratch[w].line
 	end := l.rowOff[slot+1]
 	for ra := l.rowOff[slot]; ra < end; ra += 2 {
 		// An unpaired last row rides with itself; its imaginary half is

@@ -6,13 +6,58 @@ import (
 	"testing"
 )
 
-// goLoops runs f with every pass of the kernel on its Go loop, whatever the
-// CPU has, and restores the dispatch after.
+// goLoops runs f with every pass of the kernel on its Go loop and every
+// tile on the line path, whatever the CPU has, and restores the dispatch
+// after.
 func goLoops(f func()) {
-	saved := useAVX
-	useAVX = false
-	defer func() { useAVX = saved }()
+	saved, saved512 := useAVX, useAVX512
+	useAVX, useAVX512 = false, false
+	defer func() { useAVX, useAVX512 = saved, saved512 }()
 	f()
+}
+
+// noAVX512 runs f with every tile on the AVX twin where it would run on
+// the AVX-512 one, as on a CPU without AVX-512, and restores the dispatch
+// after.
+func noAVX512(f func()) {
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
+	f()
+}
+
+// lineTiles runs f with every tile on the line path, the line kernels
+// dispatched as the CPU allows, and restores the dispatch after.
+func lineTiles(f func()) {
+	tileLines = true
+	defer func() { tileLines = false }()
+	f()
+}
+
+// dispatch is one way this CPU can run a tile: its name and a runner that
+// runs f under it.
+type dispatch struct {
+	name string
+	run  func(f func())
+}
+
+// tileDispatches lists the dispatches this CPU has: the AVX-512 tile twin,
+// the AVX one, the line path on the AVX line kernels, and the Go loops.
+func tileDispatches() []dispatch {
+	var ds []dispatch
+	if useAVX512 {
+		ds = append(ds, dispatch{"avx512-tile", func(f func()) { f() }})
+	}
+	if useAVX {
+		ds = append(ds, dispatch{"avx-tile", noAVX512}, dispatch{"avx-lines", lineTiles})
+	}
+	return append(ds, dispatch{"go-loops", goLoops})
+}
+
+// TestDispatch logs the dispatch this CPU selects, so that a test log says
+// which twins the run covered.
+func TestDispatch(t *testing.T) {
+	t.Logf("fft dispatch: AVX %v, AVX-512 %v", useAVX, useAVX512)
 }
 
 // bothKernels runs check on the dispatched kernel and, where that is the
@@ -128,81 +173,88 @@ func TestAVXKernelMatchesGo(t *testing.T) {
 	}
 }
 
-// scaleEdges are the parts TestScaleRealMatchesGo and FuzzScaleReal mix
-// into their lines and factors: signed zeros, subnormals, ±1e300 (whose
+// scaleEdges are the parts TestScaleTileMatchesGo and FuzzTile mix into
+// their tiles and factors: signed zeros, subnormals, ±1e300 (whose
 // products overflow) and ±Inf (whose products with zero are NaN).
 var scaleEdges = []float64{0, math.Copysign(0, -1), 5e-324, -3.3e-310, 2.2e-308, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
 
-// scaleRealCase runs ScaleReal on x copied into got, dispatched, and into
+// scaleTileCase runs ScaleTile on x copied into got, dispatched, and into
 // want, on the Go loop, and returns the first index at which the two
 // differ in any bit.
-func scaleRealCase(got, want, x []complex128, s float64, r []float64) int {
+func scaleTileCase(got, want, x []complex128, s [Tile]float64, r []float64) int {
 	got, want = got[:len(x)], want[:len(x)]
 	copy(got, x)
 	copy(want, x)
-	ScaleReal(got, s, r)
-	goLoops(func() { ScaleReal(want, s, r) })
+	ScaleTile(got, s, r)
+	goLoops(func() { ScaleTile(want, s, r) })
 	return firstBitDiff(got, want)
 }
 
-// TestScaleRealMatchesGo holds scaleRealAVX to ScaleReal's Go loop bit for
-// bit on every length 0…2¹⁴, odd tails included, for s ∈ {0, −0, 1,
-// random} in turn. Lines of up to 256 points take a quarter of their parts
-// from scaleEdges, longer ones one in 256, so that the subnormals' slow
-// arithmetic does not swamp the sweep. Under the race detector, which has
-// nothing to watch in this one goroutine, the sweep stops at 2¹⁰.
-func TestScaleRealMatchesGo(t *testing.T) {
+// TestScaleTileMatchesGo holds scaleTileAVX to ScaleTile's Go loop bit for
+// bit on every tile of 0…2¹² rows (2¹⁴ points), with each pencil's factor
+// drawn from {0, −0, 1, random} in turn. Tiles of up to 64 rows take a
+// quarter of their parts and row factors from scaleEdges, longer ones one
+// in 256, so that the subnormals' slow arithmetic does not swamp the
+// sweep. Under the race detector, which has nothing to watch in this one
+// goroutine, the sweep stops at 2⁸ rows.
+func TestScaleTileMatchesGo(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX kernel on this CPU")
 	}
-	const dense = 256
-	most := 1 << 14
+	const dense = 64
+	most := 1 << 12
 	if raceEnabled {
-		most = 1 << 10
+		most = 1 << 8
 	}
 	rng := rand.New(rand.NewSource(1))
-	line := func(m, edgeEvery int) ([]complex128, []float64) {
+	tile := func(m, edgeEvery int) ([]complex128, []float64) {
 		part := func() float64 {
 			if rng.Intn(edgeEvery) == 0 {
 				return scaleEdges[rng.Intn(len(scaleEdges))]
 			}
 			return rng.NormFloat64() * math.Exp2(float64(rng.Intn(41)-20))
 		}
-		x, r := make([]complex128, m), make([]float64, 2*m)
+		x, r := make([]complex128, Tile*m), make([]float64, m)
 		for i := range x {
-			x[i], r[2*i], r[2*i+1] = complex(part(), part()), part(), part()
+			x[i] = complex(part(), part())
+		}
+		for i := range r {
+			r[i] = part()
 		}
 		return x, r
 	}
-	xd, rd := line(2*dense, 4)
-	xs, rs := line(2*most, dense)
-	ScaleReal(nil, 1, nil) // nothing to scale, nothing read
-	got, want := make([]complex128, most), make([]complex128, most)
-	for n := 0; n <= most; n++ {
+	xd, rd := tile(2*dense, 4)
+	xs, rs := tile(2*most, dense*4)
+	ScaleTile(nil, [Tile]float64{}, nil) // nothing to scale, nothing read
+	got, want := make([]complex128, Tile*most), make([]complex128, Tile*most)
+	for m := 0; m <= most; m++ {
 		x, r := xd, rd
-		if n > dense {
+		if m > dense {
 			x, r = xs, rs
 		}
-		s := [4]float64{0, math.Copysign(0, -1), 1, rng.NormFloat64()}[(n/2)%4]
-		o := rng.Intn(len(x) - n + 1) // a fresh window of the lines for each length
-		if i := scaleRealCase(got, want, x[o:o+n], s, r[2*o:2*(o+n)]); i >= 0 {
-			t.Fatalf("n=%d s=%v: [%d] = %v, Go loop %v (x %v, r %v)", n, s, i, got[i], want[i], x[o+i], r[2*(o+i):2*(o+i+1)])
+		var s [Tile]float64
+		for j := range s {
+			s[j] = [4]float64{0, math.Copysign(0, -1), 1, rng.NormFloat64()}[(m+j)%4]
+		}
+		o := rng.Intn(len(r) - m + 1) // a fresh window of the tile for each size
+		if i := scaleTileCase(got, want, x[Tile*o:Tile*(o+m)], s, r[o:o+m]); i >= 0 {
+			t.Fatalf("rows=%d s=%v: [%d] = %v, Go loop %v (x %v, r %v)", m, s, i, got[i], want[i], x[Tile*o+i], r[o+i/Tile])
 		}
 	}
 }
 
-// BenchmarkScaleReal times one ScaleReal of a 128-point line, the kernel
-// multiply of a conv.Local z pencil at n = 128, dispatched and on the Go
-// loop.
-func BenchmarkScaleReal(b *testing.B) {
+// BenchmarkScaleTile times one ScaleTile of a 128-row tile, the kernel
+// multiply of a conv.Local tile at n = 128, dispatched and on the Go loop.
+func BenchmarkScaleTile(b *testing.B) {
 	const n = 128
-	x, r := randComplex(n, 1), make([]float64, 2*n)
+	x, r := randComplex(Tile*n, 1), make([]float64, n)
 	for i := range r {
-		r[i] = 1 // the line stays as it is, never drifting into subnormals
+		r[i] = 1 // the tile stays as it is, never drifting into subnormals
 	}
+	s := [Tile]float64{1, 1, 1, 1}
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ScaleReal(x, 1, r)
+			ScaleTile(x, s, r)
 		}
 	}
 	b.Run("dispatched", run)

@@ -7,21 +7,31 @@
 //     decimation-in-frequency transpose inverse, with the bit reversal a
 //     separate step (see Perm); Bluestein's chirp-z algorithm otherwise;
 //   - strided and batched execution for pencil/slab pipelines;
+//   - tile transforms of Tile = 4 interleaved pencils, the paper's "B
+//     pencils at a time" (TileForward, TileInverse, ScaleTile; tile.go);
 //   - 2D and 3D plans with optional parallel execution across lines.
 //
-// On amd64, when CPUID and XGETBV report AVX with the YMM state saved by
-// the OS (checked once, at package init), every pass of the power-of-two
-// kernel — radix4, radix4DIF, firstPass and lastPass — runs as its AVX twin
-// in fft_amd64.s, two complex128 per register. The twins do their Go loop's
-// operations in the same order and use no FMA, so every output bit is the
-// Go loop's; elsewhere the Go loops are the kernel.
+// The kernels have assembly twins, and every twin keeps one rule: it does
+// its Go loop's operations in the Go loop's order and uses no FMA, so every
+// output bit, the sign of a zero included, is the Go loop's. On amd64:
 //
-// ScaleReal, the multiply of a separable convolution kernel (conv's
-// KernelPointwise applies it to every z pencil line), has an AVX twin of
-// the same kind: scaleRealAVX forms s·r[j] for both parts of two points per
-// register and then multiplies the points by it, as the Go loop does, so
-// its output too is the Go loop's bit for bit (TestScaleRealMatchesGo,
-// FuzzScaleReal).
+//   - when CPUID and XGETBV report AVX with the YMM state saved by the OS
+//     (checked once, at package init, into useAVX), every pass of the
+//     power-of-two line kernel — radix4, radix4DIF, firstPass and lastPass
+//     — runs as its AVX twin in fft_amd64.s, two complex128 per register;
+//     so do ScaleTile (scaleTileAVX) and every pass of a power-of-two tile
+//     transform, half a tile row per register;
+//   - when they also report AVX-512 F and DQ with the ZMM state saved
+//     (useAVX512), a tile transform's passes run as their AVX-512 twins in
+//     tile_amd64.s instead, one tile row per register.
+//
+// Either tile twin's first pass loads its rows straight from the caller's
+// buffer, and its inverse's last pass stores straight into it. Without AVX,
+// and for lengths that are not a power of two, each pencil of a tile is
+// gathered into a line and run through the line kernel: the line path,
+// the reference TestTileMatchesLines holds both twins to.
+//
+// Off amd64 the Go loops are the kernel.
 //
 // Convention: Forward is unnormalized (e^{-2πi nk/N}); Inverse applies the
 // 1/N factor, so Inverse(Forward(x)) == x up to round-off. Multi-d plans
@@ -49,9 +59,11 @@ type Plan struct {
 	// Power-of-two lengths (see dit and dif).
 	swaps     []int32    // perm's 2-cycles as (i, j) pairs: the in-place reorder
 	tw, twInv []twiddle3 // per-pass twiddle triples, forward and conjugate
-	// The same twiddles as the AVX passes read them, built whatever the
-	// CPU so that a plan serves either path useAVX selects.
-	twAVX, twInvAVX []twiddlePair
+	// The same twiddles as the AVX line passes and the tile passes read
+	// them, built whatever the CPU so that a plan serves every path the
+	// dispatch selects.
+	twAVX, twInvAVX   []twiddlePair
+	twTile, twInvTile []tileTwiddle
 }
 
 // NewPlan creates a plan for transforms of length n ≥ 1.
@@ -67,6 +79,8 @@ func NewPlan(n int) (*Plan, error) {
 		p.twInv = twiddleTable(n, +1)
 		p.twAVX = pairTwiddles(p.tw)
 		p.twInvAVX = pairTwiddles(p.twInv)
+		p.twTile = tileTwiddles(p.tw)
+		p.twInvTile = tileTwiddles(p.twInv)
 	} else {
 		var err error
 		p.bs, err = newBluestein(n)
@@ -341,24 +355,6 @@ func radix4DIF(x0, x1, x2, x3 []complex128, tw []twiddle3) {
 }
 
 func scaled(c complex128, s float64) complex128 { return complex(real(c)*s, imag(c)*s) }
-
-// ScaleReal scales each part of x by s times its own real factor: r holds
-// two per point, r[2i] for real(x[i]) and r[2i+1] for imag(x[i]), and each
-// product s·r[j] is formed first. With the factor of a point given twice it
-// is x[i]·(s·r[2i]), two multiplies where a complex multiply by a real
-// takes four and two adds. r must hold at least 2·len(x) factors. With AVX
-// it runs as scaleRealAVX on pairs of points, bit for bit the Go loop.
-func ScaleReal(x []complex128, s float64, r []float64) {
-	r = r[:2*len(x)]
-	if useAVX {
-		m := len(x) &^ 1
-		scaleRealAVX(x[:m], s, r[:2*m])
-		x, r = x[m:], r[2*m:]
-	}
-	for i, v := range x {
-		x[i] = complex(real(v)*(s*r[2*i]), imag(v)*(s*r[2*i+1]))
-	}
-}
 
 // mulNegI returns −i·c.
 func mulNegI(c complex128) complex128 { return complex(imag(c), -real(c)) }

@@ -120,45 +120,81 @@ func FuzzFFTRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzScaleReal holds scaleRealAVX to ScaleReal's Go loop bit for bit on
-// fuzzed lines: each two bytes of data are one point's parts and each byte
-// of rs one part's factor (cycled), all read through scaleEdges and a set
-// of ordinary values; sBits are the bits of s, a NaN taken as 1.
-func FuzzScaleReal(f *testing.F) {
-	f.Add(math.Float64bits(0), []byte{1, 2, 3, 4}, []byte{9, 9})
-	f.Add(math.Float64bits(math.Copysign(0, -1)), []byte{7, 8, 0, 0, 5, 6, 12, 255}, []byte{7, 8, 0})
-	f.Add(math.Float64bits(1), []byte{}, []byte{3})
-	f.Add(math.Float64bits(-2.5e-3), []byte("a line of seventeen or more points, odd tail"), []byte("factors"))
-	f.Add(math.Float64bits(1e300), []byte{5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7}, []byte{5, 6, 7, 8, 9, 10, 11, 12})
+// FuzzTile holds a tile's forward transform, its scale and its inverse to
+// the per-line references bit for bit under every dispatch this CPU has
+// (TestTileMatchesLines' and TestScaleTileMatchesGo's checks on fuzzed
+// tiles). Each 2·Tile bytes of data are one row's parts, read through
+// scaleEdges' finite values and a set of ordinary ones; the tile has
+// between 1 and 256 rows, a power of two or not. Bit 0 of a byte of rs
+// (cycled) drops a row from the forward's source and bit 1 from the
+// inverse's output; the bytes also give the scale's row factors, and the
+// bytes of sBits its pencil factors, all through every scaleEdges value.
+func FuzzTile(f *testing.F) {
+	f.Add(uint64(0x0102030405060708), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{9, 9})
+	f.Add(uint64(0x00ff00ff00ff00ff), []byte("sixteen bytes, two rows; thirty-two bytes, four"), []byte{0, 1, 2, 3})
+	f.Add(uint64(0), []byte{}, []byte{3})
+	f.Add(uint64(0x0807060504030201), []byte("a tile of six rows, forty-eight bytes long, no power"), []byte("factors"))
+	f.Add(uint64(0x7f7f7f7f7f7f7f7f), make([]byte, 8*64), []byte{5, 6, 7, 8, 9, 10, 11, 12})
 
 	f.Fuzz(func(t *testing.T, sBits uint64, data, rs []byte) {
-		if !useAVX {
-			t.Skip("no AVX kernel on this CPU")
-		}
-		s := math.Float64frombits(sBits)
-		if math.IsNaN(s) {
-			s = 1
-		}
-		value := func(b byte) float64 {
-			if int(b) < len(scaleEdges) {
+		const finite = 7 // scaleEdges[:finite] are finite
+		value := func(b byte, edges int) float64 {
+			if int(b) < edges {
 				return scaleEdges[b]
 			}
 			return (float64(b) - 128) / 8
 		}
-		n := len(data) / 2
-		x := make([]complex128, n)
-		r := make([]float64, 2*n)
-		for i := range x {
-			x[i] = complex(value(data[2*i]), value(data[2*i+1]))
+		n := min(max(len(data)/(2*Tile), 1), 256)
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(rs) > 0 {
-			for j := range r {
-				r[j] = value(rs[j%len(rs)])
+		var x [Tile][]complex128
+		for j := range x {
+			x[j] = make([]complex128, n)
+			for i := range x[j] {
+				var re, im byte
+				if len(data) > 0 {
+					k := 2 * (Tile*i + j)
+					re, im = data[k%len(data)], data[(k+1)%len(data)]
+				}
+				x[j][i] = complex(value(re, finite), value(im, finite))
 			}
 		}
-		got, want := make([]complex128, n), make([]complex128, n)
-		if i := scaleRealCase(got, want, x, s, r); i >= 0 {
-			t.Fatalf("n=%d s=%v: [%d] = %v, Go loop %v", n, s, i, got[i], want[i])
+		from, to, r := make([]int32, n), make([]int32, n), make([]float64, n)
+		for i := range from {
+			from[i], to[i], r[i] = int32(Tile*i), int32(Tile*i), 1
+			if len(rs) > 0 {
+				b := rs[i%len(rs)]
+				if b&1 != 0 {
+					from[i] = -1
+				}
+				if b&2 != 0 {
+					to[i] = -1
+				}
+				r[i] = value(b, len(scaleEdges))
+			}
+		}
+		c := tileCase{x: x, bufLen: Tile * n}
+		if c.from, err = p.Rows(from); err != nil {
+			t.Fatal(err)
+		}
+		if c.to, err = p.Rows(to); err != nil {
+			t.Fatal(err)
+		}
+		var s [Tile]float64
+		for j := range s {
+			s[j] = value(byte(sBits>>(8*j)), len(scaleEdges))
+		}
+		for _, d := range tileDispatches() {
+			d.run(func() {
+				checkTile(t, p, c, d.name)
+				tile := c.tile()
+				got, want := make([]complex128, len(tile)), make([]complex128, len(tile))
+				if i := scaleTileCase(got, want, tile, s, r); i >= 0 {
+					t.Fatalf("%s: n=%d s=%v: ScaleTile [%d] = %v, Go loop %v", d.name, n, s, i, got[i], want[i])
+				}
+			})
 		}
 	})
 }

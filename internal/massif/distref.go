@@ -41,6 +41,16 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 	if err != nil {
 		return nil, err
 	}
+	// A z tile's rows in the staging tile of its pencils' natural-order
+	// lines: position i holds element Perm()[i] of each pencil.
+	at := make([]int32, n)
+	for i, z := range planZ.Perm() {
+		at[i] = fft.Tile * z
+	}
+	zRows, err := planZ.Rows(at)
+	if err != nil {
+		return nil, err
+	}
 
 	strain := grid.NewTensorField(m.Dim)
 	stress := grid.NewTensorField(m.Dim)
@@ -62,10 +72,14 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 		for v := range slabs {
 			slabs[v] = make([]complex128, n*n*zPer)
 		}
-		lines := make([][]complex128, grid.NumVoigt) // the six z-lines of one (kx, ky)
-		for v := range lines {
-			lines[v] = make([]complex128, n)
+		// The six component tiles of one kx and fft.Tile ky, the staging
+		// tile their lines are gathered into and scattered from, and the
+		// tile transforms' scratch line.
+		tiles := make([][]complex128, grid.NumVoigt)
+		for v := range tiles {
+			tiles[v] = make([]complex128, fft.Tile*n)
 		}
+		stage, line := make([]complex128, fft.Tile*n), make([]complex128, n)
 		var epsT grid.SymTensor
 
 		for iter := 0; iter < opt.MaxIter; iter++ {
@@ -93,28 +107,36 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 			}
 			// z-direction FFTs, the Γ̂ contraction, inverse z FFTs — all
 			// local to the worker's ky range (y-slab layout:
-			// idx = z·n·zPer + yi·n + kx). The lines' copies in and out go
-			// through planZ.Perm, so the transforms skip their reorders.
+			// idx = z·n·zPer + yi·n + kx), fft.Tile ky at a time. A tile's
+			// lines are staged in natural order and read and written
+			// through zRows, so the transforms skip their reorders. Where
+			// Tile does not divide zPer the last tile's spare pencils carry
+			// stale values, which are not scattered back.
 			y0 := w.ID * zPer
-			perm := planZ.Perm()
-			for yi := 0; yi < zPer; yi++ {
+			for yi0 := 0; yi0 < zPer; yi0 += fft.Tile {
+				pencils := min(fft.Tile, zPer-yi0)
 				for kx := 0; kx < n; kx++ {
-					at := yi*n + kx
-					for v, line := range lines {
-						for i, z := range perm {
-							line[i] = ySlabs[v][int(z)*n*zPer+at]
+					for v, t := range tiles {
+						for z := 0; z < n; z++ {
+							col := ySlabs[v][z*n*zPer+yi0*n+kx:]
+							for j := range pencils {
+								stage[fft.Tile*z+j] = col[j*n]
+							}
 						}
-						if err := planZ.ForwardFromPerm(line); err != nil {
+						if err := planZ.TileForward(t, stage, zRows, line); err != nil {
 							return err
 						}
 					}
-					op(kx, y0+yi, lines)
-					for v, line := range lines {
-						if err := planZ.InverseToPerm(line); err != nil {
+					op(kx, y0+yi0, tiles)
+					for v, t := range tiles {
+						if err := planZ.TileInverse(t, stage, zRows, line); err != nil {
 							return err
 						}
-						for i, z := range perm {
-							ySlabs[v][int(z)*n*zPer+at] = line[i]
+						for z := 0; z < n; z++ {
+							col := ySlabs[v][z*n*zPer+yi0*n+kx:]
+							for j := range pencils {
+								col[j*n] = stage[fft.Tile*z+j]
+							}
 						}
 					}
 				}

@@ -6,6 +6,7 @@ import (
 
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/conv"
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -377,23 +378,28 @@ func boxTree(dim grid.Dim3, b grid.Box, opt LowCommOptions) (*octree.Tree, error
 }
 
 // gammaOp is the Γ̂ contraction per frequency (Algorithm 1 step 3,
-// Algorithm 2 line 4) as a pencil callback: it couples the six Voigt
-// component lines of one (kx, ky) through green.Gamma, real and imaginary
-// parts separately, zeroing ambiguous Nyquist modes (green.Gamma.ApplyAt)
-// so the operator stays Hermitian-even and every solver shares one discrete
-// fixed point.
+// Algorithm 2 line 4) as a tile callback: walking the tile's rows, it
+// couples the six Voigt components of each pencil (kx, ky0+j) at kz
+// through green.Gamma, real and imaginary parts separately, zeroing
+// ambiguous Nyquist modes (green.Gamma.ApplyAt) so the operator stays
+// Hermitian-even and every solver shares one discrete fixed point. Padding
+// pencils (ky ≥ N) are left as they are.
 func gammaOp(dim grid.Dim3, gamma green.Gamma) conv.Pointwise {
-	return func(kx, ky int, spec [][]complex128) {
-		for kz := range spec[0] {
-			var re, im grid.SymTensor
-			for v, line := range spec {
-				re[v] = real(line[kz])
-				im[v] = imag(line[kz])
-			}
-			gre := gamma.ApplyAt(dim, kx, ky, kz, re)
-			gim := gamma.ApplyAt(dim, kx, ky, kz, im)
-			for v, line := range spec {
-				line[kz] = complex(gre[v], gim[v])
+	return func(kx, ky0 int, tile [][]complex128) {
+		pencils := min(fft.Tile, dim.Ny-ky0)
+		for kz := range dim.Nz {
+			for j := range pencils {
+				i := fft.Tile*kz + j
+				var re, im grid.SymTensor
+				for v, t := range tile {
+					re[v] = real(t[i])
+					im[v] = imag(t[i])
+				}
+				gre := gamma.ApplyAt(dim, kx, ky0+j, kz, re)
+				gim := gamma.ApplyAt(dim, kx, ky0+j, kz, im)
+				for v, t := range tile {
+					t[i] = complex(gre[v], gim[v])
+				}
 			}
 		}
 	}

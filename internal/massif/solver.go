@@ -113,7 +113,8 @@ func SolveReference(m *Microstructure, E grid.SymTensor, opt Options) (*Result, 
 
 // gammaStep builds the dense Γ̂ step of the full-grid solvers (Algorithm 1
 // steps 2–5): step loads the six components of field(i) at every voxel i,
-// transforms them forward, contracts every (kx, ky) z-line with gammaOp —
+// transforms them forward, contracts every (kx, ky) z-line with gammaOp, a
+// tile of fft.Tile ky at a time —
 // the zero mode maps to zero, so the mean strain stays E — and transforms
 // back, in place; Γ̂∗field is then the real parts of spectra.
 func gammaStep(m *Microstructure, gamma green.Gamma, opt Options) (step func(field func(i int) grid.SymTensor) error, spectra []*grid.ComplexField, err error) {
@@ -125,10 +126,10 @@ func gammaStep(m *Microstructure, gamma green.Gamma, opt Options) (step func(fie
 	d := m.Dim
 	op := gammaOp(d, gamma)
 	spectra = make([]*grid.ComplexField, grid.NumVoigt)
-	lines := make([][]complex128, grid.NumVoigt)
+	tiles := make([][]complex128, grid.NumVoigt)
 	for v := range spectra {
 		spectra[v] = grid.NewComplexField(d)
-		lines[v] = make([]complex128, d.Nz)
+		tiles[v] = make([]complex128, fft.Tile*d.Nz)
 	}
 	step = func(field func(i int) grid.SymTensor) error {
 		for i := range d.Len() {
@@ -141,17 +142,22 @@ func gammaStep(m *Microstructure, gamma green.Gamma, opt Options) (step func(fie
 				return err
 			}
 		}
-		for ky := 0; ky < d.Ny; ky++ {
+		for ky0 := 0; ky0 < d.Ny; ky0 += fft.Tile {
+			pencils := min(fft.Tile, d.Ny-ky0)
 			for kx := 0; kx < d.Nx; kx++ {
-				for v, line := range lines {
-					for kz := range line {
-						line[kz] = spectra[v].Data[d.Index(kx, ky, kz)]
+				for v, t := range tiles {
+					for kz := range d.Nz {
+						for j := range pencils {
+							t[fft.Tile*kz+j] = spectra[v].Data[d.Index(kx, ky0+j, kz)]
+						}
 					}
 				}
-				op(kx, ky, lines)
-				for v, line := range lines {
-					for kz, c := range line {
-						spectra[v].Data[d.Index(kx, ky, kz)] = c
+				op(kx, ky0, tiles)
+				for v, t := range tiles {
+					for kz := range d.Nz {
+						for j := range pencils {
+							spectra[v].Data[d.Index(kx, ky0+j, kz)] = t[fft.Tile*kz+j]
+						}
 					}
 				}
 			}
