@@ -69,23 +69,69 @@ func TestSolveLowCommPinnedBits(t *testing.T) {
 	}
 }
 
-// TestSolveLowCommDistributedPinnedBits pins the distributed solve on four
-// ranks the same way. Its mean and residual sums add in another order than
-// SolveLowComm's, so its hash is its own.
+// TestSolveLowCommDistributedPinnedBits pins the distributed solve on one
+// and four ranks the same way. On four its mean and residual sums add in
+// another order than SolveLowComm's, so its hash is its own; on one it is
+// SolveLowComm's.
 func TestSolveLowCommDistributedPinnedBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bits are pinned on amd64 only")
 	}
-	m, E, opt := bitsProblem(t, 16, 8)
-	c, err := cluster.New(4, cluster.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		p    int
+		want string
+	}{
+		{1, "54cf928fa6f779c2"},
+		{4, "7ae713994c859faa"},
+	} {
+		m, E, opt := bitsProblem(t, 16, 8)
+		cl, err := cluster.New(c.p, cluster.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SolveLowCommDistributed(cl, m, E, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strainHash(res.Strain); got != c.want {
+			t.Errorf("16³/k8, P=%d: strain hash %s, want %s", c.p, got, c.want)
+		}
 	}
-	res, err := SolveLowCommDistributed(c, m, E, opt)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDenseSolversPinnedBits pins the strain of the three dense solves —
+// SolveReference, SolveAccelerated and SolveReferenceDistributed on two and
+// four ranks — on the 16³ problem of bitsProblem, six iterations each.
+func TestDenseSolversPinnedBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bits are pinned on amd64 only")
 	}
-	if got, want := strainHash(res.Strain), "7ae713994c859faa"; got != want {
-		t.Errorf("16³/k8, P=4: strain hash %s, want %s", got, want)
+	distributed := func(p int) func(*Microstructure, grid.SymTensor, Options) (*Result, error) {
+		return func(m *Microstructure, E grid.SymTensor, opt Options) (*Result, error) {
+			c, err := cluster.New(p, cluster.DefaultParams())
+			if err != nil {
+				return nil, err
+			}
+			return SolveReferenceDistributed(c, m, E, opt)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		solve func(*Microstructure, grid.SymTensor, Options) (*Result, error)
+		want  string
+	}{
+		{"SolveReference", SolveReference, "eb150968e006fb36"},
+		{"SolveAccelerated", SolveAccelerated, "dee2ec482da02749"},
+		{"SolveReferenceDistributed P=2", distributed(2), "bd1fb6c51f5a0629"},
+		{"SolveReferenceDistributed P=4", distributed(4), "bd1fb6c51f5a0629"},
+	} {
+		m, E, opt := bitsProblem(t, 16, 8)
+		res, err := c.solve(m, E, opt.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strainHash(res.Strain); got != c.want {
+			t.Errorf("%s: strain hash %s, want %s (%d iterations, converged %v)", c.name, got, c.want, res.Iterations, res.Converged)
+		}
 	}
 }
