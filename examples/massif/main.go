@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("  mean stress σ_xx = %.5f (%.2f%% off reference)\n",
 		low.MeanStress()[grid.VXX],
 		100*abs(low.MeanStress()[grid.VXX]-ref.MeanStress()[grid.VXX])/ref.MeanStress()[grid.VXX])
-	fmt.Printf("  sparse exchange: %d samples, %d bytes/iteration (dense: %d)\n",
+	fmt.Printf("  sample storage per iteration: %d samples, %d bytes (uncompressed: %d)\n",
 		low.Comm.SamplesPerIter, low.Comm.BytesPerIter, low.Comm.DenseBytesPerIter)
 
 	// Sanity: the effective axial stiffness must lie between the bounds.

@@ -246,7 +246,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 			if f.BoxAllZero(x.Boxes[j]) {
 				continue
 			}
-			local, err := plans.NewPolicyLocal(sample.DefaultPolicy(x.Boxes[j], farRate), pw, cfg)
+			local, err := plans.NewPolicyLocal(sample.DefaultPolicy(x.Boxes[j], farRate), 1, pw, cfg)
 			if err != nil {
 				return nil, err
 			}

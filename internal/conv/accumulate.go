@@ -161,10 +161,10 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, Deco
 		if dc.TreeFor != nil {
 			var tree *octree.Tree
 			if tree, err = dc.TreeFor(box, f.Dim); err == nil {
-				local, err = plans.NewLocal(box, tree, pw, dc.Cfg)
+				local, err = plans.NewLocal(box, tree, 1, pw, dc.Cfg)
 			}
 		} else {
-			local, err = plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), pw, dc.Cfg)
+			local, err = plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), 1, pw, dc.Cfg)
 		}
 		if err != nil {
 			ec.Record(err)

@@ -187,7 +187,7 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := ps.NewLocalComponents(sub, tree, tc.comps, tc.pw, Config{Workers: 2})
+			l, err := ps.NewLocal(sub, tree, tc.comps, tc.pw, Config{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

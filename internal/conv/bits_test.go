@@ -111,7 +111,7 @@ func TestLocalComponentsPinnedBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ps.NewLocalComponents(sub, tree, comps, pw, Config{Workers: 3})
+	l, err := ps.NewLocal(sub, tree, comps, pw, Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestRunComponentsMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := ps.NewLocalComponents(sub, tree, len(pws), perLine, cfg)
+		multi, err := ps.NewLocal(sub, tree, len(pws), perLine, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestRunComponentsMatchesScalar(t *testing.T) {
 		}
 		var sum Stats
 		for c, pw := range pws {
-			scalar, err := ps.NewLocal(sub, tree, pw, cfg)
+			scalar, err := ps.NewLocal(sub, tree, 1, pw, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestWarmRunComponentsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ps.NewLocalComponents(sub, tree, comps, KernelPointwise(dim, green.Gaussian{Sigma: 1.5}), Config{Workers: 1})
+	l, err := ps.NewLocal(sub, tree, comps, KernelPointwise(dim, green.Gaussian{Sigma: 1.5}), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestRunComponentsMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := KernelPointwise(dim, green.Delta{})
-	if _, err := ps.NewLocalComponents(sub, tree, 0, pw, Config{Workers: 1}); err == nil {
+	if _, err := ps.NewLocal(sub, tree, 0, pw, Config{Workers: 1}); err == nil {
 		t.Error("zero components accepted")
 	}
-	l, err := ps.NewLocalComponents(sub, tree, 2, pw, Config{Workers: 1})
+	l, err := ps.NewLocal(sub, tree, 2, pw, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestSharedTraceConcurrentPipelines(t *testing.T) {
 				errs <- err
 				return
 			}
-			local, err := ps.NewLocal(box, tree, pw, cfg)
+			local, err := ps.NewLocal(box, tree, 1, pw, cfg)
 			if err != nil {
 				errs <- err
 				return

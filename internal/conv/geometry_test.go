@@ -81,7 +81,7 @@ func TestPolicyLocalTranslates(t *testing.T) {
 				if fromOrigin {
 					shared++
 				}
-				l, err := ps.NewPolicyLocal(pol, pw, Config{})
+				l, err := ps.NewPolicyLocal(pol, 1, pw, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestPolicyLocalTranslates(t *testing.T) {
 					t.Fatal(err)
 				}
 				l.ReleaseBuffers()
-				ref, err := ps.NewLocal(box, own, pw, Config{})
+				ref, err := ps.NewLocal(box, own, 1, pw, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -112,7 +112,7 @@ func TestLocalDeterministicAcrossWorkersAndBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				l, err := ps.NewLocalComponents(sub, tree, tc.comps, tc.pw, Config{Workers: workers})
+				l, err := ps.NewLocal(sub, tree, tc.comps, tc.pw, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,7 +171,7 @@ func TestHermitianProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ps.NewLocalComponents(sub, tree, grid.NumVoigt, gammaLike(dim), Config{Workers: 1}); err != nil {
+		if _, err := ps.NewLocal(sub, tree, grid.NumVoigt, gammaLike(dim), Config{Workers: 1}); err != nil {
 			t.Errorf("n %d: Γ̂ refused: %v", n, err)
 		}
 		if n == 2 {
@@ -198,7 +198,7 @@ func TestHermitianProbe(t *testing.T) {
 		rawNyquist := gammaWith(func(d grid.Dim3, kx, ky, kz int, s grid.SymTensor) grid.SymTensor {
 			return gamma.Apply([3]float64{float64(green.Freq(n, kx)), float64(green.Freq(n, ky)), float64(green.Freq(n, kz))}, s)
 		}, dim)
-		if _, err := ps.NewLocalComponents(sub, tree, grid.NumVoigt, rawNyquist, Config{Workers: 1}); !errors.Is(err, ErrNotHermitian) {
+		if _, err := ps.NewLocal(sub, tree, grid.NumVoigt, rawNyquist, Config{Workers: 1}); !errors.Is(err, ErrNotHermitian) {
 			t.Errorf("n %d: Γ̂ with Nyquist modes gave %v, want ErrNotHermitian", n, err)
 		}
 	}

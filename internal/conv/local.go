@@ -248,16 +248,15 @@ func NewLocal(dim grid.Dim3, sub grid.Box, tree *octree.Tree, pw Pointwise, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return ps.NewLocal(sub, tree, pw, cfg)
+	return ps.NewLocal(sub, tree, 1, pw, cfg)
 }
 
-// NewLocalComponents builds a pipeline that carries comps component fields
-// of one sub-domain box through the shared plan together; pw sees all
-// comps component tiles of four pencils at once and must pass the Hermitian
-// probe (ErrNotHermitian otherwise). cfg must resolve to the set's
-// effective worker count. The sampling index is built from tree in sub's
-// frame, and the pipeline keeps tree itself.
-func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int, pw Pointwise, cfg Config) (*Local, error) {
+// NewLocal builds a pipeline on the shared plan that carries comps component
+// fields of one sub-domain box together; pw sees all comps component tiles
+// of four pencils at once and must pass the Hermitian probe
+// (ErrNotHermitian otherwise). cfg must resolve to the set's effective
+// worker count. The sampling index is built from tree in sub's frame.
+func (ps *PlanSet) NewLocal(sub grid.Box, tree *octree.Tree, comps int, pw Pointwise, cfg Config) (*Local, error) {
 	if tree.Dim != ps.dim {
 		return nil, fmt.Errorf("conv: tree dims %v != grid dims %v", tree.Dim, ps.dim)
 	}
@@ -267,22 +266,22 @@ func (ps *PlanSet) NewLocalComponents(sub grid.Box, tree *octree.Tree, comps int
 	return ps.build(newGeometry(tree, sub.Lo), sub, comps, pw, cfg)
 }
 
-// NewPolicyLocal builds a one-component pipeline for box p.Sub sampled by
-// policy p's tree. Where that tree is the translate of the policy's origin
-// box tree — every box of a regular decomposition at N/k ≤ 4 — the pipeline
-// is placed from the origin box's geometry, built once per plan set, and
-// costs O(N + rows + cells); its tree lists the origin tree's cells, moved,
-// in the origin tree's order. Any other box gets its own tree's geometry.
-// Either way its samples are those of NewLocal with p.Tree, bit for bit.
-func (ps *PlanSet) NewPolicyLocal(p sample.Policy, pw Pointwise, cfg Config) (*Local, error) {
-	if err := ps.check(p.Sub, 1, cfg); err != nil {
+// NewPolicyLocal is NewLocal for box p.Sub sampled by policy p's tree. Where
+// that tree is the translate of the policy's origin box tree — every box of
+// a regular decomposition at N/k ≤ 4 — the pipeline is placed from the
+// origin box's geometry, built once per plan set, and costs O(N + rows +
+// cells); its tree lists the origin tree's cells, moved, in their order.
+// Any other box gets its own tree's geometry. Either way its samples are
+// those of NewLocal with p.Tree, bit for bit.
+func (ps *PlanSet) NewPolicyLocal(p sample.Policy, comps int, pw Pointwise, cfg Config) (*Local, error) {
+	if err := ps.check(p.Sub, comps, cfg); err != nil {
 		return nil, err
 	}
 	g, err := ps.policyGeometry(p)
 	if err != nil {
 		return nil, err
 	}
-	return ps.build(g, p.Sub, 1, pw, cfg)
+	return ps.build(g, p.Sub, comps, pw, cfg)
 }
 
 // check validates a pipeline's shape against the set.

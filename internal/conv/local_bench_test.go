@@ -55,7 +55,7 @@ func BenchmarkLocalRun(b *testing.B) {
 		in := randSub(k, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), pw, Config{Workers: 1})
+			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), 1, pw, Config{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

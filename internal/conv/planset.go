@@ -5,7 +5,6 @@ import (
 
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/octree"
 )
 
 // PlanSet is the immutable transform machinery shared by every local
@@ -33,10 +32,4 @@ func NewPlanSet(dim grid.Dim3, workers int) (*PlanSet, error) {
 		return nil, err
 	}
 	return &PlanSet{dim: dim, workers: fft.Workers(workers), plan: plan}, nil
-}
-
-// NewLocal builds a one-component pipeline for one sub-domain box on top
-// of the shared plan. cfg must resolve to the set's effective worker count.
-func (ps *PlanSet) NewLocal(sub grid.Box, tree *octree.Tree, pw Pointwise, cfg Config) (*Local, error) {
-	return ps.NewLocalComponents(sub, tree, 1, pw, cfg)
 }

@@ -59,7 +59,7 @@ func TestLocalShiftEquivariance(t *testing.T) {
 				}
 				cells[cellKey{at, cell.Box.Hi[0] - cell.Box.Lo[0], cell.Rate}]++
 			}
-			local, err := plans.NewLocal(box, tree, pw, Config{})
+			local, err := plans.NewLocal(box, tree, 1, pw, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestKeptZPlanesMatchModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			local, err := plans.NewLocal(box, tree, pw, Config{})
+			local, err := plans.NewLocal(box, tree, 1, pw, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func BenchmarkLocalRunNoAVX512(b *testing.B) {
 		in := randSub(k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), pw, conv.Config{Workers: 1})
+			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), 1, pw, conv.Config{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

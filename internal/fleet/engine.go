@@ -251,7 +251,7 @@ func (e *Engine) injectFault(di int, batch []*Task, kind FaultKind, t0 time.Time
 }
 
 func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
-	local, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(t.Box, e.far), e.pw, e.opts.Conv)
+	local, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(t.Box, e.far), 1, e.pw, e.opts.Conv)
 	if err != nil {
 		return nil, err
 	}

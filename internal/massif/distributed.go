@@ -8,7 +8,6 @@ import (
 	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/sample"
 	"lowcomm3d/internal/supervise"
 )
 
@@ -84,8 +83,8 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		errs := c.RunAll(func(w *cluster.Worker) error {
 			// Respawned replacements and surviving ranks alike resume from
 			// their iteration-start strain of startIter; iteration 0's is E,
-			// which newRank sets.
-			r, err := s.newRank(w.ID, nil)
+			// which newSampled sets.
+			o, err := s.newSampled(w.ID, nil)
 			if err != nil {
 				return err
 			}
@@ -97,9 +96,9 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 				if snap == nil {
 					return fmt.Errorf("massif: rank %d has no checkpoint of iteration %d", w.ID, startIter)
 				}
-				r.load(snap.Strain)
+				o.r.load(snap.Strain)
 			}
-			return r.run(startIter, &healer{w: w, store: h.Store, chaos: h.Chaos, sup: sup, peers: map[int]*rank{}})
+			return s.runRank(o, &healer{sampled: o, w: w, store: h.Store, chaos: h.Chaos, sup: sup, peers: map[int]*sampled{}}, startIter)
 		})
 		// Only ranks whose own run ended in a transport crash count as
 		// respawned: survivors parked at the barrier (errGenAbort) or caught
@@ -137,8 +136,6 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		if startIter, err = resumeIter(h.Store, c.P); err != nil {
 			return nil, err
 		}
-		// Rank 0 may have recorded iterations past the resume point.
-		s.out.Iterations, s.out.Converged = startIter, false
 	}
 
 	out, err := s.finish()
@@ -196,78 +193,80 @@ func (e errGenAbort) Error() string {
 	return fmt.Sprintf("massif: generation abort at iteration %d", e.iter)
 }
 
-// healer is the distributed policy of one rank in one generation: a
-// checkpoint and a heartbeat at every iteration start, results deposited
-// on (or adopted from) the supervisor's board, straggler help while peers
-// compute, and a generation abort on any death.
+// healer is the sampled operator of one rank in one generation on the
+// fabric: a checkpoint and a heartbeat at every iteration start, results
+// deposited on (or adopted from) the supervisor's board, straggler help
+// while peers compute, and a generation abort on any death.
 type healer struct {
+	*sampled
 	w     *cluster.Worker
 	store *ckpt.Store
 	chaos *supervise.ChaosSchedule
 	sup   *supervise.Supervisor
-	peers map[int]*rank // backup state for peers this rank has helped
+	peers map[int]*sampled // backup state for peers this rank has helped
 }
 
-func (p *healer) begin(r *rank, iter int) error {
-	p.sup.Beat(r.id, iter)
-	if err := p.store.SaveStrain(&ckpt.Snapshot{Worker: r.id, Iter: iter, Strain: r.strain()}); err != nil {
+func (p *healer) apply(iter int, in func(b, i, g int) grid.SymTensor, out []*grid.TensorField) error {
+	id := p.r.id
+	p.sup.Beat(id, iter)
+	if err := p.store.SaveStrain(&ckpt.Snapshot{Worker: id, Iter: iter, Strain: p.r.strain()}); err != nil {
 		return err
 	}
-	p.sup.BeginCompute(r.id, iter)
-	if d := p.chaos.Delay(r.id, iter); d > 0 {
+	p.sup.BeginCompute(id, iter)
+	if d := p.chaos.Delay(id, iter); d > 0 {
 		time.Sleep(d)
 	}
-	return nil
-}
-
-func (p *healer) exchange(r *rank, iter int) ([][]sample.PatchGroup, error) {
 	var msgs [][]float64
-	if v, ok := p.sup.Claim(r.id, iter); ok {
+	if v, ok := p.sup.Claim(id, iter); ok {
 		// A backup already re-executed this straggler's boxes — adopt its
 		// (deterministically identical) result and skip the slow compute.
 		msgs = v.([][]float64)
 	} else {
-		if err := r.compute(); err != nil {
-			return nil, err
+		if err := p.compute(in); err != nil {
+			return err
 		}
-		msgs = r.s.x.Encode(r.send)
+		msgs = p.s.x.Encode(p.send)
 		// Late finish after a backup deposited is discarded by sequence
 		// number at the board (results are identical either way; the
 		// counter records the wasted work).
-		p.sup.Deposit(r.id, iter, msgs)
+		p.sup.Deposit(id, iter, msgs)
 	}
-	p.sup.EndCompute(r.id, iter)
+	p.sup.EndCompute(id, iter)
 	// While this rank blocks in the all-to-all on peers that still compute,
 	// its plans are idle: a helper lends them to a straggler's backup. The
 	// rank takes them back before it returns.
 	done, helped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(helped)
-		p.help(r, iter, done)
+		p.help(iter, done)
 	}()
 	recv, missing, err := p.w.AllToAllFT(msgs)
 	close(done)
 	<-helped
 	if err != nil {
-		return nil, err // this worker's own injected crash
+		return err // this worker's own injected crash
 	}
 	if len(missing) > 0 {
-		return nil, errGenAbort{iter}
+		return errGenAbort{iter}
 	}
-	return r.s.x.Decode(recv)
+	groups, err := p.s.x.Decode(recv)
+	if err != nil {
+		return err
+	}
+	return p.accumulate(groups, out)
 }
 
-func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float64, error) {
-	total, mask, err := p.w.AllReduceSumFT(partial)
+func (p *healer) sum(iter int, x []float64) ([]float64, error) {
+	total, mask, err := p.w.AllReduceSumFT(x)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for _, dead := range mask {
 		if dead {
-			return nil, 0, errGenAbort{iter}
+			return nil, errGenAbort{iter}
 		}
 	}
-	return total, float64(len(r.s.x.Boxes) * r.s.kd.Len()), nil
+	return total, nil
 }
 
 // help waits for a straggler while peers still compute iteration iter,
@@ -275,14 +274,14 @@ func (p *healer) reduce(r *rank, iter int, partial []float64) ([]float64, float6
 // re-executed from its checkpoint and deposited on the board. Stale flags
 // (earlier iterations, or this rank's own compute flagged by a faster
 // peer) are dropped unserved.
-func (p *healer) help(r *rank, iter int, done <-chan struct{}) {
+func (p *healer) help(iter int, done <-chan struct{}) {
 	for {
-		q, qIter, ok := p.sup.AwaitHelp(r.id, iter, done)
+		q, qIter, ok := p.sup.AwaitHelp(p.r.id, iter, done)
 		if !ok {
 			return
 		}
-		if q != r.id && qIter == iter {
-			if backup, err := p.backupFor(r, q, iter); err == nil {
+		if q != p.r.id && qIter == iter {
+			if backup, err := p.backupFor(q, iter); err == nil {
 				p.sup.Deposit(q, iter, backup)
 			}
 			return
@@ -291,22 +290,22 @@ func (p *healer) help(r *rank, iter int, done <-chan struct{}) {
 }
 
 // backupFor re-executes straggler q's iteration iter from its checkpoint
-// on r's plans, with q's own rank state built on first use.
-func (p *healer) backupFor(r *rank, q, iter int) ([][]float64, error) {
+// on this rank's plans, with q's own operator built on first use.
+func (p *healer) backupFor(q, iter int) ([][]float64, error) {
 	snap, err := p.store.LoadStrainAt(q, iter)
 	if err != nil || snap == nil {
 		return nil, fmt.Errorf("massif: no usable checkpoint for straggler %d at iter %d", q, iter)
 	}
 	peer, ok := p.peers[q]
 	if !ok {
-		if peer, err = r.s.newRank(q, r.plans); err != nil {
+		if peer, err = p.s.newSampled(q, p.plans); err != nil {
 			return nil, err
 		}
 		p.peers[q] = peer
 	}
-	peer.load(snap.Strain)
-	if err := peer.compute(); err != nil {
+	peer.r.load(snap.Strain)
+	if err := peer.compute(basic{r: peer.r}.input); err != nil {
 		return nil, err
 	}
-	return peer.s.x.Encode(peer.send), nil
+	return p.s.x.Encode(peer.send), nil
 }

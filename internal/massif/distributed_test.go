@@ -187,10 +187,10 @@ func TestLowCommIsDistributedOnOneRank(t *testing.T) {
 	}
 }
 
-// TestDistributedRecordsIterations: the distributed solve runs the serial
-// solve's loop, so it records the same observability — one
-// massif.iteration span and iteration_seconds sample per iteration and the
-// massif.iterations counter on rank 0, and every rank's samples and bytes.
+// TestDistributedRecordsIterations: every solver runs the one loop, so
+// every one records the same observability — one massif.iteration span and
+// iteration_seconds sample per iteration and the massif.iterations counter
+// on rank 0 — and the sampled solves add every rank's samples and bytes.
 func TestDistributedRecordsIterations(t *testing.T) {
 	p0, p1 := steelAndSoft()
 	m, err := NewMicrostructure(grid.Cube(16), p0, p1)
@@ -200,38 +200,80 @@ func TestDistributedRecordsIterations(t *testing.T) {
 	if err := m.SetSphere(grid.Point{8, 8, 8}, 4, 1); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New()
-	c, err := cluster.New(2, cluster.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveLowCommDistributed(c, m, grid.SymTensor{0.01, 0, 0, 0, 0, 0}, LowCommOptions{
-		Options: Options{Tol: 1e-12, MaxIter: 3, Trace: tr},
-		SubSize: 8, FarRate: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := int64(res.Iterations)
-	if got := tr.CounterValue("massif.iterations"); got != it {
-		t.Errorf("massif.iterations = %d, want Iterations = %d", got, it)
-	}
-	if got := tr.Histogram("massif.iteration_seconds").Count(); got != it {
-		t.Errorf("massif.iteration_seconds count = %d, want %d", got, it)
-	}
-	spans := int64(0)
-	for _, sp := range tr.Spans() {
-		if sp.Name == "massif.iteration" {
-			spans++
+	E := grid.SymTensor{0.01, 0, 0, 0, 0, 0}
+	low := func(opt Options) LowCommOptions { return LowCommOptions{Options: opt, SubSize: 8, FarRate: 8} }
+	two := func() *cluster.Cluster {
+		c, err := cluster.New(2, cluster.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
 		}
+		return c
 	}
-	if spans != it {
-		t.Errorf("%d massif.iteration spans, want %d", spans, it)
-	}
-	if got, want := tr.CounterValue("massif.samples"), it*int64(res.Comm.SamplesPerIter); got != want {
-		t.Errorf("massif.samples = %d, want iterations × SamplesPerIter = %d", got, want)
-	}
-	if got, want := tr.CounterValue("massif.sample_bytes"), it*int64(res.Comm.BytesPerIter); got != want {
-		t.Errorf("massif.sample_bytes = %d, want iterations × BytesPerIter = %d", got, want)
+	for _, c := range []struct {
+		name  string
+		solve func(Options) (*Result, *LowCommStats, error)
+	}{
+		{"SolveReference", func(o Options) (*Result, *LowCommStats, error) {
+			r, err := SolveReference(m, E, o)
+			return r, nil, err
+		}},
+		{"SolveAccelerated", func(o Options) (*Result, *LowCommStats, error) {
+			r, err := SolveAccelerated(m, E, o)
+			return r, nil, err
+		}},
+		{"SolveReferenceDistributed", func(o Options) (*Result, *LowCommStats, error) {
+			r, err := SolveReferenceDistributed(two(), m, E, o)
+			return r, nil, err
+		}},
+		{"SolveLowComm", func(o Options) (*Result, *LowCommStats, error) {
+			r, err := SolveLowComm(m, E, low(o))
+			if err != nil {
+				return nil, nil, err
+			}
+			return &r.Result, &r.Comm, nil
+		}},
+		{"SolveLowCommDistributed", func(o Options) (*Result, *LowCommStats, error) {
+			r, err := SolveLowCommDistributed(two(), m, E, low(o))
+			if err != nil {
+				return nil, nil, err
+			}
+			return &r.Result, &r.Comm, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := obs.New()
+			res, comm, err := c.solve(Options{Tol: 1e-12, MaxIter: 3, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := int64(res.Iterations)
+			if it != 3 {
+				t.Fatalf("%d iterations, want MaxIter = 3", it)
+			}
+			if got := tr.CounterValue("massif.iterations"); got != it {
+				t.Errorf("massif.iterations = %d, want Iterations = %d", got, it)
+			}
+			if got := tr.Histogram("massif.iteration_seconds").Count(); got != it {
+				t.Errorf("massif.iteration_seconds count = %d, want %d", got, it)
+			}
+			spans := int64(0)
+			for _, sp := range tr.Spans() {
+				if sp.Name == "massif.iteration" {
+					spans++
+				}
+			}
+			if spans != it {
+				t.Errorf("%d massif.iteration spans, want %d", spans, it)
+			}
+			if comm == nil {
+				return
+			}
+			if got, want := tr.CounterValue("massif.samples"), it*int64(comm.SamplesPerIter); got != want {
+				t.Errorf("massif.samples = %d, want iterations × SamplesPerIter = %d", got, want)
+			}
+			if got, want := tr.CounterValue("massif.sample_bytes"), it*int64(comm.BytesPerIter); got != want {
+				t.Errorf("massif.sample_bytes = %d, want iterations × BytesPerIter = %d", got, want)
+			}
+		})
 	}
 }

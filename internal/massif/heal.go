@@ -80,13 +80,13 @@ func HealWorkerBytes(dim grid.Dim3, p int, opt LowCommOptions) int64 {
 // edge k over the half spectrum h = N/2+1, per component: k·k·h complex of
 // x spectra, h per kept row, and per pipeline worker (at most h) a kx block
 // of max(k, kept planes) lines of N+4. The kept planes and rows are counted
-// from the corner box's tree: the sampling rate is a function of torus
-// distance, so every box's tree is a translate of it.
+// from the tree of the corner box's policy (boxPolicy): the sampling rate is
+// a function of torus distance, so every box's tree is a translate of it.
 func pipelineBytes(dim grid.Dim3, opt LowCommOptions) int64 {
 	n, k := dim.Nx, opt.SubSize
 	h := n/2 + 1
 	planes, rows := n, n*n // a tree that does not build is charged as full resolution
-	if tree, err := boxTree(dim, grid.CubeAt(grid.Point{}, k), opt); err == nil {
+	if tree, err := boxPolicy(grid.CubeAt(grid.Point{}, k), opt).Tree(dim); err == nil {
 		plane, row := map[int]bool{}, map[int]bool{}
 		tree.ForEachSample(func(_, _, _, y, z int) { plane[z], row[z*n+y] = true, true })
 		planes, rows = len(plane), len(row)

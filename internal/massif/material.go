@@ -191,6 +191,12 @@ func (m *Microstructure) ReferenceMedium() (lambda0, mu0 float64) {
 	return (minL + maxL) / 2, (minM + maxM) / 2
 }
 
+// gamma is the Green operator Γ̂⁰ of the reference medium.
+func (m *Microstructure) gamma() green.Gamma {
+	lambda0, mu0 := m.ReferenceMedium()
+	return green.Gamma{Lambda0: lambda0, Mu0: mu0}
+}
+
 // StressIndex applies the constitutive law of voxel flat-index i: the full
 // anisotropic stiffness when attached, the isotropic phase otherwise.
 func (m *Microstructure) StressIndex(i int, eps grid.SymTensor) grid.SymTensor {
@@ -198,11 +204,6 @@ func (m *Microstructure) StressIndex(i int, eps grid.SymTensor) grid.SymTensor {
 		return m.aniso[m.Index[i]].Apply(eps)
 	}
 	return m.Phases[m.Index[i]].StressOf(eps)
-}
-
-// StressAt applies the voxel (x, y, z)'s constitutive law.
-func (m *Microstructure) StressAt(x, y, z int, eps grid.SymTensor) grid.SymTensor {
-	return m.StressIndex(m.Dim.Index(x, y, z), eps)
 }
 
 // StressField computes σ(x) = C(x):ε(x) voxelwise into dst (allocated if

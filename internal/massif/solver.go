@@ -1,11 +1,8 @@
 package massif
 
 import (
-	"fmt"
-	"math"
-
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/fft"
-	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
 )
@@ -16,11 +13,11 @@ type Options struct {
 	MaxIter int     // iteration cap (default 500)
 	Workers int     // FFT parallelism (≤0: GOMAXPROCS)
 
-	// Trace, when non-nil, records one "massif.iteration" span per
-	// fixed-point iteration plus the "massif.iterations" counter (rank 0's
-	// in the distributed low-comm solves); the full-grid solvers also
-	// propagate it into their 3D FFT plan (axis sweeps and worker lanes).
-	// Nil disables recording.
+	// Trace, when non-nil, records one "massif.iteration" span and
+	// "massif.iteration_seconds" sample per fixed-point iteration plus the
+	// "massif.iterations" counter (rank 0's in the distributed solves); the
+	// full-grid solvers also propagate it into their 3D FFT plan (axis
+	// sweeps and worker lanes). Nil disables recording.
 	Trace *obs.Trace
 }
 
@@ -54,120 +51,100 @@ func (r *Result) MeanStress() grid.SymTensor { return r.Stress.Mean() }
 //	σ̂ ← FFT(C(x):ε),  Δε̂ ← Γ̂⁰:σ̂ (ξ≠0),  ε ← ε − iFFT(Δε̂),
 //
 // with the mean strain pinned to the applied E. This is the baseline whose
-// all-to-all transposes the proposed method eliminates.
+// all-to-all transposes the proposed method eliminates. It is the one loop
+// with the dense operator and the basic rule.
 func SolveReference(m *Microstructure, E grid.SymTensor, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	lambda0, mu0 := m.ReferenceMedium()
-	step, spectra, err := gammaStep(m, green.Gamma{Lambda0: lambda0, Mu0: mu0}, opt)
-	if err != nil {
-		return nil, err
-	}
-	eps := grid.NewTensorField(m.Dim)
-	eps.Fill(E)
-	stress := grid.NewTensorField(m.Dim)
-	res := &Result{Strain: eps, Stress: stress}
-	// Residuals are ‖Δε‖ relative to ‖ε⁰‖ = ‖E‖·√N³, the norm of the
-	// uniform initial strain field (the standard relative criterion).
-	normE := E.Norm() * math.Sqrt(float64(m.Dim.Len()))
-	if normE == 0 {
-		return nil, fmt.Errorf("massif: applied strain must be nonzero")
-	}
-
-	iterC := opt.Trace.Counter("massif.iterations")
-	iterH := opt.Trace.Histogram("massif.iteration_seconds")
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		iterSpan := opt.Trace.Start("massif.iteration")
-		iterC.Add(1)
-		if err := step(func(i int) grid.SymTensor { return m.StressIndex(i, eps.AtIndex(i)) }); err != nil {
-			iterSpan.End()
-			return nil, err
-		}
-		// Update ε ← ε − Δε and measure the correction norm.
-		delta2 := 0.0
-		for v := 0; v < grid.NumVoigt; v++ {
-			w := 1.0
-			if v >= grid.VYZ {
-				w = 2.0
-			}
-			dat := eps.Comp[v].Data
-			for i := range dat {
-				d := real(spectra[v].Data[i])
-				dat[i] -= d
-				delta2 += w * d * d
-			}
-		}
-		r := math.Sqrt(delta2) / normE
-		res.Residuals = append(res.Residuals, r)
-		res.Iterations = iter + 1
-		iterH.Observe(iterSpan.End())
-		if r < opt.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	if _, err := m.StressField(eps, stress); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return solveDense(m, E, opt, func(s *solve, r *rank, _ operator) (rule, error) { return basic{s, r}, nil })
 }
 
-// gammaStep builds the dense Γ̂ step of the full-grid solvers (Algorithm 1
-// steps 2–5): step loads the six components of field(i) at every voxel i,
-// transforms them forward, contracts every (kx, ky) z-line with gammaOp, a
-// tile of fft.Tile ky at a time —
-// the zero mode maps to zero, so the mean strain stays E — and transforms
-// back, in place; Γ̂∗field is then the real parts of spectra.
-func gammaStep(m *Microstructure, gamma green.Gamma, opt Options) (step func(field func(i int) grid.SymTensor) error, spectra []*grid.ComplexField, err error) {
+// solveDense runs the one loop on one rank that owns the whole grid, with
+// the dense operator and the rule newRule builds.
+func solveDense(m *Microstructure, E grid.SymTensor, opt Options, newRule func(*solve, *rank, operator) (rule, error)) (*Result, error) {
+	s, err := newSolve(m, E, opt)
+	if err != nil {
+		return nil, err
+	}
+	op, err := newDense(m, s.o)
+	if err != nil {
+		return nil, err
+	}
+	r := newRank(0, m, []grid.Box{m.Dim.Bounds()}, E)
+	rl, err := newRule(s, r, op)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.run(r, op, rl, 0); err != nil {
+		return nil, err
+	}
+	return s.finish()
+}
+
+// dense is Algorithm 1's Γ̂ (steps 2–5) on one rank that owns the whole
+// grid: the six components of its input transformed forward, every (kx, ky)
+// z-line contracted with gammaOp, a tile of fft.Tile ky at a time (the zero
+// mode maps to zero), and transformed back in place.
+type dense struct {
+	one
+	plan    *fft.Plan3D
+	op      conv.Pointwise
+	spectra []*grid.ComplexField
+	tiles   [][]complex128
+}
+
+func newDense(m *Microstructure, opt Options) (*dense, error) {
 	plan, err := fft.NewPlan3D(m.Dim, opt.Workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan.SetTrace(opt.Trace)
-	d := m.Dim
-	op := gammaOp(d, gamma)
-	spectra = make([]*grid.ComplexField, grid.NumVoigt)
-	tiles := make([][]complex128, grid.NumVoigt)
-	for v := range spectra {
-		spectra[v] = grid.NewComplexField(d)
-		tiles[v] = make([]complex128, fft.Tile*d.Nz)
+	o := &dense{plan: plan, op: gammaOp(m.Dim, m.gamma())}
+	for range grid.NumVoigt {
+		o.spectra = append(o.spectra, grid.NewComplexField(m.Dim))
+		o.tiles = append(o.tiles, make([]complex128, fft.Tile*m.Dim.Nz))
 	}
-	step = func(field func(i int) grid.SymTensor) error {
-		for i := range d.Len() {
-			for v, x := range field(i) {
-				spectra[v].Data[i] = complex(x, 0)
-			}
+	return o, nil
+}
+
+func (o *dense) apply(_ int, in func(b, i, g int) grid.SymTensor, out []*grid.TensorField) error {
+	d := o.plan.Dim()
+	for i := range d.Len() {
+		for v, x := range in(0, i, i) {
+			o.spectra[v].Data[i] = complex(x, 0)
 		}
-		for _, s := range spectra {
-			if err := plan.Forward(s); err != nil {
-				return err
-			}
+	}
+	for _, s := range o.spectra {
+		if err := o.plan.Forward(s); err != nil {
+			return err
 		}
-		for ky0 := 0; ky0 < d.Ny; ky0 += fft.Tile {
-			pencils := min(fft.Tile, d.Ny-ky0)
-			for kx := 0; kx < d.Nx; kx++ {
-				for v, t := range tiles {
-					for kz := range d.Nz {
-						for j := range pencils {
-							t[fft.Tile*kz+j] = spectra[v].Data[d.Index(kx, ky0+j, kz)]
-						}
-					}
-				}
-				op(kx, ky0, tiles)
-				for v, t := range tiles {
-					for kz := range d.Nz {
-						for j := range pencils {
-							spectra[v].Data[d.Index(kx, ky0+j, kz)] = t[fft.Tile*kz+j]
-						}
+	}
+	for ky0 := 0; ky0 < d.Ny; ky0 += fft.Tile {
+		pencils := min(fft.Tile, d.Ny-ky0)
+		for kx := 0; kx < d.Nx; kx++ {
+			for v, t := range o.tiles {
+				for kz := range d.Nz {
+					for j := range pencils {
+						t[fft.Tile*kz+j] = o.spectra[v].Data[d.Index(kx, ky0+j, kz)]
 					}
 				}
 			}
-		}
-		for _, s := range spectra {
-			if err := plan.Inverse(s); err != nil {
-				return err
+			o.op(kx, ky0, o.tiles)
+			for v, t := range o.tiles {
+				for kz := range d.Nz {
+					for j := range pencils {
+						o.spectra[v].Data[d.Index(kx, ky0+j, kz)] = t[fft.Tile*kz+j]
+					}
+				}
 			}
 		}
-		return nil
 	}
-	return step, spectra, nil
+	for v, s := range o.spectra {
+		if err := o.plan.Inverse(s); err != nil {
+			return err
+		}
+		dst := out[0].Comp[v].Data
+		for i, x := range s.Data {
+			dst[i] = real(x)
+		}
+	}
+	return nil
 }

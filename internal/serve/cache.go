@@ -40,7 +40,7 @@ func (p *pipeline) local(ps *conv.PlanSet) (*conv.Local, error) {
 // newLocal places one pipeline for the box from ps's memoized sampling
 // geometry.
 func (p *pipeline) newLocal(ps *conv.PlanSet) (*conv.Local, error) {
-	return ps.NewPolicyLocal(p.policy, p.pw, pipelineConfig)
+	return ps.NewPolicyLocal(p.policy, 1, p.pw, pipelineConfig)
 }
 
 // out borrows an output arena; nil means RunInto allocates a fresh one.

@@ -52,8 +52,8 @@ var helpText = map[string]string{
 	"fft.sweep_y_seconds":            "Wall time of one y-axis 1D-transform sweep of Plan3D.",
 	"fft.sweep_z_seconds":            "Wall time of one z-axis 1D-transform sweep of Plan3D.",
 	"massif.iterations":              "MASSIF fixed-point iterations completed.",
-	"massif.samples":                 "Octree samples exchanged per MASSIF iteration across all sub-domains.",
-	"massif.sample_bytes":            "Compressed bytes entering the sparse all-to-all per MASSIF iteration (Alg. 2 line 6).",
+	"massif.samples":                 "Octree samples the sub-domains' compressed outputs hold, summed per MASSIF iteration.",
+	"massif.sample_bytes":            "Storage of the sub-domains' compressed outputs (samples + octree metadata) per MASSIF iteration, not fabric bytes (cluster.collective.bytes counts those).",
 	"massif.iteration_seconds":       "Wall time of each MASSIF fixed-point iteration.",
 	"supervise.compute_seconds":      "Per-(rank, iter) MASSIF compute-phase durations - the same distribution the straggler quantile cutoff is computed from.",
 	"supervise.heartbeat_deaths":     "Workers declared dead by the heartbeat monitor.",
