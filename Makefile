@@ -51,6 +51,6 @@ fuzz-smoke:
 	go test ./internal/octree/ -fuzz=FuzzOctreeMetaCodec -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/octree/ -fuzz=FuzzValidateMatchesPairwise -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/sample/ -fuzz=FuzzCompressedIO -fuzztime=10s -fuzzminimizetime=5x
-	go test ./internal/sample/ -fuzz=FuzzPatchCodec -fuzztime=10s -fuzzminimizetime=5x
+	go test ./internal/cluster/ -fuzz=FuzzExchangeDecode -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/ckpt/ -fuzz=FuzzCheckpointCodec -fuzztime=10s -fuzzminimizetime=5x
 	go test ./internal/wire/ -fuzz=FuzzWireFrameCodec -fuzztime=10s -fuzzminimizetime=5x

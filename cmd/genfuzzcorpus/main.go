@@ -20,6 +20,7 @@ import (
 
 	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
+	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
@@ -161,12 +162,13 @@ func main() {
 	binary.LittleEndian.PutUint64(lying[24:], 1<<39) // forge a huge sample count
 	writeSeed(smpDir, "seed-lying-count", lying)
 
-	// FuzzPatchCodec(data []byte): float64 messages, little-endian. The
-	// genuine one is what cluster.LowCommConvolve's rank 0 sends rank 1 on
-	// a 16³ grid at k 8, far rate 4, on two workers: one patch group per
-	// box of rank 0 with patches over a box of rank 1, framed by the
-	// cluster exchange's own encoder.
-	patchDir := filepath.Join("internal", "sample", "testdata", "fuzz", "FuzzPatchCodec")
+	// FuzzExchangeDecode(from int, data []byte): a message from rank from,
+	// float64 values, little-endian. The genuine one is what
+	// cluster.LowCommConvolve's rank 0 sends rank 1 on a 16³ grid at k 8,
+	// far rate 4, on two workers: a group per box of rank 0 that a box of
+	// rank 1 reads, framed by the exchange's own encoder; then that message
+	// cut by one value, and with a first box index rank 0 does not own.
+	xchgDir := filepath.Join("internal", "cluster", "testdata", "fuzz", "FuzzExchangeDecode")
 	floats := func(msg []float64) []byte {
 		var raw []byte
 		for _, v := range msg {
@@ -174,14 +176,20 @@ func main() {
 		}
 		return raw
 	}
-	x, err := cluster.NewExchange(grid.Cube(16), 8, 2, 1)
+	plans, err := conv.NewPlanSet(grid.Cube(16), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := cluster.NewExchange(grid.Cube(16), 8, 2, 1, func(_ int, b grid.Box) (*octree.Tree, error) {
+		return plans.PolicyTree(sample.DefaultPolicy(b, 4))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	owned := x.Owned(0)
 	outs := make([][]*sample.Compressed, len(owned))
 	for i, j := range owned {
-		ptree, err := sample.DefaultPolicy(x.Boxes[j], 4).Tree(grid.Cube(16))
+		ptree, err := plans.PolicyTree(sample.DefaultPolicy(x.Boxes[j], 4))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -191,10 +199,11 @@ func main() {
 		}
 		outs[i] = []*sample.Compressed{res}
 	}
-	writeSeed(patchDir, "seed-exchange", floats(x.Encode(x.Sends(owned, outs))[1]))
-	// The lying headers of sample's lyingPatchMessages, in a group of box 0.
-	writeSeed(patchDir, "seed-huge-count", floats([]float64{0, 1e12}))
-	writeSeed(patchDir, "seed-wrapping-lattice", floats([]float64{0, 1, 0, 0, 0, 1<<22 - 1, 1, 0}))
+	msg := x.Encode(owned, outs)[1]
+	writeSeed(xchgDir, "seed-exchange", 0, floats(msg))
+	writeSeed(xchgDir, "seed-truncated", 0, floats(msg[:len(msg)-1]))
+	notOwned := append([]float64{1}, msg[1:]...)
+	writeSeed(xchgDir, "seed-not-owned", 0, floats(notOwned))
 
 	// FuzzCheckpointCodec(data []byte)
 	ckptDir := filepath.Join("internal", "ckpt", "testdata", "fuzz", "FuzzCheckpointCodec")

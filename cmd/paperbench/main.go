@@ -260,7 +260,7 @@ func fig1() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ours: a box's result stores %d samples, one per sampled point (%d lattice slots); its patches carry the slots\n",
+	fmt.Printf("ours: a box's result stores %d samples, one per sampled point (%d lattice slots); a peer is sent each sample its boxes read once, values only\n",
 		tree.SampleCount(), tree.SlotCount())
 
 	// Analytic: Eq. 1 vs Eq. 6 at the paper's scales.

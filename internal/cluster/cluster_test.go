@@ -307,7 +307,7 @@ func TestLowCommConvolveMatchesSerialDecomposed(t *testing.T) {
 				if colls != 1 {
 					t.Errorf("P=%d: %d all-to-all rounds want 1 (paper Fig. 1b)", p, colls)
 				}
-				if p > 1 && got.SampleBytes <= 0 {
+				if p > 1 && got.FabricBytes <= 0 {
 					t.Errorf("P=%d: sample byte accounting missing", p)
 				}
 			}

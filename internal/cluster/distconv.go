@@ -10,6 +10,7 @@ import (
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -164,50 +165,51 @@ func (w *Worker) TransposeZY(in []complex128, n, per int, back bool) ([]complex1
 // LowCommResult is the outcome of the proposed distributed convolution.
 type LowCommResult struct {
 	Field       *grid.Field
-	SampleBytes int64         // compressed bytes that crossed the fabric, aborted generations included
+	FabricBytes int64         // bytes that crossed the fabric (cluster.Stats), aborted generations included
 	Generations int           // worker generations run; 1 when no rank died
 	Accumulate  time.Duration // the slowest rank's accumulation of its boxes
 }
 
 // convRank is one rank's share of LowCommConvolve: its boxes that are not
-// all zero, a pipeline and an output per box, and its send lists, built
-// once per call on those outputs.
+// all zero, and a pipeline and an output per box.
 type convRank struct {
 	src    []int
 	locals []*conv.Local
 	outs   [][]*sample.Compressed
-	send   [][]sample.PatchGroup
+}
+
+// policyTrees returns the trees every rank places its boxes from on plans:
+// sample.DefaultPolicy at far rate farRate, translates of one memoized
+// geometry.
+func policyTrees(plans *conv.PlanSet, farRate int) func(int, grid.Box) (*octree.Tree, error) {
+	return func(_ int, b grid.Box) (*octree.Tree, error) {
+		return plans.PolicyTree(sample.DefaultPolicy(b, farRate))
+	}
 }
 
 // LowCommExchangeBytes predicts, exactly, the fabric bytes the single
 // sparse exchange of LowCommConvolve(d, subSize, farRate) moves on P healthy
 // workers for an input with no all-zero sub-domain: Σ over workers w and
-// peers q≠w of 8·len(msg[w→q]). The patch layout depends only on the
-// decomposition and sampling octrees — never on field values — so the
-// prediction frames zero-filled results of the same layout without running
-// any transforms. This is the implementation-exact counterpart of the Eq. 6
-// model figure TOursBytes (which ignores patch metadata and counts each
-// worker's whole output once rather than the patches each peer's boxes
-// need).
+// peers q≠w of 8·len(msg[w→q]). The routes depend only on the
+// decomposition and the sampling octrees — never on field values — so the
+// prediction reads the group lengths off the Exchange's plan without
+// running any transforms. It counts what each peer's boxes read, each
+// sample once per peer, and a box index per group; the Eq. 6 model figure
+// TOursBytes counts each worker's whole output once.
 func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
-	x, err := NewExchange(d, subSize, p, 1)
+	plans, err := conv.NewPlanSet(d, 1)
+	if err != nil {
+		return 0, err
+	}
+	x, err := NewExchange(d, subSize, p, 1, policyTrees(plans, farRate))
 	if err != nil {
 		return 0, err
 	}
 	total := int64(0)
-	for w := range p {
-		owned := x.Owned(w)
-		outs := make([][]*sample.Compressed, len(owned))
-		for i, j := range owned {
-			tree, err := sample.DefaultPolicy(x.Boxes[j], farRate).Tree(d)
-			if err != nil {
-				return 0, err
-			}
-			outs[i] = []*sample.Compressed{sample.NewCompressed(tree)}
-		}
-		for q, msg := range x.Encode(x.Sends(owned, outs)) {
-			if q != w {
-				total += int64(8 * len(msg))
+	for j := range x.Boxes {
+		for q := range p {
+			if q != j%p {
+				total += int64(8 * x.groupLen(j, q))
 			}
 		}
 	}
@@ -218,8 +220,8 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 // workers and returns conv.Decomposed.Run's field bit for bit, for any P.
 // It runs the Exchange's layout: rank q convolves its boxes j ≡ q mod P
 // that are not all zero locally, then a single all-to-all ships each peer
-// only the patches overlapping the peer's boxes, and each rank adds them
-// into its own boxes in job order (Algorithm 2 line 6).
+// only the samples the peer's boxes read, and each rank adds them into its
+// own boxes in job order (Algorithm 2 line 6).
 //
 // On a fault-injecting transport, drops, delays, duplicates and corruption
 // heal in the deadline/retry layer. A crashed or unresponsive worker aborts
@@ -228,33 +230,44 @@ func LowCommExchangeBytes(d grid.Dim3, p, subSize, farRate int) (int64, error) {
 // (errors.As reaches *CrashError).
 func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, farRate int, cfg conv.Config) (*LowCommResult, error) {
 	d := f.Dim
-	x, err := NewExchange(d, subSize, c.P, 1)
-	if err != nil {
-		return nil, err
-	}
 	// One plan set and one kernel table for the call: both are read-only
-	// and shared by every worker's pipelines.
+	// and shared by every worker's pipelines. The exchange plans its routes
+	// on the trees the pipelines place, and a box whose input is all zero
+	// gets no pipeline, only its tree.
 	plans, err := conv.NewPlanSet(d, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	pw := conv.KernelPointwise(d, kernel)
+	boxes, err := grid.Decompose(d, subSize)
+	if err != nil {
+		return nil, err
+	}
+	locals := make([]*conv.Local, len(boxes))
+	x, err := NewExchange(d, subSize, c.P, 1, func(j int, b grid.Box) (*octree.Tree, error) {
+		if f.BoxAllZero(b) {
+			return plans.PolicyTree(sample.DefaultPolicy(b, farRate))
+		}
+		local, err := plans.NewPolicyLocal(sample.DefaultPolicy(b, farRate), 1, pw, cfg)
+		if err != nil {
+			return nil, err
+		}
+		locals[j] = local
+		return local.Tree(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	ranks := make([]*convRank, c.P)
 	for q := range ranks {
 		r := &convRank{}
 		for _, j := range x.Owned(q) {
-			if f.BoxAllZero(x.Boxes[j]) {
-				continue
+			if locals[j] != nil {
+				r.src = append(r.src, j)
+				r.locals = append(r.locals, locals[j])
+				r.outs = append(r.outs, []*sample.Compressed{sample.NewCompressed(locals[j].Tree())})
 			}
-			local, err := plans.NewPolicyLocal(sample.DefaultPolicy(x.Boxes[j], farRate), 1, pw, cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.src = append(r.src, j)
-			r.locals = append(r.locals, local)
-			r.outs = append(r.outs, []*sample.Compressed{sample.NewCompressed(local.Tree())})
 		}
-		r.send = x.Sends(r.src, r.outs)
 		ranks[q] = r
 	}
 
@@ -281,12 +294,12 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 					return err
 				}
 			}
-			recv, err := w.AllToAll(x.Encode(r.send))
+			recv, err := w.AllToAll(x.Encode(r.src, r.outs))
 			if err != nil {
 				return err
 			}
 			t0 := time.Now()
-			in, err := x.Decode(recv)
+			in, err := x.Decode(w.ID, recv)
 			if err != nil {
 				return err
 			}
@@ -320,6 +333,6 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 		c.ResetEpoch()
 	}
 	bytesAfter, _, _, _ := c.Stats.Snapshot()
-	res.SampleBytes = bytesAfter - bytesBefore
+	res.FabricBytes = bytesAfter - bytesBefore
 	return res, nil
 }

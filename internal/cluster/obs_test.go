@@ -119,7 +119,7 @@ func TestLowCommExchangeBytesMatchesMeasured(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64((i*7)%23) / 23
 	}
-	for _, P := range []int{2, 3, 4} {
+	for _, P := range []int{2, 3, 4, 8} {
 		predicted, err := LowCommExchangeBytes(d, P, sub, far)
 		if err != nil {
 			t.Fatal(err)
@@ -136,8 +136,8 @@ func TestLowCommExchangeBytesMatchesMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.SampleBytes != predicted {
-			t.Errorf("P=%d: result reports %d sample bytes, predicted %d", P, res.SampleBytes, predicted)
+		if res.FabricBytes != predicted {
+			t.Errorf("P=%d: result reports %d fabric bytes, predicted %d", P, res.FabricBytes, predicted)
 		}
 		if got := tr.CounterValue("cluster.collective.bytes"); got != predicted {
 			t.Errorf("P=%d: measured %d fabric bytes, predicted %d", P, got, predicted)

@@ -7,7 +7,6 @@ import (
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -60,12 +59,6 @@ type Decomposed struct {
 	// its own pipeline (set Cfg.Workers to 1 to avoid oversubscribing the
 	// per-pipeline parallelism). ≤1 runs serially.
 	Parallel int
-
-	// TreeFor overrides the sampling octree used for a sub-domain; nil
-	// selects sample.DefaultPolicy(box, FarRate). Tests use a rate-1 tree
-	// here to check the exact accumulation identity; ablations swap in
-	// uniform sampling.
-	TreeFor func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error)
 }
 
 // DecomposedStats aggregates per-sub-domain stats.
@@ -130,8 +123,8 @@ func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, Decompos
 
 // runBoxes is the box loop behind Run and RunAdaptive: one plan set and one
 // kernel callback for the call, one pipeline per box (dc.Parallel at a
-// time) sampled by dc.TreeFor or else placed by NewPolicyLocal under
-// sample.DefaultPolicy, then accumulation in box order.
+// time) placed by NewPolicyLocal under sample.DefaultPolicy, then
+// accumulation in box order.
 func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, DecomposedStats, error) {
 	var ds DecomposedStats
 	plans, err := NewPlanSet(f.Dim, dc.Cfg.Workers)
@@ -156,16 +149,7 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, Deco
 			return
 		}
 		box := jobs[i]
-		var local *Local
-		var err error
-		if dc.TreeFor != nil {
-			var tree *octree.Tree
-			if tree, err = dc.TreeFor(box, f.Dim); err == nil {
-				local, err = plans.NewLocal(box, tree, 1, pw, dc.Cfg)
-			}
-		} else {
-			local, err = plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), 1, pw, dc.Cfg)
-		}
+		local, err := plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), 1, pw, dc.Cfg)
 		if err != nil {
 			ec.Record(err)
 			return

@@ -8,7 +8,6 @@ import (
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -409,16 +408,7 @@ func TestDecomposedExactAtFullResolution(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = rng.NormFloat64()
 	}
-	dc := Decomposed{
-		Kernel: green.Delta{}, SubSize: 8, FarRate: 4, Cfg: Config{},
-		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
-			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
-		},
-	}
-	got, _, err := dc.Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := policyRun(t, f, green.Delta{}, liveBoxes(t, f, 8), fullRes)
 	if r, _ := grid.RelL2(got, f); r > 1e-10 {
 		t.Errorf("full-resolution delta decomposition error %g", r)
 	}
@@ -433,16 +423,7 @@ func TestDecomposedGaussianExactAtFullResolution(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	kernel := green.Gaussian{Sigma: 1}
-	dc := Decomposed{
-		Kernel: kernel, SubSize: 8,
-		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
-			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
-		},
-	}
-	got, _, err := dc.Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := policyRun(t, f, kernel, liveBoxes(t, f, 8), fullRes)
 	want, err := Baseline(f, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -494,19 +475,14 @@ func TestAccumulateRegion(t *testing.T) {
 
 func TestDecomposedSkipsZeroSubdomains(t *testing.T) {
 	// A single point source touches exactly one sub-domain; the other 63
-	// must be skipped and the result must still match the baseline
-	// exactly at full resolution.
+	// must be skipped, Run's field is the loop's over the one live box, and
+	// at full resolution that loop matches the baseline exactly.
 	d := grid.Cube(32)
 	f := grid.NewField(d)
 	f.Set(5, 6, 7, 1)
 	kernel := green.Gaussian{Sigma: 1.5}
-	dc := Decomposed{
-		Kernel: kernel, SubSize: 8,
-		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
-			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
-		},
-	}
-	got, ds, err := dc.Run(f)
+	dc := Decomposed{Kernel: kernel, SubSize: 8, FarRate: 8}
+	run, ds, err := dc.Run(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,6 +492,9 @@ func TestDecomposedSkipsZeroSubdomains(t *testing.T) {
 	if len(ds.PerSub) != 1 {
 		t.Errorf("computed %d sub-domains, want 1", len(ds.PerSub))
 	}
+	live := liveBoxes(t, f, 8)
+	sameField(t, run, policyRun(t, f, kernel, live, defaultPolicy(8)))
+	got := policyRun(t, f, kernel, live, fullRes)
 	want, err := Baseline(f, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -560,25 +539,27 @@ func TestKernelPointwiseSeparableFastPath(t *testing.T) {
 
 func TestRunAdaptiveSparseInputExact(t *testing.T) {
 	// Two isolated blobs on a 32³ grid: the adaptive partition retains a
-	// handful of boxes, and with rate-1 trees the result is exact.
+	// handful of boxes, RunAdaptive's field is the loop's over them, and
+	// with rate-1 trees that loop is exact.
 	d := grid.Cube(32)
 	f := grid.NewField(d)
 	f.Set(4, 4, 4, 1)
 	f.Set(28, 20, 10, -0.5)
 	kernel := green.Gaussian{Sigma: 1.5}
-	dc := Decomposed{
-		Kernel: kernel, SubSize: 16,
-		TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
-			return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
-		},
-	}
-	got, ds, err := dc.RunAdaptive(f, 4)
+	dc := Decomposed{Kernel: kernel, SubSize: 16, FarRate: 8}
+	run, ds, err := dc.RunAdaptive(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.PerSub) >= 8 {
 		t.Errorf("adaptive partition kept %d boxes; expected a sparse handful", len(ds.PerSub))
 	}
+	boxes, err := grid.DecomposeAdaptive(d, 16, 4, grid.ActiveNonzero(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameField(t, run, policyRun(t, f, kernel, boxes, defaultPolicy(8)))
+	got := policyRun(t, f, kernel, boxes, fullRes)
 	want, err := Baseline(f, kernel, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -723,5 +704,74 @@ func TestDecomposedParallelMatchesSerial(t *testing.T) {
 	if len(dsA.PerSub) != len(dsB.PerSub) || dsA.TotalSamples != dsB.TotalSamples {
 		t.Errorf("stats differ: %d/%d vs %d/%d",
 			len(dsA.PerSub), dsA.TotalSamples, len(dsB.PerSub), dsB.TotalSamples)
+	}
+}
+
+// fullRes is massif FullRes's policy: rate 1 everywhere, so the samples are
+// the local convolution's values.
+func fullRes(box grid.Box) sample.Policy {
+	return sample.Policy{Sub: box, NearRate: 1, MidRate: 1, FarRate: 1}
+}
+
+// defaultPolicy is Decomposed's policy at far rate far.
+func defaultPolicy(far int) func(grid.Box) sample.Policy {
+	return func(box grid.Box) sample.Policy { return sample.DefaultPolicy(box, far) }
+}
+
+// liveBoxes is the k-decomposition of f without its all-zero boxes: the
+// boxes Decomposed.Run convolves.
+func liveBoxes(t *testing.T, f *grid.Field, k int) []grid.Box {
+	t.Helper()
+	boxes, err := grid.Decompose(f.Dim, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []grid.Box
+	for _, b := range boxes {
+		if !f.BoxAllZero(b) {
+			live = append(live, b)
+		}
+	}
+	return live
+}
+
+// policyRun is Decomposed's box loop written out: each box placed by
+// PlanSet.NewPolicyLocal under policy and run on f's values, then every
+// result added by Accumulate in box order.
+func policyRun(t *testing.T, f *grid.Field, kernel green.Kernel, boxes []grid.Box, policy func(grid.Box) sample.Policy) *grid.Field {
+	t.Helper()
+	plans, err := NewPlanSet(f.Dim, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := KernelPointwise(f.Dim, kernel)
+	results := make([]*sample.Compressed, len(boxes))
+	for i, box := range boxes {
+		local, err := plans.NewPolicyLocal(policy(box), 1, pw, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := f.ExtractBox(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], _, err = local.Run(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := Accumulate(f.Dim, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameField fails unless got and want hold the same bits.
+func sameField(t *testing.T, got, want *grid.Field) {
+	t.Helper()
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("element %d: %g, want %g", i, got.Data[i], w)
+		}
 	}
 }

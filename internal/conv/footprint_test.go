@@ -8,7 +8,6 @@ import (
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
-	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -28,16 +27,14 @@ func TestDecomposedLazyExtractionFootprint(t *testing.T) {
 	tr := obs.New()
 	for _, workers := range []int{1, 2} {
 		dc := Decomposed{
-			Kernel: green.Delta{}, SubSize: 4, Parallel: workers,
+			Kernel: green.Delta{}, SubSize: 4, FarRate: 8, Parallel: workers,
 			Cfg: Config{Trace: tr},
-			TreeFor: func(sub grid.Box, dim grid.Dim3) (*octree.Tree, error) {
-				return sample.Uniform{Rate: 1, CellSize: 8}.Tree(dim)
-			},
 		}
-		_, ds, err := dc.Run(f)
+		got, ds, err := dc.Run(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameField(t, got, policyRun(t, f, green.Delta{}, liveBoxes(t, f, 4), defaultPolicy(8)))
 		if got := len(ds.PerSub); got != 64 {
 			t.Fatalf("Parallel=%d: ran %d sub-domains, want 64", workers, got)
 		}

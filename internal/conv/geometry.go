@@ -128,22 +128,39 @@ func (ps *PlanSet) policyGeometry(p sample.Policy) (*geometry, error) {
 	return newGeometry(tree, p.Sub.Lo), nil
 }
 
-// place sets l's sampling index to g's, moved to l's box: the tree's cells
-// are shifted by the offset between the frames in the tree's own cell order
-// (none when the frames agree, and the tree is g's); the kept planes, and
-// the rows of each, are rotated into ascending order on the grid, which is
-// how stage C pairs rows, and stored through perm; and xpos maps a frame x
-// to its line position, through which stage C gathers.
+// PolicyTree returns the tree NewPolicyLocal places for policy p, in its
+// cell and storage order: the memoized origin tree moved to p.Sub, sharing
+// its index (octree.Tree.Translate), where p.Sub's tree is its translate.
+func (ps *PlanSet) PolicyTree(p sample.Policy) (*octree.Tree, error) {
+	g, err := ps.policyGeometry(p)
+	if err != nil {
+		return nil, err
+	}
+	return g.treeAt(p.Sub.Lo), nil
+}
+
+// treeAt returns g's tree in the frame at o: g's own when the frames agree,
+// else moved by the offset between them on the torus, in its cell order.
+func (g *geometry) treeAt(o grid.Point) *octree.Tree {
+	if o == g.at {
+		return g.tree
+	}
+	n := g.tree.Dim.Nx
+	var s grid.Point
+	for i := range s {
+		s[i] = (o[i] - g.at[i] + n) % n
+	}
+	return g.tree.Translate(s)
+}
+
+// place sets l's sampling index to g's, moved to l's box: the tree is g's
+// in the box's frame (treeAt); the kept planes, and the rows of each, are
+// rotated into ascending order on the grid, which is how stage C pairs
+// rows, and stored through perm; and xpos maps a frame x to its line
+// position, through which stage C gathers.
 func (l *Local) place(g *geometry) {
 	n, o := l.n, grid.Point{l.ox, l.oy, l.oz}
-	l.tree = g.tree
-	if o != g.at {
-		var s grid.Point
-		for i := range s {
-			s[i] = (o[i] - g.at[i] + n) % n
-		}
-		l.tree = g.tree.Translate(s)
-	}
+	l.tree = g.treeAt(o)
 	l.gather, l.rowPairs = g.gather, g.rowPairs
 	nz := len(g.keptZ)
 	l.keptZ = make([]int32, 0, nz)

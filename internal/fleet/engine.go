@@ -421,6 +421,6 @@ func (e *Engine) runSpill(f *grid.Field, st *SolveStats, tj *jobtrace.Job) (*gri
 	}
 	tj.Stage("acc", -1, res.Accumulate)
 	st.Spilled = true
-	st.SpillBytes = res.SampleBytes
+	st.SpillBytes = res.FabricBytes
 	return res.Field, *st, nil
 }

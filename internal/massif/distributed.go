@@ -225,7 +225,7 @@ func (p *healer) apply(iter int, in func(b, i, g int) grid.SymTensor, out []*gri
 		if err := p.compute(in); err != nil {
 			return err
 		}
-		msgs = p.s.x.Encode(p.send)
+		msgs = p.s.x.Encode(p.owned, p.outs)
 		// Late finish after a backup deposited is discarded by sequence
 		// number at the board (results are identical either way; the
 		// counter records the wasted work).
@@ -249,7 +249,7 @@ func (p *healer) apply(iter int, in func(b, i, g int) grid.SymTensor, out []*gri
 	if len(missing) > 0 {
 		return errGenAbort{iter}
 	}
-	groups, err := p.s.x.Decode(recv)
+	groups, err := p.s.x.Decode(id, recv)
 	if err != nil {
 		return err
 	}
@@ -307,5 +307,5 @@ func (p *healer) backupFor(q, iter int) ([][]float64, error) {
 	if err := peer.compute(basic{r: peer.r}.input); err != nil {
 		return nil, err
 	}
-	return p.s.x.Encode(peer.send), nil
+	return p.s.x.Encode(peer.owned, peer.outs), nil
 }

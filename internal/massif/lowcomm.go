@@ -6,6 +6,7 @@ import (
 	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
 
@@ -73,7 +74,13 @@ type lowComm struct {
 }
 
 func newLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions, p int) (*lowComm, error) {
-	x, err := cluster.NewExchange(m.Dim, opt.SubSize, p, grid.NumVoigt)
+	plans, err := conv.NewPlanSet(m.Dim, opt.Workers)
+	if err != nil {
+		return nil, err
+	}
+	x, err := cluster.NewExchange(m.Dim, opt.SubSize, p, grid.NumVoigt, func(_ int, b grid.Box) (*octree.Tree, error) {
+		return plans.PolicyTree(boxPolicy(b, opt))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -104,20 +111,20 @@ func (s *lowComm) finish() (*LowCommResult, error) {
 
 // sampled is Algorithm 2's Γ̂ on one rank's sub-domains (lines 3–6): a
 // conv.Local per owned box on one PlanSet, one σ scratch, and the
-// accumulation of the received patches. The compressed outputs are handed
-// back to RunComponents run after run, so send, the exchange's send lists
-// on them, is built once. As it stands it is SolveLowComm's operator, on
-// one rank that owns every box: the exchange hands its own groups back and
-// the reduction is the identity. healer runs it on the fabric.
+// accumulation of the received groups. The compressed outputs are handed
+// back to RunComponents run after run, and the exchange encodes what they
+// hold. As it stands it is SolveLowComm's operator, on one rank that owns
+// every box: the exchange hands its own message back and the reduction is
+// the identity. healer runs it on the fabric.
 type sampled struct {
 	one
 	s      *lowComm
 	r      *rank
 	plans  *conv.PlanSet
+	owned  []int
 	locals []*conv.Local
 	outs   [][]*sample.Compressed
 	sigma  *grid.TensorField
-	send   [][]sample.PatchGroup
 
 	samples, bytes int // per iteration, over the owned boxes
 }
@@ -130,10 +137,9 @@ func (s *lowComm) newSampled(id int, plans *conv.PlanSet) (*sampled, error) {
 			return nil, err
 		}
 	}
-	o := &sampled{s: s, plans: plans, sigma: grid.NewTensorField(grid.Cube(s.opt.SubSize))}
-	owned := s.x.Owned(id)
+	o := &sampled{s: s, plans: plans, owned: s.x.Owned(id), sigma: grid.NewTensorField(grid.Cube(s.opt.SubSize))}
 	var boxes []grid.Box
-	for _, j := range owned {
+	for _, j := range o.owned {
 		boxes = append(boxes, s.x.Boxes[j])
 		local, err := gammaLocal(plans, s.m, s.x.Boxes[j], s.m.gamma(), s.opt)
 		if err != nil {
@@ -148,7 +154,7 @@ func (s *lowComm) newSampled(id int, plans *conv.PlanSet) (*sampled, error) {
 		o.locals = append(o.locals, local)
 		o.outs = append(o.outs, outs)
 	}
-	o.r, o.send = newRank(id, s.m, boxes, s.E), s.x.Sends(owned, o.outs)
+	o.r = newRank(id, s.m, boxes, s.E)
 	return o, nil
 }
 
@@ -179,7 +185,7 @@ func (o *sampled) compute(in func(b, i, g int) grid.SymTensor) error {
 
 // accumulate sets out to the sum of the received groups, and counts the
 // iteration's samples.
-func (o *sampled) accumulate(in [][]sample.PatchGroup, out []*grid.TensorField) error {
+func (o *sampled) accumulate(in []cluster.Group, out []*grid.TensorField) error {
 	for _, d := range out {
 		for _, f := range d.Comp {
 			f.Zero()
@@ -200,7 +206,11 @@ func (o *sampled) apply(_ int, in func(b, i, g int) grid.SymTensor, out []*grid.
 	if err := o.compute(in); err != nil {
 		return err
 	}
-	return o.accumulate(o.send, out)
+	groups, err := o.s.x.Decode(0, o.s.x.Encode(o.owned, o.outs))
+	if err != nil {
+		return err
+	}
+	return o.accumulate(groups, out)
 }
 
 // boxPolicy is the sampling policy of sub-domain box under opt: rate 1

@@ -39,10 +39,8 @@ type addends struct {
 
 // each calls f, in order, with every addend cell that meets the z-range
 // [z0, z1), the samples s it reads and its closed lattice view v: slot j's
-// value is s[v[j]]. A result's view is its tree's index, as is a patch's
-// on a result's storage; another patch's samples are its lattice, read
-// through iota, the identity.
-func (a addends) each(z0, z1 int, iota *[]int32, f func(c octree.Cell, s []float64, v []int32)) {
+// value is s[v[j]]. A result's view is its tree's index.
+func (a addends) each(z0, z1 int, f func(c octree.Cell, s []float64, v []int32)) {
 	for _, res := range a.results {
 		index := res.Tree.Index()
 		for i, c := range res.Tree.Cells {
@@ -53,14 +51,7 @@ func (a addends) each(z0, z1 int, iota *[]int32, f func(c octree.Cell, s []float
 	}
 	for _, p := range a.ps {
 		if p.Cell.Box.Lo[2] < z1 && p.Cell.Box.Hi[2] > z0 {
-			if p.View != nil {
-				f(p.Cell, p.Samples, p.View)
-				continue
-			}
-			for len(*iota) < len(p.Samples) {
-				*iota = append(*iota, int32(len(*iota)))
-			}
-			f(p.Cell, p.Samples, (*iota)[:len(p.Samples)])
+			f(p.Cell, p.Samples, p.View)
 		}
 	}
 }
@@ -86,7 +77,6 @@ type blockSum struct {
 	layers []layer   // by log2(rate) − 1
 	top    int       // the chunk height: the coarsest rate met, at least 8
 	buf    []float64 // a run's four x-interpolated edges and two planes
-	iota   []int32   // the identity view of a patch's lattice
 }
 
 // layer is one rate's block window over the current chunk: the eight corner
@@ -125,12 +115,8 @@ func (bs *blockSum) add(dst *grid.Field, origin grid.Point, region grid.Box, a a
 		if err := bs.admit(p.Cell, region); err != nil {
 			return fmt.Errorf("sample: patch %d: %w", i, err)
 		}
-		n := len(p.Samples)
-		if p.View != nil {
-			n = len(p.View)
-		}
-		if n != p.Cell.SlotCount() {
-			return fmt.Errorf("sample: patch %d has %d slots, cell needs %d", i, n, p.Cell.SlotCount())
+		if len(p.View) != p.Cell.SlotCount() {
+			return fmt.Errorf("sample: patch %d has %d slots, cell needs %d", i, len(p.View), p.Cell.SlotCount())
 		}
 	}
 	for z := region.Lo[2] &^ (bs.top - 1); !region.Empty() && z < region.Hi[2]; z += bs.top {
@@ -174,7 +160,7 @@ func (bs *blockSum) chunk(dst *grid.Field, origin grid.Point, clip grid.Box, a a
 			l.window(clip)
 		}
 	}
-	a.each(clip.Lo[2], clip.Hi[2], &bs.iota, func(c octree.Cell, s []float64, v []int32) {
+	a.each(clip.Lo[2], clip.Hi[2], func(c octree.Cell, s []float64, v []int32) {
 		switch k := c.Box.Intersect(clip); {
 		case k.Empty():
 		case c.Rate == 1:

@@ -84,20 +84,14 @@ func (c *Compressed) AddRegion(dst *grid.Field, region grid.Box, scale float64) 
 }
 
 // Patch is one octree cell and the values of its closed lattice — the
-// unit of the sparse exchange between workers: a worker ships to each peer
-// only the patches whose cells intersect that peer's output region. With
-// View nil, Samples is the lattice in slot order, as a decoded patch's is;
-// otherwise slot j's value is Samples[View[j]]: a patch on a result's
-// storage, through its tree's index (octree.Index.Cell).
+// unit AddPatches sums: a worker adds every received cell that intersects
+// its output region. Slot j's value is Samples[View[j]]: on a result's
+// storage the view is its tree's index (octree.Index.Cell), on a received
+// message the exchange's view into the values sent.
 type Patch struct {
 	Cell    octree.Cell
 	Samples []float64
 	View    []int32
-}
-
-// CellPatch returns cell i of c as a patch on c's storage.
-func (c *Compressed) CellPatch(i int) Patch {
-	return Patch{Cell: c.Tree.Cells[i], Samples: c.Samples, View: c.Tree.Index().Cell(i)}
 }
 
 // NearestReconstruct reconstructs using nearest-lattice-point values

@@ -2,55 +2,11 @@ package sample
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"testing"
 
 	"lowcomm3d/internal/grid"
 )
-
-// FuzzPatchCodec feeds the exchange decoder arbitrary values (the input
-// bytes read as little-endian float64s), as groups of one component and of
-// six: DecodePatchGroups must return patches or an error, never panic or
-// allocate what the message does not hold, and every patch it returns
-// must add into an 8³ grid. The committed corpus (cmd/genfuzzcorpus) holds
-// a real exchange message and the lying headers of lyingPatchMessages.
-func FuzzPatchCodec(f *testing.F) {
-	for _, msg := range lyingPatchMessages {
-		f.Add(floatBytes(msg))
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg := make([]float64, len(data)/8)
-		for i := range msg {
-			msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-		}
-		dst := grid.NewField(grid.Cube(8))
-		for _, comps := range []int{1, 6} {
-			gs, err := DecodePatchGroups(msg, comps)
-			if err != nil {
-				continue
-			}
-			for _, g := range gs {
-				for _, ps := range g.Comps {
-					for _, p := range ps {
-						if err := AddPatches(dst, grid.Point{}, dst.Dim.Bounds(), []Patch{p}, 1); err != nil {
-							t.Fatalf("decoded patch %v does not add: %v", p.Cell, err)
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-func floatBytes(msg []float64) []byte {
-	out := make([]byte, 0, 8*len(msg))
-	for _, v := range msg {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out
-}
 
 func fuzzSeedStream(f *testing.F, version32 bool) []byte {
 	tree, err := Uniform{Rate: 2, CellSize: 8}.Tree(grid.Cube(16))

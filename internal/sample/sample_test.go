@@ -1,12 +1,10 @@
 package sample
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
@@ -399,221 +397,15 @@ func TestDecayingFieldAdaptiveAccuracy(t *testing.T) {
 }
 
 // patchesIn returns the patches of c whose cells overlap region, in cell
-// order, on c's storage.
+// order, on c's storage: each cell's lattice read through its tree's index.
 func patchesIn(c *Compressed, region grid.Box) []Patch {
 	var out []Patch
 	for i, cell := range c.Tree.Cells {
 		if cell.Box.Overlaps(region) {
-			out = append(out, c.CellPatch(i))
+			out = append(out, Patch{Cell: cell, Samples: c.Samples, View: c.Tree.Index().Cell(i)})
 		}
 	}
 	return out
-}
-
-// gathered returns groups with every patch's lattice gathered, in slot
-// order: what DecodePatchGroups returns for them.
-func gathered(groups []PatchGroup) []PatchGroup {
-	out := make([]PatchGroup, len(groups))
-	for i, g := range groups {
-		out[i] = PatchGroup{Box: g.Box, Comps: make([][]Patch, len(g.Comps))}
-		for c, ps := range g.Comps {
-			for _, p := range ps {
-				q := Patch{Cell: p.Cell, Samples: p.Samples}
-				if p.View != nil {
-					q.Samples = nil
-					for _, j := range p.View {
-						q.Samples = append(q.Samples, p.Samples[j])
-					}
-				}
-				out[i].Comps[c] = append(out[i].Comps[c], q)
-			}
-		}
-	}
-	return out
-}
-
-// samePatchGroups reports whether got decodes want: the same boxes, and per
-// component the same cells with the same sample bits.
-func samePatchGroups(got, want []PatchGroup) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i, g := range want {
-		if got[i].Box != g.Box || len(got[i].Comps) != len(g.Comps) {
-			return false
-		}
-		for c, ps := range g.Comps {
-			if len(got[i].Comps[c]) != len(ps) {
-				return false
-			}
-			for j, p := range ps {
-				q := got[i].Comps[c][j]
-				if q.Cell != p.Cell || len(q.Samples) != len(p.Samples) {
-					return false
-				}
-				for k, v := range p.Samples {
-					if math.Float64bits(q.Samples[k]) != math.Float64bits(v) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-func TestPatchCodecQuick(t *testing.T) {
-	// Property: encode/decode round-trips arbitrary (valid) patch sets.
-	d := grid.Cube(32)
-	sub := grid.CubeAt(grid.Point{8, 8, 8}, 8)
-	tree, err := DefaultPolicy(sub, 8).Tree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := smoothField(d)
-	c, err := Compress(f, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(box uint16, lox, loy, loz, size uint8) bool {
-		region := grid.BoxAt(grid.Point{int(lox) % 32, int(loy) % 32, int(loz) % 32},
-			1+int(size)%16, 1+int(size)%16, 1+int(size)%16)
-		gs := []PatchGroup{{Box: int(box), Comps: [][]Patch{patchesIn(c, region)}}}
-		back, err := DecodePatchGroups(EncodePatchGroups(gs), 1)
-		return err == nil && samePatchGroups(back, gathered(gs))
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodePatchesMalformed(t *testing.T) {
-	cases := [][]float64{
-		{-1, 0},                                 // negative box index
-		{0},                                     // group without its patch list
-		{0, 1, 0, 0, 0, 2, 1},                   // truncated header
-		{0, 1, 0, 0, 0, 2, 1, 5, 1, 2, 3, 4, 5}, // count 5 != cell sample count
-		{0, 1, 0, 0, 0, -2, 1, 8},               // negative size
-		{0, 2, 0, 0, 0, 1, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8}, // second patch missing
-	}
-	for i, msg := range cases {
-		if _, err := DecodePatchGroups(msg, 1); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
-// lyingPatchMessages are headers that once crashed the decoder, each in a
-// group of box 0: a patch count that sized a 10¹²-entry allocation (a
-// fatal, unrecoverable out-of-memory), and a 2²²−1 cell whose
-// (size/rate+1)³ lattice count wrapped to the 0 samples that followed, so
-// the accumulation sliced past them.
-var lyingPatchMessages = [][]float64{
-	{0, 1e12},
-	{0, 1, 0, 0, 0, 1<<22 - 1, 1, 0},
-}
-
-func TestDecodeRejectsLyingHeaders(t *testing.T) {
-	for i, msg := range lyingPatchMessages {
-		for _, comps := range []int{1, 6} {
-			if _, err := DecodePatchGroups(msg, comps); err == nil {
-				t.Errorf("message %d: DecodePatchGroups(%d components) accepted %v", i, comps, msg)
-			}
-		}
-	}
-	if _, err := DecodePatchGroups([]float64{1e12, 0}, 1); err == nil {
-		t.Error("DecodePatchGroups accepted box index 10¹²")
-	}
-	for _, h := range [][]float64{
-		{1, -8, 0, 0, 2, 1, 27}, // negative corner
-		{1, 2, 0, 0, 4, 4, 8},   // corner off the rate's lattice
-		{1, 0, 0, 0, 6, 3, 27},  // rate not a power of two
-		{1, 0, 0, 0, 6, 4, 8},   // rate does not divide size
-		{1, 0, 0, 0, 1<<20 + 2, 2, 8},
-		{0.5},
-		{math.NaN()},
-	} {
-		msg := append(append([]float64{0}, h...), make([]float64, 27)...)
-		if _, err := DecodePatchGroups(msg, 1); err == nil {
-			t.Errorf("DecodePatchGroups accepted header %v", h)
-		}
-	}
-	var lat *octree.OffLatticeError
-	if _, err := DecodePatchGroups([]float64{0, 1, 8, 4, 2, 4, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1); !errors.As(err, &lat) || lat.Cell.Box.Lo != (grid.Point{8, 4, 2}) {
-		t.Errorf("a rate-4 patch at (8,4,2): got %v, want an *octree.OffLatticeError", err)
-	}
-}
-
-// TestPatchGroupsRoundTrip: one-component groups, an empty one included,
-// decode into the same groups in order, an empty message into none, and a
-// trailing fragment fails.
-func TestPatchGroupsRoundTrip(t *testing.T) {
-	d := grid.Cube(16)
-	tree, err := DefaultPolicy(grid.CubeAt(grid.Point{0, 0, 0}, 8), 4).Tree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compress(smoothField(d), tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := []PatchGroup{
-		{Box: 3, Comps: [][]Patch{patchesIn(c, grid.BoxAt(grid.Point{0, 0, 4}, 16, 16, 4))}},
-		{Box: 5, Comps: [][]Patch{nil}},
-		{Box: 9, Comps: [][]Patch{patchesIn(c, d.Bounds())}},
-	}
-	msg := EncodePatchGroups(groups)
-	back, err := DecodePatchGroups(msg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePatchGroups(back, gathered(groups)) {
-		t.Fatalf("decoded %d groups differ from the %d encoded", len(back), len(groups))
-	}
-	if back, err := DecodePatchGroups(nil, 1); err != nil || len(back) != 0 {
-		t.Errorf("empty message: %d groups, %v", len(back), err)
-	}
-	if _, err := DecodePatchGroups(append(msg, 3), 1); err == nil {
-		t.Error("a trailing fragment should fail")
-	}
-}
-
-// TestComponentPatchCodecRoundTrip: groups of three components, an empty
-// component included, round-trip, and a message cut inside a group's
-// components fails.
-func TestComponentPatchCodecRoundTrip(t *testing.T) {
-	d := grid.Cube(16)
-	tree, err := Uniform{Rate: 2, CellSize: 4}.Tree(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := smoothField(d)
-	c, err := Compress(f, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := []PatchGroup{
-		{Box: 0, Comps: [][]Patch{
-			patchesIn(c, grid.CubeAt(grid.Point{0, 0, 0}, 8)),
-			nil, // empty component must survive
-			patchesIn(c, grid.CubeAt(grid.Point{8, 8, 8}, 8)),
-		}},
-		{Box: 2, Comps: [][]Patch{nil, patchesIn(c, grid.CubeAt(grid.Point{4, 4, 4}, 4)), nil}},
-	}
-	msg := EncodePatchGroups(groups)
-	back, err := DecodePatchGroups(msg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePatchGroups(back, gathered(groups)) {
-		t.Fatal("three-component groups do not round-trip")
-	}
-	if _, err := DecodePatchGroups(msg, 4); err == nil {
-		t.Error("decoding three-component groups as four should fail")
-	}
-	if _, err := DecodePatchGroups([]float64{0, 0, 0}, 3); err == nil {
-		t.Error("a group cut after two of three components should fail")
-	}
 }
 
 func TestAddToSubFieldMatchesGlobal(t *testing.T) {
@@ -718,9 +510,9 @@ func kernelCases(rng *rand.Rand) []kernelCase {
 		for rate := 1; rate <= size; rate *= 2 {
 			lo := grid.Point{1 + rng.Intn(3), rng.Intn(3), 2 + rng.Intn(3)}
 			cell := octree.Cell{Box: grid.CubeAt(lo, size), Rate: rate}
-			p := Patch{Cell: cell, Samples: make([]float64, cell.SlotCount())}
+			p := Patch{Cell: cell, Samples: make([]float64, cell.SlotCount()), View: make([]int32, cell.SlotCount())}
 			for i := range p.Samples {
-				p.Samples[i] = rng.NormFloat64()
+				p.Samples[i], p.View[i] = rng.NormFloat64(), int32(i)
 			}
 			dim := grid.Dim3{Nx: size + 5, Ny: size + 4, Nz: size + 7}
 			at := func(l [3]int, ext [3]int) grid.Box {
