@@ -19,8 +19,10 @@ type message struct {
 	epoch   uint32
 }
 
-// checksum is FNV-1a over the payload's float bits. Cheap, deterministic,
-// and sensitive to any single-bit flip the injector performs.
+// checksum is FNV-1a over the payload's float bits, one 64-bit word per
+// value rather than one byte. Each step (xor a word, multiply by an odd
+// prime) is a bijection of the running hash, so a change to any one value
+// — every single-bit flip the injector performs — changes the sum.
 func checksum(data []float64) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -28,11 +30,8 @@ func checksum(data []float64) uint64 {
 	)
 	h := uint64(offset)
 	for _, v := range data {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= prime
-		}
+		h ^= math.Float64bits(v)
+		h *= prime
 	}
 	return h
 }
