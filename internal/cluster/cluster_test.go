@@ -372,6 +372,50 @@ func TestPencilFFTConvolveMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestDenseGridsSameBits: the slab and the pencil are one pipeline on two
+// process grids, and every line sees the same transforms in the same order
+// on each, so DistFFTConvolve at P ∈ {1, 2, 4} and PencilFFTConvolve at
+// P ∈ {1, 4} return the same bits. The 14³ Bluestein shape runs the slab
+// at P = 7 (7 is not a square).
+func TestDenseGridsSameBits(t *testing.T) {
+	for _, tc := range []struct {
+		n            int
+		slab, pencil []int
+	}{
+		{16, []int{1, 2, 4}, []int{1, 4}},
+		{32, []int{1, 2, 4}, []int{1, 4}},
+		{14, []int{1, 7}, nil},
+	} {
+		f := randGrid(grid.Cube(tc.n), int64(tc.n))
+		for _, kernel := range []green.Kernel{green.Gaussian{Sigma: 1.5}, green.Poisson{}} {
+			var want *grid.Field
+			check := func(name string, p int, run func(*Cluster, *grid.Field, green.Kernel) (*grid.Field, error)) {
+				c, err := New(p, DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run(c, f, kernel)
+				if err != nil {
+					t.Fatalf("%d³ %T %s P=%d: %v", tc.n, kernel, name, p, err)
+				}
+				if want == nil {
+					want = got
+					return
+				}
+				if i, ok := sameBits(got, want); !ok {
+					t.Errorf("%d³ %T %s P=%d: voxel %d is %v, the slab at P=1 has %v", tc.n, kernel, name, p, i, got.Data[i], want.Data[i])
+				}
+			}
+			for _, p := range tc.slab {
+				check("slab", p, DistFFTConvolve)
+			}
+			for _, p := range tc.pencil {
+				check("pencil", p, PencilFFTConvolve)
+			}
+		}
+	}
+}
+
 func TestPencilFFTConvolveErrors(t *testing.T) {
 	c, _ := New(2, DefaultParams()) // not a perfect square
 	if _, err := PencilFFTConvolve(c, grid.NewField(grid.Cube(16)), green.Delta{}); err == nil {

@@ -7,160 +7,11 @@ import (
 	"time"
 
 	"lowcomm3d/internal/conv"
-	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
 )
-
-// DistFFTConvolve runs the traditional distributed FFT convolution of
-// Fig. 1a on P simulated workers with slab decomposition: each worker owns
-// N/P z-planes, 2D-transforms them, all-to-all transposes to y-slabs for
-// the z-direction 1D FFTs and the kernel multiply, transposes back, and
-// 2D-inverse-transforms. Two all-to-all rounds of the full (complex) grid
-// cross the fabric — the communication the paper eliminates. (Pencil
-// decompositions as modeled by Eq. 1 need two transposes per FFT, four per
-// convolution; slab needs one per FFT, so the measured traffic here is a
-// lower bound for the traditional method.)
-func DistFFTConvolve(c *Cluster, f *grid.Field, kernel green.Kernel) (*grid.Field, error) {
-	d := f.Dim
-	n := d.Nx
-	if d.Ny != n || d.Nz != n {
-		return nil, fmt.Errorf("cluster: grid %v must be cubic", d)
-	}
-	p := c.P
-	if n%p != 0 {
-		return nil, fmt.Errorf("cluster: grid size %d not divisible by %d workers", n, p)
-	}
-	zPer := n / p
-	plan2d, err := fft.NewPlan2D(n, n, 1)
-	if err != nil {
-		return nil, err
-	}
-	planZ, err := fft.NewPlan(n)
-	if err != nil {
-		return nil, err
-	}
-
-	out := grid.NewField(d)
-	err = c.Run(func(w *Worker) error {
-		// Local slab: z ∈ [z0, z1), complex, plane-major.
-		z0 := w.ID * zPer
-		slab := make([]complex128, n*n*zPer)
-		for zi := 0; zi < zPer; zi++ {
-			for y := 0; y < n; y++ {
-				for x := 0; x < n; x++ {
-					slab[zi*n*n+y*n+x] = complex(f.At(x, y, z0+zi), 0)
-				}
-			}
-		}
-		// Stage 1: local 2D transforms.
-		for zi := 0; zi < zPer; zi++ {
-			if err := plan2d.ForwardPlane(slab[zi*n*n : (zi+1)*n*n]); err != nil {
-				return err
-			}
-		}
-		// Stage 2: all-to-all transpose z-slabs → y-slabs.
-		ySlab, err := w.TransposeZY(slab, n, zPer, false)
-		if err != nil {
-			return err
-		}
-		// Stage 3–5: z-direction FFT, kernel multiply, inverse z FFT —
-		// all local to the worker's y range. The pencil's copies in and out
-		// go through planZ.Perm, so the transforms skip their reorders.
-		y0 := w.ID * zPer
-		pencil := make([]complex128, n)
-		perm := planZ.Perm()
-		for yi := 0; yi < zPer; yi++ {
-			for x := 0; x < n; x++ {
-				for i, z := range perm {
-					pencil[i] = ySlab[int(z)*n*zPer+yi*n+x]
-				}
-				if err := planZ.ForwardFromPerm(pencil); err != nil {
-					return err
-				}
-				for kz, v := range pencil {
-					r := kernel.Hat(d, x, y0+yi, kz)
-					pencil[kz] = complex(real(v)*r, imag(v)*r)
-				}
-				if err := planZ.InverseToPerm(pencil); err != nil {
-					return err
-				}
-				for i, z := range perm {
-					ySlab[int(z)*n*zPer+yi*n+x] = pencil[i]
-				}
-			}
-		}
-		// Stage 6: all-to-all transpose back to z-slabs.
-		slab, err = w.TransposeZY(ySlab, n, zPer, true)
-		if err != nil {
-			return err
-		}
-		// Stage 7: local inverse 2D transforms, write the owned planes.
-		for zi := 0; zi < zPer; zi++ {
-			plane := slab[zi*n*n : (zi+1)*n*n]
-			if err := plan2d.InversePlane(plane); err != nil {
-				return err
-			}
-			for y := 0; y < n; y++ {
-				for x := 0; x < n; x++ {
-					out.Set(x, y, z0+zi, real(plane[y*n+x]))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TransposeZY exchanges a z-slab (per planes of n×n, plane-major) for a
-// y-slab (n z-planes of per×n rows owned in y) via one all-to-all, or the
-// reverse when back is true — the building block of slab-decomposed
-// distributed FFTs, exported so distributed solvers can reuse it. Layouts,
-// with s the slab's own axis and u the other one's global index:
-//
-//	z-slab: idx = zi*n*n + y*n + x          (s = zi, u = y)
-//	y-slab: idx = z*n*per + yi*n + x        (s = yi, u = z)
-func (w *Worker) TransposeZY(in []complex128, n, per int, back bool) ([]complex128, error) {
-	sIn, uIn, sOut, uOut := n*n, n, n, n*per
-	if back {
-		sIn, uIn, sOut, uOut = sOut, uOut, sIn, uIn
-	}
-	out := make([][]float64, w.c.P)
-	for q := range out {
-		// Block destined for worker q: my planes × q's range of the other axis.
-		buf := make([]float64, 0, 2*per*per*n)
-		for a := 0; a < per; a++ {
-			for b := 0; b < per; b++ {
-				for _, v := range in[a*sIn+(q*per+b)*uIn:][:n] {
-					buf = append(buf, real(v), imag(v))
-				}
-			}
-		}
-		out[q] = buf
-	}
-	recv, err := w.AllToAll(out)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]complex128, n*n*per)
-	for q, buf := range recv {
-		for a := 0; a < per; a++ { // the sender's plane, my range of the other axis
-			for b := 0; b < per; b++ { // my plane
-				row := res[b*sOut+(q*per+a)*uOut:][:n]
-				for x := range row {
-					i := 2 * ((a*per+b)*n + x)
-					row[x] = complex(buf[i], buf[i+1])
-				}
-			}
-		}
-	}
-	return res, nil
-}
 
 // LowCommResult is the outcome of the proposed distributed convolution.
 type LowCommResult struct {

@@ -144,10 +144,11 @@ func (p *Plan3D) run(f *grid.ComplexField, inverse bool) error {
 	return ec.Err()
 }
 
-// Plan2D performs in-place 2D (x, y) transforms on every z-plane of a
-// complex field, or on a single plane slice — "the small domain undergoes
-// a 2D transform to a slab". The slab-decomposed distributed baselines run
-// on it; conv.Local does the same stage on the half spectrum with 1D plans.
+// Plan2D performs in-place forward 2D (x, y) transforms of plane slices —
+// "the small domain undergoes a 2D transform to a slab". The benchmark's
+// plan probes time it; conv.Local does the same stage on the half spectrum
+// with 1D plans, and cluster's dense pipeline with 1D plans on the lines
+// a rank holds.
 type Plan2D struct {
 	nx, ny  int
 	px, py  *Plan
@@ -183,18 +184,14 @@ func NewPlan2D(nx, ny, workers int) (*Plan2D, error) {
 	return p, nil
 }
 
-// ForwardPlane transforms one nx×ny plane (row-major, x fastest) in place.
-func (p *Plan2D) ForwardPlane(plane []complex128) error { return p.plane(plane, false) }
-
-// InversePlane inverse-transforms one plane in place (1/(nx·ny) applied).
-func (p *Plan2D) InversePlane(plane []complex128) error { return p.plane(plane, true) }
-
-func (p *Plan2D) plane(plane []complex128, inverse bool) error {
+// ForwardPlane transforms one nx×ny plane (row-major, x fastest) in place:
+// the x lines, then the y lines.
+func (p *Plan2D) ForwardPlane(plane []complex128) error {
 	if len(plane) != p.nx*p.ny {
 		return fmt.Errorf("fft: plane length %d != %d", len(plane), p.nx*p.ny)
 	}
 	if p.workers <= 1 {
-		return p.planeSerial(plane, inverse)
+		return p.planeSerial(plane)
 	}
 	var ec FirstError
 	scratch := make([][]complex128, p.workers)
@@ -203,50 +200,30 @@ func (p *Plan2D) plane(plane []complex128, inverse bool) error {
 	}
 	ParallelFor(p.ny, p.workers, func(w, y int) {
 		row := plane[y*p.nx : (y+1)*p.nx]
-		if inverse {
-			ec.Record(p.px.Inverse(row, row))
-		} else {
-			ec.Record(p.px.Forward(row, row))
-		}
+		ec.Record(p.px.Forward(row, row))
 	})
 	if err := ec.Err(); err != nil {
 		return err
 	}
 	ParallelFor(p.nx, p.workers, func(w, x int) {
-		if inverse {
-			ec.Record(p.py.InverseStrided(plane, x, p.nx, scratch[w]))
-		} else {
-			ec.Record(p.py.ForwardStrided(plane, x, p.nx, scratch[w]))
-		}
+		ec.Record(p.py.ForwardStrided(plane, x, p.nx, scratch[w]))
 	})
 	return ec.Err()
 }
 
 // planeSerial is the single-worker plane transform: one pooled scratch
 // line, no goroutines, no per-call allocation.
-func (p *Plan2D) planeSerial(plane []complex128, inverse bool) error {
+func (p *Plan2D) planeSerial(plane []complex128) error {
 	sp := p.scratch.Get().(*[]complex128)
 	defer p.scratch.Put(sp)
 	for y := 0; y < p.ny; y++ {
 		row := plane[y*p.nx : (y+1)*p.nx]
-		var err error
-		if inverse {
-			err = p.px.Inverse(row, row)
-		} else {
-			err = p.px.Forward(row, row)
-		}
-		if err != nil {
+		if err := p.px.Forward(row, row); err != nil {
 			return err
 		}
 	}
 	for x := 0; x < p.nx; x++ {
-		var err error
-		if inverse {
-			err = p.py.InverseStrided(plane, x, p.nx, *sp)
-		} else {
-			err = p.py.ForwardStrided(plane, x, p.nx, *sp)
-		}
-		if err != nil {
+		if err := p.py.ForwardStrided(plane, x, p.nx, *sp); err != nil {
 			return err
 		}
 	}

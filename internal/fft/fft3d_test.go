@@ -188,10 +188,6 @@ func TestPlan2DMatches3DPlane(t *testing.T) {
 			t.Fatalf("plane mismatch at %d", i)
 		}
 	}
-	// Round trip through the 2D inverse.
-	if err := p2.InversePlane(plane); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPlan2DErrors(t *testing.T) {
