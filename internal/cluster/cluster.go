@@ -738,17 +738,17 @@ func (w *Worker) AllReduceSumFT(local []float64) (total []float64, dead []bool, 
 				}
 			}
 		}
-		mask := make([]bool, c.P)
-		bits := 0.0
+		// The dead mask leads, 53 ranks to a word: a sum of distinct powers
+		// of two below 2⁵³ is an exact float64.
+		mask, words := make([]bool, c.P), (c.P+52)/53
+		payload := make([]float64, words+len(total))
 		for i := range mask {
 			mask[i] = c.isDead(i)
 			if mask[i] {
-				bits += float64(uint64(1) << i)
+				payload[i/53] += float64(uint64(1) << (i % 53))
 			}
 		}
-		payload := make([]float64, 1+len(total))
-		payload[0] = bits
-		copy(payload[1:], total)
+		copy(payload[words:], total)
 		for to := 0; to < c.P; to++ {
 			if to != root && !c.isDead(to) {
 				w.sendRaw(to, payload, true)
@@ -764,15 +764,14 @@ func (w *Worker) AllReduceSumFT(local []float64) (total []float64, dead []bool, 
 	if rerr != nil {
 		return nil, nil, rerr
 	}
-	if len(payload) < 1 {
+	mask, words := make([]bool, c.P), (c.P+52)/53
+	if len(payload) < words {
 		return nil, nil, fmt.Errorf("cluster: malformed all-reduce broadcast")
 	}
-	bits := uint64(payload[0])
-	mask := make([]bool, c.P)
 	for i := range mask {
-		mask[i] = bits&(1<<i) != 0
+		mask[i] = uint64(payload[i/53])&(1<<(i%53)) != 0
 	}
-	return payload[1:], mask, nil
+	return payload[words:], mask, nil
 }
 
 // Broadcast sends data from root to every other live worker (counted as

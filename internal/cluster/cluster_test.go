@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lowcomm3d/internal/conv"
@@ -428,6 +429,62 @@ func TestPencilFFTConvolveErrors(t *testing.T) {
 	c4, _ := New(4, DefaultParams())
 	if _, err := PencilFFTConvolve(c4, grid.NewField(grid.Dim3{Nx: 8, Ny: 8, Nz: 4}), green.Delta{}); err == nil {
 		t.Error("non-cubic grid should fail")
+	}
+}
+
+// TestAllReduceDeadMaskPastMantissa: the root broadcasts the dead mask in
+// words of 53 ranks, each an exact float64, so every survivor of a wide
+// cluster reads the mask the root holds. In one word the sum of 1<<i
+// rounds past 53 ranks, and ranks from 64 on shift out.
+func TestAllReduceDeadMaskPastMantissa(t *testing.T) {
+	for _, tc := range []struct {
+		p    int
+		dead []int
+	}{
+		{56, []int{1, 54, 55}},
+		{70, []int{1, 54, 69}},
+	} {
+		c, err := New(tc.p, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tc.dead {
+			c.DeclareDead(r)
+		}
+		seen := make([][]int, tc.p)
+		sums := make([]float64, tc.p)
+		errs := c.RunAll(func(w *Worker) error {
+			if slices.Contains(tc.dead, w.ID) {
+				return nil
+			}
+			total, mask, err := w.AllReduceSumFT([]float64{1})
+			if err != nil {
+				return err
+			}
+			for i, d := range mask {
+				if d {
+					seen[w.ID] = append(seen[w.ID], i)
+				}
+			}
+			sums[w.ID] = total[0]
+			return nil
+		})
+		for id, err := range errs {
+			if err != nil {
+				t.Fatalf("P=%d: worker %d: %v", tc.p, id, err)
+			}
+		}
+		for id, got := range seen {
+			if slices.Contains(tc.dead, id) {
+				continue
+			}
+			if !slices.Equal(got, tc.dead) {
+				t.Errorf("P=%d: worker %d sees dead %v, want %v", tc.p, id, got, tc.dead)
+			}
+			if want := float64(tc.p - len(tc.dead)); sums[id] != want {
+				t.Errorf("P=%d: worker %d sums %g, want %g", tc.p, id, sums[id], want)
+			}
+		}
 	}
 }
 
