@@ -332,9 +332,9 @@ func (s *Scheduler) requeueLocked(t *Task, now time.Time, cause error) {
 	attempt := t.attempt + 1
 	if attempt >= s.health.MaxAttempts {
 		s.cFailed.Add(1)
+		t.Job.Event(jobtrace.KindFail, -1, "retries-exhausted", int64(attempt))
 		s.deliverLocked(t, nil, fmt.Errorf("%w: job %d after %d attempts: %v",
 			ErrRetriesExhausted, o.ID, attempt, cause), -1)
-		t.Job.Event(jobtrace.KindFail, -1, "retries-exhausted", int64(attempt))
 		s.log.printf(now, "fail id=%d attempts=%d", o.ID, attempt)
 		return
 	}
@@ -442,11 +442,13 @@ func (s *Scheduler) admitOrphansLocked(now time.Time) {
 // owning solve, exactly once per root task: the first attempt to land
 // wins, later ones are dropped. Results go to the root's sink slot and
 // the completion latch fires under the scheduler mutex, so the solve
-// goroutine's post-wait reads are ordered after the winning write.
-func (s *Scheduler) deliverLocked(t *Task, res *sample.Compressed, err error, di int) bool {
+// goroutine's post-wait reads are ordered after the winning write. A
+// caller records the winning attempt's job event before it calls this:
+// once the latch fires, the solve may record its accumulation.
+func (s *Scheduler) deliverLocked(t *Task, res *sample.Compressed, err error, di int) {
 	o := t.root()
 	if o.delivered {
-		return false
+		return
 	}
 	o.delivered = true
 	if o.sink != nil {
@@ -457,7 +459,6 @@ func (s *Scheduler) deliverLocked(t *Task, res *sample.Compressed, err error, di
 	if o.wg != nil {
 		o.wg.Done()
 	}
-	return true
 }
 
 // cancelCloneLocked removes a still-queued or orphaned hedge clone,

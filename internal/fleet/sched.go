@@ -741,15 +741,19 @@ func (s *Scheduler) Complete(di int, batch []*Task, d time.Duration) {
 		}
 		removeRunning(&s.devs[t.dev], t)
 		s.cCompleted.Add(1)
-		if s.deliverLocked(t, t.Result, t.Err, di) {
+		if o := t.root(); !o.delivered {
+			// This attempt wins its slot. Its event goes in before the
+			// delivery fires the solve's latch, after which the solve may
+			// stamp its accumulation at once.
 			if t.Err != nil {
 				t.Job.Event(jobtrace.KindFail, di, "compute", 0)
 			} else {
 				t.Job.Event(jobtrace.KindComplete, di, "", 0)
 			}
-			// This attempt won its slot: a still-pending hedge of the
-			// same root is wasted work — take it back out of the queue.
-			s.cancelCloneLocked(t.root().hedge)
+			s.deliverLocked(t, t.Result, t.Err, di)
+			// A still-pending hedge of the same root is wasted work —
+			// take it back out of the queue.
+			s.cancelCloneLocked(o.hedge)
 		}
 	}
 	dv := &s.devs[di]
