@@ -1,4 +1,4 @@
-.PHONY: verify build test bench fuzz-smoke profile
+.PHONY: verify build test bench fuzz-smoke profile lines
 
 # The gate for every change: static checks, full build, and the complete
 # test suite under the race detector (the fault-tolerant transport is
@@ -42,6 +42,14 @@ profile:
 		go tool pprof -top -nodecount 25 $$d/conv.test $$d/local-$$b.prof || exit 1; \
 	done; \
 	echo "profiles in $$d"
+
+# Non-test Go lines per package under internal/ and cmd/ (wc -l over the
+# files not named *_test.go), then their total: the counts a change that
+# removes code quotes. Not part of verify.
+lines:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done | awk '{ print; s += $$1 } END { printf "%6d  total\n", s }'
 
 # 10s smoke of each fuzz target against the committed seed corpora; the
 # full 30s runs are part of the PR acceptance checklist.

@@ -27,12 +27,12 @@ func SolveReferenceDistributed(c *cluster.Cluster, m *Microstructure, E grid.Sym
 	if err != nil {
 		return nil, err
 	}
-	conv, err := cluster.SlabConvolver(n, c.P, gammaOp(m.Dim, m.gamma()))
+	convolve, err := cluster.SlabConvolver(n, c.P, gammaOp(m.Dim, m.gamma()))
 	if err != nil {
 		return nil, err
 	}
 	err = c.Run(func(w *cluster.Worker) error {
-		o := &slabs{w: w, conv: conv}
+		o := &slabs{w: w, conv: convolve}
 		for range grid.NumVoigt {
 			o.planes = append(o.planes, make([]complex128, n*n*n/c.P))
 		}
