@@ -30,13 +30,13 @@ test:
 bench:
 	go test -bench=. -benchmem ./...
 
-# CPU profiles of one conv.Local run on one core at the local and solve
-# shapes (BenchmarkLocalRun/n128-k32 and /n64-k16-fresh), and the top of
-# each: where a local op spends its time. The profiles and the test binary
+# CPU profiles of one conv.Local run on one core at the local, solve and
+# serve shapes (BenchmarkLocalRun/n128-k32, /n64-k16-fresh and /n32-k8), and
+# the top of each: where a local op spends its time. The profiles and the test binary
 # go to a fresh temporary directory, named at the end. Not part of verify.
 profile:
 	@d=$$(mktemp -d) && \
-	for b in n128-k32 n64-k16-fresh; do \
+	for b in n128-k32 n64-k16-fresh n32-k8; do \
 		go test -run '^$$' -bench "LocalRun/^$$b\$$" -cpu 1 -benchtime 3s \
 			-o $$d/conv.test -cpuprofile $$d/local-$$b.prof ./internal/conv && \
 		go tool pprof -top -nodecount 25 $$d/conv.test $$d/local-$$b.prof || exit 1; \

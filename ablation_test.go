@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lowcomm3d/internal/conv"
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
@@ -159,9 +160,10 @@ func TestAblationFarRateErrorTradeoff(t *testing.T) {
 
 // TestAblationSlabMemoryModel: the paper sizes the slab the 2-D transform
 // leaves at 8·N²·k (Table 1) — DESIGN.md §5 ablation 5. The pipeline never
-// holds that slab: it transforms one kx at a time, so what stage A leaves
-// is the x spectra, exactly the model × k(N+2)/N² (k/N of it plus the
-// Nyquist column), and everything a run holds undercuts the dense grid.
+// holds that slab: it transforms fft.Tile kx at a time, so what stage A
+// leaves is the x spectra, exactly the model × 2k·hp/N² (k/N of it plus the
+// Nyquist column, padded to hp = N/2+1 rounded up to fft.Tile), and
+// everything a run holds undercuts the dense grid.
 func TestAblationSlabMemoryModel(t *testing.T) {
 	n, k := 64, 16
 	dim := grid.Cube(n)
@@ -179,8 +181,8 @@ func TestAblationSlabMemoryModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlabBytes*n*n != st.ModelBytes*k*(n+2) {
-		t.Errorf("x spectra %d != model %d × k(n+2)/n²", st.SlabBytes, st.ModelBytes)
+	if hp := (n/2 + fft.Tile) / fft.Tile * fft.Tile; st.SlabBytes*n*n != st.ModelBytes*k*2*hp {
+		t.Errorf("x spectra %d != model %d × 2k·hp/n²", st.SlabBytes, st.ModelBytes)
 	}
 	if st.PeakBytes >= 16*dim.Len() {
 		t.Errorf("peak %d must undercut the dense complex grid %d", st.PeakBytes, 16*dim.Len())

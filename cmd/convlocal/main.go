@@ -123,7 +123,7 @@ func main() {
 	t.AddCells("peak bytes (all held at once)", ofModel(st.PeakBytes))
 	t.AddCells("dense result bytes", report.Bytes(8*int64(dim.Len())))
 	t.AddCells("stage A (x forward)", st.StageA.String())
-	t.AddCells("stage B (per kx: y, z + kernel, inverse y)", st.StageB.String())
+	t.AddCells("stage B (per four kx: y, z + kernel, inverse y)", st.StageB.String())
 	t.AddCells("stage C (inverse x + sampling)", st.StageC.String())
 	t.AddCells("local runtime", localDur.String())
 	t.AddCells("baseline runtime", baseDur.String())

@@ -155,7 +155,7 @@ func (d *dense) start(id int) block {
 // run convolves rank w's share: data[c] holds component c on d.start(w.ID)
 // and on return holds the result on the returned block.
 func (d *dense) run(w *Worker, data [][]complex128) (b block, err error) {
-	b, scratch := d.start(w.ID), make([]complex128, d.n)
+	b, scratch := d.start(w.ID), make([]complex128, fft.Tile*d.n)
 	for i, a := range []int{0, 1, 2, 0, 1} {
 		if b, err = d.whole(w, data, b, a); err != nil {
 			return b, err
@@ -264,10 +264,11 @@ func (d *dense) lines(data [][]complex128, b block, a int, inverse bool, scratch
 }
 
 // zStage runs the z transforms, op and the inverse z transforms on b,
-// which holds z whole, fft.Tile y lines of one x at a time, staged in
-// natural order and read and written through zRows so the transforms skip
-// their reorders. Where Tile does not divide the rank's y extent, the last
-// tile's spare pencils carry stale values, which are not scattered back.
+// which holds z whole, fft.Tile adjacent x of one y line at a time (four
+// kx, once the x transforms are done), staged in natural order and read
+// and written through zRows so the transforms skip their reorders. Where
+// Tile does not divide the rank's x extent, the last tile's spare pencils
+// carry stale values, which are not scattered back.
 func (d *dense) zStage(data [][]complex128, b block, scratch []complex128) error {
 	var ec fft.FirstError
 	nx, ny := b.Hi[0]-b.Lo[0], b.Hi[1]-b.Lo[1]
@@ -276,25 +277,21 @@ func (d *dense) zStage(data [][]complex128, b block, scratch []complex128) error
 	for c := range tiles {
 		tiles[c] = make([]complex128, fft.Tile*d.n)
 	}
-	for y0 := 0; y0 < ny; y0 += fft.Tile {
-		pencils := min(fft.Tile, ny-y0)
-		for x := range nx {
-			off := y0*nx + x // the tile's first pencil at z = 0
+	for y := range ny {
+		for x0 := 0; x0 < nx; x0 += fft.Tile {
+			pencils := min(fft.Tile, nx-x0)
+			off := y*nx + x0 // the tile's first pencil at z = 0
 			for c, v := range data {
 				for z := range d.n {
-					for j := range pencils {
-						stage[fft.Tile*z+j] = v[off+(z*ny+j)*nx]
-					}
+					copy(stage[fft.Tile*z:][:pencils], v[off+z*ny*nx:])
 				}
 				ec.Record(d.plan.TileForward(tiles[c], stage, d.zRows, scratch))
 			}
-			d.op(b.Lo[0]+x, b.Lo[1]+y0, tiles)
+			d.op(b.Lo[0]+x0, b.Lo[1]+y, tiles)
 			for c, v := range data {
 				ec.Record(d.plan.TileInverse(tiles[c], stage, d.zRows, scratch))
 				for z := range d.n {
-					for j := range pencils {
-						v[off+(z*ny+j)*nx] = stage[fft.Tile*z+j]
-					}
+					copy(v[off+z*ny*nx:][:pencils], stage[fft.Tile*z:])
 				}
 			}
 		}

@@ -98,8 +98,8 @@ func TestLocalComponentsPinnedBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauss := KernelPointwise(dim, green.Gaussian{Sigma: 2})
-	pw := func(kx, ky0 int, tile [][]complex128) {
-		gauss(kx, ky0, tile)
+	pw := func(kx0, ky int, tile [][]complex128) {
+		gauss(kx0, ky, tile)
 		for c := len(tile) - 1; c > 0; c-- {
 			w := complex(float64(c+1)/8, 0)
 			for i, v := range tile[c-1] {

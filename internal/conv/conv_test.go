@@ -290,11 +290,12 @@ func TestLocalBatchSizeInvariance(t *testing.T) {
 
 // TestLocalStats: the footprint figures are the pipeline's buffers, sized
 // from the tree alone — the x spectra, the kept rows (the rows of the kept z
-// planes that carry a sample, over the half spectrum) and one kx block of
-// max(k, kept planes) padded lines per stage-B worker.
+// planes that carry a sample, over the half spectrum padded to fft.Tile)
+// and one kx block of max(k, kept planes) padded tiles per stage-B worker.
 func TestLocalStats(t *testing.T) {
 	n, k := 32, 8
 	h := n/2 + 1
+	hp := (h + fft.Tile - 1) / fft.Tile * fft.Tile // kx per row, padding lanes included
 	dim := grid.Cube(n)
 	sub := grid.CubeAt(grid.Point{8, 8, 8}, k)
 	tree, err := sample.DefaultPolicy(sub, 16).Tree(dim)
@@ -314,16 +315,16 @@ func TestLocalStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 16 * k * k * h; st.SlabBytes != want {
+		if want := 16 * k * k * hp; st.SlabBytes != want {
 			t.Errorf("workers %d: x-spectrum bytes %d want %d", workers, st.SlabBytes, want)
 		}
 		if st.KeptZPlanes != len(planes) {
 			t.Errorf("workers %d: kept planes %d want %d", workers, st.KeptZPlanes, len(planes))
 		}
-		if want := 16 * h * len(rows); st.PlanesBytes != want {
+		if want := 16 * hp * len(rows); st.PlanesBytes != want {
 			t.Errorf("workers %d: kept-row bytes %d want %d (%d rows)", workers, st.PlanesBytes, want, len(rows))
 		}
-		blocks := 16 * workers * max(k, len(planes)) * (n + blockPad)
+		blocks := 16 * workers * max(k, len(planes)) * (fft.Tile*n + blockPad)
 		if want := st.SlabBytes + st.PlanesBytes + blocks + st.SampleBytes; st.PeakBytes != want {
 			t.Errorf("workers %d: peak %d want %d", workers, st.PeakBytes, want)
 		}
@@ -516,21 +517,21 @@ func TestKernelPointwiseSeparableFastPath(t *testing.T) {
 	tile := make([]complex128, fft.Tile*d.Nz)
 	for ky := 0; ky < d.Ny; ky++ {
 		for kx := 0; kx < d.Nx; kx++ {
-			// One tile at a time, its first pencil at ky: fill the tile,
+			// One tile at a time, its first pencil at kx: fill the tile,
 			// let the fast path rewrite it, compare every kz of every
-			// pencil below Ny against the per-point Hat.
+			// pencil below Nx against the per-point Hat.
 			for i := range tile {
 				tile[i] = v
 			}
 			fast(kx, ky, [][]complex128{tile})
 			for i, a := range tile {
 				kz, j := i/fft.Tile, i%fft.Tile
-				if ky+j >= d.Ny {
+				if kx+j >= d.Nx {
 					continue // padding
 				}
-				b := generic(kx, ky+j, kz, v)
+				b := generic(kx+j, ky, kz, v)
 				if math.Abs(real(a-b)) > 1e-15 || math.Abs(imag(a-b)) > 1e-15 {
-					t.Fatalf("(%d,%d,%d): fast %v generic %v", kx, ky+j, kz, a, b)
+					t.Fatalf("(%d,%d,%d): fast %v generic %v", kx+j, ky, kz, a, b)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package conv
 import (
 	"sort"
 
+	"lowcomm3d/internal/fft"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/octree"
 	"lowcomm3d/internal/sample"
@@ -16,14 +17,13 @@ import (
 // serves every box its tree is a translate for. It is immutable: Locals
 // share it, and Local.place turns it into one box's index.
 type geometry struct {
-	tree     *octree.Tree
-	at       grid.Point // the low corner of the box whose frame the index is in
-	keptZ    []int32
-	rows     []sampleRow
-	rowOff   []int
-	gather   []gatherPoint
-	rowPairs int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
-	maxEdge  int // the tree's largest cell edge
+	tree    *octree.Tree
+	at      grid.Point // the low corner of the box whose frame the index is in
+	keptZ   []int32
+	rows    []sampleRow
+	rowOff  []int
+	gather  []gatherPoint
+	maxEdge int // the tree's largest cell edge
 }
 
 // newGeometry groups the octree's stored sample points by z plane and,
@@ -66,7 +66,6 @@ func newGeometry(tree *octree.Tree, at grid.Point) *geometry {
 		if len(g.rows) > first {
 			g.keptZ = append(g.keptZ, int32(z))
 			g.rowOff = append(g.rowOff, len(g.rows))
-			g.rowPairs += (len(g.rows) - first + 1) / 2
 		}
 	}
 	g.gather = make([]gatherPoint, len(keys))
@@ -155,13 +154,14 @@ func (g *geometry) treeAt(o grid.Point) *octree.Tree {
 
 // place sets l's sampling index to g's, moved to l's box: the tree is g's
 // in the box's frame (treeAt); the kept planes, and the rows of each, are
-// rotated into ascending order on the grid, which is how stage C pairs
-// rows, and stored through perm; and xpos maps a frame x to its line
+// rotated into ascending order on the grid, and stored through perm; the
+// rows of each plane are paired in that order, fft.Tile pairs to a stage-C
+// tile; and xpos maps a frame x to its line
 // position, through which stage C gathers.
 func (l *Local) place(g *geometry) {
 	n, o := l.n, grid.Point{l.ox, l.oy, l.oz}
 	l.tree = g.treeAt(o)
-	l.gather, l.rowPairs = g.gather, g.rowPairs
+	l.gather = g.gather
 	nz := len(g.keptZ)
 	l.keptZ = make([]int32, 0, nz)
 	l.rows = make([]sampleRow, 0, len(g.rows))
@@ -179,6 +179,16 @@ func (l *Local) place(g *geometry) {
 			l.rows = append(l.rows, r)
 		}
 		l.rowOff = append(l.rowOff, len(l.rows))
+	}
+	for slot := range nz {
+		end := l.rowOff[slot+1]
+		for ra := l.rowOff[slot]; ra < end; ra += 2 {
+			l.pairs = append(l.pairs, rowPair{int32(ra), int32(min(ra+1, end-1))})
+		}
+	}
+	l.rowPairs = len(l.pairs)
+	for len(l.pairs)%fft.Tile != 0 { // a padding lane repeats the last pair
+		l.pairs = append(l.pairs, l.pairs[len(l.pairs)-1])
 	}
 	l.xpos = make([]int32, n)
 	for x := range l.xpos {

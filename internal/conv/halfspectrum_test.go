@@ -62,16 +62,16 @@ func gammaLike(dim grid.Dim3) Pointwise {
 }
 
 func gammaWith(apply func(d grid.Dim3, kx, ky, kz int, s grid.SymTensor) grid.SymTensor, dim grid.Dim3) Pointwise {
-	return func(kx, ky0 int, tile [][]complex128) {
+	return func(kx0, ky int, tile [][]complex128) {
 		for kz := range dim.Nz {
-			for j := range min(fft.Tile, dim.Ny-ky0) {
+			for j := range min(fft.Tile, dim.Nx-kx0) {
 				i := fft.Tile*kz + j
 				var re, im grid.SymTensor
 				for v, t := range tile {
 					re[v], im[v] = real(t[i]), imag(t[i])
 				}
-				gre := apply(dim, kx, ky0+j, kz, re)
-				gim := apply(dim, kx, ky0+j, kz, im)
+				gre := apply(dim, kx0+j, ky, kz, re)
+				gim := apply(dim, kx0+j, ky, kz, im)
 				for v, t := range tile {
 					t[i] = complex(gre[v], gim[v])
 				}
@@ -182,7 +182,7 @@ func TestHermitianProbe(t *testing.T) {
 			t.Errorf("n %d: odd spectrum gave %v, want ErrNotHermitian", n, err)
 		}
 		// Imaginary and even is just as wrong as real and odd.
-		imagEven := func(kx, ky0 int, tile [][]complex128) {
+		imagEven := func(kx0, ky int, tile [][]complex128) {
 			for _, t := range tile {
 				for i := range t {
 					t[i] *= 1i

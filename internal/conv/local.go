@@ -19,26 +19,26 @@ import (
 // Pointwise is the frequency-domain callback applied between the forward
 // and inverse stages — the role played by cuFFT callback functions in the
 // paper's proof of concept (Fig. 4) and by the pointwise sub-plan in its
-// FFTX sketch (Fig. 5). It is called once per tile of fft.Tile adjacent z
-// pencils of one kx, the paper's "B pencils at a time": tile[c] is
+// FFTX sketch (Fig. 5). It is called once per tile of fft.Tile z pencils of
+// adjacent kx at one ky, the paper's "B pencils at a time": tile[c] is
 // component c's tile, N rows of fft.Tile values, row kz holding the
-// forward-transformed pencils ky0 … ky0+Tile−1 at kz, pencil j at
-// tile[c][Tile·kz+j], rewritten in place. Seeing every component of a
+// forward-transformed pencils (kx0, ky) … (kx0+Tile−1, ky) at kz, pencil j
+// at tile[c][Tile·kz+j], rewritten in place. Seeing every component of a
 // frequency at once is what lets a tensor kernel (MASSIF's Γ̂) couple them;
-// a scalar kernel scales each component alike. Pencils ky ≥ N, which only
-// a last tile has when Tile does not divide N, are padding: what the
-// callback does to them is dropped. Calls for different tiles run
+// a scalar kernel scales each component alike. A caller may run pencils it
+// does not need as padding — Local's past kx = N/2 when Tile does not
+// divide N/2+1, kx ≥ N at most — and drops what the callback does to them;
+// a callback may leave pencils kx ≥ N alone. Calls for different tiles run
 // concurrently.
 //
 // The input is real, so the pipeline carries only the half spectrum
 // kx ∈ [0, N/2] and rebuilds the rest by Hermitian symmetry. That is only
 // right for a callback that keeps the symmetry — applied at −k to the
 // conjugate of what it sees at k it must return the conjugate: a real
-// spectrum even in ξ, or Γ̂. A run calls it with kx ≤ N/2 and ky0 a
-// multiple of Tile only, but it must be defined for every index and any
-// ky0: construction probes mirrored pencils and refuses anything else with
-// ErrNotHermitian.
-type Pointwise func(kx, ky0 int, tile [][]complex128)
+// spectrum even in ξ, or Γ̂. A run calls it with kx0 a multiple of Tile
+// only, but it must be defined for every index and any kx0: construction
+// probes mirrored pencils and refuses anything else with ErrNotHermitian.
+type Pointwise func(kx0, ky int, tile [][]complex128)
 
 // ErrNotHermitian is returned (wrapped with the offending index) by the
 // Local constructors for a callback the half-spectrum pipeline would
@@ -56,33 +56,33 @@ var ErrNotHermitian = errors.New("conv: pointwise callback is not Hermitian")
 // complex(r, 0) takes four and two adds.
 func KernelPointwise(d grid.Dim3, k green.Kernel) Pointwise {
 	if s, ok := k.(green.Separable); ok {
-		tx := make([]float64, d.Nx)
-		for kx := range tx {
+		tx := make([]float64, d.Nx+fft.Tile-1) // pencils kx ≥ N read a zero
+		for kx := range d.Nx {
 			tx[kx] = s.AxisHat(d.Nx, kx)
 		}
-		ty := make([]float64, d.Ny+fft.Tile-1) // padding pencils read a zero
-		for ky := range d.Ny {
+		ty := make([]float64, d.Ny)
+		for ky := range ty {
 			ty[ky] = s.AxisHat(d.Ny, ky)
 		}
 		tz := make([]float64, d.Nz)
 		for kz := range tz {
 			tz[kz] = s.AxisHat(d.Nz, kz)
 		}
-		return func(kx, ky0 int, tile [][]complex128) {
+		return func(kx0, ky int, tile [][]complex128) {
 			var txy [fft.Tile]float64
 			for j := range txy {
-				txy[j] = tx[kx] * ty[ky0+j]
+				txy[j] = tx[kx0+j] * ty[ky]
 			}
 			for _, t := range tile {
 				fft.ScaleTile(t, txy, tz)
 			}
 		}
 	}
-	return func(kx, ky0 int, tile [][]complex128) {
-		pencils := min(fft.Tile, d.Ny-ky0)
+	return func(kx0, ky int, tile [][]complex128) {
+		pencils := min(fft.Tile, d.Nx-kx0)
 		for kz := range d.Nz {
 			for j := range pencils {
-				r := k.Hat(d, kx, ky0+j, kz)
+				r := k.Hat(d, kx0+j, ky, kz)
 				for _, t := range tile {
 					v := t[fft.Tile*kz+j]
 					t[fft.Tile*kz+j] = complex(real(v)*r, imag(v)*r)
@@ -109,8 +109,8 @@ type Config struct {
 // quantities behind the paper's Tables 1 and 4. The byte and sample figures
 // cover all C components of the pipeline.
 type Stats struct {
-	SlabBytes   int // x spectra, C×k×k×(N/2+1) complex: stage A's output, stage B's input
-	PlanesBytes int // kept rows, C×(N/2+1)×R complex, R = rows of the kept z planes that carry a sample
+	SlabBytes   int // x spectra, C×k×k×H complex, H = N/2+1 rounded up to fft.Tile: stage A's output, stage B's input
+	PlanesBytes int // kept rows, C×R×H complex, R = rows of the kept z planes that carry a sample
 	SampleBytes int // compressed outputs (samples + octree metadata)
 	PeakBytes   int // all of the above plus the per-worker kx blocks: everything a run holds at once
 	ModelBytes  int // the paper's 8·N²·k back-of-envelope figure, times C
@@ -122,7 +122,7 @@ type Stats struct {
 	// Per-stage wall time, measured whether or not a Trace is attached, so
 	// job timelines can attribute compute latency to stages A/B/C.
 	StageA time.Duration // forward x transforms (real rows, two per transform) into the x spectra
-	StageB time.Duration // per kx: forward y, z pencils + pointwise, inverse y of the kept planes
+	StageB time.Duration // per fft.Tile kx: forward y, z pencils + pointwise, inverse y of the kept planes
 	StageC time.Duration // inverse x of the kept rows + octree gather
 }
 
@@ -135,14 +135,13 @@ type Stats struct {
 // scalar kernel, six Voigt components for MASSIF's Γ̂), coupled only inside
 // the Pointwise callback.
 //
-// It carries the half spectrum kx ∈ [0, h), h = N/2+1, one kx at a time:
-// stage B takes each through the y, z and inverse y transforms in a
-// per-worker block that stays in cache and keeps only the rows stage C
-// samples, so neither the h×N×k slab nor a kept z plane is ever held whole.
-// Its z pencils go fft.Tile at a time through one tile transform
-// (fft.Plan.TileForward, the callback, TileInverse): the forward reads the
-// box's k rows of a tile straight from the block, every other z being
-// zero, and the inverse writes only the kept planes' rows back into it.
+// It carries the half spectrum kx ∈ [0, h), h = N/2+1, fft.Tile adjacent
+// kx at a time, one per lane of every tile transform (fft.Plan.TileForward,
+// TileInverse; kx ≥ h are padding): stage B takes them through the y, z and
+// inverse y transforms in a per-worker block that stays in cache and keeps
+// only the rows stage C samples, so neither the h×N×k slab nor a kept z
+// plane is ever held whole (kxBlock). Stage C inverts fft.Tile packed row
+// pairs per tile transform (xTile).
 type Local struct {
 	dim   grid.Dim3
 	sub   grid.Box
@@ -158,17 +157,17 @@ type Local struct {
 	// y; kept plane slot's are rows[rowOff[slot]:rowOff[slot+1]]), both
 	// stored at their positions through perm, and each row's gather points,
 	// shared with the geometry, whose frame x xpos takes to a line position.
-	// zIn and zOut are a tile's z rows in a kx block (see kxSlice): the
-	// box's k slices, which the forward reads, and the kept planes' lines,
-	// which the inverse writes.
+	// pairs lists stage C's row pairs, fft.Tile per tile transform.
 	keptZ    []int32
 	rows     []sampleRow
 	rowOff   []int
 	gather   []gatherPoint
 	xpos     []int32
 	rowPairs int // Σ over kept planes of ⌈rows/2⌉: stage C's x transforms
-	zIn      fft.Rows
-	zOut     fft.Rows
+	pairs    []rowPair
+
+	yIn, zIn, zOut, xAll fft.Rows   // the tile transforms' row maps (tileRows)
+	yOut                 []fft.Rows // one per kept plane
 
 	// Reused working buffers (Run is therefore not safe for concurrent
 	// use on one Local; create one Local per goroutine): the one pooled buf,
@@ -176,15 +175,16 @@ type Local struct {
 	// and the per-worker tiles and line, allocated once so a warm Run
 	// performs no heap allocations.
 	buf     []complex128
-	blocks  []complex128 // per worker: [c][line] of bl lines at stride N+blockPad
-	xspec   []complex128 // [c][z][kx][y]: stage A's x transforms
-	kept    []complex128 // [c][kx][r]: row r of rows after the inverse y transform
+	blocks  []complex128 // per worker: [c][tile] of bl tiles at stride Tile·N+blockPad
+	xspec   []complex128 // [c][z][y][kx]: stage A's x transforms, hp per row
+	kept    []complex128 // [c][r][kx]: row r of rows after the inverse y transform, hp per row
 	scratch []tileScratch
 
 	// Fixed geometry, cached at construction.
 	n, h, k    int // grid edge, half-spectrum width n/2+1, sub-domain edge
+	hp         int // h rounded up to fft.Tile: kx per row, padding lanes included
 	ox, oy, oz int // sub-domain low corner
-	bl         int // lines per component of a kx block: max(k, kept planes)
+	bl         int // tiles per component of a kx block: max(k, kept planes)
 
 	// Per-run state read by the prebuilt worker funcs below. The funcs
 	// are bound once at construction: a closure literal in Run would be
@@ -221,17 +221,19 @@ type gatherPoint struct {
 	sample int32
 }
 
-// blockPad pads a kx block's line stride past N, so that at a power-of-two
-// N the block lines a tile reads do not all map to one cache set, and so
-// that every tile reads and writes whole rows of fft.Tile columns: the last
-// tile of an N that Tile does not divide runs into the pad, and its
-// padding pencils carry the pad's values, which go no further.
+// rowPair is the two kept rows stage C packs into one x line, b == a for a
+// plane's unpaired last row.
+type rowPair struct{ a, b int32 }
+
+// blockPad pads a kx block's tile stride past Tile·N by one row, so that at
+// a power-of-two N the rows a z tile reads, one from each slice's y tile,
+// do not all map to one cache set. The pad row is never read or written.
 const blockPad = fft.Tile
 
 // tileScratch is one worker's reusable tiles, one per component, as the
-// callback takes them, and one length-n work line: stages A and C
-// transform in it, and a tile uses it where it runs through the line
-// kernel (fft.Plan.TileForward).
+// callback takes them, and one work line of fft.Tile·N: stage A transforms
+// in its first N, and a tile transform uses it where it runs on the line
+// path (fft.Plan.TileForward). Stage C builds its tiles in tile[0].
 type tileScratch struct {
 	tile [][]complex128
 	line []complex128
@@ -321,7 +323,7 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 	l.scratch = make([]tileScratch, ps.workers)
 	for w := range l.scratch {
 		sc := &l.scratch[w]
-		lines := make([]complex128, (fft.Tile*comps+1)*n)
+		lines := make([]complex128, fft.Tile*(comps+1)*n)
 		sc.tile = make([][]complex128, comps)
 		for c := range sc.tile {
 			sc.tile[c] = lines[fft.Tile*c*n : fft.Tile*(c+1)*n : fft.Tile*(c+1)*n]
@@ -329,10 +331,11 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 		sc.line = lines[fft.Tile*comps*n:]
 	}
 	l.n, l.h, l.k = n, n/2+1, k
+	l.hp = (l.h + fft.Tile - 1) / fft.Tile * fft.Tile
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
 	l.fnA = l.recorded(l.xSlice)
-	l.fnB = l.recorded(l.kxSlice)
-	l.fnC = l.recorded(l.keptPlane)
+	l.fnB = l.recorded(l.kxBlock)
+	l.fnC = l.recorded(l.xTile)
 	l.place(g)
 	l.bl = max(k, len(l.keptZ))
 	if err := l.tileRows(); err != nil {
@@ -348,7 +351,7 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 // pw applied at −k to the conjugate-mirrored pencil returns the conjugate
 // mirror of what it returns at k, to 1e-9 of the largest output, both
 // measured by the larger of a value's two parts. Probe i puts its pencil in
-// lane j = min(i, Tile−1, ky) of a tile at (kx, ky − j), so that the five
+// lane j = min(i, Tile−1, kx) of a tile at (kx − j, ky), so that the five
 // probes cover every lane, and its mirror in lane 0 of an otherwise zero
 // tile at (−kx, −ky). The self-conjugate pairs — (0, 0), (N/2, N/2) — test
 // the symmetry in kz alone; (N/2, 1) is the mixed-Nyquist case a
@@ -376,7 +379,7 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 	}
 	for i, p := range [][2]int{{0, 0}, {n / 2, 1 % n}, {n / 2, n / 2}, {1 % n, 2 % n}, {3 % n, n - 1}} {
 		kx, ky := p[0], p[1]
-		j := min(i, T-1, ky)
+		j := min(i, T-1, kx)
 		for c := range a {
 			clear(b[c])
 			for kz := 0; kz < n; kz++ {
@@ -387,7 +390,7 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 				b[c][T*neg(kz)] = cmplx.Conj(v)
 			}
 		}
-		pw(kx, ky-j, a)
+		pw(kx-j, ky, a)
 		pw(neg(kx), neg(ky), b)
 		var scale float64
 		for c := range a {
@@ -415,9 +418,8 @@ func (l *Local) Tree() *octree.Tree { return l.tree }
 // any pipeline draws from, so a caller that streams many pipelines one at a
 // time — or builds one per box and runs it once — holds one live buffer
 // between runs and allocates (and zeroes) none after the first. It is never
-// cleared: the stages write, or clear, every element before reading it, but
-// for the block's pad columns, whose values a last tile's padding pencils
-// carry and drop.
+// cleared: the stages write every element before reading it (stage A the
+// x spectra's padding lanes too), and the blocks' pad rows are never read.
 func (l *Local) ReleaseBuffers() {
 	putBuffer(l.buf)
 	l.buf, l.xspec, l.kept, l.blocks = nil, nil, nil, nil
@@ -491,10 +493,10 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	// Stage A — forward x transforms of the k rows of every sub-domain
 	// slice, two real rows per complex transform, into the x spectra.
 	tA, spanA := time.Now(), run.Start("conv.stageA")
-	nz := len(l.keptZ)
-	xn, kn := comps*k*k*h, comps*h*len(l.rows)
-	bw := min(fft.Workers(l.cfg.Workers), h) // stage-B workers, one block each
-	bn := bw * comps * l.bl * (n + blockPad)
+	nz, hp := len(l.keptZ), l.hp
+	xn, kn := comps*k*k*hp, comps*len(l.rows)*hp
+	bw := min(fft.Workers(l.cfg.Workers), hp/fft.Tile) // stage-B workers, one block each
+	bn := bw * comps * l.bl * (fft.Tile*n + blockPad)
 	if size := bn + xn + kn; len(l.buf) != size {
 		l.buf = takeBuffer(size)
 	}
@@ -511,18 +513,19 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		return st, err
 	}
 
-	// Stage B — per kx, forward y transforms, its N z pencils four at a
-	// time, one tile transform each way with the pointwise callback between
+	// Stage B — per fft.Tile adjacent kx: forward y tiles, the z pencils
+	// one tile transform each way per ky with the pointwise callback between
 	// ("1D transforms of B pencils at a time in the z-dimension"), inverse y
-	// of the kept z planes, the sampled rows kept.
+	// tiles of the kept z planes, the sampled rows kept.
 	tB, spanB := time.Now(), run.Start("conv.stageB")
-	if st.StageB, err = l.stage(spanB, tB, "conv.stageB.worker", h, l.fnB, l.hB); err != nil {
+	if st.StageB, err = l.stage(spanB, tB, "conv.stageB.worker", hp/fft.Tile, l.fnB, l.hB); err != nil {
 		return st, err
 	}
 
-	// Stage C — per kept plane, the inverse x transform of its kept rows
-	// and the octree gather (the full 3D result is never materialized).
-	// Every sample slot is rewritten, so a recycled output needs no zeroing.
+	// Stage C — fft.Tile row pairs per tile transform, the inverse x
+	// transform of the kept rows and the octree gather (the full 3D result
+	// is never materialized). Every sample slot is rewritten, so a recycled
+	// output needs no zeroing.
 	tC, spanC := time.Now(), run.Start("conv.stageC")
 	for c, out := range outs {
 		if out == nil || out.Tree != l.tree || len(out.Samples) != l.tree.SampleCount() {
@@ -533,7 +536,7 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		st.SampleBytes += out.MemoryBytes()
 	}
 	l.runOut = outs
-	st.StageC, err = l.stage(spanC, tC, "conv.stageC.worker", comps*nz, l.fnC, l.hC)
+	st.StageC, err = l.stage(spanC, tC, "conv.stageC.worker", comps*len(l.pairs)/fft.Tile, l.fnC, l.hC)
 	l.runOut = nil
 	if err != nil {
 		return st, err
@@ -547,7 +550,8 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		tr.Counter("conv.sample_bytes").Add(int64(st.SampleBytes))
 		// FLOP model in length-n transforms per component: stage A does
 		// ⌈k/2⌉ packed row pairs per slice, stage B k columns, two per
-		// pencil and nz kept lines per kx, stage C one per pair of kept rows.
+		// pencil and nz kept lines per kx, stage C one per pair of kept rows:
+		// the half spectrum's work, the tiles' padding lanes not counted.
 		lines := k*((k+1)/2+h) + 2*h*n + nz*h + l.rowPairs
 		tr.Counter("conv.flops_model").Add(int64(comps) * int64(lines) * obs.FFTFlops(n))
 		tr.Gauge("conv.peak_bytes").Max(int64(st.PeakBytes))
@@ -584,12 +588,13 @@ func (l *Local) recorded(f func(w, i int) error) func(w, i int) {
 // packed as a + i·b go through one complex transform and come apart by
 // symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
 // (Z[kx] − conj Z[−kx])/2i, written to the rows' x spectra. The packed row
-// is placed through perm, so the transform starts without a reorder.
+// is placed through perm, so the transform starts without a reorder. Row
+// yy's spectrum is row yy of the slice's x spectra, kx ∈ [h, hp) zeroed.
 func (l *Local) xSlice(w, i int) error {
-	n, h, k := l.n, l.h, l.k
+	n, h, k, hp := l.n, l.h, l.k, l.hp
 	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
-	xs := l.xspec[i*k*h:][:k*h]
-	line := l.scratch[w].line
+	xs := l.xspec[i*k*hp:][:k*hp]
+	line := l.scratch[w].line[:n]
 	px := l.perm[l.ox : l.ox+k]
 	for yy := 0; yy < k; yy += 2 {
 		paired := yy+1 < k
@@ -609,154 +614,139 @@ func (l *Local) xSlice(w, i int) error {
 		if err := l.plan.ForwardFromPerm(line); err != nil {
 			return err
 		}
-		// Row yy's spectrum lies at stride k, where stage B reads slice i's
-		// column kx as one run.
-		xa, xb := xs[yy:], xs[yy:] // xb is row yy+1's, when paired
+		xa, xb := xs[yy*hp:][:hp], xs[yy*hp:][:hp] // xb is row yy+1's, when paired
 		xa[0] = complex(real(line[0]), 0)
 		if paired {
-			xb = xs[yy+1:]
+			xb = xs[(yy+1)*hp:][:hp]
 			xb[0] = complex(imag(line[0]), 0)
 		}
 		for kx := 1; kx < h; kx++ {
 			zk, zm := line[kx], line[n-kx]
 			sum := complex(real(zk)+real(zm), imag(zk)-imag(zm)) // Z[kx] + conj Z[−kx]
-			xa[kx*k] = complex(real(sum)/2, imag(sum)/2)
+			xa[kx] = complex(real(sum)/2, imag(sum)/2)
 			if paired {
 				dif := complex(real(zk)-real(zm), imag(zk)+imag(zm)) // Z[kx] − conj Z[−kx]
-				xb[kx*k] = complex(imag(dif)/2, -real(dif)/2)
+				xb[kx] = complex(imag(dif)/2, -real(dif)/2)
 			}
+		}
+		clear(xa[h:])
+		clear(xb[h:])
+	}
+	return nil
+}
+
+// kxBlock is the stage-B worker for kx ∈ [Tile·b, Tile·b+Tile), one lane
+// each, in worker w's block of bl tiles per component: tile zi takes the
+// forward y transforms of box slice zi (yIn). Then, per ky, one z tile per
+// component reads row ky of the box's k slice tiles (zIn), the callback sees
+// every component's tile, and the inverse writes kept plane slot's values
+// to row ky of tile slot (zOut), which every forward of this ky has read.
+// Last, each kept plane's tile is inverse y transformed, its sampled rows
+// stored straight into the kept rows (yOut).
+func (l *Local) kxBlock(w, b int) error {
+	n, k, hp, nr := l.n, l.k, l.hp, len(l.rows)
+	ts := fft.Tile*n + blockPad
+	cs, kx0, sc := l.bl*ts, fft.Tile*b, &l.scratch[w]
+	blk, ec := l.blocks[w*l.comps*cs:][:l.comps*cs], &l.ec // a failed tile is recorded in place
+	for c := range l.comps {
+		for zi := range k {
+			ec.Record(l.plan.TileForward(blk[c*cs+zi*ts:][:ts-blockPad], l.xspec[(c*k+zi)*k*hp+kx0:], l.yIn, sc.line))
+		}
+	}
+	for ky := range n {
+		for c, t := range sc.tile {
+			ec.Record(l.plan.TileForward(t, blk[c*cs+fft.Tile*ky:], l.zIn, sc.line))
+		}
+		l.pw(kx0, ky, sc.tile) // pointwise kernel multiply — the cuFFT-callback stage
+		for c, t := range sc.tile {
+			ec.Record(l.plan.TileInverse(t, blk[c*cs+fft.Tile*ky:], l.zOut, sc.line))
+		}
+	}
+	for c := range l.comps {
+		for slot, to := range l.yOut {
+			ec.Record(l.plan.TileInverse(blk[c*cs+slot*ts:][:ts-blockPad], l.kept[c*nr*hp+kx0:], to, sc.line))
 		}
 	}
 	return nil
 }
 
-// kxSlice is the stage-B worker for frequency kx, in worker w's block of
-// bl lines per component: line zi takes the y transform of slice zi's
-// column kx, placed through perm into a cleared line; zTile carries the z
-// pencils, leaving kept plane slot in line slot; each kept line is inverse
-// y transformed in place and its rows that carry a sample are copied out.
-func (l *Local) kxSlice(w, kx int) error {
-	n, h, k, comps, bl := l.n, l.h, l.k, l.comps, l.bl
-	ls := n + blockPad
-	blk := l.blocks[w*comps*bl*ls:][:comps*bl*ls]
-	py := l.perm[l.oy : l.oy+k]
-	for c := 0; c < comps; c++ {
-		for zi := 0; zi < k; zi++ {
-			line := blk[(c*bl+zi)*ls:][:n]
-			col := l.xspec[((c*k+zi)*h+kx)*k:][:len(py)]
-			clear(line)
-			for yy, y := range py {
-				line[y] = col[yy]
-			}
-			if err := l.plan.ForwardFromPerm(line); err != nil {
-				return err
-			}
-		}
-	}
-	sc := &l.scratch[w]
-	for ky0 := 0; ky0 < n; ky0 += fft.Tile {
-		if err := l.zTile(sc, blk, kx, ky0); err != nil {
-			return err
-		}
-	}
-	nr := len(l.rows)
-	for c := 0; c < comps; c++ {
-		kept := l.kept[(c*h+kx)*nr:][:nr]
-		for slot := range l.keptZ {
-			line := blk[(c*bl+slot)*ls:][:n]
-			if err := l.plan.InverseToPerm(line); err != nil {
-				return err
-			}
-			for r := l.rowOff[slot]; r < l.rowOff[slot+1]; r++ {
-				kept[r] = line[l.rows[r].y]
-			}
-		}
-	}
-	return nil
-}
-
-// zTile carries the z pencils of ky ∈ [ky0, ky0+fft.Tile) of frequency kx
-// through one tile transform per component: the forward reads the tile's
-// row of each of the box's k block lines (l.zIn), the callback sees every
-// component's tile, and the inverse writes kept plane slot's row to block
-// line slot at the tile's columns (l.zOut), which every forward of the
-// tile has already read.
-func (l *Local) zTile(sc *tileScratch, blk []complex128, kx, ky0 int) error {
-	cs := l.bl * (l.n + blockPad) // one component's block
-	for c, t := range sc.tile {
-		if err := l.plan.TileForward(t, blk[c*cs+ky0:], l.zIn, sc.line); err != nil {
-			return err
-		}
-	}
-	// Pointwise kernel multiply — the cuFFT-callback stage.
-	l.pw(kx, ky0, sc.tile)
-	for c, t := range sc.tile {
-		if err := l.plan.TileInverse(t, blk[c*cs+ky0:], l.zOut, sc.line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tileRows builds zIn and zOut, offsets from a tile's first column in one
-// component's block: z position i of a tile is block line z − oz where the
-// box holds the plane at i, and kept plane slot's position is line slot.
+// tileRows builds the tile transforms' row maps, each offset from the
+// tile's first lane: yIn, y position i in a slice's x spectra, row y − oy
+// where the box holds it; zIn and zOut, in one component's block, slice
+// z − oz's tile where the box holds z at position i, and tile slot at kept
+// plane slot's position; xAll, row i of a tile at its own place; and
+// yOut[slot], in the kept rows, row r at the position of each of the
+// plane's rows r.
 func (l *Local) tileRows() error {
-	ls := int32(l.n + blockPad)
-	in, out := make([]int32, l.n), make([]int32, l.n)
-	for i, z := range l.perm {
-		in[i], out[i] = -1, -1
-		if zi := int(z) - l.oz; zi >= 0 && zi < l.k {
-			in[i] = int32(zi) * ls
+	n, ts := l.n, int32(fft.Tile*l.n+blockPad)
+	at := make([]int32, (4+len(l.keptZ))*n)
+	for i := range at {
+		at[i] = -1
+	}
+	for i, v := range l.perm {
+		if y := int(v) - l.oy; y >= 0 && y < l.k {
+			at[i] = int32(y * l.hp)
 		}
+		if z := int(v) - l.oz; z >= 0 && z < l.k {
+			at[n+i] = int32(z) * ts
+		}
+		at[3*n+i] = int32(fft.Tile * i)
 	}
 	for slot, i := range l.keptZ {
-		out[i] = int32(slot) * ls
-	}
-	var err error
-	if l.zIn, err = l.plan.Rows(in); err != nil {
-		return err
-	}
-	l.zOut, err = l.plan.Rows(out)
-	return err
-}
-
-// keptPlane is the stage-C worker for kept plane i%nz of component i/nz:
-// the inverse x transform of its kept rows, two per transform. Rows a, b
-// with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to the
-// negative kx by Hermitian symmetry with the DC and Nyquist terms taken
-// real, so F⁻¹Z = a + i·b; the samples are gathered from that line, which
-// the inverse leaves in perm order, where xpos points.
-func (l *Local) keptPlane(w, i int) error {
-	n, h, nr, nz := l.n, l.h, len(l.rows), len(l.keptZ)
-	c, slot := i/nz, i%nz
-	kept := l.kept[c*h*nr:][:h*nr] // row r's value at kx is kept[kx*nr+r]
-	out, xpos := l.runOut[c].Samples, l.xpos
-	line := l.scratch[w].line
-	end := l.rowOff[slot+1]
-	for ra := l.rowOff[slot]; ra < end; ra += 2 {
-		// An unpaired last row rides with itself; its imaginary half is
-		// not gathered.
-		rb := min(ra+1, end-1)
-		pa, pb := kept[ra:], kept[rb:]
-		line[0] = complex(real(pa[0]), real(pb[0]))
-		for kx := 1; kx < n-h+1; kx++ {
-			a, b := pa[kx*nr], pb[kx*nr]
-			line[kx] = complex(real(a)-imag(b), imag(a)+real(b))   // Â + i·B̂
-			line[n-kx] = complex(real(a)+imag(b), real(b)-imag(a)) // conj Â + i·conj B̂
+		at[2*n+int(i)] = int32(slot) * ts
+		for r := l.rowOff[slot]; r < l.rowOff[slot+1]; r++ {
+			at[(4+slot)*n+int(l.rows[r].y)] = int32(r * l.hp)
 		}
-		if n%2 == 0 {
-			line[n/2] = complex(real(pa[n/2*nr]), real(pb[n/2*nr]))
-		}
-		if err := l.plan.InverseToPerm(line); err != nil {
+	}
+	rows := make([]fft.Rows, len(at)/n)
+	for m := range rows {
+		var err error
+		if rows[m], err = l.plan.Rows(at[m*n : (m+1)*n]); err != nil {
 			return err
 		}
-		for _, g := range l.gather[l.rows[ra].lo:l.rows[ra].hi] {
-			out[g.sample] = real(line[xpos[g.x]])
+	}
+	l.yIn, l.zIn, l.zOut, l.xAll, l.yOut = rows[0], rows[1], rows[2], rows[3], rows[4:]
+	return nil
+}
+
+// xTile is the stage-C worker for tile i%m of component i/m, m tiles per
+// component: the inverse x transform of fft.Tile row pairs, one per lane.
+// Rows a, b with half spectra Â, B̂ are packed as Z = Â + i·B̂, extended to
+// the negative kx by Hermitian symmetry with the DC and Nyquist terms taken
+// real, so F⁻¹Z = a + i·b; the samples are gathered from the tile, which
+// the inverse leaves in perm order, where xpos points.
+func (l *Local) xTile(w, i int) error {
+	n, h, hp, nr := l.n, l.h, l.hp, len(l.rows)
+	m := len(l.pairs) / fft.Tile
+	c, pairs := i/m, l.pairs[i%m*fft.Tile:][:fft.Tile]
+	kept := l.kept[c*nr*hp:][:nr*hp] // row r's value at kx is kept[r*hp+kx]
+	out, xpos, t := l.runOut[c].Samples, l.xpos, l.scratch[w].tile[0]
+	for j, p := range pairs {
+		pa, pb := kept[int(p.a)*hp:][:h], kept[int(p.b)*hp:][:h]
+		t[j] = complex(real(pa[0]), real(pb[0]))
+		for kx := 1; kx < n-h+1; kx++ {
+			a, b := pa[kx], pb[kx]
+			t[fft.Tile*kx+j] = complex(real(a)-imag(b), imag(a)+real(b))     // Â + i·B̂
+			t[fft.Tile*(n-kx)+j] = complex(real(a)+imag(b), real(b)-imag(a)) // conj Â + i·conj B̂
 		}
-		if rb != ra {
-			for _, g := range l.gather[l.rows[rb].lo:l.rows[rb].hi] {
-				out[g.sample] = imag(line[xpos[g.x]])
+		if n%2 == 0 {
+			t[fft.Tile*(n/2)+j] = complex(real(pa[n/2]), real(pb[n/2]))
+		}
+	}
+	if err := l.plan.TileInverse(t, t, l.xAll, l.scratch[w].line); err != nil {
+		return err
+	}
+	for j, p := range pairs {
+		// An unpaired last row rides with itself; its imaginary half is
+		// not gathered.
+		ra := l.rows[p.a]
+		for _, g := range l.gather[ra.lo:ra.hi] {
+			out[g.sample] = real(t[fft.Tile*int(xpos[g.x])+j])
+		}
+		if p.b != p.a {
+			rb := l.rows[p.b]
+			for _, g := range l.gather[rb.lo:rb.hi] {
+				out[g.sample] = imag(t[fft.Tile*int(xpos[g.x])+j])
 			}
 		}
 	}

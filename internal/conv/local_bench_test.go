@@ -11,10 +11,12 @@ import (
 // BenchmarkLocalRun times one conv.Local run on one worker at the shapes of
 // the end-to-end workloads, with the Gaussian σ = 2 kernel and far rate 16
 // they use: n128-k32 is a warm pipeline on the centre box, as in
-// local-n128-k32; n64-k16 a warm pipeline on one box of solve-n64-k16; and
+// local-n128-k32; n64-k16 a warm pipeline on one box of solve-n64-k16;
 // n64-k16-fresh places a new pipeline per box from a shared plan set (and
 // its memoized sampling geometry), runs it and releases its buffer, walking
-// all 64 boxes as a solve's tasks do.
+// all 64 boxes as a solve's tasks do; and n32-k8 is a warm pipeline at the
+// shape of serve-rate150-n32-k8, where a last kx tile's padding lanes cost
+// the largest share.
 func BenchmarkLocalRun(b *testing.B) {
 	kernel := green.Gaussian{Sigma: 2}
 	warm := func(b *testing.B, n, k int) {
@@ -40,6 +42,7 @@ func BenchmarkLocalRun(b *testing.B) {
 	}
 	b.Run("n128-k32", func(b *testing.B) { warm(b, 128, 32) })
 	b.Run("n64-k16", func(b *testing.B) { warm(b, 64, 16) })
+	b.Run("n32-k8", func(b *testing.B) { warm(b, 32, 8) })
 	b.Run("n64-k16-fresh", func(b *testing.B) {
 		const n, k = 64, 16
 		dim := grid.Cube(n)

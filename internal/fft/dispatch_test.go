@@ -190,13 +190,14 @@ func scaleTileCase(got, want, x []complex128, s [Tile]float64, r []float64) int 
 	return firstBitDiff(got, want)
 }
 
-// TestScaleTileMatchesGo holds scaleTileAVX to ScaleTile's Go loop bit for
-// bit on every tile of 0…2¹² rows (2¹⁴ points), with each pencil's factor
-// drawn from {0, −0, 1, random} in turn. Tiles of up to 64 rows take a
-// quarter of their parts and row factors from scaleEdges, longer ones one
-// in 256, so that the subnormals' slow arithmetic does not swamp the
-// sweep. Under the race detector, which has nothing to watch in this one
-// goroutine, the sweep stops at 2⁸ rows.
+// TestScaleTileMatchesGo holds scaleTileAVX512 and scaleTileAVX to
+// ScaleTile's Go loop bit for bit, each under the dispatch that runs it, on
+// every tile of 0…2¹² rows (2¹⁴ points), with each pencil's factor drawn
+// from {0, −0, 1, random} in turn. Tiles of up to 64 rows take a quarter of
+// their parts and row factors from scaleEdges, longer ones one in 256, so
+// that the subnormals' slow arithmetic does not swamp the sweep. Under the
+// race detector, which has nothing to watch in this one goroutine, the
+// sweep stops at 2⁸ rows.
 func TestScaleTileMatchesGo(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX kernel on this CPU")
@@ -225,26 +226,35 @@ func TestScaleTileMatchesGo(t *testing.T) {
 	}
 	xd, rd := tile(2*dense, 4)
 	xs, rs := tile(2*most, dense*4)
-	ScaleTile(nil, [Tile]float64{}, nil) // nothing to scale, nothing read
 	got, want := make([]complex128, Tile*most), make([]complex128, Tile*most)
-	for m := 0; m <= most; m++ {
-		x, r := xd, rd
-		if m > dense {
-			x, r = xs, rs
+	for _, d := range []dispatch{{"avx512", func(f func()) { f() }}, {"avx", noAVX512}} {
+		if d.name == "avx512" && !useAVX512 {
+			continue
 		}
-		var s [Tile]float64
-		for j := range s {
-			s[j] = [4]float64{0, math.Copysign(0, -1), 1, rng.NormFloat64()}[(m+j)%4]
-		}
-		o := rng.Intn(len(r) - m + 1) // a fresh window of the tile for each size
-		if i := scaleTileCase(got, want, x[Tile*o:Tile*(o+m)], s, r[o:o+m]); i >= 0 {
-			t.Fatalf("rows=%d s=%v: [%d] = %v, Go loop %v (x %v, r %v)", m, s, i, got[i], want[i], x[Tile*o+i], r[o+i/Tile])
-		}
+		d.run(func() {
+			ScaleTile(nil, [Tile]float64{}, nil) // nothing to scale, nothing read
+			for m := 0; m <= most; m++ {
+				x, r := xd, rd
+				if m > dense {
+					x, r = xs, rs
+				}
+				var s [Tile]float64
+				for j := range s {
+					s[j] = [4]float64{0, math.Copysign(0, -1), 1, rng.NormFloat64()}[(m+j)%4]
+				}
+				o := rng.Intn(len(r) - m + 1) // a fresh window of the tile for each size
+				if i := scaleTileCase(got, want, x[Tile*o:Tile*(o+m)], s, r[o:o+m]); i >= 0 {
+					t.Fatalf("%s: rows=%d s=%v: [%d] = %v, Go loop %v (x %v, r %v)", d.name, m, s, i, got[i], want[i], x[Tile*o+i], r[o+i/Tile])
+				}
+			}
+		})
+		t.Logf("scaleTile %s: matches the Go loop", d.name)
 	}
 }
 
 // BenchmarkScaleTile times one ScaleTile of a 128-row tile, the kernel
-// multiply of a conv.Local tile at n = 128, dispatched and on the Go loop.
+// multiply of a conv.Local tile at n = 128: dispatched, on the AVX twin and
+// on the Go loop.
 func BenchmarkScaleTile(b *testing.B) {
 	const n = 128
 	x, r := randComplex(Tile*n, 1), make([]float64, n)
@@ -258,5 +268,6 @@ func BenchmarkScaleTile(b *testing.B) {
 		}
 	}
 	b.Run("dispatched", run)
+	b.Run("avx", func(b *testing.B) { noAVX512(func() { run(b) }) })
 	b.Run("go-loop", func(b *testing.B) { goLoops(func() { run(b) }) })
 }

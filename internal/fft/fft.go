@@ -22,14 +22,17 @@
 //     so do ScaleTile (scaleTileAVX) and every pass of a power-of-two tile
 //     transform, half a tile row per register;
 //   - when they also report AVX-512 F and DQ with the ZMM state saved
-//     (useAVX512), a tile transform's passes run as their AVX-512 twins in
-//     tile_amd64.s instead, one tile row per register.
+//     (useAVX512), a tile transform's passes and ScaleTile run as their
+//     AVX-512 twins in tile_amd64.s instead, one tile row per register.
 //
 // Either tile twin's first pass loads its rows straight from the caller's
 // buffer, and its inverse's last pass stores straight into it. Without AVX,
-// and for lengths that are not a power of two, each pencil of a tile is
-// gathered into a line and run through the line kernel: the line path,
-// the reference TestTileMatchesLines holds both twins to.
+// and for lengths that are not a power of two, a tile takes the line path:
+// one walk of its rows splits the pencils into Tile lines of the caller's
+// scratch, each runs through the line kernel, and one walk interleaves
+// them back — the reference TestTileMatchesLines holds both twins to.
+// conv.Local runs every transform of its stages B and C as a tile, one
+// lane per kx.
 //
 // Off amd64 the Go loops are the kernel.
 //
@@ -98,8 +101,8 @@ func NewPlan(n int) (*Plan, error) {
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
-// Perm returns the order ForwardFromPerm reads and InverseToPerm writes:
-// position i holds element Perm()[i]. It is the bit reversal for powers of
+// Perm returns the order ForwardFromPerm and TileForward read and
+// TileInverse writes: position i holds element Perm()[i]. It is the bit reversal for powers of
 // two and the identity otherwise, and it is its own inverse. The slice is
 // the plan's table and must not be modified.
 func (p *Plan) Perm() []int32 { return p.perm }
@@ -116,10 +119,6 @@ func (p *Plan) Inverse(dst, src []complex128) error { return p.transform(dst, sr
 // that place their data through Perm in a copy they make anyway. The
 // result is in natural order and bit for bit Forward's.
 func (p *Plan) ForwardFromPerm(x []complex128) error { return p.inPerm(x, false) }
-
-// InverseToPerm is Inverse in place on natural-order input, leaving the
-// result in Perm order: element j of Inverse's output is x[Perm()[j]].
-func (p *Plan) InverseToPerm(x []complex128) error { return p.inPerm(x, true) }
 
 // transform is the kernel with the reorder around it: swaps in place, the
 // Perm gather before the forward kernel out of place.

@@ -6,9 +6,9 @@ package fft
 // change it, to run the Go loops on a machine that has AVX.
 var useAVX = hasAVX()
 
-// useAVX512 routes the tile transforms of power-of-two plans to their
-// AVX-512 twins in tile_amd64.s, where they otherwise run as their AVX
-// twins in fft_amd64.s: the CPU also has AVX-512 F and DQ, and the OS saves
+// useAVX512 routes the tile transforms of power-of-two plans and ScaleTile
+// to their AVX-512 twins in tile_amd64.s, where they otherwise run as their
+// AVX twins in fft_amd64.s: the CPU also has AVX-512 F and DQ, and the OS saves
 // the opmask and ZMM registers. Only tests change it, to run the AVX twins
 // on a machine that has AVX-512.
 var useAVX512 = useAVX && hasAVX512()
@@ -94,6 +94,12 @@ func tileRadix4AVX(t []complex128, tw []tileTwiddle)
 
 //go:noescape
 func tileRadix4DIFAVX(t []complex128, tw []tileTwiddle)
+
+// scaleTileAVX512 is ScaleTile's loop, bit for bit, a whole row per
+// register; s and r are as scaleTileAVX takes them.
+//
+//go:noescape
+func scaleTileAVX512(t []complex128, s *[2 * Tile]float64, r []float64)
 
 // tileFirst4AVX512 and tileFirst8AVX512 are firstPass at radix 4 and 8 on
 // every row of the tile t, each row read from src through from (an absent

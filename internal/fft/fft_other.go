@@ -24,6 +24,10 @@ func scaleTileAVX(t []complex128, s *[2 * Tile]float64, r []float64) {
 	panic("fft: no AVX on this GOARCH")
 }
 
+func scaleTileAVX512(t []complex128, s *[2 * Tile]float64, r []float64) {
+	panic("fft: no AVX-512 on this GOARCH")
+}
+
 func tileFirst4AVX512(t, src []complex128, from []int32) { panic("fft: no AVX-512 on this GOARCH") }
 func tileFirst8AVX512(t, src []complex128, from []int32) { panic("fft: no AVX-512 on this GOARCH") }
 

@@ -1,7 +1,6 @@
 package fft_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"lowcomm3d/internal/conv"
@@ -11,21 +10,16 @@ import (
 	"lowcomm3d/internal/sample"
 )
 
-// BenchmarkLocalRunNoAVX512 is conv's BenchmarkLocalRun with the AVX-512
-// dispatch off (fft.NoAVX512): on a CPU with AVX-512 it times the pipeline
-// as a CPU with AVX alone runs it, for comparison with BenchmarkLocalRun at
-// the same shapes — n128-k32 and n64-k16 warm pipelines, n64-k16-fresh a
-// new pipeline per box of a shared plan set.
-func BenchmarkLocalRunNoAVX512(b *testing.B) {
+// BenchmarkLocalRunDispatch is conv's BenchmarkLocalRun under each dispatch
+// this CPU has (fft.Dispatches), at the same shapes — n128-k32, n64-k16 and
+// n32-k8 warm pipelines, n64-k16-fresh a new pipeline per box of a shared
+// plan set. avx512-tile is BenchmarkLocalRun itself on a CPU with AVX-512;
+// avx-tile times the pipeline as a CPU with AVX alone runs it, avx-lines
+// with every tile on the line path (as for an N that is not a power of
+// two), and go-loops as off amd64. Compare each with the parent's in
+// alternated pairs.
+func BenchmarkLocalRunDispatch(b *testing.B) {
 	kernel := green.Gaussian{Sigma: 2}
-	randSub := func(k int) *grid.Field {
-		rng := rand.New(rand.NewSource(1))
-		f := grid.NewField(grid.Cube(k))
-		for i := range f.Data {
-			f.Data[i] = rng.NormFloat64()
-		}
-		return f
-	}
 	warm := func(b *testing.B, n, k int) {
 		dim := grid.Cube(n)
 		lo := (n - k) / 2
@@ -38,7 +32,7 @@ func BenchmarkLocalRunNoAVX512(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		in, out := randSub(k), sample.NewCompressed(tree)
+		in, out := randField(k, 1), sample.NewCompressed(tree)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := l.RunInto(in, out); err != nil {
@@ -46,12 +40,7 @@ func BenchmarkLocalRunNoAVX512(b *testing.B) {
 			}
 		}
 	}
-	noAVX512 := func(f func(b *testing.B)) func(b *testing.B) {
-		return func(b *testing.B) { fft.NoAVX512(func() { f(b) }) }
-	}
-	b.Run("n128-k32", noAVX512(func(b *testing.B) { warm(b, 128, 32) }))
-	b.Run("n64-k16", noAVX512(func(b *testing.B) { warm(b, 64, 16) }))
-	b.Run("n64-k16-fresh", noAVX512(func(b *testing.B) {
+	fresh := func(b *testing.B) {
 		const n, k = 64, 16
 		dim := grid.Cube(n)
 		boxes, err := grid.Decompose(dim, k)
@@ -63,7 +52,7 @@ func BenchmarkLocalRunNoAVX512(b *testing.B) {
 			b.Fatal(err)
 		}
 		pw := conv.KernelPointwise(dim, kernel)
-		in := randSub(k)
+		in := randField(k, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), 1, pw, conv.Config{Workers: 1})
@@ -75,5 +64,14 @@ func BenchmarkLocalRunNoAVX512(b *testing.B) {
 			}
 			l.ReleaseBuffers()
 		}
-	}))
+	}
+	for _, d := range fft.Dispatches() {
+		under := func(f func(b *testing.B)) func(b *testing.B) {
+			return func(b *testing.B) { d.Run(func() { f(b) }) }
+		}
+		b.Run(d.Name+"/n128-k32", under(func(b *testing.B) { warm(b, 128, 32) }))
+		b.Run(d.Name+"/n64-k16", under(func(b *testing.B) { warm(b, 64, 16) }))
+		b.Run(d.Name+"/n64-k16-fresh", under(fresh))
+		b.Run(d.Name+"/n32-k8", under(func(b *testing.B) { warm(b, 32, 8) }))
+	}
 }

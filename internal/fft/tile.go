@@ -13,8 +13,9 @@ const Tile = 4
 // Plan.Rows builds it and checks it once, so a tile transform checks only
 // the buffer's length.
 type Rows struct {
-	at  []int32 // per position, the row's offset or −1
-	end int     // one past the last buffer element a row holds
+	at   []int32 // per position, the row's offset or −1
+	live []int32 // the positions whose row is in the buffer, ascending
+	end  int     // one past the last buffer element a row holds
 }
 
 // Rows returns the row map at for tiles of this plan: at holds one offset
@@ -30,6 +31,7 @@ func (p *Plan) Rows(at []int32) (Rows, error) {
 			continue
 		}
 		r.at[i] = o
+		r.live = append(r.live, int32(i))
 		r.end = max(r.end, int(o)+Tile)
 	}
 	return r, nil
@@ -40,7 +42,8 @@ func (p *Plan) Rows(at []int32) (Rows, error) {
 // through from, an absent row being zero, and leaves their forward
 // transforms in t in natural order, t[Tile·k+j] being pencil j at
 // frequency k. Every output bit is ForwardFromPerm's on each pencil's line.
-// scratch (at least N values) is used where no twin runs (see tileTwin).
+// scratch (at least Tile·N values) is used where no twin runs (see
+// tileTwin).
 func (p *Plan) TileForward(t, src []complex128, from Rows, scratch []complex128) error {
 	if err := p.checkTile(t, src, from, scratch); err != nil {
 		return err
@@ -66,27 +69,16 @@ func (p *Plan) TileForward(t, src []complex128, from Rows, scratch []complex128)
 			tileRadix4AVX(t, p.twTile[o:o+q])
 		}
 	default:
-		line := scratch[:p.n]
-		for j := 0; j < Tile; j++ {
-			for i, o := range from.at {
-				line[i] = 0
-				if o >= 0 {
-					line[i] = src[int(o)+j]
-				}
-			}
-			p.kernel(line, false)
-			for i, v := range line {
-				t[Tile*i+j] = v
-			}
-		}
+		p.linesForward(t, src, from, scratch)
 	}
 	return nil
 }
 
-// TileInverse is InverseToPerm on the Tile pencils of t, the way back from
-// TileForward: output row i, the pencils' values at Perm position i, goes
-// to dst through to, and a row to does not place is dropped. t is
-// overwritten. Every output bit is InverseToPerm's on each pencil's line.
+// TileInverse is Inverse on the Tile pencils of t without its last
+// reorder, the way back from TileForward: output row i, the pencils' values
+// at Perm position i (Inverse's element Perm()[i]), goes to dst through to,
+// and a row to does not place is dropped. t is overwritten. Every output
+// bit is Inverse's on each pencil's line.
 func (p *Plan) TileInverse(t, dst []complex128, to Rows, scratch []complex128) error {
 	if err := p.checkTile(t, dst, to, scratch); err != nil {
 		return err
@@ -114,18 +106,7 @@ func (p *Plan) TileInverse(t, dst []complex128, to Rows, scratch []complex128) e
 			tileLast8AVX(t, dst, to.at, s)
 		}
 	default:
-		line := scratch[:p.n]
-		for j := 0; j < Tile; j++ {
-			for i := range line {
-				line[i] = t[Tile*i+j]
-			}
-			p.kernel(line, true)
-			for i, o := range to.at {
-				if o >= 0 {
-					dst[int(o)+j] = line[i]
-				}
-			}
-		}
+		p.linesInverse(t, dst, to, scratch)
 	}
 	return nil
 }
@@ -144,8 +125,8 @@ var tileLines = false
 
 // tileTwin is the way this plan's tiles run: a power of two of at least 4
 // runs as the AVX-512 twin where the CPU has it and as the AVX twin where
-// it has AVX; anything else takes the line path, which gathers each pencil
-// into the scratch line and runs it through the line kernel.
+// it has AVX; anything else takes the line path (linesForward,
+// linesInverse).
 func (p *Plan) tileTwin() int {
 	switch {
 	case tileLines || !useAVX || !p.pow2 || p.n < 4:
@@ -164,19 +145,70 @@ func (p *Plan) checkTile(t, buf []complex128, rows Rows, scratch []complex128) e
 		return fmt.Errorf("fft: row map of %d rows for a plan of %d", len(rows.at), p.n)
 	case len(buf) < rows.end:
 		return fmt.Errorf("fft: row buffer of %d values, rows reach %d", len(buf), rows.end)
-	case len(scratch) < p.n:
-		return fmt.Errorf("fft: scratch length %d < %d", len(scratch), p.n)
+	case len(scratch) < Tile*p.n:
+		return fmt.Errorf("fft: scratch length %d < %d", len(scratch), Tile*p.n)
 	}
 	return nil
+}
+
+// linesForward is TileForward's line path: the pencils go into Tile
+// cleared lines of scratch, the rows from places walked in one pass, each
+// line runs through the line kernel, and one pass interleaves them into t.
+func (p *Plan) linesForward(t, src []complex128, from Rows, scratch []complex128) {
+	n := p.n
+	s := scratch[:Tile*n]
+	clear(s)
+	l0, l1, l2, l3 := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:]
+	for _, i := range from.live {
+		r := (*[Tile]complex128)(src[from.at[i]:])
+		l0[i], l1[i], l2[i], l3[i] = r[0], r[1], r[2], r[3]
+	}
+	p.kernel(l0, false)
+	p.kernel(l1, false)
+	p.kernel(l2, false)
+	p.kernel(l3, false)
+	t = t[:Tile*n]
+	for i := range l0 {
+		r := (*[Tile]complex128)(t[Tile*i:])
+		r[0], r[1], r[2], r[3] = l0[i], l1[i], l2[i], l3[i]
+	}
+}
+
+// linesInverse is TileInverse's line path, linesForward's way back: one
+// pass splits t into Tile lines of scratch, each runs through the inverse
+// line kernel, and the rows to places are stored in one pass.
+func (p *Plan) linesInverse(t, dst []complex128, to Rows, scratch []complex128) {
+	n := p.n
+	s := scratch[:Tile*n]
+	l0, l1, l2, l3 := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:]
+	t = t[:Tile*n]
+	for i := range l0 {
+		r := (*[Tile]complex128)(t[Tile*i:])
+		l0[i], l1[i], l2[i], l3[i] = r[0], r[1], r[2], r[3]
+	}
+	p.kernel(l0, true)
+	p.kernel(l1, true)
+	p.kernel(l2, true)
+	p.kernel(l3, true)
+	for _, i := range to.live {
+		r := (*[Tile]complex128)(dst[to.at[i]:])
+		r[0], r[1], r[2], r[3] = l0[i], l1[i], l2[i], l3[i]
+	}
 }
 
 // ScaleTile scales both parts of pencil j of every row i of the tile t by
 // s[j]·r[i], the product formed first, then the point by it: the multiply
 // of a separable kernel, whose (kx, ky) factor is one per pencil and whose
 // kz factor is one per row. r must hold at least len(t)/Tile factors. With
-// AVX it runs as scaleTileAVX, bit for bit this loop.
+// AVX-512 it runs as scaleTileAVX512 and with AVX as scaleTileAVX, each bit
+// for bit this loop.
 func ScaleTile(t []complex128, s [Tile]float64, r []float64) {
 	r = r[:len(t)/Tile]
+	if useAVX512 {
+		s2 := [2 * Tile]float64{s[0], s[0], s[1], s[1], s[2], s[2], s[3], s[3]}
+		scaleTileAVX512(t[:Tile*len(r)], &s2, r)
+		return
+	}
 	if useAVX {
 		s2 := [2 * Tile]float64{s[0], s[0], s[1], s[1], s[2], s[2], s[3], s[3]}
 		scaleTileAVX(t[:Tile*len(r)], &s2, r)

@@ -396,3 +396,31 @@ tdifLoop:
 	JB   tdifBlock
 	VZEROUPPER
 	RET
+
+// func scaleTileAVX512(t []complex128, s *[2 * Tile]float64, r []float64)
+//
+// One tile row per register: the row's factor r[i] broadcast times the
+// pencils' factors s, then the row times that, as ScaleTile computes
+// real(v)·(s[j]·r[i]).
+TEXT ·scaleTileAVX512(SB), NOSPLIT, $0-56
+	MOVQ    t_base+0(FP), DI
+	MOVQ    s+24(FP), AX
+	MOVQ    r_base+32(FP), SI
+	MOVQ    r_len+40(FP), CX
+	VMOVUPD (AX), Z0
+	TESTQ   CX, CX
+	JZ      zscaleDone
+
+zscaleRow:
+	VMULPD.BCST (SI), Z0, Z1
+	VMOVUPD     (DI), Z2
+	VMULPD      Z1, Z2, Z2
+	VMOVUPD     Z2, (DI)
+	ADDQ        $64, DI
+	ADDQ        $8, SI
+	DECQ        CX
+	JNZ         zscaleRow
+
+zscaleDone:
+	VZEROUPPER
+	RET

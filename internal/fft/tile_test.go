@@ -124,7 +124,7 @@ func (c tileCase) wantInverse(p *Plan, buf []complex128) []complex128 {
 func checkTile(t *testing.T, p *Plan, c tileCase, label string) {
 	t.Helper()
 	n := p.N()
-	scratch := make([]complex128, n)
+	scratch := make([]complex128, Tile*n)
 	src := c.src(p)
 	srcWas := append([]complex128(nil), src...)
 	got := make([]complex128, Tile*n)
@@ -204,12 +204,12 @@ func TestTileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile, buf, scratch := make([]complex128, Tile*8), make([]complex128, Tile*8), make([]complex128, 8)
+	tile, buf, scratch := make([]complex128, Tile*8), make([]complex128, Tile*8), make([]complex128, Tile*8)
 	for name, err := range map[string]error{
 		"short tile":        p.TileForward(tile[1:], buf, rows, scratch),
 		"other plan's rows": p.TileForward(tile, buf, qrows, scratch),
 		"short buffer":      p.TileInverse(tile, buf[:Tile*8-1], rows, scratch),
-		"short scratch":     p.TileInverse(tile, buf, rows, scratch[:7]),
+		"short scratch":     p.TileInverse(tile, buf, rows, scratch[:Tile*8-1]),
 	} {
 		if err == nil {
 			t.Errorf("%s accepted", name)
@@ -243,7 +243,7 @@ func BenchmarkTile(b *testing.B) {
 			b.Fatal(err)
 		}
 		blk, out := randComplex(n*(n+Tile), 1), make([]complex128, n*(n+Tile))
-		tile, scratch, r := make([]complex128, Tile*n), make([]complex128, n), make([]float64, n)
+		tile, scratch, r := make([]complex128, Tile*n), make([]complex128, Tile*n), make([]float64, n)
 		for i := range r {
 			r[i] = 1
 		}

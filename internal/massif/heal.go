@@ -77,22 +77,23 @@ func HealWorkerBytes(dim grid.Dim3, p int, opt LowCommOptions) int64 {
 }
 
 // pipelineBytes is the one buffer of a six-component conv.Local on a box of
-// edge k over the half spectrum h = N/2+1, per component: k·k·h complex of
-// x spectra, h per kept row, and per pipeline worker (at most h) a kx block
-// of max(k, kept planes) lines of N+4. The kept planes and rows are counted
+// edge k over the half spectrum N/2+1 padded to hp, a multiple of fft.Tile,
+// per component: k·k·hp complex of x spectra, hp per kept row, and per
+// pipeline worker (at most hp/fft.Tile) a block of max(k, kept planes)
+// tiles of fft.Tile·N plus a pad row. The kept planes and rows are counted
 // from the tree of the corner box's policy (boxPolicy): the sampling rate is
 // a function of torus distance, so every box's tree is a translate of it.
 func pipelineBytes(dim grid.Dim3, opt LowCommOptions) int64 {
 	n, k := dim.Nx, opt.SubSize
-	h := n/2 + 1
+	hp := (n/2 + fft.Tile) / fft.Tile * fft.Tile
 	planes, rows := n, n*n // a tree that does not build is charged as full resolution
 	if tree, err := boxPolicy(grid.CubeAt(grid.Point{}, k), opt).Tree(dim); err == nil {
 		plane, row := map[int]bool{}, map[int]bool{}
 		tree.ForEachSample(func(_, _, _, y, z int) { plane[z], row[z*n+y] = true, true })
 		planes, rows = len(plane), len(row)
 	}
-	blocks := min(fft.Workers(opt.Workers), h) * max(k, planes) * (n + 4)
-	return grid.NumVoigt * 16 * int64(k*k*h+h*rows+blocks)
+	blocks := min(fft.Workers(opt.Workers), hp/fft.Tile) * max(k, planes) * (fft.Tile*n + fft.Tile)
+	return grid.NumVoigt * 16 * int64(k*k*hp+hp*rows+blocks)
 }
 
 // refineSubSize returns the next smaller sub-domain edge that still

@@ -229,14 +229,14 @@ func boxPolicy(box grid.Box, opt LowCommOptions) sample.Policy {
 
 // gammaOp is the Γ̂ contraction per frequency (Algorithm 1 step 3,
 // Algorithm 2 line 4) as a tile callback: walking the tile's rows, it
-// couples the six Voigt components of each pencil (kx, ky0+j) at kz
+// couples the six Voigt components of each pencil (kx0+j, ky) at kz
 // through green.Gamma, real and imaginary parts separately, zeroing
 // ambiguous Nyquist modes (green.Gamma.ApplyAt) so the operator stays
 // Hermitian-even and every solver shares one discrete fixed point. Padding
-// pencils (ky ≥ N) are left as they are.
+// pencils kx ≥ N are left as they are.
 func gammaOp(dim grid.Dim3, gamma green.Gamma) conv.Pointwise {
-	return func(kx, ky0 int, tile [][]complex128) {
-		pencils := min(fft.Tile, dim.Ny-ky0)
+	return func(kx0, ky int, tile [][]complex128) {
+		pencils := min(fft.Tile, dim.Nx-kx0)
 		for kz := range dim.Nz {
 			for j := range pencils {
 				i := fft.Tile*kz + j
@@ -245,8 +245,8 @@ func gammaOp(dim grid.Dim3, gamma green.Gamma) conv.Pointwise {
 					re[v] = real(t[i])
 					im[v] = imag(t[i])
 				}
-				gre := gamma.ApplyAt(dim, kx, ky0+j, kz, re)
-				gim := gamma.ApplyAt(dim, kx, ky0+j, kz, im)
+				gre := gamma.ApplyAt(dim, kx0+j, ky, kz, re)
+				gim := gamma.ApplyAt(dim, kx0+j, ky, kz, im)
 				for v, t := range tile {
 					t[i] = complex(gre[v], gim[v])
 				}

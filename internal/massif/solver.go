@@ -81,7 +81,7 @@ func solveDense(m *Microstructure, E grid.SymTensor, opt Options, newRule func(*
 
 // dense is Algorithm 1's Γ̂ (steps 2–5) on one rank that owns the whole
 // grid: the six components of its input transformed forward, every (kx, ky)
-// z-line contracted with gammaOp, a tile of fft.Tile ky at a time (the zero
+// z-line contracted with gammaOp, a tile of fft.Tile kx at a time (the zero
 // mode maps to zero), and transformed back in place.
 type dense struct {
 	one
@@ -117,21 +117,21 @@ func (o *dense) apply(_ int, in func(b, i, g int) grid.SymTensor, out []*grid.Te
 			return err
 		}
 	}
-	for ky0 := 0; ky0 < d.Ny; ky0 += fft.Tile {
-		pencils := min(fft.Tile, d.Ny-ky0)
-		for kx := 0; kx < d.Nx; kx++ {
+	for ky := range d.Ny {
+		for kx0 := 0; kx0 < d.Nx; kx0 += fft.Tile {
+			pencils := min(fft.Tile, d.Nx-kx0)
 			for v, t := range o.tiles {
 				for kz := range d.Nz {
 					for j := range pencils {
-						t[fft.Tile*kz+j] = o.spectra[v].Data[d.Index(kx, ky0+j, kz)]
+						t[fft.Tile*kz+j] = o.spectra[v].Data[d.Index(kx0+j, ky, kz)]
 					}
 				}
 			}
-			o.op(kx, ky0, o.tiles)
+			o.op(kx0, ky, o.tiles)
 			for v, t := range o.tiles {
 				for kz := range d.Nz {
 					for j := range pencils {
-						o.spectra[v].Data[d.Index(kx, ky0+j, kz)] = t[fft.Tile*kz+j]
+						o.spectra[v].Data[d.Index(kx0+j, ky, kz)] = t[fft.Tile*kz+j]
 					}
 				}
 			}
