@@ -22,11 +22,12 @@ type LowCommResult struct {
 }
 
 // convRank is one rank's share of LowCommConvolve: its boxes that are not
-// all zero, and a pipeline and an output per box.
+// all zero, and a pipeline and an output per box, all run on one Runner.
 type convRank struct {
 	src    []int
 	locals []*conv.Local
 	outs   [][]*sample.Compressed
+	run    *conv.Runner
 }
 
 // policyTrees returns the trees every rank places its boxes from on plans:
@@ -111,7 +112,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 	}
 	ranks := make([]*convRank, c.P)
 	for q := range ranks {
-		r := &convRank{}
+		r := &convRank{run: plans.NewRunner()}
 		for _, j := range x.Owned(q) {
 			if locals[j] != nil {
 				r.src = append(r.src, j)
@@ -139,9 +140,7 @@ func LowCommConvolve(c *Cluster, f *grid.Field, kernel green.Kernel, subSize, fa
 				if err != nil {
 					return err
 				}
-				_, _, err = r.locals[i].RunInto(sub, r.outs[i][0])
-				r.locals[i].ReleaseBuffers()
-				if err != nil {
+				if _, err := r.run.Run(r.locals[i], []*grid.Field{sub}, r.outs[i]); err != nil {
 					return err
 				}
 			}

@@ -55,8 +55,8 @@ type Decomposed struct {
 	FarRate int // far-field downsampling rate (paper: 16 or 32)
 	Cfg     Config
 
-	// Parallel processes this many sub-domains concurrently, each with
-	// its own pipeline (set Cfg.Workers to 1 to avoid oversubscribing the
+	// Parallel processes this many sub-domains concurrently, each worker
+	// on its own Runner (set Cfg.Workers to 1 to avoid oversubscribing the
 	// per-pipeline parallelism). ≤1 runs serially.
 	Parallel int
 }
@@ -122,9 +122,9 @@ func (dc Decomposed) RunAdaptive(f *grid.Field, minK int) (*grid.Field, Decompos
 }
 
 // runBoxes is the box loop behind Run and RunAdaptive: one plan set and one
-// kernel callback for the call, one pipeline per box (dc.Parallel at a
-// time) placed by NewPolicyLocal under sample.DefaultPolicy, then
-// accumulation in box order.
+// kernel callback for the call, one pipeline per box placed by
+// NewPolicyLocal under sample.DefaultPolicy and run on its worker's Runner
+// (dc.Parallel workers), then accumulation in box order.
 func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, DecomposedStats, error) {
 	var ds DecomposedStats
 	plans, err := NewPlanSet(f.Dim, dc.Cfg.Workers)
@@ -144,9 +144,13 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, Deco
 	// whole field's worth of data before any job runs.
 	var live, liveMax atomic.Int64
 	var ec fft.FirstError
-	fft.ParallelFor(len(jobs), workers, func(_, i int) {
+	runners := make([]*Runner, workers)
+	fft.ParallelFor(len(jobs), workers, func(w, i int) {
 		if ec.Failed() {
 			return
+		}
+		if runners[w] == nil {
+			runners[w] = plans.NewRunner()
 		}
 		box := jobs[i]
 		local, err := plans.NewPolicyLocal(sample.DefaultPolicy(box, dc.FarRate), 1, pw, dc.Cfg)
@@ -167,14 +171,12 @@ func (dc Decomposed) runBoxes(f *grid.Field, jobs []grid.Box) (*grid.Field, Deco
 			ec.Record(err)
 			return
 		}
-		res, st, err := local.Run(subField)
-		local.ReleaseBuffers()
+		st, err := runners[w].Run(local, []*grid.Field{subField}, results[i:i+1])
 		live.Add(-1)
 		if err != nil {
 			ec.Record(err)
 			return
 		}
-		results[i] = res
 		stats[i] = st
 	})
 	if err := ec.Err(); err != nil {

@@ -159,13 +159,13 @@ func TestAccumulateMatchesReconstructSum(t *testing.T) {
 	}
 }
 
-// TestRecycledBuffersNeedNoClearing: a pipeline that draws its buffer from
-// the pool computes the samples a fresh one does even when the pooled
-// buffer is full of NaN and was sized for another box — here a corner box
-// and a smaller interior one that is off the octree's alignment, so the x
-// spectra, the kept-row count and the kx blocks all differ in size. Stage A
-// writes every x-spectrum element, stage B clears or writes every block
-// line it reads and writes every kept row.
+// TestRecycledBuffersNeedNoClearing: a pipeline run on a Runner whose
+// buffer another box used computes the samples a fresh runner does, even
+// when that buffer is full of NaN and was cut for the other box — here a
+// corner box and a smaller interior one that is off the octree's
+// alignment, so the x spectra, the kept-row count and the kx blocks all
+// differ in size. Stage A writes every x-spectrum element, stage B clears
+// or writes every block line it reads and writes every kept row.
 func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 	const n = 32
 	dim := grid.Cube(n)
@@ -193,13 +193,13 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			}
 			return l
 		}
-		run := func(l *Local) []*sample.Compressed {
+		run := func(r *Runner, l *Local) []*sample.Compressed {
 			in := make([]*grid.Field, tc.comps)
 			for c := range in {
 				in[c] = randSub(l.k, int64(70+c))
 			}
 			outs := make([]*sample.Compressed, tc.comps)
-			if _, err := l.RunComponents(in, outs); err != nil {
+			if _, err := r.Run(l, in, outs); err != nil {
 				t.Fatal(err)
 			}
 			return outs
@@ -207,30 +207,22 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 		if a, b := newLocal(boxes[0]), newLocal(boxes[1]); len(a.keptZ) == len(b.keptZ) || len(a.rows) == len(b.rows) {
 			t.Fatalf("both boxes keep %d planes and %d rows; the test needs them to differ", len(a.keptZ), len(a.rows))
 		}
-		// The pool may drop a buffer (under -race it does so at random), so
-		// go round a few times, in both orders of sizes.
-		for round := 0; round < 8; round++ {
-			first, second := boxes[round%2], boxes[1-round%2]
-			want := run(newLocal(second))
+		for order := range 2 {
+			first, second := boxes[order], boxes[1-order]
+			want := run(ps.NewRunner(), newLocal(second))
 
-			a := newLocal(first)
-			run(a)
-			if len(a.xspec)+len(a.kept)+len(a.blocks) != len(a.buf) {
-				t.Fatalf("x spectra, kept rows and blocks cover %d of the buffer's %d elements",
-					len(a.xspec)+len(a.kept)+len(a.blocks), len(a.buf))
-			}
-			buf := a.buf
-			a.ReleaseBuffers()
+			r := ps.NewRunner()
+			run(r, newLocal(second)) // so that the buffer fits both boxes
+			run(r, newLocal(first))
+			buf := r.buf[:cap(r.buf)]
 			for i := range buf {
 				buf[i] = nan
 			}
-			b := newLocal(second)
-			got := run(b)
-			b.ReleaseBuffers()
+			got := run(r, newLocal(second))
 			for c := range want {
 				for i, w := range want[c].Samples {
 					if math.Float64bits(got[c].Samples[i]) != math.Float64bits(w) {
-						t.Fatalf("C=%d %v after %v: component %d sample %d is %v, a fresh pipeline gives %v",
+						t.Fatalf("C=%d %v after %v: component %d sample %d is %v, a fresh runner gives %v",
 							tc.comps, second, first, c, i, got[c].Samples[i], w)
 					}
 				}

@@ -81,43 +81,52 @@ func TestRunComponentsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWarmRunComponentsZeroAllocs: a warm six-component run into recycled
-// outputs performs no heap allocation — the property serve's warm Submit
-// builds on, held here at the pipeline itself.
+// TestWarmRunComponentsZeroAllocs: warm six-component runs into recycled
+// outputs perform no heap allocation — the property serve's warm Submit
+// builds on, held here at the pipeline itself: two Locals of different
+// boxes alternating on one Runner, as a worker switches boxes, and a Local's
+// own RunComponents.
 func TestWarmRunComponentsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the 0-alloc claim is asserted by the non-race suite")
 	}
 	const n, k, comps = 16, 4, 6
 	dim := grid.Cube(n)
-	sub := grid.CubeAt(grid.Point{4, 8, 12}, k)
-	tree, err := sample.DefaultPolicy(sub, 4).Tree(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ps, err := NewPlanSet(dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ps.NewLocal(sub, tree, comps, KernelPointwise(dim, green.Gaussian{Sigma: 1.5}), Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	pw := KernelPointwise(dim, green.Gaussian{Sigma: 1.5})
+	var ls [2]*Local
+	for i, lo := range []grid.Point{{4, 8, 12}, {0, 0, 0}} {
+		sub := grid.CubeAt(lo, k)
+		tree, err := sample.DefaultPolicy(sub, 4).Tree(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls[i], err = ps.NewLocal(sub, tree, comps, pw, Config{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	in := make([]*grid.Field, comps)
 	for c := range in {
 		in[c] = randSub(k, int64(c))
 	}
-	outs := make([]*sample.Compressed, comps)
-	if _, err := l.RunComponents(in, outs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := l.RunComponents(in, outs); err != nil {
+	outs := [2][]*sample.Compressed{make([]*sample.Compressed, comps), make([]*sample.Compressed, comps)}
+	r := ps.NewRunner()
+	runs := func() {
+		for i, l := range ls {
+			if _, err := r.Run(l, in, outs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ls[0].RunComponents(in, outs[0]); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm RunComponents allocates %v times per run, want 0", allocs)
+	}
+	runs()
+	if allocs := testing.AllocsPerRun(10, runs); allocs != 0 {
+		t.Errorf("warm runs of two Locals on one runner allocate %v times per cycle, want 0", allocs)
 	}
 }
 

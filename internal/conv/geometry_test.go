@@ -106,7 +106,6 @@ func TestPolicyLocalTranslates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				l.ReleaseBuffers()
 				ref, err := ps.NewLocal(box, own, 1, pw, Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -115,7 +114,6 @@ func TestPolicyLocalTranslates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref.ReleaseBuffers()
 				direct := cellSamples(want)
 				for cell, s := range cellSamples(res) {
 					for i, v := range s {

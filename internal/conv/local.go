@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 	"time"
 
 	"lowcomm3d/internal/fft"
@@ -107,7 +106,7 @@ type Config struct {
 
 // Stats reports the footprint and work of one local convolution, the
 // quantities behind the paper's Tables 1 and 4. The byte and sample figures
-// cover all C components of the pipeline.
+// cover all C components: that run's own need, not its Runner's capacity.
 type Stats struct {
 	SlabBytes   int // x spectra, C×k×k×H complex, H = N/2+1 rounded up to fft.Tile: stage A's output, stage B's input
 	PlanesBytes int // kept rows, C×R×H complex, R = rows of the kept z planes that carry a sample
@@ -142,8 +141,10 @@ type Stats struct {
 // only the rows stage C samples, so neither the h×N×k slab nor a kept z
 // plane is ever held whole (kxBlock). Stage C inverts fft.Tile packed row
 // pairs per tile transform (xTile).
+// A Local is the placed box, never written by a run: goroutines, each on
+// its own Runner, may run one Local at once.
 type Local struct {
-	dim   grid.Dim3
+	ps    *PlanSet
 	sub   grid.Box
 	comps int
 	pw    Pointwise
@@ -169,43 +170,52 @@ type Local struct {
 	yIn, zIn, zOut, xAll fft.Rows   // the tile transforms' row maps (tileRows)
 	yOut                 []fft.Rows // one per kept plane
 
-	// Reused working buffers (Run is therefore not safe for concurrent
-	// use on one Local; create one Local per goroutine): the one pooled buf,
-	// cut into the per-worker blocks and the component-major xspec and kept,
-	// and the per-worker tiles and line, allocated once so a warm Run
-	// performs no heap allocations.
-	buf     []complex128
-	blocks  []complex128 // per worker: [c][tile] of bl tiles at stride Tile·N+blockPad
-	xspec   []complex128 // [c][z][y][kx]: stage A's x transforms, hp per row
-	kept    []complex128 // [c][r][kx]: row r of rows after the inverse y transform, hp per row
-	scratch []tileScratch
-
 	// Fixed geometry, cached at construction.
 	n, h, k    int // grid edge, half-spectrum width n/2+1, sub-domain edge
 	hp         int // h rounded up to fft.Tile: kx per row, padding lanes included
 	ox, oy, oz int // sub-domain low corner
 	bl         int // tiles per component of a kx block: max(k, kept planes)
 
-	// Per-run state read by the prebuilt worker funcs below. The funcs
+	// Per-stage latency histograms, cached at construction so a run does no
+	// registry lookups (nil when cfg.Trace is nil; Observe is nil-safe).
+	hA, hB, hC *obs.Histogram
+
+	own *Runner // Run, RunInto and RunComponents's runner, built on first use
+}
+
+// Runner is one goroutine's working set for its plan set's Locals, run one
+// at a time: per-worker tiles and line, the run in progress, and one buffer
+// (per-worker kx blocks, x spectra, kept rows) grown to the largest
+// pipeline run, so a goroutine holds one pipeline's memory for all its
+// boxes. The buffer is never cleared: the stages write every element before
+// reading it (stage A the x spectra's padding lanes too), and the blocks'
+// pad rows are never read.
+type Runner struct {
+	ps      *PlanSet
+	buf     []complex128
+	scratch []tileScratch // one per worker
+
+	// The run in progress, read by the stage funcs below: its Local, its
+	// buffer's parts, its inputs (stage A) and outputs (stage C). The funcs
 	// are bound once at construction: a closure literal in Run would be
 	// heap-allocated per call (its captures escape into
 	// ParallelForSpanned), which is exactly what the steady-state serving
 	// path cannot afford.
-	runIn  []*grid.Field        // current job's input sub-fields, one per component
-	runOut []*sample.Compressed // current job's outputs, one per component
-	ec     fft.FirstError       // per-run first-error collector
+	l      *Local
+	blocks []complex128 // per worker: [c][tile] of bl tiles at stride Tile·N+blockPad
+	xspec  []complex128 // [c][z][y][kx]: stage A's x transforms, hp per row
+	kept   []complex128 // [c][r][kx]: row r of rows after the inverse y transform, hp per row
+	in     []*grid.Field
+	outs   []*sample.Compressed
+	ec     fft.FirstError
 	fnA    func(w, i int)
 	fnB    func(w, i int)
 	fnC    func(w, i int)
 
-	// Array backing for the one-element slices RunInto hands RunComponents,
-	// so the scalar warm path allocates nothing.
+	// Array backing for the one-element slices Local.RunInto hands
+	// RunComponents, so the scalar warm path allocates nothing.
 	in1  [1]*grid.Field
 	out1 [1]*sample.Compressed
-
-	// Per-stage latency histograms, cached at construction so Run does no
-	// registry lookups (nil when cfg.Trace is nil; Observe is nil-safe).
-	hA, hB, hC *obs.Histogram
 }
 
 // sampleRow is one row of a kept plane, at column position y, and its
@@ -230,13 +240,40 @@ type rowPair struct{ a, b int32 }
 // do not all map to one cache set. The pad row is never read or written.
 const blockPad = fft.Tile
 
-// tileScratch is one worker's reusable tiles, one per component, as the
-// callback takes them, and one work line of fft.Tile·N: stage A transforms
-// in its first N, and a tile transform uses it where it runs on the line
-// path (fft.Plan.TileForward). Stage C builds its tiles in tile[0].
+// tileScratch is one worker's tiles, one per component of the widest run
+// so far, and one work line of fft.Tile·N: stage A transforms in its first
+// N, and a tile transform uses it on the line path (fft.Plan.TileForward).
+// Stage C builds its tiles in tile[0].
 type tileScratch struct {
 	tile [][]complex128
 	line []complex128
+}
+
+// NewRunner returns a working set for the set's pipelines, to be used by one
+// goroutine at a time.
+func (ps *PlanSet) NewRunner() *Runner {
+	r := &Runner{ps: ps, scratch: make([]tileScratch, ps.workers)}
+	r.fnA = r.recorded(r.xSlice)
+	r.fnB = r.recorded(r.kxBlock)
+	r.fnC = r.recorded(r.xTile)
+	return r
+}
+
+// fit gives every worker comps tiles, growing the scratch on a run with
+// more components than any before.
+func (r *Runner) fit(comps int) {
+	if len(r.scratch[0].tile) >= comps {
+		return
+	}
+	n := r.ps.dim.Nx
+	for w := range r.scratch {
+		lines := make([]complex128, fft.Tile*(comps+1)*n)
+		tile := make([][]complex128, comps)
+		for c := range tile {
+			tile[c] = lines[fft.Tile*c*n : fft.Tile*(c+1)*n : fft.Tile*(c+1)*n]
+		}
+		r.scratch[w] = tileScratch{tile, lines[fft.Tile*comps*n:]}
+	}
 }
 
 // NewLocal builds a local-convolution pipeline for sub-domain box sub of
@@ -319,23 +356,10 @@ func (ps *PlanSet) build(g *geometry, sub grid.Box, comps int, pw Pointwise, cfg
 	if err := probeHermitian(n, comps, pw); err != nil {
 		return nil, err
 	}
-	l := &Local{dim: ps.dim, sub: sub, comps: comps, pw: pw, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
-	l.scratch = make([]tileScratch, ps.workers)
-	for w := range l.scratch {
-		sc := &l.scratch[w]
-		lines := make([]complex128, fft.Tile*(comps+1)*n)
-		sc.tile = make([][]complex128, comps)
-		for c := range sc.tile {
-			sc.tile[c] = lines[fft.Tile*c*n : fft.Tile*(c+1)*n : fft.Tile*(c+1)*n]
-		}
-		sc.line = lines[fft.Tile*comps*n:]
-	}
+	l := &Local{ps: ps, sub: sub, comps: comps, pw: pw, cfg: cfg, plan: ps.plan, perm: ps.plan.Perm()}
 	l.n, l.h, l.k = n, n/2+1, k
 	l.hp = (l.h + fft.Tile - 1) / fft.Tile * fft.Tile
 	l.ox, l.oy, l.oz = sub.Lo[0], sub.Lo[1], sub.Lo[2]
-	l.fnA = l.recorded(l.xSlice)
-	l.fnB = l.recorded(l.kxBlock)
-	l.fnC = l.recorded(l.xTile)
 	l.place(g)
 	l.bl = max(k, len(l.keptZ))
 	if err := l.tileRows(); err != nil {
@@ -414,37 +438,12 @@ func probeHermitian(n, comps int, pw Pointwise) error {
 // Tree returns the sampling octree used by the pipeline.
 func (l *Local) Tree() *octree.Tree { return l.tree }
 
-// ReleaseBuffers hands the pipeline's buffer to a pool that the next run of
-// any pipeline draws from, so a caller that streams many pipelines one at a
-// time — or builds one per box and runs it once — holds one live buffer
-// between runs and allocates (and zeroes) none after the first. It is never
-// cleared: the stages write every element before reading it (stage A the
-// x spectra's padding lanes too), and the blocks' pad rows are never read.
-func (l *Local) ReleaseBuffers() {
-	putBuffer(l.buf)
-	l.buf, l.xspec, l.kept, l.blocks = nil, nil, nil, nil
-}
-
-// bufferPool recycles pipeline buffers across pipelines.
-var bufferPool sync.Pool // of *[]complex128
-
-func putBuffer(b []complex128) {
-	if cap(b) > 0 {
-		bufferPool.Put(&b)
-	}
-}
-
-// takeBuffer returns n elements of unspecified content, recycled when the
-// pool's next buffer is large enough.
-func takeBuffer(n int) []complex128 {
-	if p, _ := bufferPool.Get().(*[]complex128); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]complex128, n)
-}
-
 // Run convolves the k³ sub-domain field (dimensions equal to the
 // sub-domain box) and returns the compressed result plus footprint stats.
+// Run, RunInto and RunComponents run on a Runner the Local builds on first
+// use and keeps: they serve a caller with one box, and like that Runner are
+// for one goroutine at a time. A caller with many boxes runs them on one
+// Runner per goroutine instead.
 func (l *Local) Run(subField *grid.Field) (*sample.Compressed, Stats, error) {
 	return l.RunInto(subField, nil)
 }
@@ -459,23 +458,38 @@ func (l *Local) RunInto(subField *grid.Field, out *sample.Compressed) (*sample.C
 	if l.comps != 1 {
 		return nil, Stats{}, fmt.Errorf("conv: RunInto on a %d-component pipeline (use RunComponents)", l.comps)
 	}
-	l.in1[0], l.out1[0] = subField, out
-	st, err := l.RunComponents(l.in1[:], l.out1[:])
-	out = l.out1[0]
-	l.in1[0], l.out1[0] = nil, nil
+	r := l.runner()
+	r.in1[0], r.out1[0] = subField, out
+	st, err := l.RunComponents(r.in1[:], r.out1[:])
+	out, r.in1[0], r.out1[0] = r.out1[0], nil, nil
 	if err != nil {
 		return nil, st, err
 	}
 	return out, st, nil
 }
 
-// RunComponents convolves the pipeline's C component fields of one
-// sub-domain together: in[c] is component c's k³ field and outs[c] receives
-// its compressed result. Each outs[c] is recycled under RunInto's rule and
-// replaced by a fresh allocation otherwise, so a caller that passes the
-// same outs back run after run allocates nothing.
+// RunComponents is Runner.Run of l on the Local's own runner.
 func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stats, error) {
+	return l.runner().Run(l, in, outs)
+}
+
+func (l *Local) runner() *Runner {
+	if l.own == nil {
+		l.own = l.ps.NewRunner()
+	}
+	return l.own
+}
+
+// Run convolves pipeline l's C component fields of one sub-domain together:
+// in[c] is component c's k³ field and outs[c] receives its compressed
+// result. Each outs[c] is recycled under Local.RunInto's rule and replaced
+// by a fresh allocation otherwise, so a caller that passes the same outs
+// back run after run allocates nothing. l must be of r's plan set.
+func (r *Runner) Run(l *Local, in []*grid.Field, outs []*sample.Compressed) (Stats, error) {
 	var st Stats
+	if l.ps != r.ps {
+		return st, errors.New("conv: the pipeline is not of the runner's plan set")
+	}
 	if len(in) != l.comps || len(outs) != l.comps {
 		return st, fmt.Errorf("conv: %d inputs and %d outputs for a %d-component pipeline", len(in), len(outs), l.comps)
 	}
@@ -486,7 +500,10 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		}
 	}
 	n, h, k, comps := l.n, l.h, l.k, l.comps
-	l.ec.Reset()
+	r.fit(comps)
+	r.l = l
+	defer func() { r.l, r.in, r.outs = nil, nil, nil }() // retain no job's data
+	r.ec.Reset()
 	run := l.cfg.Trace.Start("conv.run")
 	defer run.End()
 
@@ -495,21 +512,21 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	tA, spanA := time.Now(), run.Start("conv.stageA")
 	nz, hp := len(l.keptZ), l.hp
 	xn, kn := comps*k*k*hp, comps*len(l.rows)*hp
-	bw := min(fft.Workers(l.cfg.Workers), hp/fft.Tile) // stage-B workers, one block each
+	bw := min(len(r.scratch), hp/fft.Tile) // stage-B workers, one block each
 	bn := bw * comps * l.bl * (fft.Tile*n + blockPad)
-	if size := bn + xn + kn; len(l.buf) != size {
-		l.buf = takeBuffer(size)
+	size := bn + xn + kn
+	if cap(r.buf) < size {
+		r.buf = make([]complex128, size)
 	}
 	// The blocks come first: at the start of a large buffer their tile rows
 	// are cache-line aligned.
-	l.blocks, l.xspec, l.kept = l.buf[:bn], l.buf[bn:bn+xn], l.buf[bn+xn:]
+	buf := r.buf[:size]
+	r.blocks, r.xspec, r.kept = buf[:bn], buf[bn:bn+xn], buf[bn+xn:]
 	st.SlabBytes, st.PlanesBytes = 16*xn, 16*kn
 	st.KeptZPlanes, st.PencilCount = nz, h*n
-	l.runIn = in
+	r.in = in
 	var err error
-	st.StageA, err = l.stage(spanA, tA, "conv.stageA.worker", comps*k, l.fnA, l.hA)
-	l.runIn = nil // input is only read in stage A; don't retain it
-	if err != nil {
+	if st.StageA, err = r.stage(spanA, tA, "conv.stageA.worker", comps*k, r.fnA, l.hA); err != nil {
 		return st, err
 	}
 
@@ -518,7 +535,7 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 	// ("1D transforms of B pencils at a time in the z-dimension"), inverse y
 	// tiles of the kept z planes, the sampled rows kept.
 	tB, spanB := time.Now(), run.Start("conv.stageB")
-	if st.StageB, err = l.stage(spanB, tB, "conv.stageB.worker", hp/fft.Tile, l.fnB, l.hB); err != nil {
+	if st.StageB, err = r.stage(spanB, tB, "conv.stageB.worker", hp/fft.Tile, r.fnB, l.hB); err != nil {
 		return st, err
 	}
 
@@ -535,14 +552,12 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 		st.SampleCount += len(out.Samples)
 		st.SampleBytes += out.MemoryBytes()
 	}
-	l.runOut = outs
-	st.StageC, err = l.stage(spanC, tC, "conv.stageC.worker", comps*len(l.pairs)/fft.Tile, l.fnC, l.hC)
-	l.runOut = nil
-	if err != nil {
+	r.outs = outs
+	if st.StageC, err = r.stage(spanC, tC, "conv.stageC.worker", comps*len(l.pairs)/fft.Tile, r.fnC, l.hC); err != nil {
 		return st, err
 	}
 	st.ModelBytes = 8 * comps * n * n * k
-	st.PeakBytes = 16*len(l.buf) + st.SampleBytes
+	st.PeakBytes = 16*size + st.SampleBytes
 	st.Compression = outs[0].CompressionRatio()
 	if tr := l.cfg.Trace; tr != nil {
 		tr.Counter("conv.pencils").Add(int64(st.PencilCount))
@@ -560,12 +575,12 @@ func (l *Local) RunComponents(in []*grid.Field, outs []*sample.Compressed) (Stat
 }
 
 // stage finishes the stage begun at t0 under span: count work items on the
-// pipeline's workers, each worker under span worker. It returns the stage's
+// runner's workers, each worker under span worker. It returns the stage's
 // wall time, observed into hist, or the first error a worker recorded.
-func (l *Local) stage(span *obs.Span, t0 time.Time, worker string, count int, fn func(w, i int), hist *obs.Histogram) (time.Duration, error) {
-	fft.ParallelForSpanned(span, worker, count, fft.Workers(l.cfg.Workers), fn)
+func (r *Runner) stage(span *obs.Span, t0 time.Time, worker string, count int, fn func(w, i int), hist *obs.Histogram) (time.Duration, error) {
+	fft.ParallelForSpanned(span, worker, count, len(r.scratch), fn)
 	span.End()
-	if err := l.ec.Err(); err != nil {
+	if err := r.ec.Err(); err != nil {
 		return 0, err
 	}
 	d := time.Since(t0)
@@ -575,26 +590,27 @@ func (l *Local) stage(span *obs.Span, t0 time.Time, worker string, count int, fn
 
 // recorded adapts a stage worker to fft.ParallelFor: its error goes to the
 // run's collector, and once any worker has failed the rest do nothing.
-func (l *Local) recorded(f func(w, i int) error) func(w, i int) {
+func (r *Runner) recorded(f func(w, i int) error) func(w, i int) {
 	return func(w, i int) {
-		if !l.ec.Failed() {
-			l.ec.Record(f(w, i))
+		if !r.ec.Failed() {
+			r.ec.Record(f(w, i))
 		}
 	}
 }
 
 // xSlice is the stage-A worker for slice i%k of component i/k (read from
-// l.runIn). The k rows are transformed along x two at a time: rows a, b
+// r.in). The k rows are transformed along x two at a time: rows a, b
 // packed as a + i·b go through one complex transform and come apart by
 // symmetry, F(a)[kx] = (Z[kx] + conj Z[−kx])/2 and F(b)[kx] =
 // (Z[kx] − conj Z[−kx])/2i, written to the rows' x spectra. The packed row
 // is placed through perm, so the transform starts without a reorder. Row
 // yy's spectrum is row yy of the slice's x spectra, kx ∈ [h, hp) zeroed.
-func (l *Local) xSlice(w, i int) error {
+func (r *Runner) xSlice(w, i int) error {
+	l := r.l
 	n, h, k, hp := l.n, l.h, l.k, l.hp
-	rows := l.runIn[i/k].Data[(i%k)*k*k:][:k*k]
-	xs := l.xspec[i*k*hp:][:k*hp]
-	line := l.scratch[w].line[:n]
+	rows := r.in[i/k].Data[(i%k)*k*k:][:k*k]
+	xs := r.xspec[i*k*hp:][:k*hp]
+	line := r.scratch[w].line[:n]
 	px := l.perm[l.ox : l.ox+k]
 	for yy := 0; yy < k; yy += 2 {
 		paired := yy+1 < k
@@ -643,28 +659,30 @@ func (l *Local) xSlice(w, i int) error {
 // to row ky of tile slot (zOut), which every forward of this ky has read.
 // Last, each kept plane's tile is inverse y transformed, its sampled rows
 // stored straight into the kept rows (yOut).
-func (l *Local) kxBlock(w, b int) error {
+func (r *Runner) kxBlock(w, b int) error {
+	l := r.l
 	n, k, hp, nr := l.n, l.k, l.hp, len(l.rows)
 	ts := fft.Tile*n + blockPad
-	cs, kx0, sc := l.bl*ts, fft.Tile*b, &l.scratch[w]
-	blk, ec := l.blocks[w*l.comps*cs:][:l.comps*cs], &l.ec // a failed tile is recorded in place
+	cs, kx0, sc := l.bl*ts, fft.Tile*b, &r.scratch[w]
+	blk, ec := r.blocks[w*l.comps*cs:][:l.comps*cs], &r.ec // a failed tile is recorded in place
+	tile := sc.tile[:l.comps]
 	for c := range l.comps {
 		for zi := range k {
-			ec.Record(l.plan.TileForward(blk[c*cs+zi*ts:][:ts-blockPad], l.xspec[(c*k+zi)*k*hp+kx0:], l.yIn, sc.line))
+			ec.Record(l.plan.TileForward(blk[c*cs+zi*ts:][:ts-blockPad], r.xspec[(c*k+zi)*k*hp+kx0:], l.yIn, sc.line))
 		}
 	}
 	for ky := range n {
-		for c, t := range sc.tile {
+		for c, t := range tile {
 			ec.Record(l.plan.TileForward(t, blk[c*cs+fft.Tile*ky:], l.zIn, sc.line))
 		}
-		l.pw(kx0, ky, sc.tile) // pointwise kernel multiply — the cuFFT-callback stage
-		for c, t := range sc.tile {
+		l.pw(kx0, ky, tile) // pointwise kernel multiply — the cuFFT-callback stage
+		for c, t := range tile {
 			ec.Record(l.plan.TileInverse(t, blk[c*cs+fft.Tile*ky:], l.zOut, sc.line))
 		}
 	}
 	for c := range l.comps {
 		for slot, to := range l.yOut {
-			ec.Record(l.plan.TileInverse(blk[c*cs+slot*ts:][:ts-blockPad], l.kept[c*nr*hp+kx0:], to, sc.line))
+			ec.Record(l.plan.TileInverse(blk[c*cs+slot*ts:][:ts-blockPad], r.kept[c*nr*hp+kx0:], to, sc.line))
 		}
 	}
 	return nil
@@ -715,12 +733,13 @@ func (l *Local) tileRows() error {
 // the negative kx by Hermitian symmetry with the DC and Nyquist terms taken
 // real, so F⁻¹Z = a + i·b; the samples are gathered from the tile, which
 // the inverse leaves in perm order, where xpos points.
-func (l *Local) xTile(w, i int) error {
+func (r *Runner) xTile(w, i int) error {
+	l := r.l
 	n, h, hp, nr := l.n, l.h, l.hp, len(l.rows)
 	m := len(l.pairs) / fft.Tile
 	c, pairs := i/m, l.pairs[i%m*fft.Tile:][:fft.Tile]
-	kept := l.kept[c*nr*hp:][:nr*hp] // row r's value at kx is kept[r*hp+kx]
-	out, xpos, t := l.runOut[c].Samples, l.xpos, l.scratch[w].tile[0]
+	kept := r.kept[c*nr*hp:][:nr*hp] // row r's value at kx is kept[r*hp+kx]
+	out, xpos, t := r.outs[c].Samples, l.xpos, r.scratch[w].tile[0]
 	for j, p := range pairs {
 		pa, pb := kept[int(p.a)*hp:][:h], kept[int(p.b)*hp:][:h]
 		t[j] = complex(real(pa[0]), real(pb[0]))
@@ -733,7 +752,7 @@ func (l *Local) xTile(w, i int) error {
 			t[fft.Tile*(n/2)+j] = complex(real(pa[n/2]), real(pb[n/2]))
 		}
 	}
-	if err := l.plan.TileInverse(t, t, l.xAll, l.scratch[w].line); err != nil {
+	if err := l.plan.TileInverse(t, t, l.xAll, r.scratch[w].line); err != nil {
 		return err
 	}
 	for j, p := range pairs {

@@ -13,8 +13,8 @@ import (
 // they use: n128-k32 is a warm pipeline on the centre box, as in
 // local-n128-k32; n64-k16 a warm pipeline on one box of solve-n64-k16;
 // n64-k16-fresh places a new pipeline per box from a shared plan set (and
-// its memoized sampling geometry), runs it and releases its buffer, walking
-// all 64 boxes as a solve's tasks do; and n32-k8 is a warm pipeline at the
+// its memoized sampling geometry) and runs it on one Runner, walking all 64
+// boxes as a fleet device's tasks do; and n32-k8 is a warm pipeline at the
 // shape of serve-rate150-n32-k8, where a last kx tile's padding lanes cost
 // the largest share.
 func BenchmarkLocalRun(b *testing.B) {
@@ -55,17 +55,16 @@ func BenchmarkLocalRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		pw := KernelPointwise(dim, kernel)
-		in := randSub(k, 1)
+		in, r := []*grid.Field{randSub(k, 1)}, ps.NewRunner()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), 1, pw, Config{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := l.Run(in); err != nil {
+			if _, err := r.Run(l, in, make([]*sample.Compressed, 1)); err != nil {
 				b.Fatal(err)
 			}
-			l.ReleaseBuffers()
 		}
 	})
 }

@@ -120,7 +120,6 @@ func TestKeptZPlanesMatchModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, st, err := local.Run(grid.NewField(grid.Cube(c.k)))
-			local.ReleaseBuffers()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // BenchmarkLocalRunDispatch is conv's BenchmarkLocalRun under each dispatch
 // this CPU has (fft.Dispatches), at the same shapes — n128-k32, n64-k16 and
 // n32-k8 warm pipelines, n64-k16-fresh a new pipeline per box of a shared
-// plan set. avx512-tile is BenchmarkLocalRun itself on a CPU with AVX-512;
+// plan set, run on one conv.Runner. avx512-tile is BenchmarkLocalRun itself on a CPU with AVX-512;
 // avx-tile times the pipeline as a CPU with AVX alone runs it, avx-lines
 // with every tile on the line path (as for an N that is not a power of
 // two), and go-loops as off amd64. Compare each with the parent's in
@@ -52,17 +52,16 @@ func BenchmarkLocalRunDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		pw := conv.KernelPointwise(dim, kernel)
-		in := randField(k, 1)
+		in, r := []*grid.Field{randField(k, 1)}, ps.NewRunner()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l, err := ps.NewPolicyLocal(sample.DefaultPolicy(boxes[i%len(boxes)], 16), 1, pw, conv.Config{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := l.Run(in); err != nil {
+			if _, err := r.Run(l, in, make([]*sample.Compressed, 1)); err != nil {
 				b.Fatal(err)
 			}
-			l.ReleaseBuffers()
 		}
 	}
 	for _, d := range fft.Dispatches() {

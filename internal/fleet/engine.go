@@ -171,19 +171,21 @@ func (e *Engine) Close() {
 }
 
 // runDevice is the per-device runner: block for a batch (stealing when
-// idle), execute it through the shared plan set, release and report.
+// idle), execute it on the shared plan set and the goroutine's one
+// conv.Runner, release and report.
 // Each dispatch gets a sequence number so injected faults are a pure
 // function of (seed, device, dispatch, point).
 func (e *Engine) runDevice(di int) {
 	defer e.runners.Done()
 	buf := make([]*Task, 0, e.sched.maxBatch)
+	run := e.plans.NewRunner()
 	var seq uint64
 	for {
 		batch := e.sched.WaitBatch(di, buf)
 		if batch == nil {
 			return
 		}
-		e.runBatch(di, batch, seq)
+		e.runBatch(di, run, batch, seq)
 		seq++
 	}
 }
@@ -192,12 +194,12 @@ func (e *Engine) runDevice(di int) {
 // trace_id from the head task) so CPU profiles of the fleet runners
 // attribute samples to tenants and job timelines. This path allocates
 // anyway (plans, scratch); the labels are not on serve's 0-alloc path.
-func (e *Engine) runBatch(di int, batch []*Task, seq uint64) {
+func (e *Engine) runBatch(di int, run *conv.Runner, batch []*Task, seq uint64) {
 	labels := pprof.Labels(
 		"tenant", batch[0].Tenant,
 		"trace_id", strconv.FormatUint(uint64(batch[0].Job.ID()), 10))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		e.runBatchLabeled(di, batch, seq)
+		e.runBatchLabeled(di, run, batch, seq)
 	})
 }
 
@@ -205,7 +207,7 @@ func (e *Engine) runBatch(di int, batch []*Task, seq uint64) {
 // the three injection points. A runner only ever writes Result/Err on the
 // attempt objects it owns; delivery to the solve happens inside
 // Complete, under the scheduler mutex, first-result-wins.
-func (e *Engine) runBatchLabeled(di int, batch []*Task, seq uint64) {
+func (e *Engine) runBatchLabeled(di int, run *conv.Runner, batch []*Task, seq uint64) {
 	t0 := time.Now()
 	f := e.opts.Faults
 	if e.injectFault(di, batch, f.At(di, seq, PointDispatch), t0) {
@@ -217,7 +219,7 @@ func (e *Engine) runBatchLabeled(di int, batch []*Task, seq uint64) {
 				return
 			}
 		}
-		t.Result, t.Err = e.runTask(t, di)
+		t.Result, t.Err = e.runTask(t, di, run)
 	}
 	if e.injectFault(di, batch, f.At(di, seq, PointCompletion), t0) {
 		return
@@ -250,7 +252,7 @@ func (e *Engine) injectFault(di int, batch []*Task, kind FaultKind, t0 time.Time
 	return false
 }
 
-func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
+func (e *Engine) runTask(t *Task, di int, run *conv.Runner) (*sample.Compressed, error) {
 	local, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(t.Box, e.far), 1, e.pw, e.opts.Conv)
 	if err != nil {
 		return nil, err
@@ -259,14 +261,14 @@ func (e *Engine) runTask(t *Task, di int) (*sample.Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := local.Run(sub)
-	local.ReleaseBuffers()
+	res := make([]*sample.Compressed, 1)
+	stats, err := run.Run(local, []*grid.Field{sub}, res)
 	if err == nil {
 		t.Job.Stage("A", di, stats.StageA)
 		t.Job.Stage("B", di, stats.StageB)
 		t.Job.Stage("C", di, stats.StageC)
 	}
-	return res, err
+	return res[0], err
 }
 
 // pickK chooses the decomposition edge and whether the solve spills: a

@@ -84,7 +84,7 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 			// Respawned replacements and surviving ranks alike resume from
 			// their iteration-start strain of startIter; iteration 0's is E,
 			// which newSampled sets.
-			o, err := s.newSampled(w.ID, nil)
+			o, err := s.newSampled(w.ID, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -233,8 +233,8 @@ func (p *healer) apply(iter int, in func(b, i, g int) grid.SymTensor, out []*gri
 	}
 	p.sup.EndCompute(id, iter)
 	// While this rank blocks in the all-to-all on peers that still compute,
-	// its plans are idle: a helper lends them to a straggler's backup. The
-	// rank takes them back before it returns.
+	// its plans and runner are idle: a helper lends them to a straggler's
+	// backup. The rank takes them back before it returns.
 	done, helped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(helped)
@@ -290,7 +290,7 @@ func (p *healer) help(iter int, done <-chan struct{}) {
 }
 
 // backupFor re-executes straggler q's iteration iter from its checkpoint
-// on this rank's plans, with q's own operator built on first use.
+// on this rank's plans and runner, with q's own operator built on first use.
 func (p *healer) backupFor(q, iter int) ([][]float64, error) {
 	snap, err := p.store.LoadStrainAt(q, iter)
 	if err != nil || snap == nil {
@@ -298,7 +298,7 @@ func (p *healer) backupFor(q, iter int) ([][]float64, error) {
 	}
 	peer, ok := p.peers[q]
 	if !ok {
-		if peer, err = p.s.newSampled(q, p.plans); err != nil {
+		if peer, err = p.s.newSampled(q, p.plans, p.run); err != nil {
 			return nil, err
 		}
 		p.peers[q] = peer

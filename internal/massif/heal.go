@@ -61,8 +61,8 @@ type HealReport struct {
 
 // HealWorkerBytes models the honest per-worker device footprint of a
 // distributed solve: the resident per-box strain and delta fields plus one
-// shared stress scratch, and the streamed peak of ONE local pipeline (boxes
-// run sequentially and release their buffer, see conv.Local.ReleaseBuffers).
+// shared stress scratch, and the streamed peak of ONE local pipeline (the
+// boxes run one after another: one buffer per rank's runner, conv.Runner).
 // Refining k shrinks this charge — the pipeline's x spectra scale with k²
 // and the resident term stays fixed at the grid share — which is exactly why
 // admission control can heal an OOM by refining instead of failing.
@@ -76,11 +76,11 @@ func HealWorkerBytes(dim grid.Dim3, p int, opt LowCommOptions) int64 {
 	return resident + pipelineBytes(dim, opt)
 }
 
-// pipelineBytes is the one buffer of a six-component conv.Local on a box of
-// edge k over the half spectrum N/2+1 padded to hp, a multiple of fft.Tile,
-// per component: k·k·hp complex of x spectra, hp per kept row, and per
-// pipeline worker (at most hp/fft.Tile) a block of max(k, kept planes)
-// tiles of fft.Tile·N plus a pad row. The kept planes and rows are counted
+// pipelineBytes is the runner buffer of a six-component conv.Local on a box
+// of edge k over the half spectrum N/2+1 padded to hp, a multiple of
+// fft.Tile, per component: k·k·hp complex of x spectra, hp per kept row,
+// and per pipeline worker (at most hp/fft.Tile) a block of max(k, kept
+// planes) tiles of fft.Tile·N plus a pad row. The kept planes and rows are counted
 // from the tree of the corner box's policy (boxPolicy): the sampling rate is
 // a function of torus distance, so every box's tree is a translate of it.
 func pipelineBytes(dim grid.Dim3, opt LowCommOptions) int64 {

@@ -53,7 +53,7 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 	if err != nil {
 		return nil, err
 	}
-	o, err := s.newSampled(0, nil)
+	o, err := s.newSampled(0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +110,10 @@ func (s *lowComm) finish() (*LowCommResult, error) {
 }
 
 // sampled is Algorithm 2's Γ̂ on one rank's sub-domains (lines 3–6): a
-// conv.Local per owned box on one PlanSet, one σ scratch, and the
-// accumulation of the received groups. The compressed outputs are handed
-// back to RunComponents run after run, and the exchange encodes what they
-// hold. As it stands it is SolveLowComm's operator, on one rank that owns
+// conv.Local per owned box on one PlanSet, all run on one conv.Runner, one
+// σ scratch, and the accumulation of the received groups. The compressed
+// outputs are handed back to the runner run after run, and the exchange
+// encodes what they hold. As it stands it is SolveLowComm's operator, on one rank that owns
 // every box: the exchange hands its own message back and the reduction is
 // the identity. healer runs it on the fabric.
 type sampled struct {
@@ -121,6 +121,7 @@ type sampled struct {
 	s      *lowComm
 	r      *rank
 	plans  *conv.PlanSet
+	run    *conv.Runner
 	owned  []int
 	locals []*conv.Local
 	outs   [][]*sample.Compressed
@@ -129,15 +130,17 @@ type sampled struct {
 	samples, bytes int // per iteration, over the owned boxes
 }
 
-// newSampled builds rank id's operator and rank on plans (fresh when nil).
-func (s *lowComm) newSampled(id int, plans *conv.PlanSet) (*sampled, error) {
+// newSampled builds rank id's operator and rank on plans and run (fresh
+// ones when plans is nil).
+func (s *lowComm) newSampled(id int, plans *conv.PlanSet, run *conv.Runner) (*sampled, error) {
 	if plans == nil {
 		var err error
 		if plans, err = conv.NewPlanSet(s.m.Dim, s.opt.Workers); err != nil {
 			return nil, err
 		}
+		run = plans.NewRunner()
 	}
-	o := &sampled{s: s, plans: plans, owned: s.x.Owned(id), sigma: grid.NewTensorField(grid.Cube(s.opt.SubSize))}
+	o := &sampled{s: s, plans: plans, run: run, owned: s.x.Owned(id), sigma: grid.NewTensorField(grid.Cube(s.opt.SubSize))}
 	var boxes []grid.Box
 	for _, j := range o.owned {
 		boxes = append(boxes, s.x.Boxes[j])
@@ -165,8 +168,8 @@ func (s *lowComm) runRank(o *sampled, op operator, start int) error {
 	return s.run(o.r, op, basic{s.solve, o.r}, start)
 }
 
-// compute runs the local convolution of every owned box at in, releasing
-// each pipeline's buffers after its run.
+// compute runs the local convolution of every owned box at in on the
+// rank's runner.
 func (o *sampled) compute(in func(b, i, g int) grid.SymTensor) error {
 	for i, local := range o.locals {
 		lo, d := o.r.boxes[i].Lo, o.s.m.Dim
@@ -174,9 +177,7 @@ func (o *sampled) compute(in func(b, i, g int) grid.SymTensor) error {
 			x, y, z := o.sigma.Dim.Coords(j)
 			o.sigma.SetIndex(j, in(i, j, d.Index(lo[0]+x, lo[1]+y, lo[2]+z)))
 		}
-		_, err := local.RunComponents(o.sigma.Comp[:], o.outs[i])
-		local.ReleaseBuffers()
-		if err != nil {
+		if _, err := o.run.Run(local, o.sigma.Comp[:], o.outs[i]); err != nil {
 			return err
 		}
 	}

@@ -12,10 +12,10 @@ import (
 	"lowcomm3d/internal/sample"
 )
 
-// BenchmarkServeSteadyState contrasts the engine's warm path (cached
-// plans, pooled pipeline state, recycled arenas — the steady state of a
-// long-running server) against the cold path that rebuilds the tree and
-// pipeline per job. TestWarmSubmitZeroAllocs pins the warm case at zero
+// BenchmarkServeSteadyState contrasts the engine's warm path (cached plans
+// and placed box, the worker's runner, recycled arenas — the steady state
+// of a long-running server) against the cold path that rebuilds the tree
+// and pipeline per job. TestWarmSubmitZeroAllocs pins the warm case at zero
 // allocations.
 func BenchmarkServeSteadyState(b *testing.B) {
 	dim := grid.Cube(32)

@@ -6,7 +6,6 @@ import (
 
 	"lowcomm3d/internal/conv"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/sample"
 )
 
 // pipelineCap is the per-box pipeline LRU capacity.
@@ -16,39 +15,14 @@ const pipelineCap = 64
 // across the engine's workers instead.
 var pipelineConfig = conv.Config{Workers: 1}
 
-// pipeline is everything cached for one sub-domain box: its sampling
-// policy and pools of the two per-job mutable pieces — conv.Local working
-// state and compressed output arenas, built from a pooled Local's tree —
-// so a warm job borrows both and allocates neither.
+// pipeline is everything cached for one sub-domain box: its placed
+// conv.Local, which every engine worker runs on its own conv.Runner, and a
+// pool of compressed output arenas built from its tree, so a warm job
+// borrows an arena and allocates nothing.
 type pipeline struct {
-	policy sample.Policy
-	pw     conv.Pointwise
-
-	locals sync.Pool // *conv.Local (no New: construction can fail)
-	outs   sync.Pool // *sample.Compressed
-}
-
-// local borrows a pipeline, placing a new one over the engine's plan set
-// only when the pool is empty.
-func (p *pipeline) local(ps *conv.PlanSet) (*conv.Local, error) {
-	if v := p.locals.Get(); v != nil {
-		return v.(*conv.Local), nil
-	}
-	return p.newLocal(ps)
-}
-
-// newLocal places one pipeline for the box from ps's memoized sampling
-// geometry.
-func (p *pipeline) newLocal(ps *conv.PlanSet) (*conv.Local, error) {
-	return ps.NewPolicyLocal(p.policy, 1, p.pw, pipelineConfig)
-}
-
-// out borrows an output arena; nil means RunInto allocates a fresh one.
-func (p *pipeline) out() *sample.Compressed {
-	if v := p.outs.Get(); v != nil {
-		return v.(*sample.Compressed)
-	}
-	return nil
+	box   grid.Box
+	local *conv.Local
+	outs  sync.Pool // *sample.Compressed
 }
 
 // pipeCache is the LRU of ready pipelines, keyed by sub-domain box — the
@@ -97,7 +71,7 @@ func (c *pipeCache) insert(key grid.Box, build func() (*pipeline, error)) (*pipe
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()
 		c.ll.Remove(el)
-		delete(c.m, el.Value.(*pipeline).policy.Sub)
+		delete(c.m, el.Value.(*pipeline).box)
 	}
 	return p, nil
 }

@@ -3,13 +3,14 @@
 // jobs and runs them on a fixed pool of workers. The paper's batching
 // observation (§3.1: "multiple chunks can be batch processed by a single
 // worker") becomes, in serving form, plan/arena reuse — every job runs
-// over the one FFT plan set built with the engine, and after the first job
-// of a given box every later job of that box borrows pooled pipeline state
-// and a recycled output arena, so a warm Submit performs no heap
-// allocation. Admission control bounds the queue and charges each job's
-// modeled device footprint against a gpu.Device ledger, rejecting with a
-// typed ErrOverloaded (plus a retry-after hint) instead of queuing without
-// bound.
+// over the one FFT plan set built with the engine, on its worker's one
+// conv.Runner, whose buffer serves every box the worker runs, and after the
+// first job of a given box every later job of that box runs the box's
+// cached conv.Local into a recycled output arena, so a warm Submit
+// performs no heap allocation. Admission control bounds the queue and
+// charges each job's modeled device footprint against a gpu.Device ledger,
+// rejecting with a typed ErrOverloaded (plus a retry-after hint) instead of
+// queuing without bound.
 package serve
 
 import (
@@ -119,7 +120,8 @@ type task struct {
 	stats     *tenantStats // drain accounting slot (nil: registry full)
 	ctx       context.Context
 	box       grid.Box
-	input     *grid.Field
+	in        [1]*grid.Field        // the input, as conv.Runner.Run takes it
+	out       [1]*sample.Compressed // the borrowed arena, then the output
 	footprint int64
 	dev       int // fleet device holding the reservation (-1: none)
 	job       *jobtrace.Job
@@ -513,7 +515,7 @@ func (e *Engine) Submit(ctx context.Context, tenant string, box grid.Box, input 
 	e.gQueue.Max(int64(depth))
 
 	t := e.taskPool.Get().(*task)
-	t.box, t.input, t.footprint, t.enq = box, input, fp, time.Now()
+	t.box, t.in[0], t.footprint, t.enq = box, input, fp, time.Now()
 	t.dev = dev
 	t.job, t.jobOwned = j, jobOwned
 	t.tenant, t.stats = tenant, st
@@ -672,7 +674,7 @@ func (e *Engine) recycle(t *task) {
 		e.jobs.Finish(t.job)
 	}
 	t.job, t.jobOwned = nil, false
-	t.next, t.tq, t.input, t.ctx = nil, nil, nil, nil
+	t.next, t.tq, t.in[0], t.out[0], t.ctx = nil, nil, nil, nil, nil
 	t.tenant, t.stats = "", nil
 	t.res, t.err = Result{}, nil
 	t.dev = -1
@@ -727,16 +729,17 @@ func (e *Engine) observeDuration(d time.Duration) {
 	}
 }
 
-// worker is one dispatch goroutine: dequeue weighted-fair, run, repeat
-// until the engine drains.
+// worker is one dispatch goroutine: dequeue weighted-fair, run on its own
+// conv.Runner, repeat until the engine drains.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	run := e.plans.NewRunner()
 	for {
 		t := e.dequeue()
 		if t == nil {
 			return
 		}
-		e.runJob(t)
+		e.runJob(t, run)
 	}
 }
 
@@ -793,7 +796,7 @@ func (e *Engine) dequeue() *task {
 // whose context expired while it sat in the queue is skipped without
 // running — the dequeue raced the submitter's own removal, and running a
 // job nobody waits for wastes a worker.
-func (e *Engine) runJob(t *task) {
+func (e *Engine) runJob(t *task, run *conv.Runner) {
 	if err := t.ctx.Err(); err != nil {
 		t.err = err
 		e.cCancelled.Add(1)
@@ -812,7 +815,7 @@ func (e *Engine) runJob(t *task) {
 	if h := e.testHookRun; h != nil {
 		h(t.tenant)
 	}
-	e.execute(t)
+	e.execute(t, run)
 	d := time.Since(start)
 	e.observeDuration(d)
 	dev := t.dev
@@ -839,9 +842,9 @@ func (e *Engine) runJob(t *task) {
 	t.done <- struct{}{} // t belongs to the submitter from here on
 }
 
-// execute resolves the job's pipeline (cached plans, pooled state, pooled
-// output arena) and runs the convolution, filling t.res / t.err.
-func (e *Engine) execute(t *task) {
+// execute resolves the job's pipeline (cached placed box, pooled output
+// arena) and runs the convolution on run, filling t.res / t.err.
+func (e *Engine) execute(t *task, run *conv.Runner) {
 	wait := time.Since(t.enq)
 	p := e.pipes.lookup(t.box)
 	if p == nil {
@@ -855,14 +858,9 @@ func (e *Engine) execute(t *task) {
 		}
 	}
 	e.cPlanHits.Add(1) // every executed job runs over the engine's plan set
-	l, err := p.local(e.plans)
-	if err != nil {
-		t.err = err
-		return
-	}
-	out := p.out()
-	res, st, err := l.RunInto(t.input, out)
-	p.locals.Put(l)
+	out, _ := p.outs.Get().(*sample.Compressed)
+	t.out[0] = out // the run allocates an arena in place of nil
+	st, err := run.Run(p.local, t.in[:], t.out[:])
 	if err != nil {
 		if out != nil {
 			p.outs.Put(out) // failed run: don't leak the borrowed arena
@@ -870,20 +868,18 @@ func (e *Engine) execute(t *task) {
 		t.err = err
 		return
 	}
-	t.res = Result{Output: res, Stats: st, Wait: wait, pipe: p}
+	t.res = Result{Output: t.out[0], Stats: st, Wait: wait, pipe: p}
 }
 
-// buildPipeline assembles a pipeline for box on a cache miss: its first
-// conv.Local, placed from the engine's plan set by the default policy,
-// goes to the pool.
+// buildPipeline assembles a pipeline for box on a cache miss: its
+// conv.Local, placed from the engine's plan set, and its memoized sampling
+// geometry, by the default policy.
 func (e *Engine) buildPipeline(box grid.Box) (*pipeline, error) {
-	p := &pipeline{policy: sample.DefaultPolicy(box, e.far), pw: e.pw}
-	l, err := p.newLocal(e.plans)
+	l, err := e.plans.NewPolicyLocal(sample.DefaultPolicy(box, e.far), 1, e.pw, pipelineConfig)
 	if err != nil {
 		return nil, err
 	}
-	p.locals.Put(l)
-	return p, nil
+	return &pipeline{box: box, local: l}, nil
 }
 
 // Drain stops admission, lets every accepted job finish, and shuts the

@@ -110,43 +110,48 @@ func TestSubmitMatchesDirectPipeline(t *testing.T) {
 }
 
 // TestWarmSubmitZeroAllocs is the tentpole acceptance test: once a shape
-// has been served, Submit borrows cached plans, pooled pipeline state,
-// and a recycled output arena — zero heap allocations per warm job,
-// measured across the submitting and worker goroutines. Job tracing is
-// ON: the lifecycle timeline (pooled event rings, static labels) must
-// not cost the warm path a single allocation.
+// has been served, Submit borrows the cached placed box, the worker's
+// runner and a recycled output arena — zero heap allocations per warm job,
+// measured across the submitting and worker goroutines. It holds for one
+// box and for a cycle over four boxes on one worker, which switches the
+// runner's buffer between boxes on every job, as the served workloads do.
+// Job tracing is ON: the lifecycle timeline (pooled event rings, static
+// labels) must not cost the warm path a single allocation.
 func TestWarmSubmitZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the 0-alloc claim is asserted by the non-race suite and BenchmarkServeSteadyState")
 	}
 	dim := grid.Cube(32)
-	box := grid.CubeAt(grid.Point{8, 8, 8}, 8)
 	in := testField(8, 7)
-	e := testEngine(t, Options{
-		Dim: dim, Workers: 1, Device: gpu.V100_16GB(),
-		Jobs:          jobtrace.NewCollector(),
-		TenantWeights: map[string]int{"tenant": 3}, // weights must not cost the warm path an alloc
-	})
-	for i := 0; i < 5; i++ { // warm plans, pools, tenant queue, task pool
-		res, err := e.Submit(context.Background(), "tenant", box, in)
-		if err != nil {
-			t.Fatal(err)
+	for _, boxes := range [][]grid.Box{
+		{grid.CubeAt(grid.Point{8, 8, 8}, 8)},
+		{grid.CubeAt(grid.Point{0, 0, 0}, 8), grid.CubeAt(grid.Point{8, 8, 8}, 8),
+			grid.CubeAt(grid.Point{16, 0, 8}, 8), grid.CubeAt(grid.Point{24, 16, 0}, 8)},
+	} {
+		e := testEngine(t, Options{
+			Dim: dim, Workers: 1, Device: gpu.V100_16GB(),
+			Jobs:          jobtrace.NewCollector(),
+			TenantWeights: map[string]int{"tenant": 3}, // weights must not cost the warm path an alloc
+		})
+		cycle := func() {
+			for _, box := range boxes {
+				res, err := e.Submit(context.Background(), "tenant", box, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Release()
+			}
 		}
-		res.Release()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		res, err := e.Submit(context.Background(), "tenant", box, in)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ { // warm plans, pools, tenant queue, task pool
+			cycle()
 		}
-		res.Release()
-	})
-	if allocs != 0 {
-		t.Errorf("warm Submit allocates %v objects per job, want 0", allocs)
-	}
-	for _, ds := range e.FleetStatus() {
-		if ds.Used != 0 {
-			t.Errorf("device %s ledger holds %d bytes after all jobs released", ds.Name, ds.Used)
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("warm Submit over %d boxes allocates %v objects per cycle, want 0", len(boxes), allocs)
+		}
+		for _, ds := range e.FleetStatus() {
+			if ds.Used != 0 {
+				t.Errorf("device %s ledger holds %d bytes after all jobs released", ds.Name, ds.Used)
+			}
 		}
 	}
 }
