@@ -1,4 +1,4 @@
-.PHONY: verify build test bench fuzz-smoke profile lines
+.PHONY: verify build test bench fuzz-smoke profile lines surface
 
 # The gate for every change: static checks, full build, and the complete
 # test suite under the race detector (the fault-tolerant transport is
@@ -50,6 +50,13 @@ lines:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
 		printf '%6d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done | awk '{ print; s += $$1 } END { printf "%6d  total\n", s }'
+
+# The test-only surface report: every declaration under internal/ that no
+# program, benchmark or example reaches (go/types-resolved), with its file,
+# line, size and outcome. The test also runs in `make test`; this prints the
+# report next to `make lines`. Not part of verify.
+surface:
+	go test -count=1 -run TestNoTestOnlySurface -v .
 
 # 10s smoke of each fuzz target against the committed seed corpora; the
 # full 30s runs are part of the PR acceptance checklist.

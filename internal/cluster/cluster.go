@@ -47,7 +47,6 @@ type Stats struct {
 	collByC  *obs.Counter
 	a2aH     *obs.Histogram // per-worker all-to-all wall time
 	arH      *obs.Histogram // per-worker all-reduce wall time
-	bcH      *obs.Histogram // per-worker broadcast wall time
 }
 
 // MeasuredCollective is one completed collective round as observed on the
@@ -74,7 +73,6 @@ func (s *Stats) attachTrace(t *obs.Trace) {
 	s.collByC = t.Counter("cluster.collective.bytes")
 	s.a2aH = t.Histogram("cluster.alltoall_seconds")
 	s.arH = t.Histogram("cluster.allreduce_seconds")
-	s.bcH = t.Histogram("cluster.broadcast_seconds")
 }
 
 // recordMessage counts one point-to-point or collective-internal message.
@@ -337,17 +335,6 @@ func NewWithOptions(p int, params Params, opts Options) (*Cluster, error) {
 }
 
 func (c *Cluster) isDead(id int) bool { return c.dead[id].Load() }
-
-// DeadWorkers returns the sorted ranks declared dead so far.
-func (c *Cluster) DeadWorkers() []int {
-	var out []int
-	for i := range c.dead {
-		if c.dead[i].Load() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 func (c *Cluster) declareDead(id int) {
 	if !c.dead[id].Swap(true) {
@@ -772,33 +759,4 @@ func (w *Worker) AllReduceSumFT(local []float64) (total []float64, dead []bool, 
 		mask[i] = uint64(payload[i/53])&(1<<(i%53)) != 0
 	}
 	return payload[words:], mask, nil
-}
-
-// Broadcast sends data from root to every other live worker (counted as
-// P−1 α–β-timed messages); all workers return the payload. A non-root
-// worker whose root dies gets a typed FaultError.
-func (w *Worker) Broadcast(root int, data []float64) (out []float64, err error) {
-	if err := w.crashPoint("broadcast"); err != nil {
-		return nil, err
-	}
-	sp := w.c.opts.Trace.StartTrack("cluster.broadcast", w.ID+1)
-	defer func() {
-		d := sp.End()
-		w.c.Stats.bcH.Observe(d)
-		if err == nil {
-			w.c.opts.Flight.Collective(w.ID, "broadcast", int64(8*len(data)), d)
-		}
-	}()
-	if w.ID == root {
-		for to := 0; to < w.c.P; to++ {
-			if to != root && !w.c.isDead(to) {
-				w.sendRaw(to, data, true)
-			}
-		}
-		return data, nil
-	}
-	if w.c.isDead(root) {
-		return nil, &FaultError{Worker: w.ID, Peer: root, Op: "broadcast"}
-	}
-	return w.recvRaw(root, "broadcast")
 }

@@ -64,7 +64,7 @@ func blobField(d grid.Dim3, seed int64) *grid.Field {
 			for y := 0; y < d.Ny; y++ {
 				for x := 0; x < d.Nx; x++ {
 					dx, dy, dz := float64(x-cx), float64(y-cy), float64(z-cz)
-					f.Add(x, y, z, amp*math.Exp(-(dx*dx+dy*dy+dz*dz)/18))
+					f.Data[d.Index(x, y, z)] += amp * math.Exp(-(dx*dx+dy*dy+dz*dz)/18)
 				}
 			}
 		}

@@ -111,7 +111,7 @@ func TestSharedTraceConcurrentPipelines(t *testing.T) {
 	if tr.CounterValue("conv.pencils") <= 0 {
 		t.Error("shared trace recorded no pencils")
 	}
-	if tr.Histogram("conv.stage_b_seconds").Count() <= 0 {
+	if tr.Histogram("conv.stage_b_seconds").Snapshot("").Count <= 0 {
 		t.Error("shared trace recorded no stage-B latencies")
 	}
 }

@@ -98,9 +98,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// N returns the transform length.
-func (p *Plan) N() int { return p.n }
-
 // Perm returns the order ForwardFromPerm and TileForward read and
 // TileInverse writes: position i holds element Perm()[i]. It is the bit reversal for powers of
 // two and the identity otherwise, and it is its own inverse. The slice is

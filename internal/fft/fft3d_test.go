@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -33,11 +34,11 @@ func dft3Direct(f *grid.ComplexField) *grid.ComplexField {
 							ang := -2 * math.Pi * (float64(kx*x)/float64(d.Nx) +
 								float64(ky*y)/float64(d.Ny) +
 								float64(kz*z)/float64(d.Nz))
-							sum += f.At(x, y, z) * cmplx.Exp(complex(0, ang))
+							sum += f.Data[d.Index(x, y, z)] * cmplx.Exp(complex(0, ang))
 						}
 					}
 				}
-				out.Set(kx, ky, kz, sum)
+				out.Data[d.Index(kx, ky, kz)] = sum
 			}
 		}
 	}
@@ -83,7 +84,7 @@ func TestPlan3DRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := randField(d, 7)
-		orig := f.Clone()
+		orig := &grid.ComplexField{Dim: d, Data: slices.Clone(f.Data)}
 		if err := p.Forward(f); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestPlan3DSeparability(t *testing.T) {
 	for z := 0; z < 8; z++ {
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
-				f.Set(x, y, z, a[x]*bb[y]*c[z])
+				f.Data[d.Index(x, y, z)] = a[x] * bb[y] * c[z]
 			}
 		}
 	}
@@ -132,7 +133,7 @@ func TestPlan3DSeparability(t *testing.T) {
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				want := fa[x] * fb[y] * fc[z]
-				if cmplx.Abs(f.At(x, y, z)-want) > 1e-9 {
+				if cmplx.Abs(f.Data[d.Index(x, y, z)]-want) > 1e-9 {
 					t.Fatalf("separability violated at (%d,%d,%d)", x, y, z)
 				}
 			}
@@ -151,7 +152,7 @@ func TestPlan3DDimMismatch(t *testing.T) {
 func TestPlan3DWorkerCountsAgree(t *testing.T) {
 	d := grid.Dim3{Nx: 16, Ny: 16, Nz: 16}
 	f1 := randField(d, 12)
-	f4 := f1.Clone()
+	f4 := &grid.ComplexField{Dim: d, Data: slices.Clone(f1.Data)}
 	p1, _ := NewPlan3D(d, 1)
 	p4, _ := NewPlan3D(d, 4)
 	if err := p1.Forward(f1); err != nil {

@@ -45,9 +45,6 @@ func NewRealPlan(n int) (*RealPlan, error) {
 	return p, nil
 }
 
-// N returns the real sequence length.
-func (p *RealPlan) N() int { return p.n }
-
 // SpectrumLen returns the number of independent complex coefficients,
 // n/2 + 1 (the remaining half follows from Hermitian symmetry).
 func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }

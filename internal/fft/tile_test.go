@@ -18,7 +18,7 @@ type tileCase struct {
 }
 
 func newTileCase(t testing.TB, p *Plan, x [Tile][]complex128, seed int64, absent, dropped float64) tileCase {
-	n := p.N()
+	n := p.n
 	rng := rand.New(rand.NewSource(seed))
 	const stride = Tile + 3
 	from, to := make([]int32, n), make([]int32, n)
@@ -76,7 +76,7 @@ func (c tileCase) tile() []complex128 {
 // into a cleared line, absent rows left zero, and run through
 // ForwardFromPerm on the Go loops.
 func (c tileCase) wantForward(p *Plan) []complex128 {
-	n := p.N()
+	n := p.n
 	want := make([]complex128, Tile*n)
 	line := make([]complex128, n)
 	for j := range c.x {
@@ -123,7 +123,7 @@ func (c tileCase) wantInverse(p *Plan, buf []complex128) []complex128 {
 // and holds them to the per-line references bit for bit.
 func checkTile(t *testing.T, p *Plan, c tileCase, label string) {
 	t.Helper()
-	n := p.N()
+	n := p.n
 	scratch := make([]complex128, Tile*n)
 	src := c.src(p)
 	srcWas := append([]complex128(nil), src...)

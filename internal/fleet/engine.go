@@ -64,12 +64,14 @@ type SolveStats struct {
 
 // Engine executes decomposed convolutions over a device fleet: Solve
 // decomposes the input, enqueues one task per non-zero sub-domain, and
-// per-device runners drain batches of same-k tasks through a shared
-// conv.PlanSet (stages A and C amortized across tenants — the §5.4 batch
-// dial applied across jobs). Results accumulate in canonical sub-domain
-// order, so the output is byte-identical regardless of which device ran
-// which job, how batches formed, or whether work was stolen — and
-// byte-identical to the spill path, which assembles in the same order.
+// per-device runners drain batches of same-k tasks over a shared
+// conv.PlanSet. A batch groups dispatch only: each task places its own
+// conv.Local and runs it on the device's one conv.Runner, so no stage's
+// work is shared between the jobs of a batch. Results accumulate in
+// canonical sub-domain order, so the output is byte-identical regardless
+// of which device ran which job, how batches formed, or whether work was
+// stolen — and byte-identical to the spill path, which assembles in the
+// same order.
 type Engine struct {
 	sched *Scheduler
 	opts  EngineOptions
@@ -147,9 +149,6 @@ func (e *Engine) monitor(every time.Duration) {
 
 // Scheduler exposes the underlying scheduler (status, audit, metrics).
 func (e *Engine) Scheduler() *Scheduler { return e.sched }
-
-// Status snapshots the fleet.
-func (e *Engine) Status() []DeviceStatus { return e.sched.Status() }
 
 // Close stops the health monitor and the runners. Idempotent — a second
 // Close returns immediately. In-flight solves are drained by the

@@ -11,9 +11,11 @@
 // class) plus the calibrated compute model plus the device's current
 // backlog. Each device owns a bounded FIFO queue; an idle device steals
 // work from its most-loaded sibling (migrating the ledger reservation
-// with the job). Compatible jobs — same sub-domain edge k — are admitted
-// as one batched run so stages A and C amortize across tenants, the
-// paper's §5.4 batch dial applied across jobs instead of pencils. Jobs
+// with the job). Compatible jobs — same sub-domain edge k — are
+// dispatched together as one batch: one wake-up of the device's runner,
+// one fault decision and one ledger release under the scheduler lock.
+// Each job still places and runs its own conv.Local, so a batch shares
+// no transform work between jobs. Jobs
 // whose footprint exceeds every device's capacity spill to the
 // internal/cluster low-communication distributed path, the way the
 // paper's Tables 3/4 pick the decomposition k per problem.
@@ -114,10 +116,6 @@ type Options struct {
 	MaxBatch   int
 	StealMin   int
 
-	// Cost overrides the placement cost model; zero-value fields take the
-	// calibrated defaults (gpu.DefaultPerf, DefaultNVLink, DefaultIB).
-	Cost CostModel
-
 	// Health tunes the device health monitor (suspect/dead deadlines,
 	// probation probes, retry bounds). Zero value gets defaults; the
 	// monitor only acts when a driver calls CheckHealth, so schedulers
@@ -136,21 +134,6 @@ type Options struct {
 	// (suspect/dead/probation/healthy) on the device-index ring, so a
 	// flight-recorder postmortem names each device's last health event.
 	Flight *telemetry.Recorder
-}
-
-// DeviceStatus is one device's point-in-time view, surfaced through
-// serve.Engine.FleetStatus and the wire protocol's fleet-status frame.
-type DeviceStatus struct {
-	Name     string
-	Box      int
-	Capacity int64
-	Used     int64
-	Queued   int
-	Inflight int
-	Steals   int64         // batches this device stole from siblings
-	EWMA     time.Duration // smoothed job duration on this device
-	Health   Health        // supervision state (Healthy/Suspect/Dead/Probation)
-	Requeued int64         // jobs reclaimed from this device by fault recovery
 }
 
 // Task is one schedulable sub-domain job. The scheduling fields (ID,
@@ -233,9 +216,6 @@ func newResultSink(n int) *resultSink {
 	}
 	return s
 }
-
-// Device returns the device the task is placed on (valid once queued).
-func (t *Task) Device() int { return t.dev }
 
 // DefaultNVLink models an NVSwitch hop inside a DGX-2-style box:
 // ~120 GB/s per direction, 2 µs launch latency.

@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -32,38 +30,9 @@ func (l *Log) printf(now time.Time, format string, args ...any) {
 	l.mu.Unlock()
 }
 
-// Bytes returns a copy of the trace so far.
-func (l *Log) Bytes() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]byte(nil), l.buf.Bytes()...)
-}
-
 // Len returns the trace size in bytes.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.buf.Len()
-}
-
-// WriteTo writes the trace to w.
-func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n, err := w.Write(l.buf.Bytes())
-	return int64(n), err
-}
-
-// DumpFile writes the trace to path — the postmortem artifact CI
-// uploads when a seeded fleet suite fails.
-func (l *Log) DumpFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := l.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -114,7 +114,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		queueDepth: opts.QueueDepth,
 		maxBatch:   opts.MaxBatch,
 		stealMin:   opts.StealMin,
-		cost:       opts.Cost.withDefaults(),
+		cost:       CostModel{}.withDefaults(),
 		clock:      opts.Clock,
 		log:        opts.Log,
 		tr:         opts.Trace,
@@ -279,13 +279,6 @@ func (s *Scheduler) retryAfterLocked(di int) time.Duration {
 		mean = time.Millisecond
 	}
 	return mean * time.Duration(len(d.queue)+d.inflight+1)
-}
-
-// RetryAfter returns device di's current wait hint.
-func (s *Scheduler) RetryAfter(di int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retryAfterLocked(di)
 }
 
 // Place reserves footprint for one k³ job on the cheapest admissible
@@ -877,29 +870,4 @@ func (s *Scheduler) Close() {
 	}
 	s.orphans = nil
 	s.cond.Broadcast()
-}
-
-// QueueDepth returns device di's current queue length.
-func (s *Scheduler) QueueDepth(di int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.devs[di].queue)
-}
-
-// Status snapshots every device for telemetry and the wire protocol.
-func (s *Scheduler) Status() []DeviceStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DeviceStatus, len(s.devs))
-	for i := range s.devs {
-		d := &s.devs[i]
-		out[i] = DeviceStatus{
-			Name: d.dev.Name, Box: d.box,
-			Capacity: d.dev.Capacity, Used: d.dev.Used(),
-			Queued: len(d.queue), Inflight: d.inflight,
-			Steals: d.steals, EWMA: time.Duration(d.ewmaNanos),
-			Health: d.health, Requeued: d.requeued,
-		}
-	}
-	return out
 }

@@ -90,7 +90,7 @@ func spatial(t *testing.T, k Kernel, d grid.Dim3) *grid.Field {
 	for kz := 0; kz < d.Nz; kz++ {
 		for ky := 0; ky < d.Ny; ky++ {
 			for kx := 0; kx < d.Nx; kx++ {
-				f.Set(kx, ky, kz, complex(k.Hat(d, kx, ky, kz), 0))
+				f.Data[d.Index(kx, ky, kz)] = complex(k.Hat(d, kx, ky, kz), 0)
 			}
 		}
 	}

@@ -22,9 +22,6 @@ func (f *Field) At(x, y, z int) float64 { return f.Data[f.Dim.Index(x, y, z)] }
 // Set stores v at (x, y, z).
 func (f *Field) Set(x, y, z int, v float64) { f.Data[f.Dim.Index(x, y, z)] = v }
 
-// Add accumulates v at (x, y, z).
-func (f *Field) Add(x, y, z int, v float64) { f.Data[f.Dim.Index(x, y, z)] += v }
-
 // Fill sets every grid point to v.
 func (f *Field) Fill(v float64) {
 	for i := range f.Data {
@@ -153,19 +150,6 @@ type ComplexField struct {
 // NewComplexField allocates a zero-valued complex field.
 func NewComplexField(d Dim3) *ComplexField {
 	return &ComplexField{Dim: d, Data: make([]complex128, d.Len())}
-}
-
-// At returns the value at (x, y, z).
-func (f *ComplexField) At(x, y, z int) complex128 { return f.Data[f.Dim.Index(x, y, z)] }
-
-// Set stores v at (x, y, z).
-func (f *ComplexField) Set(x, y, z int, v complex128) { f.Data[f.Dim.Index(x, y, z)] = v }
-
-// Clone returns a deep copy.
-func (f *ComplexField) Clone() *ComplexField {
-	g := NewComplexField(f.Dim)
-	copy(g.Data, f.Data)
-	return g
 }
 
 // Real extracts the real parts into a new real field.

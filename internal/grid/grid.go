@@ -12,12 +12,6 @@ import "fmt"
 // Point is an integer lattice point (x, y, z).
 type Point [3]int
 
-// Add returns the componentwise sum p+q.
-func (p Point) Add(q Point) Point { return Point{p[0] + q[0], p[1] + q[1], p[2] + q[2]} }
-
-// Sub returns the componentwise difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p[0] - q[0], p[1] - q[1], p[2] - q[2]} }
-
 // Dim3 describes the extents of a 3D grid.
 type Dim3 struct {
 	Nx, Ny, Nz int

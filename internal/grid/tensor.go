@@ -56,15 +56,6 @@ type SymTensor [NumVoigt]float64
 // At returns component (i, j) of the tensor.
 func (t SymTensor) At(i, j int) float64 { return t[VoigtIndex(i, j)] }
 
-// Add returns t + u.
-func (t SymTensor) Add(u SymTensor) SymTensor {
-	var r SymTensor
-	for v := range r {
-		r[v] = t[v] + u[v]
-	}
-	return r
-}
-
 // Sub returns t − u.
 func (t SymTensor) Sub(u SymTensor) SymTensor {
 	var r SymTensor
@@ -99,24 +90,6 @@ func NewTensorField(d Dim3) *TensorField {
 		t.Comp[v] = NewField(d)
 	}
 	return t
-}
-
-// At returns the tensor value at (x, y, z).
-func (t *TensorField) At(x, y, z int) SymTensor {
-	i := t.Dim.Index(x, y, z)
-	var s SymTensor
-	for v := range s {
-		s[v] = t.Comp[v].Data[i]
-	}
-	return s
-}
-
-// Set stores the tensor value at (x, y, z).
-func (t *TensorField) Set(x, y, z int, s SymTensor) {
-	i := t.Dim.Index(x, y, z)
-	for v := range s {
-		t.Comp[v].Data[i] = s[v]
-	}
 }
 
 // AtIndex returns the tensor value at flat index i.

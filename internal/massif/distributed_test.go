@@ -253,7 +253,7 @@ func TestDistributedRecordsIterations(t *testing.T) {
 			if got := tr.CounterValue("massif.iterations"); got != it {
 				t.Errorf("massif.iterations = %d, want Iterations = %d", got, it)
 			}
-			if got := tr.Histogram("massif.iteration_seconds").Count(); got != it {
+			if got := tr.Histogram("massif.iteration_seconds").Snapshot("").Count; got != it {
 				t.Errorf("massif.iteration_seconds count = %d, want %d", got, it)
 			}
 			spans := int64(0)

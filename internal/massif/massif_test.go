@@ -165,10 +165,10 @@ func TestLaminateMatchesAnalytic(t *testing.T) {
 		t.Errorf("mean σ_xx = %g want %g (rel %g)", got[grid.VXX], sxx, rel)
 	}
 	// Per-phase axial strain.
-	if gotA0 := res.Strain.At(1, 5, 7)[grid.VXX]; math.Abs(gotA0-a0)/a0 > 1e-5 {
+	if gotA0 := res.Strain.Comp[grid.VXX].At(1, 5, 7); math.Abs(gotA0-a0)/a0 > 1e-5 {
 		t.Errorf("phase-0 strain %g want %g", gotA0, a0)
 	}
-	if gotA1 := res.Strain.At(n-2, 3, 2)[grid.VXX]; math.Abs(gotA1-a1)/a1 > 1e-5 {
+	if gotA1 := res.Strain.Comp[grid.VXX].At(n-2, 3, 2); math.Abs(gotA1-a1)/a1 > 1e-5 {
 		t.Errorf("phase-1 strain %g want %g", gotA1, a1)
 	}
 	// σ_xx pointwise uniformity (equilibrium across the interface).
@@ -261,7 +261,7 @@ func TestLowCommFullResMatchesReference(t *testing.T) {
 	}
 	// The solve's local convolutions are conv.Local runs and show up on its
 	// stage histograms like every other caller's: one per box per iteration.
-	if got, want := traced.Trace.Histogram("conv.stage_b_seconds").Count(), int64(low.Iterations*low.Comm.SubDomains); got != want {
+	if got, want := traced.Trace.Histogram("conv.stage_b_seconds").Snapshot("").Count, int64(low.Iterations*low.Comm.SubDomains); got != want {
 		t.Errorf("conv.stage_b_seconds count %d, want iterations × boxes = %d", got, want)
 	}
 	r, err := grid.RelL2Tensor(low.Strain, ref.Strain)

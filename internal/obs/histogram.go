@@ -59,31 +59,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(ns)].Add(1)
 }
 
-// Count returns the number of observations. Nil-safe (zero).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observed durations. Nil-safe (zero).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Mean returns the average observed duration. Nil-safe (zero).
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // HistogramBucket is one non-empty bucket of a snapshot: the inclusive
 // nanosecond upper bound and the raw (non-cumulative) count.
 type HistogramBucket struct {

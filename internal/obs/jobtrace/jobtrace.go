@@ -216,17 +216,6 @@ func (j *Job) ID() TraceID {
 	return j.id
 }
 
-// Tenant returns the tenant the job was started for.
-func (j *Job) Tenant() string {
-	if j == nil {
-		return ""
-	}
-	j.mu.Lock()
-	t := j.tenant
-	j.mu.Unlock()
-	return t
-}
-
 func (j *Job) record(e Event) {
 	if j == nil {
 		return

@@ -124,7 +124,8 @@ func mutate(rng *rand.Rand, t *Tree) {
 		si, sj := c.Box.Size()[0], t.Cells[j].Box.Size()[0]
 		c.Box, t.Cells[j].Box = grid.CubeAt(t.Cells[j].Box.Lo, si), grid.CubeAt(c.Box.Lo, sj)
 	case 7: // empty or inverted cell, in or out of the grid
-		c.Box.Hi = c.Box.Lo.Sub(grid.Point{rng.Intn(2), rng.Intn(2), rng.Intn(2)})
+		lo := c.Box.Lo
+		c.Box.Hi = grid.Point{lo[0] - rng.Intn(2), lo[1] - rng.Intn(2), lo[2] - rng.Intn(2)}
 	case 8: // bad rate
 		c.Rate = []int{0, -1, 3, 2 * c.Box.Size()[0], 6}[rng.Intn(5)]
 	case 9: // stretch one axis

@@ -111,9 +111,6 @@ func (a *Assembler) Add(ch Chunk) error {
 	return nil
 }
 
-// Bytes returns the assembled prefix (aliased, not copied).
-func (a *Assembler) Bytes() []byte { return a.buf }
-
 // Compressed decodes the fully assembled stream.
 func (a *Assembler) Compressed() (*Compressed, error) {
 	if !a.Complete() {

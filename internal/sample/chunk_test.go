@@ -64,7 +64,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a.Bytes(), stream) {
+		if !bytes.Equal(a.buf, stream) {
 			t.Fatalf("size %d: assembled bytes differ from encoded stream", size)
 		}
 		for i := range c.Samples {
@@ -108,7 +108,7 @@ func TestChunkResumeFromOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !a.Complete() || !bytes.Equal(a.Bytes(), stream) {
+	if !a.Complete() || !bytes.Equal(a.buf, stream) {
 		t.Fatal("resumed assembly differs from the encoded stream")
 	}
 }

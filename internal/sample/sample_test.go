@@ -730,8 +730,9 @@ func TestAddPatchesMatchesAddResults(t *testing.T) {
 	ps := patchesIn(results[0], d.Bounds())
 	for _, p := range ps {
 		if p.Cell.Rate == 2 {
-			off := p
-			off.Cell.Box = grid.CubeAt(p.Cell.Box.Lo.Add(grid.Point{1, 0, 0}), p.Cell.Box.Size()[0])
+			off, lo := p, p.Cell.Box.Lo
+			lo[0]++
+			off.Cell.Box = grid.CubeAt(lo, p.Cell.Box.Size()[0])
 			if err := AddPatches(grid.NewField(d), grid.Point{}, d.Bounds(), []Patch{p, off}, 1); err == nil {
 				t.Errorf("rate-2 cells at %v and %v share no lattice, yet AddPatches summed them", p.Cell.Box.Lo, off.Cell.Box.Lo)
 			}

@@ -75,9 +75,3 @@ func (c *pipeCache) insert(key grid.Box, build func() (*pipeline, error)) (*pipe
 	}
 	return p, nil
 }
-
-func (c *pipeCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -100,48 +100,9 @@ func TestOverloadRetryAfterPerDevice(t *testing.T) {
 	}
 }
 
-// TestFleetStatusReportsDevices pins the FleetStatus surface consumed by
-// telemetry and the wire protocol: one row per configured device, with
-// names, capacities, and ledgers that return to zero after drain.
-func TestFleetStatusReportsDevices(t *testing.T) {
-	devs := []*gpu.Device{gpu.V100_16GB(), gpu.V100_32GB()}
-	e := testEngine(t, Options{
-		Dim: grid.Cube(16), Workers: 2,
-		Devices: devs, DeviceBox: []int{0, 1},
-	})
-	box := grid.CubeAt(grid.Point{0, 0, 0}, 4)
-	res, err := e.Submit(context.Background(), "a", box, testField(4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Release()
-
-	st := e.FleetStatus()
-	if len(st) != 2 {
-		t.Fatalf("FleetStatus returned %d rows, want 2", len(st))
-	}
-	for i, ds := range st {
-		if ds.Name != devs[i].Name {
-			t.Errorf("row %d name = %q, want %q", i, ds.Name, devs[i].Name)
-		}
-		if ds.Capacity != devs[i].Capacity {
-			t.Errorf("row %d capacity = %d, want %d", i, ds.Capacity, devs[i].Capacity)
-		}
-		if ds.Box != i {
-			t.Errorf("row %d box = %d, want %d", i, ds.Box, i)
-		}
-		if ds.Used != 0 {
-			t.Errorf("row %d holds %d bytes after job release", i, ds.Used)
-		}
-	}
-	if st[0].EWMA <= 0 && st[1].EWMA <= 0 {
-		t.Errorf("no device EWMA recorded after a completed job: %+v", st)
-	}
-}
-
 // TestSingleDeviceOptionIsOneDeviceFleet pins back-compat: Options.Device
 // alone behaves as a one-entry Devices fleet (same admission, same
-// typed errors, FleetStatus reports it).
+// typed errors).
 func TestSingleDeviceOptionIsOneDeviceFleet(t *testing.T) {
 	tiny := &gpu.Device{Name: "tiny", Capacity: 1024}
 	e := testEngine(t, Options{Dim: grid.Cube(16), Workers: 1, Device: tiny})
@@ -149,8 +110,8 @@ func TestSingleDeviceOptionIsOneDeviceFleet(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) || !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOverloaded wrapping gpu.ErrOutOfMemory", err)
 	}
-	if st := e.FleetStatus(); len(st) != 1 || st[0].Name != "tiny" {
-		t.Fatalf("FleetStatus = %+v, want the single configured device", st)
+	if e.sched == nil || e.sched.Devices() != 1 {
+		t.Fatal("Options.Device did not become a one-device admission fleet")
 	}
 }
 

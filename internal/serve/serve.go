@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,8 +77,7 @@ type Options struct {
 	// while every tenant still gets a visit per cycle (starvation-free).
 	// Unlisted tenants get weight 1, which reproduces plain round-robin
 	// exactly. Weights also scale the fleet placement cost's backlog term
-	// (a weight-w tenant discounts queue wait by 1/w). Update at runtime
-	// with SetTenantWeight.
+	// (a weight-w tenant discounts queue wait by 1/w).
 	TenantWeights map[string]int
 
 	// testHook (tests only) runs on the worker goroutine as each job
@@ -116,8 +114,7 @@ func (r Result) Release() {
 type task struct {
 	next      *task // intrusive FIFO link within the tenant queue
 	tq        *tenantQueue
-	tenant    string       // owning tenant (tq is recycled once dequeued)
-	stats     *tenantStats // drain accounting slot (nil: registry full)
+	tenant    string // owning tenant (tq is recycled once dequeued)
 	ctx       context.Context
 	box       grid.Box
 	in        [1]*grid.Field        // the input, as conv.Runner.Run takes it
@@ -144,29 +141,12 @@ type tenantQueue struct {
 	name       string
 	weight     int // DRR quantum: jobs served per dispatch visit
 	credit     int // dequeues left in the current visit
-	size       int // queued tasks (per-tenant depth snapshot)
 	head, tail *task
 	freeNext   *tenantQueue // free-list link while evicted
 }
 
-// tenantStats is one tenant's drain accounting, kept across queue
-// evictions in a bounded registry so /metrics can report per-tenant
-// submit/complete counts and drain shares. Counters are atomics: the
-// worker increments completions without taking the engine mutex.
-type tenantStats struct {
-	name      string
-	submitted atomic.Uint64
-	completed atomic.Uint64
-}
-
-// maxTenantStats bounds the drain-accounting registry. Tenants beyond
-// the cap still get fair dispatch (the queue table is bounded by
-// concurrently-queued tenants, not by this); they just aren't
-// individually reported in TenantSnapshots.
-const maxTenantStats = 512
-
 // maxTenantWeight caps a single tenant's DRR weight, bounding the burst
-// one visit can dispatch (mirrors the wire-protocol bound).
+// one visit can dispatch.
 const maxTenantWeight = 1 << 20
 
 // Engine is the serving engine. Create with New; Submit is safe for
@@ -190,7 +170,6 @@ type Engine struct {
 	rr       int                     // order index currently being served
 	tqFree   *tenantQueue            // evicted-queue pool (keeps warm path 0-alloc)
 	weights  map[string]int          // configured DRR weights (absent: 1)
-	stats    map[string]*tenantStats // bounded drain-accounting registry
 	queued   int
 	draining bool
 	closed   bool
@@ -233,7 +212,6 @@ func New(opts Options) (*Engine, error) {
 		maxQueue: opts.QueueDepth,
 		tenants:  make(map[string]*tenantQueue),
 		weights:  make(map[string]int, len(opts.TenantWeights)),
-		stats:    make(map[string]*tenantStats),
 	}
 	for name, w := range opts.TenantWeights {
 		if w < 1 {
@@ -243,7 +221,6 @@ func New(opts Options) (*Engine, error) {
 			w = maxTenantWeight
 		}
 		e.weights[name] = w
-		e.stats[name] = &tenantStats{name: name}
 	}
 	if e.far <= 0 {
 		e.far = 16
@@ -308,105 +285,6 @@ func New(opts Options) (*Engine, error) {
 // server or snapshotting in tests.
 func (e *Engine) Trace() *obs.Trace { return e.tr }
 
-// Jobs returns the engine's lifecycle-timeline collector (nil when the
-// engine was built without one), for mounting on a telemetry server or
-// exporting Chrome traces.
-func (e *Engine) Jobs() *jobtrace.Collector { return e.jobs }
-
-// QueueDepth returns the number of admitted jobs not yet picked up.
-func (e *Engine) QueueDepth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queued
-}
-
-// SetTenantWeight sets tenant's deficit-round-robin weight — the number
-// of jobs served per dispatch visit — taking effect on the tenant's next
-// visit (jobs already granted credit this visit keep it). w < 1 resets
-// the tenant to the default weight 1; weights above the wire-protocol
-// bound are clamped. Safe for concurrent use with Submit.
-func (e *Engine) SetTenantWeight(tenant string, w int) {
-	if w > maxTenantWeight {
-		w = maxTenantWeight
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if w < 1 {
-		delete(e.weights, tenant)
-		w = 1
-	} else {
-		e.weights[tenant] = w
-	}
-	if tq := e.tenants[tenant]; tq != nil {
-		tq.weight = w
-		if tq.credit > w {
-			tq.credit = w
-		}
-	}
-	if st := e.stats[tenant]; st == nil && len(e.stats) < maxTenantStats {
-		e.stats[tenant] = &tenantStats{name: tenant}
-	}
-}
-
-// TenantWeight returns tenant's current dispatch weight (1 when unset).
-func (e *Engine) TenantWeight(tenant string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if w := e.weights[tenant]; w >= 1 {
-		return w
-	}
-	return 1
-}
-
-// TenantSnapshot is one tenant's weighted-fair dispatch accounting: its
-// configured weight, live queue depth, cumulative submit/complete
-// counts, and its share of everything the engine has completed so far.
-type TenantSnapshot struct {
-	Tenant     string
-	Weight     int
-	Queued     int
-	Submitted  uint64
-	Completed  uint64
-	DrainShare float64 // Completed / Σ Completed across reported tenants
-}
-
-// TenantSnapshots reports the per-tenant dispatch accounting, sorted by
-// tenant name, for the telemetry bridge's serve.tenant_* series. The
-// registry is bounded (maxTenantStats); tenants beyond the bound are
-// dispatched fairly but not individually reported.
-func (e *Engine) TenantSnapshots() []TenantSnapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.stats) == 0 {
-		return nil
-	}
-	out := make([]TenantSnapshot, 0, len(e.stats))
-	var total uint64
-	for name, st := range e.stats {
-		ts := TenantSnapshot{
-			Tenant:    name,
-			Weight:    1,
-			Submitted: st.submitted.Load(),
-			Completed: st.completed.Load(),
-		}
-		if w := e.weights[name]; w >= 1 {
-			ts.Weight = w
-		}
-		if tq := e.tenants[name]; tq != nil {
-			ts.Queued = tq.size
-		}
-		total += ts.Completed
-		out = append(out, ts)
-	}
-	if total > 0 {
-		for i := range out {
-			out[i].DrainShare = float64(out[i].Completed) / float64(total)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
 // jobFootprint models the device bytes one k³ job holds at peak — the
 // shared gpu.JobFootprint model, so serve admission, fleet placement,
 // and massif worker admission all price a job identically.
@@ -457,11 +335,6 @@ func (e *Engine) Submit(ctx context.Context, tenant string, box grid.Box, input 
 	e.queued++ // hold the queue slot across the device reservation
 	depth := e.queued
 	w := e.weights[tenant] // absent: 0, normalized to 1 below
-	st := e.stats[tenant]
-	if st == nil && len(e.stats) < maxTenantStats {
-		st = &tenantStats{name: tenant} // once per tenant; warm path hits the map
-		e.stats[tenant] = st
-	}
 	e.mu.Unlock()
 	if w < 1 {
 		w = 1
@@ -518,7 +391,7 @@ func (e *Engine) Submit(ctx context.Context, tenant string, box grid.Box, input 
 	t.box, t.in[0], t.footprint, t.enq = box, input, fp, time.Now()
 	t.dev = dev
 	t.job, t.jobOwned = j, jobOwned
-	t.tenant, t.stats = tenant, st
+	t.tenant = tenant
 	t.ctx = ctx
 
 	e.mu.Lock()
@@ -545,13 +418,9 @@ func (e *Engine) Submit(ctx context.Context, tenant string, box grid.Box, input 
 		tq.head = t
 	}
 	tq.tail = t
-	tq.size++
 	e.cond.Signal()
 	e.mu.Unlock()
 	e.cSubmitted.Add(1)
-	if st != nil {
-		st.submitted.Add(1)
-	}
 	j.Event(jobtrace.KindQueue, dev, "", int64(depth))
 
 	if done := ctx.Done(); done != nil {
@@ -597,7 +466,7 @@ func (e *Engine) newTenantQueueLocked(tenant string) *tenantQueue {
 	if w < 1 {
 		w = 1
 	}
-	tq.name, tq.weight, tq.credit, tq.size = tenant, w, 0, 0
+	tq.name, tq.weight, tq.credit = tenant, w, 0
 	return tq
 }
 
@@ -621,7 +490,7 @@ func (e *Engine) evictLocked(idx int) {
 	delete(e.tenants, tq.name)
 	tq.name = ""
 	tq.head, tq.tail = nil, nil
-	tq.weight, tq.credit, tq.size = 0, 0, 0
+	tq.weight, tq.credit = 0, 0
 	tq.freeNext = e.tqFree
 	e.tqFree = tq
 }
@@ -650,7 +519,6 @@ func (e *Engine) removeQueued(t *task) bool {
 			tq.tail = prev
 		}
 		cur.next = nil
-		tq.size--
 		e.queued--
 		if tq.head == nil {
 			for i, q := range e.order {
@@ -675,7 +543,7 @@ func (e *Engine) recycle(t *task) {
 	}
 	t.job, t.jobOwned = nil, false
 	t.next, t.tq, t.in[0], t.out[0], t.ctx = nil, nil, nil, nil, nil
-	t.tenant, t.stats = "", nil
+	t.tenant = ""
 	t.res, t.err = Result{}, nil
 	t.dev = -1
 	e.taskPool.Put(t)
@@ -695,15 +563,6 @@ func (e *Engine) releaseDev(t *task) {
 // engine was built without devices) — the hook for health supervision,
 // fault reporting, and the exactly-once ledger audit.
 func (e *Engine) Scheduler() *fleet.Scheduler { return e.sched }
-
-// FleetStatus snapshots the admission fleet's devices (nil when the
-// engine was built without devices).
-func (e *Engine) FleetStatus() []fleet.DeviceStatus {
-	if e.sched == nil {
-		return nil
-	}
-	return e.sched.Status()
-}
 
 // retryAfter estimates how long an overloaded caller should wait: the
 // smoothed job duration times the backlog per worker (plus one job).
@@ -772,7 +631,6 @@ func (e *Engine) dequeue() *task {
 			}
 			t.next = nil
 			t.tq = nil // tq may be evicted and recycled before t finishes
-			tq.size--
 			tq.credit--
 			e.queued--
 			if tq.head == nil {
@@ -829,9 +687,6 @@ func (e *Engine) runJob(t *task, run *conv.Runner) {
 	e.releaseDev(t)
 	if t.err == nil {
 		e.cCompleted.Add(1)
-		if t.stats != nil {
-			t.stats.completed.Add(1)
-		}
 		t.job.Stage("A", dev, t.res.Stats.StageA)
 		t.job.Stage("B", dev, t.res.Stats.StageB)
 		t.job.Stage("C", dev, t.res.Stats.StageC)

@@ -44,6 +44,12 @@ func testEngine(t *testing.T, opts Options) *Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Drain)
+	devs := opts.Devices
+	if len(devs) == 0 && opts.Device != nil {
+		devs = []*gpu.Device{opts.Device}
+	}
+	engineDevices.Store(e, devs)
+	t.Cleanup(func() { engineDevices.Delete(e) })
 	return e
 }
 

@@ -16,8 +16,7 @@ import (
 // e.order and e.tenants forever, so a workload of one-shot tenant IDs
 // grew the dispatch scan without bound. Empty queues are now evicted
 // (and recycled through the free list), so after N ephemeral tenants
-// drain, the dispatch structures are empty and only the bounded stats
-// registry remembers them.
+// drain, the dispatch structures are empty.
 func TestTenantStateEviction(t *testing.T) {
 	e := testEngine(t, Options{Workers: 2, QueueDepth: 8})
 	box := grid.CubeAt(grid.Point{0, 0, 0}, 4)
@@ -33,16 +32,13 @@ func TestTenantStateEviction(t *testing.T) {
 	}
 
 	e.mu.Lock()
-	order, tenants, stats := len(e.order), len(e.tenants), len(e.stats)
+	order, tenants := len(e.order), len(e.tenants)
 	e.mu.Unlock()
 	if order != 0 {
 		t.Errorf("e.order holds %d queues after all tenants drained, want 0", order)
 	}
 	if tenants != 0 {
 		t.Errorf("e.tenants holds %d entries after all tenants drained, want 0", tenants)
-	}
-	if stats > maxTenantStats {
-		t.Errorf("stats registry grew to %d entries, bound is %d", stats, maxTenantStats)
 	}
 }
 
@@ -105,25 +101,6 @@ func TestWeightedDrainProportional(t *testing.T) {
 			t.Errorf("tenant %s drained %d of 28 dispatches, want within 10%% of %d", tenant, got, w)
 		}
 	}
-
-	// The drain accounting behind serve.tenant_* metrics saw it all.
-	snaps := e.TenantSnapshots()
-	if len(snaps) != 3 {
-		t.Fatalf("TenantSnapshots has %d tenants, want 3: %+v", len(snaps), snaps)
-	}
-	var share float64
-	for _, s := range snaps {
-		if s.Queued != 0 {
-			t.Errorf("tenant %s snapshot queues %d after drain, want 0", s.Tenant, s.Queued)
-		}
-		if s.Submitted != s.Completed {
-			t.Errorf("tenant %s submitted %d but completed %d", s.Tenant, s.Submitted, s.Completed)
-		}
-		share += s.DrainShare
-	}
-	if share < 0.999 || share > 1.001 {
-		t.Errorf("drain shares sum to %g, want 1", share)
-	}
 }
 
 // TestStarvationFreedom pins the DRR guarantee the weights must not
@@ -181,60 +158,5 @@ func TestStarvationFreedom(t *testing.T) {
 	// round boundary, not wait out the flood's 120-job backlog.
 	if smallAt > 100 {
 		t.Errorf("weight-1 job dispatched at position %d, want ≤ 100 (one flood visit)", smallAt)
-	}
-}
-
-// TestSetTenantWeightRuntime pins the runtime weight path the wire
-// frame drives: updating a live tenant's weight reshapes dispatch for
-// jobs already queued, and invalid weights clamp to the 1 floor.
-func TestSetTenantWeightRuntime(t *testing.T) {
-	started := make(chan string, 4)
-	release := make(chan struct{}, 4)
-	e := testEngine(t, Options{
-		Workers: 1, QueueDepth: 16,
-		testHook: func(tenant string) { started <- tenant; <-release },
-	})
-	box := grid.CubeAt(grid.Point{0, 0, 0}, 4)
-	in := testField(4, 1)
-
-	var wg sync.WaitGroup
-	submit := func(tenant string) {
-		wg.Add(1)
-		go func() { defer wg.Done(); e.Submit(context.Background(), tenant, box, in) }()
-	}
-	submit("a")
-	<-started
-	for i, tenant := range []string{"a", "a", "a", "b", "b", "b", "b", "b", "b"} {
-		submit(tenant)
-		depth := i + 1
-		waitFor(t, func() bool { return e.QueueDepth() == depth })
-	}
-
-	// Both queues are live with default weight 1; promote b to 3 at
-	// runtime — the queued backlog must immediately drain 3:1.
-	e.SetTenantWeight("b", 3)
-	if got := e.TenantWeight("b"); got != 3 {
-		t.Fatalf("TenantWeight(b) = %d after update, want 3", got)
-	}
-	if got := e.TenantWeight("a"); got != 1 {
-		t.Fatalf("TenantWeight(a) = %d, want default 1", got)
-	}
-	e.SetTenantWeight("x", -5)
-	if got := e.TenantWeight("x"); got != 1 {
-		t.Fatalf("TenantWeight(x) = %d after invalid update, want clamped 1", got)
-	}
-
-	var order []string
-	release <- struct{}{}
-	for i := 0; i < 9; i++ {
-		order = append(order, <-started)
-		release <- struct{}{}
-	}
-	wg.Wait()
-	want := []string{"a", "b", "b", "b", "a", "b", "b", "b", "a"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", order, want)
-		}
 	}
 }

@@ -197,11 +197,6 @@ func (r *Recorder) Checkpoint(rank, iter int, bytes int64) {
 	r.Record(Event{Kind: EventCheckpoint, Rank: rank, Iter: iter, Bytes: bytes})
 }
 
-// Span records a completed timed region. Nil-safe.
-func (r *Recorder) Span(rank int, name string, dur time.Duration) {
-	r.Record(Event{Kind: EventSpan, Rank: rank, Iter: -1, Op: name, Dur: dur})
-}
-
 // Crash records a worker death at the given site. Nil-safe.
 func (r *Recorder) Crash(rank int, op string, err error) {
 	detail := ""

@@ -15,7 +15,6 @@ func TestRecorderNilIsNoOp(t *testing.T) {
 	r.Heartbeat(0, 1)
 	r.Collective(0, "all-to-all", 100, time.Millisecond)
 	r.Checkpoint(0, 1, 64)
-	r.Span(0, "compute", time.Millisecond)
 	r.Crash(0, "all-to-all", errors.New("boom"))
 	r.Note(0, "x")
 	r.Record(Event{})

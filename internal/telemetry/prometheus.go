@@ -27,7 +27,6 @@ var helpText = map[string]string{
 	"cluster.collective.bytes":       "Fabric bytes moved by completed collective rounds - the measured twin of the paper's byte models: 16*N^3*(P-1)/P per slab-transpose round (Eq. 1), P*(P-1)*TOursBytes(N,k,r) per sparse exchange (Eq. 6).",
 	"cluster.alltoall_seconds":       "Wall time of each worker's personalized all-to-all, the measured side of the alpha-beta ModelSec prediction (Eq. 2).",
 	"cluster.allreduce_seconds":      "Wall time of each worker's all-reduce (gather-to-root + broadcast).",
-	"cluster.broadcast_seconds":      "Wall time of each worker's broadcast.",
 	"conv.pencils":                   "Half-spectrum pencils, (N/2+1)*N per run, transformed by the batched stage-B z sweeps (the paper's B-batch dimension, section 5.4).",
 	"conv.samples":                   "Octree samples gathered by stage C.",
 	"conv.sample_bytes":              "Compressed output bytes (samples + octree metadata), the numerator of Table 1's compression claim.",
@@ -74,7 +73,7 @@ var helpText = map[string]string{
 	"fleet.jobs_cancelled":           "Fleet jobs removed from a device queue before dispatch.",
 	"fleet.steals":                   "Work-stealing events: an idle device taking queued jobs from its most-backlogged sibling.",
 	"fleet.stolen_jobs":              "Jobs migrated between device ledgers by work stealing.",
-	"fleet.batch_runs":               "Batched dispatches of same-k jobs sharing one plan set (section 5.1's fleet batching, amortizing stages A/C).",
+	"fleet.batch_runs":               "Batched dispatches of same-k jobs: one runner wake-up, fault decision and ledger release per batch (section 5.1's fleet batching); each job still runs its own pipeline.",
 	"fleet.batch_jobs":               "Jobs dispatched inside batched runs; batch_jobs/batch_runs is the realized batching factor.",
 	"fleet.queue_depth":              "High-water jobs queued across the whole fleet.",
 	"fleet.inflight":                 "High-water jobs executing simultaneously across the fleet.",
@@ -110,11 +109,6 @@ var helpText = map[string]string{
 	"wire.client.assemble_seconds":   "Client time to CRC-check and append one result chunk (sample.Assembler.Add); the sum over a job's chunks is its assemble share of a Submit.",
 	"wire.client.decode_seconds":     "Client time to decode one fully assembled result stream (sample.Assembler.Compressed: header, 5-int octree metadata, linear-time tree validation, samples) - O(cells + samples).",
 	"fleet.placement_rejects":        "Placement candidates rejected while scoring a job against the fleet (typed per-candidate reasons - tried, dead, probation, suspect, no-fit, memory, queue-full - recorded on the job's timeline with the losing Eq. 2 costs), plus health-penalized candidates that scored but lost (probation/suspect or freshly-readmitted devices priced at the HealthPenalty multiplier).",
-	"serve.tenant_weight":            "Per-tenant deficit-round-robin dispatch weight: jobs served per queue visit, so under overload a weight-3 tenant drains ~3x a weight-1 tenant (labeled {tenant}).",
-	"serve.tenant_queue_depth":       "Jobs currently queued per tenant in the serving engine's weighted-fair dispatch (labeled {tenant}).",
-	"serve.tenant_jobs_submitted":    "Jobs accepted into the serving queue per tenant (labeled {tenant}).",
-	"serve.tenant_jobs_completed":    "Jobs completed per tenant (labeled {tenant}).",
-	"serve.tenant_drain_share":       "Tenant's fraction of all completed jobs - under saturation these shares converge to the normalized dispatch weights (labeled {tenant}).",
 }
 
 // MetricName converts an obs registry name to its exported Prometheus
@@ -259,69 +253,6 @@ func WriteJobPhaseMetrics(w io.Writer, c *jobtrace.Collector) error {
 			// escaping exactly.
 			labels := fmt.Sprintf("tenant=%q,phase=%q", t.Tenant, ph.phase)
 			p.writeHistogramSeries(jobPhaseName, labels, ph.h)
-		}
-	}
-	return p.err
-}
-
-// TenantSnapshot is one tenant's weighted-fair dispatch accounting as the
-// bridge exports it — field-for-field the same shape as the serving
-// engine's snapshot, so glue code converts by plain struct conversion
-// without this package importing the engine.
-type TenantSnapshot struct {
-	Tenant     string
-	Weight     int
-	Queued     int
-	Submitted  uint64
-	Completed  uint64
-	DrainShare float64
-}
-
-// tenantFamilies is the serve.tenant_* contract: every family the bridge
-// exports per tenant, with its obs-style name (keyed into helpText) and
-// Prometheus type. The HELP-text test walks this list.
-var tenantFamilies = []struct {
-	obsName string
-	counter bool
-}{
-	{"serve.tenant_weight", false},
-	{"serve.tenant_queue_depth", false},
-	{"serve.tenant_jobs_submitted", true},
-	{"serve.tenant_jobs_completed", true},
-	{"serve.tenant_drain_share", false},
-}
-
-// WriteTenantMetrics renders the per-tenant weighted-fair dispatch
-// accounting as {tenant}-labeled families: weight and queue depth as
-// gauges, submit/complete totals as counters, and the drain share — the
-// measured counterpart of the normalized weights — as a gauge in [0, 1].
-// Nil-safe: an empty snapshot writes nothing.
-func WriteTenantMetrics(w io.Writer, tenants []TenantSnapshot) error {
-	if len(tenants) == 0 {
-		return nil
-	}
-	p := &promWriter{w: w, seen: map[string]bool{}}
-	for _, fam := range tenantFamilies {
-		name := MetricName(fam.obsName, fam.counter)
-		typ := "gauge"
-		if fam.counter {
-			typ = "counter"
-		}
-		p.family(name, helpFor(fam.obsName, typ), typ)
-		for _, t := range tenants {
-			labels := fmt.Sprintf("tenant=%q", t.Tenant)
-			switch fam.obsName {
-			case "serve.tenant_weight":
-				p.printf("%s{%s} %d\n", name, labels, t.Weight)
-			case "serve.tenant_queue_depth":
-				p.printf("%s{%s} %d\n", name, labels, t.Queued)
-			case "serve.tenant_jobs_submitted":
-				p.printf("%s{%s} %d\n", name, labels, t.Submitted)
-			case "serve.tenant_jobs_completed":
-				p.printf("%s{%s} %d\n", name, labels, t.Completed)
-			case "serve.tenant_drain_share":
-				p.printf("%s{%s} %g\n", name, labels, t.DrainShare)
-			}
 		}
 	}
 	return p.err

@@ -254,7 +254,7 @@ func TestJobTraceMetricsDocumented(t *testing.T) {
 	if !ok || strings.TrimSpace(help) == "" {
 		t.Fatalf("fleet.placement_rejects HELP missing or empty: %q", help)
 	}
-	for _, reason := range []string{"tried", "dead", "probation", "suspect", "no-fit", "memory", "queue-full"} {
+	for _, reason := range []string{"tried", "dead", "probation", "suspect", "no-fit", "memory", "queue-full", "penalized"} {
 		if !strings.Contains(help, reason) {
 			t.Errorf("placement_rejects HELP does not document reject reason %q", reason)
 		}
@@ -331,79 +331,6 @@ func TestWriteJobPhaseMetricsNil(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("idle collectors wrote %q", buf.String())
-	}
-}
-
-// TestWriteTenantMetricsExposition lints the {tenant}-labeled
-// weighted-fair dispatch families: every serve.tenant_* series present
-// per tenant with the right type and value, drain shares as written.
-func TestWriteTenantMetricsExposition(t *testing.T) {
-	tenants := []TenantSnapshot{
-		{Tenant: "acme", Weight: 4, Queued: 2, Submitted: 10, Completed: 8, DrainShare: 0.8},
-		{Tenant: "zeta", Weight: 1, Queued: 0, Submitted: 3, Completed: 2, DrainShare: 0.2},
-	}
-	var buf bytes.Buffer
-	if err := WriteTenantMetrics(&buf, tenants); err != nil {
-		t.Fatal(err)
-	}
-	families, series := lintExposition(t, buf.String())
-	wantType := map[string]string{
-		"lowcomm_serve_tenant_weight":               "gauge",
-		"lowcomm_serve_tenant_queue_depth":          "gauge",
-		"lowcomm_serve_tenant_jobs_submitted_total": "counter",
-		"lowcomm_serve_tenant_jobs_completed_total": "counter",
-		"lowcomm_serve_tenant_drain_share":          "gauge",
-	}
-	for name, typ := range wantType {
-		if families[name] != typ {
-			t.Errorf("family %s type = %q, want %q", name, families[name], typ)
-		}
-	}
-	want := map[string]float64{
-		`lowcomm_serve_tenant_weight{tenant="acme"}`:               4,
-		`lowcomm_serve_tenant_queue_depth{tenant="acme"}`:          2,
-		`lowcomm_serve_tenant_jobs_submitted_total{tenant="acme"}`: 10,
-		`lowcomm_serve_tenant_jobs_completed_total{tenant="acme"}`: 8,
-		`lowcomm_serve_tenant_drain_share{tenant="acme"}`:          0.8,
-		`lowcomm_serve_tenant_weight{tenant="zeta"}`:               1,
-		`lowcomm_serve_tenant_drain_share{tenant="zeta"}`:          0.2,
-	}
-	for key, v := range want {
-		if got := series[key]; got != v {
-			t.Errorf("series %s = %v, want %v", key, got, v)
-		}
-	}
-
-	// Empty snapshots write nothing: /metrics stays valid with the
-	// source disabled.
-	buf.Reset()
-	if err := WriteTenantMetrics(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty tenant set wrote %q", buf.String())
-	}
-}
-
-// TestTenantMetricsDocumented pins HELP text for every serve.tenant_*
-// family the bridge exports, and that the placement_rejects HELP now
-// names the health-penalized reason.
-func TestTenantMetricsDocumented(t *testing.T) {
-	for _, fam := range tenantFamilies {
-		help, ok := helpText[fam.obsName]
-		if !ok {
-			t.Errorf("metric %q has no HELP text", fam.obsName)
-			continue
-		}
-		if strings.TrimSpace(help) == "" {
-			t.Errorf("metric %q has empty HELP text", fam.obsName)
-		}
-		if strings.ContainsAny(help, "\n\\") {
-			t.Errorf("metric %q HELP text needs escaping: %q", fam.obsName, help)
-		}
-	}
-	if !strings.Contains(helpText["fleet.placement_rejects"], "penalized") {
-		t.Error("placement_rejects HELP does not document the health-penalized reason")
 	}
 }
 

@@ -56,11 +56,6 @@ type ServeConfig struct {
 	// Jobs feeds /jobs, /jobs/{trace_id}, and the per-tenant
 	// lowcomm_job_phase_seconds family appended to /metrics.
 	Jobs *jobtrace.Collector
-	// Tenants, when non-nil, feeds the {tenant}-labeled serve.tenant_*
-	// weighted-fair dispatch families appended to /metrics (weight, queue
-	// depth, submit/complete totals, drain share). Typically the serving
-	// engine's TenantSnapshots, converted per element.
-	Tenants func() []TenantSnapshot
 }
 
 // Serve binds addr (":8080", "127.0.0.1:0", …) and serves the live
@@ -105,11 +100,6 @@ func ServeWith(addr string, cfg ServeConfig) (*Server, error) {
 		}
 		if cfg.Jobs != nil {
 			if err := WriteJobPhaseMetrics(w, cfg.Jobs); err != nil {
-				return
-			}
-		}
-		if cfg.Tenants != nil {
-			if err := WriteTenantMetrics(w, cfg.Tenants()); err != nil {
 				return
 			}
 		}

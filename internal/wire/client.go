@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lowcomm3d/internal/fleet"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/obs"
 	"lowcomm3d/internal/sample"
@@ -506,166 +505,6 @@ func (c *Client) decode(asm *sample.Assembler) (*sample.Compressed, *statusMsg, 
 	res, err := asm.Compressed()
 	c.hDecode.Observe(time.Since(t0))
 	return res, nil, err
-}
-
-// FleetStatus asks the server for its engine's per-device fleet status:
-// one row per admission device (empty when the server runs without a
-// configured fleet). It shares Submit's session and serializes with it;
-// a dead connection is redialed once before the transport error
-// surfaces.
-func (c *Client) FleetStatus(ctx context.Context) ([]fleet.DeviceStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, c.interrupt)
-	defer stop()
-
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.cmu.Lock()
-		conn := c.conn
-		c.cmu.Unlock()
-		if conn == nil {
-			var err error
-			if conn, _, err = c.connect(ctx); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-			}
-		}
-		rows, err := c.queryFleet(ctx, conn)
-		if err == nil {
-			return rows, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		c.closeConn()
-		if attempt > 0 {
-			return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-	}
-}
-
-// queryFleet sends one fleet query on conn and reads frames until the
-// answer (tolerating keepalives and stale job frames from an abandoned
-// Submit).
-func (c *Client) queryFleet(ctx context.Context, conn net.Conn) ([]fleet.DeviceStatus, error) {
-	if err := c.write(conn, FrameFleetQuery, nil); err != nil {
-		return nil, err
-	}
-	for {
-		conn.SetReadDeadline(readDeadline(ctx, c.opt.IdleTimeout))
-		t, p, err := ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		switch t {
-		case FrameFleetStatus:
-			m, err := decodeFleetStatus(p)
-			if err != nil {
-				return nil, err
-			}
-			return m.Rows, nil
-		case FramePing:
-			if err := c.write(conn, FramePong, nil); err != nil {
-				return nil, err
-			}
-		case FramePong, FrameChunk, FrameDone, FrameStatus:
-			// Keepalives and stale frames from abandoned jobs.
-		default:
-			return nil, fmt.Errorf("%w: unexpected %v frame", ErrFrameCorrupt, t)
-		}
-	}
-}
-
-// SetTenantWeight sets a tenant's weighted-fair dispatch weight on the
-// server at runtime and returns the applied (possibly clamped) weight.
-// It shares Submit's session and serializes with it; a dead connection
-// is redialed once before the transport error surfaces.
-func (c *Client) SetTenantWeight(ctx context.Context, tenant string, weight int) (int, error) {
-	if tenant == "" || len(tenant) > maxWireString {
-		return 0, fmt.Errorf("wire: tenant %q not sendable", tenant)
-	}
-	if weight < 1 || weight > maxWireTenantWeight {
-		return 0, fmt.Errorf("wire: weight %d out of range [1, %d]", weight, maxWireTenantWeight)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, c.interrupt)
-	defer stop()
-
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		c.cmu.Lock()
-		conn := c.conn
-		c.cmu.Unlock()
-		if conn == nil {
-			var err error
-			if conn, _, err = c.connect(ctx); err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrUnavailable, err)
-			}
-		}
-		applied, err := c.sendWeightUpdate(ctx, conn, tenant, weight)
-		if err == nil {
-			return applied, nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) {
-			return 0, err // the server refused the update; redialing won't help
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		c.closeConn()
-		if attempt > 0 {
-			return 0, fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-	}
-}
-
-// sendWeightUpdate sends one weight update on conn and reads frames
-// until the server's echo (tolerating keepalives and stale job frames
-// from an abandoned Submit).
-func (c *Client) sendWeightUpdate(ctx context.Context, conn net.Conn, tenant string, weight int) (int, error) {
-	if err := c.write(conn, FrameWeightUpdate, (weightUpdateMsg{Tenant: tenant, Weight: uint32(weight)}).encode()); err != nil {
-		return 0, err
-	}
-	for {
-		conn.SetReadDeadline(readDeadline(ctx, c.opt.IdleTimeout))
-		t, p, err := ReadFrame(conn)
-		if err != nil {
-			return 0, err
-		}
-		switch t {
-		case FrameWeightUpdate:
-			m, err := decodeWeightUpdate(p)
-			if err != nil {
-				return 0, err
-			}
-			return int(m.Weight), nil
-		case FrameStatus:
-			m, err := decodeStatus(p)
-			if err != nil {
-				return 0, err
-			}
-			if m.Job == 0 {
-				return 0, &StatusError{Code: m.Code, Msg: m.Msg, RetryAfter: m.RetryAfter}
-			}
-			// Stale job-scoped status from an abandoned Submit.
-		case FramePing:
-			if err := c.write(conn, FramePong, nil); err != nil {
-				return 0, err
-			}
-		case FramePong, FrameChunk, FrameDone:
-			// Keepalives and stale frames from abandoned jobs.
-		default:
-			return 0, fmt.Errorf("%w: unexpected %v frame", ErrFrameCorrupt, t)
-		}
-	}
 }
 
 // sendCancel best-effort cancels the job server-side.

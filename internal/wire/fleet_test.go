@@ -3,9 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
-	"time"
 
 	"lowcomm3d/internal/fleet"
 	"lowcomm3d/internal/gpu"
@@ -13,107 +11,10 @@ import (
 	"lowcomm3d/internal/serve"
 )
 
-// TestFleetStatusPayloadRoundTrip pins the fleet-status codec: rows
-// survive encode/decode exactly, the empty answer is legal, and a
-// hostile row count is refused before any row-sized work.
-func TestFleetStatusPayloadRoundTrip(t *testing.T) {
-	m := fleetStatusMsg{Rows: []fleet.DeviceStatus{
-		{Name: "v100-a", Box: 0, Capacity: 16 * gpu.GiB, Used: 123456,
-			Queued: 3, Inflight: 1, Steals: 7, EWMA: 42 * time.Millisecond,
-			Health: fleet.Suspect, Requeued: 5},
-		{Name: "v100-b", Box: 1, Capacity: 32 * gpu.GiB, Health: fleet.Dead},
-	}}
-	got, err := decodeFleetStatus(m.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Rows, m.Rows) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got.Rows, m.Rows)
-	}
-
-	empty, err := decodeFleetStatus(fleetStatusMsg{}.encode())
-	if err != nil || len(empty.Rows) != 0 {
-		t.Fatalf("empty fleet status: rows=%v err=%v", empty.Rows, err)
-	}
-
-	var e enc
-	e.u32(1 << 30) // forged row count with no rows behind it
-	if _, err := decodeFleetStatus(e.b); err == nil {
-		t.Fatal("decode accepted a forged 2^30-row fleet status")
-	}
-}
-
-// TestClientFleetStatus exercises the query over a real connection: the
-// server answers with one row per configured device, ledgers drained
-// back to zero after a completed job, and the same client session keeps
-// submitting afterwards.
-func TestClientFleetStatus(t *testing.T) {
-	devs := []*gpu.Device{gpu.V100_16GB(), gpu.V100_32GB()}
-	eng := testEngine(t, serve.Options{
-		Devices: devs, DeviceBox: []int{0, 1},
-	})
-	s := testServer(t, eng, ServerOptions{})
-	c := NewClient(testClientOptions(s.Addr().String()))
-	defer c.Close()
-
-	box := grid.CubeAt(grid.Point{0, 0, 0}, 4)
-	in := testField(4, 1)
-	res, err := c.Submit(context.Background(), "a", box, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-
-	rows, err := c.FleetStatus(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(devs) {
-		t.Fatalf("fleet status returned %d rows, want %d", len(rows), len(devs))
-	}
-	for i, r := range rows {
-		if r.Name != devs[i].Name || r.Capacity != devs[i].Capacity {
-			t.Errorf("row %d = %+v, want device %q capacity %d", i, r, devs[i].Name, devs[i].Capacity)
-		}
-		if r.Box != i {
-			t.Errorf("row %d box = %d, want %d", i, r.Box, i)
-		}
-		if r.Used != 0 {
-			t.Errorf("row %d still holds %d bytes after job completion", i, r.Used)
-		}
-	}
-	if rows[0].EWMA <= 0 && rows[1].EWMA <= 0 {
-		t.Errorf("no device EWMA over the wire after a completed job: %+v", rows)
-	}
-
-	// The session is still good for work after the query.
-	if _, err := c.Submit(context.Background(), "a", box, in); err != nil {
-		t.Fatalf("submit after fleet query: %v", err)
-	}
-}
-
-// TestClientFleetStatusNoFleet pins the degenerate answer: an engine
-// without configured devices reports zero rows, not an error.
-func TestClientFleetStatusNoFleet(t *testing.T) {
-	eng := testEngine(t, serve.Options{})
-	s := testServer(t, eng, ServerOptions{})
-	c := NewClient(testClientOptions(s.Addr().String()))
-	defer c.Close()
-
-	rows, err := c.FleetStatus(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("fleetless engine reported %d device rows: %+v", len(rows), rows)
-	}
-}
-
 // TestClientFleetDeadStatus pins the degraded-admission protocol path:
 // with every fleet device dead, a submit comes back as the typed
 // StatusFleetDead — errors.Is(err, fleet.ErrFleetDead) holds across the
-// wire, the code is not retryable — and the fleet query reports the
-// devices' health as dead.
+// wire, and the code is not retryable.
 func TestClientFleetDeadStatus(t *testing.T) {
 	devs := []*gpu.Device{gpu.V100_16GB(), gpu.V100_16GB()}
 	eng := testEngine(t, serve.Options{Devices: devs})
@@ -135,16 +36,6 @@ func TestClientFleetDeadStatus(t *testing.T) {
 	}
 	if se.Code.Retryable() {
 		t.Fatalf("StatusFleetDead marked retryable")
-	}
-
-	rows, err := c.FleetStatus(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rows {
-		if r.Health != fleet.Dead {
-			t.Errorf("row %d health %v over the wire, want dead", i, r.Health)
-		}
 	}
 }
 

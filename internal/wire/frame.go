@@ -57,18 +57,8 @@ const (
 	// FrameResume re-requests streaming of a job after a reconnect,
 	// carrying the client's assembled offset.
 	FrameResume
-	// FrameFleetQuery asks for the engine's per-device fleet status
-	// (client → server); the payload is empty.
-	FrameFleetQuery
-	// FrameFleetStatus answers a fleet query (server → client) with one
-	// row per device: name, box, ledger, queue depth, and EWMA latency.
-	FrameFleetStatus
-	// FrameWeightUpdate sets a tenant's weighted-fair dispatch weight at
-	// runtime (client → server); the server echoes the applied update
-	// back with the clamped weight, or answers StatusBadRequest.
-	FrameWeightUpdate
 
-	frameTypeMax = FrameWeightUpdate
+	frameTypeMax = FrameResume
 )
 
 func (t FrameType) String() string {
@@ -95,12 +85,6 @@ func (t FrameType) String() string {
 		return "cancel"
 	case FrameResume:
 		return "resume"
-	case FrameFleetQuery:
-		return "fleet-query"
-	case FrameFleetStatus:
-		return "fleet-status"
-	case FrameWeightUpdate:
-		return "weight-update"
 	default:
 		return fmt.Sprintf("frame(%d)", uint8(t))
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"lowcomm3d/internal/fleet"
 	"lowcomm3d/internal/grid"
 	"lowcomm3d/internal/sample"
 )
@@ -81,26 +80,6 @@ type resumeMsg struct {
 // cancelMsg cancels a job wherever it is.
 type cancelMsg struct {
 	Job uint64
-}
-
-// fleetStatusMsg answers a FrameFleetQuery with one row per device in
-// the engine's admission fleet (empty when the engine runs without a
-// configured fleet).
-type fleetStatusMsg struct {
-	Rows []fleet.DeviceStatus
-}
-
-// maxWireTenantWeight bounds a decoded dispatch weight — mirrors the
-// serving engine's clamp, so a hostile weight cannot starve every other
-// tenant for 2³² visits.
-const maxWireTenantWeight = 1 << 20
-
-// weightUpdateMsg sets one tenant's weighted-fair dispatch weight at
-// runtime. The server applies it (clamped to [1, maxWireTenantWeight])
-// and echoes the applied update back.
-type weightUpdateMsg struct {
-	Tenant string
-	Weight uint32
 }
 
 // enc is an append-only little-endian writer.
@@ -393,76 +372,4 @@ func decodeCancel(p []byte) (cancelMsg, error) {
 	d := dec{b: p}
 	m := cancelMsg{Job: d.u64("cancel")}
 	return m, d.done("cancel")
-}
-
-func (m weightUpdateMsg) encode() []byte {
-	var e enc
-	e.str(m.Tenant)
-	e.u32(m.Weight)
-	return e.b
-}
-
-func decodeWeightUpdate(p []byte) (weightUpdateMsg, error) {
-	d := dec{b: p}
-	m := weightUpdateMsg{Tenant: d.str("weight-update"), Weight: d.u32("weight-update")}
-	if err := d.done("weight-update"); err != nil {
-		return weightUpdateMsg{}, err
-	}
-	if m.Tenant == "" {
-		return weightUpdateMsg{}, fmt.Errorf("wire: weight update with empty tenant")
-	}
-	if m.Weight < 1 || m.Weight > maxWireTenantWeight {
-		return weightUpdateMsg{}, fmt.Errorf("wire: weight %d out of range [1, %d]", m.Weight, maxWireTenantWeight)
-	}
-	return m, nil
-}
-
-// maxFleetRows bounds a decoded fleet-status row count; the scheduler
-// itself refuses fleets above 64 devices, so anything near the bound is
-// hostile.
-const maxFleetRows = 1024
-
-func (m fleetStatusMsg) encode() []byte {
-	var e enc
-	e.u32(uint32(len(m.Rows)))
-	for _, r := range m.Rows {
-		e.str(r.Name)
-		e.u32(uint32(r.Box))
-		e.i64(r.Capacity)
-		e.i64(r.Used)
-		e.u32(uint32(r.Queued))
-		e.u32(uint32(r.Inflight))
-		e.i64(r.Steals)
-		e.i64(int64(r.EWMA))
-		e.u8(uint8(r.Health))
-		e.i64(r.Requeued)
-	}
-	return e.b
-}
-
-func decodeFleetStatus(p []byte) (fleetStatusMsg, error) {
-	d := dec{b: p}
-	n := int(d.u32("fleet-status"))
-	if d.err == nil && n > maxFleetRows {
-		return fleetStatusMsg{}, fmt.Errorf("wire: fleet status with %d rows", n)
-	}
-	var m fleetStatusMsg
-	for i := 0; i < n && d.err == nil; i++ {
-		var r fleet.DeviceStatus
-		r.Name = d.str("fleet-status")
-		r.Box = int(d.u32("fleet-status"))
-		r.Capacity = d.i64("fleet-status")
-		r.Used = d.i64("fleet-status")
-		r.Queued = int(d.u32("fleet-status"))
-		r.Inflight = int(d.u32("fleet-status"))
-		r.Steals = d.i64("fleet-status")
-		r.EWMA = time.Duration(d.i64("fleet-status"))
-		r.Health = fleet.Health(d.u8("fleet-status"))
-		r.Requeued = d.i64("fleet-status")
-		m.Rows = append(m.Rows, r)
-	}
-	if err := d.done("fleet-status"); err != nil {
-		return fleetStatusMsg{}, err
-	}
-	return m, nil
 }

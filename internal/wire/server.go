@@ -58,12 +58,6 @@ type ServerOptions struct {
 	// ConnWrap, when non-nil, wraps every accepted connection — the
 	// chaos tests' fault-injection hook.
 	ConnWrap func(net.Conn) net.Conn
-
-	// TenantWeights seeds the engine's weighted-fair dispatch weights at
-	// server start (tenant → jobs per dispatch visit); clients adjust
-	// them at runtime with FrameWeightUpdate. Entries below 1 are
-	// ignored, matching serve.Options.TenantWeights.
-	TenantWeights map[string]int
 }
 
 func (o *ServerOptions) defaults() {
@@ -214,12 +208,6 @@ func NewServer(eng *serve.Engine, ln net.Listener, opts ServerOptions) *Server {
 	s.gSessions = s.tr.Gauge("wire.sessions_live")
 	s.hStream = s.tr.Histogram("wire.job_stream_seconds")
 
-	for tenant, w := range opts.TenantWeights {
-		if w >= 1 {
-			eng.SetTenantWeight(tenant, w)
-		}
-	}
-
 	s.connWG.Add(1)
 	go s.acceptLoop()
 	go s.reaper()
@@ -324,25 +312,6 @@ func (s *Server) serveConn(c net.Conn) {
 		case FrameCancel:
 			if m, err := decodeCancel(p); err == nil {
 				s.handleCancel(sess, m)
-			}
-		case FrameFleetQuery:
-			if cs.write(FrameFleetStatus, fleetStatusMsg{Rows: s.eng.FleetStatus()}.encode()) != nil {
-				return
-			}
-		case FrameWeightUpdate:
-			m, err := decodeWeightUpdate(p)
-			if err != nil {
-				if cs.write(FrameStatus, statusMsg{Code: StatusBadRequest, Msg: err.Error()}.encode()) != nil {
-					return
-				}
-				continue
-			}
-			s.eng.SetTenantWeight(m.Tenant, int(m.Weight))
-			// Echo the applied weight (the engine may clamp) so the
-			// client observes the update land.
-			m.Weight = uint32(s.eng.TenantWeight(m.Tenant))
-			if cs.write(FrameWeightUpdate, m.encode()) != nil {
-				return
 			}
 		default:
 			cs.write(FrameStatus, statusMsg{Code: StatusBadRequest,

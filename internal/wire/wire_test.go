@@ -189,10 +189,10 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	// The client-side share of each Submit is on the client's trace: one
 	// decode per job, one assemble per chunk received.
-	if n := c.Trace().Histogram("wire.client.decode_seconds").Count(); n != 3 {
+	if n := c.Trace().Histogram("wire.client.decode_seconds").Snapshot("").Count; n != 3 {
 		t.Errorf("wire.client.decode_seconds count = %d, want 3", n)
 	}
-	if n := c.Trace().Histogram("wire.client.assemble_seconds").Count(); n != chunks {
+	if n := c.Trace().Histogram("wire.client.assemble_seconds").Snapshot("").Count; n != chunks {
 		t.Errorf("wire.client.assemble_seconds count = %d, want %d chunks", n, chunks)
 	}
 	c.Close()
@@ -599,6 +599,18 @@ func TestReadFrameHostileHeaders(t *testing.T) {
 			// A flipped byte in the CRC-protected region must always be
 			// caught by one of the two CRCs.
 			t.Errorf("%s: err = %v, want ErrFrameCorrupt", name, err)
+		}
+	}
+
+	// A type past FrameResume with valid CRCs is refused like any unknown
+	// type; 12–14 numbered the fleet-query, fleet-status and weight-update
+	// frames this protocol no longer has.
+	for _, ft := range []FrameType{FrameResume + 1, FrameResume + 2, FrameResume + 3, 255} {
+		b := EncodeFrame(FramePing, nil)
+		b[4] = byte(ft)
+		fixCRC(b)
+		if _, _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("frame type %d: err = %v, want ErrFrameCorrupt", ft, err)
 		}
 	}
 

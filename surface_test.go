@@ -6,10 +6,14 @@ package lowcomm3d
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -26,8 +30,9 @@ import (
 var surfaceAllowed = map[string]string{
 	"conv.BaselineReal":                    "the dense oracle of the root tests and bench_test.go",
 	"cluster.NewChaosConn":                 "socket chaos for wire's chaos suite",
-	"serve.Engine.TenantSnapshots":         "telemetry's scrape test reads the per-tenant counters through it",
 	"sample.Compressed.NearestReconstruct": "the root ablation's nearest-neighbour baseline",
+	"serve.Engine.Scheduler":               "wire's fleet-dead test reports every device failed through it",
+	"gpu.Device.Used":                      "the ledger the fleet, serve and massif tests audit for leaked reservations",
 }
 
 // surfaceMethodRoots are method names the standard library calls through
@@ -50,8 +55,7 @@ type surfaceDecl struct {
 	lines int // including the doc comment
 	main  bool
 
-	names     map[string]bool    // unqualified identifiers it mentions
-	qualified map[[2]string]bool // (import path, name) pairs it mentions
+	uses map[types.Object]bool // package-level objects and methods it mentions
 
 	reached bool
 }
@@ -63,50 +67,49 @@ func (d *surfaceDecl) id() string {
 	return d.short + "." + d.name
 }
 
-// surfacePass parses every non-test .go file of the module rooted at dir
-// and collects its declarations with the names each one mentions.
+// surfacePass type-checks every package of the module rooted at dir, from
+// the non-test files go/build selects for this platform, and collects its
+// declarations with the objects each one mentions.
 type surfacePass struct {
 	fset      *token.FileSet
+	dir       string
+	module    string
+	std       types.Importer
+	pkgs      map[string]*types.Package // module packages checked so far, by import path
 	decls     []*surfaceDecl
-	topLevel  map[string]map[string][]*surfaceDecl // import path → name
-	methods   map[string][]*surfaceDecl            // method name → every method of that name
-	ifaceMeth map[string]bool                      // method names declared in an interface
+	byObj     map[types.Object]*surfaceDecl
+	ifaceMeth map[string]bool // method names declared in an interface
 }
 
 func newSurfacePass(t *testing.T, dir string) *surfacePass {
 	t.Helper()
-	module := surfaceModule(t, dir)
 	p := &surfacePass{
 		fset:      token.NewFileSet(),
-		topLevel:  map[string]map[string][]*surfaceDecl{},
-		methods:   map[string][]*surfaceDecl{},
+		dir:       dir,
+		module:    surfaceModule(t, dir),
+		std:       importer.Default(),
+		pkgs:      map[string]*types.Package{},
+		byObj:     map[types.Object]*surfaceDecl{},
 		ifaceMeth: map[string]bool{},
 	}
 	err := filepath.WalkDir(dir, func(fpath string, e fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !e.IsDir() {
 			return err
 		}
 		name := e.Name()
-		if e.IsDir() {
-			if fpath != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
+		if fpath != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
 		}
 		rel, err := filepath.Rel(dir, fpath)
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(p.fset, fpath, nil, parser.ParseComments)
-		if err != nil {
-			return err
+		_, err = p.Import(path.Join(p.module, filepath.ToSlash(rel)))
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
 		}
-		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
-		p.addFile(f, filepath.ToSlash(rel), pkg)
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,17 +134,44 @@ func surfaceModule(t *testing.T, dir string) string {
 	return ""
 }
 
-func (p *surfacePass) addFile(f *ast.File, rel, pkg string) {
-	imports := map[string]string{} // name in this file → import path
-	for _, im := range f.Imports {
-		ipath := strings.Trim(im.Path.Value, `"`)
-		name := path.Base(ipath)
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = ipath
+// Import makes the pass a types.Importer: a package of the module is
+// checked from source once, and its declarations collected; any other
+// comes from the standard library's export data.
+func (p *surfacePass) Import(ipath string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(ipath, p.module)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return p.std.Import(ipath)
 	}
-	isMain := f.Name.Name == "main"
+	if pkg := p.pkgs[ipath]; pkg != nil {
+		return pkg, nil
+	}
+	bp, err := build.Default.ImportDir(filepath.Join(p.dir, filepath.FromSlash(rel)), 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(p.fset, filepath.Join(bp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: p}).Check(ipath, p.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[ipath] = pkg
+	for _, f := range files {
+		p.addFile(f, pkg, info)
+	}
+	return pkg, nil
+}
+
+func (p *surfacePass) addFile(f *ast.File, pkg *types.Package, info *types.Info) {
+	rel, _ := filepath.Rel(p.dir, p.fset.Position(f.Package).Filename)
+	rel = filepath.ToSlash(rel)
 	// span is the declaration's source, refs the node whose mentions it
 	// makes.
 	add := func(recv string, name *ast.Ident, doc *ast.CommentGroup, span, refs ast.Node) {
@@ -150,21 +180,16 @@ func (p *surfacePass) addFile(f *ast.File, rel, pkg string) {
 			start = doc.Pos()
 		}
 		d := &surfaceDecl{
-			pkg: pkg, short: path.Base(pkg), recv: recv, name: name.Name,
+			pkg: pkg.Path(), short: path.Base(pkg.Path()), recv: recv, name: name.Name,
 			file: rel, line: p.fset.Position(name.Pos()).Line,
 			lines: p.fset.Position(span.End()).Line - p.fset.Position(start).Line + 1,
-			main:  isMain,
+			main:  pkg.Name() == "main",
+			uses:  p.mentions(refs, info),
 		}
-		d.names, d.qualified = surfaceMentions(refs, name, imports)
 		p.decls = append(p.decls, d)
-		if recv != "" {
-			p.methods[d.name] = append(p.methods[d.name], d)
-			return
+		if obj := info.Defs[name]; obj != nil {
+			p.byObj[obj] = d
 		}
-		if p.topLevel[pkg] == nil {
-			p.topLevel[pkg] = map[string][]*surfaceDecl{}
-		}
-		p.topLevel[pkg][d.name] = append(p.topLevel[pkg][d.name], d)
 	}
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
@@ -232,47 +257,40 @@ func surfaceRecvName(x ast.Expr) string {
 	}
 }
 
-// surfaceMentions returns the identifiers node mentions, apart from self
-// and the names of fields and parameters it declares. A selector on an
-// imported package's name is a qualified mention.
-func surfaceMentions(node ast.Node, self *ast.Ident, imports map[string]string) (map[string]bool, map[[2]string]bool) {
-	names, qualified := map[string]bool{}, map[[2]string]bool{}
-	declared := map[*ast.Ident]bool{self: true}
+// mentions returns the package-level objects and methods of the module
+// that node uses, each as declared: a method of an instantiated generic
+// type maps to its generic declaration.
+func (p *surfacePass) mentions(node ast.Node, info *types.Info) map[types.Object]bool {
+	uses := map[types.Object]bool{}
 	ast.Inspect(node, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Field:
-			for _, id := range n.Names {
-				declared[id] = true
-			}
-		case *ast.SelectorExpr:
-			// The parser sets Obj on an identifier it resolved to a
-			// declaration in the file, which shadows an import name.
-			if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
-				if ipath, ok := imports[x.Name]; ok {
-					qualified[[2]string{ipath, n.Sel.Name}] = true
-					return false
-				}
-			}
-		case *ast.Ident:
-			if !declared[n] {
-				names[n.Name] = true
-			}
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
 		}
+		obj := info.Uses[id]
+		if obj == nil || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), p.module) {
+			return true
+		}
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		uses[obj] = true
 		return true
 	})
-	return names, qualified
+	return uses
 }
 
 // reach marks every declaration reachable from roots and from the
 // declarations in extra.
 func (p *surfacePass) reach(extra map[string]bool) {
 	var work []*surfaceDecl
-	mark := func(ds []*surfaceDecl) {
-		for _, d := range ds {
-			if !d.reached {
-				d.reached = true
-				work = append(work, d)
-			}
+	mark := func(d *surfaceDecl) {
+		if d != nil && !d.reached {
+			d.reached = true
+			work = append(work, d)
 		}
 	}
 	methodRoot := map[string]bool{"init": true}
@@ -287,28 +305,24 @@ func (p *surfacePass) reach(extra map[string]bool) {
 		case d.main, extra[d.id()],
 			d.recv == "" && (d.name == "init" || d.name == "_"),
 			d.recv != "" && (methodRoot[d.name] || p.ifaceMeth[d.name]):
-			mark([]*surfaceDecl{d})
+			mark(d)
 		}
 	}
 	for len(work) > 0 {
 		d := work[len(work)-1]
 		work = work[:len(work)-1]
-		for n := range d.names {
-			mark(p.topLevel[d.pkg][n])
-			mark(p.methods[n])
-		}
-		for q := range d.qualified {
-			mark(p.topLevel[q[0]][q[1]])
+		for obj := range d.uses {
+			mark(p.byObj[obj])
 		}
 	}
 }
 
-// internalUnreached returns the unreached declarations under internal/,
-// by file and line.
-func (p *surfacePass) internalUnreached() []*surfaceDecl {
+// unreached returns the unreached declarations whose file lies under
+// prefix, by file and line.
+func (p *surfacePass) unreached(prefix string) []*surfaceDecl {
 	var out []*surfaceDecl
 	for _, d := range p.decls {
-		if !d.reached && strings.HasPrefix(d.file, "internal/") {
+		if !d.reached && strings.HasPrefix(d.file, prefix) {
 			out = append(out, d)
 		}
 	}
@@ -321,18 +335,19 @@ func (p *surfacePass) internalUnreached() []*surfaceDecl {
 	return out
 }
 
-// TestNoTestOnlySurface is a name-based reachability pass over the non-test
-// files. Its roots are every declaration in a main package (cmd/, bench/,
-// examples/), what package initialization runs (init functions and blank
-// variables), and methods an interface can call: the
-// standard library's in surfaceMethodRoots and every method named in an
-// interface declared in the tree. A declaration is reached when a reached
-// declaration mentions its name, qualified by its package where it is
-// top-level in another. Names are matched without types, so the pass can
-// only miss dead code, never flag live code. Every declaration under
-// internal/ it does not reach must be deleted, moved into the _test.go
-// files that use it, given a production caller, or allow-listed in
-// surfaceAllowed. Run with -v for the report.
+// TestNoTestOnlySurface is a reachability pass over the non-test files
+// that go/build selects for this platform, with every identifier resolved
+// by go/types. Its roots are every declaration in a main package (cmd/,
+// bench/, examples/), what package initialization runs (init functions
+// and blank variables), and methods an interface can call: the standard
+// library's in surfaceMethodRoots and every method named in an interface
+// declared in the tree. A declaration is reached when a reached
+// declaration uses it: a concrete method only through a call or value of
+// that very method, so a same-named method of another type, or a field,
+// keeps nothing alive. Every declaration under internal/ it does not reach
+// must be deleted, moved into the _test.go files that use it, given a
+// production caller, or allow-listed in surfaceAllowed. Run with -v (or
+// make surface) for the report.
 func TestNoTestOnlySurface(t *testing.T) {
 	p := newSurfacePass(t, ".")
 	internal := 0
@@ -349,7 +364,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 	}
 
 	p.reach(nil)
-	unreached := p.internalUnreached()
+	unreached := p.unreached("internal/")
 	allowed := map[string]bool{}
 	for _, d := range unreached {
 		if _, ok := surfaceAllowed[d.id()]; ok {
@@ -381,5 +396,31 @@ func TestNoTestOnlySurface(t *testing.T) {
 	t.Logf("%d declarations under internal/, %d reached by no program:\n%s", internal, len(unreached), report.String())
 	if bad > 0 {
 		t.Errorf("%d declarations under internal/ (%d lines) are reached by tests only; see the report above", bad, total)
+	}
+}
+
+// TestSurfacePassResolvesTypes runs the pass on the small module in
+// testdata/surface. Its one unreached declaration is a method whose name
+// a live method of another type shares; a method only an interface calls
+// is reached, and the arch_amd64.go / arch_other.go pair declares archName
+// once, from whichever file go/build selects.
+func TestSurfacePassResolvesTypes(t *testing.T) {
+	p := newSurfacePass(t, filepath.Join("testdata", "surface"))
+	p.reach(nil)
+	var got []string
+	for _, d := range p.unreached("") {
+		got = append(got, d.id())
+	}
+	if want := []string{"lib.Dead.Get"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("unreached = %v, want %v", got, want)
+	}
+	arch := 0
+	for _, d := range p.decls {
+		if d.id() == "lib.archName" {
+			arch++
+		}
+	}
+	if arch != 1 {
+		t.Errorf("lib.archName declared %d times, want 1", arch)
 	}
 }
